@@ -7,7 +7,11 @@
 //! on (+1). Both paths are bitwise identical — asserted here per density —
 //! so the only thing that changes is wall-clock. The expected shape: sparse
 //! wins big at 1%, still wins at 10%, and loses above the default 25%
-//! threshold (which is why the dispatch threshold sits there).
+//! threshold (which is why the dispatch threshold sits there). The `conv2d`
+//! row is the im2col + matmul reference, the only convolution the
+//! threshold still steers; the `conv2d_ws` row sets the direct scatter
+//! kernel (its "sparse" column — it has no dense twin) against that
+//! reference's dense time.
 //!
 //! Part 2 runs the full VGG backbone through the dynamic-timestep runner
 //! and proves the workspace claim: after one warm-up sample, the Eval
@@ -20,7 +24,7 @@
 use dtsnn_bench::{json, print_table, time_it, write_json};
 use dtsnn_core::{DynamicInference, ExitPolicy};
 use dtsnn_snn::{vgg_small, LifConfig, ModelConfig};
-use dtsnn_tensor::{simd, conv2d_ws, sparse, Conv2dSpec, Tensor, TensorRng, Workspace};
+use dtsnn_tensor::{conv2d, conv2d_ws, simd, sparse, Conv2dSpec, Tensor, TensorRng, Workspace};
 
 /// A [0,1) tensor thresholded into a binary spike pattern of the given
 /// density (the operand shape the event-driven path is built for).
@@ -70,16 +74,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let nt_d = sparse::with_density_threshold(-1.0, || a.matmul_nt(&w_nt))?;
         let nt_s = sparse::with_density_threshold(1.0, || a.matmul_nt(&w_nt))?;
         assert_bitwise(&nt_d, &nt_s, "matmul_nt");
-        let mut ws_d = Workspace::new();
-        let mut ws_s = Workspace::new();
-        let cv_d = sparse::with_density_threshold(-1.0, || {
-            conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws_d)
-        })?;
-        let cv_s = sparse::with_density_threshold(1.0, || {
-            conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws_s)
-        })?;
-        assert_bitwise(&cv_d, &cv_s, "conv2d");
+        let mut ws = Workspace::new();
+        let reference = |threshold: f32| {
+            sparse::with_density_threshold(threshold, || {
+                conv2d(&x_conv, &w_conv, Some(&bias), &spec).map(|(out, _cols)| out)
+            })
+        };
+        let cv_d = reference(-1.0)?;
+        assert_bitwise(&cv_d, &reference(1.0)?, "conv2d");
+        let direct = conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws)?;
+        assert_bitwise(&cv_d, &direct, "conv2d_ws");
+        ws.recycle_tensor(direct);
 
+        let conv_dense_s = time_it(|| reference(-1.0).unwrap());
         let mut point = vec![json!({"density": density})];
         for (kernel, dense_s, sparse_s) in [
             (
@@ -92,21 +99,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 sparse::with_density_threshold(-1.0, || time_it(|| a.matmul_nt(&w_nt).unwrap())),
                 sparse::with_density_threshold(1.0, || time_it(|| a.matmul_nt(&w_nt).unwrap())),
             ),
+            ("conv2d", conv_dense_s, time_it(|| reference(1.0).unwrap())),
             (
-                "conv2d",
-                sparse::with_density_threshold(-1.0, || {
-                    time_it(|| {
-                        let out = conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws_d)
-                            .unwrap();
-                        ws_d.recycle_tensor(out);
-                    })
-                }),
-                sparse::with_density_threshold(1.0, || {
-                    time_it(|| {
-                        let out = conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws_s)
-                            .unwrap();
-                        ws_s.recycle_tensor(out);
-                    })
+                "conv2d_ws",
+                conv_dense_s,
+                time_it(|| {
+                    let out = conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws).unwrap();
+                    ws.recycle_tensor(out);
                 }),
             ),
         ] {

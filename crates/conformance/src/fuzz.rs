@@ -36,9 +36,11 @@
 //!    logits (the gather kernels replay the dense accumulation order
 //!    exactly), under 1 worker and under 4.
 //! 9. **Backend equivalence** — whole forward passes forced down each
-//!    kernel family via the [`backend`] override: dense, CSR and bitset
-//!    return bitwise-identical outcomes, accumulated logits and spike
-//!    densities under 1 worker and under 4; the quantized backend (a real
+//!    kernel family via the [`backend`] override, plus one left on auto
+//!    dispatch: dense, CSR, bitset and auto return bitwise-identical
+//!    outcomes, accumulated logits and spike densities under 1 worker and
+//!    under 4 (convolution runs one direct kernel whatever is forced; the
+//!    families differ in the linear layers); the quantized backend (a real
 //!    numeric change, pinned by its own goldens) must be reproducible,
 //!    thread-count invariant and finite.
 //! 10. **Continuous-batching server ≡ sequential runner** — a seeded
@@ -462,25 +464,32 @@ fn oracle_backend_equivalence(case: &FuzzCase) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let frame = case.frame(0xBAC_EAD);
-    let run_forced = |threads: usize, kind: BackendKind| -> Result<_, String> {
+    // `None` leaves dispatch on auto: whatever each layer picks by itself
+    let run_forced = |threads: usize, kind: Option<BackendKind>| -> Result<_, String> {
         parallel::with_threads(threads, || {
-            backend::with_backend(kind, || {
+            let run = || {
                 let mut net = case.build(8)?;
                 let traced = runner
                     .run_traced(&mut net, std::slice::from_ref(&frame))
                     .map_err(|e| e.to_string())?;
                 Ok((traced.outcome, traced.per_timestep))
-            })
+            };
+            match kind {
+                Some(kind) => backend::with_backend(kind, run),
+                None => run(),
+            }
         })
     };
     for threads in [1usize, 4] {
-        // dense is the oracle; CSR and bitset must replay it bitwise
-        let dense = run_forced(threads, BackendKind::Dense)?;
-        for kind in [BackendKind::Csr, BackendKind::Bitset] {
+        // dense is the oracle; CSR, bitset and the unforced dispatch must
+        // replay it bitwise
+        let dense = run_forced(threads, Some(BackendKind::Dense))?;
+        for kind in [Some(BackendKind::Csr), Some(BackendKind::Bitset), None] {
             let other = run_forced(threads, kind)?;
+            let kind = kind.map_or("auto", BackendKind::name);
             if dense.0 != other.0 {
                 return Err(format!(
-                    "{threads}-worker outcome differs: dense {:?} vs {kind:?} {:?}",
+                    "{threads}-worker outcome differs: dense {:?} vs {kind} {:?}",
                     dense.0, other.0
                 ));
             }
@@ -489,13 +498,13 @@ fn oracle_backend_equivalence(case: &FuzzCase) -> Result<(), String> {
                 let ob: Vec<u32> = o.accumulated_logits.iter().map(|v| v.to_bits()).collect();
                 if db != ob {
                     return Err(format!(
-                        "{threads}-worker {kind:?} accumulated logits differ bitwise at t={}",
+                        "{threads}-worker {kind} accumulated logits differ bitwise at t={}",
                         t + 1
                     ));
                 }
                 if d.spike_densities != o.spike_densities {
                     return Err(format!(
-                        "{threads}-worker {kind:?} spike densities differ at t={}",
+                        "{threads}-worker {kind} spike densities differ at t={}",
                         t + 1
                     ));
                 }
@@ -504,12 +513,12 @@ fn oracle_backend_equivalence(case: &FuzzCase) -> Result<(), String> {
     }
     // quantized is a real numeric change: demand reproducibility,
     // thread-count invariance and finiteness instead of bitwise identity
-    let q1 = run_forced(1, BackendKind::Quantized)?;
-    let q2 = run_forced(1, BackendKind::Quantized)?;
+    let q1 = run_forced(1, Some(BackendKind::Quantized))?;
+    let q2 = run_forced(1, Some(BackendKind::Quantized))?;
     if q1 != q2 {
         return Err("quantized backend is not run-to-run reproducible".into());
     }
-    let q4 = run_forced(4, BackendKind::Quantized)?;
+    let q4 = run_forced(4, Some(BackendKind::Quantized))?;
     if q1 != q4 {
         return Err("quantized backend differs across thread counts".into());
     }
@@ -817,7 +826,7 @@ fn oracle_event_sim_matches_ledger(case: &FuzzCase) -> Result<(), String> {
     let mapping = ChipMapping::map(&geometry, &config).map_err(|e| e.to_string())?;
     let cost = CostModel::new(mapping, config).map_err(|e| e.to_string())?;
     // seeded per-layer densities; the analog-encoded first layer stays 1.0
-    let mut rng = TensorRng::seed_from(case.seed ^ 0x51E7_11);
+    let mut rng = TensorRng::seed_from(case.seed ^ 0x0051_E711);
     let mut densities: Vec<f32> =
         (0..cost.mapping().layers().len()).map(|_| rng.uniform(0.0, 1.0)).collect();
     densities[0] = 1.0;

@@ -789,7 +789,7 @@ impl<C: Clock + Clone> Cluster<C> {
         while i < self.backlog.len() {
             let id = self.backlog[i];
             let tr = self.tracked.get_mut(&id).expect("tracked id");
-            if !tr.deadline.is_some_and(|d| t > d) {
+            if tr.deadline.is_none_or(|d| t <= d) {
                 i += 1;
                 continue;
             }

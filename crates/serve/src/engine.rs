@@ -7,7 +7,7 @@ use crate::controller::ThetaController;
 use crate::{Result, ServeError};
 use dtsnn_core::ExitPolicy;
 use dtsnn_snn::{Mode, Snn};
-use dtsnn_tensor::{softmax_rows, Tensor};
+use dtsnn_tensor::{softmax_rows, Tensor, WorkspaceStats};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::Duration;
@@ -317,6 +317,12 @@ impl<C: Clock> Server<C> {
     /// Lifetime counters.
     pub fn stats(&self) -> ServerStats {
         self.stats
+    }
+
+    /// Allocation counters of the network's scratch arena (lifetime totals:
+    /// difference two readings to count the misses of a span).
+    pub fn workspace_stats(&self) -> WorkspaceStats {
+        self.net.workspace_stats()
     }
 
     /// Queued (not yet admitted) requests.

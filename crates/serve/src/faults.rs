@@ -59,7 +59,7 @@ impl FaultKind {
 
     fn validate(&self) -> Result<()> {
         match *self {
-            FaultKind::Stall { duration_nanos } if duration_nanos == 0 => {
+            FaultKind::Stall { duration_nanos: 0 } => {
                 Err(ServeError::InvalidConfig("stall duration must be nonzero".into()))
             }
             FaultKind::Slowdown { factor, duration_nanos } => {
@@ -75,7 +75,7 @@ impl FaultKind {
                 }
                 Ok(())
             }
-            FaultKind::TransientErrors { count } if count == 0 => {
+            FaultKind::TransientErrors { count: 0 } => {
                 Err(ServeError::InvalidConfig("transient error count must be nonzero".into()))
             }
             _ => Ok(()),

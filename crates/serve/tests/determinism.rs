@@ -9,7 +9,7 @@ use dtsnn_serve::{
     replay_trace, CompletionStatus, Request, RequestOutcome, Server, ServerConfig, ServiceModel,
     SimClock, StepRecord, ThetaController, TracedRequest,
 };
-use dtsnn_snn::{Flatten, Layer, LifConfig, LifNeuron, Linear, Snn};
+use dtsnn_snn::{Conv2d, Flatten, Layer, LifConfig, LifNeuron, Linear, Snn};
 use dtsnn_tensor::{parallel, Tensor, TensorRng};
 
 /// Splits the tiny-net fixtures between early and full-window exits (same
@@ -210,4 +210,43 @@ fn per_timestep_frame_sequences_ride_through_the_window() {
     let outcomes = server.take_outcomes();
     let outcome = outcomes.iter().find(|o| o.id == 0).unwrap();
     assert_matches_solo(outcome, &request);
+}
+
+#[test]
+fn warmed_server_serves_from_its_arena_without_allocating() {
+    // A conv net (so the packed-weight plan and the scatter tiles are in
+    // play) under staggered arrivals: widths rise and fall, rows are spliced
+    // and compacted. Once a burst has warmed every width up to `slots`, a
+    // second identical burst must take every buffer from the freelist.
+    let mut rng = TensorRng::seed_from(77);
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng).unwrap()),
+        Box::new(LifNeuron::new(LifConfig::default())),
+        Box::new(Flatten::new()),
+        Box::new(Linear::new(4 * 4 * 4, 3, &mut rng)),
+    ];
+    let burst = |first_id: u64, start: u64| -> Vec<TracedRequest> {
+        let mut rng = TensorRng::seed_from(0xB0057);
+        (0..12)
+            .map(|i| TracedRequest {
+                at_nanos: start + i * 300,
+                request: Request {
+                    id: first_id + i,
+                    frames: vec![Tensor::randn(&[2, 4, 4], 0.5, 0.5, &mut rng)],
+                    deadline_nanos: None,
+                    priority: 0,
+                },
+            })
+            .collect()
+    };
+    let mut server = Server::new(Snn::from_layers(layers), config(4), SimClock::new()).unwrap();
+    replay_trace(&mut server, &burst(0, 0)).unwrap();
+    assert!(server.stats().spliced_mid_window >= 1, "stats {:?}", server.stats());
+    let warm = server.workspace_stats();
+    let second = burst(100, server.now());
+    replay_trace(&mut server, &second).unwrap();
+    let after = server.workspace_stats();
+    assert_eq!(server.take_outcomes().len(), 24);
+    assert!(after.takes > warm.takes);
+    assert_eq!(after.misses, warm.misses, "warmed server allocated: {warm:?} -> {after:?}");
 }

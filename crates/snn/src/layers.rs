@@ -2,18 +2,18 @@
 //! pooling, dropout, flatten, and residual composition.
 //!
 //! All layers obey the per-timestep forward / reverse-time backward contract
-//! of [`Layer`]. Convolution re-derives its im2col matrix during backward
-//! from the cached (sparse, binary) input spikes instead of caching the much
-//! larger column matrix.
+//! of [`Layer`]. Convolution runs the direct scatter kernel over a packed
+//! weight plan in both modes; backward derives the im2col matrix from the
+//! cached (sparse, binary) input spikes instead of caching the much larger
+//! column matrix.
 
 use crate::layer::{Layer, Mode, Param};
 use crate::lif::{LifConfig, LifNeuron};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, backend, conv2d, conv2d_backward,
-    conv2d_ws_quant, conv2d_ws_with, im2col, linear_ws_quant, linear_ws_with, simd,
-    BackendKind, Conv2dSpec, PoolSpec, QuantizedWeights, Tensor, TensorError, TensorRng,
-    Workspace,
+    avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, backend, conv2d_backward, conv2d_ws_quant,
+    im2col, linear_ws_quant, linear_ws_with, simd, BackendKind, Conv2dSpec, ConvPlan, PoolSpec,
+    QuantizedWeights, Tensor, TensorError, TensorRng, Workspace,
 };
 
 // ===========================================================================
@@ -33,6 +33,9 @@ pub struct Conv2d {
     quant: Option<QuantizedWeights>,
     /// `Some(bits)` once [`Layer::quantize_weights`] opted this layer in.
     quant_bits: Option<u32>,
+    /// Weights packed for the direct kernel (lazy cache, invalidated
+    /// wherever `quant` is). A clone owns its own copy.
+    plan: Option<ConvPlan>,
     /// Backend the most recent Eval forward dispatched to.
     last_backend: Option<BackendKind>,
 }
@@ -62,6 +65,7 @@ impl Conv2d {
             inputs: Vec::new(),
             quant: None,
             quant_bits: None,
+            plan: None,
             last_backend: None,
         })
     }
@@ -78,18 +82,37 @@ impl Conv2d {
 
     /// Mutable access to the weight matrix (for device-noise injection).
     pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.quant = None; // weights may change; on-grid codes are stale
+        self.invalidate_packed(); // weights may change
         &mut self.weight.value
+    }
+
+    /// Drops the caches derived from the weights: the on-grid codes and the
+    /// packed plan. Both rebuild lazily on the next forward.
+    fn invalidate_packed(&mut self) {
+        self.quant = None;
+        self.plan = None;
+    }
+
+    /// The direct kernel over the (lazily packed) plan; returns the output
+    /// and the `(density, binary)` its input scan counted.
+    fn forward_packed(
+        &mut self,
+        input: &Tensor,
+        ws: &mut Workspace,
+    ) -> Result<(Tensor, (f32, bool))> {
+        if self.plan.is_none() {
+            self.plan = Some(ConvPlan::new(&self.weight.value, &self.spec)?);
+        }
+        let plan = self.plan.as_ref().expect("plan ensured above");
+        Ok(plan.forward(input, Some(&self.bias.value), ws)?)
     }
 
     /// Eval forward shared by `forward` and `forward_ws`: one backend
     /// choice per call, recorded for the trace context. Both entry points
     /// route here, so the two stay bitwise identical by construction.
     fn forward_eval(&mut self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let (density, binary) = input.spike_stats();
-        let kind = backend::choose_layer(density, binary, self.quant_bits.is_some());
-        self.last_backend = Some(kind);
-        if kind == BackendKind::Quantized {
+        if backend::wants_quantized(self.quant_bits.is_some()) {
+            self.last_backend = Some(BackendKind::Quantized);
             let bits = self.quant_bits.unwrap_or(backend::DEFAULT_QUANT_BITS);
             if self.quant.as_ref().is_none_or(|q| q.bits() != bits) {
                 self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
@@ -97,21 +120,24 @@ impl Conv2d {
             let qw = self.quant.as_ref().expect("cache ensured above");
             return Ok(conv2d_ws_quant(input, qw, Some(&self.bias.value), &self.spec, ws)?);
         }
-        Ok(conv2d_ws_with(kind, input, &self.weight.value, Some(&self.bias.value), &self.spec, ws)?)
+        // every f32 family is the one direct kernel; the name recorded is the
+        // family its scan counts select
+        let (out, (density, binary)) = self.forward_packed(input, ws)?;
+        self.last_backend = Some(backend::choose_kernel(density, binary));
+        Ok(out)
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        // No arena on this entry point: run against a throwaway workspace
+        // (bitwise identical to `forward_ws`, just allocating).
+        let mut ws = Workspace::new();
         if mode == Mode::Train {
-            let (out, _cols) =
-                conv2d(input, &self.weight.value, Some(&self.bias.value), &self.spec)?;
+            let (out, _) = self.forward_packed(input, &mut ws)?;
             self.inputs.push(input.clone());
             return Ok(out);
         }
-        // Eval without an arena: run the shared path against a throwaway
-        // workspace (bitwise identical to `forward_ws`, just allocating).
-        let mut ws = Workspace::new();
         self.forward_eval(input, &mut ws)
     }
 
@@ -139,7 +165,7 @@ impl Layer for Conv2d {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.quant = None; // visitors may mutate weights (optimizer, noise)
+        self.invalidate_packed(); // visitors may mutate weights (optimizer, noise)
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -154,7 +180,7 @@ impl Layer for Conv2d {
 
     fn quantize_weights(&mut self, bits: u32) {
         self.quant_bits = Some(bits);
-        self.quant = None; // rebuilt lazily at the new width
+        self.invalidate_packed(); // codes rebuilt lazily at the new width
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -19,6 +19,15 @@
 //! the sparse branch now picks the bit-packed kernels for binary operands,
 //! which is bitwise neutral by the [`crate::bitset`] argument.
 //!
+//! The f32 **convolution forward** sits outside the seam: the three f32
+//! families were bitwise equal there, and one direct spike-scatter kernel
+//! ([`crate::conv2d_ws`], [`crate::ConvPlan`]) replaced all three. A conv
+//! layer still *reports* the family its input's density and binarity select
+//! (from the counts the kernel's own scan produces), and the im2col
+//! reference [`crate::conv2d`] still dispatches through
+//! [`crate::Tensor::matmul`]; only the quantized choice changes which
+//! convolution code runs.
+//!
 //! # Forcing a backend
 //!
 //! Tests and benches can pin the choice process-wide with [`set_backend`] /
@@ -170,16 +179,24 @@ pub fn choose_kernel(density: f32, binary: bool) -> BackendKind {
     }
 }
 
-/// Backend choice for a layer forward: like [`choose_kernel`] but honors
-/// [`BackendKind::Quantized`] — when forced, or when the layer has opted
-/// into quantization (`quantized`) and nothing is forced.
-pub fn choose_layer(density: f32, binary: bool, quantized: bool) -> BackendKind {
+/// Whether a layer forward takes the quantized family: when it is forced,
+/// or when the layer has opted into quantization (`opted_in`) and nothing is
+/// forced. Independent of the operand, so a layer can decide it before its
+/// kernel has scanned the input.
+pub fn wants_quantized(opted_in: bool) -> bool {
     match forced() {
-        Some(BackendKind::Quantized) => BackendKind::Quantized,
-        Some(BackendKind::Bitset) if !binary => BackendKind::Csr,
-        Some(kind) => kind,
-        None if quantized => BackendKind::Quantized,
-        None => auto(density, binary),
+        Some(kind) => kind == BackendKind::Quantized,
+        None => opted_in,
+    }
+}
+
+/// Backend choice for a layer forward: [`BackendKind::Quantized`] when
+/// [`wants_quantized`], otherwise [`choose_kernel`].
+pub fn choose_layer(density: f32, binary: bool, quantized: bool) -> BackendKind {
+    if wants_quantized(quantized) {
+        BackendKind::Quantized
+    } else {
+        choose_kernel(density, binary)
     }
 }
 
@@ -212,7 +229,8 @@ pub trait KernelBackend: Send + Sync {
     /// Same conditions as [`Tensor::matmul_nt`].
     fn matmul_nt(&self, a: &Tensor, b: &Tensor) -> Result<Tensor>;
 
-    /// Workspace-backed convolution forward through this family's kernels.
+    /// Workspace-backed convolution forward: the one direct kernel for
+    /// every f32 family, the integer kernel for the quantized one.
     ///
     /// # Errors
     ///

@@ -25,6 +25,11 @@
 //! of silently losing coefficients — the dispatch layer in
 //! [`crate::backend`] measures binarity first and routes non-binary
 //! operands to CSR.
+//!
+//! The f32 convolution forward does not come through here: it scatters
+//! spikes straight from the NCHW input (see `conv.rs`). The bit-packed
+//! im2col ([`BitMatrix::build_from_im2col`]) remains for the quantized
+//! convolution, whose integer dot consumes whole packed patch rows.
 
 use crate::{parallel, simd, AlignedWords, Conv2dSpec, Result, Tensor, TensorError};
 
@@ -157,10 +162,9 @@ impl BitMatrix {
 
     /// Rebuilds as the im2col unfolding of `input` (`[n, c, h, w]`), setting
     /// **only active patch taps** — the dense `[n*oh*ow, c*k*k]` column
-    /// matrix is never materialized and padding taps stay unset. The scan
-    /// follows the same `(ci, ky, kx)` order as [`crate::im2col`]; since
-    /// bits self-sort within their words, the downstream accumulation order
-    /// matches the dense path exactly.
+    /// matrix is never materialized and padding taps stay unset. Used by
+    /// [`crate::conv2d_ws_quant`] only; equal, word for word, to packing
+    /// [`crate::im2col`]'s output with [`BitMatrix::build_from_dense`].
     ///
     /// # Errors
     ///
@@ -429,27 +433,19 @@ mod tests {
     }
 
     #[test]
-    fn im2col_build_matches_spike_matrix_columns() {
+    fn im2col_build_matches_packing_the_dense_unfolding() {
         let mut rng = TensorRng::seed_from(173);
-        let spec = Conv2dSpec::new(3, 5, 3, 1, 1).unwrap();
-        let x = spikes(&[2, 3, 8, 8], 0.12, &mut rng);
-        let mut bm = BitMatrix::new();
-        bm.build_from_im2col(&x, &spec).unwrap();
-        let mut sm = SpikeMatrix::new();
-        sm.build_from_im2col(&x, &spec).unwrap();
-        assert_eq!(bm.rows(), sm.rows());
-        assert_eq!(bm.cols(), sm.cols());
-        assert_eq!(bm.nnz(), sm.nnz());
-        // both feed the same product; results must be bitwise identical
-        let w_t = Tensor::randn(&[spec.patch_len(), 5], 0.0, 0.5, &mut rng);
-        let rows = bm.rows();
-        let mut a_out = vec![0.0f32; rows * 5];
-        let mut b_out = vec![0.0f32; rows * 5];
-        bm.matmul_into(w_t.data(), 5, &mut a_out);
-        sm.matmul_into(w_t.data(), 5, &mut b_out);
-        let ab: Vec<u32> = a_out.iter().map(|v| v.to_bits()).collect();
-        let bb: Vec<u32> = b_out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ab, bb);
+        for (stride, pad) in [(1, 1), (2, 1), (1, 0)] {
+            let spec = Conv2dSpec::new(3, 5, 3, stride, pad).unwrap();
+            let x = spikes(&[2, 3, 8, 8], 0.12, &mut rng);
+            let mut direct = BitMatrix::new();
+            direct.build_from_im2col(&x, &spec).unwrap();
+            let cols = crate::im2col(&x, &spec).unwrap();
+            let mut packed = BitMatrix::new();
+            packed.build_from_dense(cols.data(), cols.dims()[0], cols.dims()[1]).unwrap();
+            assert_eq!((direct.rows(), direct.cols()), (packed.rows(), packed.cols()));
+            assert_eq!(direct.words, packed.words, "stride={stride} pad={pad}");
+        }
     }
 
     #[test]

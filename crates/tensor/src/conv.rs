@@ -1,20 +1,33 @@
-//! 2-D convolution via im2col + matmul, with the exact backward pass.
+//! 2-D convolution (`NCHW`, weights `[c_out, c_in*k*k]`): a direct
+//! spike-scatter forward kernel, the im2col + matmul reference it is pinned
+//! against, and the exact backward pass.
 //!
-//! Layout is `NCHW`. The column matrix produced by [`im2col`] has one row per
-//! output pixel (`n * oh * ow` rows) and one column per kernel tap
-//! (`c * k * k` columns), so a convolution is a single matrix product with a
-//! `[c_out, c*k*k]` weight matrix.
+//! **Forward** ([`conv2d_ws`], [`ConvPlan::forward`]) never materialises an
+//! unfolding. It walks each sample's input in `(ci, iy, ix)` raster order —
+//! one packed nonzero word per 64 elements of an input row keeps the scan
+//! branch-light — and adds `x` times the packed `c_out`-wide weight row of
+//! tap `(ci, ky, kx)` into the at most `k*k` rows of the sample's
+//! `[oh*ow, c_out]` output tile that `x` touches (at stride 1 the taps along
+//! x fuse into one longer row-add), then the bias, then one tile -> NCHW
+//! pass. For a fixed output pixel, ascending input `(ci, iy, ix)` *is*
+//! ascending patch index `(ci, ky, kx)`, so every output element accumulates
+//! the terms of [`conv2d`]'s im2col row times the transposed weights in the
+//! same order (zero taps skipped, explicit multiply-then-add): **bitwise
+//! identical** (the sign/payload of a NaN made from two NaNs aside), whichever
+//! family a forced backend sends the reference down.
 //!
-//! The unfold/fold/layout passes are partitioned across the
-//! [`crate::parallel`] pool: `im2col` by output row (each row written once)
-//! and `col2im`/layout transforms by batch index (all `+=` accumulation for a
-//! sample stays on one worker, in serial order), so results are bitwise
-//! identical for any thread count.
+//! **Reference / backward**: [`im2col`] has one row per output pixel and one
+//! column per tap, so [`conv2d`] is one matrix product, [`conv2d_backward`] two.
+//!
+//! Every pass is partitioned across the [`crate::parallel`] pool so that one
+//! output element's accumulation stays on one worker in serial order
+//! (`im2col` by output row, the rest by sample): thread-count-invariant bits.
 
-use crate::backend::{self, BackendKind};
-use crate::linalg::{add_bias_rows, matmul_dense};
+use crate::backend::BackendKind;
+use crate::linalg::add_bias_rows;
 use crate::quant::QuantizedWeights;
-use crate::{parallel, Result, Tensor, TensorError, Workspace};
+use crate::{parallel, simd, AlignedVec, Result, SimdLevel, Tensor, TensorError, Workspace};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Geometry of a 2-D convolution (square kernel, symmetric padding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,39 +114,17 @@ impl Conv2dSpec {
 /// errors from [`Conv2dSpec::output_hw`].
 pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let [n, c, h, w] = dims4(input)?;
-    if c != spec.in_channels {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n, spec.in_channels, h, w],
-            actual: input.dims().to_vec(),
-        });
-    }
+    expect_dims(input.dims(), &[n, spec.in_channels, h, w])?;
     let (oh, ow) = spec.output_hw(h, w)?;
-    let rows = n * oh * ow;
-    let mut cols = Tensor::zeros(&[rows, spec.patch_len()]);
+    let (k, pl, rows) = (spec.kernel, spec.patch_len(), n * oh * ow);
+    let mut cols = Tensor::zeros(&[rows, pl]);
     if rows == 0 {
         return Ok(cols);
     }
-    im2col_core(input.data(), [n, c, h, w], spec, oh, ow, cols.data_mut());
-    Ok(cols)
-}
-
-/// Writes the im2col unfolding into a pre-zeroed `[n*oh*ow, patch_len]`
-/// buffer (padding taps stay zero). Shared by [`im2col`] and the
-/// workspace-backed dense path of [`conv2d_ws`].
-fn im2col_core(
-    src: &[f32],
-    [n, c, h, w]: [usize; 4],
-    spec: &Conv2dSpec,
-    oh: usize,
-    ow: usize,
-    dst: &mut [f32],
-) {
-    let k = spec.kernel;
-    let pl = spec.patch_len();
-    let rows = n * oh * ow;
+    let src = input.data();
     let pad = spec.padding as isize;
     let work = rows.saturating_mul(pl);
-    parallel::for_each_row_chunk(dst, pl, rows, work, |first_row, dst| {
+    parallel::for_each_row_chunk(cols.data_mut(), pl, rows, work, |first_row, dst| {
         for (local, patch) in dst.chunks_mut(pl).enumerate() {
             let flat = first_row + local;
             let ox = flat % ow;
@@ -161,6 +152,7 @@ fn im2col_core(
             }
         }
     });
+    Ok(cols)
 }
 
 /// Folds a column-matrix gradient back onto the input: the adjoint of
@@ -175,12 +167,7 @@ pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) ->
     let k = spec.kernel;
     let c = spec.in_channels;
     let pl = spec.patch_len();
-    if cols.dims() != [n * oh * ow, pl] {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n * oh * ow, pl],
-            actual: cols.dims().to_vec(),
-        });
-    }
+    expect_dims(cols.dims(), &[n * oh * ow, pl])?;
     let mut out = Tensor::zeros(&[n, c, h, w]);
     let sample_len = c * h * w;
     if n == 0 || sample_len == 0 {
@@ -249,35 +236,80 @@ pub fn conv2d(
     let w_t = weight.transpose2d()?;
     let mut out_mat = cols.matmul(&w_t)?;
     if let Some(b) = bias {
-        if b.dims() != [spec.out_channels] {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![spec.out_channels],
-                actual: b.dims().to_vec(),
-            });
-        }
+        expect_dims(b.dims(), &[spec.out_channels])?;
         add_bias_rows(out_mat.data_mut(), spec.out_channels, n * oh * ow, b.data());
     }
-    let out = rows_to_nchw(&out_mat, n, spec.out_channels, oh, ow);
+    let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
+    rows_to_nchw_core(out_mat.data(), n, spec.out_channels, oh, ow, out.data_mut());
     Ok((out, cols))
 }
 
-/// Eval-mode convolution forward with every intermediate drawn from `ws`:
-/// the transposed weight, the output row matrix, the NCHW output buffer,
-/// and — on the dense branch — the im2col column matrix. Below the sparse
-/// dispatch threshold the column matrix is never materialized at all: a
-/// [`crate::SpikeMatrix`] im2col build emits only the active patch entries
-/// and the product becomes per-spike row adds.
-///
-/// Bitwise identical to [`conv2d`] (the accumulation order per output
-/// element is the same on every branch); unlike `conv2d` it does not return
-/// the column matrix, so it is for inference only — training uses
-/// [`conv2d`] and keeps `cols` for the backward pass.
+/// Input-side checks shared by the workspace forwards: rank and channel
+/// count of `input`, dims of `bias`. Returns `[n, c, h, w]` and the output
+/// extent.
+fn check_input(
+    input: &Tensor,
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+) -> Result<([usize; 4], (usize, usize))> {
+    let [n, c, h, w] = dims4(input)?;
+    expect_dims(input.dims(), &[n, spec.in_channels, h, w])?;
+    if let Some(b) = bias {
+        expect_dims(b.dims(), &[spec.out_channels])?;
+    }
+    Ok(([n, c, h, w], spec.output_hw(h, w)?))
+}
+
+/// A layer's `[c_out, c_in*k*k]` weights packed once for the direct kernel
+/// (one `c_out`-wide row per tap), so packing leaves the timestep loop. The
+/// owner rebuilds it whenever the weights may change; a clone owns its copy.
+#[derive(Debug, Clone)]
+pub struct ConvPlan {
+    spec: Conv2dSpec,
+    w_t: AlignedVec,
+}
+
+impl ConvPlan {
+    /// Packs `weight` (`[c_out, c_in*k*k]`) for `spec`.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::ShapeMismatch`] when `weight` disagrees with `spec`.
+    pub fn new(weight: &Tensor, spec: &Conv2dSpec) -> Result<Self> {
+        expect_dims(weight.dims(), &spec.weight_dims())?;
+        let mut w_t = AlignedVec::zeroed(weight.len());
+        pack_weights(weight.data(), spec, &mut w_t);
+        Ok(ConvPlan { spec: *spec, w_t })
+    }
+
+    /// Forward over the packed weights, bitwise identical to [`conv2d`];
+    /// scratch and output come from `ws`. Also returns the `(density, binary)`
+    /// the kernel's own scan counted — equal to [`Tensor::spike_stats`] of
+    /// `input` — so the caller can name a backend without a second pass.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`conv2d_ws`].
+    pub fn forward(
+        &self,
+        input: &Tensor,
+        bias: Option<&Tensor>,
+        ws: &mut Workspace,
+    ) -> Result<(Tensor, (f32, bool))> {
+        scatter_forward(input, &self.w_t, bias, &self.spec, ws)
+    }
+}
+
+/// Convolution forward with every intermediate drawn from `ws`: the direct
+/// spike-scatter kernel (see the module docs), bitwise identical to
+/// [`conv2d`]. It packs `weight` on every call; a layer that runs the same
+/// weights every timestep keeps a [`ConvPlan`] instead.
 ///
 /// # Errors
 ///
-/// Propagates shape and geometry errors from [`im2col`] / matmul, plus
-/// [`TensorError::ShapeMismatch`] for a weight or bias that disagrees with
-/// `spec`.
+/// [`TensorError::RankMismatch`] for non-4-D input, [`TensorError::ShapeMismatch`]
+/// for an input channel count, weight or bias that disagrees with `spec`, and
+/// geometry errors from [`Conv2dSpec::output_hw`].
 pub fn conv2d_ws(
     input: &Tensor,
     weight: &Tensor,
@@ -285,22 +317,23 @@ pub fn conv2d_ws(
     spec: &Conv2dSpec,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
-    let (density, binary) = input.spike_stats();
-    conv2d_ws_with(backend::choose_kernel(density, binary), input, weight, bias, spec, ws)
+    expect_dims(weight.dims(), &spec.weight_dims())?;
+    let mut w_t = ws.take(weight.len());
+    pack_weights(weight.data(), spec, &mut w_t);
+    let out = scatter_forward(input, &w_t, bias, spec, ws);
+    ws.recycle(w_t);
+    Ok(out?.0)
 }
 
-/// [`conv2d_ws`] with the kernel family fixed by the caller (layers pick it
-/// once per forward via [`crate::backend::choose_layer`] so the choice can
-/// be recorded). On the bitset branch the im2col unfolding is **bit-packed**
-/// — one `u64` word per 64 patch taps, built directly from the NCHW input —
-/// and the product becomes word-driven row adds.
+/// [`conv2d_ws`] under a caller-chosen kernel family. The f32 families all
+/// run the one direct kernel (they were bitwise equal), so `kind` only
+/// selects between it and the error below.
 ///
 /// # Errors
 ///
 /// Same conditions as [`conv2d_ws`], plus
 /// [`TensorError::InvalidArgument`] for [`BackendKind::Quantized`] (which
-/// needs a [`QuantizedWeights`] cache — use [`conv2d_ws_quant`]) or a
-/// non-binary input forced down the bitset branch.
+/// needs a [`QuantizedWeights`] cache — use [`conv2d_ws_quant`]).
 pub fn conv2d_ws_with(
     kind: BackendKind,
     input: &Tensor,
@@ -309,80 +342,137 @@ pub fn conv2d_ws_with(
     spec: &Conv2dSpec,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
-    let [n, c, h, w] = dims4(input)?;
-    if c != spec.in_channels {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n, spec.in_channels, h, w],
-            actual: input.dims().to_vec(),
-        });
+    if kind == BackendKind::Quantized {
+        return Err(TensorError::InvalidArgument(
+            "conv2d_ws_with cannot run the quantized backend; quantize the \
+             weights and call conv2d_ws_quant"
+                .into(),
+        ));
     }
-    if weight.dims() != spec.weight_dims() {
-        return Err(TensorError::ShapeMismatch {
-            expected: spec.weight_dims().to_vec(),
-            actual: weight.dims().to_vec(),
-        });
-    }
+    conv2d_ws(input, weight, bias, spec, ws)
+}
+
+/// The direct kernel over [`pack_weights`] output: scatter + bias into one `[oh*ow, co]`
+/// tile per sample (sharded by sample, as [`col2im`] is), then one tiles -> NCHW pass.
+fn scatter_forward(
+    input: &Tensor,
+    w_t: &[f32],
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+    ws: &mut Workspace,
+) -> Result<(Tensor, (f32, bool))> {
+    let ([n, c, h, w], (oh, ow)) = check_input(input, bias, spec)?;
     let co = spec.out_channels;
-    if let Some(b) = bias {
-        if b.dims() != [co] {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![co],
-                actual: b.dims().to_vec(),
-            });
+    let (sample_len, tile_len) = (c * h * w, oh * ow * co);
+    let mut tiles = ws.take(n * tile_len);
+    let (nonzero, binary) = (AtomicUsize::new(0), AtomicBool::new(true));
+    if n * tile_len > 0 {
+        let src = input.data();
+        let lvl = simd::level();
+        let work = (n * tile_len).saturating_mul(spec.patch_len());
+        parallel::for_each_row_chunk(&mut tiles, tile_len, n, work, |first_n, chunk| {
+            for (local_ni, tile) in chunk.chunks_mut(tile_len).enumerate() {
+                let sample = &src[(first_n + local_ni) * sample_len..][..sample_len];
+                let (nnz, bin) = scatter_sample(sample, [c, h, w], (oh, ow), w_t, spec, tile, lvl);
+                // integer sum and boolean and: the merge order cannot matter
+                nonzero.fetch_add(nnz, Ordering::Relaxed);
+                binary.fetch_and(bin, Ordering::Relaxed);
+                if let Some(b) = bias {
+                    for row in tile.chunks_mut(co) {
+                        simd::add_row(row, b.data(), lvl);
+                    }
+                }
+            }
+        });
+    }
+    let density = nonzero.into_inner() as f32 / input.len().max(1) as f32;
+    Ok((into_nchw(tiles, [n, co, oh, ow], ws)?, (density, binary.into_inner())))
+}
+
+/// Reorders a `[n*oh*ow, c]` arena buffer into an arena `[n, c, oh, ow]` tensor; recycles it.
+fn into_nchw(rows: AlignedVec, [n, c, oh, ow]: [usize; 4], ws: &mut Workspace) -> Result<Tensor> {
+    let mut out = ws.take(rows.len());
+    rows_to_nchw_core(&rows, n, c, oh, ow, &mut out);
+    ws.recycle(rows);
+    Tensor::from_aligned(out, &[n, c, oh, ow])
+}
+
+/// Kernel taps and output positions that input coordinate `i` (`t = i + pad`)
+/// feeds along one axis: `(k0, o0, count)` meaning tap `k0 + j*stride` lands
+/// on output `o0 - j` for `j < count` (from `o*stride + k = t`).
+fn axis_taps(t: usize, stride: usize, kernel: usize, out: usize) -> (usize, usize, usize) {
+    // stride 1 is the common case and needs no division
+    let (mut o, mut k0) = if stride == 1 { (t, 0) } else { (t / stride, t % stride) };
+    if o >= out {
+        k0 += (o + 1 - out) * stride;
+        o = out - 1;
+    }
+    if k0 >= kernel {
+        return (0, 0, 0);
+    }
+    (k0, o, ((kernel - 1 - k0) / stride).min(o) + 1)
+}
+
+/// Scatters one sample (`[c, h, w]`) into its zeroed `[oh*ow, co]` tile and
+/// returns its `(nonzero count, every nonzero is 1.0)`.
+fn scatter_sample(
+    src: &[f32],
+    [c, h, w]: [usize; 3],
+    (oh, ow): (usize, usize),
+    w_t: &[f32],
+    spec: &Conv2dSpec,
+    tile: &mut [f32],
+    lvl: SimdLevel,
+) -> (usize, bool) {
+    let (k, stride, pad, co) = (spec.kernel, spec.stride, spec.padding, spec.out_channels);
+    let (mut nnz, mut binary) = (0usize, true);
+    for ci in 0..c {
+        for iy in 0..h {
+            let (ky0, oy0, ny) = axis_taps(iy + pad, stride, k, oh);
+            let row = &src[(ci * h + iy) * w..][..w];
+            for (wi, chunk) in row.chunks(64).enumerate() {
+                let mut bits = 0u64;
+                for (bit, &v) in chunk.iter().enumerate() {
+                    bits |= u64::from(v != 0.0) << bit;
+                }
+                nnz += bits.count_ones() as usize;
+                while bits != 0 {
+                    let ix = wi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let x = row[ix];
+                    binary &= x == 1.0;
+                    let (kx0, ox0, nx) = axis_taps(ix + pad, stride, k, ow);
+                    // tap kx0 + j*stride sits in packed row k-1-kx0 - j*stride
+                    // and lands on output ox0 - j: at stride 1 one ascending run
+                    let run = if stride == 1 { nx.max(1) } else { 1 };
+                    for jy in 0..ny {
+                        let wrow = (ci * k + ky0 + jy * stride) * k + (k - 1 - kx0);
+                        let orow = (oy0 - jy) * ow + ox0;
+                        for last in (run - 1..nx).step_by(run) {
+                            let wv = &w_t[(wrow - last * stride) * co..][..run * co];
+                            let ov = &mut tile[(orow - last) * co..][..run * co];
+                            // 1.0 * b == b exactly, so the plain add is the
+                            // same sum with the multiply dropped
+                            if x == 1.0 {
+                                simd::add_row(ov, wv, lvl);
+                            } else {
+                                simd::add_scaled_row(ov, x, wv, lvl);
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
-    let (oh, ow) = spec.output_hw(h, w)?;
-    let rows = n * oh * ow;
-    let pl = spec.patch_len();
-    let mut w_t = ws.take(pl * co);
-    transpose_into(weight.data(), co, pl, &mut w_t);
-    let mut out_mat = ws.take(rows * co);
-    if rows > 0 {
-        match kind {
-            BackendKind::Csr => {
-                let mut sm = ws.take_spike();
-                sm.build_from_im2col(input, spec)?;
-                sm.matmul_into(&w_t, co, &mut out_mat);
-                ws.recycle_spike(sm);
-            }
-            BackendKind::Bitset => {
-                let mut bm = ws.take_bits();
-                bm.build_from_im2col(input, spec)?;
-                bm.matmul_into(&w_t, co, &mut out_mat);
-                ws.recycle_bits(bm);
-            }
-            BackendKind::Dense => {
-                let mut cols = ws.take(rows * pl);
-                im2col_core(input.data(), [n, c, h, w], spec, oh, ow, &mut cols);
-                matmul_dense(&cols, rows, pl, &w_t, co, &mut out_mat);
-                ws.recycle(cols);
-            }
-            BackendKind::Quantized => {
-                return Err(TensorError::InvalidArgument(
-                    "conv2d_ws_with cannot run the quantized backend; quantize the \
-                     weights and call conv2d_ws_quant"
-                        .into(),
-                ));
-            }
-        }
-        if let Some(b) = bias {
-            add_bias_rows(&mut out_mat, co, rows, b.data());
-        }
-    }
-    ws.recycle(w_t);
-    let mut out = ws.take(n * co * oh * ow);
-    rows_to_nchw_core(&out_mat, n, co, oh, ow, &mut out);
-    ws.recycle(out_mat);
-    Tensor::from_aligned(out, &[n, co, oh, ow])
+    (nnz, binary)
 }
 
 /// Quantized convolution forward: for a binary input the bit-packed im2col
 /// feeds the integer kernel — each output element is an exact `i32` sum of
 /// the active weight codes in the filter's **natural** `[c_out, c_in*k*k]`
 /// layout (no transpose needed) rescaled once by `Δ` — and a non-binary
-/// input falls back to the ordinary [`conv2d_ws`] dispatch over the
-/// on-grid dequantized weights. Deterministic and thread-count-invariant
-/// on both branches.
+/// input falls back to [`conv2d_ws`] over the on-grid dequantized weights.
+/// Deterministic and thread-count-invariant on both branches.
 ///
 /// # Errors
 ///
@@ -398,29 +488,9 @@ pub fn conv2d_ws_quant(
     if !binary {
         return conv2d_ws(input, qw.dequantized(), bias, spec, ws);
     }
-    let [n, c, h, w] = dims4(input)?;
-    if c != spec.in_channels {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n, spec.in_channels, h, w],
-            actual: input.dims().to_vec(),
-        });
-    }
+    expect_dims(&[qw.rows(), qw.cols()], &spec.weight_dims())?;
+    let ([n, ..], (oh, ow)) = check_input(input, bias, spec)?;
     let co = spec.out_channels;
-    if [qw.rows(), qw.cols()] != spec.weight_dims() {
-        return Err(TensorError::ShapeMismatch {
-            expected: spec.weight_dims().to_vec(),
-            actual: vec![qw.rows(), qw.cols()],
-        });
-    }
-    if let Some(b) = bias {
-        if b.dims() != [co] {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![co],
-                actual: b.dims().to_vec(),
-            });
-        }
-    }
-    let (oh, ow) = spec.output_hw(h, w)?;
     let rows = n * oh * ow;
     let mut out_mat = ws.take(rows * co);
     if rows > 0 {
@@ -432,19 +502,19 @@ pub fn conv2d_ws_quant(
             add_bias_rows(&mut out_mat, co, rows, b.data());
         }
     }
-    let mut out = ws.take(n * co * oh * ow);
-    rows_to_nchw_core(&out_mat, n, co, oh, ow, &mut out);
-    ws.recycle(out_mat);
-    Tensor::from_aligned(out, &[n, co, oh, ow])
+    into_nchw(out_mat, [n, co, oh, ow], ws)
 }
 
-/// Transposes a row-major `[r, c]` buffer into `out[c, r]`.
-fn transpose_into(src: &[f32], r: usize, c: usize, out: &mut [f32]) {
-    debug_assert_eq!(src.len(), r * c);
-    debug_assert_eq!(out.len(), r * c);
-    for i in 0..r {
-        for (j, &v) in src[i * c..(i + 1) * c].iter().enumerate() {
-            out[j * r + i] = v;
+/// Packs `[c_out, c_in*k*k]` weights for the direct kernel: one `c_out`-wide
+/// row per patch tap, the `kx` taps of each `(ci, ky)` in **descending** order,
+/// so that at stride 1 the taps one input pixel feeds along x land on ascending
+/// output columns in ascending packed rows and fuse into one contiguous row-add.
+fn pack_weights(src: &[f32], spec: &Conv2dSpec, out: &mut [f32]) {
+    let (co, k, pl) = (spec.out_channels, spec.kernel, spec.patch_len());
+    debug_assert_eq!((src.len(), out.len()), (co * pl, co * pl));
+    for i in 0..co {
+        for (p, &v) in src[i * pl..(i + 1) * pl].iter().enumerate() {
+            out[(p - p % k + (k - 1 - p % k)) * co + i] = v;
         }
     }
 }
@@ -464,14 +534,9 @@ pub fn conv2d_backward(
     spec: &Conv2dSpec,
     input_hw: (usize, usize),
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    let [n, co, oh, ow] = dims4(grad_out)?;
-    if co != spec.out_channels {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n, spec.out_channels, oh, ow],
-            actual: grad_out.dims().to_vec(),
-        });
-    }
-    let gmat = nchw_to_rows(grad_out);
+    let [n, _, oh, ow] = dims4(grad_out)?;
+    expect_dims(grad_out.dims(), &[n, spec.out_channels, oh, ow])?;
+    let gmat = nchw_to_rows(grad_out, [n, spec.out_channels, oh, ow]);
     // dWᵀ = colsᵀ × gmat → [pl, c_out]; putting the (sparse, binary) column
     // matrix first lets matmul_tn skip its zeros, then a cheap transpose
     // yields dW = [c_out, pl].
@@ -483,14 +548,8 @@ pub fn conv2d_backward(
     Ok((grad_input, grad_weight, grad_bias))
 }
 
-/// `[n*oh*ow, c]` row matrix → `[n, c, oh, ow]`.
-fn rows_to_nchw(mat: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    rows_to_nchw_core(mat.data(), n, c, oh, ow, out.data_mut());
-    out
-}
-
-/// Core of [`rows_to_nchw`] over raw buffers (every element written once).
+/// `[n*oh*ow, c]` row matrix → `[n, c, oh, ow]` over raw buffers (every
+/// element written once).
 fn rows_to_nchw_core(src: &[f32], n: usize, c: usize, oh: usize, ow: usize, dst: &mut [f32]) {
     let sample_len = c * oh * ow;
     if n == 0 || sample_len == 0 {
@@ -513,8 +572,7 @@ fn rows_to_nchw_core(src: &[f32], n: usize, c: usize, oh: usize, ow: usize, dst:
 }
 
 /// `[n, c, oh, ow]` → `[n*oh*ow, c]` row matrix.
-fn nchw_to_rows(t: &Tensor) -> Tensor {
-    let [n, c, oh, ow] = dims4(t).expect("nchw_to_rows requires 4-d input");
+fn nchw_to_rows(t: &Tensor, [n, c, oh, ow]: [usize; 4]) -> Tensor {
     let mut out = Tensor::zeros(&[n * oh * ow, c]);
     let sample_len = oh * ow * c;
     if n == 0 || sample_len == 0 {
@@ -538,6 +596,16 @@ fn nchw_to_rows(t: &Tensor) -> Tensor {
     out
 }
 
+fn expect_dims(actual: &[usize], expected: &[usize]) -> Result<()> {
+    if actual != expected {
+        return Err(TensorError::ShapeMismatch {
+            expected: expected.to_vec(),
+            actual: actual.to_vec(),
+        });
+    }
+    Ok(())
+}
+
 fn dims4(t: &Tensor) -> Result<[usize; 4]> {
     let d = t.dims();
     if d.len() != 4 {
@@ -549,7 +617,7 @@ fn dims4(t: &Tensor) -> Result<[usize; 4]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sparse, TensorRng};
+    use crate::TensorRng;
 
     fn naive_conv(
         input: &Tensor,
@@ -696,70 +764,49 @@ mod tests {
     }
 
     #[test]
-    fn sparse_dense_conv2d_ws_matches_conv2d_bitwise() {
-        // conv2d_ws must reproduce conv2d bit for bit on both dispatch
-        // branches, for binary/ternary/dense inputs, at 1 and 4 threads,
-        // and across repeated passes over one warmed workspace.
-        let mut rng = TensorRng::seed_from(91);
-        let spec = Conv2dSpec::new(3, 5, 3, 1, 1).unwrap();
-        let weight = Tensor::randn(&[5, spec.patch_len()], 0.0, 0.5, &mut rng);
-        let bias = Tensor::randn(&[5], 0.0, 0.1, &mut rng);
-        for kind in ["binary", "ternary", "dense"] {
-            let mut x = Tensor::zeros(&[2, 3, 8, 8]);
-            for v in x.data_mut().iter_mut() {
-                match kind {
-                    "binary" => {
-                        if rng.bernoulli(0.1) {
-                            *v = 1.0;
-                        }
-                    }
-                    "ternary" => {
-                        if rng.bernoulli(0.1) {
-                            *v = if rng.bernoulli(0.5) { 1.0 } else { -1.0 };
-                        }
-                    }
-                    _ => *v = rng.uniform(-1.0, 1.0),
-                }
-            }
-            for threads in [1, 4] {
-                crate::parallel::with_threads(threads, || {
-                    let (want, _) = sparse::with_density_threshold(-1.0, || {
-                        conv2d(&x, &weight, Some(&bias), &spec).unwrap()
-                    });
-                    let wb: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
-                    for threshold in [-1.0f32, 1.0] {
-                        let mut ws = crate::Workspace::new();
-                        for pass in 0..2 {
-                            let got = sparse::with_density_threshold(threshold, || {
-                                conv2d_ws(&x, &weight, Some(&bias), &spec, &mut ws).unwrap()
-                            });
-                            assert_eq!(got.dims(), want.dims());
-                            let gb: Vec<u32> =
-                                got.data().iter().map(|v| v.to_bits()).collect();
-                            assert_eq!(
-                                wb, gb,
-                                "{kind} threads={threads} threshold={threshold} pass={pass}"
-                            );
-                            ws.recycle_tensor(got);
-                        }
-                    }
-                });
-            }
-        }
-    }
-
-    #[test]
     fn conv2d_ws_validates_shapes() {
-        let mut ws = crate::Workspace::new();
+        let mut ws = Workspace::new();
         let spec = Conv2dSpec::new(2, 3, 3, 1, 1).unwrap();
         let x = Tensor::zeros(&[1, 2, 4, 4]);
         let w_good = Tensor::zeros(&[3, spec.patch_len()]);
-        let w_bad = Tensor::zeros(&[3, spec.patch_len() + 1]);
-        assert!(conv2d_ws(&x, &w_bad, None, &spec, &mut ws).is_err());
-        let b_bad = Tensor::zeros(&[4]);
-        assert!(conv2d_ws(&x, &w_good, Some(&b_bad), &spec, &mut ws).is_err());
+        let shape_err = |r: Result<Tensor>| matches!(r, Err(TensorError::ShapeMismatch { .. }));
+        // weight: wrong patch length, wrong filter count, wrong rank
+        let pl = spec.patch_len();
+        for dims in [&[3, pl + 1][..], &[4, pl], &[3 * pl]] {
+            let w_bad = Tensor::zeros(dims);
+            assert!(shape_err(conv2d_ws(&x, &w_bad, None, &spec, &mut ws)), "{dims:?}");
+            assert!(matches!(ConvPlan::new(&w_bad, &spec), Err(TensorError::ShapeMismatch { .. })));
+        }
+        // bias: wrong length, wrong rank
+        for dims in [&[4][..], &[3, 1]] {
+            let b_bad = Tensor::zeros(dims);
+            assert!(shape_err(conv2d_ws(&x, &w_good, Some(&b_bad), &spec, &mut ws)), "{dims:?}");
+        }
+        // input: wrong channel count, wrong rank
         let x_bad = Tensor::zeros(&[1, 3, 4, 4]);
-        assert!(conv2d_ws(&x_bad, &w_good, None, &spec, &mut ws).is_err());
+        assert!(shape_err(conv2d_ws(&x_bad, &w_good, None, &spec, &mut ws)));
+        let x_flat = Tensor::zeros(&[2, 4, 4]);
+        assert!(matches!(
+            conv2d_ws(&x_flat, &w_good, None, &spec, &mut ws),
+            Err(TensorError::RankMismatch { expected: 4, actual: 3 })
+        ));
+        // kernel larger than the padded input
+        let unpadded = Conv2dSpec::new(2, 3, 3, 1, 0).unwrap();
+        for dims in [[1, 2, 2, 4], [1, 2, 4, 2], [1, 2, 0, 0]] {
+            let small = Tensor::zeros(&dims);
+            assert!(matches!(
+                conv2d_ws(&small, &w_good, None, &unpadded, &mut ws),
+                Err(TensorError::InvalidGeometry(_))
+            ));
+        }
+        // the quantized family needs its weight cache
+        assert!(matches!(
+            conv2d_ws_with(BackendKind::Quantized, &x, &w_good, None, &spec, &mut ws),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        let plan = ConvPlan::new(&w_good, &spec).unwrap();
+        assert!(plan.forward(&x_bad, None, &mut ws).is_err());
+        assert!(plan.forward(&x, None, &mut ws).is_ok());
         assert!(conv2d_ws(&x, &w_good, None, &spec, &mut ws).is_ok());
     }
 

@@ -2,9 +2,9 @@
 //!
 //! This crate provides the minimal-but-complete numeric substrate the rest of
 //! the workspace builds on: an owned, contiguous, row-major [`Tensor`] with
-//! elementwise arithmetic, matrix multiplication, im2col-based 2-D
-//! convolution, pooling, softmax and reduction kernels, and deterministic
-//! random initialization.
+//! elementwise arithmetic, matrix multiplication, 2-D convolution (a direct
+//! spike-scatter forward, im2col-based reference and backward), pooling,
+//! softmax and reduction kernels, and deterministic random initialization.
 //!
 //! Everything is pure safe Rust and **deterministic (thread-count-invariant)**:
 //! the hot kernels run on the scoped-thread pool in [`parallel`], but every
@@ -14,7 +14,7 @@
 //! reproducible across runs.
 //!
 //! Spike-shaped operands additionally dispatch through the pluggable
-//! **kernel-backend seam** ([`backend`]): the matmul/conv entry points
+//! **kernel-backend seam** ([`backend`]): the matmul/linear entry points
 //! measure operand density and binarity in one pass and pick between the
 //! dense blocked kernels, event-driven CSR gathers over a [`SpikeMatrix`]
 //! ([`sparse`]), and bit-packed word kernels over a [`BitMatrix`]
@@ -68,7 +68,7 @@ pub use backend::{kernel_backend, BackendKind, KernelBackend};
 pub use bitset::BitMatrix;
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_ws, conv2d_ws_quant, conv2d_ws_with, im2col,
-    Conv2dSpec,
+    Conv2dSpec, ConvPlan,
 };
 pub use error::TensorError;
 pub use linalg::{linear_ws, linear_ws_quant, linear_ws_with};

@@ -31,7 +31,7 @@
 //! the two paths agree bitwise, flipping the knob concurrently cannot change
 //! any numeric output.
 
-use crate::{parallel, simd, Conv2dSpec, Result, Tensor, TensorError};
+use crate::{parallel, simd, Result, TensorError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -251,74 +251,6 @@ impl SpikeMatrix {
         Ok(())
     }
 
-    /// Rebuilds as the im2col unfolding of `input` (`[n, c, h, w]`),
-    /// emitting **only active patch entries** — the dense `[n*oh*ow, c*k*k]`
-    /// column matrix is never materialized. Indices follow the same
-    /// `(ci, ky, kx)` scan as [`crate::im2col`], so they ascend within each
-    /// row and the downstream accumulation order matches the dense path
-    /// exactly. The build is single-threaded; it is a linear scan of the
-    /// input and is dwarfed by the matmul it feeds.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same shape/geometry errors as [`crate::im2col`].
-    pub fn build_from_im2col(&mut self, input: &Tensor, spec: &Conv2dSpec) -> Result<()> {
-        let d = input.dims();
-        if d.len() != 4 {
-            return Err(TensorError::RankMismatch { expected: 4, actual: d.len() });
-        }
-        let [n, c, h, w] = [d[0], d[1], d[2], d[3]];
-        if c != spec.in_channels {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![n, spec.in_channels, h, w],
-                actual: d.to_vec(),
-            });
-        }
-        let (oh, ow) = spec.output_hw(h, w)?;
-        let k = spec.kernel;
-        let pl = spec.patch_len();
-        Self::check_cols(pl)?;
-        self.clear();
-        self.rows = n * oh * ow;
-        self.cols = pl;
-        self.row_ptr.reserve(self.rows + 1);
-        self.row_ptr.push(0);
-        let src = input.data();
-        let pad = spec.padding as isize;
-        for flat in 0..self.rows {
-            let ox = flat % ow;
-            let oy = (flat / ow) % oh;
-            let ni = flat / (ow * oh);
-            let iy0 = (oy * spec.stride) as isize - pad;
-            let ix0 = (ox * spec.stride) as isize - pad;
-            for ci in 0..c {
-                let cbase = (ni * c + ci) * h * w;
-                for ky in 0..k {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue; // padding taps are zero — never emitted
-                    }
-                    let srow = cbase + iy as usize * w;
-                    let drow = (ci * k + ky) * k;
-                    for kx in 0..k {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        let v = src[srow + ix as usize];
-                        if v != 0.0 {
-                            self.idx.push((drow + kx) as u32);
-                            self.val.push(v);
-                            self.binary &= v == 1.0;
-                        }
-                    }
-                }
-            }
-            self.row_ptr.push(self.idx.len());
-        }
-        Ok(())
-    }
-
     /// `self[rows, cols] × b[cols, n] → out[rows, n]`, accumulating into
     /// `out` (callers pass a zero-filled buffer). Row-partitioned across the
     /// [`crate::parallel`] pool; per-element accumulation visits the active
@@ -395,7 +327,7 @@ impl SpikeMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TensorRng;
+    use crate::{Tensor, TensorRng};
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()

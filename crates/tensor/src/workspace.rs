@@ -1,7 +1,7 @@
 //! Reusable scratch arena for the zero-allocation timestep loop.
 //!
-//! An SNN forward pass allocates the same handful of buffer shapes — im2col
-//! columns, layer outputs, membrane temporaries — once per layer per
+//! An SNN forward pass allocates the same handful of buffer shapes — conv
+//! output tiles, layer outputs, membrane temporaries — once per layer per
 //! timestep, `T` times per sample. [`Workspace`] parks those buffers on a
 //! freelist instead: [`Workspace::take`] hands back a zero-filled buffer
 //! (reusing a parked one when capacity allows) and [`Workspace::recycle`]

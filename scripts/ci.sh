@@ -48,19 +48,28 @@ done
 echo "== conformance: whole-network gradient checks =="
 cargo test -q -p dtsnn-conformance --test gradient_check
 
-# Kernel stage: the event-driven sparse path must reproduce the blocked
-# dense kernels bitwise (matmul/matmul_tn/matmul_nt + sparse im2col conv2d
-# and the workspace entry points) at both ambient worker counts, and the
+# Kernel stage: the event-driven sparse matmul family must reproduce the
+# blocked dense kernels bitwise, and the direct spike-scatter convolution
+# must reproduce the im2col + matmul reference bitwise (every geometry,
+# input class, batch size and forced reference family; the test pins the
+# thread count and SIMD tier per case, the ambient values steer the
+# reference) — at both ambient worker counts and both ends of the SIMD
+# ladder. The layer-level plan must never outlive its weights, and the
 # workspace-threaded Snn forward must match the plain layer chain while
-# allocating nothing after warm-up. A final golden replay proves the sparse
-# dispatch and workspace reuse changed no committed numerics — no re-bless.
+# allocating nothing after warm-up. A final golden replay proves none of it
+# changed committed numerics — no re-bless.
 for threads in 1 4; do
     echo "== kernel stage: sparse/dense equivalence (DTSNN_THREADS=$threads) =="
     DTSNN_THREADS=$threads cargo test -q -p dtsnn-tensor sparse
+    for simd in scalar avx2; do
+        echo "== kernel stage: direct conv = reference (DTSNN_THREADS=$threads DTSNN_SIMD=$simd) =="
+        DTSNN_SIMD=$simd DTSNN_THREADS=$threads cargo test -q -p dtsnn-tensor --test conv_direct
+    done
+    DTSNN_THREADS=$threads cargo test -q -p dtsnn-snn --test conv_plan
     DTSNN_THREADS=$threads cargo test -q -p dtsnn-snn workspace
     DTSNN_THREADS=$threads cargo test -q -p dtsnn-snn warmed_timestep_loop
 done
-echo "== kernel stage: golden replay unchanged by sparse dispatch =="
+echo "== kernel stage: golden replay unchanged by the kernels =="
 cargo test -q -p dtsnn-conformance --test golden_replay
 
 # Robustness stage: the Monte-Carlo fault harness on a tiny net (the

@@ -1,0 +1,61 @@
+//! Tier-1 reaches the convolution kernel: the direct spike-scatter forward
+//! against the im2col + matmul reference on every conv shape of the two
+//! reference networks, and the committed golden traces replayed through it.
+
+use dt_snn::snn::{resnet_small_geometry, vgg_small_geometry, LayerGeometry, ModelConfig};
+use dt_snn::tensor::{conv2d, conv2d_ws, Conv2dSpec, ConvPlan, Tensor, TensorRng, Workspace};
+use dtsnn_conformance::trace::{compare, load_golden, record, TraceSpec};
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn direct_kernel_matches_reference_on_the_model_layer_shapes() {
+    let cfg = ModelConfig::default();
+    let mut rng = TensorRng::seed_from(0x5CA77E2);
+    let mut ws = Workspace::new();
+    let mut convs = 0;
+    for geometry in vgg_small_geometry(&cfg).into_iter().chain(resnet_small_geometry(&cfg)) {
+        let LayerGeometry::Conv { in_channels, out_channels, kernel, stride, padding, in_h, in_w } =
+            geometry
+        else {
+            continue;
+        };
+        convs += 1;
+        let spec = Conv2dSpec::new(in_channels, out_channels, kernel, stride, padding).unwrap();
+        let weight = Tensor::kaiming(&spec.weight_dims(), spec.patch_len(), &mut rng);
+        let bias = Tensor::randn(&[out_channels], 0.0, 0.1, &mut rng);
+        let plan = ConvPlan::new(&weight, &spec).unwrap();
+        // what the layers see: analog frames, binary spikes, avg-pooled spikes
+        for (kind, n) in [("analog", 1), ("binary", 1), ("binary", 3), ("pooled", 3)] {
+            let mut x = Tensor::zeros(&[n, in_channels, in_h, in_w]);
+            for v in x.data_mut() {
+                *v = match kind {
+                    "analog" => rng.uniform(-1.0, 1.0),
+                    "binary" => f32::from(u8::from(rng.bernoulli(0.2))),
+                    _ => rng.below(5) as f32 * 0.25,
+                };
+            }
+            let want = bits(&conv2d(&x, &weight, Some(&bias), &spec).unwrap().0);
+            let raw = conv2d_ws(&x, &weight, Some(&bias), &spec, &mut ws).unwrap();
+            let (planned, stats) = plan.forward(&x, Some(&bias), &mut ws).unwrap();
+            assert_eq!(want, bits(&raw), "{geometry:?} {kind} n={n}");
+            assert_eq!(want, bits(&planned), "{geometry:?} {kind} n={n} (plan)");
+            assert_eq!(stats, x.spike_stats(), "{geometry:?} {kind} n={n} (scan counts)");
+            ws.recycle_tensor(raw);
+            ws.recycle_tensor(planned);
+        }
+    }
+    assert_eq!(convs, 11, "5 vgg_small + 6 resnet_small conv shapes");
+}
+
+#[test]
+fn committed_goldens_replay_through_the_direct_kernel() {
+    for spec in [TraceSpec::vgg_default(), TraceSpec::resnet_default()] {
+        let golden = load_golden(&spec).expect("load committed golden");
+        let live = record(&spec).expect("record live trace");
+        let diffs = compare(&golden, &live);
+        assert!(diffs.is_empty(), "{} drifted:\n  {}", spec.golden_name(), diffs.join("\n  "));
+    }
+}
