@@ -553,7 +553,7 @@ impl Layer for BatchNorm2d {
             self.ensure_timestep(0);
         }
         let ti = slot.min(self.running_mean.len() - 1);
-        let mut out = ws.take(input.len());
+        let mut out = ws.take_overwrite(input.len());
         self.eval_into(input, n, c, plane, ti, &mut out);
         Tensor::from_aligned(out, input.dims()).map_err(SnnError::from)
     }
@@ -708,7 +708,7 @@ impl Layer for Flatten {
         }
         let n = d[0];
         let rest: usize = d[1..].iter().product();
-        let mut out = ws.take(input.len());
+        let mut out = ws.take_overwrite(input.len());
         out.copy_from_slice(input.data());
         Tensor::from_aligned(out, &[n, rest]).map_err(SnnError::from)
     }
@@ -776,7 +776,7 @@ impl Layer for Dropout {
         }
         // Eval dropout is the identity; copy through an arena buffer so the
         // caller's recycle discipline stays uniform.
-        let mut out = ws.take(input.len());
+        let mut out = ws.take_overwrite(input.len());
         out.copy_from_slice(input.data());
         Tensor::from_aligned(out, input.dims()).map_err(SnnError::from)
     }
@@ -890,7 +890,7 @@ impl Layer for ResidualBlock {
                 actual: st.dims().to_vec(),
             }));
         }
-        let mut j = ws.take(mt.len());
+        let mut j = ws.take_overwrite(mt.len());
         for ((o, &a), &b) in j.iter_mut().zip(mt.data()).zip(st.data()) {
             *o = a + b;
         }
@@ -1255,8 +1255,8 @@ mod tests {
 
     #[test]
     fn batchnorm_eval_is_bitwise_invariant_across_simd_levels_and_threads() {
+        // the one test of this binary that flips the process-wide overrides
         use dtsnn_tensor::{parallel, simd};
-        let _guard = crate::test_support::SIMD_TEST_LOCK.lock().unwrap();
         let mut r = rng();
         let mut bn = BatchNorm2d::new(3);
         for _ in 0..10 {

@@ -28,14 +28,6 @@
 
 mod ann;
 mod checkpoint;
-#[cfg(test)]
-pub(crate) mod test_support {
-    //! Shared guard for tests that flip the process-wide SIMD override:
-    //! `simd::set_level` is process state, so tests exercising forced levels
-    //! must not interleave across this binary's test threads.
-    use std::sync::Mutex;
-    pub(crate) static SIMD_TEST_LOCK: Mutex<()> = Mutex::new(());
-}
 mod error;
 mod layer;
 mod layers;

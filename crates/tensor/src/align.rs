@@ -109,6 +109,14 @@ macro_rules! aligned_buffer {
                 self.len = new_len;
             }
 
+            /// Sets the length without writing an element: those past the
+            /// old length read as whatever the lanes last held (zero if
+            /// never written). Safe because every lane is initialized.
+            pub fn set_len(&mut self, new_len: usize) {
+                self.ensure_lanes(new_len);
+                self.len = new_len;
+            }
+
             /// Appends one element.
             pub fn push(&mut self, value: $elem) {
                 self.ensure_lanes(self.len + 1);

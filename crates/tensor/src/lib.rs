@@ -67,8 +67,7 @@ pub use align::{AlignedVec, AlignedWords};
 pub use backend::{kernel_backend, BackendKind, KernelBackend};
 pub use bitset::BitMatrix;
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_ws, conv2d_ws_quant, conv2d_ws_with, im2col,
-    Conv2dSpec, ConvPlan,
+    col2im, conv2d, conv2d_backward, conv2d_ws, conv2d_ws_quant, im2col, Conv2dSpec, ConvPlan,
 };
 pub use error::TensorError;
 pub use linalg::{linear_ws, linear_ws_quant, linear_ws_with};

@@ -70,7 +70,7 @@ pub fn avg_pool2d_ws(input: &Tensor, spec: &PoolSpec, ws: &mut Workspace) -> Res
     }
     let [n, c, h, w] = [d[0], d[1], d[2], d[3]];
     let (oh, ow) = spec.output_hw(h, w)?;
-    let mut out = ws.take(n * c * oh * ow);
+    let mut out = ws.take_overwrite(n * c * oh * ow);
     avg_pool2d_core(input.data(), [n, c, h, w], spec, oh, ow, &mut out);
     Tensor::from_aligned(out, &[n, c, oh, ow])
 }

@@ -29,6 +29,25 @@
 //! resolve to [`SimdLevel::Scalar`]; the scalar bodies double as the
 //! conformance oracle for the vector paths.
 //!
+//! # Dispatch granularity
+//!
+//! A `#[target_feature]` function never inlines into a caller without the
+//! feature, so the dispatch sits where that call is amortized:
+//!
+//! - **Whole kernels** ([`lif_step`], [`bn_affine`], the convolution's
+//!   per-sample scatter): the body is safe Rust with plain loops, marked
+//!   `#[inline(always)]` and instantiated inside one AVX2 entry function
+//!   (its baseline build serves SSE2 and scalar). One call per kernel call;
+//!   LLVM vectorizes the loops at the tier's width and everything between
+//!   them inlines. Per event these kernels do a handful of adds, so a call
+//!   per row was most of their time.
+//! - **Row primitives** ([`add_row`], [`add_scaled_row`], [`quant_dot`],
+//!   [`matmul_nt_chunk`]): hand-written intrinsics taking the level as an
+//!   argument, called per row by the `linalg`, `bitset` and `sparse` matmul
+//!   families. Their rows are a weight matrix's width (hundreds of floats),
+//!   `matmul_nt_chunk` needs a register blocking no vectorizer derives, and
+//!   rows under 32 floats inline the scalar loop instead of paying the call.
+//!
 //! # Exactness notes
 //!
 //! - f32 paths: lane-parallel over `j`, per-element op order unchanged →
@@ -37,9 +56,12 @@
 //! - int8 quantized dot: i16→i32 sign-extended widening multiplies; integer
 //!   accumulation is associative, so the lane reduction is exact on the
 //!   i32 grid — same integer, same single f32 rescale.
-//! - Elementwise LIF/BatchNorm ops replicate the literal scalar expression
-//!   (e.g. `u · (1 − s)`, not a mask select, so an `inf` membrane that
-//!   spikes still produces the scalar path's `NaN`).
+//! - Compiler-vectorized kernels: the loops are elementwise (nothing to
+//!   reassociate) and a multiply and an add cannot contract — no `fma`
+//!   feature is enabled and Rust never permits contraction — so every tier
+//!   is the same arithmetic. LIF/BatchNorm keep the literal expression
+//!   (`u · (1 − s)`, not a mask select: an `inf` membrane that spikes still
+//!   yields `NaN`).
 
 // The only unsafety here is calling `#[target_feature]` functions; every
 // call site is guarded by the dispatch ladder, which never resolves above
@@ -288,8 +310,8 @@ mod x86 {
     pub(super) const NT_BLOCK_K: usize = 128;
 
     macro_rules! elementwise {
-        ($name:ident, $feat:literal, $width:expr, $set1:ident, $loadu:ident,
-         $storeu:ident, |$va:ident, $vb:ident| $vec:expr, |$sa:ident, $sb:ident| $scalar:expr) => {
+        ($name:ident, $feat:literal, $width:expr, $loadu:ident, $storeu:ident,
+         |$va:ident, $vb:ident| $vec:expr, |$sa:ident, $sb:ident| $scalar:expr) => {
             #[target_feature(enable = $feat)]
             pub(super) unsafe fn $name(c: &mut [f32], b: &[f32]) {
                 let n = c.len().min(b.len());
@@ -312,13 +334,10 @@ mod x86 {
         };
     }
 
-    elementwise!(add_row_avx2_impl, "avx2", 8, _mm256_set1_ps, _mm256_loadu_ps,
-        _mm256_storeu_ps, |a, b| _mm256_add_ps(a, b), |x, y| x + y);
-    elementwise!(add_row_sse2_impl, "sse2", 4, _mm_set1_ps, _mm_loadu_ps,
-        _mm_storeu_ps, |a, b| _mm_add_ps(a, b), |x, y| x + y);
-
-    pub(super) use add_row_avx2_impl as add_row_avx2;
-    pub(super) use add_row_sse2_impl as add_row_sse2;
+    elementwise!(add_row_avx2, "avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps,
+        |a, b| _mm256_add_ps(a, b), |x, y| x + y);
+    elementwise!(add_row_sse2, "sse2", 4, _mm_loadu_ps, _mm_storeu_ps,
+        |a, b| _mm_add_ps(a, b), |x, y| x + y);
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn add_scaled_row_avx2(c: &mut [f32], a: f32, b: &[f32]) {
@@ -500,152 +519,12 @@ mod x86 {
             _mm_cvtsi128_si32(s).wrapping_add(tail)
         }
     }
-
-    macro_rules! lif_ops {
-        ($charge:ident, $heaviside:ident, $reset_zero:ident, $reset_sub:ident, $bn:ident,
-         $feat:literal, $width:expr, $set1:ident, $loadu:ident, $storeu:ident,
-         $add:ident, $sub:ident, $mul:ident, $cmpgt:expr, $and:ident, $cast:ident) => {
-            /// `dst[i] = m[i] * tau + x[i]` — explicit mul then add.
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $charge(dst: &mut [f32], m: &[f32], tau: f32, x: &[f32]) {
-                let n = dst.len().min(m.len()).min(x.len());
-                let mut j = 0;
-                // SAFETY: j + WIDTH <= n bounds every access.
-                unsafe {
-                    let tv = $set1(tau);
-                    while j + $width <= n {
-                        let mv = $loadu(m.as_ptr().add(j));
-                        let xv = $loadu(x.as_ptr().add(j));
-                        $storeu(dst.as_mut_ptr().add(j), $add($mul(mv, tv), xv));
-                        j += $width;
-                    }
-                }
-                for jj in j..n {
-                    dst[jj] = m[jj] * tau + x[jj];
-                }
-            }
-
-            /// `dst[i] = if u[i] > v_th { 1.0 } else { 0.0 }` (NaN → 0.0,
-            /// like the scalar comparison).
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $heaviside(dst: &mut [f32], u: &[f32], v_th: f32) {
-                let n = dst.len().min(u.len());
-                let mut j = 0;
-                // SAFETY: j + WIDTH <= n bounds every access.
-                unsafe {
-                    let tv = $set1(v_th);
-                    let one = $set1(1.0);
-                    while j + $width <= n {
-                        let uv = $loadu(u.as_ptr().add(j));
-                        let mask = $cmpgt(uv, tv);
-                        $storeu(dst.as_mut_ptr().add(j), $and($cast(mask), one));
-                        j += $width;
-                    }
-                }
-                for jj in j..n {
-                    dst[jj] = if u[jj] > v_th { 1.0 } else { 0.0 };
-                }
-            }
-
-            /// `u[i] *= 1.0 - s[i]` — the literal multiply (an `inf`
-            /// membrane that spikes yields `NaN` exactly like scalar).
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $reset_zero(u: &mut [f32], s: &[f32]) {
-                let n = u.len().min(s.len());
-                let mut j = 0;
-                // SAFETY: j + WIDTH <= n bounds every access.
-                unsafe {
-                    let one = $set1(1.0);
-                    while j + $width <= n {
-                        let uv = $loadu(u.as_ptr().add(j));
-                        let sv = $loadu(s.as_ptr().add(j));
-                        $storeu(u.as_mut_ptr().add(j), $mul(uv, $sub(one, sv)));
-                        j += $width;
-                    }
-                }
-                for jj in j..n {
-                    u[jj] *= 1.0 - s[jj];
-                }
-            }
-
-            /// `u[i] -= v_th * s[i]`.
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $reset_sub(u: &mut [f32], s: &[f32], v_th: f32) {
-                let n = u.len().min(s.len());
-                let mut j = 0;
-                // SAFETY: j + WIDTH <= n bounds every access.
-                unsafe {
-                    let tv = $set1(v_th);
-                    while j + $width <= n {
-                        let uv = $loadu(u.as_ptr().add(j));
-                        let sv = $loadu(s.as_ptr().add(j));
-                        $storeu(u.as_mut_ptr().add(j), $sub(uv, $mul(tv, sv)));
-                        j += $width;
-                    }
-                }
-                for jj in j..n {
-                    u[jj] -= v_th * s[jj];
-                }
-            }
-
-            /// `dst[i] = g * (src[i] - mean) * inv_std + b` with scalar
-            /// left-to-right association.
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $bn(
-                dst: &mut [f32],
-                src: &[f32],
-                g: f32,
-                mean: f32,
-                inv_std: f32,
-                b: f32,
-            ) {
-                let n = dst.len().min(src.len());
-                let mut j = 0;
-                // SAFETY: j + WIDTH <= n bounds every access.
-                unsafe {
-                    let gv = $set1(g);
-                    let mv = $set1(mean);
-                    let iv = $set1(inv_std);
-                    let bv = $set1(b);
-                    while j + $width <= n {
-                        let xv = $loadu(src.as_ptr().add(j));
-                        let y = $add($mul($mul(gv, $sub(xv, mv)), iv), bv);
-                        $storeu(dst.as_mut_ptr().add(j), y);
-                        j += $width;
-                    }
-                }
-                for jj in j..n {
-                    dst[jj] = g * (src[jj] - mean) * inv_std + b;
-                }
-            }
-        };
-    }
-
-    lif_ops!(charge_avx2, heaviside_avx2, reset_zero_avx2, reset_sub_avx2, bn_avx2,
-        "avx2", 8, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps,
-        _mm256_add_ps, _mm256_sub_ps, _mm256_mul_ps,
-        |a, b| _mm256_cmp_ps::<_CMP_GT_OQ>(a, b), _mm256_and_ps, identity256);
-    lif_ops!(charge_sse2, heaviside_sse2, reset_zero_sse2, reset_sub_sse2, bn_sse2,
-        "sse2", 4, _mm_set1_ps, _mm_loadu_ps, _mm_storeu_ps,
-        _mm_add_ps, _mm_sub_ps, _mm_mul_ps,
-        |a, b| _mm_cmpgt_ps(a, b), _mm_and_ps, identity128);
-
-    #[inline(always)]
-    fn identity256(v: __m256) -> __m256 {
-        v
-    }
-
-    #[inline(always)]
-    fn identity128(v: __m128) -> __m128 {
-        v
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
 use x86::{
-    add_row_avx2, add_row_sse2, add_scaled_row_avx2, add_scaled_row_sse2, bn_avx2, bn_sse2,
-    charge_avx2, charge_sse2, heaviside_avx2, heaviside_sse2, nt_chunk_avx2, nt_chunk_sse2,
-    quant_dot_avx2, reset_sub_avx2, reset_sub_sse2, reset_zero_avx2, reset_zero_sse2,
+    add_row_avx2, add_row_sse2, add_scaled_row_avx2, add_scaled_row_sse2, nt_chunk_avx2,
+    nt_chunk_sse2, quant_dot_avx2,
 };
 
 /// One worker's row chunk of the `matmul_nt` kernel
@@ -721,93 +600,169 @@ pub fn quant_dot(words: &[u64], q: &[i8], level: SimdLevel) -> i32 {
 }
 
 // --------------------------------------------------------------------------
-// Elementwise layer ops (LIF / BatchNorm hot loops). These read the active
-// level internally — one atomic load amortized over a whole activation
-// buffer.
+// Whole kernels, dispatched once per call (module docs, "Dispatch
+// granularity"). These read the active level internally — one atomic load
+// amortized over a whole sample / activation buffer.
 // --------------------------------------------------------------------------
 
-/// Fused LIF charge `dst[i] = m[i] * tau + x[i]` (Eq. 2 with the membrane
-/// decay folded in) — explicit mul then add, bitwise identical to scalar.
-#[inline]
-pub fn lif_charge(dst: &mut [f32], m: &[f32], tau: f32, x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match level() {
-            // SAFETY: level() caps at the detected capability.
-            SimdLevel::Avx2 => return unsafe { charge_avx2(dst, m, tau, x) },
-            SimdLevel::Sse2 => return unsafe { charge_sse2(dst, m, tau, x) },
-            SimdLevel::Scalar => {}
+/// Defines `$name` as `$body` — a safe `#[inline(always)]` function of plain
+/// loops — compiled once inside an AVX2 entry function, so LLVM vectorizes
+/// it 256 bits wide, and once for the baseline, which serves SSE2 and
+/// scalar. The entry is a plain function taking its arguments by value:
+/// behind a closure handed to one generic entry, the captures were reloaded
+/// after every `f32` store. For the same reason a body keeps its hot loops
+/// out of closures — one that LLVM declines to inline stays a call into
+/// baseline code.
+macro_rules! per_tier {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;) => {
+        $(#[$doc])*
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                fn avx2($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                if level() == SimdLevel::Avx2 {
+                    // SAFETY: level() caps at the detected capability.
+                    return unsafe { avx2($($arg),*) };
+                }
+            }
+            $body($($arg),*)
         }
-    }
-    for ((o, &mv), &xv) in dst.iter_mut().zip(m).zip(x) {
-        *o = mv * tau + xv;
-    }
+    };
 }
 
-/// Heaviside spike `dst[i] = if u[i] > v_th { 1.0 } else { 0.0 }`.
-#[inline]
-pub fn lif_heaviside(dst: &mut [f32], u: &[f32], v_th: f32) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match level() {
-            // SAFETY: level() caps at the detected capability.
-            SimdLevel::Avx2 => return unsafe { heaviside_avx2(dst, u, v_th) },
-            SimdLevel::Sse2 => return unsafe { heaviside_sse2(dst, u, v_th) },
-            SimdLevel::Scalar => {}
-        }
-    }
-    for (o, &uv) in dst.iter_mut().zip(u) {
-        *o = if uv > v_th { 1.0 } else { 0.0 };
-    }
+per_tier! {
+    /// One sample of the direct convolution at the active tier.
+    pub(crate) fn conv_scatter_sample(
+        src: &[f32],
+        dims: [usize; 3],
+        out_hw: (usize, usize),
+        w_t: &[f32],
+        spec: crate::Conv2dSpec,
+        tile: &mut [f32],
+    ) -> (usize, bool) = crate::conv::scatter_sample;
 }
 
-/// Hard reset `u[i] *= 1.0 - s[i]` (the literal multiply — see module docs).
-#[inline]
-pub fn lif_reset_zero(u: &mut [f32], s: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match level() {
-            // SAFETY: level() caps at the detected capability.
-            SimdLevel::Avx2 => return unsafe { reset_zero_avx2(u, s) },
-            SimdLevel::Sse2 => return unsafe { reset_zero_sse2(u, s) },
-            SimdLevel::Scalar => {}
-        }
-    }
-    for (uv, &sv) in u.iter_mut().zip(s) {
-        *uv *= 1.0 - sv;
-    }
+/// The neuron constants of one [`lif_step`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LifStep {
+    /// Leak factor `τ`.
+    pub tau: f32,
+    /// Firing threshold `V_th`.
+    pub v_th: f32,
+    /// Reset by subtraction (`u − V_th·s`) instead of to zero (`u·(1 − s)`).
+    pub soft_reset: bool,
+    /// Smooth-spike temperature `b`; `None` fires the exact Heaviside step.
+    pub smooth_spike: Option<f32>,
 }
 
-/// Soft reset `u[i] -= v_th * s[i]`.
-#[inline]
-pub fn lif_reset_subtract(u: &mut [f32], s: &[f32], v_th: f32) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match level() {
-            // SAFETY: level() caps at the detected capability.
-            SimdLevel::Avx2 => return unsafe { reset_sub_avx2(u, s, v_th) },
-            SimdLevel::Sse2 => return unsafe { reset_sub_sse2(u, s, v_th) },
-            SimdLevel::Scalar => {}
-        }
-    }
-    for (uv, &sv) in u.iter_mut().zip(s) {
-        *uv -= v_th * sv;
-    }
+per_tier! {
+    /// One LIF timestep in one pass over the activation: charge
+    /// `u_pre = prev·τ + x` (explicit multiply, then add; `u_pre = x` on a
+    /// sequence's first step, `prev = None`), fire `s = [u_pre > V_th]` (NaN
+    /// compares false) or the smooth step `½·(tanh(b·(u_pre − V_th)) + 1)`,
+    /// reset by the literal `u_pre·(1 − s)` (so an `inf` membrane that spikes
+    /// yields NaN) or `u_pre − V_th·s`. Writes every element of `u` (the
+    /// membrane to carry) and `s`, stores the nonzero share of each of the
+    /// `row_densities.len()` equal rows of `s` and returns the total nonzero
+    /// count — the integers [`crate::Tensor::density_rows`] and
+    /// [`crate::Tensor::density`] count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slice lengths disagree or do not split into whole rows.
+    pub fn lif_step(
+        p: LifStep,
+        x: &[f32],
+        prev: Option<&[f32]>,
+        u: &mut [f32],
+        s: &mut [f32],
+        row_densities: &mut [f32],
+    ) -> usize = lif_step_body;
 }
 
-/// Eval-mode BatchNorm affine `dst[i] = g * (src[i] - mean) * inv_std + b`
-/// over one contiguous channel plane, scalar association preserved.
-#[inline]
-pub fn bn_affine(dst: &mut [f32], src: &[f32], g: f32, mean: f32, inv_std: f32, b: f32) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match level() {
-            // SAFETY: level() caps at the detected capability.
-            SimdLevel::Avx2 => return unsafe { bn_avx2(dst, src, g, mean, inv_std, b) },
-            SimdLevel::Sse2 => return unsafe { bn_sse2(dst, src, g, mean, inv_std, b) },
-            SimdLevel::Scalar => {}
+#[inline(always)]
+fn lif_step_body(
+    p: LifStep,
+    x: &[f32],
+    prev: Option<&[f32]>,
+    u: &mut [f32],
+    s: &mut [f32],
+    row_densities: &mut [f32],
+) -> usize {
+    let rows = row_densities.len().max(1);
+    let row_len = x.len() / rows;
+    assert!(
+        rows * row_len == x.len()
+            && (u.len(), s.len()) == (x.len(), x.len())
+            && prev.is_none_or(|m| m.len() == x.len()),
+        "lif_step: buffers must be {rows} rows of one length"
+    );
+    let mut fired = 0;
+    for r in 0..rows {
+        let at = r * row_len..(r + 1) * row_len;
+        let (x, u, s) = (&x[at.clone()], &mut u[at.clone()], &mut s[at.clone()]);
+        // one instantiation per loop-invariant choice keeps each a straight
+        // vectorizable loop (tanh has no vector form and stays scalar)
+        let count = match (prev.map(|m| &m[at]), p.smooth_spike.is_some()) {
+            (Some(m), false) => lif_row::<true, false>(p, x, m, u, s),
+            (None, false) => lif_row::<false, false>(p, x, x, u, s),
+            (Some(m), true) => lif_row::<true, true>(p, x, m, u, s),
+            (None, true) => lif_row::<false, true>(p, x, x, u, s),
+        };
+        if let Some(d) = row_densities.get_mut(r) {
+            *d = count as f32 / row_len as f32;
         }
+        fired += count;
     }
+    fired
+}
+
+/// One row of [`lif_step`]: `CHARGE` from the carried membrane `m` (unread
+/// on a first step), `SMOOTH` or Heaviside firing.
+#[inline(always)]
+fn lif_row<const CHARGE: bool, const SMOOTH: bool>(
+    p: LifStep,
+    x: &[f32],
+    m: &[f32],
+    u: &mut [f32],
+    s: &mut [f32],
+) -> usize {
+    let b = p.smooth_spike.unwrap_or(0.0);
+    let mut count = 0;
+    // counted per block in 32 bits: a 64-bit lane counter would halve the
+    // width the whole loop vectorizes at
+    for block in (0..x.len()).step_by(1 << 16) {
+        let mut fired = 0u32;
+        for i in block..x.len().min(block + (1 << 16)) {
+            let up = if CHARGE { m[i] * p.tau + x[i] } else { x[i] };
+            let sp = if SMOOTH {
+                0.5 * ((b * (up - p.v_th)).tanh() + 1.0)
+            } else if up > p.v_th {
+                1.0
+            } else {
+                0.0
+            };
+            s[i] = sp;
+            u[i] = if p.soft_reset { up - p.v_th * sp } else { up * (1.0 - sp) };
+            fired += u32::from(sp != 0.0);
+        }
+        count += fired as usize;
+    }
+    count
+}
+
+per_tier! {
+    /// Eval-mode BatchNorm affine `dst[i] = g * (src[i] - mean) * inv_std + b`
+    /// over one contiguous channel plane, left-to-right association.
+    pub fn bn_affine(dst: &mut [f32], src: &[f32], g: f32, mean: f32, inv_std: f32, b: f32)
+        = bn_affine_body;
+}
+
+#[inline(always)]
+fn bn_affine_body(dst: &mut [f32], src: &[f32], g: f32, mean: f32, inv_std: f32, b: f32) {
     for (o, &xv) in dst.iter_mut().zip(src) {
         *o = g * (xv - mean) * inv_std + b;
     }
@@ -961,64 +916,35 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_ops_match_scalar_bitwise_including_nonfinite() {
+    fn bn_affine_matches_scalar_bitwise_including_nonfinite() {
+        // (the LIF step is pinned against the plain-tensor `LifNeuron::forward`
+        // at every tier in dtsnn-snn's tests/lif_step.rs)
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let mut rng = TensorRng::seed_from(404);
         for n in [1usize, 7, 8, 9, 100] {
-            let mut u = randn(n, &mut rng);
-            // seed non-finite membranes: the reset must reproduce scalar
-            // inf·0 → NaN behavior, not mask it away
+            let mut x = randn(n, &mut rng);
             if n > 2 {
-                u[0] = f32::INFINITY;
-                u[1] = f32::NAN;
+                x[0] = f32::INFINITY;
+                x[1] = f32::NAN;
             }
-            let m = randn(n, &mut rng);
-            let x = randn(n, &mut rng);
-            let spikes: Vec<f32> =
-                (0..n).map(|i| if i % 3 == 0 { 1.0 } else { 0.0 }).collect();
-
-            let scalar = with_level(SimdLevel::Scalar, || {
-                let mut charge = vec![0.0f32; n];
-                lif_charge(&mut charge, &m, 0.5, &x);
-                let mut spk = vec![0.0f32; n];
-                lif_heaviside(&mut spk, &u, 1.0);
-                let mut rz = u.clone();
-                lif_reset_zero(&mut rz, &spikes);
-                let mut rs = u.clone();
-                lif_reset_subtract(&mut rs, &spikes, 1.0);
+            let run = || {
                 let mut bn = vec![0.0f32; n];
                 bn_affine(&mut bn, &x, 1.3, -0.2, 0.9, 0.1);
-                (charge, spk, rz, rs, bn)
-            });
+                bn.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let scalar = with_level(SimdLevel::Scalar, run);
             for lvl in levels_to_test() {
-                let vec = with_level(lvl, || {
-                    let mut charge = vec![0.0f32; n];
-                    lif_charge(&mut charge, &m, 0.5, &x);
-                    let mut spk = vec![0.0f32; n];
-                    lif_heaviside(&mut spk, &u, 1.0);
-                    let mut rz = u.clone();
-                    lif_reset_zero(&mut rz, &spikes);
-                    let mut rs = u.clone();
-                    lif_reset_subtract(&mut rs, &spikes, 1.0);
-                    let mut bn = vec![0.0f32; n];
-                    bn_affine(&mut bn, &x, 1.3, -0.2, 0.9, 0.1);
-                    (charge, spk, rz, rs, bn)
-                });
-                for (name, s, v) in [
-                    ("charge", &scalar.0, &vec.0),
-                    ("heaviside", &scalar.1, &vec.1),
-                    ("reset_zero", &scalar.2, &vec.2),
-                    ("reset_sub", &scalar.3, &vec.3),
-                    ("bn", &scalar.4, &vec.4),
-                ] {
-                    assert_eq!(
-                        s.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        v.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "{name} n={n} {lvl:?}"
-                    );
-                }
+                assert_eq!(scalar, with_level(lvl, run), "bn n={n} {lvl:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lif_step")]
+    fn lif_step_rejects_buffers_that_do_not_split_into_whole_rows() {
+        let p = LifStep { tau: 0.5, v_th: 1.0, soft_reset: false, smooth_spike: None };
+        let (mut u, mut s) = ([0.0; 7], [0.0; 7]);
+        lif_step(p, &[0.0; 7], None, &mut u, &mut s, &mut [0.0; 2]);
     }
 
     #[test]

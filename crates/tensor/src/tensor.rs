@@ -424,30 +424,14 @@ impl Tensor {
     /// batched evaluation harness relies on to account spike activity per
     /// sample. Returns one entry per row (empty for rank-0 tensors).
     pub fn density_rows(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.density_rows_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::density_rows`] into a caller-owned buffer (cleared, then
-    /// filled) — lets the timestep loop refresh per-row densities without a
-    /// fresh allocation each step.
-    pub fn density_rows_into(&self, out: &mut Vec<f32>) {
-        out.clear();
         if self.shape.rank() == 0 || self.data.is_empty() {
-            return;
+            return Vec::new();
         }
-        let n = self.shape.dim(0);
-        let stride: usize = self.dims()[1..].iter().product();
-        if stride == 0 {
-            out.resize(n, 0.0);
-            return;
-        }
-        out.extend(
-            self.data
-                .chunks(stride)
-                .map(|row| row.iter().filter(|&&x| x != 0.0).count() as f32 / stride as f32),
-        );
+        let stride = self.data.len() / self.shape.dim(0);
+        self.data
+            .chunks(stride)
+            .map(|row| row.iter().filter(|&&x| x != 0.0).count() as f32 / stride as f32)
+            .collect()
     }
 
     /// Index of the maximum element of a rank-1 tensor (ties → first).

@@ -18,7 +18,9 @@
 //!   or performed.
 //! - Buffers obtained from [`Workspace::take`] are always fully
 //!   zero-filled; kernels may rely on that the same way they rely on
-//!   [`crate::Tensor::zeros`].
+//!   [`crate::Tensor::zeros`]. A kernel that writes every element of its
+//!   output asks for [`Workspace::take_overwrite`] instead and skips the
+//!   fill (NaN-poisoned in debug builds, so a skipped element shows).
 //! - Recycling is optional — a buffer that escapes (e.g. a returned layer
 //!   output that the caller keeps) is simply a future miss. The freelist is
 //!   capped so unrecycled traffic cannot grow it without bound.
@@ -38,9 +40,10 @@ const MAX_FREE: usize = 64;
 
 /// Allocation counters for the zero-allocation claim.
 ///
-/// `takes` counts every [`Workspace::take`]; `misses` counts the subset
-/// that had to allocate (no parked buffer with sufficient capacity). A
-/// warmed-up steady state shows `misses == 0` while `takes` keeps rising.
+/// `takes` counts every [`Workspace::take`] and
+/// [`Workspace::take_overwrite`]; `misses` counts the subset that had to
+/// allocate (no parked buffer with sufficient capacity). A warmed-up steady
+/// state shows `misses == 0` while `takes` keeps rising.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkspaceStats {
     /// Total buffer requests served.
@@ -65,10 +68,10 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Hands out a zero-filled buffer of exactly `len` elements, reusing
-    /// the best-fitting parked buffer (smallest sufficient capacity) when
-    /// one exists.
-    pub fn take(&mut self, len: usize) -> AlignedVec {
+    /// Counts a request and serves it from the best-fitting parked buffer
+    /// (smallest sufficient capacity) or a fresh one: `len` elements of
+    /// unspecified content.
+    fn take_stale(&mut self, len: usize) -> AlignedVec {
         self.takes += 1;
         let mut best: Option<(usize, usize)> = None; // (slot, capacity)
         for (slot, buf) in self.free.iter().enumerate() {
@@ -77,18 +80,36 @@ impl Workspace {
                 best = Some((slot, cap));
             }
         }
-        match best {
-            Some((slot, _)) => {
-                let mut buf = self.free.swap_remove(slot);
-                buf.clear();
-                buf.resize(len, 0.0);
-                buf
-            }
+        let mut buf = match best {
+            Some((slot, _)) => self.free.swap_remove(slot),
             None => {
                 self.misses += 1;
-                AlignedVec::zeroed(len)
+                AlignedVec::with_capacity(len)
             }
+        };
+        buf.set_len(len);
+        buf
+    }
+
+    /// Hands out a zero-filled buffer of exactly `len` elements, reusing
+    /// the best-fitting parked buffer when one exists.
+    pub fn take(&mut self, len: usize) -> AlignedVec {
+        let mut buf = self.take_stale(len);
+        buf.fill(0.0);
+        buf
+    }
+
+    /// [`Workspace::take`] without the zero fill, for a kernel that
+    /// **overwrites every element**: the contents are whatever the parked
+    /// buffer last held. Debug builds (the workspace's `test` profile
+    /// included) hand out NaN instead, so an element the kernel skips fails
+    /// the bitwise suites rather than leaking an older layer's value.
+    pub fn take_overwrite(&mut self, len: usize) -> AlignedVec {
+        let mut buf = self.take_stale(len);
+        if cfg!(debug_assertions) {
+            buf.fill(f32::NAN);
         }
+        buf
     }
 
     /// Hands out a zero-filled tensor of the given shape, backed by an
@@ -177,6 +198,55 @@ mod tests {
         // shrinking reuse also re-zeroes
         let small = ws.take(3);
         assert_eq!(&small[..], &[0.0; 3]);
+    }
+
+    #[test]
+    fn take_overwrite_skips_the_fill_and_is_poisoned_in_debug_builds() {
+        let mut ws = Workspace::new();
+        let mut buf = ws.take(40);
+        buf.fill(7.0);
+        ws.recycle(buf);
+        let stale = ws.take_overwrite(24);
+        assert_eq!(stale.len(), 24);
+        // growing within the parked capacity must not expose a short slice
+        ws.recycle(stale);
+        let grown = ws.take_overwrite(40);
+        assert_eq!(grown.len(), 40);
+        for buf in [&grown, &ws.take_overwrite(9)] {
+            if cfg!(debug_assertions) {
+                assert!(buf.iter().all(|v| v.is_nan()), "debug builds poison with NaN");
+            } else {
+                assert!(buf.iter().all(|&v| v == 7.0 || v == 0.0), "stale or fresh, never junk");
+            }
+        }
+    }
+
+    #[test]
+    fn take_overwrite_accounts_and_reuses_exactly_like_take() {
+        // the same request sequence through either take: same buffers chosen
+        // (best fit), same takes / misses, same freelist afterwards
+        let run = |overwrite: bool| {
+            let mut ws = Workspace::new();
+            for cap in [160, 16, 64, 640] {
+                ws.recycle(AlignedVec::with_capacity(cap));
+            }
+            let mut caps = Vec::new();
+            for len in [60, 8, 600, 100, 700, 0] {
+                let buf = if overwrite { ws.take_overwrite(len) } else { ws.take(len) };
+                assert_eq!(buf.len(), len);
+                caps.push(buf.capacity());
+                if len == 100 {
+                    ws.recycle(buf);
+                }
+            }
+            let mut parked: Vec<usize> = ws.free.iter().map(AlignedVec::capacity).collect();
+            parked.sort_unstable();
+            (caps, ws.stats(), parked)
+        };
+        let (caps, stats, parked) = run(false);
+        assert_eq!(caps[..4], [64, 16, 640, 160], "smallest sufficient capacity wins");
+        assert_eq!(stats, WorkspaceStats { takes: 6, misses: 1 }, "only 700 has to allocate");
+        assert_eq!(run(true), (caps, stats, parked));
     }
 
     #[test]

@@ -49,28 +49,29 @@ echo "== conformance: whole-network gradient checks =="
 cargo test -q -p dtsnn-conformance --test gradient_check
 
 # Kernel stage: the event-driven sparse matmul family must reproduce the
-# blocked dense kernels bitwise, and the direct spike-scatter convolution
-# must reproduce the im2col + matmul reference bitwise (every geometry,
-# input class, batch size and forced reference family; the test pins the
-# thread count and SIMD tier per case, the ambient values steer the
-# reference) — at both ambient worker counts and both ends of the SIMD
-# ladder. The layer-level plan must never outlive its weights, and the
+# blocked dense kernels bitwise, the direct spike-scatter convolution must
+# reproduce the im2col + matmul reference bitwise (every geometry, input
+# class, batch size and forced reference family), and the one-pass LIF step
+# must reproduce the plain-tensor LifNeuron::forward bitwise (both resets,
+# smooth spikes, non-finite inputs; each of the two tests pins the thread
+# count and SIMD tier per case, the ambient values steer the reference) —
+# at both ambient worker counts and both ends of the SIMD ladder. The
+# layer-level plan must never outlive its weights, and the
 # workspace-threaded Snn forward must match the plain layer chain while
-# allocating nothing after warm-up. A final golden replay proves none of it
-# changed committed numerics — no re-bless.
+# allocating nothing after warm-up. (That none of it changed committed
+# numerics is the SIMD stage's four golden replays under the same settings.)
 for threads in 1 4; do
     echo "== kernel stage: sparse/dense equivalence (DTSNN_THREADS=$threads) =="
     DTSNN_THREADS=$threads cargo test -q -p dtsnn-tensor sparse
     for simd in scalar avx2; do
-        echo "== kernel stage: direct conv = reference (DTSNN_THREADS=$threads DTSNN_SIMD=$simd) =="
+        echo "== kernel stage: direct conv = reference, LIF step = tensor ops (DTSNN_THREADS=$threads DTSNN_SIMD=$simd) =="
         DTSNN_SIMD=$simd DTSNN_THREADS=$threads cargo test -q -p dtsnn-tensor --test conv_direct
+        DTSNN_SIMD=$simd DTSNN_THREADS=$threads cargo test -q -p dtsnn-snn --test lif_step
     done
     DTSNN_THREADS=$threads cargo test -q -p dtsnn-snn --test conv_plan
     DTSNN_THREADS=$threads cargo test -q -p dtsnn-snn workspace
     DTSNN_THREADS=$threads cargo test -q -p dtsnn-snn warmed_timestep_loop
 done
-echo "== kernel stage: golden replay unchanged by the kernels =="
-cargo test -q -p dtsnn-conformance --test golden_replay
 
 # Robustness stage: the Monte-Carlo fault harness on a tiny net (the
 # 2-trial smoke plus the aggregate thread-invariance check) at both ambient
@@ -129,13 +130,14 @@ echo "== chaos stage: fault-intensity smoke sweep =="
 DTSNN_CHAOS_SMOKE=1 cargo run --release -q -p dtsnn-bench --bin serving_chaos
 
 # SIMD stage: the runtime-dispatched vector tier. The unit property suite
-# pins every kernel family (dense/bitset/quant/LIF/BN) bitwise against the
-# scalar oracle; then golden replay and the fuzz smoke (which runs fuzz
-# oracle 13, whole forward passes forced-scalar vs vectorized) are repeated
-# with the dispatcher forced off and on auto at both ambient worker counts
-# — the committed numerics must be reachable from either tier with no
-# re-bless. The speedup bench asserts the ≥1.5× dense matmul_nt floor
-# in-bin and records cpu_features next to host_cores in its JSON.
+# pins every kernel family (dense/bitset/quant/BN; the LIF step is the
+# kernel stage's) bitwise against the scalar oracle; then golden replay and
+# the fuzz smoke (which runs fuzz oracle 13, whole forward passes
+# forced-scalar vs vectorized) are repeated with the dispatcher forced off
+# and on auto at both ambient worker counts — the committed numerics must
+# be reachable from either tier with no re-bless. The speedup bench
+# asserts the ≥1.5× dense matmul_nt floor in-bin and records cpu_features
+# next to host_cores in its JSON.
 for threads in 1 4; do
     for simd in off auto; do
         echo "== simd stage: golden replay + fuzz smoke (DTSNN_SIMD=$simd DTSNN_THREADS=$threads) =="

@@ -10,6 +10,32 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Raw and planned direct forward against the reference on one geometry,
+/// over what the layers see: analog frames, binary spikes, avg-pooled spikes.
+fn check(spec: &Conv2dSpec, [in_h, in_w]: [usize; 2], rng: &mut TensorRng, ws: &mut Workspace) {
+    let weight = Tensor::kaiming(&spec.weight_dims(), spec.patch_len(), rng);
+    let bias = Tensor::randn(&[spec.out_channels], 0.0, 0.1, rng);
+    let plan = ConvPlan::new(&weight, spec).unwrap();
+    for (kind, n) in [("analog", 1), ("binary", 1), ("binary", 3), ("pooled", 3)] {
+        let mut x = Tensor::zeros(&[n, spec.in_channels, in_h, in_w]);
+        for v in x.data_mut() {
+            *v = match kind {
+                "analog" => rng.uniform(-1.0, 1.0),
+                "binary" => f32::from(u8::from(rng.bernoulli(0.2))),
+                _ => rng.below(5) as f32 * 0.25,
+            };
+        }
+        let want = bits(&conv2d(&x, &weight, Some(&bias), spec).unwrap().0);
+        let raw = conv2d_ws(&x, &weight, Some(&bias), spec, ws).unwrap();
+        let (planned, stats) = plan.forward(&x, Some(&bias), ws).unwrap();
+        assert_eq!(want, bits(&raw), "{spec:?} {in_h}x{in_w} {kind} n={n}");
+        assert_eq!(want, bits(&planned), "{spec:?} {in_h}x{in_w} {kind} n={n} (plan)");
+        assert_eq!(stats, x.spike_stats(), "{spec:?} {in_h}x{in_w} {kind} n={n} (scan counts)");
+        ws.recycle_tensor(raw);
+        ws.recycle_tensor(planned);
+    }
+}
+
 #[test]
 fn direct_kernel_matches_reference_on_the_model_layer_shapes() {
     let cfg = ModelConfig::default();
@@ -24,30 +50,22 @@ fn direct_kernel_matches_reference_on_the_model_layer_shapes() {
         };
         convs += 1;
         let spec = Conv2dSpec::new(in_channels, out_channels, kernel, stride, padding).unwrap();
-        let weight = Tensor::kaiming(&spec.weight_dims(), spec.patch_len(), &mut rng);
-        let bias = Tensor::randn(&[out_channels], 0.0, 0.1, &mut rng);
-        let plan = ConvPlan::new(&weight, &spec).unwrap();
-        // what the layers see: analog frames, binary spikes, avg-pooled spikes
-        for (kind, n) in [("analog", 1), ("binary", 1), ("binary", 3), ("pooled", 3)] {
-            let mut x = Tensor::zeros(&[n, in_channels, in_h, in_w]);
-            for v in x.data_mut() {
-                *v = match kind {
-                    "analog" => rng.uniform(-1.0, 1.0),
-                    "binary" => f32::from(u8::from(rng.bernoulli(0.2))),
-                    _ => rng.below(5) as f32 * 0.25,
-                };
-            }
-            let want = bits(&conv2d(&x, &weight, Some(&bias), &spec).unwrap().0);
-            let raw = conv2d_ws(&x, &weight, Some(&bias), &spec, &mut ws).unwrap();
-            let (planned, stats) = plan.forward(&x, Some(&bias), &mut ws).unwrap();
-            assert_eq!(want, bits(&raw), "{geometry:?} {kind} n={n}");
-            assert_eq!(want, bits(&planned), "{geometry:?} {kind} n={n} (plan)");
-            assert_eq!(stats, x.spike_stats(), "{geometry:?} {kind} n={n} (scan counts)");
-            ws.recycle_tensor(raw);
-            ws.recycle_tensor(planned);
-        }
+        check(&spec, [in_h, in_w], &mut rng, &mut ws);
     }
     assert_eq!(convs, 11, "5 vgg_small + 6 resnet_small conv shapes");
+}
+
+#[test]
+fn direct_kernel_matches_reference_where_the_fast_path_clips() {
+    // what no model shape reaches: an input smaller than the kernel but not
+    // than its padded self (every pixel clipped at both borders), and rows
+    // of exactly one 64-element nonzero word and one element more
+    let mut rng = TensorRng::seed_from(0xFA57);
+    let mut ws = Workspace::new();
+    for (kernel, padding, in_h, in_w) in [(5, 2, 2, 2), (3, 1, 3, 64), (3, 1, 3, 65)] {
+        let spec = Conv2dSpec::new(2, 8, kernel, 1, padding).unwrap();
+        check(&spec, [in_h, in_w], &mut rng, &mut ws);
+    }
 }
 
 #[test]
