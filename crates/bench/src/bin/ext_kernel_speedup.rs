@@ -1,17 +1,13 @@
-//! Extension — event-driven sparse kernels vs the blocked dense kernels,
-//! plus the zero-allocation timestep loop.
+//! Extension — the f32 kernels over spike density, plus the zero-allocation
+//! timestep loop.
 //!
-//! Part 1 times the three hot kernels (`matmul`, `matmul_nt`, `conv2d`) on
-//! spike-shaped operands at densities 1%, 10%, 50% and fully dense, once
-//! with the sparse path forced off (density threshold −1) and once forced
-//! on (+1). Both paths are bitwise identical — asserted here per density —
-//! so the only thing that changes is wall-clock. The expected shape: sparse
-//! wins big at 1%, still wins at 10%, and loses above the default 25%
-//! threshold (which is why the dispatch threshold sits there). The `conv2d`
-//! row is the im2col + matmul reference, the only convolution the
-//! threshold still steers; the `conv2d_ws` row sets the direct scatter
-//! kernel (its "sparse" column — it has no dense twin) against that
-//! reference's dense time.
+//! Part 1 times the kernels on spike-shaped operands at densities 1%, 10%,
+//! 50% and fully dense. `matmul` and `matmul_nt` are the one f32 family:
+//! blocked kernels that skip an operand's zeros in place, so their time
+//! falls with density without a second code path. `conv2d` is the
+//! im2col + matmul reference and `conv2d_ws` the direct spike-scatter kernel
+//! every layer runs; the two are bitwise identical — asserted here per
+//! density — and the `vs reference` column is reference time over direct time.
 //!
 //! Part 2 runs the full VGG backbone through the dynamic-timestep runner
 //! and proves the workspace claim: after one warm-up sample, the Eval
@@ -24,22 +20,15 @@
 use dtsnn_bench::{json, print_table, time_it, write_json};
 use dtsnn_core::{DynamicInference, ExitPolicy};
 use dtsnn_snn::{vgg_small, LifConfig, ModelConfig};
-use dtsnn_tensor::{conv2d, conv2d_ws, simd, sparse, Conv2dSpec, Tensor, TensorRng, Workspace};
+use dtsnn_tensor::{conv2d, conv2d_ws, simd, Conv2dSpec, Tensor, TensorRng, Workspace};
 
-/// A [0,1) tensor thresholded into a binary spike pattern of the given
-/// density (the operand shape the event-driven path is built for).
+/// A binary spike pattern of the given density.
 fn spikes(dims: &[usize], density: f32, rng: &mut TensorRng) -> Tensor {
     let mut t = Tensor::zeros(dims);
     for v in t.data_mut() {
         *v = if rng.bernoulli(density) { 1.0 } else { 0.0 };
     }
     t
-}
-
-fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
-    let ab: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-    let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(ab, bb, "{what}: sparse and dense paths must agree bitwise");
 }
 
 fn fmt_time(secs: f64) -> String {
@@ -63,72 +52,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut json_points = Vec::new();
+    let mut ws = Workspace::new();
     for &density in &densities {
         let a = spikes(&[128, 256], density, &mut rng);
         let x_conv = spikes(&[2, 8, 16, 16], density, &mut rng);
 
         // parity first, then timings (timings reuse the same inputs)
-        let mm_d = sparse::with_density_threshold(-1.0, || a.matmul(&b_mat))?;
-        let mm_s = sparse::with_density_threshold(1.0, || a.matmul(&b_mat))?;
-        assert_bitwise(&mm_d, &mm_s, "matmul");
-        let nt_d = sparse::with_density_threshold(-1.0, || a.matmul_nt(&w_nt))?;
-        let nt_s = sparse::with_density_threshold(1.0, || a.matmul_nt(&w_nt))?;
-        assert_bitwise(&nt_d, &nt_s, "matmul_nt");
-        let mut ws = Workspace::new();
-        let reference = |threshold: f32| {
-            sparse::with_density_threshold(threshold, || {
-                conv2d(&x_conv, &w_conv, Some(&bias), &spec).map(|(out, _cols)| out)
-            })
-        };
-        let cv_d = reference(-1.0)?;
-        assert_bitwise(&cv_d, &reference(1.0)?, "conv2d");
+        let (reference, _cols) = conv2d(&x_conv, &w_conv, Some(&bias), &spec)?;
         let direct = conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws)?;
-        assert_bitwise(&cv_d, &direct, "conv2d_ws");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&reference), bits(&direct), "conv2d_ws must equal conv2d bitwise");
         ws.recycle_tensor(direct);
 
-        let conv_dense_s = time_it(|| reference(-1.0).unwrap());
-        let mut point = vec![json!({"density": density})];
-        for (kernel, dense_s, sparse_s) in [
-            (
-                "matmul",
-                sparse::with_density_threshold(-1.0, || time_it(|| a.matmul(&b_mat).unwrap())),
-                sparse::with_density_threshold(1.0, || time_it(|| a.matmul(&b_mat).unwrap())),
-            ),
-            (
-                "matmul_nt",
-                sparse::with_density_threshold(-1.0, || time_it(|| a.matmul_nt(&w_nt).unwrap())),
-                sparse::with_density_threshold(1.0, || time_it(|| a.matmul_nt(&w_nt).unwrap())),
-            ),
-            ("conv2d", conv_dense_s, time_it(|| reference(1.0).unwrap())),
-            (
-                "conv2d_ws",
-                conv_dense_s,
-                time_it(|| {
-                    let out = conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws).unwrap();
-                    ws.recycle_tensor(out);
-                }),
-            ),
+        let matmul_s = time_it(|| a.matmul(&b_mat).unwrap());
+        let matmul_nt_s = time_it(|| a.matmul_nt(&w_nt).unwrap());
+        let reference_s = time_it(|| conv2d(&x_conv, &w_conv, Some(&bias), &spec).unwrap());
+        let direct_s = time_it(|| {
+            let out = conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws).unwrap();
+            ws.recycle_tensor(out);
+        });
+        let speedup = reference_s / direct_s;
+        let pct = format!("{:.0}%", density * 100.0);
+        for (kernel, secs, speedup) in [
+            ("matmul", matmul_s, "-".to_string()),
+            ("matmul_nt", matmul_nt_s, "-".to_string()),
+            ("conv2d (im2col reference)", reference_s, "1.00×".to_string()),
+            ("conv2d_ws (direct)", direct_s, format!("{speedup:.2}×")),
         ] {
-            let speedup = dense_s / sparse_s;
-            rows.push(vec![
-                format!("{:.0}%", density * 100.0),
-                kernel.into(),
-                fmt_time(dense_s),
-                fmt_time(sparse_s),
-                format!("{speedup:.2}×"),
-            ]);
-            point.push(json!({
-                "kernel": kernel,
-                "dense_secs": dense_s,
-                "sparse_secs": sparse_s,
-                "sparse_speedup": speedup,
-            }));
+            rows.push(vec![pct.clone(), kernel.into(), fmt_time(secs), speedup]);
         }
-        json_points.push(json::Value::Array(point));
+        json_points.push(json!({
+            "density": density,
+            "matmul_secs": matmul_s,
+            "matmul_nt_secs": matmul_nt_s,
+            "conv2d_reference_secs": reference_s,
+            "conv2d_ws_secs": direct_s,
+            "direct_conv_speedup": speedup,
+        }));
     }
     print_table(
-        "sparse vs dense kernels (bitwise-identical outputs)",
-        &["density", "kernel", "dense", "sparse", "speedup"],
+        "f32 kernels over spike density (direct conv bitwise equal to its reference)",
+        &["density", "kernel", "time", "vs reference"],
         &rows,
     );
 
@@ -190,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "workspace_takes": stats.takes,
             "workspace_misses": stats.misses,
         }),
-        "bitwise_equal": true,
+        "direct_conv_bitwise_equal": true,
     });
     let path = write_json("kernel_speedup", &doc)?;
     println!("wrote {}", path.display());

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let at = Tensor::randn(&[k, m], 0.0, 1.0, &mut rng); // pre-transposed lhs [k, m]
     let b = Tensor::randn(&[k, n], 0.0, 1.0, &mut rng); // matmul rhs [k, n]
     let w = Tensor::randn(&[n, k], 0.0, 0.05, &mut rng); // row-major weights [n, k]
-    let s = spikes(&[m, k], 0.15, &mut rng); // binary spikes for bitset/quant
+    let s = spikes(&[m, k], 0.15, &mut rng); // binary spikes for the quantized dot
     let qw = QuantizedWeights::from_tensor(&w, 8)?;
 
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -73,7 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("dense matmul", Box::new(|| a.matmul(&b).unwrap())),
         ("dense matmul_tn", Box::new(|| at.matmul_tn(&b).unwrap())),
         ("dense matmul_nt", Box::new(|| a.matmul_nt(&w).unwrap())),
-        ("bitset matmul_nt", Box::new(|| s.matmul_nt(&w).unwrap())),
         ("quant matmul_nt", Box::new(|| qw.matmul_nt(&s).unwrap())),
     ];
     for (name, run) in &kernels {

@@ -30,19 +30,14 @@
 //!    (digital parameters untouched), a live model is seed-reproducible and
 //!    thread-count invariant, and severity scaling never leaves the valid
 //!    model domain.
-//! 8. **Sparse ≡ dense execution** — one inference with the event-driven
-//!    sparse kernels forced on (density threshold 1.0) and one with them
-//!    forced off (−1.0) return bitwise-identical outcomes and accumulated
-//!    logits (the gather kernels replay the dense accumulation order
-//!    exactly), under 1 worker and under 4.
-//! 9. **Backend equivalence** — whole forward passes forced down each
-//!    kernel family via the [`backend`] override, plus one left on auto
-//!    dispatch: dense, CSR, bitset and auto return bitwise-identical
-//!    outcomes, accumulated logits and spike densities under 1 worker and
-//!    under 4 (convolution runs one direct kernel whatever is forced; the
-//!    families differ in the linear layers); the quantized backend (a real
-//!    numeric change, pinned by its own goldens) must be reproducible,
-//!    thread-count invariant and finite.
+//! 8. *(retired with its subject: the event-driven CSR f32 kernels it
+//!    compared against the dense ones were deleted. The number stays so
+//!    the later oracles keep theirs.)*
+//! 9. **Quantized execution** — the int8-weight path a network enters
+//!    through `quantize_weights` (a real numeric change, pinned by its own
+//!    goldens) must be run-to-run reproducible, thread-count invariant and
+//!    finite. (Its f32 arm — dense, CSR, bitset and auto dispatch agreeing
+//!    bitwise — retired with the families it compared.)
 //! 10. **Continuous-batching server ≡ sequential runner** — a seeded
 //!     request trace replayed through the simulated-clock serving engine
 //!     (staggered arrivals, mid-window admissions, compaction-retired
@@ -73,7 +68,7 @@ use dtsnn_imc::{
     FaultModel, HardwareConfig, Placement, SimOptions,
 };
 use dtsnn_snn::{load_params, save_params, LifConfig, Mode, ModelConfig, Snn};
-use dtsnn_tensor::{backend, parallel, simd, sparse, BackendKind, Tensor, TensorRng};
+use dtsnn_tensor::{parallel, simd, Tensor, TensorRng};
 
 /// A randomly derived but fully deterministic fuzz configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -410,117 +405,31 @@ fn oracle_fault_injection_invariants(case: &FuzzCase) -> Result<(), String> {
     Ok(())
 }
 
-fn oracle_sparse_equals_dense(case: &FuzzCase) -> Result<(), String> {
-    let runner = DynamicInference::new(
-        ExitPolicy::entropy(case.theta).map_err(|e| e.to_string())?,
-        case.timesteps,
-    )
-    .map_err(|e| e.to_string())?;
-    let frame = case.frame(0x5BA25E);
-    for threads in [1usize, 4] {
-        let run_at = |threshold: f32| -> Result<_, String> {
-            parallel::with_threads(threads, || {
-                sparse::with_density_threshold(threshold, || {
-                    let mut net = case.build(7)?;
-                    let traced = runner
-                        .run_traced(&mut net, std::slice::from_ref(&frame))
-                        .map_err(|e| e.to_string())?;
-                    Ok((traced.outcome, traced.per_timestep))
-                })
-            })
-        };
-        let dense = run_at(-1.0)?; // sparse path forced off
-        let sparse_forced = run_at(1.0)?; // sparse path forced on everywhere
-        if dense.0 != sparse_forced.0 {
-            return Err(format!(
-                "{threads}-worker outcome differs: dense {:?} vs sparse {:?}",
-                dense.0, sparse_forced.0
-            ));
-        }
-        for (t, (d, s)) in dense.1.iter().zip(&sparse_forced.1).enumerate() {
-            let db: Vec<u32> = d.accumulated_logits.iter().map(|v| v.to_bits()).collect();
-            let sb: Vec<u32> = s.accumulated_logits.iter().map(|v| v.to_bits()).collect();
-            if db != sb {
-                return Err(format!(
-                    "{threads}-worker accumulated logits differ bitwise at t={}",
-                    t + 1
-                ));
-            }
-            if d.spike_densities != s.spike_densities {
-                return Err(format!(
-                    "{threads}-worker spike densities differ at t={}",
-                    t + 1
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn oracle_backend_equivalence(case: &FuzzCase) -> Result<(), String> {
+fn oracle_quantized_execution(case: &FuzzCase) -> Result<(), String> {
     let runner = DynamicInference::new(
         ExitPolicy::entropy(case.theta).map_err(|e| e.to_string())?,
         case.timesteps,
     )
     .map_err(|e| e.to_string())?;
     let frame = case.frame(0xBAC_EAD);
-    // `None` leaves dispatch on auto: whatever each layer picks by itself
-    let run_forced = |threads: usize, kind: Option<BackendKind>| -> Result<_, String> {
+    let run = |threads: usize| -> Result<_, String> {
         parallel::with_threads(threads, || {
-            let run = || {
-                let mut net = case.build(8)?;
-                let traced = runner
-                    .run_traced(&mut net, std::slice::from_ref(&frame))
-                    .map_err(|e| e.to_string())?;
-                Ok((traced.outcome, traced.per_timestep))
-            };
-            match kind {
-                Some(kind) => backend::with_backend(kind, run),
-                None => run(),
-            }
+            let mut net = case.build(8)?;
+            net.quantize_weights(HardwareConfig::default().weight_bits);
+            let traced = runner
+                .run_traced(&mut net, std::slice::from_ref(&frame))
+                .map_err(|e| e.to_string())?;
+            Ok((traced.outcome, traced.per_timestep))
         })
     };
-    for threads in [1usize, 4] {
-        // dense is the oracle; CSR, bitset and the unforced dispatch must
-        // replay it bitwise
-        let dense = run_forced(threads, Some(BackendKind::Dense))?;
-        for kind in [Some(BackendKind::Csr), Some(BackendKind::Bitset), None] {
-            let other = run_forced(threads, kind)?;
-            let kind = kind.map_or("auto", BackendKind::name);
-            if dense.0 != other.0 {
-                return Err(format!(
-                    "{threads}-worker outcome differs: dense {:?} vs {kind} {:?}",
-                    dense.0, other.0
-                ));
-            }
-            for (t, (d, o)) in dense.1.iter().zip(&other.1).enumerate() {
-                let db: Vec<u32> = d.accumulated_logits.iter().map(|v| v.to_bits()).collect();
-                let ob: Vec<u32> = o.accumulated_logits.iter().map(|v| v.to_bits()).collect();
-                if db != ob {
-                    return Err(format!(
-                        "{threads}-worker {kind} accumulated logits differ bitwise at t={}",
-                        t + 1
-                    ));
-                }
-                if d.spike_densities != o.spike_densities {
-                    return Err(format!(
-                        "{threads}-worker {kind} spike densities differ at t={}",
-                        t + 1
-                    ));
-                }
-            }
-        }
+    // a real numeric change: demand reproducibility, thread-count
+    // invariance and finiteness instead of bitwise identity with f32
+    let q1 = run(1)?;
+    if q1 != run(1)? {
+        return Err("quantized execution is not run-to-run reproducible".into());
     }
-    // quantized is a real numeric change: demand reproducibility,
-    // thread-count invariance and finiteness instead of bitwise identity
-    let q1 = run_forced(1, Some(BackendKind::Quantized))?;
-    let q2 = run_forced(1, Some(BackendKind::Quantized))?;
-    if q1 != q2 {
-        return Err("quantized backend is not run-to-run reproducible".into());
-    }
-    let q4 = run_forced(4, Some(BackendKind::Quantized))?;
-    if q1 != q4 {
-        return Err("quantized backend differs across thread counts".into());
+    if q1 != run(4)? {
+        return Err("quantized execution differs across thread counts".into());
     }
     for (t, step) in q1.1.iter().enumerate() {
         if step.accumulated_logits.iter().any(|v| !v.is_finite()) {
@@ -885,8 +794,7 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     oracle_batched_compaction_equals_sequential(case)
         .map_err(|e| format!("batched-compaction≡sequential: {e}"))?;
     oracle_fault_injection_invariants(case).map_err(|e| format!("fault-injection: {e}"))?;
-    oracle_sparse_equals_dense(case).map_err(|e| format!("sparse≡dense: {e}"))?;
-    oracle_backend_equivalence(case).map_err(|e| format!("backend-equivalence: {e}"))?;
+    oracle_quantized_execution(case).map_err(|e| format!("quantized: {e}"))?;
     oracle_simd_equals_scalar(case).map_err(|e| format!("simd≡scalar: {e}"))?;
     oracle_serving_equals_sequential(case).map_err(|e| format!("serving≡sequential: {e}"))?;
     oracle_event_sim_matches_ledger(case).map_err(|e| format!("event-sim≡ledger: {e}"))?;

@@ -18,10 +18,9 @@
 //!   asserting cross-path equivalences (never-exit DT-SNN ≡ static SNN,
 //!   thread-count invariance, σ = 0 device reads ≡ pure quantization,
 //!   mapping invariants, checkpoint round-trips, compacted batched
-//!   evaluation ≡ sequential evaluation, and kernel-backend equivalence —
-//!   whole forward passes forced down dense, CSR and bitset must agree
-//!   bitwise), with failing cases shrunk to a minimal reproduction and
-//!   reported by seed.
+//!   evaluation ≡ sequential evaluation, SIMD tier ≡ scalar, and a
+//!   reproducible, thread-count-invariant quantized path), with failing
+//!   cases shrunk to a minimal reproduction and reported by seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -58,9 +58,9 @@ fn golden_context_records_provenance() {
         {
             assert!(context.get(key).is_some(), "{}: context missing {key}", spec.golden_name());
         }
-        // The quantized goldens postdate the backend seam and additionally
-        // record the per-layer kernel choices; the pre-existing f32 goldens
-        // are committed byte-identical and are not required to carry them.
+        // The quantized goldens additionally record the per-layer kernel
+        // family; the older f32 goldens are committed byte-identical and
+        // are not required to carry it.
         if spec.quantized {
             for key in ["quantized", "backends"] {
                 assert!(context.get(key).is_some(), "{}: context missing {key}", spec.golden_name());

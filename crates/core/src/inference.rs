@@ -40,9 +40,9 @@ pub struct DynamicTrace {
     pub outcome: DynamicOutcome,
     /// One record per executed timestep (`len == outcome.timesteps_used`).
     pub per_timestep: Vec<TimestepTrace>,
-    /// `(layer, backend)` kernel-dispatch choices of the final executed
-    /// timestep, in network order — recorded into the golden-trace
-    /// *context* block (provenance, never numerically compared).
+    /// `(layer, backend)` kernel family of every weight layer
+    /// (`Snn::layer_backends`), in network order — recorded into the
+    /// golden-trace *context* block (provenance, never numerically compared).
     pub layer_backends: Vec<(String, String)>,
 }
 

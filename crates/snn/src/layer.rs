@@ -199,20 +199,20 @@ pub trait Layer: Send + Sync {
     /// several noisy replicas of one trained network).
     fn clone_box(&self) -> Box<dyn Layer>;
 
-    /// Name of the kernel backend the most recent Eval forward dispatched
-    /// to (`"dense"`, `"csr"`, `"bitset"`, `"quantized"`), if this layer
-    /// runs a dispatched matmul/conv kernel. Default covers layers with no
-    /// backend seam.
-    fn last_backend(&self) -> Option<&'static str> {
+    /// Name of the kernel family this layer's Eval forward runs, if it has
+    /// a weight kernel: `"quantized"` (int8 weights) once
+    /// [`Layer::quantize_weights`] opted it in, `"dense"` (f32) otherwise.
+    /// Default covers layers with no weight kernel.
+    fn backend(&self) -> Option<&'static str> {
         None
     }
 
-    /// Appends `(qualified_name, backend)` pairs for every dispatched
-    /// kernel inside this layer to `out`. The default reports
-    /// [`Layer::last_backend`] under the given name; container layers
-    /// override it to recurse with qualified child names.
+    /// Appends `(qualified_name, backend)` pairs for every weight kernel
+    /// inside this layer to `out`. The default reports [`Layer::backend`]
+    /// under the given name; container layers override it to recurse with
+    /// qualified child names.
     fn backend_choices(&self, name: &str, out: &mut Vec<(String, &'static str)>) {
-        if let Some(b) = self.last_backend() {
+        if let Some(b) = self.backend() {
             out.push((name.to_string(), b));
         }
     }

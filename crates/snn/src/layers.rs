@@ -11,10 +11,20 @@ use crate::layer::{Layer, Mode, Param};
 use crate::lif::{LifConfig, LifNeuron};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, backend, conv2d_backward, conv2d_ws_quant,
-    im2col, linear_ws_quant, linear_ws_with, simd, BackendKind, Conv2dSpec, ConvPlan, PoolSpec,
-    QuantizedWeights, Tensor, TensorError, TensorRng, Workspace,
+    avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, conv2d_ws_quant, im2col,
+    linear_ws, linear_ws_quant, simd, Conv2dSpec, ConvPlan, PoolSpec, QuantizedWeights, Tensor,
+    TensorError, TensorRng, Workspace,
 };
+
+/// [`Layer::backend`] of a weight layer: the int8 kernels iff
+/// [`Layer::quantize_weights`] opted it in, the f32 ones otherwise.
+fn backend_name(quant_bits: Option<u32>) -> &'static str {
+    if quant_bits.is_some() {
+        "quantized"
+    } else {
+        "dense"
+    }
+}
 
 // ===========================================================================
 // Conv2d
@@ -36,8 +46,6 @@ pub struct Conv2d {
     /// Weights packed for the direct kernel (lazy cache, invalidated
     /// wherever `quant` is). A clone owns its own copy.
     plan: Option<ConvPlan>,
-    /// Backend the most recent Eval forward dispatched to.
-    last_backend: Option<BackendKind>,
 }
 
 impl Conv2d {
@@ -66,7 +74,6 @@ impl Conv2d {
             quant: None,
             quant_bits: None,
             plan: None,
-            last_backend: None,
         })
     }
 
@@ -93,13 +100,8 @@ impl Conv2d {
         self.plan = None;
     }
 
-    /// The direct kernel over the (lazily packed) plan; returns the output
-    /// and the `(density, binary)` its input scan counted.
-    fn forward_packed(
-        &mut self,
-        input: &Tensor,
-        ws: &mut Workspace,
-    ) -> Result<(Tensor, (f32, bool))> {
+    /// The direct kernel over the (lazily packed) plan.
+    fn forward_packed(&mut self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         if self.plan.is_none() {
             self.plan = Some(ConvPlan::new(&self.weight.value, &self.spec)?);
         }
@@ -107,24 +109,18 @@ impl Conv2d {
         Ok(plan.forward(input, Some(&self.bias.value), ws)?)
     }
 
-    /// Eval forward shared by `forward` and `forward_ws`: one backend
-    /// choice per call, recorded for the trace context. Both entry points
-    /// route here, so the two stay bitwise identical by construction.
+    /// Eval forward shared by `forward` and `forward_ws`, so the two stay
+    /// bitwise identical by construction: the int8 kernel iff the layer
+    /// opted in, the direct f32 kernel otherwise.
     fn forward_eval(&mut self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        if backend::wants_quantized(self.quant_bits.is_some()) {
-            self.last_backend = Some(BackendKind::Quantized);
-            let bits = self.quant_bits.unwrap_or(backend::DEFAULT_QUANT_BITS);
-            if self.quant.as_ref().is_none_or(|q| q.bits() != bits) {
-                self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
-            }
-            let qw = self.quant.as_ref().expect("cache ensured above");
-            return Ok(conv2d_ws_quant(input, qw, Some(&self.bias.value), &self.spec, ws)?);
+        let Some(bits) = self.quant_bits else {
+            return self.forward_packed(input, ws);
+        };
+        if self.quant.is_none() {
+            self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
         }
-        // every f32 family is the one direct kernel; the name recorded is the
-        // family its scan counts select
-        let (out, (density, binary)) = self.forward_packed(input, ws)?;
-        self.last_backend = Some(backend::choose_kernel(density, binary));
-        Ok(out)
+        let qw = self.quant.as_ref().expect("cache ensured above");
+        Ok(conv2d_ws_quant(input, qw, Some(&self.bias.value), &self.spec, ws)?)
     }
 }
 
@@ -134,7 +130,7 @@ impl Layer for Conv2d {
         // (bitwise identical to `forward_ws`, just allocating).
         let mut ws = Workspace::new();
         if mode == Mode::Train {
-            let (out, _) = self.forward_packed(input, &mut ws)?;
+            let out = self.forward_packed(input, &mut ws)?;
             self.inputs.push(input.clone());
             return Ok(out);
         }
@@ -174,8 +170,8 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn last_backend(&self) -> Option<&'static str> {
-        self.last_backend.map(BackendKind::name)
+    fn backend(&self) -> Option<&'static str> {
+        Some(backend_name(self.quant_bits))
     }
 
     fn quantize_weights(&mut self, bits: u32) {
@@ -203,8 +199,6 @@ pub struct Linear {
     quant: Option<QuantizedWeights>,
     /// `Some(bits)` once [`Layer::quantize_weights`] opted this layer in.
     quant_bits: Option<u32>,
-    /// Backend the most recent Eval forward dispatched to.
-    last_backend: Option<BackendKind>,
 }
 
 impl Linear {
@@ -212,14 +206,7 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, rng: &mut TensorRng) -> Self {
         let weight = Param::new(Tensor::kaiming(&[out_features, in_features], in_features, rng), true);
         let bias = Param::new(Tensor::zeros(&[out_features]), false);
-        Linear {
-            weight,
-            bias,
-            inputs: Vec::new(),
-            quant: None,
-            quant_bits: None,
-            last_backend: None,
-        }
+        Linear { weight, bias, inputs: Vec::new(), quant: None, quant_bits: None }
     }
 
     /// Output feature count.
@@ -243,33 +230,31 @@ impl Linear {
         &mut self.weight.value
     }
 
-    /// Eval forward shared by `forward` and `forward_ws`: one backend
-    /// choice per call, recorded for the trace context.
+    /// Eval forward shared by `forward` and `forward_ws`: the int8 kernel
+    /// iff the layer opted in, the f32 one otherwise.
     fn forward_eval(&mut self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let (density, binary) = input.spike_stats();
-        let kind = backend::choose_layer(density, binary, self.quant_bits.is_some());
-        self.last_backend = Some(kind);
-        if kind == BackendKind::Quantized {
-            let bits = self.quant_bits.unwrap_or(backend::DEFAULT_QUANT_BITS);
-            if self.quant.as_ref().is_none_or(|q| q.bits() != bits) {
-                self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
-            }
-            let qw = self.quant.as_ref().expect("cache ensured above");
-            return Ok(linear_ws_quant(input, qw, &self.bias.value, ws)?);
+        let Some(bits) = self.quant_bits else {
+            return Ok(linear_ws(input, &self.weight.value, &self.bias.value, ws)?);
+        };
+        if self.quant.is_none() {
+            self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
         }
-        Ok(linear_ws_with(kind, input, &self.weight.value, &self.bias.value, ws)?)
+        let qw = self.quant.as_ref().expect("cache ensured above");
+        Ok(linear_ws_quant(input, qw, &self.bias.value, ws)?)
     }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        // No arena on this entry point: run against a throwaway workspace.
+        let mut ws = Workspace::new();
         if mode == Mode::Train {
-            // y = x Wᵀ + b ; x is [n, in]
-            let out = input.matmul_nt(&self.weight.value)?.add_row_bias(&self.bias.value)?;
+            // y = x Wᵀ + b ; x is [n, in]: Eval's f32 kernel plus the input
+            // cache (training never reads the on-grid codes)
+            let out = linear_ws(input, &self.weight.value, &self.bias.value, &mut ws)?;
             self.inputs.push(input.clone());
             return Ok(out);
         }
-        let mut ws = Workspace::new();
         self.forward_eval(input, &mut ws)
     }
 
@@ -305,8 +290,8 @@ impl Layer for Linear {
         "linear"
     }
 
-    fn last_backend(&self) -> Option<&'static str> {
-        self.last_backend.map(BackendKind::name)
+    fn backend(&self) -> Option<&'static str> {
+        Some(backend_name(self.quant_bits))
     }
 
     fn quantize_weights(&mut self, bits: u32) {
@@ -1063,6 +1048,29 @@ mod tests {
         let y2 = lin.forward(&x, Mode::Eval).unwrap();
         let num = (y2.sum() - loss0) / eps;
         assert!((num - grads[0].data()[0]).abs() < 1e-2, "num={num} ana={}", grads[0].data()[0]);
+    }
+
+    #[test]
+    fn linear_train_forward_equals_eval_forward_bitwise() {
+        let mut r = rng();
+        let mut lin = Linear::new(40, 7, &mut r);
+        lin.bias.value = Tensor::randn(&[7], 0.0, 0.1, &mut r);
+        let mut spikes = Tensor::zeros(&[5, 40]);
+        for v in spikes.data_mut() {
+            *v = f32::from(u8::from(r.bernoulli(0.2)));
+        }
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for x in [spikes, Tensor::randn(&[5, 40], 0.0, 1.0, &mut r)] {
+            let train = bits(lin.forward(&x, Mode::Train).unwrap());
+            assert_eq!(train, bits(lin.forward(&x, Mode::Eval).unwrap()));
+            let mut ws = Workspace::new();
+            assert_eq!(train, bits(lin.forward_ws(&x, Mode::Eval, &mut ws).unwrap()));
+            // training never reads the on-grid codes
+            let mut quantized = lin.clone();
+            quantized.quantize_weights(4);
+            assert_eq!(train, bits(quantized.forward(&x, Mode::Train).unwrap()));
+            assert_ne!(train, bits(quantized.forward(&x, Mode::Eval).unwrap()));
+        }
     }
 
     #[test]

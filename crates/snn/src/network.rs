@@ -165,9 +165,9 @@ impl Snn {
         }
     }
 
-    /// `(layer_name, backend_name)` for every dispatched kernel in the most
-    /// recent Eval forward, in network order (see
-    /// [`Layer::backend_choices`]). Empty before the first Eval pass.
+    /// `(layer_name, backend_name)` for every weight kernel an Eval forward
+    /// runs, in network order (see [`Layer::backend_choices`]): `"dense"`,
+    /// or `"quantized"` after [`Snn::quantize_weights`].
     pub fn layer_backends(&self) -> Vec<(String, &'static str)> {
         let mut out = Vec::new();
         for node in &self.layers {
@@ -397,12 +397,7 @@ mod tests {
     use super::*;
     use crate::layers::{Flatten, Linear};
     use crate::lif::{LifConfig, LifNeuron};
-    use dtsnn_tensor::{backend, BackendKind, TensorRng};
-    use std::sync::Mutex;
-
-    // Tests that force the process-wide kernel backend serialize here so
-    // they cannot observe each other's override.
-    static BACKEND_LOCK: Mutex<()> = Mutex::new(());
+    use dtsnn_tensor::{parallel, TensorRng};
 
     fn tiny_net(rng: &mut TensorRng) -> Snn {
         Snn::from_layers(vec![
@@ -640,37 +635,49 @@ mod tests {
 
     #[test]
     fn warmed_timestep_loop_allocates_nothing() {
-        let mut rng = TensorRng::seed_from(12);
-        let mut net = tiny_net(&mut rng);
-        let x = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.5, &mut rng);
-        // warm-up: one full sample populates every size class
-        net.reset_state();
-        for _ in 0..2 {
-            let out = net.forward_timestep(&x, Mode::Eval).unwrap();
-            net.recycle(out);
+        // f32, and int8 weights (whose packed-spike scratch lives in the arena)
+        for quantized in [false, true] {
+            let mut rng = TensorRng::seed_from(12);
+            let mut net = tiny_net(&mut rng);
+            if quantized {
+                net.quantize_weights(8);
+            }
+            let x = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.5, &mut rng);
+            // warm-up: one full sample populates every size class
+            net.reset_state();
+            for _ in 0..2 {
+                let out = net.forward_timestep(&x, Mode::Eval).unwrap();
+                net.recycle(out);
+            }
+            // steady state: fresh sample, same shapes → zero misses
+            net.reset_state();
+            net.reset_workspace_stats();
+            for _ in 0..4 {
+                let out = net.forward_timestep(&x, Mode::Eval).unwrap();
+                net.recycle(out);
+            }
+            let stats = net.workspace_stats();
+            assert!(stats.takes > 0);
+            assert_eq!(
+                stats.misses, 0,
+                "warmed Eval loop must not allocate (quantized={quantized}): {stats:?}"
+            );
         }
-        // steady state: fresh sample, same shapes → zero misses
-        net.reset_state();
-        net.reset_workspace_stats();
-        for _ in 0..4 {
-            let out = net.forward_timestep(&x, Mode::Eval).unwrap();
-            net.recycle(out);
-        }
-        let stats = net.workspace_stats();
-        assert!(stats.takes > 0);
-        assert_eq!(stats.misses, 0, "warmed Eval loop must not allocate: {stats:?}");
     }
 
     #[test]
-    fn forced_backends_agree_bitwise_and_are_recorded() {
-        let _guard = BACKEND_LOCK.lock().unwrap();
+    fn quantized_net_is_reproducible_thread_invariant_finite_and_recorded() {
         let mut rng = TensorRng::seed_from(13);
         let proto = tiny_net(&mut rng);
+        assert!(proto.layer_backends().iter().all(|(_, b)| *b == "dense"));
         let frames: Vec<Tensor> =
             (0..3).map(|_| Tensor::randn(&[2, 2, 2, 2], 0.0, 1.5, &mut rng)).collect();
-        let run = |kind: BackendKind| {
-            backend::with_backend(kind, || {
+        let run = |bits: Option<u32>, threads: usize| {
+            parallel::with_threads(threads, || {
                 let mut net = proto.clone();
+                if let Some(bits) = bits {
+                    net.quantize_weights(bits);
+                }
                 net.reset_state();
                 let mut out_bits = Vec::new();
                 for f in &frames {
@@ -681,50 +688,14 @@ mod tests {
                 (out_bits, net.layer_backends())
             })
         };
-        let (want, dense_choices) = run(BackendKind::Dense);
-        assert!(dense_choices.iter().all(|(_, b)| *b == "dense"), "{dense_choices:?}");
-        for kind in [BackendKind::Csr, BackendKind::Bitset] {
-            let (got, choices) = run(kind);
-            assert_eq!(want, got, "{kind:?} must be bitwise identical to dense");
-            assert!(!choices.is_empty());
-            // forced bitset on a non-binary operand legally records csr
-            for (name, b) in &choices {
-                assert!(*b == "csr" || *b == "bitset", "{name}: {b}");
-            }
-        }
-        // quantized: reproducible and recorded, but not bitwise-dense
-        let (q1, q_choices) = run(BackendKind::Quantized);
-        let (q2, _) = run(BackendKind::Quantized);
-        assert_eq!(q1, q2, "quantized must be reproducible");
+        let (q1, q_choices) = run(Some(8), 1);
+        assert_eq!(q_choices.len(), 2, "both Linear layers report: {q_choices:?}");
         assert!(q_choices.iter().all(|(_, b)| *b == "quantized"), "{q_choices:?}");
+        assert_eq!(q1, run(Some(8), 1).0, "quantized must be reproducible");
+        assert_eq!(q1, run(Some(8), 4).0, "quantized must be thread-count-invariant");
         assert!(q1.iter().all(|b| f32::from_bits(*b).is_finite()));
-    }
-
-    #[test]
-    fn warmed_timestep_loop_allocates_nothing_with_forced_bitset() {
-        // Satellite of the backend seam: the bitset scratch lives in the
-        // workspace arena, so forcing the bit-packed kernels end-to-end must
-        // keep the warmed Eval loop allocation-free too.
-        let _guard = BACKEND_LOCK.lock().unwrap();
-        backend::with_backend(BackendKind::Bitset, || {
-            let mut rng = TensorRng::seed_from(12);
-            let mut net = tiny_net(&mut rng);
-            let x = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.5, &mut rng);
-            net.reset_state();
-            for _ in 0..2 {
-                let out = net.forward_timestep(&x, Mode::Eval).unwrap();
-                net.recycle(out);
-            }
-            net.reset_state();
-            net.reset_workspace_stats();
-            for _ in 0..4 {
-                let out = net.forward_timestep(&x, Mode::Eval).unwrap();
-                net.recycle(out);
-            }
-            let stats = net.workspace_stats();
-            assert!(stats.takes > 0);
-            assert_eq!(stats.misses, 0, "warmed bitset loop must not allocate: {stats:?}");
-        });
+        // the grid snap is a real numeric change, not a renamed f32 run
+        assert_ne!(q1, run(None, 1).0);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! element accumulates the terms of [`conv2d`]'s im2col row times the
 //! transposed weights in the same order (zero taps skipped, explicit
 //! multiply-then-add): **bitwise identical** (the sign/payload of a NaN made
-//! from two NaNs aside), whichever family a forced backend sends the
-//! reference down.
+//! from two NaNs aside).
 //!
 //! **Reference / backward**: [`im2col`] has one row per output pixel and one
 //! column per tap, so [`conv2d`] is one matrix product, [`conv2d_backward`] two.
@@ -29,7 +28,6 @@
 
 use crate::quant::QuantizedWeights;
 use crate::{parallel, simd, AlignedVec, Result, Tensor, TensorError, Workspace};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Geometry of a 2-D convolution (square kernel, symmetric padding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -232,9 +230,8 @@ pub fn conv2d(
     let [n, _, h, w] = dims4(input)?;
     let (oh, ow) = spec.output_hw(h, w)?;
     let cols = im2col(input, spec)?;
-    // [n*oh*ow, pl] × [pl, c_out] → [n*oh*ow, c_out]. Using plain matmul with
-    // the column matrix on the left lets the kernel dispatch on the column
-    // matrix's spike density — sparse inputs take the event-driven path.
+    // [n*oh*ow, pl] × [pl, c_out] → [n*oh*ow, c_out]. Plain matmul with the
+    // column matrix on the left skips the zeros of a spike input.
     let w_t = weight.transpose2d()?;
     let out_mat = cols.matmul(&w_t)?;
     if let Some(b) = bias {
@@ -284,9 +281,7 @@ impl ConvPlan {
     }
 
     /// Forward over the packed weights, bitwise identical to [`conv2d`];
-    /// scratch and output come from `ws`. Also returns the `(density, binary)`
-    /// the kernel's own scan counted — equal to [`Tensor::spike_stats`] of
-    /// `input` — so the caller can name a backend without a second pass.
+    /// scratch and output come from `ws`.
     ///
     /// # Errors
     ///
@@ -296,7 +291,7 @@ impl ConvPlan {
         input: &Tensor,
         bias: Option<&Tensor>,
         ws: &mut Workspace,
-    ) -> Result<(Tensor, (f32, bool))> {
+    ) -> Result<Tensor> {
         scatter_forward(input, &self.w_t, bias, &self.spec, ws)
     }
 }
@@ -323,7 +318,7 @@ pub fn conv2d_ws(
     pack_weights(weight.data(), spec, &mut w_t);
     let out = scatter_forward(input, &w_t, bias, spec, ws);
     ws.recycle(w_t);
-    Ok(out?.0)
+    out
 }
 
 /// The direct kernel over [`pack_weights`] output: scatter into one zeroed `[oh*ow, co]`
@@ -334,28 +329,22 @@ fn scatter_forward(
     bias: Option<&Tensor>,
     spec: &Conv2dSpec,
     ws: &mut Workspace,
-) -> Result<(Tensor, (f32, bool))> {
+) -> Result<Tensor> {
     let ([n, c, h, w], (oh, ow)) = check_input(input, bias, spec)?;
     let co = spec.out_channels;
     let (sample_len, tile_len) = (c * h * w, oh * ow * co);
     let mut tiles = ws.take(n * tile_len);
-    let (nonzero, binary) = (AtomicUsize::new(0), AtomicBool::new(true));
     if n * tile_len > 0 {
         let src = input.data();
         let work = (n * tile_len).saturating_mul(spec.patch_len());
         parallel::for_each_row_chunk(&mut tiles, tile_len, n, work, |first_n, chunk| {
             for (local_ni, tile) in chunk.chunks_mut(tile_len).enumerate() {
                 let sample = &src[(first_n + local_ni) * sample_len..][..sample_len];
-                let (nnz, bin) =
-                    simd::conv_scatter_sample(sample, [c, h, w], (oh, ow), w_t, *spec, tile);
-                // integer sum and boolean and: the merge order cannot matter
-                nonzero.fetch_add(nnz, Ordering::Relaxed);
-                binary.fetch_and(bin, Ordering::Relaxed);
+                simd::conv_scatter_sample(sample, [c, h, w], (oh, ow), w_t, *spec, tile);
             }
         });
     }
-    let density = nonzero.into_inner() as f32 / input.len().max(1) as f32;
-    Ok((tiles_into_nchw(tiles, bias, [n, co, oh, ow], ws)?, (density, binary.into_inner())))
+    tiles_into_nchw(tiles, bias, [n, co, oh, ow], ws)
 }
 
 /// The epilogue over arena buffers: [`rows_to_nchw`] into a buffer that is not cleared first
@@ -423,12 +412,11 @@ fn add_taps(acc: &mut [f32], x: f32, w: &[f32]) {
     }
 }
 
-/// Scatters one sample (`[c, h, w]`) into its zeroed `[oh*ow, co]` tile and
-/// returns its `(nonzero count, every nonzero is 1.0)`. Safe code with plain
-/// loops, no calls and no closures (a closure body inlines only at LLVM's
-/// discretion, and one that does not is compiled for the baseline):
-/// [`simd::conv_scatter_sample`] compiles it once per tier, so the row loops
-/// vectorize at that tier's width.
+/// Scatters one sample (`[c, h, w]`) into its zeroed `[oh*ow, co]` tile. Safe
+/// code with plain loops, no calls and no closures (a closure body inlines
+/// only at LLVM's discretion, and one that does not is compiled for the
+/// baseline): [`simd::conv_scatter_sample`] compiles it once per tier, so the
+/// row loops vectorize at that tier's width.
 #[inline(always)]
 pub(crate) fn scatter_sample(
     src: &[f32],
@@ -437,7 +425,7 @@ pub(crate) fn scatter_sample(
     w_t: &[f32],
     spec: Conv2dSpec,
     tile: &mut [f32],
-) -> (usize, bool) {
+) {
     // one instantiation per stride class: the stride-1 walk needs none of
     // the general one's index arithmetic
     if spec.stride == 1 {
@@ -455,10 +443,9 @@ fn scatter_strided<const UNIT_STRIDE: bool>(
     w_t: &[f32],
     spec: Conv2dSpec,
     tile: &mut [f32],
-) -> (usize, bool) {
+) {
     let (k, pad, co) = (spec.kernel, spec.padding, spec.out_channels);
     let stride = if UNIT_STRIDE { 1 } else { spec.stride }; // the literal folds the divisions
-    let (mut nnz, mut binary) = (0usize, true);
     for ci in 0..c {
         for iy in 0..h {
             let row = &src[(ci * h + iy) * w..][..w];
@@ -470,12 +457,10 @@ fn scatter_strided<const UNIT_STRIDE: bool>(
                 for (bit, &v) in chunk.iter().enumerate() {
                     bits |= u64::from(v != 0.0) << bit;
                 }
-                nnz += bits.count_ones() as usize;
                 while bits != 0 {
                     let ix = wi * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let (x, tx) = (row[ix], ix + pad);
-                    binary &= x == 1.0;
                     let oxs = axis_outputs(tx, stride, k, ow);
                     // tap (ky, kx) sits in packed row (ci*k + ky)*k + k-1-kx
                     if UNIT_STRIDE {
@@ -504,7 +489,6 @@ fn scatter_strided<const UNIT_STRIDE: bool>(
             }
         }
     }
-    (nnz, binary)
 }
 
 /// Quantized convolution forward: for a binary input the bit-packed im2col

@@ -13,18 +13,16 @@
 //! `1` (exactly the old serial path) or any larger worker count, and exactly
 //! reproducible across runs.
 //!
-//! Spike-shaped operands additionally dispatch through the pluggable
-//! **kernel-backend seam** ([`backend`]): the matmul/linear entry points
-//! measure operand density and binarity in one pass and pick between the
-//! dense blocked kernels, event-driven CSR gathers over a [`SpikeMatrix`]
-//! ([`sparse`]), and bit-packed word kernels over a [`BitMatrix`]
-//! ([`bitset`]) — all three preserve the accumulation order, so results
-//! stay bitwise identical whichever family runs. A fourth, **quantized**
-//! family ([`QuantizedWeights`], [`quant`]) freezes weights onto the IMC
-//! int8 grid with exact integer accumulation; it intentionally changes
-//! numerics and carries its own golden traces. The [`Workspace`] arena
-//! makes the Eval-mode timestep loop allocation-free after one warm-up
-//! pass.
+//! There are two numeric worlds and one kernel family for each. **f32**:
+//! the blocked matmul kernels ([`Tensor::matmul`] and friends, which skip a
+//! spike operand's zeros in place) and the direct spike-scatter convolution
+//! ([`conv2d_ws`], [`ConvPlan`]). **int8 weights**: [`QuantizedWeights`]
+//! ([`quant`]) freezes weights onto the IMC deployment grid and accumulates
+//! bit-packed spikes ([`BitMatrix`], [`bitset`]) exactly in integers; it
+//! intentionally changes numerics, carries its own golden traces, and is
+//! entered only explicitly ([`linear_ws_quant`], [`conv2d_ws_quant`]) —
+//! nothing dispatches to it. The [`Workspace`] arena makes the Eval-mode
+//! timestep loop allocation-free after one warm-up pass.
 //!
 //! # Example
 //!
@@ -47,9 +45,9 @@
 #![warn(missing_docs)]
 
 pub mod align;
-pub mod backend;
 pub mod bitset;
 mod conv;
+mod env_knob;
 mod error;
 mod linalg;
 mod ops;
@@ -59,25 +57,22 @@ pub mod quant;
 mod rng;
 mod shape;
 pub mod simd;
-pub mod sparse;
 mod tensor;
 mod workspace;
 
 pub use align::{AlignedVec, AlignedWords};
-pub use backend::{kernel_backend, BackendKind, KernelBackend};
 pub use bitset::BitMatrix;
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_ws, conv2d_ws_quant, im2col, Conv2dSpec, ConvPlan,
 };
 pub use error::TensorError;
-pub use linalg::{linear_ws, linear_ws_quant, linear_ws_with};
+pub use linalg::{linear_ws, linear_ws_quant};
 pub use ops::{log_softmax_rows, softmax_rows};
 pub use pool::{avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, global_avg_pool, PoolSpec};
 pub use quant::QuantizedWeights;
 pub use rng::TensorRng;
 pub use shape::Shape;
 pub use simd::SimdLevel;
-pub use sparse::SpikeMatrix;
 pub use tensor::Tensor;
 pub use workspace::{Workspace, WorkspaceStats};
 

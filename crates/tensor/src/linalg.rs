@@ -6,18 +6,17 @@
 //! order regardless of blocking, so results are bitwise identical for any
 //! `DTSNN_THREADS` value.
 //!
-//! Each public entry point measures the left operand's spike density and
-//! binarity in one pass ([`crate::Tensor::spike_stats`]) and asks
-//! [`crate::backend::choose_kernel`] which kernel family to run: dense
-//! blocked f32, CSR gathers ([`crate::SpikeMatrix`]) for sparse non-binary
-//! operands, or bit-packed word kernels ([`crate::BitMatrix`]) for sparse
-//! binary ones. All three preserve the per-element accumulation order
-//! exactly, so dispatch never changes a single output bit (see the `sparse`
-//! and `bitset` module docs for the argument).
+//! There is one f32 family. Spike operands need no kernel of their own:
+//! every kernel skips a zero left-operand entry in place, so a silent input
+//! costs a compare and never meets a weight. The skip is bitwise neutral for
+//! finite operands — accumulators start at `+0.0`, `+0.0 + ±0.0 == +0.0`,
+//! and adding `±0.0` to a nonzero value changes nothing — so every entry
+//! point equals the plain triple loop bit for bit (pinned by
+//! `tests/zero_skip.rs`). The int8 path ([`linear_ws_quant`]) is entered
+//! only with explicit [`QuantizedWeights`].
 
-use crate::backend::{self, BackendKind};
 use crate::quant::QuantizedWeights;
-use crate::{parallel, simd, BitMatrix, Result, SpikeMatrix, Tensor, TensorError, Workspace};
+use crate::{parallel, simd, Result, Tensor, TensorError, Workspace};
 
 /// K-dimension tile: one tile of `b` rows (`BLOCK_K × BLOCK_N` floats) stays
 /// cache-hot across all output rows of a worker's chunk. Per output element
@@ -27,8 +26,8 @@ const BLOCK_K: usize = 64;
 const BLOCK_N: usize = 256;
 
 /// Dense blocked `out[m,n] += a[m,k] × b[k,n]` over a zeroed output buffer.
-/// Zero entries of `a` are skipped (bitwise neutral; a large win on spike
-/// operands that stayed above the sparse-dispatch threshold).
+/// Zero entries of `a` are skipped (bitwise neutral; what makes a spike
+/// operand cheap).
 pub(crate) fn matmul_dense(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     let work = m.saturating_mul(k).saturating_mul(n);
     let lvl = simd::level();
@@ -83,12 +82,11 @@ pub(crate) fn matmul_tn_dense(a: &[f32], k: usize, m: usize, b: &[f32], n: usize
 }
 
 /// Dense `out[m,n] += a[m,k] × bᵀ` over a **zero-filled** `out`, with `b`
-/// stored `[n, k]`. No per-element zero branch — sparsity is the dispatch
-/// layer's job. The SIMD tiers tile over output columns with the partial
-/// accumulator parked in `out` between k-tiles (an exact f32 store/load),
-/// which is why the buffer must start zeroed; every caller passes a fresh
-/// [`crate::Tensor::zeros`] or zero-filled [`crate::Workspace::take`]
-/// buffer.
+/// stored `[n, k]`; zero entries of `a` are skipped here too. The SIMD tiers
+/// tile over output columns with the partial accumulator parked in `out`
+/// between k-tiles (an exact f32 store/load), which is why the buffer must
+/// start zeroed; every caller passes a fresh [`crate::Tensor::zeros`] or
+/// zero-filled [`crate::Workspace::take`] buffer.
 pub(crate) fn matmul_nt_dense(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if m == 0 || n == 0 {
         return;
@@ -112,9 +110,8 @@ pub(crate) fn add_bias_rows(c: &mut [f32], n: usize, rows: usize, b: &[f32]) {
 }
 
 impl Tensor {
-    /// Matrix product `self[m,k] × rhs[k,n] → [m,n]`, with an event-driven
-    /// sparse fast path when `self`'s density is at or below
-    /// [`crate::sparse::density_threshold`] (bitwise identical to dense).
+    /// Matrix product `self[m,k] × rhs[k,n] → [m,n]`; zero entries of
+    /// `self` cost a compare, not a row-add.
     ///
     /// # Errors
     ///
@@ -142,27 +139,12 @@ impl Tensor {
         if m == 0 || n == 0 {
             return Ok(out);
         }
-        let (density, binary) = self.spike_stats();
-        match backend::choose_kernel(density, binary) {
-            BackendKind::Csr => {
-                let mut sm = SpikeMatrix::new();
-                sm.build_from_dense(self.data(), m, k)?;
-                sm.matmul_into(rhs.data(), n, out.data_mut());
-            }
-            BackendKind::Bitset => {
-                let mut bm = BitMatrix::new();
-                bm.build_from_dense(self.data(), m, k)?;
-                bm.matmul_into(rhs.data(), n, out.data_mut());
-            }
-            // choose_kernel never yields Quantized; Dense is the reference
-            _ => matmul_dense(self.data(), m, k, rhs.data(), n, out.data_mut()),
-        }
+        matmul_dense(self.data(), m, k, rhs.data(), n, out.data_mut());
         Ok(out)
     }
 
     /// `selfᵀ[k,m] × rhs[k,n] → [m,n]` without materializing the transpose,
-    /// with the same density-dispatched sparse fast path as
-    /// [`Tensor::matmul`].
+    /// with the same zero skip as [`Tensor::matmul`].
     ///
     /// # Errors
     ///
@@ -177,26 +159,12 @@ impl Tensor {
         if m == 0 || n == 0 {
             return Ok(out);
         }
-        let (density, binary) = self.spike_stats();
-        match backend::choose_kernel(density, binary) {
-            BackendKind::Csr => {
-                let mut sm = SpikeMatrix::new();
-                sm.build_transposed_from_dense(self.data(), k, m)?;
-                sm.matmul_into(rhs.data(), n, out.data_mut());
-            }
-            BackendKind::Bitset => {
-                let mut bm = BitMatrix::new();
-                bm.build_transposed_from_dense(self.data(), k, m)?;
-                bm.matmul_into(rhs.data(), n, out.data_mut());
-            }
-            _ => matmul_tn_dense(self.data(), k, m, rhs.data(), n, out.data_mut()),
-        }
+        matmul_tn_dense(self.data(), k, m, rhs.data(), n, out.data_mut());
         Ok(out)
     }
 
     /// `self[m,k] × rhsᵀ[n,k] → [m,n]` without materializing the transpose,
-    /// with the same density-dispatched sparse fast path as
-    /// [`Tensor::matmul`].
+    /// with the same zero skip as [`Tensor::matmul`].
     ///
     /// # Errors
     ///
@@ -211,20 +179,7 @@ impl Tensor {
         if m == 0 || n == 0 {
             return Ok(out);
         }
-        let (density, binary) = self.spike_stats();
-        match backend::choose_kernel(density, binary) {
-            BackendKind::Csr => {
-                let mut sm = SpikeMatrix::new();
-                sm.build_from_dense(self.data(), m, k)?;
-                sm.matmul_nt_into(rhs.data(), n, out.data_mut());
-            }
-            BackendKind::Bitset => {
-                let mut bm = BitMatrix::new();
-                bm.build_from_dense(self.data(), m, k)?;
-                bm.matmul_nt_into(rhs.data(), n, out.data_mut());
-            }
-            _ => matmul_nt_dense(self.data(), m, k, rhs.data(), n, out.data_mut()),
-        }
+        matmul_nt_dense(self.data(), m, k, rhs.data(), n, out.data_mut());
         Ok(out)
     }
 
@@ -265,38 +220,16 @@ impl Tensor {
     }
 }
 
-/// Eval-mode fully-connected forward:
-/// `input[m,k] × weightᵀ[n,k] + bias[n] → [m,n]`, with the output (and the
-/// sparse build scratch) drawn from `ws` instead of fresh heap allocations.
-/// Bitwise identical to `input.matmul_nt(weight)?.add_row_bias(bias)?`.
+/// Fully-connected forward:
+/// `input[m,k] × weightᵀ[n,k] + bias[n] → [m,n]`, with the output drawn from
+/// `ws` instead of a fresh heap allocation. Bitwise identical to
+/// `input.matmul_nt(weight)?.add_row_bias(bias)?`.
 ///
 /// # Errors
 ///
 /// Same conditions as [`Tensor::matmul_nt`] plus
 /// [`TensorError::ShapeMismatch`] when `bias` is not `[n]`.
 pub fn linear_ws(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    ws: &mut Workspace,
-) -> Result<Tensor> {
-    let (density, binary) = input.spike_stats();
-    linear_ws_with(backend::choose_kernel(density, binary), input, weight, bias, ws)
-}
-
-/// [`linear_ws`] with the kernel family fixed by the caller (layers pick it
-/// once per forward via [`crate::backend::choose_layer`] so the choice can
-/// be recorded). `kind` must be one of the f32 families; the bitset branch
-/// additionally requires a binary input.
-///
-/// # Errors
-///
-/// Same conditions as [`linear_ws`], plus
-/// [`TensorError::InvalidArgument`] for [`BackendKind::Quantized`] (which
-/// needs a [`QuantizedWeights`] cache — use [`linear_ws_quant`]) or a
-/// non-binary input forced down the bitset branch.
-pub fn linear_ws_with(
-    kind: BackendKind,
     input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
@@ -312,30 +245,7 @@ pub fn linear_ws_with(
     }
     let mut out = ws.take(m * n);
     if m > 0 && n > 0 {
-        match kind {
-            BackendKind::Csr => {
-                let mut sm = ws.take_spike();
-                sm.build_from_dense(input.data(), m, k)?;
-                sm.matmul_nt_into(weight.data(), n, &mut out);
-                ws.recycle_spike(sm);
-            }
-            BackendKind::Bitset => {
-                let mut bm = ws.take_bits();
-                bm.build_from_dense(input.data(), m, k)?;
-                bm.matmul_nt_into(weight.data(), n, &mut out);
-                ws.recycle_bits(bm);
-            }
-            BackendKind::Dense => {
-                matmul_nt_dense(input.data(), m, k, weight.data(), n, &mut out);
-            }
-            BackendKind::Quantized => {
-                return Err(TensorError::InvalidArgument(
-                    "linear_ws_with cannot run the quantized backend; quantize the \
-                     weights and call linear_ws_quant"
-                        .into(),
-                ));
-            }
-        }
+        matmul_nt_dense(input.data(), m, k, weight.data(), n, &mut out);
         add_bias_rows(&mut out, n, m, bias.data());
     }
     Tensor::from_aligned(out, &[m, n])
@@ -344,8 +254,8 @@ pub fn linear_ws_with(
 /// Quantized fully-connected forward: for a binary input, an exact `i32`
 /// accumulation of the weight codes over the active inputs with a single
 /// rescale per output element (plus the f32 bias); for a non-binary input,
-/// the ordinary [`linear_ws`] dispatch over the on-grid dequantized
-/// weights. Deterministic and thread-count-invariant on both branches.
+/// the ordinary [`linear_ws`] over the on-grid dequantized weights.
+/// Deterministic and thread-count-invariant on both branches.
 ///
 /// # Errors
 ///
@@ -389,7 +299,7 @@ fn mat_dims(t: &Tensor) -> Result<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sparse, TensorRng};
+    use crate::TensorRng;
 
     #[test]
     fn matmul_identity() {
@@ -442,8 +352,8 @@ mod tests {
 
     #[test]
     fn matmul_nt_handles_sparse_spike_operands() {
-        // Sparse spike-like lhs (takes the SpikeMatrix path under the
-        // default threshold): must agree with the explicit-transpose product.
+        // Sparse spike-like lhs: must agree with the explicit-transpose
+        // product.
         let mut rng = TensorRng::seed_from(13);
         let mut a = Tensor::zeros(&[6, 9]);
         for v in a.data_mut().iter_mut() {
@@ -457,45 +367,6 @@ mod tests {
         for (x, y) in fast.data().iter().zip(slow.data()) {
             assert!((x - y).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn blocked_dense_kernels_match_naive_serial_loops_bitwise() {
-        // Dimensions straddle both block boundaries (k > BLOCK_K,
-        // n > BLOCK_N); ~half the lhs entries are zero to exercise the
-        // skip. The naive (i,p,j) loop accumulates each element over p in
-        // ascending order — blocking must reproduce it bit for bit.
-        let mut rng = TensorRng::seed_from(55);
-        let (m, k, n) = (13, 2 * BLOCK_K + 7, BLOCK_N + 44);
-        let mut a = Tensor::randn(&[m, k], 0.0, 1.0, &mut rng);
-        for v in a.data_mut().iter_mut() {
-            if rng.bernoulli(0.5) {
-                *v = 0.0;
-            }
-        }
-        let b = Tensor::randn(&[k, n], 0.0, 1.0, &mut rng);
-        let mut naive = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let av = a.data()[i * k + p];
-                for j in 0..n {
-                    naive[i * n + j] += av * b.data()[p * n + j];
-                }
-            }
-        }
-        parallel::with_threads(1, || {
-            sparse::with_density_threshold(-1.0, || {
-                let blocked = a.matmul(&b).unwrap();
-                let nb: Vec<u32> = naive.iter().map(|v| v.to_bits()).collect();
-                let bb: Vec<u32> = blocked.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(nb, bb);
-                // matmul_tn on the explicit transpose must agree bitwise too
-                let at = a.transpose2d().unwrap();
-                let tn = at.matmul_tn(&b).unwrap();
-                let tb: Vec<u32> = tn.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(nb, tb);
-            });
-        });
     }
 
     #[test]
@@ -522,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_dense_linear_ws_matches_method_chain() {
+    fn linear_ws_matches_method_chain_on_sparse_and_dense_inputs() {
         let mut rng = TensorRng::seed_from(61);
         let w = Tensor::randn(&[17, 40], 0.0, 0.5, &mut rng);
         let bias = Tensor::randn(&[17], 0.0, 0.1, &mut rng);

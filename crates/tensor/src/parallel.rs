@@ -22,8 +22,8 @@
 //! Zero and absurd values are clamped into `1..=MAX_THREADS`; unparsable
 //! values fall back to the hardware default.
 
+use crate::env_knob::EnvKnob;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Hard upper bound on the worker count; requests beyond it are clamped.
 pub const MAX_THREADS: usize = 256;
@@ -35,17 +35,15 @@ pub const MAX_THREADS: usize = 256;
 const MIN_PARALLEL_WORK: usize = 1 << 15;
 
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static ENV_THREADS: OnceLock<usize> = OnceLock::new();
+pub(crate) static ENV_THREADS: EnvKnob<usize> = EnvKnob::new(
+    "DTSNN_THREADS",
+    "a worker count; using the hardware default",
+    |raw| raw.trim().parse().ok().map(clamp_threads),
+);
 
 /// Clamps a requested worker count into the valid range (`0` → `1`).
 pub fn clamp_threads(n: usize) -> usize {
     n.clamp(1, MAX_THREADS)
-}
-
-/// Parses a `DTSNN_THREADS` value; `None` flags a malformed string (the
-/// caller warns and falls back to the hardware default).
-pub(crate) fn parse_threads(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok()
 }
 
 /// The configured worker count (override → `DTSNN_THREADS` → hardware).
@@ -54,21 +52,7 @@ pub fn num_threads() -> usize {
     if forced != 0 {
         return forced;
     }
-    *ENV_THREADS.get_or_init(|| match std::env::var("DTSNN_THREADS") {
-        Ok(v) => match parse_threads(&v) {
-            Some(n) => clamp_threads(n),
-            None => {
-                // OnceLock init runs at most once, so this warning cannot
-                // repeat per process.
-                eprintln!(
-                    "dtsnn: warning: DTSNN_THREADS={v:?} is not a worker count; \
-                     using the hardware default"
-                );
-                hardware_threads()
-            }
-        },
-        Err(_) => hardware_threads(),
-    })
+    ENV_THREADS.get_or(hardware_threads)
 }
 
 fn hardware_threads() -> usize {
@@ -246,19 +230,6 @@ mod tests {
                 assert_eq!(*v, i * 10);
             }
         }
-    }
-
-    #[test]
-    fn malformed_thread_counts_are_rejected_by_the_parser() {
-        // num_threads() reads the env exactly once per process, so the
-        // malformed-input behavior is pinned at the parser seam: `None`
-        // means "warn and fall back to the hardware default".
-        for bad in ["abc", "", "  ", "1.5", "-1", "0x4", "4 workers", "٤"] {
-            assert_eq!(parse_threads(bad), None, "{bad:?} must be rejected");
-        }
-        assert_eq!(parse_threads("4"), Some(4));
-        assert_eq!(parse_threads("  8  "), Some(8));
-        assert_eq!(parse_threads("0"), Some(0)); // clamped to 1 later
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Runtime-dispatched SIMD kernel tier (AVX2 → SSE2 → scalar).
 //!
-//! Every kernel family in this crate keeps one discipline: **each output
-//! element accumulates its terms in exactly the serial order**, so results
-//! are bitwise identical across kernel families and thread counts. The
-//! vector code here preserves that discipline by vectorizing **across the
-//! output-column (`j`) dimension**: each SIMD lane owns one independent
+//! Every kernel in this crate keeps one discipline: **each output element
+//! accumulates its terms in exactly the serial order**, so results are
+//! bitwise identical across thread counts. The vector code here preserves
+//! that discipline by vectorizing **across the output-column (`j`)
+//! dimension**: each SIMD lane owns one independent
 //! output accumulator, so no lane ever reorders another element's terms,
 //! there is no horizontal float reduction, and every term is an explicit
 //! multiply followed by an explicit add — **never an FMA** (scalar Rust
@@ -43,8 +43,8 @@
 //!   per row was most of their time.
 //! - **Row primitives** ([`add_row`], [`add_scaled_row`], [`quant_dot`],
 //!   [`matmul_nt_chunk`]): hand-written intrinsics taking the level as an
-//!   argument, called per row by the `linalg`, `bitset` and `sparse` matmul
-//!   families. Their rows are a weight matrix's width (hundreds of floats),
+//!   argument, called per row by the `linalg` and `quant` matmul kernels.
+//!   Their rows are a weight matrix's width (hundreds of floats),
 //!   `matmul_nt_chunk` needs a register blocking no vectorizer derives, and
 //!   rows under 32 floats inline the scalar loop instead of paying the call.
 //!
@@ -68,6 +68,7 @@
 // the detected CPU capability.
 #![allow(unsafe_code)]
 
+use crate::env_knob::EnvKnob;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -116,19 +117,32 @@ impl SimdLevel {
 
 // Packed override: 0 = none, otherwise SimdLevel::to_index.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static ENV_LEVEL: OnceLock<Option<SimdLevel>> = OnceLock::new();
 static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
+/// `None` is auto (detected) dispatch.
+pub(crate) static ENV_LEVEL: EnvKnob<Option<SimdLevel>> = EnvKnob::new(
+    "DTSNN_SIMD",
+    "one of auto|off|scalar|sse2|avx2; using auto dispatch",
+    parse_simd,
+);
 
-/// Parses a `DTSNN_SIMD` value. `Ok(None)` means auto (detected) dispatch;
-/// `Err(())` flags a malformed value for the caller to warn about.
-pub(crate) fn parse_simd(raw: &str) -> std::result::Result<Option<SimdLevel>, ()> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "auto" => Ok(None),
-        "off" | "scalar" | "none" => Ok(Some(SimdLevel::Scalar)),
-        "sse2" => Ok(Some(SimdLevel::Sse2)),
-        "avx2" => Ok(Some(SimdLevel::Avx2)),
-        _ => Err(()),
+/// The `DTSNN_SIMD` grammar; the outer `None` flags a malformed value. A
+/// level above the host's capability parses (and is capped by [`level`]),
+/// with a notice.
+fn parse_simd(raw: &str) -> Option<Option<SimdLevel>> {
+    let level = match raw.trim().to_ascii_lowercase().as_str() {
+        "" | "auto" => None,
+        "off" | "scalar" | "none" => Some(SimdLevel::Scalar),
+        "sse2" => Some(SimdLevel::Sse2),
+        "avx2" => Some(SimdLevel::Avx2),
+        _ => return None,
+    };
+    if level.is_some_and(|l| l > detected()) {
+        eprintln!(
+            "dtsnn: warning: DTSNN_SIMD={raw:?} exceeds this host's capability; capping at {}",
+            detected().name()
+        );
     }
+    Some(level)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -182,35 +196,6 @@ pub fn cpu_features() -> String {
     }
 }
 
-fn env_level() -> Option<SimdLevel> {
-    *ENV_LEVEL.get_or_init(|| match std::env::var("DTSNN_SIMD") {
-        Ok(v) => match parse_simd(&v) {
-            Ok(level) => {
-                if let Some(l) = level {
-                    if l > detected() {
-                        eprintln!(
-                            "dtsnn: warning: DTSNN_SIMD={v:?} exceeds this host's \
-                             capability; capping at {}",
-                            detected().name()
-                        );
-                    }
-                }
-                level
-            }
-            Err(()) => {
-                // OnceLock init runs at most once, so this warning cannot
-                // repeat per process.
-                eprintln!(
-                    "dtsnn: warning: DTSNN_SIMD={v:?} is not one of \
-                     auto|off|scalar|sse2|avx2; using auto dispatch"
-                );
-                None
-            }
-        },
-        Err(_) => None,
-    })
-}
-
 /// The level the kernels will actually run at: the forced level (override →
 /// `DTSNN_SIMD`) capped at the host capability, or the detected level.
 /// Kernels hoist this once per call and pass it down, so the inner loops
@@ -221,7 +206,7 @@ pub fn level() -> SimdLevel {
     if packed != 0 {
         return SimdLevel::from_index(packed).unwrap_or(SimdLevel::Scalar).min(cap);
     }
-    env_level().map_or(cap, |l| l.min(cap))
+    ENV_LEVEL.get_or(|| None).map_or(cap, |l| l.min(cap))
 }
 
 /// Installs a process-wide level override (capped at the host capability at
@@ -244,13 +229,12 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 }
 
 // --------------------------------------------------------------------------
-// Row primitives: the vectorizable inner loops of the matmul/bitset/CSR
-// kernels. `c` and `b` are equal-length row slices; each lane owns one
-// output column, so the per-element op order is exactly the scalar loop's.
+// Row primitives: the vectorizable inner loops of the matmul kernels. `c`
+// and `b` are equal-length row slices; each lane owns one output column, so
+// the per-element op order is exactly the scalar loop's.
 // --------------------------------------------------------------------------
 
-/// `c[j] += b[j]` — the binary row-add of the bitset/CSR gather kernels and
-/// the bias broadcast.
+/// `c[j] += b[j]` — the bias broadcast.
 #[inline]
 pub fn add_row(c: &mut [f32], b: &[f32], level: SimdLevel) {
     #[cfg(target_arch = "x86_64")]
@@ -275,7 +259,7 @@ pub fn add_row(c: &mut [f32], b: &[f32], level: SimdLevel) {
     }
 }
 
-/// `c[j] += a * b[j]` — the scaled row-add of the dense and CSR kernels.
+/// `c[j] += a * b[j]` — the scaled row-add of the blocked matmul kernels.
 /// Explicit multiply-then-add per lane; never an FMA.
 #[inline]
 pub fn add_scaled_row(c: &mut [f32], a: f32, b: &[f32], level: SimdLevel) {
@@ -380,12 +364,14 @@ mod x86 {
 
     macro_rules! nt_chunk {
         ($name:ident, $feat:literal, $width:expr, $set1:ident, $loadu:ident,
-         $storeu:ident, $add:ident, $mul:ident) => {
+         $storeu:ident, $add:ident, $mul:ident, $and:ident, $nonzero:ident) => {
             /// One worker's row chunk of `out[m,n] += a[m,k] × bᵀ[n,k]` over
             /// a zero-filled chunk: packs `$width` columns of `bᵀ` per
             /// k-tile into a stack-resident tile, broadcasts `a[i][p]` and
-            /// does lane-parallel mul-then-add. Tail columns fall back to
-            /// the scalar dot (same ascending-k order, overwrite of a zero).
+            /// does lane-parallel mul-then-add, the product masked to
+            /// `+0.0` where `a[i][p]` is zero. Tail columns fall back to the
+            /// scalar dot (same ascending-k order, same masking, overwrite
+            /// of a zero).
             #[target_feature(enable = $feat)]
             pub(super) unsafe fn $name(
                 a: &[f32],
@@ -418,9 +404,10 @@ mod x86 {
                                 let cptr = c.as_mut_ptr().add(li * n + jb);
                                 let mut acc = $loadu(cptr);
                                 for (pi, &av) in arow.iter().enumerate() {
-                                    let bv = $loadu(tile.as_ptr().add(pi * W));
-                                    // mul then add — never fused
-                                    acc = $add(acc, $mul($set1(av), bv));
+                                    let (av, bv) = ($set1(av), $loadu(tile.as_ptr().add(pi * W)));
+                                    // mul then add — never fused; a zero
+                                    // `av` adds +0.0 whatever the weight
+                                    acc = $add(acc, $and($mul(av, bv), $nonzero(av)));
                                 }
                                 $storeu(cptr, acc);
                             }
@@ -432,21 +419,29 @@ mod x86 {
                     let arow = &a[i * k..(i + 1) * k];
                     for j in jmain..n {
                         let brow = &b[j * k..(j + 1) * k];
-                        let mut acc = 0.0;
-                        for (&av, &bv) in arow.iter().zip(brow) {
-                            acc += av * bv;
-                        }
-                        c[li * n + j] = acc;
+                        c[li * n + j] = super::dot_skipping_zeros(arow, brow);
                     }
                 }
             }
         };
     }
 
+    /// All-ones lanes where `v != 0.0` (NaN counts as nonzero, as it does
+    /// in scalar code).
+    #[target_feature(enable = "avx2")]
+    fn nonzero_avx2(v: __m256) -> __m256 {
+        _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps())
+    }
+
+    #[target_feature(enable = "sse2")]
+    fn nonzero_sse2(v: __m128) -> __m128 {
+        _mm_cmpneq_ps(v, _mm_setzero_ps())
+    }
+
     nt_chunk!(nt_chunk_avx2, "avx2", 8, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps,
-        _mm256_add_ps, _mm256_mul_ps);
+        _mm256_add_ps, _mm256_mul_ps, _mm256_and_ps, nonzero_avx2);
     nt_chunk!(nt_chunk_sse2, "sse2", 4, _mm_set1_ps, _mm_loadu_ps, _mm_storeu_ps,
-        _mm_add_ps, _mm_mul_ps);
+        _mm_add_ps, _mm_mul_ps, _mm_and_ps, nonzero_sse2);
 
     /// Builds a 32-byte mask (0xFF per set bit) from a 32-bit spike word
     /// half: broadcast the dword, shuffle byte `i/8` into byte `i`, test
@@ -532,9 +527,9 @@ use x86::{
 /// **zero-filled** chunk `c` of `rows` output rows starting at `first_row`.
 /// The vector tiers pack `b` columns into a stack tile and keep eight (or
 /// four) independent column accumulators per register; the scalar tier is
-/// the straight-line dot the kernel has always run. All tiers accumulate
-/// each output element over `k` in ascending order with explicit
-/// mul-then-add, so results are bitwise identical.
+/// a straight-line dot. All tiers accumulate each output element in
+/// ascending `p` with explicit mul-then-add, a zero `a[i][p]` adding `+0.0`
+/// whatever the weight, so results are bitwise identical.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the raw kernel signature
 pub fn matmul_nt_chunk(
@@ -561,14 +556,28 @@ pub fn matmul_nt_chunk(
         let i = first_row + local_i;
         let arow = &a[i * k..(i + 1) * k];
         for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *cv = acc;
+            *cv = dot_skipping_zeros(arow, &b[j * k..(j + 1) * k]);
         }
     }
+}
+
+/// `Σ a[p]·b[p]` in ascending `p`, explicit multiply then add, a zero
+/// `a[p]` contributing `+0.0` whatever `b[p]` — the scalar form of every
+/// tier's `matmul_nt` term. Bitwise neutral for finite operands (the sum
+/// starts at `+0.0` and can never become `-0.0`), and it keeps a weight
+/// behind a silent input out of the sum, as the skip of the row-add kernels
+/// does. A mask, not a branch: the loop is bound by the add chain, and a
+/// branch on spike data mispredicts.
+#[inline(always)]
+fn dot_skipping_zeros(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0;
+    for (&av, &bv) in a.iter().zip(b) {
+        // all ones iff `av` is nonzero (written on the bits: LLVM turns
+        // an `if` back into the branch)
+        let keep = u32::from(av != 0.0).wrapping_neg();
+        acc += f32::from_bits((av * bv).to_bits() & keep);
+    }
+    acc
 }
 
 /// Exact integer dot of a packed spike row (`words`, bit `p` set ⇔ input
@@ -642,7 +651,7 @@ per_tier! {
         w_t: &[f32],
         spec: crate::Conv2dSpec,
         tile: &mut [f32],
-    ) -> (usize, bool) = crate::conv::scatter_sample;
+    ) = crate::conv::scatter_sample;
 }
 
 /// The neuron constants of one [`lif_step`].
@@ -790,21 +799,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_names_and_rejects_garbage() {
-        assert_eq!(parse_simd("auto"), Ok(None));
-        assert_eq!(parse_simd(""), Ok(None));
-        assert_eq!(parse_simd("off"), Ok(Some(SimdLevel::Scalar)));
-        assert_eq!(parse_simd(" Scalar "), Ok(Some(SimdLevel::Scalar)));
-        assert_eq!(parse_simd("none"), Ok(Some(SimdLevel::Scalar)));
-        assert_eq!(parse_simd("SSE2"), Ok(Some(SimdLevel::Sse2)));
-        assert_eq!(parse_simd("avx2"), Ok(Some(SimdLevel::Avx2)));
-        assert_eq!(parse_simd("avx512"), Err(()));
-        assert_eq!(parse_simd("fast"), Err(()));
-        assert_eq!(parse_simd("1"), Err(()));
-        assert_eq!(parse_simd("sse 2"), Err(()));
-    }
-
-    #[test]
     fn override_guard_shadows_restores_and_caps() {
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         assert_eq!(set_level(None), None);
@@ -949,9 +943,9 @@ mod tests {
 
     #[test]
     fn kernel_families_match_scalar_bitwise_across_thread_counts() {
-        // The satellite property test: dense (mm/tn/nt), bitset, CSR and
-        // quantized public entry points, forced-scalar vs each vector tier,
-        // at 1 and 4 workers — all compared to_bits.
+        // Every public matmul entry point, f32 (dense and spike operands)
+        // and quantized, forced-scalar vs each vector tier, at 1 and 4
+        // workers — all compared to_bits.
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let mut rng = TensorRng::seed_from(405);
         let a = crate::Tensor::randn(&[13, 150], 0.0, 1.0, &mut rng);
@@ -968,7 +962,7 @@ mod tests {
             let mm = a.matmul(&b).unwrap();
             let tn = b.matmul_tn(&bt.transpose2d().unwrap()).unwrap();
             let nt = a.matmul_nt(&bt).unwrap();
-            let sp_mm = spikes.matmul(&b).unwrap(); // bitset path (binary, sparse)
+            let sp_mm = spikes.matmul(&b).unwrap();
             let sp_nt = spikes.matmul_nt(&bt).unwrap();
             let q = qw.matmul_nt(&spikes).unwrap();
             [mm, tn, nt, sp_mm, sp_nt, q]

@@ -396,7 +396,8 @@ impl Tensor {
         self.data.iter().filter(|&&x| x != 0.0).count() as f32 / self.data.len() as f32
     }
 
-    /// One-pass density **and** binarity measurement for backend dispatch:
+    /// One-pass density **and** binarity measurement (the quantized entry
+    /// points take their integer path only for a binary input):
     /// `(density, binary)` where `density` equals [`Tensor::density`]
     /// (same integer count over the same length) and `binary` is whether
     /// every nonzero element is exactly `1.0` (`-0.0` counts as zero; an

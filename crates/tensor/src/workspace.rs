@@ -30,7 +30,7 @@
 //!   boundary and stays aligned across recycling, so the SIMD kernels see
 //!   cache-line-aligned rows for the life of the loop.
 
-use crate::{AlignedVec, BitMatrix, SpikeMatrix, Tensor};
+use crate::{AlignedVec, BitMatrix, Tensor};
 
 /// Freelist cap: more parked buffers than this and the oldest is dropped.
 /// A full VGG/ResNet eval pass keeps well under this many live scratch
@@ -56,7 +56,6 @@ pub struct WorkspaceStats {
 #[derive(Debug, Default)]
 pub struct Workspace {
     free: Vec<AlignedVec>,
-    spike: SpikeMatrix,
     bits: BitMatrix,
     takes: u64,
     misses: u64,
@@ -143,23 +142,11 @@ impl Workspace {
         self.recycle(t.into_aligned());
     }
 
-    /// Borrows the arena's [`SpikeMatrix`] scratch (moved out so the caller
-    /// can hold it while taking further buffers); return it with
-    /// [`Workspace::recycle_spike`]. Its index/value capacity is retained
-    /// across builds.
-    pub fn take_spike(&mut self) -> SpikeMatrix {
-        std::mem::take(&mut self.spike)
-    }
-
-    /// Returns the spike scratch taken with [`Workspace::take_spike`].
-    pub fn recycle_spike(&mut self, sm: SpikeMatrix) {
-        self.spike = sm;
-    }
-
-    /// Borrows the arena's [`BitMatrix`] scratch for the bit-packed
-    /// kernels (moved out like [`Workspace::take_spike`]); return it with
-    /// [`Workspace::recycle_bits`]. Its word capacity is retained across
-    /// builds, so the warmed bitset path allocates nothing.
+    /// Borrows the arena's [`BitMatrix`] scratch for the quantized kernels
+    /// (moved out so the caller can hold it while taking further buffers);
+    /// return it with [`Workspace::recycle_bits`]. Its word capacity is
+    /// retained across builds, so the warmed quantized path allocates
+    /// nothing.
     pub fn take_bits(&mut self) -> BitMatrix {
         std::mem::take(&mut self.bits)
     }
@@ -388,17 +375,6 @@ mod tests {
         let bm = ws.take_bits();
         assert_eq!(bm.nnz(), 2);
         ws.recycle_bits(bm);
-    }
-
-    #[test]
-    fn spike_scratch_roundtrips() {
-        let mut ws = Workspace::new();
-        let mut sm = ws.take_spike();
-        sm.build_from_dense(&[1.0, 0.0, 0.0, 1.0], 2, 2).unwrap();
-        ws.recycle_spike(sm);
-        let sm = ws.take_spike();
-        assert_eq!(sm.nnz(), 2);
-        ws.recycle_spike(sm);
     }
 
     #[test]

@@ -27,10 +27,9 @@ fn check(spec: &Conv2dSpec, [in_h, in_w]: [usize; 2], rng: &mut TensorRng, ws: &
         }
         let want = bits(&conv2d(&x, &weight, Some(&bias), spec).unwrap().0);
         let raw = conv2d_ws(&x, &weight, Some(&bias), spec, ws).unwrap();
-        let (planned, stats) = plan.forward(&x, Some(&bias), ws).unwrap();
+        let planned = plan.forward(&x, Some(&bias), ws).unwrap();
         assert_eq!(want, bits(&raw), "{spec:?} {in_h}x{in_w} {kind} n={n}");
         assert_eq!(want, bits(&planned), "{spec:?} {in_h}x{in_w} {kind} n={n} (plan)");
-        assert_eq!(stats, x.spike_stats(), "{spec:?} {in_h}x{in_w} {kind} n={n} (scan counts)");
         ws.recycle_tensor(raw);
         ws.recycle_tensor(planned);
     }
