@@ -1,5 +1,5 @@
 //! Shared experiment harness for the per-figure/table binaries in
-//! `src/bin/` and the self-timed micro-benches in `benches/`.
+//! `src/bin/`.
 //!
 //! Every binary regenerates one table or figure of the paper; see
 //! `DESIGN.md` for the experiment index. Set `DTSNN_SCALE` (default 1) to
@@ -165,9 +165,9 @@ pub fn hardware_profile_for(
 
 /// Times `f` with a short warmup and returns mean seconds per iteration.
 ///
-/// The self-timed micro-benches in `benches/` use this instead of an
-/// external harness: warm up three calls, calibrate the iteration count so
-/// the measured window is ≈0.3 s, then report the mean.
+/// The `ext_*_speedup` binaries use this instead of an external harness:
+/// warm up three calls, calibrate the iteration count so the measured
+/// window is ≈0.3 s, then report the mean.
 pub fn time_it<R>(mut f: impl FnMut() -> R) -> f64 {
     for _ in 0..3 {
         std::hint::black_box(f());

@@ -92,7 +92,7 @@ pub fn goldens_dir() -> PathBuf {
 }
 
 /// Logical cores of the recording host, written into golden/bench context
-/// blocks (the `parallel_speedup.json` precedent). Context fields are never
+/// blocks. Context fields are never
 /// compared during replay — they document provenance.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)

@@ -1,9 +1,10 @@
 //! Dataset-level evaluation harnesses: the machinery behind Table II,
 //! Fig. 2, Fig. 4 and the pie charts of Fig. 5.
 
-use crate::inference::DynamicInference;
+use crate::inference::{static_predictions, to_batch1, DynamicInference, DynamicOutcome};
+use crate::window::Window;
 use crate::{CoreError, Result};
-use dtsnn_snn::{Mode, Snn, SpikeActivity};
+use dtsnn_snn::{Snn, SpikeActivity};
 use dtsnn_tensor::{parallel, Tensor};
 
 /// Per-sample record of a dynamic evaluation.
@@ -33,6 +34,33 @@ pub struct DynamicEvaluation {
     pub activity: SpikeActivity,
 }
 
+/// The input checks every dynamic evaluation shares.
+pub(crate) fn check_inputs(
+    frames: &[Vec<Tensor>],
+    labels: &[usize],
+    difficulties: Option<&[f32]>,
+) -> Result<()> {
+    if frames.is_empty() || frames.len() != labels.len() {
+        return Err(CoreError::BadInput("frames/labels mismatch or empty".into()));
+    }
+    if difficulties.is_some_and(|d| d.len() != frames.len()) {
+        return Err(CoreError::BadInput("difficulties length mismatch".into()));
+    }
+    Ok(())
+}
+
+/// The 1-or-`T` frame-count contract of the sequential runner, checked for
+/// a whole split up front.
+pub(crate) fn check_frame_counts(frames: &[Vec<Tensor>], t_max: usize) -> Result<()> {
+    match frames.iter().position(|f| f.len() != 1 && f.len() != t_max) {
+        None => Ok(()),
+        Some(i) => Err(CoreError::BadInput(format!(
+            "sample {i}: expected 1 or {t_max} frames, got {}",
+            frames[i].len()
+        ))),
+    }
+}
+
 impl DynamicEvaluation {
     /// Runs the dynamic-timestep evaluation.
     ///
@@ -49,59 +77,7 @@ impl DynamicEvaluation {
         labels: &[usize],
         difficulties: Option<&[f32]>,
     ) -> Result<Self> {
-        if frames.is_empty() || frames.len() != labels.len() {
-            return Err(CoreError::BadInput("frames/labels mismatch or empty".into()));
-        }
-        if let Some(d) = difficulties {
-            if d.len() != frames.len() {
-                return Err(CoreError::BadInput("difficulties length mismatch".into()));
-            }
-        }
-        // discard any previously accumulated activity
-        let _ = network.take_activity();
-        // Data-parallel fan-out: each worker evaluates a contiguous slice of
-        // samples on its own clone of the network and reports per-sample
-        // results, which are folded back in sample-index order. Per-sample
-        // evaluation is independent (state resets each sample) and the fold
-        // order is fixed, so the result is bitwise identical for any
-        // DTSNN_THREADS value.
-        let indices: Vec<usize> = (0..frames.len()).collect();
-        let proto: &Snn = network;
-        let per_sample = parallel::map_chunks(&indices, |_, chunk| {
-            let mut net = proto.clone();
-            chunk
-                .iter()
-                .map(|&i| -> Result<(usize, bool, Vec<f64>, usize)> {
-                    let outcome = runner.run(&mut net, &frames[i])?;
-                    let (sums, obs) = net.take_raw_activity();
-                    Ok((outcome.timesteps_used, outcome.prediction == labels[i], sums, obs))
-                })
-                .collect()
-        });
-        let mut histogram = vec![0usize; runner.max_timesteps()];
-        let mut samples = Vec::with_capacity(frames.len());
-        let mut correct_total = 0usize;
-        let mut timestep_total = 0usize;
-        for (i, res) in per_sample.into_iter().enumerate() {
-            let (used, correct, sums, obs) = res?;
-            network.absorb_raw_activity(&sums, obs);
-            correct_total += correct as usize;
-            timestep_total += used;
-            histogram[used - 1] += 1;
-            samples.push(DynamicSampleOutcome {
-                timesteps_used: used,
-                correct,
-                difficulty: difficulties.map(|d| d[i]).unwrap_or(f32::NAN),
-            });
-        }
-        let n = frames.len() as f32;
-        Ok(DynamicEvaluation {
-            accuracy: correct_total as f32 / n,
-            avg_timesteps: timestep_total as f32 / n,
-            timestep_histogram: histogram,
-            samples,
-            activity: network.take_activity(),
-        })
+        Ok(Self::per_sample(network, runner, frames, labels, difficulties, false)?.eval)
     }
 
     /// Like [`DynamicEvaluation::run`], but hardened against numerically
@@ -136,70 +112,67 @@ impl DynamicEvaluation {
         labels: &[usize],
         difficulties: Option<&[f32]>,
     ) -> Result<QuarantinedEvaluation> {
-        if frames.is_empty() || frames.len() != labels.len() {
-            return Err(CoreError::BadInput("frames/labels mismatch or empty".into()));
-        }
-        if let Some(d) = difficulties {
-            if d.len() != frames.len() {
-                return Err(CoreError::BadInput("difficulties length mismatch".into()));
-            }
-        }
+        Self::per_sample(network, runner, frames, labels, difficulties, true)
+    }
+
+    /// The sample-at-a-time evaluation behind [`DynamicEvaluation::run`] and
+    /// [`DynamicEvaluation::run_quarantined`]; `quarantine` turns on the
+    /// finiteness check (and the per-timestep trace it reads).
+    fn per_sample(
+        network: &mut Snn,
+        runner: &DynamicInference,
+        frames: &[Vec<Tensor>],
+        labels: &[usize],
+        difficulties: Option<&[f32]>,
+        quarantine: bool,
+    ) -> Result<QuarantinedEvaluation> {
+        check_inputs(frames, labels, difficulties)?;
+        // discard any previously accumulated activity
         let _ = network.take_activity();
-        // same deterministic fan-out/fold as `run`; see there
+        // Data-parallel fan-out: each worker evaluates a contiguous slice of
+        // samples on its own clone of the network and reports per-sample
+        // results, which are folded back in sample-index order. Per-sample
+        // evaluation is independent (state resets each sample) and the fold
+        // order is fixed, so the result is bitwise identical for any
+        // DTSNN_THREADS value.
         let indices: Vec<usize> = (0..frames.len()).collect();
         let proto: &Snn = network;
         let per_sample = parallel::map_chunks(&indices, |_, chunk| {
             let mut net = proto.clone();
             chunk
                 .iter()
-                .map(|&i| -> Result<(usize, bool, bool, Vec<f64>, usize)> {
-                    let trace = runner.run_traced(&mut net, &frames[i])?;
+                .map(|&i| -> Result<(DynamicOutcome, bool, Vec<f64>, usize)> {
+                    let (outcome, finite) = if quarantine {
+                        let trace = runner.run_traced(&mut net, &frames[i])?;
+                        let finite = trace.outcome.scores.iter().all(|s| s.is_finite())
+                            && trace.outcome.probabilities.iter().all(|p| p.is_finite())
+                            && trace
+                                .per_timestep
+                                .iter()
+                                .all(|t| t.accumulated_logits.iter().all(|v| v.is_finite()));
+                        (trace.outcome, finite)
+                    } else {
+                        (runner.run(&mut net, &frames[i])?, true)
+                    };
                     let (sums, obs) = net.take_raw_activity();
-                    let out = &trace.outcome;
-                    let finite = out.scores.iter().all(|s| s.is_finite())
-                        && out.probabilities.iter().all(|p| p.is_finite())
-                        && trace
-                            .per_timestep
-                            .iter()
-                            .all(|t| t.accumulated_logits.iter().all(|v| v.is_finite()));
-                    let correct = finite && out.prediction == labels[i];
-                    Ok((out.timesteps_used, correct, finite, sums, obs))
+                    Ok((outcome, finite, sums, obs))
                 })
                 .collect()
         });
-        let mut histogram = vec![0usize; runner.max_timesteps()];
-        let mut samples = Vec::with_capacity(frames.len());
+        let mut records = Vec::with_capacity(frames.len());
         let mut quarantined = Vec::new();
-        let mut correct_total = 0usize;
-        let mut timestep_total = 0usize;
         for (i, res) in per_sample.into_iter().enumerate() {
-            let (used, correct, finite, sums, obs) = res?;
+            let (outcome, finite, sums, obs) = res?;
             if sums.iter().all(|s| s.is_finite()) {
                 network.absorb_raw_activity(&sums, obs);
             }
             if !finite {
                 quarantined.push(i);
             }
-            correct_total += correct as usize;
-            timestep_total += used;
-            histogram[used - 1] += 1;
-            samples.push(DynamicSampleOutcome {
-                timesteps_used: used,
-                correct,
-                difficulty: difficulties.map(|d| d[i]).unwrap_or(f32::NAN),
-            });
+            records.push((outcome.timesteps_used, finite && outcome.prediction == labels[i]));
         }
-        let n = frames.len() as f32;
-        Ok(QuarantinedEvaluation {
-            eval: DynamicEvaluation {
-                accuracy: correct_total as f32 / n,
-                avg_timesteps: timestep_total as f32 / n,
-                timestep_histogram: histogram,
-                samples,
-                activity: network.take_activity(),
-            },
-            quarantined,
-        })
+        let eval = summarize(network, runner.max_timesteps(), records.into_iter(), difficulties);
+        Ok(QuarantinedEvaluation { eval, quarantined })
     }
 
     /// Batched variant of [`DynamicEvaluation::run`], built on **active-set
@@ -232,92 +205,46 @@ impl DynamicEvaluation {
         difficulties: Option<&[f32]>,
         batch_size: usize,
     ) -> Result<Self> {
-        if frames.is_empty() || frames.len() != labels.len() {
-            return Err(CoreError::BadInput("frames/labels mismatch or empty".into()));
-        }
-        if let Some(d) = difficulties {
-            if d.len() != frames.len() {
-                return Err(CoreError::BadInput("difficulties length mismatch".into()));
-            }
-        }
+        check_inputs(frames, labels, difficulties)?;
         if batch_size == 0 {
             return Err(CoreError::BadInput("batch_size must be nonzero".into()));
         }
         let t_max = runner.max_timesteps();
-        // the same 1-or-T frame-count contract the sequential runner enforces
-        for (i, f) in frames.iter().enumerate() {
-            if f.len() != 1 && f.len() != t_max {
-                return Err(CoreError::BadInput(format!(
-                    "sample {i}: expected 1 or {t_max} frames, got {}",
-                    f.len()
-                )));
-            }
-        }
-        let policy = runner.policy();
+        check_frame_counts(frames, t_max)?;
         let _ = network.take_activity();
         // Per-sample exit records and raw activity sums. Activity is folded
         // per sample in f64 (timestep order within a sample) and absorbed in
         // sample-index order at the end — the exact accumulation chain of the
         // sequential harness, so the resulting SpikeActivity is bitwise equal.
-        let mut used_of = vec![0usize; frames.len()];
-        let mut pred_of = vec![0usize; frames.len()];
+        let mut records = vec![(0usize, false); frames.len()];
         let mut sums_of: Vec<Vec<f64>> = vec![Vec::new(); frames.len()];
-        let order: Vec<usize> = (0..frames.len()).collect();
-        for chunk in order.chunks(batch_size) {
+        let mut window = Window::new();
+        for (chunk, chunk_frames) in frames.chunks(batch_size).enumerate() {
             network.reset_state();
-            // sample indices still running, in batch-row order
-            let mut active: Vec<usize> = chunk.to_vec();
-            // per-active-row accumulated logits (the Eq. 5 numerator)
-            let mut accs: Vec<Vec<f32>> = vec![Vec::new(); active.len()];
-            for t in 1..=t_max {
-                // stack the active rows' frame for this timestep
-                let views: Vec<Tensor> = active
-                    .iter()
-                    .map(|&i| {
-                        let fs = &frames[i];
-                        crate::inference::to_batch1(if fs.len() == 1 { &fs[0] } else { &fs[t - 1] })
-                    })
-                    .collect::<Result<_>>()?;
-                let refs: Vec<&Tensor> = views.iter().collect();
-                let input = Tensor::concat_axis0(&refs)?;
-                let logits = network.forward_timestep(&input, Mode::Eval)?;
-                let classes = logits.dims()[1];
-                // row layer densities, copied out so the network can be
-                // mutated below
-                let layer_rows: Vec<Vec<f32>> = network
-                    .last_spike_row_densities()?
-                    .into_iter()
-                    .map(|s| s.to_vec())
-                    .collect();
-                let inv_t = 1.0 / t as f32;
-                let mut keep: Vec<usize> = Vec::with_capacity(active.len());
-                for (row, &i) in active.iter().enumerate() {
+            // batch-1 views of the chunk's frames, built once per chunk
+            let batched: Vec<Vec<Tensor>> = chunk_frames
+                .iter()
+                .map(|fs| fs.iter().map(to_batch1).collect())
+                .collect::<Result<_>>()?;
+            // chunk positions still running, in batch-row order
+            let mut active: Vec<usize> = (0..batched.len()).collect();
+            let mut keep: Vec<usize> = Vec::with_capacity(active.len());
+            window.admit(active.len());
+            while !active.is_empty() {
+                window.step(network, |row| &batched[active[row]], runner.policy(), t_max)?;
+                let layer_rows = network.last_spike_row_densities()?;
+                keep.clear();
+                for (row, &pos) in active.iter().enumerate() {
+                    let i = chunk * batch_size + pos;
                     // fold this timestep's activity into the sample's sums
                     let sums = &mut sums_of[i];
-                    if sums.is_empty() {
-                        sums.resize(layer_rows.len(), 0.0);
-                    }
+                    sums.resize(layer_rows.len(), 0.0);
                     for (acc, layer) in sums.iter_mut().zip(&layer_rows) {
                         *acc += layer[row] as f64;
                     }
-                    // Eq. 5 running mean of this row's logits; `+= l` and
-                    // `* inv_t` reproduce the sequential `axpy(1.0, …)` /
-                    // `scale(1/t)` chain bitwise
-                    let l_row = &logits.data()[row * classes..(row + 1) * classes];
-                    let acc = &mut accs[row];
-                    if acc.is_empty() {
-                        acc.extend_from_slice(l_row);
-                    } else {
-                        for (a, &l) in acc.iter_mut().zip(l_row) {
-                            *a += l;
-                        }
-                    }
-                    let f_t =
-                        Tensor::from_vec(acc.iter().map(|&a| a * inv_t).collect(), &[1, classes])?;
-                    let probs = dtsnn_tensor::softmax_rows(&f_t)?;
-                    if policy.should_exit(probs.data()) || t == t_max {
-                        used_of[i] = t;
-                        pred_of[i] = probs.row(0)?.argmax()?;
+                    let decision = window.decision(row);
+                    if decision.exit {
+                        records[i] = (decision.t, decision.prediction == labels[i]);
                     } else {
                         keep.push(row);
                     }
@@ -325,12 +252,14 @@ impl DynamicEvaluation {
                 // retire exited rows: gather the survivors' accumulators and
                 // every layer's carried batch state
                 if keep.len() < active.len() {
-                    if keep.is_empty() {
-                        break;
+                    window.compact(&keep)?;
+                    if !keep.is_empty() {
+                        network.compact_batch(&keep)?;
                     }
-                    network.compact_batch(&keep)?;
-                    active = keep.iter().map(|&r| active[r]).collect();
-                    accs = keep.iter().map(|&r| std::mem::take(&mut accs[r])).collect();
+                    for (dst, &row) in keep.iter().enumerate() {
+                        active[dst] = active[row];
+                    }
+                    active.truncate(keep.len());
                 }
             }
         }
@@ -338,31 +267,10 @@ impl DynamicEvaluation {
         // during the loop; discard them and rebuild from the per-sample sums,
         // folded in sample-index order exactly like the sequential harness
         let _ = network.take_raw_activity();
-        let mut histogram = vec![0usize; t_max];
-        let mut samples = Vec::with_capacity(frames.len());
-        let mut correct_total = 0usize;
-        let mut timestep_total = 0usize;
-        for i in 0..frames.len() {
-            let used = used_of[i];
-            let correct = pred_of[i] == labels[i];
-            network.absorb_raw_activity(&sums_of[i], used);
-            correct_total += correct as usize;
-            timestep_total += used;
-            histogram[used - 1] += 1;
-            samples.push(DynamicSampleOutcome {
-                timesteps_used: used,
-                correct,
-                difficulty: difficulties.map(|d| d[i]).unwrap_or(f32::NAN),
-            });
+        for (sums, &(used, _)) in sums_of.iter().zip(&records) {
+            network.absorb_raw_activity(sums, used);
         }
-        let n = frames.len() as f32;
-        Ok(DynamicEvaluation {
-            accuracy: correct_total as f32 / n,
-            avg_timesteps: timestep_total as f32 / n,
-            timestep_histogram: histogram,
-            samples,
-            activity: network.take_activity(),
-        })
+        Ok(summarize(network, t_max, records.into_iter(), difficulties))
     }
 
     /// T̂ distribution as fractions (the Fig. 5 pie chart).
@@ -385,6 +293,36 @@ pub struct QuarantinedEvaluation {
     pub eval: DynamicEvaluation,
     /// Input indices whose forward pass produced NaN/Inf, ascending.
     pub quarantined: Vec<usize>,
+}
+
+/// Closes a dynamic evaluation over per-sample `(T̂, correct)` records in
+/// dataset order, taking the activity `network` has accumulated.
+fn summarize(
+    network: &mut Snn,
+    max_timesteps: usize,
+    records: impl ExactSizeIterator<Item = (usize, bool)>,
+    difficulties: Option<&[f32]>,
+) -> DynamicEvaluation {
+    let n = records.len() as f32;
+    let mut histogram = vec![0usize; max_timesteps];
+    let (mut correct_total, mut timestep_total) = (0usize, 0usize);
+    let samples = records
+        .enumerate()
+        .map(|(i, (timesteps_used, correct))| {
+            correct_total += correct as usize;
+            timestep_total += timesteps_used;
+            histogram[timesteps_used - 1] += 1;
+            let difficulty = difficulties.map_or(f32::NAN, |d| d[i]);
+            DynamicSampleOutcome { timesteps_used, correct, difficulty }
+        })
+        .collect();
+    DynamicEvaluation {
+        accuracy: correct_total as f32 / n,
+        avg_timesteps: timestep_total as f32 / n,
+        timestep_histogram: histogram,
+        samples,
+        activity: network.take_activity(),
+    }
 }
 
 /// Aggregate result of evaluating a static SNN at every timestep budget
@@ -425,32 +363,10 @@ impl StaticEvaluation {
             chunk
                 .iter()
                 .map(|&i| -> Result<(Vec<bool>, Vec<f64>, usize)> {
-                    let batched: Vec<Tensor> = frames[i]
-                        .iter()
-                        .map(|f| {
-                            if f.dims().len() == 4 {
-                                Ok(f.clone())
-                            } else {
-                                let mut dims = vec![1];
-                                dims.extend_from_slice(f.dims());
-                                f.reshape(&dims).map_err(CoreError::from)
-                            }
-                        })
-                        .collect::<Result<_>>()?;
-                    let outputs = net.forward_sequence(&batched, max_timesteps, Mode::Eval)?;
-                    let mut acc: Option<Tensor> = None;
-                    let mut correct_at_t = Vec::with_capacity(max_timesteps);
-                    for (t, out) in outputs.iter().enumerate() {
-                        match &mut acc {
-                            Some(a) => a.axpy(1.0, out)?,
-                            None => acc = Some(out.clone()),
-                        }
-                        // predict from the Eq. 5 running mean at budget t
-                        // (argmax-equivalent to the raw sum)
-                        let mean =
-                            acc.as_ref().expect("set above").scale(1.0 / (t + 1) as f32);
-                        correct_at_t.push(mean.row(0)?.argmax()? == labels[i]);
-                    }
+                    let correct_at_t = static_predictions(&mut net, &frames[i], max_timesteps)?
+                        .into_iter()
+                        .map(|prediction| prediction == labels[i])
+                        .collect();
                     let (sums, obs) = net.take_raw_activity();
                     Ok((correct_at_t, sums, obs))
                 })
@@ -605,6 +521,39 @@ mod tests {
             seq.samples.iter().map(|s| s.timesteps_used).sum();
         assert_eq!(seq.activity.observations, total);
         assert!(total < 4 * frames.len(), "θ produced no early exits");
+    }
+
+    #[test]
+    fn warmed_batched_windows_over_a_resnet_allocate_nothing() {
+        // Every step's logits, every compacted membrane — the three nested in
+        // each ResidualBlock included — must return to the arena: a second
+        // pass over the same windows finds every buffer parked.
+        let config = dtsnn_snn::ModelConfig {
+            in_channels: 2,
+            image_size: 8,
+            num_classes: 3,
+            width: 4,
+            ..Default::default()
+        };
+        let mut rng = TensorRng::seed_from(81);
+        let mut net = dtsnn_snn::resnet_small(&config, &mut rng).unwrap();
+        let frames: Vec<Vec<Tensor>> =
+            (0..20).map(|_| vec![Tensor::randn(&[2, 8, 8], 0.5, 2.0, &mut rng)]).collect();
+        let labels: Vec<usize> = (0..20).map(|i| i % 3).collect();
+        let diffs = [0.5f32; 20]; // real values: NaN would defeat the comparison
+        // θ chosen to split this untrained net's exits across the window
+        let runner = DynamicInference::new(ExitPolicy::entropy(0.98).unwrap(), 4).unwrap();
+        let run = |net: &mut Snn| {
+            DynamicEvaluation::run_batched(net, &runner, &frames, &labels, Some(&diffs), 8).unwrap()
+        };
+        let warm = run(&mut net);
+        let h = &warm.timestep_histogram;
+        assert!(h[..3].iter().sum::<usize>() > 0 && h[3] > 0, "windows must compact: {h:?}");
+        net.reset_workspace_stats();
+        assert_eq!(run(&mut net), warm);
+        let stats = net.workspace_stats();
+        assert!(stats.takes > 0);
+        assert_eq!(stats.misses, 0, "warmed windows must not allocate: {stats:?}");
     }
 
     #[test]

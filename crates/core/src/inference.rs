@@ -1,9 +1,10 @@
 //! The per-sample dynamic-timestep runner (Eqs. 5–8).
 
 use crate::policy::ExitPolicy;
+use crate::window::Window;
 use crate::{CoreError, Result};
 use dtsnn_snn::{Mode, Snn};
-use dtsnn_tensor::{softmax_rows, Tensor};
+use dtsnn_tensor::Tensor;
 
 /// Result of one dynamic inference.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,9 +91,7 @@ impl DynamicInference {
     /// Returns [`CoreError::BadInput`] for empty or miscounted frames and
     /// propagates network errors.
     pub fn run(&self, network: &mut Snn, frames: &[Tensor]) -> Result<DynamicOutcome> {
-        // Delegating keeps the traced and untraced paths structurally
-        // identical, so golden traces can never drift from production runs.
-        Ok(self.run_traced(network, frames)?.outcome)
+        self.drive(network, frames, |_, _| {})
     }
 
     /// Like [`DynamicInference::run`], additionally recording the accumulated
@@ -104,6 +103,32 @@ impl DynamicInference {
     ///
     /// Same conditions as [`DynamicInference::run`].
     pub fn run_traced(&self, network: &mut Snn, frames: &[Tensor]) -> Result<DynamicTrace> {
+        let mut per_timestep = Vec::with_capacity(self.max_timesteps);
+        let outcome = self.drive(network, frames, |network, window| {
+            per_timestep.push(TimestepTrace {
+                accumulated_logits: window.accumulated(0).to_vec(),
+                spike_densities: network
+                    .layers()
+                    .iter()
+                    .filter_map(|n| n.layer.last_spike_density())
+                    .collect(),
+                score: window.decision(0).score,
+            });
+        })?;
+        let layer_backends =
+            network.layer_backends().into_iter().map(|(name, b)| (name, b.to_string())).collect();
+        Ok(DynamicTrace { outcome, per_timestep, layer_backends })
+    }
+
+    /// The one-row driver of the [`Window`] behind both entry points, which
+    /// differ only in what `observe` records after each timestep — so a
+    /// golden trace can never drift from a production run.
+    fn drive(
+        &self,
+        network: &mut Snn,
+        frames: &[Tensor],
+        mut observe: impl FnMut(&Snn, &Window),
+    ) -> Result<DynamicOutcome> {
         if frames.is_empty() {
             return Err(CoreError::BadInput("empty frame sequence".into()));
         }
@@ -119,60 +144,24 @@ impl DynamicInference {
         // the timestep loop itself must stay allocation-free (the network's
         // workspace arena covers everything inside `forward_timestep`).
         let batched: Vec<Tensor> = frames.iter().map(to_batch1).collect::<Result<_>>()?;
-        let mut accumulated: Option<Tensor> = None;
+        let mut window = Window::new();
+        window.admit(1);
         let mut scores = Vec::with_capacity(self.max_timesteps);
-        let mut per_timestep = Vec::with_capacity(self.max_timesteps);
-        for t in 1..=self.max_timesteps {
-            let input = if batched.len() == 1 { &batched[0] } else { &batched[t - 1] };
-            let logits = network.forward_timestep(input, Mode::Eval)?;
-            match &mut accumulated {
-                Some(acc) => {
-                    acc.axpy(1.0, &logits)?;
-                    // logits came from the network's arena; hand them back so
-                    // the next timestep reuses the buffer.
-                    network.recycle(logits);
-                }
-                None => accumulated = Some(logits),
-            }
-            let acc = accumulated.as_ref().expect("accumulated set above");
-            // f_t(x) = running mean of logits (Eq. 5)
-            let f_t = acc.scale(1.0 / t as f32);
-            let probs = softmax_rows(&f_t)?;
-            let score = self.policy.score(probs.data());
-            scores.push(score);
-            per_timestep.push(TimestepTrace {
-                accumulated_logits: acc.data().to_vec(),
-                spike_densities: network
-                    .layers()
-                    .iter()
-                    .filter_map(|n| n.layer.last_spike_density())
-                    .collect(),
-                score,
-            });
-            let exit = self.policy.should_exit(probs.data());
-            if exit || t == self.max_timesteps {
-                let prediction = probs.row(0)?.argmax()?;
-                let outcome = DynamicOutcome {
-                    prediction,
-                    timesteps_used: t,
-                    exited_early: exit && t < self.max_timesteps,
+        loop {
+            window.step(network, |_| &batched, &self.policy, self.max_timesteps)?;
+            observe(network, &window);
+            let decision = window.decision(0);
+            scores.push(decision.score);
+            if decision.exit {
+                return Ok(DynamicOutcome {
+                    prediction: decision.prediction,
+                    timesteps_used: decision.t,
+                    exited_early: decision.fired && decision.t < self.max_timesteps,
                     scores,
-                    probabilities: probs.data().to_vec(),
-                };
-                // The accumulator buffer also came from the arena (first
-                // timestep's logits); park it for the next sample.
-                if let Some(acc) = accumulated.take() {
-                    network.recycle(acc);
-                }
-                let layer_backends = network
-                    .layer_backends()
-                    .into_iter()
-                    .map(|(name, b)| (name, b.to_string()))
-                    .collect();
-                return Ok(DynamicTrace { outcome, per_timestep, layer_backends });
+                    probabilities: window.probabilities(0).to_vec(),
+                });
             }
         }
-        unreachable!("loop always returns at t == max_timesteps")
     }
 }
 
@@ -188,6 +177,19 @@ pub fn static_inference(
     frames: &[Tensor],
     timesteps: usize,
 ) -> Result<usize> {
+    let by_budget = static_predictions(network, frames, timesteps)?;
+    Ok(*by_budget.last().expect("one prediction per timestep of a nonzero window"))
+}
+
+/// The static prediction at every budget `t = 1..=timesteps` of one pass:
+/// the argmax of the Eq. 5 running mean over the first `t` outputs
+/// (argmax-equivalent to the raw sum, but the computed quantity is the one
+/// the docs and the paper name).
+pub(crate) fn static_predictions(
+    network: &mut Snn,
+    frames: &[Tensor],
+    timesteps: usize,
+) -> Result<Vec<usize>> {
     if frames.is_empty() {
         return Err(CoreError::BadInput("empty frame sequence".into()));
     }
@@ -197,13 +199,14 @@ pub fn static_inference(
     let batched: Vec<Tensor> = frames.iter().map(to_batch1).collect::<Result<_>>()?;
     let outputs = network.forward_sequence(&batched, timesteps, Mode::Eval)?;
     let mut sum = outputs[0].clone();
-    for o in &outputs[1..] {
-        sum.axpy(1.0, o)?;
+    let mut predictions = Vec::with_capacity(timesteps);
+    for (t, output) in outputs.iter().enumerate() {
+        if t > 0 {
+            sum.axpy(1.0, output)?;
+        }
+        predictions.push(sum.scale(1.0 / (t + 1) as f32).row(0)?.argmax()?);
     }
-    // Eq. 5 mean over the window; argmax-equivalent to the raw sum, but the
-    // computed quantity is now the one the docs (and the paper) name
-    let mean = sum.scale(1.0 / outputs.len() as f32);
-    Ok(mean.row(0)?.argmax()?)
+    Ok(predictions)
 }
 
 /// Reshapes a `[c, h, w]` frame to a batch-of-one `[1, c, h, w]` (frames
@@ -344,7 +347,7 @@ mod tests {
             &[1, 3],
         )
         .unwrap();
-        let probs = softmax_rows(&f_t).unwrap();
+        let probs = dtsnn_tensor::softmax_rows(&f_t).unwrap();
         assert_eq!(probs.data(), plain.probabilities.as_slice());
     }
 

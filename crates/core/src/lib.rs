@@ -9,6 +9,8 @@
 //!
 //! - [`ExitPolicy`] — entropy thresholding plus the max-probability and
 //!   margin alternatives used in the extension ablation;
+//! - [`window::Window`] — Eqs. 5–8 for a set of batch rows, the one exit
+//!   decision every runner below (and the `dtsnn-serve` engine) drives;
 //! - [`DynamicInference`] — the per-sample early-exit runner;
 //! - [`DynamicEvaluation`] / [`StaticEvaluation`] — dataset-level harnesses
 //!   reporting accuracy, average timesteps and the T̂ distribution;
@@ -42,6 +44,7 @@ mod robustness;
 mod sweep;
 mod throughput;
 mod visualize;
+pub mod window;
 
 pub use calibration::{
     collect_exit_scores, reliability_bins, score_correctness_correlation, ReliabilityBin,

@@ -105,10 +105,18 @@ impl ExitPolicy {
     /// Whether inference should terminate given the current accumulated
     /// class probabilities.
     pub fn should_exit(&self, probabilities: &[f32]) -> bool {
+        self.fires(self.score(probabilities))
+    }
+
+    /// The threshold test of [`ExitPolicy::should_exit`] on a score already
+    /// computed by [`ExitPolicy::score`] (Eq. 8 for the entropy policy). A
+    /// NaN score never fires.
+    pub fn fires(&self, score: f32) -> bool {
         match *self {
-            ExitPolicy::Entropy { theta } => self.score(probabilities) < theta,
-            ExitPolicy::MaxProb { threshold } => self.score(probabilities) > threshold,
-            ExitPolicy::Margin { threshold } => self.score(probabilities) > threshold,
+            ExitPolicy::Entropy { theta } => score < theta,
+            ExitPolicy::MaxProb { threshold } | ExitPolicy::Margin { threshold } => {
+                score > threshold
+            }
         }
     }
 

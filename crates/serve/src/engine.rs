@@ -5,9 +5,10 @@
 use crate::clock::Clock;
 use crate::controller::ThetaController;
 use crate::{Result, ServeError};
+use dtsnn_core::window::Window;
 use dtsnn_core::ExitPolicy;
-use dtsnn_snn::{Mode, Snn};
-use dtsnn_tensor::{softmax_rows, Tensor, WorkspaceStats};
+use dtsnn_snn::Snn;
+use dtsnn_tensor::{Tensor, WorkspaceStats};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::Duration;
@@ -161,40 +162,34 @@ pub struct ServerStats {
     pub peak_width: u64,
 }
 
-struct Pending {
+/// A request inside the server: queued, then the request behind one batch
+/// row — whose timestep counter and logit accumulator live in the server's
+/// [`Window`], at the same index.
+struct Job {
     id: u64,
     frames: Vec<Tensor>,
     arrival: u64,
     deadline: Option<u64>,
-}
-
-struct InFlight {
-    id: u64,
-    frames: Vec<Tensor>,
-    arrival: u64,
-    deadline: Option<u64>,
-    /// Timesteps this row has executed (its private counter — rows in one
-    /// window generally sit at different `t`).
-    t: usize,
-    /// The Eq. 5 numerator: logits summed over this row's timesteps.
-    acc: Vec<f32>,
+    /// Policy score of every timestep executed so far.
     scores: Vec<f32>,
 }
 
 /// The continuous-batching inference server.
 ///
-/// One engine step forwards every in-flight row a single timestep, folds
-/// each row's logits into its private accumulator exactly like the
-/// sequential runner (bitwise — see the crate docs), scores the exit
-/// policy per row at that row's own `t`, retires exited/expired rows via
-/// [`Snn::compact_batch`] and admits queued requests into the vacated
-/// slots via [`Snn::admit_batch_rows`].
+/// One engine step forwards every in-flight row a single timestep and
+/// folds, scores and decides each row at that row's own `t` through the
+/// [`Window`] the sequential runner drives too (so the two agree bitwise by
+/// construction), retires exited/expired rows via [`Snn::compact_batch`]
+/// and admits queued requests into the vacated slots via
+/// [`Snn::admit_batch_rows`].
 pub struct Server<C: Clock> {
     net: Snn,
     config: ServerConfig,
     clock: C,
-    pending: VecDeque<Pending>,
-    in_flight: Vec<InFlight>,
+    pending: VecDeque<Job>,
+    in_flight: Vec<Job>,
+    /// Eqs. 5–8 state of the in-flight rows, in `in_flight` order.
+    window: Window,
     outcomes: Vec<RequestOutcome>,
     schedule: Vec<StepRecord>,
     stats: ServerStats,
@@ -235,6 +230,7 @@ impl<C: Clock> Server<C> {
             clock,
             pending: VecDeque::new(),
             in_flight: Vec::new(),
+            window: Window::new(),
             outcomes: Vec::new(),
             schedule: Vec::new(),
             stats: ServerStats::default(),
@@ -400,7 +396,7 @@ impl<C: Clock> Server<C> {
             });
             return Ok(false);
         }
-        self.pending.push_back(Pending { id: request.id, frames, arrival, deadline });
+        self.pending.push_back(Job { id: request.id, frames, arrival, deadline, scores: Vec::new() });
         Ok(true)
     }
 
@@ -436,15 +432,7 @@ impl<C: Clock> Server<C> {
         while self.in_flight.len() < self.config.slots {
             let Some(p) = self.pending.pop_front() else { break };
             admitted.push(p.id);
-            self.in_flight.push(InFlight {
-                id: p.id,
-                frames: p.frames,
-                arrival: p.arrival,
-                deadline: p.deadline,
-                t: 0,
-                acc: Vec::new(),
-                scores: Vec::new(),
-            });
+            self.in_flight.push(p);
         }
         if !admitted.is_empty() {
             if carried {
@@ -457,6 +445,7 @@ impl<C: Clock> Server<C> {
                 // fresh window
                 self.net.reset_state();
             }
+            self.window.admit(admitted.len());
             self.stats.admitted += admitted.len() as u64;
         }
         if self.in_flight.is_empty() {
@@ -471,117 +460,73 @@ impl<C: Clock> Server<C> {
         let width = self.in_flight.len();
         self.stats.peak_width = self.stats.peak_width.max(width as u64);
 
-        // forward one timestep: row r's frame at its own (0-based) t
-        let views: Vec<&Tensor> = self
-            .in_flight
-            .iter()
-            .map(|r| if r.frames.len() == 1 { &r.frames[0] } else { &r.frames[r.t] })
-            .collect();
-        let input = Tensor::concat_axis0(&views)?;
-        let logits = self.net.forward_timestep(&input, Mode::Eval)?;
+        // forward one timestep (row r on its frame at its own t) and fold,
+        // score and decide every row. The brownout cap shortens the
+        // effective window; rows already past a cap lowered mid-flight
+        // retire on this step.
+        let t_max = self.config.max_timesteps;
+        let t_eff = self.timestep_cap.map_or(t_max, |cap| cap.min(t_max));
+        let in_flight = &self.in_flight;
+        self.window.step(&mut self.net, |row| &in_flight[row].frames, &policy, t_eff)?;
         self.clock.advance(self.scaled_cost(width));
         let now = self.clock.now();
         self.stats.steps += 1;
 
-        // per-row fold and exit decision — the sequential runner's
-        // `axpy(1.0, ·)` / `scale(1/t)` / softmax / score chain, bitwise
-        let classes = logits.dims()[1];
-        let t_max = self.config.max_timesteps;
-        // the brownout cap shortens the effective window; `>=` (not `==`)
-        // retires rows already past a cap lowered mid-flight
-        let t_eff = self.timestep_cap.map_or(t_max, |cap| cap.min(t_max));
+        // the forwarded row order, before retirement reshuffles it
+        let rows: Option<Vec<u64>> =
+            self.config.record_schedule.then(|| self.in_flight.iter().map(|r| r.id).collect());
         let mut keep: Vec<usize> = Vec::with_capacity(width);
         let mut retired: Vec<u64> = Vec::new();
-        for row in 0..width {
-            let r = &mut self.in_flight[row];
-            r.t += 1;
-            let l_row = &logits.data()[row * classes..(row + 1) * classes];
-            if r.acc.is_empty() {
-                r.acc.extend_from_slice(l_row);
-            } else {
-                for (a, &l) in r.acc.iter_mut().zip(l_row) {
-                    *a += l;
-                }
-            }
-            let inv_t = 1.0 / r.t as f32;
-            let f_t = Tensor::from_vec(r.acc.iter().map(|&a| a * inv_t).collect(), &[1, classes])?;
-            let probs = softmax_rows(&f_t)?;
-            r.scores.push(policy.score(probs.data()));
-            let policy_fired = policy.should_exit(probs.data());
-            let exit = policy_fired || r.t >= t_eff;
+        for (row, r) in self.in_flight.iter_mut().enumerate() {
+            let decision = self.window.decision(row);
+            r.scores.push(decision.score);
             let late = r.deadline.is_some_and(|d| now > d);
-            if exit || late {
-                // exit (early or full window) or deadline blown mid-window;
-                // either way the row leaves with a prediction from the
-                // logits folded so far
-                let prediction = Some(probs.row(0)?.argmax()?);
-                let r = &self.in_flight[row];
-                retired.push(r.id);
-                let status =
-                    if late { CompletionStatus::TimedOut } else { CompletionStatus::Completed };
-                match status {
-                    CompletionStatus::TimedOut => self.stats.timed_out += 1,
-                    _ => self.stats.completed += 1,
-                }
-                self.outcomes.push(RequestOutcome {
-                    id: r.id,
-                    status,
-                    prediction,
-                    timesteps_used: r.t,
-                    exited_early: policy_fired && r.t < t_max,
-                    scores: r.scores.clone(),
-                    accumulated_logits: r.acc.clone(),
-                    arrival_nanos: r.arrival,
-                    finish_nanos: now,
-                    deadline_nanos: r.deadline,
-                });
-            } else {
+            if !(decision.exit || late) {
                 keep.push(row);
+                continue;
             }
+            // exit (early or full window) or deadline blown mid-window;
+            // either way the row leaves with a prediction from the logits
+            // folded so far
+            retired.push(r.id);
+            let status = if late {
+                self.stats.timed_out += 1;
+                CompletionStatus::TimedOut
+            } else {
+                self.stats.completed += 1;
+                CompletionStatus::Completed
+            };
+            self.outcomes.push(RequestOutcome {
+                id: r.id,
+                status,
+                prediction: Some(decision.prediction),
+                timesteps_used: decision.t,
+                exited_early: decision.fired && decision.t < t_max,
+                scores: std::mem::take(&mut r.scores),
+                accumulated_logits: self.window.accumulated(row).to_vec(),
+                arrival_nanos: r.arrival,
+                finish_nanos: now,
+                deadline_nanos: r.deadline,
+            });
         }
-        self.net.recycle(logits);
 
         // retire: physically gather the survivors' carried layer state
         if keep.len() < width {
+            self.window.compact(&keep)?;
             if keep.is_empty() {
                 self.net.reset_state();
                 self.in_flight.clear();
             } else {
                 self.net.compact_batch(&keep)?;
-                let mut idx = 0usize;
-                let keep_ref = &keep;
+                let mut row = 0usize;
                 self.in_flight.retain(|_| {
-                    let k = keep_ref.binary_search(&idx).is_ok();
-                    idx += 1;
-                    k
+                    row += 1;
+                    keep.binary_search(&(row - 1)).is_ok()
                 });
             }
         }
 
-        if self.config.record_schedule {
-            // reconstruct the forwarded row order: kept and retired ids
-            // interleave according to the keep list
-            let mut rows = Vec::with_capacity(width);
-            let mut kept = self.in_flight.iter().map(|r| r.id);
-            let mut gone = retired.iter().copied();
-            let mut keep_it = keep.iter().copied().peekable();
-            for row in 0..width {
-                let id = if keep_it.peek() == Some(&row) {
-                    keep_it.next();
-                    kept.next()
-                } else {
-                    gone.next()
-                };
-                let Some(id) = id else {
-                    return Err(ServeError::Internal(format!(
-                        "step record reconstruction: row {row} of {width} has no kept or \
-                         retired id (kept {} retired {})",
-                        self.in_flight.len(),
-                        retired.len()
-                    )));
-                };
-                rows.push(id);
-            }
+        if let Some(rows) = rows {
             self.schedule.push(StepRecord { start_nanos: start, theta, rows, admitted, retired });
         }
         Ok(true)

@@ -9,8 +9,8 @@
 //! that serving layer:
 //!
 //! - [`Server`] — the engine: an open inference window where each in-flight
-//!   row carries its own timestep counter, logit accumulator and (inside
-//!   the network) LIF membrane; per-request deadlines; admission control
+//!   row carries its own timestep counter and logit accumulator (in a
+//!   [`dtsnn_core::window::Window`]) and, inside the network, LIF membrane; per-request deadlines; admission control
 //!   with a bounded FIFO queue; SLO-aware dynamic θ via
 //!   [`ThetaController`].
 //! - [`Clock`] — the test-archetype headline: the engine never reads a
@@ -39,10 +39,11 @@
 //! LIF membrane; a spliced row starts from a zero membrane, and `0·τ + x`
 //! can differ from a fresh sequence's `x` only in the sign of zero — a
 //! distinction the strict `u > V_th` spike comparison cannot observe. The
-//! per-row logit fold reproduces the sequential `axpy`/`scale` chain of
-//! [`dtsnn_core::DynamicInference::run_traced`] bitwise, so a mid-window
-//! admission yields bitwise-identical logits, prediction and T̂ to a solo
-//! run (conformance fuzz oracle 10 and this crate's harness pin it).
+//! per-row fold, score and exit decision are [`dtsnn_core::window::Window`]'s
+//! — the code [`dtsnn_core::DynamicInference`] drives for a solo run — so a
+//! mid-window admission yields bitwise-identical logits, prediction and T̂
+//! to a solo run (conformance fuzz oracle 10 and this crate's harness pin
+//! that rows do not leak into each other below the window).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

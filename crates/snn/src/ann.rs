@@ -16,7 +16,7 @@ use crate::layer::{Layer, Mode, Param};
 use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Linear};
 use crate::loss::cross_entropy_mean_output;
 use crate::{Result, SnnError};
-use dtsnn_tensor::{global_avg_pool, Tensor, TensorRng};
+use dtsnn_tensor::{global_avg_pool, Tensor, TensorRng, Workspace};
 
 /// Rectified linear activation for the ANN baseline.
 #[derive(Debug, Clone, Default)]
@@ -32,7 +32,7 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Result<Tensor> {
         let out = input.map(|v| v.max(0.0));
         if mode == Mode::Train {
             self.masks.push(input.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
@@ -45,7 +45,7 @@ impl Layer for Relu {
         Ok(grad_out.mul(&mask)?)
     }
 
-    fn reset_state(&mut self) {
+    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.masks.clear();
     }
 
@@ -77,6 +77,9 @@ pub struct EarlyExitAnn {
     heads: Vec<Vec<Box<dyn Layer>>>,
     /// Cumulative MAC fraction up to and including each block (+ its head).
     compute_fractions: Vec<f32>,
+    /// Kernel scratch of the forward pass (activations are not recycled: a
+    /// single pass has no steady state to warm). A clone starts empty.
+    workspace: Workspace,
 }
 
 impl std::fmt::Debug for EarlyExitAnn {
@@ -94,6 +97,7 @@ impl Clone for EarlyExitAnn {
             blocks: self.blocks.iter().map(|b| b.to_vec()).collect(),
             heads: self.heads.iter().map(|h| h.to_vec()).collect(),
             compute_fractions: self.compute_fractions.clone(),
+            workspace: Workspace::new(),
         }
     }
 }
@@ -166,7 +170,7 @@ impl EarlyExitAnn {
                 acc
             })
             .collect();
-        Ok(EarlyExitAnn { blocks, heads, compute_fractions })
+        Ok(EarlyExitAnn { blocks, heads, compute_fractions, workspace: Workspace::new() })
     }
 
     /// Number of exits.
@@ -176,11 +180,8 @@ impl EarlyExitAnn {
 
     /// Clears caches (between samples / batches).
     pub fn reset_state(&mut self) {
-        for b in self.blocks.iter_mut().flatten() {
-            b.reset_state();
-        }
-        for h in self.heads.iter_mut().flatten() {
-            h.reset_state();
+        for l in self.blocks.iter_mut().chain(&mut self.heads).flatten() {
+            l.reset_state_ws(&mut self.workspace);
         }
     }
 
@@ -206,15 +207,16 @@ impl EarlyExitAnn {
     /// Propagates layer shape errors.
     pub fn forward_all(&mut self, input: &Tensor, mode: Mode) -> Result<Vec<ExitOutput>> {
         self.reset_state();
+        let ws = &mut self.workspace;
         let mut x = input.clone();
         let mut outputs = Vec::with_capacity(self.heads.len());
         for (i, block) in self.blocks.iter_mut().enumerate() {
             for layer in block.iter_mut() {
-                x = layer.forward(&x, mode)?;
+                x = layer.forward_ws(&x, mode, ws)?;
             }
             let mut h = x.clone();
             for layer in self.heads[i].iter_mut() {
-                h = layer.forward(&h, mode)?;
+                h = layer.forward_ws(&h, mode, ws)?;
             }
             outputs.push(ExitOutput { logits: h, compute_fraction: self.compute_fractions[i] });
         }
@@ -292,7 +294,7 @@ impl GapFlatten {
 }
 
 impl Layer for GapFlatten {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Result<Tensor> {
         if mode == Mode::Train {
             self.input_dims.push(input.dims().to_vec());
         }
@@ -316,7 +318,7 @@ impl Layer for GapFlatten {
         Ok(gx)
     }
 
-    fn reset_state(&mut self) {
+    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.input_dims.clear();
     }
 
@@ -339,7 +341,7 @@ mod tests {
     fn relu_forward_backward() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0, 3.0], &[1, 4]).unwrap();
-        let y = relu.forward(&x, Mode::Train).unwrap();
+        let y = relu.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 3.0]);
         let g = relu.backward(&Tensor::ones(&[1, 4])).unwrap();
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);

@@ -45,62 +45,61 @@ impl Param {
 ///
 /// # BPTT contract
 ///
-/// - `forward` is called once per timestep `t = 1..=T`; in [`Mode::Train`]
-///   each call pushes an activation cache onto an internal stack.
+/// - `forward_ws` is called once per timestep `t = 1..=T`; in
+///   [`Mode::Train`] each call pushes an activation cache onto an internal
+///   stack.
 /// - `backward` is called once per timestep in **reverse** order; each call
 ///   pops the matching cache and accumulates parameter gradients.
-/// - `reset_state` clears membrane potentials **and** caches; call it before
-///   every new input sequence.
+/// - `reset_state_ws` clears membrane potentials **and** caches; call it
+///   before every new input sequence.
+///
+/// # Container contract
+///
+/// A layer that owns child layers ([`crate::ResidualBlock`]) forwards
+/// `reset_state_ws`, `visit_carried`, `visit_params`, `freeze_stats` and
+/// `quantize_weights` to every child, and recurses in `backend_choices`.
+/// Everything that happens to carried state between timesteps — reset,
+/// compaction, admission — reaches a child through the first two alone.
 ///
 /// `Send + Sync` is a supertrait bound so the data-parallel evaluation
 /// workers in `dtsnn-core` can clone a shared prototype network onto scoped
 /// threads. No layer uses interior mutability, so the bound is free.
 pub trait Layer: Send + Sync {
-    /// Processes one timestep of input.
+    /// Processes one timestep of input — the only forward. Scratch and
+    /// output buffers come from `ws`, so an Eval loop whose caller recycles
+    /// each consumed activation allocates nothing once warmed. Train differs
+    /// only where it has to: it pushes the backward caches (which own their
+    /// tensors, so the arena never aliases them), BatchNorm folds batch
+    /// statistics, and the LIF runs its plain-tensor reference step.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape disagrees with the layer.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
-
-    /// Processes one timestep of input, drawing scratch and output buffers
-    /// from the workspace arena where the layer supports it.
-    ///
-    /// This is the zero-allocation Eval path: overriding layers must produce
-    /// output **bitwise identical** to [`Layer::forward`] (the conformance
-    /// golden traces pin this), and should delegate to `forward` in
-    /// [`Mode::Train`], where backward caches make buffer reuse unsafe. The
-    /// default simply delegates, so layers without an arena-backed kernel
-    /// stay correct.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape disagrees with the layer.
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        let _ = ws;
-        self.forward(input, mode)
-    }
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor>;
 
     /// Backpropagates one timestep (reverse order), returning `∂L/∂input`.
     ///
     /// # Errors
     ///
     /// Returns [`crate::SnnError::MissingForwardCache`] when called more times
-    /// than `forward`.
+    /// than `forward_ws` in [`Mode::Train`].
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
 
-    /// Clears sequence state like [`Layer::reset_state`], parking any
-    /// retired carried buffers (e.g. LIF membranes) in the workspace so the
-    /// next sample's warm-up takes hit the freelist instead of allocating.
-    /// Container layers must forward the call to their children. The default
-    /// delegates to `reset_state`.
-    fn reset_state_ws(&mut self, ws: &mut Workspace) {
-        let _ = ws;
-        self.reset_state();
-    }
+    /// Clears sequence state (carried tensors, backward caches, timestep
+    /// counters) before a new sample, parking retired carried buffers in the
+    /// workspace so the next sample's warm-up takes hit the freelist.
+    fn reset_state_ws(&mut self, ws: &mut Workspace);
 
-    /// Clears sequence state (membranes, caches) before a new sample.
-    fn reset_state(&mut self);
+    /// Visits every per-row tensor this layer carries from one timestep to
+    /// the next (today: the LIF membrane), `None` while the layer has not
+    /// run since its last reset. Axis 0 of a carried tensor is the batch
+    /// row. [`crate::Snn::compact_batch`] and
+    /// [`crate::Snn::admit_batch_rows`] gather and pad rows through these
+    /// slots, so a layer with carried state implements only this; training
+    /// caches are out of scope (both are [`Mode::Eval`] operations).
+    fn visit_carried(&mut self, f: &mut dyn FnMut(&mut Option<Tensor>)) {
+        let _ = f;
+    }
 
     /// Visits every learnable parameter.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
@@ -119,7 +118,8 @@ pub trait Layer: Send + Sync {
     /// Per-axis-0-row spike density of the most recent output, if this layer
     /// emits spikes (aligned with [`Layer::last_spike_density`]: the batch
     /// mean of these rows over integer nonzero counts equals the scalar
-    /// density bitwise).
+    /// density bitwise). Rewritten by every forward and meaningful only
+    /// until the batch is next compacted or padded.
     ///
     /// The batched dynamic-evaluation harness reads this to account spike
     /// activity per sample rather than per batch. Spiking layers must
@@ -129,69 +129,11 @@ pub trait Layer: Send + Sync {
         None
     }
 
-    /// Restricts all carried batch state (e.g. LIF membrane potentials) to
-    /// the given axis-0 rows, in order — the layer-level half of
-    /// [`crate::Snn::compact_batch`], called between timesteps when the
-    /// batched dynamic-evaluation harness retires exited samples.
-    ///
-    /// Only inference-time sequence state participates: training caches are
-    /// out of scope (compaction is an [`Mode::Eval`] operation). Layers
-    /// without per-row state keep the default no-op; container layers must
-    /// forward the call to their children.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range row indices.
-    fn select_batch_rows(&mut self, rows: &[usize]) -> Result<()> {
-        let _ = rows;
-        Ok(())
-    }
-
-    /// Workspace-backed variant of [`Layer::select_batch_rows`]: layers
-    /// with per-row state gather the survivors into an arena buffer and
-    /// park the retired one, so mid-window compaction allocates nothing
-    /// once the loop is warmed (the serving engine compacts and re-admits
-    /// rows every window, where the plain path's drop-and-reallocate would
-    /// bleed buffers out of the arena). The resulting state must be bitwise
-    /// identical to [`Layer::select_batch_rows`]. The default delegates;
-    /// container layers must forward the call to their children.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range row indices.
-    fn select_batch_rows_ws(&mut self, rows: &[usize], ws: &mut Workspace) -> Result<()> {
-        let _ = ws;
-        self.select_batch_rows(rows)
-    }
-
-    /// Appends `extra` fresh batch rows to all carried batch state — the
-    /// layer-level half of [`crate::Snn::admit_batch_rows`], the row
-    /// *insertion* dual of [`Layer::select_batch_rows`]. New rows start from
-    /// the same state a freshly reset layer would give them (zero membrane):
-    /// a zero row evolves `u = 0·τ + x` on its first timestep, which can
-    /// differ from a fresh `None` membrane's `u = x` only in the sign of
-    /// zero, a distinction the strict `u > V_th` spike comparison (and the
-    /// smooth step, a function of `u − V_th`) cannot observe — so a spliced
-    /// row's spikes, and everything downstream of them, are bitwise
-    /// identical to running that row alone. Existing rows are untouched.
-    ///
-    /// Layers without per-row state keep the default no-op; container layers
-    /// must forward the call to their children. Like compaction this is an
-    /// [`Mode::Eval`] operation: training caches are out of scope.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the carried state has no batch axis.
-    fn pad_batch_rows(&mut self, extra: usize, ws: &mut Workspace) -> Result<()> {
-        let _ = (extra, ws);
-        Ok(())
-    }
-
     /// Freezes any input-dependent normalization statistics so repeated
     /// forward passes become pure functions of the parameters (the
     /// conformance gradient checker needs this: batch-norm EMA updates
     /// otherwise make the loss depend on evaluation history). Default is a
-    /// no-op; container layers must forward the call to their children.
+    /// no-op.
     fn freeze_stats(&mut self) {}
 
     /// Deep-copies the layer behind a fresh box (lets [`crate::Snn`]
@@ -221,9 +163,20 @@ pub trait Layer: Send + Sync {
     /// signed `bits` grid (the IMC `weight_bits` deployment grid). The
     /// stored f32 weights are untouched — the on-grid codes are a cached
     /// view, rebuilt lazily whenever the weights change. Layers without
-    /// weight kernels ignore the call; container layers must forward it.
+    /// weight kernels ignore the call.
     fn quantize_weights(&mut self, bits: u32) {
         let _ = bits;
+    }
+}
+
+/// Disposes of an activation its consumer is done with: an Eval one is
+/// parked in the arena for the next take. A Train one is dropped — the
+/// Train arms that return plain tensors (LIF, dropout) never take from the
+/// arena, so parking their outputs would only pile buffers up in it for the
+/// whole BPTT window.
+pub(crate) fn retire(ws: &mut Workspace, mode: Mode, activation: Tensor) {
+    if mode == Mode::Eval {
+        ws.recycle_tensor(activation);
     }
 }
 

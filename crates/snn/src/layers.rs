@@ -7,13 +7,13 @@
 //! cached (sparse, binary) input spikes instead of caching the much larger
 //! column matrix.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{retire, Layer, Mode, Param};
 use crate::lif::{LifConfig, LifNeuron};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, conv2d_ws_quant, im2col,
-    linear_ws, linear_ws_quant, simd, Conv2dSpec, ConvPlan, PoolSpec, QuantizedWeights, Tensor,
-    TensorError, TensorRng, Workspace,
+    avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, conv2d_ws_quant, im2col, linear_ws,
+    linear_ws_quant, simd, Conv2dSpec, ConvPlan, PoolSpec, QuantizedWeights, Tensor, TensorError,
+    TensorRng, Workspace,
 };
 
 /// [`Layer::backend`] of a weight layer: the int8 kernels iff
@@ -109,39 +109,26 @@ impl Conv2d {
         Ok(plan.forward(input, Some(&self.bias.value), ws)?)
     }
 
-    /// Eval forward shared by `forward` and `forward_ws`, so the two stay
-    /// bitwise identical by construction: the int8 kernel iff the layer
-    /// opted in, the direct f32 kernel otherwise.
-    fn forward_eval(&mut self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let Some(bits) = self.quant_bits else {
-            return self.forward_packed(input, ws);
-        };
-        if self.quant.is_none() {
-            self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
-        }
-        let qw = self.quant.as_ref().expect("cache ensured above");
-        Ok(conv2d_ws_quant(input, qw, Some(&self.bias.value), &self.spec, ws)?)
-    }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        // No arena on this entry point: run against a throwaway workspace
-        // (bitwise identical to `forward_ws`, just allocating).
-        let mut ws = Workspace::new();
-        if mode == Mode::Train {
-            let out = self.forward_packed(input, &mut ws)?;
-            self.inputs.push(input.clone());
-            return Ok(out);
-        }
-        self.forward_eval(input, &mut ws)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+        // the int8 kernel iff Eval and opted in (training never reads the
+        // on-grid codes), the direct f32 kernel otherwise
+        let out = match self.quant_bits.filter(|_| mode == Mode::Eval) {
+            None => self.forward_packed(input, ws)?,
+            Some(bits) => {
+                if self.quant.is_none() {
+                    self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
+                }
+                let qw = self.quant.as_ref().expect("cache ensured above");
+                conv2d_ws_quant(input, qw, Some(&self.bias.value), &self.spec, ws)?
+            }
+        };
         if mode == Mode::Train {
-            return self.forward(input, mode);
+            self.inputs.push(input.clone());
         }
-        self.forward_eval(input, ws)
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -156,7 +143,7 @@ impl Layer for Conv2d {
         Ok(gx)
     }
 
-    fn reset_state(&mut self) {
+    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.inputs.clear();
     }
 
@@ -229,40 +216,26 @@ impl Linear {
         self.quant = None; // weights may change; on-grid codes are stale
         &mut self.weight.value
     }
-
-    /// Eval forward shared by `forward` and `forward_ws`: the int8 kernel
-    /// iff the layer opted in, the f32 one otherwise.
-    fn forward_eval(&mut self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let Some(bits) = self.quant_bits else {
-            return Ok(linear_ws(input, &self.weight.value, &self.bias.value, ws)?);
-        };
-        if self.quant.is_none() {
-            self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
-        }
-        let qw = self.quant.as_ref().expect("cache ensured above");
-        Ok(linear_ws_quant(input, qw, &self.bias.value, ws)?)
-    }
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        // No arena on this entry point: run against a throwaway workspace.
-        let mut ws = Workspace::new();
-        if mode == Mode::Train {
-            // y = x Wᵀ + b ; x is [n, in]: Eval's f32 kernel plus the input
-            // cache (training never reads the on-grid codes)
-            let out = linear_ws(input, &self.weight.value, &self.bias.value, &mut ws)?;
-            self.inputs.push(input.clone());
-            return Ok(out);
-        }
-        self.forward_eval(input, &mut ws)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+        // y = x Wᵀ + b ; x is [n, in]. The int8 kernel iff Eval and opted in
+        // (training never reads the on-grid codes), the f32 one otherwise.
+        let out = match self.quant_bits.filter(|_| mode == Mode::Eval) {
+            None => linear_ws(input, &self.weight.value, &self.bias.value, ws)?,
+            Some(bits) => {
+                if self.quant.is_none() {
+                    self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
+                }
+                let qw = self.quant.as_ref().expect("cache ensured above");
+                linear_ws_quant(input, qw, &self.bias.value, ws)?
+            }
+        };
         if mode == Mode::Train {
-            return self.forward(input, mode);
+            self.inputs.push(input.clone());
         }
-        self.forward_eval(input, ws)
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -276,7 +249,7 @@ impl Layer for Linear {
         Ok(grad_out.matmul(&self.weight.value)?)
     }
 
-    fn reset_state(&mut self) {
+    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.inputs.clear();
     }
 
@@ -335,7 +308,7 @@ pub enum BnStats {
 /// Channel-wise batch normalization over `[n, c, h, w]` activations for
 /// spiking networks, with selectable timestep semantics ([`BnStats`]).
 ///
-/// The internal timestep counter resets with [`Layer::reset_state`]. The
+/// The internal timestep counter resets with [`Layer::reset_state_ws`]. The
 /// tdBN-flavoured initialization `γ = α·V_th` \[23\] is available via
 /// [`BatchNorm2d::tdbn`].
 #[derive(Debug, Clone)]
@@ -426,42 +399,20 @@ impl BatchNorm2d {
         }
         Ok((d[0], d[1], d[2], d[3]))
     }
-
-    /// Eval-mode affine transform with the slot-`ti` EMA statistics; writes
-    /// every element of `dst` exactly once (shared by `forward` and
-    /// `forward_ws`, which keeps the two paths bitwise identical).
-    fn eval_into(&self, input: &Tensor, n: usize, c: usize, plane: usize, ti: usize, dst: &mut [f32]) {
-        for ci in 0..c {
-            let inv_std = 1.0 / (self.running_var[ti][ci] + self.eps).sqrt();
-            let mean = self.running_mean[ti][ci];
-            let g = self.gamma.value.data()[ci];
-            let b = self.beta.value.data()[ci];
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                simd::bn_affine(
-                    &mut dst[base..base + plane],
-                    &input.data()[base..base + plane],
-                    g,
-                    mean,
-                    inv_std,
-                    b,
-                );
-            }
-        }
-    }
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         let (n, c, h, w) = self.check_input(input)?;
-        let m = (n * h * w) as f32;
-        let mut out = input.clone();
         let plane = h * w;
         let t = self.t_index;
         self.t_index += 1;
         let slot = self.slot(t);
+        // either arm writes every element exactly once
+        let mut out = ws.take_overwrite(input.len());
         match mode {
             Mode::Train => {
+                let m = (n * plane) as f32;
                 self.ensure_timestep(slot);
                 // Batch statistics of this timestep update the EMA of the
                 // mode's slot (shared: all timesteps feed one slot, pooling
@@ -506,7 +457,7 @@ impl Layer for BatchNorm2d {
                         for p in 0..plane {
                             let xh = (input.data()[base + p] - mean) * inv_std;
                             x_hat.data_mut()[base + p] = xh;
-                            out.data_mut()[base + p] = g * xh + b;
+                            out[base + p] = g * xh + b;
                         }
                     }
                 }
@@ -519,28 +470,26 @@ impl Layer for BatchNorm2d {
                     self.ensure_timestep(0);
                 }
                 let ti = slot.min(self.running_mean.len() - 1);
-                self.eval_into(input, n, c, plane, ti, out.data_mut());
+                for ci in 0..c {
+                    let inv_std = 1.0 / (self.running_var[ti][ci] + self.eps).sqrt();
+                    let mean = self.running_mean[ti][ci];
+                    let g = self.gamma.value.data()[ci];
+                    let b = self.beta.value.data()[ci];
+                    for ni in 0..n {
+                        let base = (ni * c + ci) * plane;
+                        simd::bn_affine(
+                            &mut out[base..base + plane],
+                            &input.data()[base..base + plane],
+                            g,
+                            mean,
+                            inv_std,
+                            b,
+                        );
+                    }
+                }
             }
         }
-        Ok(out)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        let (n, c, h, w) = self.check_input(input)?;
-        let plane = h * w;
-        let t = self.t_index;
-        self.t_index += 1;
-        let slot = self.slot(t);
-        if self.running_mean.is_empty() {
-            self.ensure_timestep(0);
-        }
-        let ti = slot.min(self.running_mean.len() - 1);
-        let mut out = ws.take_overwrite(input.len());
-        self.eval_into(input, n, c, plane, ti, &mut out);
-        Tensor::from_aligned(out, input.dims()).map_err(SnnError::from)
+        Ok(Tensor::from_aligned(out, input.dims())?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -572,7 +521,7 @@ impl Layer for BatchNorm2d {
         Ok(gx)
     }
 
-    fn reset_state(&mut self) {
+    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.caches.clear();
         self.t_index = 0;
     }
@@ -602,6 +551,13 @@ impl Layer for BatchNorm2d {
 // AvgPool2d / Flatten / Dropout
 // ===========================================================================
 
+/// `input`'s elements under new `dims`, in an arena buffer.
+fn copy_through(input: &Tensor, dims: &[usize], ws: &mut Workspace) -> Result<Tensor> {
+    let mut out = ws.take_overwrite(input.len());
+    out.copy_from_slice(input.data());
+    Ok(Tensor::from_aligned(out, dims)?)
+}
+
 /// Average pooling layer.
 #[derive(Debug, Clone)]
 pub struct AvgPool2d {
@@ -621,19 +577,12 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = avg_pool2d(input, &self.spec)?;
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
+        let out = avg_pool2d_ws(input, &self.spec, ws)?;
         if mode == Mode::Train {
             self.input_hw.push((input.dims()[2], input.dims()[3]));
         }
         Ok(out)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        Ok(avg_pool2d_ws(input, &self.spec, ws)?)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -641,7 +590,7 @@ impl Layer for AvgPool2d {
         Ok(avg_pool2d_backward(grad_out, &self.spec, hw)?)
     }
 
-    fn reset_state(&mut self) {
+    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.input_hw.clear();
     }
 
@@ -670,7 +619,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         let d = input.dims();
         if d.len() < 2 {
             return Err(SnnError::BadInput(format!("flatten expects rank ≥ 2, got {d:?}")));
@@ -680,22 +629,7 @@ impl Layer for Flatten {
         if mode == Mode::Train {
             self.input_dims.push(d.to_vec());
         }
-        Ok(input.reshape(&[n, rest])?)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        let d = input.dims();
-        if d.len() < 2 {
-            return Err(SnnError::BadInput(format!("flatten expects rank ≥ 2, got {d:?}")));
-        }
-        let n = d[0];
-        let rest: usize = d[1..].iter().product();
-        let mut out = ws.take_overwrite(input.len());
-        out.copy_from_slice(input.data());
-        Tensor::from_aligned(out, &[n, rest]).map_err(SnnError::from)
+        copy_through(input, &[n, rest], ws)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -703,7 +637,7 @@ impl Layer for Flatten {
         Ok(grad_out.reshape(&dims)?)
     }
 
-    fn reset_state(&mut self) {
+    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.input_dims.clear();
     }
 
@@ -741,9 +675,11 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         if mode == Mode::Eval || self.p == 0.0 {
-            return Ok(input.clone());
+            // the identity; copied so the caller's recycle discipline stays
+            // uniform
+            return copy_through(input, input.dims(), ws);
         }
         let keep = 1.0 - self.p;
         let mut mask = Tensor::zeros(input.dims());
@@ -755,23 +691,12 @@ impl Layer for Dropout {
         Ok(out)
     }
 
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        // Eval dropout is the identity; copy through an arena buffer so the
-        // caller's recycle discipline stays uniform.
-        let mut out = ws.take_overwrite(input.len());
-        out.copy_from_slice(input.data());
-        Tensor::from_aligned(out, input.dims()).map_err(SnnError::from)
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let mask = self.masks.pop().ok_or(SnnError::MissingForwardCache("Dropout"))?;
         Ok(grad_out.mul(&mask)?)
     }
 
-    fn reset_state(&mut self) {
+    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.masks.clear();
     }
 
@@ -829,45 +754,40 @@ impl ResidualBlock {
     ) -> Self {
         ResidualBlock { main, shortcut, join: LifNeuron::new(lif) }
     }
+
+    /// Every child, main → shortcut → join: the one walk behind each call
+    /// the block forwards (the container contract of [`Layer`]).
+    fn each_child(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
+        for l in self.main.iter_mut().chain(&mut self.shortcut) {
+            f(l.as_mut());
+        }
+        f(&mut self.join);
+    }
+}
+
+/// Runs `input` through one branch, retiring each intermediate as soon as
+/// the next layer has consumed it. `None` stands for "still the block
+/// input" (an empty branch), which the caller owns.
+fn run_branch(
+    branch: &mut [Box<dyn Layer>],
+    input: &Tensor,
+    mode: Mode,
+    ws: &mut Workspace,
+) -> Result<Option<Tensor>> {
+    let mut x: Option<Tensor> = None;
+    for l in branch {
+        let y = l.forward_ws(x.as_ref().unwrap_or(input), mode, ws)?;
+        if let Some(prev) = x.replace(y) {
+            retire(ws, mode, prev);
+        }
+    }
+    Ok(x)
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut m = input.clone();
-        for l in &mut self.main {
-            m = l.forward(&m, mode)?;
-        }
-        let mut s = input.clone();
-        for l in &mut self.shortcut {
-            s = l.forward(&s, mode)?;
-        }
-        let joined = m.add(&s)?;
-        self.join.forward(&joined, mode)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        if mode == Mode::Train {
-            return self.forward(input, mode);
-        }
-        // Run both branches through the arena, recycling each intermediate as
-        // soon as the next layer has consumed it. `None` stands for "still
-        // the block input", which must not be recycled (the caller owns it).
-        let mut m: Option<Tensor> = None;
-        for l in &mut self.main {
-            let y = l.forward_ws(m.as_ref().unwrap_or(input), mode, ws)?;
-            if let Some(prev) = m.take() {
-                ws.recycle_tensor(prev);
-            }
-            m = Some(y);
-        }
-        let mut s: Option<Tensor> = None;
-        for l in &mut self.shortcut {
-            let y = l.forward_ws(s.as_ref().unwrap_or(input), mode, ws)?;
-            if let Some(prev) = s.take() {
-                ws.recycle_tensor(prev);
-            }
-            s = Some(y);
-        }
+        let m = run_branch(&mut self.main, input, mode, ws)?;
+        let s = run_branch(&mut self.shortcut, input, mode, ws)?;
         let (mt, st) = (m.as_ref().unwrap_or(input), s.as_ref().unwrap_or(input));
         if mt.dims() != st.dims() {
             return Err(SnnError::from(TensorError::ShapeMismatch {
@@ -879,15 +799,12 @@ impl Layer for ResidualBlock {
         for ((o, &a), &b) in j.iter_mut().zip(mt.data()).zip(st.data()) {
             *o = a + b;
         }
-        let joined = Tensor::from_aligned(j, mt.dims()).map_err(SnnError::from)?;
-        if let Some(t) = m {
-            ws.recycle_tensor(t);
-        }
-        if let Some(t) = s {
-            ws.recycle_tensor(t);
+        let joined = Tensor::from_aligned(j, mt.dims())?;
+        for t in [m, s].into_iter().flatten() {
+            retire(ws, mode, t);
         }
         let out = self.join.forward_ws(&joined, mode, ws)?;
-        ws.recycle_tensor(joined);
+        retire(ws, mode, joined);
         Ok(out)
     }
 
@@ -904,43 +821,24 @@ impl Layer for ResidualBlock {
         Ok(gm.add(&gs)?)
     }
 
-    fn reset_state(&mut self) {
-        for l in &mut self.main {
-            l.reset_state();
-        }
-        for l in &mut self.shortcut {
-            l.reset_state();
-        }
-        self.join.reset_state();
+    fn reset_state_ws(&mut self, ws: &mut Workspace) {
+        self.each_child(&mut |l| l.reset_state_ws(ws));
     }
 
-    fn reset_state_ws(&mut self, ws: &mut Workspace) {
-        for l in &mut self.main {
-            l.reset_state_ws(ws);
-        }
-        for l in &mut self.shortcut {
-            l.reset_state_ws(ws);
-        }
-        self.join.reset_state_ws(ws);
+    fn visit_carried(&mut self, f: &mut dyn FnMut(&mut Option<Tensor>)) {
+        self.each_child(&mut |l| l.visit_carried(f));
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for l in &mut self.main {
-            l.visit_params(f);
-        }
-        for l in &mut self.shortcut {
-            l.visit_params(f);
-        }
+        self.each_child(&mut |l| l.visit_params(f));
     }
 
     fn freeze_stats(&mut self) {
-        for l in &mut self.main {
-            l.freeze_stats();
-        }
-        for l in &mut self.shortcut {
-            l.freeze_stats();
-        }
-        self.join.freeze_stats();
+        self.each_child(&mut |l| l.freeze_stats());
+    }
+
+    fn quantize_weights(&mut self, bits: u32) {
+        self.each_child(&mut |l| l.quantize_weights(bits));
     }
 
     fn kind(&self) -> &'static str {
@@ -959,51 +857,12 @@ impl Layer for ResidualBlock {
         self.join.last_spike_row_densities()
     }
 
-    fn select_batch_rows(&mut self, rows: &[usize]) -> Result<()> {
-        for l in &mut self.main {
-            l.select_batch_rows(rows)?;
-        }
-        for l in &mut self.shortcut {
-            l.select_batch_rows(rows)?;
-        }
-        self.join.select_batch_rows(rows)
-    }
-
-    fn select_batch_rows_ws(&mut self, rows: &[usize], ws: &mut Workspace) -> Result<()> {
-        for l in &mut self.main {
-            l.select_batch_rows_ws(rows, ws)?;
-        }
-        for l in &mut self.shortcut {
-            l.select_batch_rows_ws(rows, ws)?;
-        }
-        self.join.select_batch_rows_ws(rows, ws)
-    }
-
-    fn pad_batch_rows(&mut self, extra: usize, ws: &mut Workspace) -> Result<()> {
-        for l in &mut self.main {
-            l.pad_batch_rows(extra, ws)?;
-        }
-        for l in &mut self.shortcut {
-            l.pad_batch_rows(extra, ws)?;
-        }
-        self.join.pad_batch_rows(extra, ws)
-    }
-
     fn backend_choices(&self, name: &str, out: &mut Vec<(String, &'static str)>) {
         for (i, l) in self.main.iter().enumerate() {
             l.backend_choices(&format!("{name}.main{i}"), out);
         }
         for (i, l) in self.shortcut.iter().enumerate() {
             l.backend_choices(&format!("{name}.shortcut{i}"), out);
-        }
-    }
-
-    fn quantize_weights(&mut self, bits: u32) {
-        for l in &mut self.main {
-            l.quantize_weights(bits);
-        }
-        for l in &mut self.shortcut {
-            l.quantize_weights(bits);
         }
     }
 }
@@ -1021,7 +880,7 @@ mod tests {
         let mut r = rng();
         let mut lin = Linear::new(4, 3, &mut r);
         let x = Tensor::ones(&[2, 4]);
-        let y = lin.forward(&x, Mode::Train).unwrap();
+        let y = lin.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         assert_eq!(y.dims(), &[2, 3]);
         let gx = lin.backward(&Tensor::ones(&[2, 3])).unwrap();
         assert_eq!(gx.dims(), &[2, 4]);
@@ -1033,7 +892,7 @@ mod tests {
         let mut r = rng();
         let mut lin = Linear::new(3, 2, &mut r);
         let x = Tensor::randn(&[2, 3], 0.0, 1.0, &mut r);
-        let y = lin.forward(&x, Mode::Train).unwrap();
+        let y = lin.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         let loss0 = y.sum();
         lin.backward(&Tensor::ones(&[2, 2])).unwrap();
         let mut grads = Vec::new();
@@ -1043,9 +902,9 @@ mod tests {
         assert!((grads[0].data()[0] - expect).abs() < 1e-5);
         // perturb W[0,0] and confirm numerically
         let eps = 1e-2;
-        lin.reset_state();
+        lin.reset_state_ws(&mut Workspace::new());
         lin.weight_mut().data_mut()[0] += eps;
-        let y2 = lin.forward(&x, Mode::Eval).unwrap();
+        let y2 = lin.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         let num = (y2.sum() - loss0) / eps;
         assert!((num - grads[0].data()[0]).abs() < 1e-2, "num={num} ana={}", grads[0].data()[0]);
     }
@@ -1060,16 +919,15 @@ mod tests {
             *v = f32::from(u8::from(r.bernoulli(0.2)));
         }
         let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut ws = Workspace::new();
         for x in [spikes, Tensor::randn(&[5, 40], 0.0, 1.0, &mut r)] {
-            let train = bits(lin.forward(&x, Mode::Train).unwrap());
-            assert_eq!(train, bits(lin.forward(&x, Mode::Eval).unwrap()));
-            let mut ws = Workspace::new();
+            let train = bits(lin.forward_ws(&x, Mode::Train, &mut ws).unwrap());
             assert_eq!(train, bits(lin.forward_ws(&x, Mode::Eval, &mut ws).unwrap()));
             // training never reads the on-grid codes
             let mut quantized = lin.clone();
             quantized.quantize_weights(4);
-            assert_eq!(train, bits(quantized.forward(&x, Mode::Train).unwrap()));
-            assert_ne!(train, bits(quantized.forward(&x, Mode::Eval).unwrap()));
+            assert_eq!(train, bits(quantized.forward_ws(&x, Mode::Train, &mut ws).unwrap()));
+            assert_ne!(train, bits(quantized.forward_ws(&x, Mode::Eval, &mut ws).unwrap()));
         }
     }
 
@@ -1078,7 +936,7 @@ mod tests {
         let mut r = rng();
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut r).unwrap();
         let x = Tensor::ones(&[1, 1, 4, 4]);
-        let y = conv.forward(&x, Mode::Train).unwrap();
+        let y = conv.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         assert_eq!(y.dims(), &[1, 2, 4, 4]);
         conv.backward(&Tensor::ones(y.dims())).unwrap();
         let mut total = 0.0;
@@ -1095,8 +953,8 @@ mod tests {
         let mut y = Tensor::zeros(&[8, 2, 3, 3]);
         for _ in 0..80 {
             let x = Tensor::randn(&[8, 2, 3, 3], 5.0, 2.0, &mut r);
-            y = bn.forward(&x, Mode::Train).unwrap();
-            bn.reset_state();
+            y = bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
+            bn.reset_state_ws(&mut Workspace::new());
         }
         let mean = y.mean();
         let var = y.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / y.len() as f32;
@@ -1111,8 +969,8 @@ mod tests {
         let mut y = Tensor::zeros(&[8, 1, 4, 4]);
         for _ in 0..80 {
             let x = Tensor::randn(&[8, 1, 4, 4], 0.0, 1.0, &mut r);
-            y = bn.forward(&x, Mode::Train).unwrap();
-            bn.reset_state();
+            y = bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
+            bn.reset_state_ws(&mut Workspace::new());
         }
         let mean = y.mean();
         let var = y.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / y.len() as f32;
@@ -1128,17 +986,17 @@ mod tests {
         let mut r = rng();
         for _ in 0..50 {
             let x = Tensor::randn(&[16, 1, 2, 2], 3.0, 1.0, &mut r);
-            bn.forward(&x, Mode::Train).unwrap();
-            bn.reset_state();
+            bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
+            bn.reset_state_ws(&mut Workspace::new());
         }
         // A larger probe batch keeps the train-mode EMA update small, so the
         // residual Eval/Train gap is dominated by the momentum (0.1) times the
         // batch-statistic sampling error rather than by the stream draw.
         let x = Tensor::randn(&[16, 1, 2, 2], 3.0, 1.0, &mut r);
-        let ye = bn.forward(&x, Mode::Eval).unwrap();
-        bn.reset_state();
-        let yt = bn.forward(&x, Mode::Train).unwrap();
-        bn.reset_state();
+        let ye = bn.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
+        bn.reset_state_ws(&mut Workspace::new());
+        let yt = bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
+        bn.reset_state_ws(&mut Workspace::new());
         for (a, b) in ye.data().iter().zip(yt.data()) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
@@ -1152,15 +1010,15 @@ mod tests {
         for _ in 0..60 {
             let x0 = Tensor::randn(&[8, 1, 2, 2], 0.0, 1.0, &mut r);
             let x1 = Tensor::randn(&[8, 1, 2, 2], 10.0, 1.0, &mut r);
-            bn.forward(&x0, Mode::Train).unwrap();
-            bn.forward(&x1, Mode::Train).unwrap();
-            bn.reset_state();
+            bn.forward_ws(&x0, Mode::Train, &mut Workspace::new()).unwrap();
+            bn.forward_ws(&x1, Mode::Train, &mut Workspace::new()).unwrap();
+            bn.reset_state_ws(&mut Workspace::new());
         }
         // eval: each timestep normalized by its own statistics → both ≈ 0 mean
         let x0 = Tensor::full(&[1, 1, 2, 2], 0.0);
         let x1 = Tensor::full(&[1, 1, 2, 2], 10.0);
-        let y0 = bn.forward(&x0, Mode::Eval).unwrap();
-        let y1 = bn.forward(&x1, Mode::Eval).unwrap();
+        let y0 = bn.forward_ws(&x0, Mode::Eval, &mut Workspace::new()).unwrap();
+        let y1 = bn.forward_ws(&x1, Mode::Eval, &mut Workspace::new()).unwrap();
         assert!(y0.mean().abs() < 0.5, "t0 mean {}", y0.mean());
         assert!(y1.mean().abs() < 0.5, "t1 mean {}", y1.mean());
         // shared-stats layer would misnormalize one of them
@@ -1174,10 +1032,10 @@ mod tests {
         let mut bn = BatchNorm2d::new(1);
         // warm EMA so the transform is stable
         for _ in 0..30 {
-            bn.forward(&x, Mode::Train).unwrap();
-            bn.reset_state();
+            bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
+            bn.reset_state_ws(&mut Workspace::new());
         }
-        let y = bn.forward(&x, Mode::Train).unwrap();
+        let y = bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         // loss = Σ y² / 2 → dL/dy = y
         let gx = bn.backward(&y).unwrap();
         // dx = dy·γ·inv_std: uniform positive scale of dy
@@ -1193,7 +1051,7 @@ mod tests {
         let eps = 1e-3;
         for (idx, _) in grads.iter().enumerate() {
             let mut bn2 = bn.clone();
-            bn2.reset_state();
+            bn2.reset_state_ws(&mut Workspace::new());
             let mut which = 0;
             bn2.visit_params(&mut |p: &mut Param| {
                 if which == idx {
@@ -1201,7 +1059,7 @@ mod tests {
                 }
                 which += 1;
             });
-            let y2 = bn2.forward(&x, Mode::Eval).unwrap();
+            let y2 = bn2.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
             let num = (y2.norm_sq() / 2.0 - loss0) / eps;
             let ana = grads[idx].data()[0];
             assert!((num - ana).abs() / ana.abs().max(1.0) < 0.15,
@@ -1213,7 +1071,7 @@ mod tests {
     fn flatten_roundtrip() {
         let mut fl = Flatten::new();
         let x = Tensor::ones(&[2, 3, 4, 4]);
-        let y = fl.forward(&x, Mode::Train).unwrap();
+        let y = fl.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         assert_eq!(y.dims(), &[2, 48]);
         let g = fl.backward(&y).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4, 4]);
@@ -1224,9 +1082,9 @@ mod tests {
         let mut r = rng();
         let mut drop = Dropout::new(0.5, &mut r).unwrap();
         let x = Tensor::ones(&[1, 1000]);
-        let ye = drop.forward(&x, Mode::Eval).unwrap();
+        let ye = drop.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         assert_eq!(ye, x);
-        let yt = drop.forward(&x, Mode::Train).unwrap();
+        let yt = drop.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         // inverted dropout: E[y] = x, so the mean should be ≈ 1
         assert!((yt.mean() - 1.0).abs() < 0.1, "mean={}", yt.mean());
         // surviving values are scaled by 1/keep = 2
@@ -1243,7 +1101,7 @@ mod tests {
         let lif = LifConfig { v_th: 0.5, ..LifConfig::default() };
         let mut block = ResidualBlock::new(vec![Box::new(conv)], vec![], lif);
         let x = Tensor::ones(&[1, 1, 4, 4]);
-        let y = block.forward(&x, Mode::Eval).unwrap();
+        let y = block.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         // x = 1 > v_th = 0.5 → all spike
         assert_eq!(y.sum(), 16.0);
         assert_eq!(block.last_spike_density(), Some(1.0));
@@ -1256,7 +1114,7 @@ mod tests {
         let lif = LifConfig { v_th: 1.0, ..LifConfig::default() };
         let mut block = ResidualBlock::new(vec![Box::new(conv)], vec![], lif);
         let x = Tensor::full(&[1, 1, 4, 4], 0.9);
-        block.forward(&x, Mode::Train).unwrap();
+        block.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         let gx = block.backward(&Tensor::ones(&[1, 1, 4, 4])).unwrap();
         assert_eq!(gx.dims(), &[1, 1, 4, 4]);
     }
@@ -1269,8 +1127,8 @@ mod tests {
         let mut bn = BatchNorm2d::new(3);
         for _ in 0..10 {
             let x = Tensor::randn(&[4, 3, 5, 5], 1.0, 2.0, &mut r);
-            bn.forward(&x, Mode::Train).unwrap();
-            bn.reset_state();
+            bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
+            bn.reset_state_ws(&mut Workspace::new());
         }
         let x = Tensor::randn(&[4, 3, 5, 5], 1.0, 2.0, &mut r);
         let run = |level: simd::SimdLevel, threads: usize| {

@@ -12,12 +12,12 @@
 //!
 //! ```
 //! use dtsnn_snn::{Layer, LifConfig, LifNeuron, Mode};
-//! use dtsnn_tensor::Tensor;
+//! use dtsnn_tensor::{Tensor, Workspace};
 //!
 //! # fn main() -> Result<(), dtsnn_snn::SnnError> {
 //! let mut lif = LifNeuron::new(LifConfig::default());
 //! let input = Tensor::full(&[1, 4], 2.0); // strong current → immediate spike
-//! let spikes = lif.forward(&input, dtsnn_snn::Mode::Eval)?;
+//! let spikes = lif.forward_ws(&input, Mode::Eval, &mut Workspace::new())?;
 //! assert_eq!(spikes.data(), &[1.0, 1.0, 1.0, 1.0]);
 //! # Ok(())
 //! # }

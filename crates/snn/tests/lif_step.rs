@@ -1,5 +1,5 @@
-//! The one-pass LIF step (`simd::lif_step`, reached through
-//! `LifNeuron::forward_ws`) against `LifNeuron::forward`'s plain tensor ops,
+//! The one-pass LIF step (`simd::lif_step`, the Eval arm of
+//! `LifNeuron::forward_ws`) against the plain tensor ops of its Train arm,
 //! bit for bit.
 //!
 //! In its own process: the equivalence test flips the process-wide thread
@@ -60,7 +60,7 @@ fn lif_step_matches_the_plain_tensor_forward_bitwise() {
                     let want: Vec<_> = inputs
                         .iter()
                         .map(|x| {
-                            let spikes = reference.forward(x, Mode::Eval).unwrap();
+                            let spikes = reference.forward_ws(x, Mode::Train, &mut ws).unwrap();
                             observe(&reference, &spikes)
                         })
                         .collect();

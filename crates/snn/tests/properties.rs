@@ -9,7 +9,7 @@ use dtsnn_snn::{
     cross_entropy_mean_output, cross_entropy_per_timestep, Flatten, Layer, LifConfig, LifNeuron,
     Linear, Mode, ResetMode, Snn, Surrogate,
 };
-use dtsnn_tensor::{Tensor, TensorRng};
+use dtsnn_tensor::{Tensor, TensorRng, Workspace};
 
 const CASES: u64 = 48;
 
@@ -32,7 +32,7 @@ fn lif_spike_count_monotone_in_input() {
             let x = Tensor::full(&[1, 4], level);
             let mut total = 0.0;
             for _ in 0..6 {
-                total += lif.forward(&x, Mode::Eval).unwrap().sum();
+                total += lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap().sum();
             }
             total
         };
@@ -53,7 +53,7 @@ fn lif_membrane_never_exceeds_threshold_after_reset() {
         let mut prev: Option<f32> = None;
         for &v in &inputs {
             let x = Tensor::full(&[1, 3], v);
-            let s = lif.forward(&x, Mode::Eval).unwrap();
+            let s = lif.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
             let u = lif.membrane().unwrap().data()[0];
             let spiked = s.data()[0] == 1.0;
             match reset {
@@ -89,7 +89,7 @@ fn lif_backward_cache_discipline() {
         let mut lif = LifNeuron::new(LifConfig::default());
         let x = Tensor::full(&[1, 2], 0.7);
         for _ in 0..t {
-            lif.forward(&x, Mode::Train).unwrap();
+            lif.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         }
         let g = Tensor::ones(&[1, 2]);
         for _ in 0..t {

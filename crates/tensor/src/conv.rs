@@ -508,8 +508,7 @@ pub fn conv2d_ws_quant(
     spec: &Conv2dSpec,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
-    let (_, binary) = input.spike_stats();
-    if !binary {
+    if !input.is_binary() {
         return conv2d_ws(input, qw.dequantized(), bias, spec, ws);
     }
     expect_dims(&[qw.rows(), qw.cols()], &spec.weight_dims())?;

@@ -67,7 +67,7 @@ pub use conv::{
 };
 pub use error::TensorError;
 pub use linalg::{linear_ws, linear_ws_quant};
-pub use ops::{log_softmax_rows, softmax_rows};
+pub use ops::{log_softmax_rows, softmax_in_place, softmax_rows};
 pub use pool::{avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, global_avg_pool, PoolSpec};
 pub use quant::QuantizedWeights;
 pub use rng::TensorRng;

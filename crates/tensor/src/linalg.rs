@@ -266,8 +266,7 @@ pub fn linear_ws_quant(
     bias: &Tensor,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
-    let (_, binary) = input.spike_stats();
-    if !binary {
+    if !input.is_binary() {
         return linear_ws(input, qw.dequantized(), bias, ws);
     }
     let (m, k) = mat_dims(input)?;

@@ -25,22 +25,26 @@ use crate::{Result, Tensor, TensorError};
 /// # }
 /// ```
 pub fn softmax_rows(logits: &Tensor) -> Result<Tensor> {
-    let (m, n) = mat_dims(logits)?;
+    let (_, n) = mat_dims(logits)?;
     let mut out = logits.clone();
-    let d = out.data_mut();
-    for i in 0..m {
-        let row = &mut d[i * n..(i + 1) * n];
-        let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut z = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - mx).exp();
-            z += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= z;
-        }
-    }
+    out.data_mut().chunks_exact_mut(n).for_each(softmax_in_place);
     Ok(out)
+}
+
+/// Numerically-stable softmax of one row of logits, in place — the row
+/// kernel of [`softmax_rows`], for callers that keep their rows in a
+/// preallocated buffer (the exit-decision window scores one row per sample
+/// per timestep). An empty row is left as it is.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut z = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - mx).exp();
+        z += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= z;
+    }
 }
 
 /// Row-wise log-softmax of an `[m, n]` matrix (stable: shifts by the row max

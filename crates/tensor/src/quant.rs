@@ -166,8 +166,7 @@ impl QuantizedWeights {
         if k != self.cols {
             return Err(TensorError::MatmulDims { lhs_cols: k, rhs_rows: self.cols });
         }
-        let (_, binary) = a.spike_stats();
-        if !binary {
+        if !a.is_binary() {
             return a.matmul_nt(&self.deq);
         }
         let mut out = Tensor::zeros(&[m, self.rows]);

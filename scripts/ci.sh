@@ -30,13 +30,16 @@ determinism() {
     t core robustness
 }
 
-# The layer-level conv plan must never outlive its weights, and the
-# workspace-threaded Snn forward must match the plain layer chain while
-# allocating nothing after warm-up (f32 and int8).
+# The layer-level conv plan must never outlive its weights; a row that lived
+# through any forward / compact / admit / reset schedule equals its solo run
+# (the one carried-state walk, through ResidualBlock too); and the warmed
+# loops allocate nothing: the timestep loop (f32 and int8), a dynamic batch
+# width (batched windows over a resnet run under `determinism`).
 layers() {
     t snn --test conv_plan
-    t snn workspace
+    t snn --test carried_state
     t snn warmed_timestep_loop
+    t snn allocation_free
 }
 
 # The explicit int8 path: packed spike operands, the integer kernel, a
@@ -66,8 +69,8 @@ simulator() { t imc --test simulator; }
 
 # Bit for bit, each test pinning thread count and tier per case (the ambient
 # values steer the references): the direct convolution = its im2col
-# reference, the one-pass LIF step = the plain-tensor LifNeuron::forward;
-# then every vector kernel against the scalar oracle. (The matmul family =
+# reference, the one-pass LIF step of Eval = the plain-tensor Train arm of
+# LifNeuron::forward_ws; then every vector kernel against the scalar oracle. (The matmul family =
 # the plain triple loop, tests/zero_skip.rs, reads no ambient knob: the
 # workspace run above is all it needs.)
 kernels() {
@@ -85,6 +88,9 @@ conformance() {
 }
 
 stage cargo build --release
+# the benchmark is a second consumer of the Layer / Snn / core / serve API
+# that the workspace build never compiles
+stage cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 stage cargo test --workspace -q
 stage cargo clippy --all-targets -- -D warnings
 for threads in 1 4; do

@@ -10,7 +10,7 @@ use dt_snn::imc::{
     SigmaEModule,
 };
 use dt_snn::snn::{Layer, LifConfig, LifNeuron, Mode, Surrogate};
-use dt_snn::tensor::{softmax_rows, Tensor, TensorRng};
+use dt_snn::tensor::{softmax_rows, Tensor, TensorRng, Workspace};
 
 const CASES: u64 = 64;
 
@@ -113,7 +113,7 @@ fn lif_spikes_are_binary_and_membrane_bounded() {
         });
         let frame = Tensor::from_vec(inputs, &[1, 8]).unwrap();
         for _ in 0..6 {
-            let s = lif.forward(&frame, Mode::Eval).unwrap();
+            let s = lif.forward_ws(&frame, Mode::Eval, &mut Workspace::new()).unwrap();
             assert!(
                 s.data().iter().all(|&v| v == 0.0 || v == 1.0),
                 "case {case}: non-binary spike"
