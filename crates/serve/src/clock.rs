@@ -17,8 +17,9 @@ pub trait Clock: Send {
     /// Nanoseconds since this clock's origin.
     fn now(&self) -> u64;
 
-    /// Accounts `nanos` of service time. A simulated clock jumps forward;
-    /// a real clock ignores the call (real work already took real time).
+    /// Accounts `nanos` of service time. A simulated clock jumps forward,
+    /// stopping at `u64::MAX`; a real clock ignores the call (real work
+    /// already took real time).
     fn advance(&self, nanos: u64);
 
     /// Blocks (real) or jumps (simulated) until `deadline` — used when the
@@ -49,7 +50,11 @@ impl Clock for SimClock {
     }
 
     fn advance(&self, nanos: u64) {
-        self.nanos.fetch_add(nanos, Ordering::SeqCst);
+        // saturating: a wrapped add would land at a small time and break
+        // the trait's monotonicity
+        let _ = self
+            .nanos
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |t| Some(t.saturating_add(nanos)));
     }
 
     fn wait_until(&self, deadline: u64) {

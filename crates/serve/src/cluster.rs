@@ -134,17 +134,17 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// A config with supervision defaults scaled to the service model:
     /// retry budget 3, backoff base = 4 step costs, stall timeout and
-    /// hedge delay = 20 step costs, 3 consecutive faults, brownout
-    /// disabled.
+    /// hedge delay = 20 step costs (each saturating), 3 consecutive faults,
+    /// brownout disabled.
     pub fn with_defaults(server: ServerConfig) -> Self {
         let step = server.service.step_cost(server.slots).max(1);
         ClusterConfig {
             queue_capacity: server.queue_capacity,
             server,
             retry_budget: 3,
-            backoff_base_nanos: step * 4,
-            stall_timeout_nanos: Some(step * 20),
-            hedge_after_nanos: Some(step * 20),
+            backoff_base_nanos: step.saturating_mul(4),
+            stall_timeout_nanos: Some(step.saturating_mul(20)),
+            hedge_after_nanos: Some(step.saturating_mul(20)),
             max_consecutive_faults: 3,
             brownout: BrownoutConfig::disabled(),
             record_events: false,

@@ -97,9 +97,11 @@ pub struct ServiceModel {
 }
 
 impl ServiceModel {
-    /// Cost of one timestep at the given batch width.
+    /// Cost of one timestep at the given batch width, saturating at
+    /// `u64::MAX` (the fields are public: a wrapped cost would send virtual
+    /// time backwards).
     pub fn step_cost(&self, width: usize) -> u64 {
-        self.step_fixed_nanos + self.step_per_row_nanos * width as u64
+        self.step_fixed_nanos.saturating_add(self.step_per_row_nanos.saturating_mul(width as u64))
     }
 }
 

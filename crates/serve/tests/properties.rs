@@ -5,8 +5,8 @@
 //! or rejected.
 
 use dtsnn_serve::{
-    replay_trace, Clock, CompletionStatus, Request, Server, ServerConfig, ServiceModel, SimClock,
-    ThetaController, TracedRequest,
+    replay_trace, Clock, ClusterConfig, CompletionStatus, Request, Server, ServerConfig,
+    ServiceModel, SimClock, ThetaController, TracedRequest,
 };
 use dtsnn_snn::{Flatten, Layer, LifConfig, LifNeuron, Linear, Snn};
 use dtsnn_tensor::{Tensor, TensorRng};
@@ -270,6 +270,39 @@ fn theta_controller_saturates_cleanly_at_extreme_depths() {
     assert!(ThetaController::new(0.6, 0.95, 0.0).is_err());
     assert!(ThetaController::new(0.6, 0.95, f32::INFINITY).is_err());
     assert!(ThetaController::new(0.6, 0.95, f32::NAN).is_err());
+}
+
+#[test]
+fn virtual_time_saturates_instead_of_wrapping() {
+    // step costs, the cluster defaults derived from them and the simulated
+    // clock all stop at u64::MAX: a wrapped value is a small time, and time
+    // that moves backwards breaks every deadline comparison
+    let service = ServiceModel { step_fixed_nanos: u64::MAX, step_per_row_nanos: u64::MAX };
+    assert_eq!(service.step_cost(0), u64::MAX);
+    assert_eq!(service.step_cost(usize::MAX), u64::MAX);
+    let per_row = ServiceModel { step_fixed_nanos: 7, step_per_row_nanos: u64::MAX / 2 };
+    assert_eq!(per_row.step_cost(1), u64::MAX / 2 + 7);
+    assert_eq!(per_row.step_cost(3), u64::MAX);
+
+    let config = ClusterConfig::with_defaults(ServerConfig {
+        max_timesteps: 6,
+        slots: 4,
+        queue_capacity: 8,
+        theta: ThetaController::fixed(0.9).unwrap(),
+        service,
+        default_deadline_nanos: None,
+        record_schedule: false,
+    });
+    assert_eq!(config.backoff_base_nanos, u64::MAX);
+    assert_eq!(config.stall_timeout_nanos, Some(u64::MAX));
+    assert_eq!(config.hedge_after_nanos, Some(u64::MAX));
+
+    let clock = SimClock::new();
+    clock.advance(u64::MAX - 5);
+    clock.advance(u64::MAX);
+    assert_eq!(clock.now(), u64::MAX);
+    clock.advance(1);
+    assert_eq!(clock.now(), u64::MAX, "a clock at the ceiling must stay there");
 }
 
 #[test]

@@ -181,7 +181,7 @@ impl BitMatrix {
 
     /// Visits the active columns of row `i` in ascending order: the
     /// readable reference for the tests below (the quantized kernel scans
-    /// words via [`crate::simd::quant_dot`]).
+    /// words itself, `quant::quant_dot`).
     #[cfg(test)]
     pub(crate) fn for_each_active<F: FnMut(usize)>(&self, i: usize, mut f: F) {
         for (wi, &word) in self.row_words(i).iter().enumerate() {

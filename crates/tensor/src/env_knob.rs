@@ -76,7 +76,7 @@ mod tests {
             ("off", Some(Some(SimdLevel::Scalar))),
             (" Scalar ", Some(Some(SimdLevel::Scalar))),
             ("none", Some(Some(SimdLevel::Scalar))),
-            ("SSE2", Some(Some(SimdLevel::Sse2))),
+            ("SSE2", Some(Some(SimdLevel::Scalar))), // the baseline is SSE2
             ("avx2", Some(Some(SimdLevel::Avx2))),
             ("avx512", None),
             ("fast", None),

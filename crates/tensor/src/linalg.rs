@@ -24,89 +24,192 @@ use crate::{parallel, simd, Result, Tensor, TensorError, Workspace};
 const BLOCK_K: usize = 64;
 /// N-dimension tile (floats): bounds the write window per pass.
 const BLOCK_N: usize = 256;
+/// Output columns `matmul_nt` carries per row: sixteen accumulators in a
+/// local array are two independent AVX2 add chains (four at the baseline
+/// width), which is what hides the add latency of the single chain each
+/// output element must keep.
+const NT_COLS: usize = 16;
+/// K-tile of `matmul_nt`: `NT_BLOCK_K` rows of [`NT_COLS`] packed `b` columns
+/// sit in a stack tile (8 KiB). Per output element the tiles are visited in
+/// ascending order and the partial accumulator round-trips through `out`
+/// between tiles — an exact f32 store/load, so blocking stays bitwise
+/// neutral.
+const NT_BLOCK_K: usize = 128;
 
-/// Dense blocked `out[m,n] += a[m,k] × b[k,n]` over a zeroed output buffer.
-/// Zero entries of `a` are skipped (bitwise neutral; what makes a spike
-/// operand cheap).
-pub(crate) fn matmul_dense(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    let work = m.saturating_mul(k).saturating_mul(n);
-    let lvl = simd::level();
-    parallel::for_each_row_chunk(out, n, m, work, |first_row, c| {
-        for jb in (0..n).step_by(BLOCK_N) {
-            let jend = (jb + BLOCK_N).min(n);
-            for pb in (0..k).step_by(BLOCK_K) {
-                let pend = (pb + BLOCK_K).min(k);
-                for (local_i, crow) in c.chunks_mut(n).enumerate() {
-                    let i = first_row + local_i;
-                    let ctile = &mut crow[jb..jend];
-                    for p in pb..pend {
-                        let av = a[i * k + p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[p * n + jb..p * n + jend];
-                        simd::add_scaled_row(ctile, av, brow, lvl);
+// The chunk kernels below are the bodies `simd`'s `per_tier!` entries compile
+// once per tier: safe code, plain loops, no closures (see `simd`'s module
+// docs). An empty extent runs no iteration.
+
+/// `c[i, j] += a[i, p] * b[p, j]` over the rows of `c` (row `first_row` of
+/// `a` onwards), blocked over `j` and `p`. A zero `a[i, p]` is skipped
+/// (bitwise neutral; what makes a spike operand cheap).
+#[inline(always)]
+pub(crate) fn matmul_chunk(
+    a: &[f32],
+    k: usize,
+    first_row: usize,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+) {
+    for jb in (0..n).step_by(BLOCK_N) {
+        let jend = (jb + BLOCK_N).min(n);
+        for pb in (0..k).step_by(BLOCK_K) {
+            let pend = (pb + BLOCK_K).min(k);
+            for (local_i, crow) in c.chunks_mut(n).enumerate() {
+                let arow = &a[(first_row + local_i) * k..][pb..pend];
+                let ctile = &mut crow[jb..jend];
+                for (p, &av) in (pb..pend).zip(arow) {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    // explicit multiply, then add: never an FMA
+                    for (cv, &bv) in ctile.iter_mut().zip(&b[p * n + jb..p * n + jend]) {
+                        *cv += av * bv;
                     }
                 }
             }
         }
-    });
+    }
 }
 
-/// Dense blocked `out[m,n] += aᵀ × b` with `a` stored `[k, m]`. `p` stays
-/// the loop over `a`'s rows; per output element the accumulation still
-/// ascends over `p` exactly like a serial pass.
-pub(crate) fn matmul_tn_dense(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    let work = m.saturating_mul(k).saturating_mul(n);
-    let lvl = simd::level();
-    parallel::for_each_row_chunk(out, n, m, work, |first_row, c| {
-        let rows = c.len() / n;
-        for jb in (0..n).step_by(BLOCK_N) {
-            let jend = (jb + BLOCK_N).min(n);
-            for pb in (0..k).step_by(BLOCK_K) {
-                let pend = (pb + BLOCK_K).min(k);
-                for p in pb..pend {
-                    let arow = &a[p * m + first_row..p * m + first_row + rows];
-                    let brow = &b[p * n + jb..p * n + jend];
-                    for (local_i, &av) in arow.iter().enumerate() {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let ctile = &mut c[local_i * n + jb..local_i * n + jend];
-                        simd::add_scaled_row(ctile, av, brow, lvl);
+/// [`matmul_chunk`] with `a` stored `[k, m]`: `p` stays the loop over `a`'s
+/// rows, and per output element the accumulation still ascends over `p`
+/// exactly like a serial pass.
+#[inline(always)]
+pub(crate) fn matmul_tn_chunk(
+    a: &[f32],
+    k: usize,
+    m: usize,
+    first_row: usize,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+) {
+    for jb in (0..n).step_by(BLOCK_N) {
+        let jend = (jb + BLOCK_N).min(n);
+        for pb in (0..k).step_by(BLOCK_K) {
+            for p in pb..(pb + BLOCK_K).min(k) {
+                let brow = &b[p * n + jb..p * n + jend];
+                for (crow, &av) in c.chunks_mut(n).zip(&a[p * m + first_row..]) {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (cv, &bv) in crow[jb..jend].iter_mut().zip(brow) {
+                        *cv += av * bv;
                     }
                 }
             }
         }
+    }
+}
+
+/// `c[i, j] = Σ_p a[i, p] * b[j, p]` over a **zero-filled** `c`, `b` stored
+/// `[n, k]`. Groups of [`NT_COLS`] columns are packed k-tile by k-tile into a
+/// stack tile, so the inner loop is one broadcast `a[i, p]` against sixteen
+/// contiguous weights, each product masked by [`nonzero_mask`]; per output
+/// element that is one ascending-`p` chain of multiply-then-add. The last
+/// group of a ragged `n` (all of a ten-class head) runs the same loop with
+/// its spare lanes computed on stale tile columns and dropped.
+#[inline(always)]
+pub(crate) fn matmul_nt_chunk(
+    a: &[f32],
+    k: usize,
+    first_row: usize,
+    b: &[f32],
+    n: usize,
+    c: &mut [f32],
+) {
+    let mut tile = [0.0f32; NT_BLOCK_K * NT_COLS];
+    let mut keep = [0u32; NT_BLOCK_K];
+    for jb in (0..n).step_by(NT_COLS) {
+        let cols = NT_COLS.min(n - jb);
+        for pb in (0..k).step_by(NT_BLOCK_K) {
+            let pend = (pb + NT_BLOCK_K).min(k);
+            for l in 0..cols {
+                let brow = &b[(jb + l) * k..][pb..pend];
+                for (pi, &bv) in brow.iter().enumerate() {
+                    tile[pi * NT_COLS + l] = bv;
+                }
+            }
+            for (local_i, crow) in c.chunks_mut(n).enumerate() {
+                let arow = &a[(first_row + local_i) * k..][pb..pend];
+                // The masks go through memory: on a compare of the one `av`
+                // all sixteen lanes share, LLVM forms a branch around the
+                // multiplies, and a branch on spike data mispredicts.
+                for (kp, &av) in keep.iter_mut().zip(arow) {
+                    *kp = nonzero_mask(av);
+                }
+                let cgroup = &mut crow[jb..jb + cols];
+                let mut acc = [0.0f32; NT_COLS];
+                acc[..cols].copy_from_slice(cgroup);
+                for ((&av, &kp), bvs) in arow.iter().zip(&keep).zip(tile.chunks_exact(NT_COLS)) {
+                    for (sum, &bv) in acc.iter_mut().zip(bvs) {
+                        // explicit multiply, then add: never an FMA
+                        *sum += f32::from_bits((av * bv).to_bits() & kp);
+                    }
+                }
+                cgroup.copy_from_slice(&acc[..cols]);
+            }
+        }
+    }
+}
+
+/// All ones iff `a` is nonzero (NaN counts as nonzero). ANDed onto the bits
+/// of a product `a * b` it leaves `+0.0` for a zero `a` whatever `b` is.
+/// Bitwise neutral for finite operands (a sum that starts at `+0.0` can never
+/// become `-0.0`), and it keeps a weight behind a silent input out of the
+/// sum, as the skip of the row-add kernels does. A mask, not a branch: the
+/// loop is bound by the add chain and a branch on spike data mispredicts.
+#[inline(always)]
+fn nonzero_mask(a: f32) -> u32 {
+    u32::from(a != 0.0).wrapping_neg()
+}
+
+/// `c[i, j] += bias[j]` over the rows of `c`.
+#[inline(always)]
+pub(crate) fn add_bias_chunk(c: &mut [f32], n: usize, bias: &[f32]) {
+    if n == 0 {
+        return; // (`chunks_mut(0)` panics; the matmul bodies run no iteration)
+    }
+    for crow in c.chunks_mut(n) {
+        for (cv, &bv) in crow.iter_mut().zip(bias) {
+            *cv += bv;
+        }
+    }
+}
+
+/// Dense blocked `out[m,n] += a[m,k] × b[k,n]` over a zeroed output buffer.
+pub(crate) fn matmul_dense(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let work = m.saturating_mul(k).saturating_mul(n);
+    parallel::for_each_row_chunk(out, n, m, work, |r, c| simd::matmul_chunk(a, k, r, b, n, c));
+}
+
+/// Dense blocked `out[m,n] += aᵀ × b` with `a` stored `[k, m]`.
+pub(crate) fn matmul_tn_dense(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let work = m.saturating_mul(k).saturating_mul(n);
+    parallel::for_each_row_chunk(out, n, m, work, |first_row, c| {
+        simd::matmul_tn_chunk(a, k, m, first_row, b, n, c);
     });
 }
 
 /// Dense `out[m,n] += a[m,k] × bᵀ` over a **zero-filled** `out`, with `b`
-/// stored `[n, k]`; zero entries of `a` are skipped here too. The SIMD tiers
-/// tile over output columns with the partial accumulator parked in `out`
-/// between k-tiles (an exact f32 store/load), which is why the buffer must
-/// start zeroed; every caller passes a fresh [`crate::Tensor::zeros`] or
-/// zero-filled [`crate::Workspace::take`] buffer.
+/// stored `[n, k]`. The partial accumulator is parked in `out` between
+/// k-tiles, which is why the buffer must start zeroed; every caller passes a
+/// fresh [`crate::Tensor::zeros`] or zero-filled [`crate::Workspace::take`]
+/// buffer.
 pub(crate) fn matmul_nt_dense(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if m == 0 || n == 0 {
         return;
     }
     let work = m.saturating_mul(k).saturating_mul(n);
-    let lvl = simd::level();
-    parallel::for_each_row_chunk(out, n, m, work, |first_row, c| {
-        simd::matmul_nt_chunk(a, k, first_row, c.len() / n, b, n, c, lvl);
-    });
+    parallel::for_each_row_chunk(out, n, m, work, |r, c| simd::matmul_nt_chunk(a, k, r, b, n, c));
 }
 
 /// `c[rows, n] += bias[n]` broadcast over rows, row-partitioned.
 pub(crate) fn add_bias_rows(c: &mut [f32], n: usize, rows: usize, b: &[f32]) {
     let work = rows.saturating_mul(n);
-    let lvl = simd::level();
-    parallel::for_each_row_chunk(c, n, rows, work, |_, chunk| {
-        for crow in chunk.chunks_mut(n) {
-            simd::add_row(crow, b, lvl);
-        }
-    });
+    parallel::for_each_row_chunk(c, n, rows, work, |_, chunk| simd::add_bias_chunk(chunk, n, b));
 }
 
 impl Tensor {

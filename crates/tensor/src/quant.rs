@@ -26,7 +26,7 @@
 //! fixed point of the grid snap.
 
 use crate::bitset::BitMatrix;
-use crate::{parallel, simd, Result, Tensor, TensorError};
+use crate::{parallel, Result, Tensor, TensorError};
 
 /// Quantize-then-dequantize one weight on the signed `weight_bits` grid
 /// with full-scale magnitude `scale` (the ideal, noise-free deployment).
@@ -39,6 +39,24 @@ pub fn quantize_dequantize(w: f32, scale: f32, weight_bits: u32) -> f32 {
     let delta = scale / levels as f32;
     let q = ((w / delta).round() as i64).clamp(-levels, levels - 1);
     q as f32 * delta
+}
+
+/// Exact integer dot of a packed spike row (`words`, bit `p` set ⇔ input `p`
+/// active) against an `i8` code row: the sum of the active codes. A bit-scan
+/// — integer code with nothing for a vector tier to widen, and integer
+/// accumulation is order-free, so every build returns the same `i32`.
+#[inline]
+fn quant_dot(words: &[u64], q: &[i8]) -> i32 {
+    let mut acc = 0i32;
+    for (wi, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let p = wi * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            acc += i32::from(q[p]);
+        }
+    }
+    acc
 }
 
 /// A `[n_out, k]` weight matrix frozen onto the `weight_bits` grid: `i8`
@@ -134,17 +152,13 @@ impl QuantizedWeights {
         }
         let k = self.cols;
         let work = a.nnz().saturating_mul(n);
-        let lvl = simd::level();
         parallel::for_each_row_chunk(out, n, a.rows(), work, |first_row, c| {
             for (local_i, crow) in c.chunks_mut(n).enumerate() {
                 let i = first_row + local_i;
                 let words = a.row_words(i);
                 for (j, cv) in crow.iter_mut().enumerate() {
                     let qrow = &self.q[j * k..(j + 1) * k];
-                    // exact i32 sum of the active codes (integer adds are
-                    // order-free, so the SIMD lane reduction is exact)
-                    let acc = simd::quant_dot(words, qrow, lvl);
-                    *cv = acc as f32 * self.delta;
+                    *cv = quant_dot(words, qrow) as f32 * self.delta;
                 }
             }
         });
@@ -223,28 +237,33 @@ mod tests {
     #[test]
     fn integer_kernel_matches_naive_code_sums() {
         let mut rng = TensorRng::seed_from(203);
-        let w = Tensor::randn(&[6, 40], 0.0, 0.5, &mut rng);
-        let qw = QuantizedWeights::from_tensor(&w, 8).unwrap();
-        let mut x = Tensor::zeros(&[9, 40]);
-        for v in x.data_mut().iter_mut() {
-            if rng.bernoulli(0.3) {
-                *v = 1.0;
-            }
-        }
-        let mut bm = BitMatrix::new();
-        bm.build_from_dense(x.data(), 9, 40).unwrap();
-        let mut out = vec![0.0f32; 9 * 6];
-        qw.matmul_nt_bits_into(&bm, &mut out);
-        for i in 0..9 {
-            for j in 0..6 {
-                let mut acc: i32 = 0;
-                for p in 0..40 {
-                    if x.data()[i * 40 + p] == 1.0 {
-                        acc += i32::from(qw.q[j * 40 + p]);
+        // k on both sides of the 64-bit spike words, empty to full rows
+        for k in [1usize, 40, 63, 64, 65, 200] {
+            for density in [0.0f32, 0.3, 1.0] {
+                let w = Tensor::randn(&[6, k], 0.0, 0.5, &mut rng);
+                let qw = QuantizedWeights::from_tensor(&w, 8).unwrap();
+                let mut x = Tensor::zeros(&[9, k]);
+                for v in x.data_mut().iter_mut() {
+                    if rng.bernoulli(density) {
+                        *v = 1.0;
                     }
                 }
-                let want = acc as f32 * qw.delta();
-                assert_eq!(want.to_bits(), out[i * 6 + j].to_bits(), "({i},{j})");
+                let mut bm = BitMatrix::new();
+                bm.build_from_dense(x.data(), 9, k).unwrap();
+                let mut out = vec![0.0f32; 9 * 6];
+                qw.matmul_nt_bits_into(&bm, &mut out);
+                for i in 0..9 {
+                    for j in 0..6 {
+                        let mut acc: i32 = 0;
+                        for p in 0..k {
+                            if x.data()[i * k + p] == 1.0 {
+                                acc += i32::from(qw.q[j * k + p]);
+                            }
+                        }
+                        let want = acc as f32 * qw.delta();
+                        assert_eq!(want.to_bits(), out[i * 6 + j].to_bits(), "k={k} ({i},{j})");
+                    }
+                }
             }
         }
     }

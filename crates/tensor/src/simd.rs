@@ -1,15 +1,21 @@
-//! Runtime-dispatched SIMD kernel tier (AVX2 → SSE2 → scalar).
+//! Runtime-dispatched vector width for every kernel (AVX2 → baseline).
 //!
 //! Every kernel in this crate keeps one discipline: **each output element
 //! accumulates its terms in exactly the serial order**, so results are
-//! bitwise identical across thread counts. The vector code here preserves
-//! that discipline by vectorizing **across the output-column (`j`)
-//! dimension**: each SIMD lane owns one independent
-//! output accumulator, so no lane ever reorders another element's terms,
-//! there is no horizontal float reduction, and every term is an explicit
-//! multiply followed by an explicit add — **never an FMA** (scalar Rust
-//! emits separate `mulss`/`addss`; a fused contraction would change the
-//! rounding and break every golden trace).
+//! bitwise identical across thread counts. Vector code preserves that
+//! discipline by vectorizing **across the output-column (`j`) dimension**:
+//! each lane owns one independent output accumulator, so no lane ever
+//! reorders another element's terms, there is no horizontal float reduction,
+//! and every term is an explicit multiply followed by an explicit add —
+//! **never an FMA** (a fused contraction would change the rounding and break
+//! every golden trace).
+//!
+//! There is one mechanism. A kernel is a safe `#[inline(always)]` function of
+//! plain loops, and `per_tier!` compiles it twice: inside an
+//! `#[target_feature(enable = "avx2")]` entry, where LLVM vectorizes the
+//! loops 256 bits wide, and for the target's baseline (128-bit SSE2 on
+//! x86_64, whatever the target has elsewhere). No kernel is written in
+//! intrinsics and none takes a level as an argument.
 //!
 //! # Dispatch ladder
 //!
@@ -17,101 +23,82 @@
 //!
 //! 1. a process-wide override installed with [`set_level`] / [`with_level`]
 //!    (tests and benches pin the tier to compare),
-//! 2. the `DTSNN_SIMD` environment variable
-//!    (`auto|off|scalar|sse2|avx2`, read once; malformed values warn once
-//!    and fall back to `auto`),
+//! 2. the `DTSNN_SIMD` environment variable (`auto|off|scalar|avx2`, read
+//!    once; `sse2` is accepted as a synonym of `off` — x86_64's baseline *is*
+//!    SSE2; malformed values warn once and fall back to `auto`),
 //! 3. runtime CPU-feature detection (`is_x86_feature_detected!`), cached in
 //!    a `OnceLock`.
 //!
 //! A request above the host's capability is capped at the detected level —
-//! forcing `avx2` on an SSE2-only host runs SSE2 rather than faulting — so
-//! every resolved level is safe to execute. Non-`x86_64` targets always
-//! resolve to [`SimdLevel::Scalar`]; the scalar bodies double as the
-//! conformance oracle for the vector paths.
+//! forcing `avx2` on a host without it runs the baseline rather than
+//! faulting — so every resolved level is safe to execute. Non-`x86_64`
+//! targets always resolve to [`SimdLevel::Scalar`]; the baseline build
+//! doubles as the conformance oracle for the AVX2 one.
 //!
 //! # Dispatch granularity
 //!
 //! A `#[target_feature]` function never inlines into a caller without the
-//! feature, so the dispatch sits where that call is amortized:
-//!
-//! - **Whole kernels** ([`lif_step`], [`bn_affine`], the convolution's
-//!   per-sample scatter): the body is safe Rust with plain loops, marked
-//!   `#[inline(always)]` and instantiated inside one AVX2 entry function
-//!   (its baseline build serves SSE2 and scalar). One call per kernel call;
-//!   LLVM vectorizes the loops at the tier's width and everything between
-//!   them inlines. Per event these kernels do a handful of adds, so a call
-//!   per row was most of their time.
-//! - **Row primitives** ([`add_row`], [`add_scaled_row`], [`quant_dot`],
-//!   [`matmul_nt_chunk`]): hand-written intrinsics taking the level as an
-//!   argument, called per row by the `linalg` and `quant` matmul kernels.
-//!   Their rows are a weight matrix's width (hundreds of floats),
-//!   `matmul_nt_chunk` needs a register blocking no vectorizer derives, and
-//!   rows under 32 floats inline the scalar loop instead of paying the call.
+//! feature, so each entry sits where that call is amortized and everything
+//! under it inlines: one call per [`lif_step`] / [`bn_affine`], one per
+//! sample of the convolution's scatter, one per worker's row chunk of a
+//! matmul or bias add (the entry is called inside
+//! [`crate::parallel::for_each_row_chunk`]'s closure, never per row). A body
+//! keeps its hot loops out of closures and non-inlined helpers: a callee
+//! LLVM declines to inline is compiled for the baseline and called from the
+//! AVX2 entry — bitwise correct, at the wrong width (`scripts/ci.sh`'s
+//! `vector_width` stage reads the disassembly for exactly that). The
+//! quantized integer dot ([`crate::QuantizedWeights`]) is a bit-scan —
+//! integer code with nothing to widen — and is not tiered at all.
 //!
 //! # Exactness notes
 //!
-//! - f32 paths: lane-parallel over `j`, per-element op order unchanged →
-//!   bitwise identical to scalar (pinned by the unit tests here, fuzz
-//!   oracle 13 and the `DTSNN_SIMD=off` vs `auto` CI stage).
-//! - int8 quantized dot: i16→i32 sign-extended widening multiplies; integer
-//!   accumulation is associative, so the lane reduction is exact on the
-//!   i32 grid — same integer, same single f32 rescale.
-//! - Compiler-vectorized kernels: the loops are elementwise (nothing to
-//!   reassociate) and a multiply and an add cannot contract — no `fma`
-//!   feature is enabled and Rust never permits contraction — so every tier
-//!   is the same arithmetic. LIF/BatchNorm keep the literal expression
-//!   (`u · (1 − s)`, not a mask select: an `inf` membrane that spikes still
-//!   yields `NaN`).
+//! - The loops are elementwise over output columns (nothing to reassociate)
+//!   and a multiply and an add cannot contract — no `fma` feature is enabled
+//!   and Rust never permits contraction — so both builds of a body are the
+//!   same arithmetic, bit for bit (pinned by the unit tests here,
+//!   `tests/zero_skip.rs`, `tests/conv_direct.rs`, fuzz oracle 13 and the
+//!   `DTSNN_SIMD=off` vs `auto` CI stages).
+//! - LIF/BatchNorm keep the literal expression (`u · (1 − s)`, not a mask
+//!   select: an `inf` membrane that spikes still yields `NaN`).
 
-// The only unsafety here is calling `#[target_feature]` functions; every
-// call site is guarded by the dispatch ladder, which never resolves above
-// the detected CPU capability.
+// The only unsafety here is `per_tier!`'s call of its `#[target_feature]`
+// entry, guarded by the dispatch ladder, which never resolves above the
+// detected CPU capability.
 #![allow(unsafe_code)]
 
 use crate::env_knob::EnvKnob;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// The instruction tiers the kernels can dispatch to, ordered by
-/// capability: a level's kernels may be used whenever the host supports it.
+/// The builds of a kernel body the dispatch can pick, ordered by capability:
+/// a level may be used whenever the host supports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Plain Rust loops — the conformance oracle and non-x86_64 path.
+    /// The target's baseline build (128-bit SSE2 on x86_64) — the
+    /// conformance oracle and the non-x86_64 path.
     Scalar,
-    /// 128-bit SSE2 vectors (x86_64 baseline).
-    Sse2,
-    /// 256-bit AVX2 vectors.
+    /// The body compiled with 256-bit AVX2 vectors enabled.
     Avx2,
 }
 
 impl SimdLevel {
     /// All levels in ascending capability order.
-    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
+    pub const ALL: [SimdLevel; 2] = [SimdLevel::Scalar, SimdLevel::Avx2];
 
     /// Stable lowercase name (used in bench JSON context and CI logs).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
 
     fn to_index(self) -> usize {
-        match self {
-            SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 2,
-            SimdLevel::Avx2 => 3,
-        }
+        self as usize + 1
     }
 
     fn from_index(i: usize) -> Option<SimdLevel> {
-        match i {
-            1 => Some(SimdLevel::Scalar),
-            2 => Some(SimdLevel::Sse2),
-            3 => Some(SimdLevel::Avx2),
-            _ => None,
-        }
+        SimdLevel::ALL.get(i.wrapping_sub(1)).copied()
     }
 }
 
@@ -121,18 +108,18 @@ static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
 /// `None` is auto (detected) dispatch.
 pub(crate) static ENV_LEVEL: EnvKnob<Option<SimdLevel>> = EnvKnob::new(
     "DTSNN_SIMD",
-    "one of auto|off|scalar|sse2|avx2; using auto dispatch",
+    "one of auto|off|scalar|avx2; using auto dispatch",
     parse_simd,
 );
 
-/// The `DTSNN_SIMD` grammar; the outer `None` flags a malformed value. A
-/// level above the host's capability parses (and is capped by [`level`]),
-/// with a notice.
+/// The `DTSNN_SIMD` grammar; the outer `None` flags a malformed value.
+/// `sse2` stays a synonym of `off`: it named a tier that resolved to the
+/// baseline build. A level above the host's capability parses (and is capped
+/// by [`level`]), with a notice.
 fn parse_simd(raw: &str) -> Option<Option<SimdLevel>> {
     let level = match raw.trim().to_ascii_lowercase().as_str() {
         "" | "auto" => None,
-        "off" | "scalar" | "none" => Some(SimdLevel::Scalar),
-        "sse2" => Some(SimdLevel::Sse2),
+        "off" | "scalar" | "none" | "sse2" => Some(SimdLevel::Scalar),
         "avx2" => Some(SimdLevel::Avx2),
         _ => return None,
     };
@@ -149,8 +136,6 @@ fn parse_simd(raw: &str) -> Option<Option<SimdLevel>> {
 fn detect() -> SimdLevel {
     if std::arch::is_x86_feature_detected!("avx2") {
         SimdLevel::Avx2
-    } else if std::arch::is_x86_feature_detected!("sse2") {
-        SimdLevel::Sse2
     } else {
         SimdLevel::Scalar
     }
@@ -197,9 +182,8 @@ pub fn cpu_features() -> String {
 }
 
 /// The level the kernels will actually run at: the forced level (override →
-/// `DTSNN_SIMD`) capped at the host capability, or the detected level.
-/// Kernels hoist this once per call and pass it down, so the inner loops
-/// never touch the atomics.
+/// `DTSNN_SIMD`) capped at the host capability, or the detected level. Read
+/// once per `per_tier!` entry, so the inner loops never touch the atomics.
 pub fn level() -> SimdLevel {
     let cap = detected();
     let packed = OVERRIDE.load(Ordering::Relaxed);
@@ -220,7 +204,8 @@ pub fn set_level(level: Option<SimdLevel>) -> Option<SimdLevel> {
 
 /// Runs `f` with the SIMD tier pinned to `level`, restoring the previous
 /// override afterwards — the scoped guard the equivalence tests and the
-/// speedup bench use to compare tiers in one process.
+/// benchmark's `tensor.simd_speedup` probe use to compare tiers in one
+/// process.
 pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
     let prev = set_level(Some(level));
     let out = f();
@@ -229,399 +214,18 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 }
 
 // --------------------------------------------------------------------------
-// Row primitives: the vectorizable inner loops of the matmul kernels. `c`
-// and `b` are equal-length row slices; each lane owns one output column, so
-// the per-element op order is exactly the scalar loop's.
-// --------------------------------------------------------------------------
-
-/// `c[j] += b[j]` — the bias broadcast.
-#[inline]
-pub fn add_row(c: &mut [f32], b: &[f32], level: SimdLevel) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // short rows inline the scalar loop: the vector fns cannot inline
-        // across the #[target_feature] boundary and the call costs more
-        // than it saves under ~4 vectors (both tiers are bitwise equal,
-        // so the gate is invisible to everything but the clock)
-        if c.len() >= 32 {
-            match level {
-                // SAFETY: level() caps at the detected capability, so the
-                // required CPU features are present.
-                SimdLevel::Avx2 => return unsafe { add_row_avx2(c, b) },
-                SimdLevel::Sse2 => return unsafe { add_row_sse2(c, b) },
-                SimdLevel::Scalar => {}
-            }
-        }
-    }
-    let _ = level;
-    for (cv, &bv) in c.iter_mut().zip(b) {
-        *cv += bv;
-    }
-}
-
-/// `c[j] += a * b[j]` — the scaled row-add of the blocked matmul kernels.
-/// Explicit multiply-then-add per lane; never an FMA.
-#[inline]
-pub fn add_scaled_row(c: &mut [f32], a: f32, b: &[f32], level: SimdLevel) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // same short-row gate as `add_row` — see the comment there
-        if c.len() >= 32 {
-            match level {
-                // SAFETY: level() caps at the detected capability.
-                SimdLevel::Avx2 => return unsafe { add_scaled_row_avx2(c, a, b) },
-                SimdLevel::Sse2 => return unsafe { add_scaled_row_sse2(c, a, b) },
-                SimdLevel::Scalar => {}
-            }
-        }
-    }
-    let _ = level;
-    for (cv, &bv) in c.iter_mut().zip(b) {
-        *cv += a * bv;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    /// K-tile of the packed `matmul_nt` kernel: rows of packed `b` columns
-    /// held in a stack tile (`NT_BLOCK_K × 8` floats = 4 KiB at AVX2 width).
-    /// Per output element the tiles are visited in ascending order and the
-    /// partial accumulator round-trips through `out` between tiles — an
-    /// exact f32 store/load, so blocking stays bitwise neutral.
-    pub(super) const NT_BLOCK_K: usize = 128;
-
-    macro_rules! elementwise {
-        ($name:ident, $feat:literal, $width:expr, $loadu:ident, $storeu:ident,
-         |$va:ident, $vb:ident| $vec:expr, |$sa:ident, $sb:ident| $scalar:expr) => {
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $name(c: &mut [f32], b: &[f32]) {
-                let n = c.len().min(b.len());
-                let mut j = 0;
-                // SAFETY: j + WIDTH <= n bounds every pointer access.
-                unsafe {
-                    while j + $width <= n {
-                        let $va = $loadu(c.as_ptr().add(j));
-                        let $vb = $loadu(b.as_ptr().add(j));
-                        $storeu(c.as_mut_ptr().add(j), $vec);
-                        j += $width;
-                    }
-                }
-                for jj in j..n {
-                    let $sa = c[jj];
-                    let $sb = b[jj];
-                    c[jj] = $scalar;
-                }
-            }
-        };
-    }
-
-    elementwise!(add_row_avx2, "avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps,
-        |a, b| _mm256_add_ps(a, b), |x, y| x + y);
-    elementwise!(add_row_sse2, "sse2", 4, _mm_loadu_ps, _mm_storeu_ps,
-        |a, b| _mm_add_ps(a, b), |x, y| x + y);
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_scaled_row_avx2(c: &mut [f32], a: f32, b: &[f32]) {
-        let n = c.len().min(b.len());
-        let mut j = 0;
-        // SAFETY: j + 8 <= n bounds every pointer access.
-        unsafe {
-            let av = _mm256_set1_ps(a);
-            while j + 8 <= n {
-                let cv = _mm256_loadu_ps(c.as_ptr().add(j));
-                let bv = _mm256_loadu_ps(b.as_ptr().add(j));
-                // mul then add — not fused, matching scalar rounding
-                _mm256_storeu_ps(c.as_mut_ptr().add(j), _mm256_add_ps(cv, _mm256_mul_ps(av, bv)));
-                j += 8;
-            }
-        }
-        for jj in j..n {
-            c[jj] += a * b[jj];
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn add_scaled_row_sse2(c: &mut [f32], a: f32, b: &[f32]) {
-        let n = c.len().min(b.len());
-        let mut j = 0;
-        // SAFETY: j + 4 <= n bounds every pointer access.
-        unsafe {
-            let av = _mm_set1_ps(a);
-            while j + 4 <= n {
-                let cv = _mm_loadu_ps(c.as_ptr().add(j));
-                let bv = _mm_loadu_ps(b.as_ptr().add(j));
-                _mm_storeu_ps(c.as_mut_ptr().add(j), _mm_add_ps(cv, _mm_mul_ps(av, bv)));
-                j += 4;
-            }
-        }
-        for jj in j..n {
-            c[jj] += a * b[jj];
-        }
-    }
-
-    macro_rules! nt_chunk {
-        ($name:ident, $feat:literal, $width:expr, $set1:ident, $loadu:ident,
-         $storeu:ident, $add:ident, $mul:ident, $and:ident, $nonzero:ident) => {
-            /// One worker's row chunk of `out[m,n] += a[m,k] × bᵀ[n,k]` over
-            /// a zero-filled chunk: packs `$width` columns of `bᵀ` per
-            /// k-tile into a stack-resident tile, broadcasts `a[i][p]` and
-            /// does lane-parallel mul-then-add, the product masked to
-            /// `+0.0` where `a[i][p]` is zero. Tail columns fall back to the
-            /// scalar dot (same ascending-k order, same masking, overwrite
-            /// of a zero).
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $name(
-                a: &[f32],
-                k: usize,
-                first_row: usize,
-                rows: usize,
-                b: &[f32],
-                n: usize,
-                c: &mut [f32],
-            ) {
-                const W: usize = $width;
-                let mut tile = [0.0f32; NT_BLOCK_K * $width];
-                let jmain = n - n % W;
-                for jb in (0..jmain).step_by(W) {
-                    for pb in (0..k).step_by(NT_BLOCK_K) {
-                        let pend = (pb + NT_BLOCK_K).min(k);
-                        for l in 0..W {
-                            let brow = &b[(jb + l) * k + pb..(jb + l) * k + pend];
-                            for (pi, &bv) in brow.iter().enumerate() {
-                                tile[pi * W + l] = bv;
-                            }
-                        }
-                        for li in 0..rows {
-                            let i = first_row + li;
-                            let arow = &a[i * k + pb..i * k + pend];
-                            // SAFETY: li * n + jb + W <= rows * n == c.len()
-                            // (jb + W <= jmain <= n) and pi * W + W bounds
-                            // the tile; loads/stores stay in range.
-                            unsafe {
-                                let cptr = c.as_mut_ptr().add(li * n + jb);
-                                let mut acc = $loadu(cptr);
-                                for (pi, &av) in arow.iter().enumerate() {
-                                    let (av, bv) = ($set1(av), $loadu(tile.as_ptr().add(pi * W)));
-                                    // mul then add — never fused; a zero
-                                    // `av` adds +0.0 whatever the weight
-                                    acc = $add(acc, $and($mul(av, bv), $nonzero(av)));
-                                }
-                                $storeu(cptr, acc);
-                            }
-                        }
-                    }
-                }
-                for li in 0..rows {
-                    let i = first_row + li;
-                    let arow = &a[i * k..(i + 1) * k];
-                    for j in jmain..n {
-                        let brow = &b[j * k..(j + 1) * k];
-                        c[li * n + j] = super::dot_skipping_zeros(arow, brow);
-                    }
-                }
-            }
-        };
-    }
-
-    /// All-ones lanes where `v != 0.0` (NaN counts as nonzero, as it does
-    /// in scalar code).
-    #[target_feature(enable = "avx2")]
-    fn nonzero_avx2(v: __m256) -> __m256 {
-        _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps())
-    }
-
-    #[target_feature(enable = "sse2")]
-    fn nonzero_sse2(v: __m128) -> __m128 {
-        _mm_cmpneq_ps(v, _mm_setzero_ps())
-    }
-
-    nt_chunk!(nt_chunk_avx2, "avx2", 8, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps,
-        _mm256_add_ps, _mm256_mul_ps, _mm256_and_ps, nonzero_avx2);
-    nt_chunk!(nt_chunk_sse2, "sse2", 4, _mm_set1_ps, _mm_loadu_ps, _mm_storeu_ps,
-        _mm_add_ps, _mm_mul_ps, _mm_and_ps, nonzero_sse2);
-
-    /// Builds a 32-byte mask (0xFF per set bit) from a 32-bit spike word
-    /// half: broadcast the dword, shuffle byte `i/8` into byte `i`, test
-    /// bit `i%8`.
-    #[target_feature(enable = "avx2")]
-    fn mask_from_bits32(bits: u32) -> __m256i {
-        // intrinsics without memory access are safe inside a matching
-        // #[target_feature] fn; only the pointer loads/stores need unsafe
-        let v = _mm256_set1_epi32(bits as i32);
-        #[rustfmt::skip]
-        let group = _mm256_setr_epi8(
-            0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
-            2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3,
-        );
-        #[rustfmt::skip]
-        let sel = _mm256_setr_epi8(
-            1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128,
-            1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128,
-        );
-        let bytes = _mm256_shuffle_epi8(v, group);
-        _mm256_cmpeq_epi8(_mm256_and_si256(bytes, sel), sel)
-    }
-
-    /// Quantized dot of one packed spike row against one `i8` weight row:
-    /// mask the active codes, sign-extend i8→i16, widen-multiply by one
-    /// into i32 lanes, reduce exactly (integer adds are associative).
-    /// Returns the same `i32` as the scalar bit-scan for any bit pattern.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn quant_dot_avx2(words: &[u64], q: &[i8]) -> i32 {
-        let k = q.len();
-        // SAFETY: full words guarantee base + 64 <= k, so the two 32-byte
-        // code loads stay in bounds; partial trailing words take the scalar
-        // scan below.
-        unsafe {
-            let ones = _mm256_set1_epi16(1);
-            let mut acc = _mm256_setzero_si256();
-            let mut tail = 0i32;
-            for (wi, &word) in words.iter().enumerate() {
-                if word == 0 {
-                    continue;
-                }
-                let base = wi * 64;
-                if base + 64 <= k {
-                    for half in 0..2u32 {
-                        let bits = (word >> (32 * half)) as u32;
-                        if bits == 0 {
-                            continue;
-                        }
-                        let mask = mask_from_bits32(bits);
-                        let codes =
-                            _mm256_loadu_si256(q.as_ptr().add(base + 32 * half as usize).cast());
-                        let sel = _mm256_and_si256(codes, mask);
-                        let lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(sel));
-                        let hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(sel));
-                        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(lo, ones));
-                        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(hi, ones));
-                    }
-                } else {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let p = base + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        tail += i32::from(q[p]);
-                    }
-                }
-            }
-            let s = _mm_add_epi32(_mm256_castsi256_si128(acc), _mm256_extracti128_si256::<1>(acc));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_11_10>(s));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_00_01>(s));
-            _mm_cvtsi128_si32(s).wrapping_add(tail)
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-use x86::{
-    add_row_avx2, add_row_sse2, add_scaled_row_avx2, add_scaled_row_sse2, nt_chunk_avx2,
-    nt_chunk_sse2, quant_dot_avx2,
-};
-
-/// One worker's row chunk of the `matmul_nt` kernel
-/// (`out[m,n] += a[m,k] × bᵀ[n,k]`, `b` stored `[n, k]`) over a
-/// **zero-filled** chunk `c` of `rows` output rows starting at `first_row`.
-/// The vector tiers pack `b` columns into a stack tile and keep eight (or
-/// four) independent column accumulators per register; the scalar tier is
-/// a straight-line dot. All tiers accumulate each output element in
-/// ascending `p` with explicit mul-then-add, a zero `a[i][p]` adding `+0.0`
-/// whatever the weight, so results are bitwise identical.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the raw kernel signature
-pub fn matmul_nt_chunk(
-    a: &[f32],
-    k: usize,
-    first_row: usize,
-    rows: usize,
-    b: &[f32],
-    n: usize,
-    c: &mut [f32],
-    level: SimdLevel,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match level {
-            // SAFETY: level() caps at the detected capability.
-            SimdLevel::Avx2 => return unsafe { nt_chunk_avx2(a, k, first_row, rows, b, n, c) },
-            SimdLevel::Sse2 => return unsafe { nt_chunk_sse2(a, k, first_row, rows, b, n, c) },
-            SimdLevel::Scalar => {}
-        }
-    }
-    let _ = level;
-    for (local_i, crow) in c.chunks_mut(n).enumerate().take(rows) {
-        let i = first_row + local_i;
-        let arow = &a[i * k..(i + 1) * k];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            *cv = dot_skipping_zeros(arow, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
-/// `Σ a[p]·b[p]` in ascending `p`, explicit multiply then add, a zero
-/// `a[p]` contributing `+0.0` whatever `b[p]` — the scalar form of every
-/// tier's `matmul_nt` term. Bitwise neutral for finite operands (the sum
-/// starts at `+0.0` and can never become `-0.0`), and it keeps a weight
-/// behind a silent input out of the sum, as the skip of the row-add kernels
-/// does. A mask, not a branch: the loop is bound by the add chain, and a
-/// branch on spike data mispredicts.
-#[inline(always)]
-fn dot_skipping_zeros(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0;
-    for (&av, &bv) in a.iter().zip(b) {
-        // all ones iff `av` is nonzero (written on the bits: LLVM turns
-        // an `if` back into the branch)
-        let keep = u32::from(av != 0.0).wrapping_neg();
-        acc += f32::from_bits((av * bv).to_bits() & keep);
-    }
-    acc
-}
-
-/// Exact integer dot of a packed spike row (`words`, bit `p` set ⇔ input
-/// `p` active) against an `i8` code row of length `q.len()`: the sum of the
-/// active codes as `i32`. The AVX2 tier uses sign-extended widening
-/// multiplies; integer accumulation is associative, so the lane reduction
-/// returns the identical integer for every tier.
-#[inline]
-pub fn quant_dot(words: &[u64], q: &[i8], level: SimdLevel) -> i32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // The widening path needs AVX2; SSE2 falls back to the scalar scan.
-        if level == SimdLevel::Avx2 {
-            // SAFETY: level() caps at the detected capability.
-            return unsafe { quant_dot_avx2(words, q) };
-        }
-    }
-    let _ = level;
-    let mut acc = 0i32;
-    for (wi, &word) in words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let p = wi * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            acc += i32::from(q[p]);
-        }
-    }
-    acc
-}
-
-// --------------------------------------------------------------------------
-// Whole kernels, dispatched once per call (module docs, "Dispatch
-// granularity"). These read the active level internally — one atomic load
-// amortized over a whole sample / activation buffer.
+// The kernels, each dispatched once per entry (module docs, "Dispatch
+// granularity"). An entry reads the active level itself — one atomic load
+// amortized over a whole sample / activation buffer / row chunk.
 // --------------------------------------------------------------------------
 
 /// Defines `$name` as `$body` — a safe `#[inline(always)]` function of plain
 /// loops — compiled once inside an AVX2 entry function, so LLVM vectorizes
-/// it 256 bits wide, and once for the baseline, which serves SSE2 and
-/// scalar. The entry is a plain function taking its arguments by value:
-/// behind a closure handed to one generic entry, the captures were reloaded
-/// after every `f32` store. For the same reason a body keeps its hot loops
-/// out of closures — one that LLVM declines to inline stays a call into
-/// baseline code.
+/// it 256 bits wide, and once for the baseline. The entry is a plain
+/// function taking its arguments by value: behind a closure handed to one
+/// generic entry, the captures were reloaded after every `f32` store. For
+/// the same reason a body keeps its hot loops out of closures — one that
+/// LLVM declines to inline stays a call into baseline code.
 macro_rules! per_tier {
     ($(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;) => {
         $(#[$doc])*
@@ -633,7 +237,9 @@ macro_rules! per_tier {
                     $body($($arg),*)
                 }
                 if level() == SimdLevel::Avx2 {
-                    // SAFETY: level() caps at the detected capability.
+                    // SAFETY: `avx2` needs the AVX2 feature, and level()
+                    // never resolves above what `detected()` found on
+                    // this CPU.
                     return unsafe { avx2($($arg),*) };
                 }
             }
@@ -652,6 +258,50 @@ per_tier! {
         spec: crate::Conv2dSpec,
         tile: &mut [f32],
     ) = crate::conv::scatter_sample;
+}
+
+per_tier! {
+    /// One worker's row chunk of `out[m,n] += a[m,k] × b[k,n]`.
+    pub(crate) fn matmul_chunk(
+        a: &[f32],
+        k: usize,
+        first_row: usize,
+        b: &[f32],
+        n: usize,
+        c: &mut [f32],
+    ) = crate::linalg::matmul_chunk;
+}
+
+per_tier! {
+    /// One worker's row chunk of `out[m,n] += aᵀ × b`, `a` stored `[k, m]`.
+    pub(crate) fn matmul_tn_chunk(
+        a: &[f32],
+        k: usize,
+        m: usize,
+        first_row: usize,
+        b: &[f32],
+        n: usize,
+        c: &mut [f32],
+    ) = crate::linalg::matmul_tn_chunk;
+}
+
+per_tier! {
+    /// One worker's row chunk of `out[m,n] = a[m,k] × bᵀ`, `b` stored
+    /// `[n, k]`, over a zero-filled `c`.
+    pub(crate) fn matmul_nt_chunk(
+        a: &[f32],
+        k: usize,
+        first_row: usize,
+        b: &[f32],
+        n: usize,
+        c: &mut [f32],
+    ) = crate::linalg::matmul_nt_chunk;
+}
+
+per_tier! {
+    /// `c[rows, n] += bias[n]` over one worker's rows.
+    pub(crate) fn add_bias_chunk(c: &mut [f32], n: usize, bias: &[f32])
+        = crate::linalg::add_bias_chunk;
 }
 
 /// The neuron constants of one [`lif_step`].
@@ -792,6 +442,10 @@ mod tests {
         SimdLevel::ALL.iter().copied().filter(|&l| l <= detected()).collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn randn(n: usize, rng: &mut TensorRng) -> Vec<f32> {
         let mut v = vec![0.0f32; n];
         rng.fill_normal(&mut v, 0.0, 1.0);
@@ -824,86 +478,42 @@ mod tests {
     #[test]
     fn level_names_are_stable() {
         assert_eq!(SimdLevel::Scalar.name(), "scalar");
-        assert_eq!(SimdLevel::Sse2.name(), "sse2");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
         assert!(!cpu_features().is_empty());
     }
 
     #[test]
-    fn row_primitives_match_scalar_bitwise() {
+    fn chunk_kernels_match_baseline_bitwise_on_unaligned_slices() {
+        // Each matmul-family entry, baseline build vs every detected tier.
+        // Extents straddle the NT k-tile (128) and column group (16) and the
+        // vector widths; every operand starts one float into its buffer (a
+        // wide build must not assume alignment) and the chunk starts at row
+        // 2 of `a`. `a` carries zeros so the skip and the mask both run.
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
         let mut rng = TensorRng::seed_from(401);
-        // lengths straddle vector widths and tails, plus tricky values
-        for n in [0usize, 1, 3, 4, 7, 8, 9, 31, 64, 257] {
-            let b = randn(n, &mut rng);
-            let base = randn(n, &mut rng);
-            for &a in &[0.0f32, 1.0, -0.37, 1e-30] {
-                for lvl in levels_to_test() {
-                    let mut want = base.clone();
-                    for (cv, &bv) in want.iter_mut().zip(&b) {
-                        *cv += a * bv;
+        for k in [0usize, 1, 127, 128, 129] {
+            for n in [0usize, 1, 15, 16, 17, 33] {
+                for rows in [0usize, 1, 3] {
+                    let (first_row, m) = (2, 2 + rows);
+                    let mut a = randn(1 + m * k, &mut rng); // read as [m, k] and as [k, m]
+                    a.iter_mut().step_by(3).for_each(|v| *v = 0.0);
+                    let b = randn(1 + k * n, &mut rng); // read as [k, n] and as [n, k]
+                    let bias = randn(1 + n, &mut rng);
+                    let c0 = randn(1 + rows * n, &mut rng);
+                    let run = || {
+                        let (a, b) = (&a[1..], &b[1..]);
+                        let (mut mm, mut tn, mut bi) = (c0.clone(), c0.clone(), c0.clone());
+                        let mut nt = vec![0.0f32; c0.len()];
+                        matmul_chunk(a, k, first_row, b, n, &mut mm[1..]);
+                        matmul_tn_chunk(a, k, m, first_row, b, n, &mut tn[1..]);
+                        matmul_nt_chunk(a, k, first_row, b, n, &mut nt[1..]);
+                        add_bias_chunk(&mut bi[1..], n, &bias[1..]);
+                        [bits(&mm), bits(&tn), bits(&nt), bits(&bi)]
+                    };
+                    let want = with_level(SimdLevel::Scalar, run);
+                    for lvl in levels_to_test() {
+                        assert_eq!(want, with_level(lvl, run), "k={k} n={n} rows={rows} {lvl:?}");
                     }
-                    let mut got = base.clone();
-                    add_scaled_row(&mut got, a, &b, lvl);
-                    assert_eq!(
-                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "add_scaled_row n={n} a={a} {lvl:?}"
-                    );
-
-                    let mut want = base.clone();
-                    for (cv, &bv) in want.iter_mut().zip(&b) {
-                        *cv += bv;
-                    }
-                    let mut got = base.clone();
-                    add_row(&mut got, &b, lvl);
-                    assert_eq!(
-                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "add_row n={n} {lvl:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn nt_chunk_matches_scalar_bitwise() {
-        let mut rng = TensorRng::seed_from(402);
-        // shapes straddle the j-tile width and the k-tile depth
-        for (m, k, n) in [(1, 5, 3), (3, 40, 17), (2, 200, 8), (5, 300, 21), (4, 64, 16)] {
-            let a = randn(m * k, &mut rng);
-            let b = randn(n * k, &mut rng);
-            let mut want = vec![0.0f32; m * n];
-            matmul_nt_chunk(&a, k, 0, m, &b, n, &mut want, SimdLevel::Scalar);
-            for lvl in levels_to_test() {
-                let mut got = vec![0.0f32; m * n];
-                matmul_nt_chunk(&a, k, 0, m, &b, n, &mut got, lvl);
-                assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "nt m={m} k={k} n={n} {lvl:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn quant_dot_matches_scalar_exactly() {
-        let mut rng = TensorRng::seed_from(403);
-        for k in [1usize, 63, 64, 65, 128, 200, 400] {
-            let words_len = k.div_ceil(64);
-            for density in [0.0f32, 0.1, 0.5, 1.0] {
-                let mut words = vec![0u64; words_len];
-                for p in 0..k {
-                    if rng.bernoulli(density) {
-                        words[p / 64] |= 1 << (p % 64);
-                    }
-                }
-                let q: Vec<i8> =
-                    (0..k).map(|_| (rng.uniform(-128.0, 128.0) as i32).clamp(-128, 127) as i8).collect();
-                let want = quant_dot(&words, &q, SimdLevel::Scalar);
-                for lvl in levels_to_test() {
-                    assert_eq!(want, quant_dot(&words, &q, lvl), "k={k} d={density} {lvl:?}");
                 }
             }
         }
@@ -924,7 +534,7 @@ mod tests {
             let run = || {
                 let mut bn = vec![0.0f32; n];
                 bn_affine(&mut bn, &x, 1.3, -0.2, 0.9, 0.1);
-                bn.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                bits(&bn)
             };
             let scalar = with_level(SimdLevel::Scalar, run);
             for lvl in levels_to_test() {
@@ -962,13 +572,10 @@ mod tests {
             let mm = a.matmul(&b).unwrap();
             let tn = b.matmul_tn(&bt.transpose2d().unwrap()).unwrap();
             let nt = a.matmul_nt(&bt).unwrap();
-            let sp_mm = spikes.matmul(&b).unwrap();
-            let sp_nt = spikes.matmul_nt(&bt).unwrap();
+            let mm_spikes = spikes.matmul(&b).unwrap();
+            let nt_spikes = spikes.matmul_nt(&bt).unwrap();
             let q = qw.matmul_nt(&spikes).unwrap();
-            [mm, tn, nt, sp_mm, sp_nt, q]
-                .iter()
-                .map(|t| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
-                .collect::<Vec<_>>()
+            [mm, tn, nt, mm_spikes, nt_spikes, q].map(|t| bits(t.data()))
         };
         for threads in [1usize, 4] {
             let want = crate::parallel::with_threads(threads, || {

@@ -1,7 +1,7 @@
 //! The one f32 matmul family against the plain triple loop, bit for bit.
 //!
-//! Every kernel skips a zero left-operand entry in place (and the
-//! `matmul_nt` tiers tile the dot product); none of it may move a bit against
+//! Every kernel skips a zero left-operand entry in place (and `matmul_nt`
+//! tiles the dot product); none of it may move a bit against
 //! a loop that multiplies and adds every term in ascending `k`, and a weight
 //! behind a silent input must not reach the output at all.
 //!
@@ -83,9 +83,10 @@ fn check(a: &Tensor, b: &Tensor, bias: &Tensor, want: &[u32], want_biased: &[u32
 fn matmul_family_equals_the_naive_triple_loop_and_skips_silent_inputs() {
     let mut rng = TensorRng::seed_from(0x2E80);
     // empty extents; one element; a ragged small case; k = 135 ends inside a
-    // tile of both `linalg::BLOCK_K` (64) and simd's `NT_BLOCK_K` (128) with
-    // n = 300 past `BLOCK_N` (256); k of exactly one tile; and enough work at
-    // a narrow n that four workers split the rows
+    // tile of both `linalg`'s `BLOCK_K` (64) and `NT_BLOCK_K` (128) with
+    // n = 300 past `BLOCK_N` (256); k of exactly one tile; enough work at a
+    // narrow n that four workers split the rows; then n on each side of
+    // `matmul_nt`'s 16-column group against k on each side of its k-tile
     for shape in [
         [0, 5, 3],
         [4, 0, 3],
@@ -95,6 +96,10 @@ fn matmul_family_equals_the_naive_triple_loop_and_skips_silent_inputs() {
         [13, 135, 300],
         [33, 64, 40],
         [70, 200, 37],
+        [3, 127, 15],
+        [3, 128, 16],
+        [3, 129, 17],
+        [2, 1, 33],
     ] {
         let [m, k, n] = shape;
         for class in CLASSES {

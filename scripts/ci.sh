@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The full gate: build, the whole test suite and lint once, then the suites
 # that must not depend on the two runtime knobs re-run at both ambient worker
-# counts (DTSNN_THREADS=1|4) and both ends of the SIMD ladder
-# (DTSNN_SIMD=off|auto). The tests compare thread counts and tiers
-# internally; the ambient values additionally cover the env-var plumbing and
-# steer the references. Every stage prints its wall time.
+# counts (DTSNN_THREADS=1|4) and both SIMD levels (DTSNN_SIMD=off|auto). The
+# tests compare thread counts and tiers internally; the ambient values
+# additionally cover the env-var plumbing and steer the references. Every
+# stage prints its wall time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,7 +87,45 @@ conformance() {
     t conformance --test fuzz_smoke
 }
 
+# Every `per_tier!` entry must run at its tier's width, which no test can
+# see: a body (or a closure inside one) that LLVM declines to inline is
+# compiled for the baseline and called from the AVX2 entry — bitwise correct,
+# 1.6x slower. So read the release rlib: each `dtsnn_tensor::simd::*::avx2`
+# function needs packed ymm arithmetic and no call into a `dtsnn_tensor::`
+# symbol. (Calls into core/std/libc are panic paths, memset and tanhf.)
+vector_width() {
+    if ! command -v objdump >/dev/null || [ "$(uname -m)" != x86_64 ]; then
+        echo "vector_width: needs objdump on x86_64; skipped"
+        return 0
+    fi
+    # (built as a primary package so cargo links the rlib into release/)
+    cargo build --release -q -p dtsnn-tensor
+    objdump -dCr --no-show-raw-insn "${CARGO_TARGET_DIR:-target}/release/libdtsnn_tensor.rlib" | awk '
+        /^[0-9a-f]+ <.*>:$/ {
+            entry = ($0 ~ /<dtsnn_tensor::simd::[a-z0-9_]+::avx2>:$/) ? $2 : ""
+            if (entry) packed[entry] = 0
+            next
+        }
+        !entry { next }
+        /R_X86_64_/ {
+            if (branch && $0 ~ /dtsnn_tensor::/) { print "vector_width: " entry " calls baseline code:" $0; bad = 1 }
+            next
+        }
+        { branch = ($0 ~ /\t(call|jmp) /) }
+        /\tv(add|sub|mul)ps .*%ymm/ { packed[entry]++ }
+        END {
+            for (e in packed) {
+                n++
+                print "vector_width: " e " " packed[e] " packed ymm ops"
+                if (!packed[e]) { print "vector_width: " e " has no packed ymm arithmetic"; bad = 1 }
+            }
+            if (!n) { print "vector_width: no per_tier! entry found in the rlib"; bad = 1 }
+            exit bad
+        }'
+}
+
 stage cargo build --release
+stage vector_width
 # the benchmark is a second consumer of the Layer / Snn / core / serve API
 # that the workspace build never compiles
 stage cargo build --release --offline --manifest-path benchmarks/Cargo.toml
@@ -105,7 +143,5 @@ unset DTSNN_THREADS
 stage t conformance --test gradient_check
 # a CI-sized fault-intensity sweep asserting goodput never collapses
 DTSNN_CHAOS_SMOKE=1 stage cargo run --release -q -p dtsnn-bench --bin serving_chaos
-# asserts the ≥1.5× dense matmul_nt floor in-bin
-stage cargo run --release -q -p dtsnn-bench --bin ext_simd_speedup
 
 echo "ci.sh: all green in $SECONDS s"
