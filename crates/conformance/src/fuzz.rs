@@ -21,10 +21,12 @@
 //! 5. **Checkpoint round-trip** — saving a network and loading it into a
 //!    differently-initialized clone of the same architecture reproduces the
 //!    original's inference outputs bitwise.
-//! 6. **Compacted batched evaluation ≡ sequential** — the active-set
-//!    compaction engine behind [`DynamicEvaluation::run_batched`] must
-//!    reproduce the per-sample runner bitwise: outcomes, T̂ histogram AND
-//!    accumulated spike activity, under 1 worker and under 4.
+//! 6. **Compacted batched evaluation ≡ sequential** — the dataset driver
+//!    behind [`DynamicEvaluation::run`] and
+//!    [`DynamicEvaluation::run_batched`] (active-set compaction, windows
+//!    fanned out over workers) must reproduce a plain loop over the
+//!    per-sample runner bitwise: outcomes, T̂ histogram AND accumulated
+//!    spike activity, under 1 worker and under 4.
 //! 7. **Fault-injection invariants** — the null [`FaultModel`] over
 //!    noiseless devices reduces injection bitwise to quantize–dequantize
 //!    (digital parameters untouched), a live model is seed-reproducible and
@@ -61,7 +63,8 @@
 
 use dtsnn_bench::Arch;
 use dtsnn_core::{
-    static_inference, DynamicEvaluation, DynamicInference, DynamicOutcome, ExitPolicy,
+    static_inference, DynamicEvaluation, DynamicInference, DynamicOutcome, DynamicSampleOutcome,
+    ExitPolicy,
 };
 use dtsnn_imc::{
     quantize_dequantize, ChipMapping, Component, CostModel, DeviceNoise, EventSim, FaultInjector,
@@ -302,6 +305,34 @@ fn oracle_batched_compaction_equals_sequential(case: &FuzzCase) -> Result<(), St
     let labels: Vec<usize> = (0..samples).map(|k| k % case.classes).collect();
     // real difficulty values: a NaN placeholder would defeat the equality check
     let diffs: Vec<f32> = (0..samples).map(|k| k as f32 / samples as f32).collect();
+    // The independent leg, written out here and not taken from the crate
+    // under test: the solo runner sample by sample, each sample's activity
+    // counters taken from zero and folded back in sample order.
+    let mut net = case.build(5)?;
+    let mut histogram = vec![0usize; case.timesteps];
+    let mut outcomes = Vec::with_capacity(samples);
+    let mut raw_activity = Vec::with_capacity(samples);
+    for ((sample, &label), &difficulty) in frames.iter().zip(&labels).zip(&diffs) {
+        let out = runner.run(&mut net, sample).map_err(|e| e.to_string())?;
+        raw_activity.push(net.take_raw_activity());
+        histogram[out.timesteps_used - 1] += 1;
+        outcomes.push(DynamicSampleOutcome {
+            timesteps_used: out.timesteps_used,
+            correct: out.prediction == label,
+            difficulty,
+        });
+    }
+    for (sums, observations) in &raw_activity {
+        net.absorb_raw_activity(sums, *observations);
+    }
+    let n = samples as f32;
+    let plain = DynamicEvaluation {
+        accuracy: outcomes.iter().filter(|s| s.correct).count() as f32 / n,
+        avg_timesteps: outcomes.iter().map(|s| s.timesteps_used).sum::<usize>() as f32 / n,
+        timestep_histogram: histogram,
+        samples: outcomes,
+        activity: net.take_activity(),
+    };
     for threads in [1usize, 4] {
         let (seq, bat) = parallel::with_threads(threads, || -> Result<_, String> {
             let mut net = case.build(5)?;
@@ -314,11 +345,13 @@ fn oracle_batched_compaction_equals_sequential(case: &FuzzCase) -> Result<(), St
             .map_err(|e| e.to_string())?;
             Ok((seq, bat))
         })?;
-        if seq != bat {
-            return Err(format!(
-                "{threads}-worker batched evaluation diverges from sequential \
-                 (outcomes/histogram/activity): sequential {seq:?} vs batched {bat:?}"
-            ));
+        for (name, eval) in [("sequential", &seq), ("batched", &bat)] {
+            if *eval != plain {
+                return Err(format!(
+                    "{threads}-worker {name} evaluation diverges from the plain per-sample \
+                     loop (outcomes/histogram/activity): plain {plain:?} vs {name} {eval:?}"
+                ));
+            }
         }
     }
     Ok(())

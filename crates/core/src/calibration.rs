@@ -6,6 +6,7 @@
 //! reliability diagram over entropy), plus the rank correlation between
 //! confidence and correctness.
 
+use crate::harness::{check_inputs, fan_out};
 use crate::inference::DynamicInference;
 use crate::{CoreError, Result};
 use dtsnn_snn::Snn;
@@ -16,9 +17,9 @@ use dtsnn_tensor::{parallel, Tensor};
 /// the `(score, correct)` pairs that [`reliability_bins`] and
 /// [`score_correctness_correlation`] consume.
 ///
-/// Samples fan out across the [`parallel`] worker pool on cloned networks and
-/// results are merged in sample-index order, so the output is bitwise
-/// identical for any `DTSNN_THREADS` value.
+/// Samples fan out across the `DTSNN_THREADS` workers and come back in
+/// sample-index order, so the output is bitwise identical for any worker
+/// count.
 ///
 /// # Errors
 ///
@@ -29,29 +30,12 @@ pub fn collect_exit_scores(
     frames: &[Vec<Tensor>],
     labels: &[usize],
 ) -> Result<(Vec<f32>, Vec<bool>)> {
-    if frames.is_empty() || frames.len() != labels.len() {
-        return Err(CoreError::BadInput("frames/labels mismatch or empty".into()));
-    }
-    let indices: Vec<usize> = (0..frames.len()).collect();
-    let proto: &Snn = network;
-    let per_sample = parallel::map_chunks(&indices, |_, chunk| {
-        let mut net = proto.clone();
-        chunk
-            .iter()
-            .map(|&i| -> Result<(f32, bool)> {
-                let out = runner.run(&mut net, &frames[i])?;
-                Ok((out.scores[0], out.prediction == labels[i]))
-            })
-            .collect()
-    });
-    let mut scores = Vec::with_capacity(frames.len());
-    let mut corrects = Vec::with_capacity(frames.len());
-    for res in per_sample {
-        let (s, c) = res?;
-        scores.push(s);
-        corrects.push(c);
-    }
-    Ok((scores, corrects))
+    check_inputs(frames, labels, None)?;
+    let per_sample = fan_out(network, parallel::num_threads(), frames, |net, i, sample| {
+        let out = runner.run(net, sample)?;
+        Ok((out.scores[0], out.prediction == labels[i]))
+    })?;
+    Ok(per_sample.into_iter().unzip())
 }
 
 /// Accuracy within one confidence bin.

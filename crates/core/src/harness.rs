@@ -1,7 +1,7 @@
 //! Dataset-level evaluation harnesses: the machinery behind Table II,
 //! Fig. 2, Fig. 4 and the pie charts of Fig. 5.
 
-use crate::inference::{static_predictions, to_batch1, DynamicInference, DynamicOutcome};
+use crate::inference::{batch1_frames, check_frames, static_predictions, DynamicInference};
 use crate::window::Window;
 use crate::{CoreError, Result};
 use dtsnn_snn::{Snn, SpikeActivity};
@@ -49,20 +49,176 @@ pub(crate) fn check_inputs(
     Ok(())
 }
 
-/// The 1-or-`T` frame-count contract of the sequential runner, checked for
-/// a whole split up front.
-pub(crate) fn check_frame_counts(frames: &[Vec<Tensor>], t_max: usize) -> Result<()> {
-    match frames.iter().position(|f| f.len() != 1 && f.len() != t_max) {
-        None => Ok(()),
-        Some(i) => Err(CoreError::BadInput(format!(
-            "sample {i}: expected 1 or {t_max} frames, got {}",
-            frames[i].len()
-        ))),
+/// [`check_frames`] for every sample of a split, up front: a miscounted
+/// sample fails the call before anything is forwarded (or timed).
+pub(crate) fn check_split(frames: &[Vec<Tensor>], t_max: usize) -> Result<()> {
+    frames.iter().enumerate().try_for_each(|(i, sample)| {
+        check_frames(sample, t_max).map_err(|e| match e {
+            CoreError::BadInput(why) => CoreError::BadInput(format!("sample {i}: {why}")),
+            other => other,
+        })
+    })
+}
+
+/// The one fan-out of this crate: `f(net, i, &items[i])` for every item,
+/// results in item order. With one worker (or one item) `net` is `network`
+/// itself — no clone, so its warmed arena keeps serving; otherwise each
+/// worker owns one clone (with a fresh arena) for its contiguous run of
+/// items. Items must be independent given the network's parameters, which
+/// makes the result bitwise identical for any `workers`.
+///
+/// `workers` is the caller's one reading of [`parallel::num_threads`]: the
+/// serial-or-cloned decision is made here, once per call, whatever a
+/// concurrent `set_threads` does meanwhile.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    network: &mut Snn,
+    workers: usize,
+    items: &[T],
+    f: impl Fn(&mut Snn, usize, &T) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    if workers.min(items.len()) <= 1 {
+        return items.iter().enumerate().map(|(i, item)| f(network, i, item)).collect();
     }
+    let proto: &Snn = network;
+    let per_item = parallel::map_chunks(items, |first, chunk| {
+        let mut net = proto.clone();
+        chunk.iter().enumerate().map(|(k, item)| f(&mut net, first + k, item)).collect()
+    });
+    per_item.into_iter().collect()
+}
+
+/// How one sample left its window.
+#[derive(Debug, Clone)]
+struct Exit {
+    /// Timesteps executed, T̂.
+    t: usize,
+    prediction: usize,
+    /// Every accumulated logit, score and probability it produced was finite.
+    finite: bool,
+    /// Per-layer spike-density sums over its `t` timesteps.
+    sums: Vec<f64>,
+}
+
+/// Runs the window of `samples` to its last exit: forward the active rows a
+/// timestep, score them, retire the rows whose policy fired (or that reached
+/// `T`) and gather the survivors' accumulators and carried layer state into
+/// a smaller batch.
+fn run_window(
+    net: &mut Snn,
+    runner: &DynamicInference,
+    samples: &[Vec<Tensor>],
+) -> Result<Vec<Exit>> {
+    // batch-1 copies of the window's frames, built once per window
+    let frames: Vec<Vec<Tensor>> = samples
+        .iter()
+        .map(|sample| batch1_frames(sample, runner.max_timesteps()))
+        .collect::<Result<_>>()?;
+    let mut exits =
+        vec![Exit { t: 0, prediction: 0, finite: true, sums: Vec::new() }; frames.len()];
+    // window positions still running, in batch-row order
+    let mut active: Vec<usize> = (0..frames.len()).collect();
+    let mut keep: Vec<usize> = Vec::with_capacity(active.len());
+    let mut window = Window::new();
+    window.admit(active.len());
+    net.reset_state();
+    while !active.is_empty() {
+        window.step(net, |row| &frames[active[row]], runner.policy(), runner.max_timesteps())?;
+        let layer_rows = net.last_spike_row_densities()?;
+        keep.clear();
+        for (row, &pos) in active.iter().enumerate() {
+            let exit = &mut exits[pos];
+            // activity folds per sample in f64, in timestep order, and stops
+            // at the sample's exit
+            exit.sums.resize(layer_rows.len(), 0.0);
+            for (acc, layer) in exit.sums.iter_mut().zip(&layer_rows) {
+                *acc += layer[row] as f64;
+            }
+            let decision = window.decision(row);
+            exit.finite &= decision.score.is_finite()
+                && window.accumulated(row).iter().all(|v| v.is_finite())
+                && window.probabilities(row).iter().all(|p| p.is_finite());
+            if decision.exit {
+                (exit.t, exit.prediction) = (decision.t, decision.prediction);
+            } else {
+                keep.push(row);
+            }
+        }
+        if keep.len() < active.len() {
+            window.compact(&keep)?;
+            if !keep.is_empty() {
+                net.compact_batch(&keep)?;
+            }
+            for (dst, &row) in keep.iter().enumerate() {
+                active[dst] = active[row];
+            }
+            active.truncate(keep.len());
+        }
+    }
+    Ok(exits)
+}
+
+/// The one dataset driver behind every [`DynamicEvaluation`] entry: cuts the
+/// split into windows of `batch_size` samples, runs them ([`run_window`])
+/// fanned out over `workers` ([`fan_out`] — windows share nothing), then
+/// folds the exits in dataset order. Spike activity is absorbed per sample
+/// in that order — one f64 chain whatever the window size or worker count,
+/// so outcomes **and** [`SpikeActivity`] are bitwise invariant in both (a
+/// sample whose activity sums are not finite is left out). Samples that
+/// produced a non-finite value are listed, not rescored.
+pub(crate) fn drive(
+    network: &mut Snn,
+    runner: &DynamicInference,
+    frames: &[Vec<Tensor>],
+    labels: &[usize],
+    difficulties: Option<&[f32]>,
+    batch_size: usize,
+    workers: usize,
+) -> Result<QuarantinedEvaluation> {
+    check_inputs(frames, labels, difficulties)?;
+    if batch_size == 0 {
+        return Err(CoreError::BadInput("batch_size must be nonzero".into()));
+    }
+    check_split(frames, runner.max_timesteps())?;
+    let windows: Vec<&[Vec<Tensor>]> = frames.chunks(batch_size).collect();
+    let per_window = fan_out(network, workers, &windows, |net, _, w| run_window(net, runner, w))?;
+    // whatever the forwards accumulated on `network` (batch-level densities,
+    // or something older) is not the per-sample chain: discard it
+    let _ = network.take_raw_activity();
+    let mut histogram = vec![0usize; runner.max_timesteps()];
+    let (mut correct_total, mut timestep_total) = (0usize, 0usize);
+    let mut quarantined = Vec::new();
+    let samples: Vec<DynamicSampleOutcome> = per_window
+        .iter()
+        .flatten()
+        .enumerate()
+        .map(|(i, exit)| {
+            if exit.sums.iter().all(|s| s.is_finite()) {
+                network.absorb_raw_activity(&exit.sums, exit.t);
+            }
+            if !exit.finite {
+                quarantined.push(i);
+            }
+            let correct = exit.prediction == labels[i];
+            correct_total += correct as usize;
+            timestep_total += exit.t;
+            histogram[exit.t - 1] += 1;
+            let difficulty = difficulties.map_or(f32::NAN, |d| d[i]);
+            DynamicSampleOutcome { timesteps_used: exit.t, correct, difficulty }
+        })
+        .collect();
+    let n = samples.len() as f32;
+    let eval = DynamicEvaluation {
+        accuracy: correct_total as f32 / n,
+        avg_timesteps: timestep_total as f32 / n,
+        timestep_histogram: histogram,
+        samples,
+        activity: network.take_activity(),
+    };
+    Ok(QuarantinedEvaluation { eval, quarantined })
 }
 
 impl DynamicEvaluation {
-    /// Runs the dynamic-timestep evaluation.
+    /// Runs the dynamic-timestep evaluation, one sample per window.
     ///
     /// `difficulties`, when provided, must align with `frames` and is copied
     /// into the per-sample outcomes (used by the Fig. 8 visualization).
@@ -77,13 +233,13 @@ impl DynamicEvaluation {
         labels: &[usize],
         difficulties: Option<&[f32]>,
     ) -> Result<Self> {
-        Ok(Self::per_sample(network, runner, frames, labels, difficulties, false)?.eval)
+        Self::run_batched(network, runner, frames, labels, difficulties, 1)
     }
 
     /// Like [`DynamicEvaluation::run`], but hardened against numerically
     /// broken forward passes: a sample whose inference produces a non-finite
     /// value anywhere the policy or prediction can see it (accumulated
-    /// logits, policy scores, exit probabilities) is **quarantined** — its
+    /// logits, policy scores, class probabilities) is **quarantined** — its
     /// index is reported and it is scored as incorrect instead of letting a
     /// NaN argmax silently poison the accuracy. This matters under fault
     /// injection, where a damaged substrate can blow up activations.
@@ -112,73 +268,20 @@ impl DynamicEvaluation {
         labels: &[usize],
         difficulties: Option<&[f32]>,
     ) -> Result<QuarantinedEvaluation> {
-        Self::per_sample(network, runner, frames, labels, difficulties, true)
-    }
-
-    /// The sample-at-a-time evaluation behind [`DynamicEvaluation::run`] and
-    /// [`DynamicEvaluation::run_quarantined`]; `quarantine` turns on the
-    /// finiteness check (and the per-timestep trace it reads).
-    fn per_sample(
-        network: &mut Snn,
-        runner: &DynamicInference,
-        frames: &[Vec<Tensor>],
-        labels: &[usize],
-        difficulties: Option<&[f32]>,
-        quarantine: bool,
-    ) -> Result<QuarantinedEvaluation> {
-        check_inputs(frames, labels, difficulties)?;
-        // discard any previously accumulated activity
-        let _ = network.take_activity();
-        // Data-parallel fan-out: each worker evaluates a contiguous slice of
-        // samples on its own clone of the network and reports per-sample
-        // results, which are folded back in sample-index order. Per-sample
-        // evaluation is independent (state resets each sample) and the fold
-        // order is fixed, so the result is bitwise identical for any
-        // DTSNN_THREADS value.
-        let indices: Vec<usize> = (0..frames.len()).collect();
-        let proto: &Snn = network;
-        let per_sample = parallel::map_chunks(&indices, |_, chunk| {
-            let mut net = proto.clone();
-            chunk
-                .iter()
-                .map(|&i| -> Result<(DynamicOutcome, bool, Vec<f64>, usize)> {
-                    let (outcome, finite) = if quarantine {
-                        let trace = runner.run_traced(&mut net, &frames[i])?;
-                        let finite = trace.outcome.scores.iter().all(|s| s.is_finite())
-                            && trace.outcome.probabilities.iter().all(|p| p.is_finite())
-                            && trace
-                                .per_timestep
-                                .iter()
-                                .all(|t| t.accumulated_logits.iter().all(|v| v.is_finite()));
-                        (trace.outcome, finite)
-                    } else {
-                        (runner.run(&mut net, &frames[i])?, true)
-                    };
-                    let (sums, obs) = net.take_raw_activity();
-                    Ok((outcome, finite, sums, obs))
-                })
-                .collect()
-        });
-        let mut records = Vec::with_capacity(frames.len());
-        let mut quarantined = Vec::new();
-        for (i, res) in per_sample.into_iter().enumerate() {
-            let (outcome, finite, sums, obs) = res?;
-            if sums.iter().all(|s| s.is_finite()) {
-                network.absorb_raw_activity(&sums, obs);
-            }
-            if !finite {
-                quarantined.push(i);
-            }
-            records.push((outcome.timesteps_used, finite && outcome.prediction == labels[i]));
+        let mut q =
+            drive(network, runner, frames, labels, difficulties, 1, parallel::num_threads())?;
+        for &i in &q.quarantined {
+            q.eval.samples[i].correct = false;
         }
-        let eval = summarize(network, runner.max_timesteps(), records.into_iter(), difficulties);
-        Ok(QuarantinedEvaluation { eval, quarantined })
+        let correct = q.eval.samples.iter().filter(|s| s.correct).count();
+        q.eval.accuracy = correct as f32 / frames.len() as f32;
+        Ok(q)
     }
 
-    /// Batched variant of [`DynamicEvaluation::run`], built on **active-set
-    /// compaction**: each chunk of up to `batch_size` samples is forwarded
-    /// one timestep at a time, the exit policy is scored per batch row, and
-    /// rows whose policy fires are retired — their prediction, T̂ and spike
+    /// [`DynamicEvaluation::run`] on windows of up to `batch_size` samples,
+    /// built on **active-set compaction**: a window is forwarded one
+    /// timestep at a time, the exit policy is scored per batch row, and rows
+    /// whose policy fires are retired — their prediction, T̂ and spike
     /// activity are recorded at the exit timestep, and the surviving rows of
     /// both the input frames and all carried layer state (LIF membranes, via
     /// [`Snn::compact_batch`]) are physically gathered into a smaller batch.
@@ -186,17 +289,22 @@ impl DynamicEvaluation {
     /// Later timesteps therefore do proportionally less matmul/conv work
     /// (per-timestep cost decays with the exit CDF), and activity accounting
     /// stops at each sample's exit, so the per-sample outcomes **and** the
-    /// accumulated [`SpikeActivity`] are bitwise identical to the sequential
-    /// runner's, for any `batch_size` and any `DTSNN_THREADS` setting.
+    /// accumulated [`SpikeActivity`] are bitwise identical for any
+    /// `batch_size` and any `DTSNN_THREADS` setting.
     ///
-    /// Like the sequential path, each sample supplies either one frame
-    /// (static input) or exactly `T` frames (event data); samples of both
-    /// kinds may share a batch.
+    /// Windows are independent and fan out over the `DTSNN_THREADS` workers
+    /// (read once per call). With one worker — or one window — they run on
+    /// `network` itself, whose warmed arena then allocates nothing; with
+    /// more, every worker runs on a clone of `network` and warms that
+    /// clone's fresh arena.
+    ///
+    /// Each sample supplies either one frame (static input) or exactly `T`
+    /// frames (event data); samples of both kinds may share a window.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadInput`] for mismatched inputs or frame
-    /// counts.
+    /// Returns [`CoreError::BadInput`] for mismatched inputs, frame counts
+    /// or a zero `batch_size`.
     pub fn run_batched(
         network: &mut Snn,
         runner: &DynamicInference,
@@ -205,72 +313,8 @@ impl DynamicEvaluation {
         difficulties: Option<&[f32]>,
         batch_size: usize,
     ) -> Result<Self> {
-        check_inputs(frames, labels, difficulties)?;
-        if batch_size == 0 {
-            return Err(CoreError::BadInput("batch_size must be nonzero".into()));
-        }
-        let t_max = runner.max_timesteps();
-        check_frame_counts(frames, t_max)?;
-        let _ = network.take_activity();
-        // Per-sample exit records and raw activity sums. Activity is folded
-        // per sample in f64 (timestep order within a sample) and absorbed in
-        // sample-index order at the end — the exact accumulation chain of the
-        // sequential harness, so the resulting SpikeActivity is bitwise equal.
-        let mut records = vec![(0usize, false); frames.len()];
-        let mut sums_of: Vec<Vec<f64>> = vec![Vec::new(); frames.len()];
-        let mut window = Window::new();
-        for (chunk, chunk_frames) in frames.chunks(batch_size).enumerate() {
-            network.reset_state();
-            // batch-1 views of the chunk's frames, built once per chunk
-            let batched: Vec<Vec<Tensor>> = chunk_frames
-                .iter()
-                .map(|fs| fs.iter().map(to_batch1).collect())
-                .collect::<Result<_>>()?;
-            // chunk positions still running, in batch-row order
-            let mut active: Vec<usize> = (0..batched.len()).collect();
-            let mut keep: Vec<usize> = Vec::with_capacity(active.len());
-            window.admit(active.len());
-            while !active.is_empty() {
-                window.step(network, |row| &batched[active[row]], runner.policy(), t_max)?;
-                let layer_rows = network.last_spike_row_densities()?;
-                keep.clear();
-                for (row, &pos) in active.iter().enumerate() {
-                    let i = chunk * batch_size + pos;
-                    // fold this timestep's activity into the sample's sums
-                    let sums = &mut sums_of[i];
-                    sums.resize(layer_rows.len(), 0.0);
-                    for (acc, layer) in sums.iter_mut().zip(&layer_rows) {
-                        *acc += layer[row] as f64;
-                    }
-                    let decision = window.decision(row);
-                    if decision.exit {
-                        records[i] = (decision.t, decision.prediction == labels[i]);
-                    } else {
-                        keep.push(row);
-                    }
-                }
-                // retire exited rows: gather the survivors' accumulators and
-                // every layer's carried batch state
-                if keep.len() < active.len() {
-                    window.compact(&keep)?;
-                    if !keep.is_empty() {
-                        network.compact_batch(&keep)?;
-                    }
-                    for (dst, &row) in keep.iter().enumerate() {
-                        active[dst] = active[row];
-                    }
-                    active.truncate(keep.len());
-                }
-            }
-        }
-        // forward_timestep accumulated batch-level densities on `network`
-        // during the loop; discard them and rebuild from the per-sample sums,
-        // folded in sample-index order exactly like the sequential harness
-        let _ = network.take_raw_activity();
-        for (sums, &(used, _)) in sums_of.iter().zip(&records) {
-            network.absorb_raw_activity(sums, used);
-        }
-        Ok(summarize(network, t_max, records.into_iter(), difficulties))
+        let workers = parallel::num_threads();
+        Ok(drive(network, runner, frames, labels, difficulties, batch_size, workers)?.eval)
     }
 
     /// T̂ distribution as fractions (the Fig. 5 pie chart).
@@ -295,36 +339,6 @@ pub struct QuarantinedEvaluation {
     pub quarantined: Vec<usize>,
 }
 
-/// Closes a dynamic evaluation over per-sample `(T̂, correct)` records in
-/// dataset order, taking the activity `network` has accumulated.
-fn summarize(
-    network: &mut Snn,
-    max_timesteps: usize,
-    records: impl ExactSizeIterator<Item = (usize, bool)>,
-    difficulties: Option<&[f32]>,
-) -> DynamicEvaluation {
-    let n = records.len() as f32;
-    let mut histogram = vec![0usize; max_timesteps];
-    let (mut correct_total, mut timestep_total) = (0usize, 0usize);
-    let samples = records
-        .enumerate()
-        .map(|(i, (timesteps_used, correct))| {
-            correct_total += correct as usize;
-            timestep_total += timesteps_used;
-            histogram[timesteps_used - 1] += 1;
-            let difficulty = difficulties.map_or(f32::NAN, |d| d[i]);
-            DynamicSampleOutcome { timesteps_used, correct, difficulty }
-        })
-        .collect();
-    DynamicEvaluation {
-        accuracy: correct_total as f32 / n,
-        avg_timesteps: timestep_total as f32 / n,
-        timestep_histogram: histogram,
-        samples,
-        activity: network.take_activity(),
-    }
-}
-
 /// Aggregate result of evaluating a static SNN at every timestep budget
 /// `t = 1..=T` in a single pass (Fig. 2's accuracy-vs-T curves).
 #[derive(Debug, Clone, PartialEq)]
@@ -347,34 +361,20 @@ impl StaticEvaluation {
         labels: &[usize],
         max_timesteps: usize,
     ) -> Result<Self> {
-        if frames.is_empty() || frames.len() != labels.len() {
-            return Err(CoreError::BadInput("frames/labels mismatch or empty".into()));
-        }
+        check_inputs(frames, labels, None)?;
         if max_timesteps == 0 {
             return Err(CoreError::BadInput("max_timesteps must be nonzero".into()));
         }
         let _ = network.take_activity();
-        // Per-sample data-parallel fan-out; see DynamicEvaluation::run for
-        // the determinism argument.
-        let indices: Vec<usize> = (0..frames.len()).collect();
-        let proto: &Snn = network;
-        let per_sample = parallel::map_chunks(&indices, |_, chunk| {
-            let mut net = proto.clone();
-            chunk
-                .iter()
-                .map(|&i| -> Result<(Vec<bool>, Vec<f64>, usize)> {
-                    let correct_at_t = static_predictions(&mut net, &frames[i], max_timesteps)?
-                        .into_iter()
-                        .map(|prediction| prediction == labels[i])
-                        .collect();
-                    let (sums, obs) = net.take_raw_activity();
-                    Ok((correct_at_t, sums, obs))
-                })
-                .collect()
-        });
+        let per_sample = fan_out(network, parallel::num_threads(), frames, |net, i, sample| {
+            let correct_at_t: Vec<bool> = static_predictions(net, sample, max_timesteps)?
+                .into_iter()
+                .map(|prediction| prediction == labels[i])
+                .collect();
+            Ok((correct_at_t, net.take_raw_activity()))
+        })?;
         let mut correct_by_t = vec![0usize; max_timesteps];
-        for res in per_sample {
-            let (correct_at_t, sums, obs) = res?;
+        for (correct_at_t, (sums, obs)) in per_sample {
             network.absorb_raw_activity(&sums, obs);
             for (t, &c) in correct_at_t.iter().enumerate() {
                 correct_by_t[t] += c as usize;
@@ -485,6 +485,18 @@ mod tests {
         let mut net_a = tiny_net(22);
         let seq =
             DynamicEvaluation::run(&mut net_a, &runner, &frames, &labels, Some(&diffs)).unwrap();
+        // the independent leg: the solo runner sample by sample, its own
+        // activity counters folded in sample order — no driver, no window set
+        let mut solo_net = tiny_net(22);
+        let mut activity_net = tiny_net(22);
+        for (i, sample) in frames.iter().enumerate() {
+            let out = runner.run(&mut solo_net, sample).unwrap();
+            let (sums, obs) = solo_net.take_raw_activity();
+            activity_net.absorb_raw_activity(&sums, obs);
+            let (got, correct) = (seq.samples[i], out.prediction == labels[i]);
+            assert_eq!((got.timesteps_used, got.correct), (out.timesteps_used, correct));
+        }
+        assert_eq!(seq.activity, activity_net.take_activity());
         let mut net_b = tiny_net(22);
         let bat = DynamicEvaluation::run_batched(
             &mut net_b, &runner, &frames, &labels, Some(&diffs), 4,
@@ -543,9 +555,11 @@ mod tests {
         let diffs = [0.5f32; 20]; // real values: NaN would defeat the comparison
         // θ chosen to split this untrained net's exits across the window
         let runner = DynamicInference::new(ExitPolicy::entropy(0.98).unwrap(), 4).unwrap();
-        let run = |net: &mut Snn| {
-            DynamicEvaluation::run_batched(net, &runner, &frames, &labels, Some(&diffs), 8).unwrap()
-        };
+        // one worker, passed in: the process-wide thread override belongs to
+        // every test of this binary, and a multi-worker call would warm its
+        // clones' arenas, not this one
+        let run =
+            |net: &mut Snn| drive(net, &runner, &frames, &labels, Some(&diffs), 8, 1).unwrap().eval;
         let warm = run(&mut net);
         let h = &warm.timestep_histogram;
         assert!(h[..3].iter().sum::<usize>() > 0 && h[3] > 0, "windows must compact: {h:?}");
@@ -609,6 +623,17 @@ mod tests {
         for threads in [2, 4] {
             let par = dtsnn_tensor::parallel::with_threads(threads, run);
             assert_eq!(serial, par, "batched eval diverged at {threads} threads");
+        }
+        // the one driver, every window size x worker count (the workers it is
+        // handed decide clone-or-not, the override how map_chunks splits)
+        for batch in [1, 3, 32] {
+            for workers in [1, 2, 4] {
+                let got = dtsnn_tensor::parallel::with_threads(workers, || {
+                    let mut net = tiny_net(62);
+                    drive(&mut net, &runner, &frames, &labels, Some(&diffs), batch, workers)
+                });
+                assert_eq!(got.unwrap().eval, serial, "batch {batch}, {workers} workers");
+            }
         }
     }
 
@@ -734,6 +759,11 @@ mod tests {
             let par = dtsnn_tensor::parallel::with_threads(threads, run);
             assert_eq!(serial, par, "quarantined eval diverged at {threads} threads");
         }
+        // windows of three name the same samples as windows of one
+        let mut net = tiny_net(76);
+        poison_classifier(&mut net);
+        let batched = drive(&mut net, &runner, &frames, &labels, Some(&diffs), 3, 2).unwrap();
+        assert_eq!(batched.quarantined, serial.quarantined);
     }
 
     #[test]

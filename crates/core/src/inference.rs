@@ -129,21 +129,11 @@ impl DynamicInference {
         frames: &[Tensor],
         mut observe: impl FnMut(&Snn, &Window),
     ) -> Result<DynamicOutcome> {
-        if frames.is_empty() {
-            return Err(CoreError::BadInput("empty frame sequence".into()));
-        }
-        if frames.len() != 1 && frames.len() != self.max_timesteps {
-            return Err(CoreError::BadInput(format!(
-                "expected 1 or {} frames, got {}",
-                self.max_timesteps,
-                frames.len()
-            )));
-        }
-        network.reset_state();
         // Batch the frames once, outside the loop: `to_batch1` copies, and
         // the timestep loop itself must stay allocation-free (the network's
         // workspace arena covers everything inside `forward_timestep`).
-        let batched: Vec<Tensor> = frames.iter().map(to_batch1).collect::<Result<_>>()?;
+        let batched = batch1_frames(frames, self.max_timesteps)?;
+        network.reset_state();
         let mut window = Window::new();
         window.admit(1);
         let mut scores = Vec::with_capacity(self.max_timesteps);
@@ -190,13 +180,10 @@ pub(crate) fn static_predictions(
     frames: &[Tensor],
     timesteps: usize,
 ) -> Result<Vec<usize>> {
-    if frames.is_empty() {
-        return Err(CoreError::BadInput("empty frame sequence".into()));
-    }
     if timesteps == 0 {
         return Err(CoreError::BadInput("timesteps must be nonzero".into()));
     }
-    let batched: Vec<Tensor> = frames.iter().map(to_batch1).collect::<Result<_>>()?;
+    let batched = batch1_frames(frames, timesteps)?;
     let outputs = network.forward_sequence(&batched, timesteps, Mode::Eval)?;
     let mut sum = outputs[0].clone();
     let mut predictions = Vec::with_capacity(timesteps);
@@ -209,9 +196,31 @@ pub(crate) fn static_predictions(
     Ok(predictions)
 }
 
+/// The frame contract of every runner in this crate, defined once: a sample
+/// is one static frame (repeated every timestep) or exactly `t_max` event
+/// frames.
+pub(crate) fn check_frames(frames: &[Tensor], t_max: usize) -> Result<()> {
+    if frames.is_empty() {
+        return Err(CoreError::BadInput("empty frame sequence".into()));
+    }
+    if frames.len() != 1 && frames.len() != t_max {
+        return Err(CoreError::BadInput(format!(
+            "expected 1 or {t_max} frames, got {}",
+            frames.len()
+        )));
+    }
+    Ok(())
+}
+
+/// A sample's frames, checked ([`check_frames`]) and batch-1 shaped.
+pub(crate) fn batch1_frames(frames: &[Tensor], t_max: usize) -> Result<Vec<Tensor>> {
+    check_frames(frames, t_max)?;
+    frames.iter().map(to_batch1).collect()
+}
+
 /// Reshapes a `[c, h, w]` frame to a batch-of-one `[1, c, h, w]` (frames
 /// that already carry a batch axis pass through).
-pub(crate) fn to_batch1(frame: &Tensor) -> Result<Tensor> {
+fn to_batch1(frame: &Tensor) -> Result<Tensor> {
     if frame.dims().len() == 4 {
         return Ok(frame.clone());
     }

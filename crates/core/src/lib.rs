@@ -62,7 +62,7 @@ pub use robustness::{
 };
 pub use sweep::{SweepPoint, ThresholdSweep};
 pub use throughput::{
-    measure_batched_dynamic_throughput, measure_dynamic_throughput, measure_throughput, ClonePool,
+    measure_batched_dynamic_throughput, measure_dynamic_throughput, measure_throughput,
     ThroughputReport,
 };
 pub use visualize::{ascii_render, bucket_by_timesteps};

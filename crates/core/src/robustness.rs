@@ -12,21 +12,21 @@
 //!
 //! # Determinism
 //!
-//! Trials fan out over the deterministic parallel layer: per-trial seeds are
-//! derived arithmetically from the base seed, each trial is self-contained,
-//! results come back in trial order, and every statistic folds in that fixed
-//! order in `f64` — so all aggregates are **bitwise identical for any
-//! `DTSNN_THREADS` value**, like the rest of the stack. Sweep points reuse
-//! the same per-trial seeds across severities (common random numbers), which
-//! removes inter-severity sampling jitter from the degradation curve.
+//! Trials run one after another, each fanning its samples out over the
+//! deterministic parallel layer: per-trial seeds are derived arithmetically
+//! from the base seed, each trial is self-contained, and every statistic
+//! folds in trial order in `f64` — so all aggregates are **bitwise identical
+//! for any `DTSNN_THREADS` value**, like the rest of the stack. Sweep points
+//! reuse the same per-trial seeds across severities (common random numbers),
+//! which removes inter-severity sampling jitter from the degradation curve.
 
 use crate::energy_link::HardwareProfile;
-use crate::harness::DynamicEvaluation;
-use crate::inference::{static_inference, DynamicInference};
+use crate::harness::{DynamicEvaluation, StaticEvaluation};
+use crate::inference::DynamicInference;
 use crate::{CoreError, Result};
 use dtsnn_imc::{FaultInjector, FaultModel, FaultReport};
 use dtsnn_snn::Snn;
-use dtsnn_tensor::{parallel, Tensor, TensorRng};
+use dtsnn_tensor::{Tensor, TensorRng};
 
 /// Mean, standard deviation and 95% confidence half-width of one metric over
 /// the Monte-Carlo trials.
@@ -83,6 +83,31 @@ fn trial_seed(base: u64, trial: usize) -> u64 {
     base ^ (trial as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// The trial loop both Monte-Carlo harnesses share: trial `t` programs a
+/// fresh clone of `network` onto the substrate drawn from `trial_seed(t)` and
+/// hands it to `evaluate(t, seed, report, net)`. Trials run one after another
+/// — the evaluation inside each already fans its samples out.
+fn fault_trials<T>(
+    network: &Snn,
+    profile: &HardwareProfile,
+    model: &FaultModel,
+    mc: &MonteCarloConfig,
+    mut evaluate: impl FnMut(usize, u64, FaultReport, &mut Snn) -> Result<T>,
+) -> Result<Vec<T>> {
+    if mc.trials == 0 {
+        return Err(CoreError::InvalidConfig("Monte-Carlo needs at least one trial".into()));
+    }
+    let injector =
+        FaultInjector::new(*model, profile.cost_model().mapping(), profile.cost_model().config())?;
+    let trial = |trial| {
+        let mut net = network.clone();
+        let seed = trial_seed(mc.seed, trial);
+        let report = injector.inject(&mut net, &mut TensorRng::seed_from(seed))?;
+        evaluate(trial, seed, report, &mut net)
+    };
+    (0..mc.trials).map(trial).collect()
+}
+
 /// One dynamic-evaluation fault trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultTrial {
@@ -127,8 +152,8 @@ impl MonteCarloRobustness {
     /// Each trial clones `network`, injects an independent fault draw of
     /// `model` through `profile`'s chip mapping, evaluates with
     /// [`DynamicEvaluation::run_quarantined`] and prices the result with the
-    /// profile's energy model. Trials run data-parallel and fold in trial
-    /// order (see the module docs for the determinism contract).
+    /// profile's energy model (see the module docs for the determinism
+    /// contract).
     ///
     /// # Errors
     ///
@@ -143,39 +168,20 @@ impl MonteCarloRobustness {
         model: &FaultModel,
         mc: &MonteCarloConfig,
     ) -> Result<Self> {
-        if mc.trials == 0 {
-            return Err(CoreError::InvalidConfig("Monte-Carlo needs at least one trial".into()));
-        }
-        let injector =
-            FaultInjector::new(*model, profile.cost_model().mapping(), profile.cost_model().config())?;
-        let indices: Vec<usize> = (0..mc.trials).collect();
-        let results = parallel::map_chunks(&indices, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&t| -> Result<FaultTrial> {
-                    let mut net = network.clone();
-                    let seed = trial_seed(mc.seed, t);
-                    let mut rng = TensorRng::seed_from(seed);
-                    let report = injector.inject(&mut net, &mut rng)?;
-                    let q = DynamicEvaluation::run_quarantined(
-                        &mut net, runner, frames, labels, None,
-                    )?;
-                    let cost =
-                        profile.dynamic_cost(&q.eval.activity, q.eval.avg_timesteps as f64)?;
-                    Ok(FaultTrial {
-                        trial: t,
-                        seed,
-                        accuracy: q.eval.accuracy,
-                        avg_timesteps: q.eval.avg_timesteps,
-                        energy_pj: cost.energy_pj(),
-                        edp: cost.edp(),
-                        quarantined: q.quarantined.len(),
-                        report,
-                    })
-                })
-                .collect()
-        });
-        let trials = results.into_iter().collect::<Result<Vec<_>>>()?;
+        let trials = fault_trials(network, profile, model, mc, |trial, seed, report, net| {
+            let q = DynamicEvaluation::run_quarantined(net, runner, frames, labels, None)?;
+            let cost = profile.dynamic_cost(&q.eval.activity, q.eval.avg_timesteps as f64)?;
+            Ok(FaultTrial {
+                trial,
+                seed,
+                accuracy: q.eval.accuracy,
+                avg_timesteps: q.eval.avg_timesteps,
+                energy_pj: cost.energy_pj(),
+                edp: cost.edp(),
+                quarantined: q.quarantined.len(),
+                report,
+            })
+        })?;
         let stat = |f: fn(&FaultTrial) -> f64| {
             Statistic::from_samples(&trials.iter().map(f).collect::<Vec<_>>())
         };
@@ -233,38 +239,11 @@ impl MonteCarloStatic {
         model: &FaultModel,
         mc: &MonteCarloConfig,
     ) -> Result<Self> {
-        if mc.trials == 0 {
-            return Err(CoreError::InvalidConfig("Monte-Carlo needs at least one trial".into()));
-        }
-        if frames.is_empty() || frames.len() != labels.len() {
-            return Err(CoreError::BadInput("frames/labels mismatch or empty".into()));
-        }
-        let injector =
-            FaultInjector::new(*model, profile.cost_model().mapping(), profile.cost_model().config())?;
-        let indices: Vec<usize> = (0..mc.trials).collect();
-        let results = parallel::map_chunks(&indices, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&t| -> Result<StaticTrial> {
-                    let mut net = network.clone();
-                    let seed = trial_seed(mc.seed, t);
-                    let mut rng = TensorRng::seed_from(seed);
-                    let report = injector.inject(&mut net, &mut rng)?;
-                    let mut correct = 0usize;
-                    for (f, &label) in frames.iter().zip(labels) {
-                        correct +=
-                            (static_inference(&mut net, f, timesteps)? == label) as usize;
-                    }
-                    Ok(StaticTrial {
-                        trial: t,
-                        seed,
-                        accuracy: correct as f32 / frames.len() as f32,
-                        report,
-                    })
-                })
-                .collect()
-        });
-        let trials = results.into_iter().collect::<Result<Vec<_>>>()?;
+        let trials = fault_trials(network, profile, model, mc, |trial, seed, report, net| {
+            let accuracy =
+                StaticEvaluation::run(net, frames, labels, timesteps)?.full_window_accuracy();
+            Ok(StaticTrial { trial, seed, accuracy, report })
+        })?;
         let accuracy =
             Statistic::from_samples(&trials.iter().map(|t| t.accuracy as f64).collect::<Vec<_>>());
         Ok(MonteCarloStatic { trials, accuracy })
@@ -307,7 +286,6 @@ pub fn degradation_sweep(
     if severities.is_empty() {
         return Err(CoreError::BadInput("no severities to sweep".into()));
     }
-    // points run sequentially — each already fans its trials out in parallel
     severities
         .iter()
         .map(|&severity| {
@@ -327,6 +305,7 @@ mod tests {
     use dtsnn_snn::{
         vgg_small, vgg_small_density_map, vgg_small_geometry, ModelConfig,
     };
+    use dtsnn_tensor::parallel;
 
     fn setup() -> (Snn, HardwareProfile, Vec<Vec<Tensor>>, Vec<usize>) {
         let mut rng = TensorRng::seed_from(91);

@@ -6,7 +6,7 @@ use crate::inference::DynamicInference;
 use crate::policy::ExitPolicy;
 use crate::{CoreError, Result};
 use dtsnn_snn::Snn;
-use dtsnn_tensor::{parallel, Tensor};
+use dtsnn_tensor::Tensor;
 
 /// One operating point of the accuracy–efficiency trade-off.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,25 +71,11 @@ impl ThresholdSweep {
                 timestep_distribution: Vec::new(),
             });
         }
-        // Thresholds are independent of each other, so sweep them in
-        // parallel, one cloned network per θ; results come back in θ order.
-        let proto: &Snn = network;
-        let evals = parallel::map_chunks(thetas, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&theta| -> Result<DynamicEvaluation> {
-                    let mut net = proto.clone();
-                    let runner = DynamicInference::new(ExitPolicy::entropy(theta)?, max_timesteps)?;
-                    // compacted batched evaluation: bitwise-identical outcomes
-                    // AND spike activity (the energy model's input), with
-                    // per-timestep work decaying as samples exit early
-                    DynamicEvaluation::run_batched(&mut net, &runner, frames, labels, None, 32)
-                })
-                .collect()
-        });
+        // One θ after another: each evaluation already fans its windows out.
         let mut dynamic_points = Vec::with_capacity(thetas.len());
-        for (&theta, eval) in thetas.iter().zip(evals) {
-            let eval = eval?;
+        for &theta in thetas {
+            let runner = DynamicInference::new(ExitPolicy::entropy(theta)?, max_timesteps)?;
+            let eval = DynamicEvaluation::run_batched(network, &runner, frames, labels, None, 32)?;
             let cost = profile.dynamic_cost(&eval.activity, eval.avg_timesteps as f64)?;
             dynamic_points.push(SweepPoint {
                 label: format!("θ={theta:.3}"),

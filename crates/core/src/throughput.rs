@@ -5,23 +5,19 @@
 //! throughput falls roughly linearly with timesteps, and DT-SNN recovers
 //! near-1-timestep throughput at full-window accuracy.
 //!
-//! Measurement protocol: all input validation and per-worker network clones
-//! happen **before** the clock starts, so the timed span covers inference
-//! work only. Reported accuracy and mean timesteps are bitwise identical to
-//! the corresponding evaluation harness.
-//!
-//! Each pooled clone owns a private [`dtsnn_tensor::Workspace`] (a cloned
-//! `Snn` starts with a fresh arena), so the timed loop is allocation-free
-//! after each worker's first sample warms its size classes — no locking, no
-//! sharing between workers.
+//! Measurement protocol: all input validation happens **before** the clock
+//! starts. With one worker the timed span is inference work only, on the
+//! caller's network and its arena (allocation-free once the first sample has
+//! warmed the size classes); with more, it also covers one `Snn::clone` per
+//! worker — a fraction of a millisecond against the evaluation it runs.
+//! Reported accuracy and mean timesteps are bitwise identical to the
+//! corresponding evaluation harness.
 
-use crate::harness::{check_frame_counts, check_inputs, DynamicEvaluation};
+use crate::harness::{check_inputs, check_split, fan_out, DynamicEvaluation};
 use crate::inference::{static_inference, DynamicInference};
 use crate::{CoreError, Result};
 use dtsnn_snn::Snn;
 use dtsnn_tensor::{parallel, Tensor};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Throughput and accuracy of one inference configuration.
@@ -46,73 +42,7 @@ fn validate_inputs(
     if max_timesteps == 0 {
         return Err(CoreError::BadInput("timesteps must be nonzero".into()));
     }
-    check_frame_counts(frames, max_timesteps)
-}
-
-/// A pool of pre-built network clones, built outside any timed span so the
-/// clock measures inference rather than `Snn::clone`. Workers check a clone
-/// out on chunk entry and return it on exit; all clones are identical, so
-/// pool order does not affect results.
-///
-/// The pool is *not* fixed to the worker count it was built for: a checkout
-/// from an exhausted pool clones the prototype on demand (counted by
-/// [`ClonePool::extra_clones`]) and the new clone joins the pool when
-/// returned. A long-lived pool therefore converges on the peak observed
-/// concurrency and stops cloning — the serving path can reuse one pool
-/// across windows of different widths without silently re-cloning per
-/// window, and a `DTSNN_THREADS` change mid-lifetime degrades to a one-time
-/// warm-up cost instead of a panic.
-pub struct ClonePool {
-    proto: Snn,
-    free: Mutex<Vec<Snn>>,
-    extra_clones: AtomicUsize,
-}
-
-impl ClonePool {
-    /// A pool pre-seeded with exactly `capacity.max(1)` clones.
-    pub fn with_capacity(proto: &Snn, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        ClonePool {
-            proto: proto.clone(),
-            free: Mutex::new((0..capacity).map(|_| proto.clone()).collect()),
-            extra_clones: AtomicUsize::new(0),
-        }
-    }
-
-    /// A pool sized to the current `DTSNN_THREADS` worker count, capped by
-    /// the number of work items (building clones no worker will hold is
-    /// wasted memory).
-    pub fn for_current_threads(proto: &Snn, samples: usize) -> Self {
-        ClonePool::with_capacity(proto, parallel::num_threads().min(samples).max(1))
-    }
-
-    /// Checks a clone out, runs `f` on it, and returns it to the pool.
-    ///
-    /// Exhaustion is not an error: an empty pool clones the prototype on
-    /// demand and the fresh clone is pooled afterwards, growing the pool to
-    /// the observed concurrency.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Snn) -> R) -> R {
-        let checked_out = self.free.lock().expect("clone pool poisoned").pop();
-        let mut net = checked_out.unwrap_or_else(|| {
-            self.extra_clones.fetch_add(1, Ordering::Relaxed);
-            self.proto.clone()
-        });
-        let out = f(&mut net);
-        self.free.lock().expect("clone pool poisoned").push(net);
-        out
-    }
-
-    /// Clones built on demand because a checkout found the pool empty —
-    /// zero whenever the pre-built capacity covered the actual concurrency.
-    pub fn extra_clones(&self) -> usize {
-        self.extra_clones.load(Ordering::Relaxed)
-    }
-
-    /// Clones currently parked in the pool (pre-built plus any on-demand
-    /// clones that have been returned).
-    pub fn pooled(&self) -> usize {
-        self.free.lock().expect("clone pool poisoned").len()
-    }
+    check_split(frames, max_timesteps)
 }
 
 /// Measures batch-1 throughput of a static SNN at a fixed `timesteps`.
@@ -128,22 +58,14 @@ pub fn measure_throughput(
     timesteps: usize,
 ) -> Result<ThroughputReport> {
     validate_inputs(frames, labels, timesteps)?;
-    let pool = ClonePool::for_current_threads(network, frames.len());
-    let indices: Vec<usize> = (0..frames.len()).collect();
     let start = Instant::now();
-    // Per-sample fan-out over pooled clones; predictions fold back in
-    // sample-index order, so accuracy is thread-count invariant while the
-    // wall clock shrinks with DTSNN_THREADS.
-    let preds = parallel::map_chunks(&indices, |_, chunk| {
-        pool.with(|net| {
-            chunk.iter().map(|&i| static_inference(net, &frames[i], timesteps)).collect()
-        })
-    });
+    // predictions come back in sample order, so accuracy is thread-count
+    // invariant while the wall clock shrinks with DTSNN_THREADS
+    let preds = fan_out(network, parallel::num_threads(), frames, |net, _, sample| {
+        static_inference(net, sample, timesteps)
+    })?;
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    let mut correct = 0usize;
-    for (pred, &label) in preds.into_iter().zip(labels) {
-        correct += (pred? == label) as usize;
-    }
+    let correct = preds.iter().zip(labels).filter(|(pred, label)| pred == label).count();
     Ok(ThroughputReport {
         label: format!("static T={timesteps}"),
         images_per_second: frames.len() as f64 / secs,
@@ -165,28 +87,14 @@ pub fn measure_dynamic_throughput(
     labels: &[usize],
 ) -> Result<ThroughputReport> {
     validate_inputs(frames, labels, runner.max_timesteps())?;
-    let pool = ClonePool::for_current_threads(network, frames.len());
-    let indices: Vec<usize> = (0..frames.len()).collect();
     let start = Instant::now();
-    let per_sample = parallel::map_chunks(&indices, |_, chunk| {
-        pool.with(|net| {
-            chunk
-                .iter()
-                .map(|&i| -> Result<(usize, bool)> {
-                    let outcome = runner.run(net, &frames[i])?;
-                    Ok((outcome.timesteps_used, outcome.prediction == labels[i]))
-                })
-                .collect()
-        })
-    });
+    let per_sample = fan_out(network, parallel::num_threads(), frames, |net, i, sample| {
+        let outcome = runner.run(net, sample)?;
+        Ok((outcome.timesteps_used, outcome.prediction == labels[i]))
+    })?;
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    let mut correct = 0usize;
-    let mut timestep_total = 0usize;
-    for res in per_sample {
-        let (used, ok) = res?;
-        correct += ok as usize;
-        timestep_total += used;
-    }
+    let correct = per_sample.iter().filter(|(_, ok)| *ok).count();
+    let timestep_total: usize = per_sample.iter().map(|(used, _)| used).sum();
     let n = frames.len() as f32;
     Ok(ThroughputReport {
         label: format!("DT-SNN {}", runner.policy().name()),
@@ -206,8 +114,8 @@ pub fn measure_dynamic_throughput(
 /// # Errors
 ///
 /// Returns [`CoreError::BadInput`] for empty or mismatched data, invalid
-/// per-sample frame counts, or zero `batch_size` — raised before the clock
-/// starts.
+/// per-sample frame counts, or zero `batch_size` — raised by
+/// [`DynamicEvaluation::run_batched`] before it forwards anything.
 pub fn measure_batched_dynamic_throughput(
     network: &mut Snn,
     runner: &DynamicInference,
@@ -215,10 +123,6 @@ pub fn measure_batched_dynamic_throughput(
     labels: &[usize],
     batch_size: usize,
 ) -> Result<ThroughputReport> {
-    validate_inputs(frames, labels, runner.max_timesteps())?;
-    if batch_size == 0 {
-        return Err(CoreError::BadInput("batch_size must be nonzero".into()));
-    }
     let start = Instant::now();
     let eval = DynamicEvaluation::run_batched(network, runner, frames, labels, None, batch_size)?;
     let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -316,52 +220,5 @@ mod tests {
     fn rejects_empty_data() {
         let mut net = tiny_net(4);
         assert!(measure_throughput(&mut net, &[], &[], 1).is_err());
-    }
-
-    #[test]
-    fn clone_pool_sized_to_concurrency_never_reclones() {
-        // the serving-path reuse contract: once the pool covers the worker
-        // count, repeated windows check clones out and in without ever
-        // touching Snn::clone again
-        let proto = tiny_net(6);
-        parallel::with_threads(2, || {
-            let pool = ClonePool::for_current_threads(&proto, 64);
-            assert_eq!(pool.pooled(), 2);
-            let indices: Vec<usize> = (0..64).collect();
-            for _window in 0..3 {
-                let out = parallel::map_chunks(&indices, |_, chunk| {
-                    pool.with(|net| {
-                        net.reset_state();
-                        vec![1usize; chunk.len()]
-                    })
-                });
-                assert_eq!(out.into_iter().sum::<usize>(), 64);
-            }
-            assert_eq!(pool.extra_clones(), 0, "a matched pool must never re-clone");
-            assert_eq!(pool.pooled(), 2);
-        });
-    }
-
-    #[test]
-    fn clone_pool_oversubscription_grows_once_then_reuses() {
-        let proto = tiny_net(7);
-        let pool = ClonePool::with_capacity(&proto, 1);
-        // nested checkout exhausts the single pre-built clone; the inner
-        // one falls back to cloning the prototype instead of panicking
-        pool.with(|_outer| pool.with(|_inner| ()));
-        assert_eq!(pool.extra_clones(), 1);
-        assert_eq!(pool.pooled(), 2, "the on-demand clone joins the pool");
-        // the pool has grown to the observed concurrency: the same shape
-        // of work re-clones nothing
-        pool.with(|_outer| pool.with(|_inner| ()));
-        assert_eq!(pool.extra_clones(), 1, "the second window must reuse, not re-clone");
-    }
-
-    #[test]
-    fn clone_pool_capacity_floor_is_one() {
-        let proto = tiny_net(8);
-        let pool = ClonePool::with_capacity(&proto, 0);
-        assert_eq!(pool.pooled(), 1);
-        assert_eq!(pool.with(|_net| 41) + 1, 42);
     }
 }

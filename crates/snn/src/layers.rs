@@ -288,95 +288,46 @@ struct BnCache {
     inv_std: Vec<f32>,
 }
 
-/// How batch-norm statistics relate to the timestep axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BnStats {
-    /// tdBN-style \[23\]: one set of statistics **shared across timesteps**
-    /// (estimated as an EMA over batches and timesteps, used as constants in
-    /// both training and inference). Because the membrane charges over time,
-    /// early timesteps are systematically under-normalized — exactly the
-    /// effect that makes first-timestep accuracy poor under the conventional
-    /// loss (Eq. 9) and lets the per-timestep loss (Eq. 10) repair it
-    /// (the paper's Fig. 7 ablation).
-    #[default]
-    Shared,
-    /// BNTT-style (Kim et al. \[8\]): independent statistics per timestep, so
-    /// every timestep is individually calibrated.
-    PerTimestep,
-}
-
 /// Channel-wise batch normalization over `[n, c, h, w]` activations for
-/// spiking networks, with selectable timestep semantics ([`BnStats`]).
+/// spiking networks, tdBN-style \[23\]: one set of statistics **shared
+/// across timesteps** (estimated as an EMA over batches and timesteps, used
+/// as constants in both training and inference). Because the membrane
+/// charges over time, early timesteps are systematically under-normalized —
+/// exactly the effect that makes first-timestep accuracy poor under the
+/// conventional loss (Eq. 9) and lets the per-timestep loss (Eq. 10) repair
+/// it (the paper's Fig. 7 ablation).
 ///
-/// The internal timestep counter resets with [`Layer::reset_state_ws`]. The
-/// tdBN-flavoured initialization `γ = α·V_th` \[23\] is available via
+/// The tdBN-flavoured initialization `γ = α·V_th` \[23\] is available via
 /// [`BatchNorm2d::tdbn`].
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     gamma: Param,
     beta: Param,
-    stats: BnStats,
-    /// Running means: one slot for [`BnStats::Shared`], one per timestep for
-    /// [`BnStats::PerTimestep`] (grown lazily).
-    running_mean: Vec<Vec<f32>>,
-    /// Running variances, same layout as `running_mean`.
-    running_var: Vec<Vec<f32>>,
+    /// Running mean per channel (identity statistics until trained).
+    running_mean: Vec<f32>,
+    /// Running variance per channel.
+    running_var: Vec<f32>,
     momentum: f32,
     eps: f32,
     caches: Vec<BnCache>,
-    /// Timestep counter within the current sequence.
-    t_index: usize,
 }
 
 impl BatchNorm2d {
-    /// Standard BN with `γ = 1` and shared (tdBN-style) statistics.
+    /// Standard BN with `γ = 1`.
     pub fn new(channels: usize) -> Self {
-        Self::with_gamma(channels, 1.0, BnStats::Shared)
+        Self::tdbn(channels, 1.0)
     }
 
     /// tdBN initialization: `γ = alpha_vth` (= α·V_th in \[23\]).
     pub fn tdbn(channels: usize, alpha_vth: f32) -> Self {
-        Self::with_gamma(channels, alpha_vth, BnStats::Shared)
-    }
-
-    /// BNTT-style normalization with independent per-timestep statistics.
-    pub fn per_timestep(channels: usize, alpha_vth: f32) -> Self {
-        Self::with_gamma(channels, alpha_vth, BnStats::PerTimestep)
-    }
-
-    fn with_gamma(channels: usize, g: f32, stats: BnStats) -> Self {
         BatchNorm2d {
-            gamma: Param::new(Tensor::full(&[channels], g), false),
+            gamma: Param::new(Tensor::full(&[channels], alpha_vth), false),
             beta: Param::new(Tensor::zeros(&[channels]), false),
-            stats,
-            running_mean: Vec::new(),
-            running_var: Vec::new(),
+            running_mean: vec![0.0; channels],
+            running_var: vec![1.0; channels],
             momentum: 0.1,
             eps: 1e-5,
             caches: Vec::new(),
-            t_index: 0,
-        }
-    }
-
-    /// The timestep semantics of this layer's statistics.
-    pub fn stats_mode(&self) -> BnStats {
-        self.stats
-    }
-
-    /// Statistics slot for timestep `t` under the current mode.
-    fn slot(&self, t: usize) -> usize {
-        match self.stats {
-            BnStats::Shared => 0,
-            BnStats::PerTimestep => t,
-        }
-    }
-
-    /// Ensures running-stat storage exists for timestep `t`.
-    fn ensure_timestep(&mut self, t: usize) {
-        let c = self.channels();
-        while self.running_mean.len() <= t {
-            self.running_mean.push(vec![0.0; c]);
-            self.running_var.push(vec![1.0; c]);
         }
     }
 
@@ -405,18 +356,14 @@ impl Layer for BatchNorm2d {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         let (n, c, h, w) = self.check_input(input)?;
         let plane = h * w;
-        let t = self.t_index;
-        self.t_index += 1;
-        let slot = self.slot(t);
         // either arm writes every element exactly once
         let mut out = ws.take_overwrite(input.len());
         match mode {
             Mode::Train => {
                 let m = (n * plane) as f32;
-                self.ensure_timestep(slot);
-                // Batch statistics of this timestep update the EMA of the
-                // mode's slot (shared: all timesteps feed one slot, pooling
-                // statistics over time as tdBN does).
+                // Batch statistics of this timestep update the one EMA: all
+                // timesteps feed it, pooling statistics over time as tdBN
+                // does.
                 for ci in 0..c {
                     let mut mean = 0.0;
                     for ni in 0..n {
@@ -435,10 +382,10 @@ impl Layer for BatchNorm2d {
                         }
                     }
                     var /= m;
-                    self.running_mean[slot][ci] =
-                        (1.0 - self.momentum) * self.running_mean[slot][ci] + self.momentum * mean;
-                    self.running_var[slot][ci] =
-                        (1.0 - self.momentum) * self.running_var[slot][ci] + self.momentum * var;
+                    self.running_mean[ci] =
+                        (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
+                    self.running_var[ci] =
+                        (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
                 }
                 // Normalize with the (updated) EMA statistics, treated as
                 // constants — training and inference see the same transform,
@@ -447,8 +394,8 @@ impl Layer for BatchNorm2d {
                 let mut x_hat = Tensor::zeros(input.dims());
                 let mut inv_stds = vec![0.0f32; c];
                 for (ci, inv_slot) in inv_stds.iter_mut().enumerate() {
-                    let mean = self.running_mean[slot][ci];
-                    let inv_std = 1.0 / (self.running_var[slot][ci] + self.eps).sqrt();
+                    let mean = self.running_mean[ci];
+                    let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
                     *inv_slot = inv_std;
                     let g = self.gamma.value.data()[ci];
                     let b = self.beta.value.data()[ci];
@@ -464,15 +411,9 @@ impl Layer for BatchNorm2d {
                 self.caches.push(BnCache { x_hat, inv_std: inv_stds });
             }
             Mode::Eval => {
-                // fresh layers fall back to identity statistics; beyond the
-                // trained window clamp to the last trained timestep
-                if self.running_mean.is_empty() {
-                    self.ensure_timestep(0);
-                }
-                let ti = slot.min(self.running_mean.len() - 1);
                 for ci in 0..c {
-                    let inv_std = 1.0 / (self.running_var[ti][ci] + self.eps).sqrt();
-                    let mean = self.running_mean[ti][ci];
+                    let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
+                    let mean = self.running_mean[ci];
                     let g = self.gamma.value.data()[ci];
                     let b = self.beta.value.data()[ci];
                     for ni in 0..n {
@@ -523,7 +464,6 @@ impl Layer for BatchNorm2d {
 
     fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.caches.clear();
-        self.t_index = 0;
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -1000,29 +940,6 @@ mod tests {
         for (a, b) in ye.data().iter().zip(yt.data()) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn batchnorm_per_timestep_slots_are_independent() {
-        let mut bn = BatchNorm2d::per_timestep(1, 1.0);
-        let mut r = rng();
-        // t=0 sees mean 0, t=1 sees mean 10
-        for _ in 0..60 {
-            let x0 = Tensor::randn(&[8, 1, 2, 2], 0.0, 1.0, &mut r);
-            let x1 = Tensor::randn(&[8, 1, 2, 2], 10.0, 1.0, &mut r);
-            bn.forward_ws(&x0, Mode::Train, &mut Workspace::new()).unwrap();
-            bn.forward_ws(&x1, Mode::Train, &mut Workspace::new()).unwrap();
-            bn.reset_state_ws(&mut Workspace::new());
-        }
-        // eval: each timestep normalized by its own statistics → both ≈ 0 mean
-        let x0 = Tensor::full(&[1, 1, 2, 2], 0.0);
-        let x1 = Tensor::full(&[1, 1, 2, 2], 10.0);
-        let y0 = bn.forward_ws(&x0, Mode::Eval, &mut Workspace::new()).unwrap();
-        let y1 = bn.forward_ws(&x1, Mode::Eval, &mut Workspace::new()).unwrap();
-        assert!(y0.mean().abs() < 0.5, "t0 mean {}", y0.mean());
-        assert!(y1.mean().abs() < 0.5, "t1 mean {}", y1.mean());
-        // shared-stats layer would misnormalize one of them
-        assert_eq!(bn.stats_mode(), BnStats::PerTimestep);
     }
 
     #[test]

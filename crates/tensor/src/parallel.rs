@@ -23,6 +23,7 @@
 //! values fall back to the hardware default.
 
 use crate::env_knob::EnvKnob;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hard upper bound on the worker count; requests beyond it are clamped.
@@ -46,8 +47,22 @@ pub fn clamp_threads(n: usize) -> usize {
     n.clamp(1, MAX_THREADS)
 }
 
-/// The configured worker count (override → `DTSNN_THREADS` → hardware).
+thread_local! {
+    /// Set while this thread runs a chunk of a fan-out (worker 0 included).
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The worker count a fan-out starting on this thread may use: the
+/// configured one (override → `DTSNN_THREADS` → hardware), or `1` on a
+/// thread that is already a fan-out worker. There is **one level of
+/// fan-out**: whichever helper is reached first takes the workers and
+/// everything nested under it runs serially, so a process never has more
+/// than the configured count of busy threads. (Serial and parallel results
+/// are bitwise equal, so the rule cannot change an output.)
 pub fn num_threads() -> usize {
+    if IN_WORKER.get() {
+        return 1;
+    }
     let forced = OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {
         return forced;
@@ -89,6 +104,37 @@ fn threads_for(work: usize, rows: usize) -> usize {
     }
 }
 
+/// The chunk-and-`scope` skeleton of both helpers: `f(i, chunk)` for every
+/// chunk, the first on the caller's thread (worker 0) and each other on a
+/// scoped thread, every one of them marked a worker meanwhile; results in
+/// chunk order.
+fn scope_chunks<C: Send, R: Send>(
+    chunks: impl Iterator<Item = C>,
+    f: impl Fn(usize, C) -> R + Sync,
+) -> Vec<R> {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.set(self.0);
+        }
+    }
+    let as_worker = |i: usize, chunk: C| {
+        let _restore = Restore(IN_WORKER.replace(true));
+        f(i, chunk)
+    };
+    std::thread::scope(|scope| {
+        let mut chunks = chunks.enumerate();
+        let first = chunks.next();
+        let as_worker = &as_worker;
+        let spawned: Vec<_> =
+            chunks.map(|(i, chunk)| scope.spawn(move || as_worker(i, chunk))).collect();
+        let mut results = Vec::with_capacity(spawned.len() + 1);
+        results.extend(first.map(|(i, chunk)| as_worker(i, chunk)));
+        results.extend(spawned.into_iter().map(|h| h.join().expect("parallel worker panicked")));
+        results
+    })
+}
+
 /// Splits `out` (a `rows × row_len` row-major buffer) into contiguous
 /// row-chunks, one per worker, and calls `f(first_row, chunk)` on each from a
 /// scoped thread. `work` is the kernel's total scalar-op estimate used to
@@ -108,16 +154,7 @@ where
         return;
     }
     let rows_per_chunk = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut chunks = out.chunks_mut(rows_per_chunk * row_len);
-        let first = chunks.next().expect("rows > 0");
-        for (i, chunk) in chunks.enumerate() {
-            let f = &f;
-            scope.spawn(move || f((i + 1) * rows_per_chunk, chunk));
-        }
-        // the caller's thread is worker 0
-        f(0, first);
-    });
+    scope_chunks(out.chunks_mut(rows_per_chunk * row_len), |i, chunk| f(i * rows_per_chunk, chunk));
 }
 
 /// Maps `f` over contiguous chunks of `items` (one chunk per worker) and
@@ -132,30 +169,14 @@ where
     F: Fn(usize, &[T]) -> Vec<O> + Sync,
 {
     let threads = num_threads().min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
+    if threads <= 1 {
         return f(0, items);
     }
     let per_chunk = items.len().div_ceil(threads);
-    let mut results: Vec<Vec<O>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut chunks = items.chunks(per_chunk);
-        let first = chunks.next().expect("items nonempty");
-        for (i, chunk) in chunks.enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move || f((i + 1) * per_chunk, chunk)));
-        }
-        let head = f(0, first);
-        results.push(head);
-        for h in handles {
-            results.push(h.join().expect("parallel worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for r in results {
-        out.extend(r);
-    }
-    out
+    scope_chunks(items.chunks(per_chunk), |i, chunk| f(i * per_chunk, chunk))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]
@@ -230,6 +251,42 @@ mod tests {
                 assert_eq!(*v, i * 10);
             }
         }
+    }
+
+    #[test]
+    fn nested_fan_outs_share_one_level_of_workers() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        let items: Vec<usize> = (0..8).collect();
+        let run = |threads: usize| {
+            // every row-chunk worker must reach the innermost closure once,
+            // with the whole slice, and all of them meet at the barrier: the
+            // high-water mark is then exactly the worker count
+            let barrier = std::sync::Barrier::new(threads);
+            let [live, peak, calls] = [0, 0, 0].map(AtomicUsize::new);
+            let mut buf = vec![0.0f32; 8];
+            with_threads(threads, || {
+                for_each_row_chunk(&mut buf, 1, 8, usize::MAX, |first_row, chunk| {
+                    let tripled = map_chunks(&items, |_, outer| {
+                        map_chunks(outer, |_, inner| {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            let now_live = live.fetch_add(1, Ordering::SeqCst) + 1;
+                            peak.fetch_max(now_live, Ordering::SeqCst);
+                            barrier.wait();
+                            live.fetch_sub(1, Ordering::SeqCst);
+                            inner.iter().map(|&v| v * 3).collect()
+                        })
+                    });
+                    for (r, v) in chunk.iter_mut().enumerate() {
+                        *v = (tripled.iter().sum::<usize>() + first_row + r) as f32;
+                    }
+                });
+            });
+            assert_eq!(calls.into_inner(), threads, "a nested fan-out split its items");
+            assert_eq!(peak.into_inner(), threads, "closures live at once");
+            assert!(!IN_WORKER.get(), "worker 0's mark must not outlive the fan-out");
+            buf
+        };
+        assert_eq!(run(4), run(1));
     }
 
     #[test]

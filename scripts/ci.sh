@@ -19,9 +19,12 @@ stage() {
 # t CRATE ARGS...: quiet tests of one workspace crate under the ambient knobs.
 t() { cargo test -q -p "dtsnn-$1" "${@:2}"; }
 
-# Thread-count invariance: kernels, the evaluation harnesses, the pool; the
-# batched compaction engine against the sequential runner (outcomes, T̂
-# histogram AND spike activity); the Monte-Carlo fault harness's aggregates.
+# Thread-count invariance: kernels, the evaluation harnesses and their one
+# fan-out; `parallel::` holds the nesting test (a fan-out inside a worker runs
+# serially — with 4 workers on fewer cores the guard is what keeps the live
+# threads at 4); the dataset driver at every window size against a plain loop
+# over the solo runner (outcomes, T̂ histogram AND spike activity); the
+# Monte-Carlo fault harness's aggregates.
 determinism() {
     t tensor thread_count_invariant
     t core thread_count_invariant
