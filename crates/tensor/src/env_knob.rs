@@ -78,7 +78,10 @@ mod tests {
             ("none", Some(Some(SimdLevel::Scalar))),
             ("SSE2", Some(Some(SimdLevel::Scalar))), // the baseline is SSE2
             ("avx2", Some(Some(SimdLevel::Avx2))),
-            ("avx512", None),
+            ("avx512", Some(Some(SimdLevel::Avx512))),
+            (" AVX512 ", Some(Some(SimdLevel::Avx512))),
+            ("avx-512", None),
+            ("avx512f", None),
             ("fast", None),
             ("1", None),
             ("sse 2", None),

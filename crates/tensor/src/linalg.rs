@@ -26,8 +26,10 @@ const BLOCK_K: usize = 64;
 const BLOCK_N: usize = 256;
 /// Output columns `matmul_nt` carries per row: sixteen accumulators in a
 /// local array are two independent AVX2 add chains (four at the baseline
-/// width), which is what hides the add latency of the single chain each
-/// output element must keep.
+/// width, one at AVX-512), which is what hides the add latency of the single
+/// chain each output element must keep. Thirty-two is faster on wide `n` but
+/// slows the ten-class head on both vector tiers (EXPERIMENTS, "A 512-bit
+/// tier").
 const NT_COLS: usize = 16;
 /// K-tile of `matmul_nt`: `NT_BLOCK_K` rows of [`NT_COLS`] packed `b` columns
 /// sit in a stack tile (8 KiB). Per output element the tiles are visited in

@@ -1,6 +1,6 @@
 //! Average pooling (the pooling used by the paper's spiking VGG/ResNet).
 
-use crate::{Result, Tensor, TensorError, Workspace};
+use crate::{simd, Result, Tensor, TensorError, Workspace};
 
 /// Geometry of a 2-D average pool (square window, no padding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +53,7 @@ pub fn avg_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
     let [n, c, h, w] = [d[0], d[1], d[2], d[3]];
     let (oh, ow) = spec.output_hw(h, w)?;
     let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    avg_pool2d_core(input.data(), [n, c, h, w], spec, oh, ow, out.data_mut());
+    simd::avg_pool2d(input.data(), [n, c, h, w], *spec, (oh, ow), out.data_mut());
     Ok(out)
 }
 
@@ -71,35 +71,61 @@ pub fn avg_pool2d_ws(input: &Tensor, spec: &PoolSpec, ws: &mut Workspace) -> Res
     let [n, c, h, w] = [d[0], d[1], d[2], d[3]];
     let (oh, ow) = spec.output_hw(h, w)?;
     let mut out = ws.take_overwrite(n * c * oh * ow);
-    avg_pool2d_core(input.data(), [n, c, h, w], spec, oh, ow, &mut out);
+    simd::avg_pool2d(input.data(), [n, c, h, w], *spec, (oh, ow), &mut out);
     Tensor::from_aligned(out, &[n, c, oh, ow])
 }
 
-/// Core of [`avg_pool2d`]: writes every output element exactly once.
-fn avg_pool2d_core(
+/// Core of [`avg_pool2d`]: writes every output element exactly once, as
+/// `acc = +0.0`, the window's taps added row-major, then `acc * inv`. Safe
+/// plain loops, no calls: [`simd::avg_pool2d`] compiles it once per tier.
+#[inline(always)]
+pub(crate) fn avg_pool2d_core(
     src: &[f32],
-    [n, c, h, w]: [usize; 4],
-    spec: &PoolSpec,
-    oh: usize,
-    ow: usize,
+    dims: [usize; 4],
+    spec: PoolSpec,
+    out_hw: (usize, usize),
     dst: &mut [f32],
 ) {
-    let k = spec.kernel;
+    // one instantiation for the 2×2 / stride-2 window both models use, whose
+    // column loop vectorizes; every other window runs the general loop
+    if (spec.kernel, spec.stride) == (2, 2) {
+        pool_planes::<true>(src, dims, spec, out_hw, dst)
+    } else {
+        pool_planes::<false>(src, dims, spec, out_hw, dst)
+    }
+}
+
+#[inline(always)]
+fn pool_planes<const HALVE: bool>(
+    src: &[f32],
+    [n, c, h, w]: [usize; 4],
+    spec: PoolSpec,
+    (oh, ow): (usize, usize),
+    dst: &mut [f32],
+) {
+    let (k, stride) = (spec.kernel, spec.stride);
     let inv = 1.0 / (k * k) as f32;
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = (ni * c + ci) * h * w;
-            let obase = (ni * c + ci) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
+    for plane in 0..n * c {
+        let (src, dst) = (&src[plane * h * w..][..h * w], &mut dst[plane * oh * ow..][..oh * ow]);
+        for (oy, orow) in dst.chunks_exact_mut(ow).enumerate() {
+            if HALVE {
+                // the two input rows are bounds-checked once, so the column
+                // loop vectorizes; `0.0 +` is the accumulator's start
+                let top = src[2 * oy * w..][..2 * ow].chunks_exact(2);
+                let bottom = src[(2 * oy + 1) * w..][..2 * ow].chunks_exact(2);
+                for ((o, t), b) in orow.iter_mut().zip(top).zip(bottom) {
+                    *o = (0.0 + t[0] + t[1] + b[0] + b[1]) * inv;
+                }
+            } else {
+                for (ox, o) in orow.iter_mut().enumerate() {
                     let mut acc = 0.0;
                     for ky in 0..k {
-                        let row = base + (oy * spec.stride + ky) * w + ox * spec.stride;
+                        let row = (oy * stride + ky) * w + ox * stride;
                         for kx in 0..k {
                             acc += src[row + kx];
                         }
                     }
-                    dst[obase + oy * ow + ox] = acc * inv;
+                    *o = acc * inv;
                 }
             }
         }

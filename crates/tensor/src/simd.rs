@@ -1,4 +1,5 @@
-//! Runtime-dispatched vector width for every kernel (AVX2 → baseline).
+//! Runtime-dispatched vector width for every kernel (AVX-512 → AVX2 →
+//! baseline).
 //!
 //! Every kernel in this crate keeps one discipline: **each output element
 //! accumulates its terms in exactly the serial order**, so results are
@@ -11,9 +12,10 @@
 //! every golden trace).
 //!
 //! There is one mechanism. A kernel is a safe `#[inline(always)]` function of
-//! plain loops, and `per_tier!` compiles it twice: inside an
-//! `#[target_feature(enable = "avx2")]` entry, where LLVM vectorizes the
-//! loops 256 bits wide, and for the target's baseline (128-bit SSE2 on
+//! plain loops, and `per_tier!` compiles it three times: inside an
+//! `#[target_feature(enable = "avx512f")]` entry and an
+//! `#[target_feature(enable = "avx2")]` one, where LLVM vectorizes the loops
+//! 512 and 256 bits wide, and for the target's baseline (128-bit SSE2 on
 //! x86_64, whatever the target has elsewhere). No kernel is written in
 //! intrinsics and none takes a level as an argument.
 //!
@@ -23,29 +25,30 @@
 //!
 //! 1. a process-wide override installed with [`set_level`] / [`with_level`]
 //!    (tests and benches pin the tier to compare),
-//! 2. the `DTSNN_SIMD` environment variable (`auto|off|scalar|avx2`, read
-//!    once; `sse2` is accepted as a synonym of `off` — x86_64's baseline *is*
-//!    SSE2; malformed values warn once and fall back to `auto`),
-//! 3. runtime CPU-feature detection (`is_x86_feature_detected!`), cached in
-//!    a `OnceLock`.
+//! 2. the `DTSNN_SIMD` environment variable (`auto|off|scalar|avx2|avx512`,
+//!    read once; `sse2` is accepted as a synonym of `off` — x86_64's
+//!    baseline *is* SSE2; malformed values warn once and fall back to
+//!    `auto`),
+//! 3. runtime CPU-feature detection (`is_x86_feature_detected!`: AVX-512F,
+//!    else AVX2, else the baseline), cached in a `OnceLock`.
 //!
 //! A request above the host's capability is capped at the detected level —
-//! forcing `avx2` on a host without it runs the baseline rather than
-//! faulting — so every resolved level is safe to execute. Non-`x86_64`
-//! targets always resolve to [`SimdLevel::Scalar`]; the baseline build
-//! doubles as the conformance oracle for the AVX2 one.
+//! forcing `avx512` on an AVX2 host runs the AVX2 build rather than faulting
+//! — so every resolved level is safe to execute. Non-`x86_64` targets always
+//! resolve to [`SimdLevel::Scalar`]; the baseline build doubles as the
+//! conformance oracle for the vector ones.
 //!
 //! # Dispatch granularity
 //!
 //! A `#[target_feature]` function never inlines into a caller without the
 //! feature, so each entry sits where that call is amortized and everything
-//! under it inlines: one call per [`lif_step`] / [`bn_affine`], one per
-//! sample of the convolution's scatter, one per worker's row chunk of a
-//! matmul or bias add (the entry is called inside
+//! under it inlines: one call per [`lif_step`] / [`bn_affine`] / average
+//! pool, one per sample of the convolution's scatter, one per worker's row
+//! chunk of a matmul or bias add (the entry is called inside
 //! [`crate::parallel::for_each_row_chunk`]'s closure, never per row). A body
 //! keeps its hot loops out of closures and non-inlined helpers: a callee
 //! LLVM declines to inline is compiled for the baseline and called from the
-//! AVX2 entry — bitwise correct, at the wrong width (`scripts/ci.sh`'s
+//! vector entry — bitwise correct, at the wrong width (`scripts/ci.sh`'s
 //! `vector_width` stage reads the disassembly for exactly that). The
 //! quantized integer dot ([`crate::QuantizedWeights`]) is a bit-scan —
 //! integer code with nothing to widen — and is not tiered at all.
@@ -53,16 +56,22 @@
 //! # Exactness notes
 //!
 //! - The loops are elementwise over output columns (nothing to reassociate)
-//!   and a multiply and an add cannot contract — no `fma` feature is enabled
-//!   and Rust never permits contraction — so both builds of a body are the
-//!   same arithmetic, bit for bit (pinned by the unit tests here,
-//!   `tests/zero_skip.rs`, `tests/conv_direct.rs`, fuzz oracle 13 and the
-//!   `DTSNN_SIMD=off` vs `auto` CI stages).
+//!   and a multiply and an add are never contracted. The AVX2 entry does not
+//!   enable `fma`; the AVX-512 one does (rustc's `avx512f` implies it), but
+//!   Rust never permits contraction of a separate `*` and `+`, so all three
+//!   builds of a body are the same arithmetic, bit for bit (pinned by the
+//!   unit tests here, `tests/zero_skip.rs`, `tests/conv_direct.rs`, fuzz
+//!   oracle 13 and the `DTSNN_SIMD=off` vs `auto` CI stages; the
+//!   `vector_width` stage rejects any FMA instruction in an entry).
+//! - Width changes how many independent accumulator chains a vector
+//!   register holds, never the order inside one: `matmul_nt`'s sixteen
+//!   column accumulators are four baseline chains, two AVX2 chains or one
+//!   AVX-512 chain.
 //! - LIF/BatchNorm keep the literal expression (`u · (1 − s)`, not a mask
 //!   select: an `inf` membrane that spikes still yields `NaN`).
 
-// The only unsafety here is `per_tier!`'s call of its `#[target_feature]`
-// entry, guarded by the dispatch ladder, which never resolves above the
+// The only unsafety here is `per_tier!`'s calls of its `#[target_feature]`
+// entries, guarded by the dispatch ladder, which never resolves above the
 // detected CPU capability.
 #![allow(unsafe_code)]
 
@@ -79,17 +88,20 @@ pub enum SimdLevel {
     Scalar,
     /// The body compiled with 256-bit AVX2 vectors enabled.
     Avx2,
+    /// The body compiled with 512-bit AVX-512F vectors enabled.
+    Avx512,
 }
 
 impl SimdLevel {
     /// All levels in ascending capability order.
-    pub const ALL: [SimdLevel; 2] = [SimdLevel::Scalar, SimdLevel::Avx2];
+    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
 
     /// Stable lowercase name (used in bench JSON context and CI logs).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 
@@ -108,7 +120,7 @@ static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
 /// `None` is auto (detected) dispatch.
 pub(crate) static ENV_LEVEL: EnvKnob<Option<SimdLevel>> = EnvKnob::new(
     "DTSNN_SIMD",
-    "one of auto|off|scalar|avx2; using auto dispatch",
+    "one of auto|off|scalar|avx2|avx512; using auto dispatch",
     parse_simd,
 );
 
@@ -121,6 +133,7 @@ fn parse_simd(raw: &str) -> Option<Option<SimdLevel>> {
         "" | "auto" => None,
         "off" | "scalar" | "none" | "sse2" => Some(SimdLevel::Scalar),
         "avx2" => Some(SimdLevel::Avx2),
+        "avx512" => Some(SimdLevel::Avx512),
         _ => return None,
     };
     if level.is_some_and(|l| l > detected()) {
@@ -134,7 +147,12 @@ fn parse_simd(raw: &str) -> Option<Option<SimdLevel>> {
 
 #[cfg(target_arch = "x86_64")]
 fn detect() -> SimdLevel {
-    if std::arch::is_x86_feature_detected!("avx2") {
+    use std::arch::is_x86_feature_detected as has;
+    // rustc's `avx512f` implies `avx2`, `fma` and `f16c`: the entry compiled
+    // for it may use any of them, so the level needs all four
+    if has!("avx512f") && has!("avx2") && has!("fma") && has!("f16c") {
+        SimdLevel::Avx512
+    } else if has!("avx2") {
         SimdLevel::Avx2
     } else {
         SimdLevel::Scalar
@@ -220,27 +238,35 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 // --------------------------------------------------------------------------
 
 /// Defines `$name` as `$body` — a safe `#[inline(always)]` function of plain
-/// loops — compiled once inside an AVX2 entry function, so LLVM vectorizes
-/// it 256 bits wide, and once for the baseline. The entry is a plain
-/// function taking its arguments by value: behind a closure handed to one
-/// generic entry, the captures were reloaded after every `f32` store. For
-/// the same reason a body keeps its hot loops out of closures — one that
-/// LLVM declines to inline stays a call into baseline code.
+/// loops — compiled inside an AVX-512F and an AVX2 entry function, so LLVM
+/// vectorizes it 512 and 256 bits wide, and once for the baseline. The entry
+/// is a plain function taking its arguments by value: behind a closure
+/// handed to one generic entry, the captures were reloaded after every `f32`
+/// store. For the same reason a body keeps its hot loops out of closures —
+/// one that LLVM declines to inline stays a call into baseline code.
 macro_rules! per_tier {
     ($(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;) => {
         $(#[$doc])*
         $vis fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
+                #[target_feature(enable = "avx512f")]
+                fn avx512($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
                 #[target_feature(enable = "avx2")]
                 fn avx2($($arg: $ty),*) $(-> $ret)? {
                     $body($($arg),*)
                 }
-                if level() == SimdLevel::Avx2 {
-                    // SAFETY: `avx2` needs the AVX2 feature, and level()
-                    // never resolves above what `detected()` found on
-                    // this CPU.
-                    return unsafe { avx2($($arg),*) };
+                match level() {
+                    // SAFETY: `avx512` needs AVX-512F and the features it
+                    // implies, and level() never resolves above what
+                    // `detected()` found on this CPU.
+                    SimdLevel::Avx512 => return unsafe { avx512($($arg),*) },
+                    // SAFETY: `avx2` needs AVX2, and level() never resolves
+                    // above what `detected()` found on this CPU.
+                    SimdLevel::Avx2 => return unsafe { avx2($($arg),*) },
+                    SimdLevel::Scalar => {}
                 }
             }
             $body($($arg),*)
@@ -427,6 +453,18 @@ fn bn_affine_body(dst: &mut [f32], src: &[f32], g: f32, mean: f32, inv_std: f32,
     }
 }
 
+per_tier! {
+    /// Average pool of a `[n, c, h, w]` buffer into its `[n, c, oh, ow]`
+    /// output, every element written once.
+    pub(crate) fn avg_pool2d(
+        src: &[f32],
+        dims: [usize; 4],
+        spec: crate::PoolSpec,
+        out_hw: (usize, usize),
+        dst: &mut [f32],
+    ) = crate::pool::avg_pool2d_core;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,6 +499,10 @@ mod tests {
             with_level(SimdLevel::Avx2, || {
                 // capped at the host capability, never above
                 assert_eq!(level(), SimdLevel::Avx2.min(detected()));
+                with_level(SimdLevel::Avx512, || {
+                    assert_eq!(level(), SimdLevel::Avx512.min(detected()));
+                });
+                assert_eq!(level(), SimdLevel::Avx2.min(detected()));
             });
             assert_eq!(level(), SimdLevel::Scalar);
         });
@@ -479,6 +521,7 @@ mod tests {
     fn level_names_are_stable() {
         assert_eq!(SimdLevel::Scalar.name(), "scalar");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
+        assert_eq!(SimdLevel::Avx512.name(), "avx512");
         assert!(!cpu_features().is_empty());
     }
 
@@ -539,6 +582,68 @@ mod tests {
             let scalar = with_level(SimdLevel::Scalar, run);
             for lvl in levels_to_test() {
                 assert_eq!(scalar, with_level(lvl, run), "bn n={n} {lvl:?}");
+            }
+        }
+    }
+
+    /// The general pooling loop every build of the pool body must equal.
+    fn pool_reference(x: &[f32], [n, c, h, w]: [usize; 4], k: usize, s: usize) -> Vec<f32> {
+        let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
+        let inv = 1.0 / (k * k) as f32;
+        let mut out = Vec::with_capacity(n * c * oh * ow);
+        for p in 0..n * c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            acc += x[(p * h + oy * s + ky) * w + ox * s + kx];
+                        }
+                    }
+                    out.push(acc * inv);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn avg_pool_matches_the_general_loop_bitwise_at_every_level() {
+        // Windows k ∈ {1, 2, 3} × stride {1, 2, 3} (2 × 2 is the literal
+        // instantiation), odd extents that drop the last row / column, 0, 1
+        // and 15 planes, a 67-wide row; -0.0, NaN and ±inf among the taps
+        // (NaN canonicalised, its payload is not pinned).
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        let canon = |v: &[f32]| -> Vec<u32> {
+            v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+        };
+        let special = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut rng = TensorRng::seed_from(406);
+        let mut ws = crate::Workspace::new();
+        for (k, stride) in (1..=3).flat_map(|k| (1..=3).map(move |s| (k, s))) {
+            let spec = crate::PoolSpec::new(k, stride).unwrap();
+            for dims in [[0, 3, 5, 5], [1, 1, 5, 7], [3, 5, 6, 9], [1, 15, 7, 67]] {
+                let mut x = randn(dims.iter().product(), &mut rng);
+                for (i, v) in x.iter_mut().enumerate().filter(|(i, _)| i % 11 == 3) {
+                    *v = special[(i / 11) % special.len()];
+                }
+                let want = canon(&pool_reference(&x, dims, k, stride));
+                let x = crate::Tensor::from_vec(x, &dims).unwrap();
+                let case = format!("k={k} s={stride} {dims:?}");
+                for lvl in levels_to_test() {
+                    let plain = with_level(lvl, || crate::avg_pool2d(&x, &spec)).unwrap();
+                    let pooled = with_level(lvl, || crate::avg_pool2d_ws(&x, &spec, &mut ws));
+                    let pooled = pooled.unwrap();
+                    assert_eq!(want, canon(plain.data()), "{case} {lvl:?}");
+                    assert_eq!(want, canon(pooled.data()), "{case} {lvl:?} (ws)");
+                    ws.recycle_tensor(pooled);
+                }
+            }
+            // the accumulator starts at +0.0, so an all -0.0 window is +0.0
+            let zeros = crate::Tensor::from_vec(vec![-0.0; 2 * 5 * 7], &[1, 2, 5, 7]).unwrap();
+            for lvl in levels_to_test() {
+                let pooled = with_level(lvl, || crate::avg_pool2d(&zeros, &spec).unwrap());
+                assert!(pooled.data().iter().all(|v| v.to_bits() == 0), "k={k} s={stride} {lvl:?}");
             }
         }
     }

@@ -92,10 +92,14 @@ conformance() {
 
 # Every `per_tier!` entry must run at its tier's width, which no test can
 # see: a body (or a closure inside one) that LLVM declines to inline is
-# compiled for the baseline and called from the AVX2 entry — bitwise correct,
-# 1.6x slower. So read the release rlib: each `dtsnn_tensor::simd::*::avx2`
-# function needs packed ymm arithmetic and no call into a `dtsnn_tensor::`
-# symbol. (Calls into core/std/libc are panic paths, memset and tanhf.)
+# compiled for the baseline and called from the vector entry — bitwise
+# correct, 1.6x slower. So read the release rlib: each
+# `dtsnn_tensor::simd::*::avx2` function needs packed ymm arithmetic, each
+# `::avx512` one packed zmm arithmetic, and neither may call into a
+# `dtsnn_tensor::` symbol. (Calls into core/std/libc are panic paths, memset
+# and tanhf.) No entry may contain an FMA: `avx512f` enables the `fma`
+# feature, and a fused multiply-add would change the rounding of every
+# kernel, so this is where "Rust never contracts" is checked on the binary.
 vector_width() {
     if ! command -v objdump >/dev/null || [ "$(uname -m)" != x86_64 ]; then
         echo "vector_width: needs objdump on x86_64; skipped"
@@ -105,8 +109,8 @@ vector_width() {
     cargo build --release -q -p dtsnn-tensor
     objdump -dCr --no-show-raw-insn "${CARGO_TARGET_DIR:-target}/release/libdtsnn_tensor.rlib" | awk '
         /^[0-9a-f]+ <.*>:$/ {
-            entry = ($0 ~ /<dtsnn_tensor::simd::[a-z0-9_]+::avx2>:$/) ? $2 : ""
-            if (entry) packed[entry] = 0
+            entry = ($0 ~ /<dtsnn_tensor::simd::[a-z0-9_]+::avx(2|512)>:$/) ? $2 : ""
+            if (entry) { packed[entry] = 0; reg[entry] = ($0 ~ /::avx512>:$/) ? "zmm" : "ymm" }
             next
         }
         !entry { next }
@@ -115,12 +119,13 @@ vector_width() {
             next
         }
         { branch = ($0 ~ /\t(call|jmp) /) }
-        /\tv(add|sub|mul)ps .*%ymm/ { packed[entry]++ }
+        /\tvfn?m(add|sub)/ { print "vector_width: " entry " fuses a multiply and an add:" $0; bad = 1 }
+        $0 ~ ("\tv(add|sub|mul)ps .*%" reg[entry]) { packed[entry]++ }
         END {
             for (e in packed) {
                 n++
-                print "vector_width: " e " " packed[e] " packed ymm ops"
-                if (!packed[e]) { print "vector_width: " e " has no packed ymm arithmetic"; bad = 1 }
+                print "vector_width: " e " " packed[e] " packed " reg[e] " ops"
+                if (!packed[e]) { print "vector_width: " e " has no packed " reg[e] " arithmetic"; bad = 1 }
             }
             if (!n) { print "vector_width: no per_tier! entry found in the rlib"; bad = 1 }
             exit bad
