@@ -536,6 +536,23 @@ mod tests {
     }
 
     #[test]
+    fn every_window_runs_a_static_sample_s_input_prefix_once() {
+        // Flatten + Linear carry no state: a sample's prefix runs on its
+        // first step and is reused on every later one, at any window size
+        // (one worker, passed in, so the counters are this network's).
+        let (frames, labels) = tiny_data(13, 21);
+        let runner = DynamicInference::new(ExitPolicy::entropy(THETA_MIXED).unwrap(), 4).unwrap();
+        for batch_size in [1, 4, 13] {
+            let mut net = tiny_net(22);
+            let eval = drive(&mut net, &runner, &frames, &labels, None, batch_size, 1).unwrap().eval;
+            let row_steps: usize = eval.samples.iter().map(|s| s.timesteps_used).sum();
+            assert!(row_steps > 13, "every sample exited at t = 1");
+            let stats = net.prefix_stats();
+            assert_eq!((stats.reused, stats.recomputed), ((row_steps - 13) as u64, 13), "{batch_size}");
+        }
+    }
+
+    #[test]
     fn warmed_batched_windows_over_a_resnet_allocate_nothing() {
         // Every step's logits, every compacted membrane — the three nested in
         // each ResidualBlock included — must return to the arena: a second

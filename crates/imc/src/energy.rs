@@ -274,28 +274,34 @@ impl CostModel {
     /// Latency of **one timestep** in clock cycles. Crossbars operate in
     /// parallel; within a crossbar the ADC is shared by `adc_mux_ratio`
     /// columns; layers execute sequentially (timesteps are not pipelined —
-    /// the paper's DT-SNN-specific choice).
+    /// the paper's DT-SNN-specific choice). Saturates at `u64::MAX`.
     pub fn timestep_latency(&self) -> u64 {
-        self.mapping.layers().iter().map(|layer| self.layer_compute_cycles(layer)).sum()
+        let layers = self.mapping.layers().iter();
+        layers.fold(0u64, |sum, layer| sum.saturating_add(self.layer_compute_cycles(layer)))
     }
 
     /// Cycles one layer occupies its datapath for one timestep: sequencing
     /// overhead plus, per vector presentation, a crossbar read, the muxed ADC
     /// conversions and a shift-&-add. Shared by the sequential ledger, the
-    /// pipeline stage model and the event-driven simulator.
+    /// pipeline stage model and the event-driven simulator. The
+    /// `LatencyConfig` fields are unbounded, so the arithmetic saturates at
+    /// `u64::MAX` instead of wrapping.
     pub(crate) fn layer_compute_cycles(&self, layer: &MappedLayer) -> u64 {
         let l = &self.config.latency;
         let xb = self.config.crossbar_size as u64;
         let mux = self.config.adc_mux_ratio as u64;
         let cols_per_xbar = (layer.physical_cols as u64).min(xb);
         let conversions = cols_per_xbar.div_ceil(mux);
-        let per_vector = l.crossbar_read + conversions * l.adc + l.shift_add;
-        l.layer_overhead + layer.vector_presentations as u64 * per_vector
+        let per_vector = l
+            .crossbar_read
+            .saturating_add(conversions.saturating_mul(l.adc))
+            .saturating_add(l.shift_add);
+        l.layer_overhead.saturating_add((layer.vector_presentations as u64).saturating_mul(per_vector))
     }
 
-    /// σ–E module latency per timestep, cycles.
+    /// σ–E module latency per timestep, cycles (saturating at `u64::MAX`).
     pub fn sigma_e_latency(&self, classes: usize) -> u64 {
-        classes as u64 * self.config.latency.sigma_e_per_class
+        (classes as u64).saturating_mul(self.config.latency.sigma_e_per_class)
     }
 
     /// Fixed per-inference energy (input loading + leakage), defined as

@@ -132,11 +132,12 @@ impl NocModel {
     }
 
     /// Worst single-link latency per timestep, cycles (head-flit hops; the
-    /// payload streams behind and overlaps with compute).
+    /// payload streams behind and overlaps with compute). Saturates at
+    /// `u64::MAX`: `cycles_per_hop` is unbounded.
     pub fn timestep_latency(&self) -> u64 {
         self.links
             .iter()
-            .map(|l| (l.mean_hops.ceil() as u64) * self.cycles_per_hop)
+            .map(|l| (l.mean_hops.ceil() as u64).saturating_mul(self.cycles_per_hop))
             .max()
             .unwrap_or(0)
     }
@@ -252,5 +253,13 @@ mod tests {
         assert_eq!(noc.byte_hops_per_timestep(&[1.0]).unwrap(), 0.0);
         assert_eq!(noc.timestep_energy(&[1.0]).unwrap(), 0.0);
         assert_eq!(noc.timestep_energy(&[]).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn hostile_hop_cycles_saturate_instead_of_wrapping() {
+        let (mapping, config) = vgg16();
+        let noc = NocModel { cycles_per_hop: u64::MAX / 2, ..NocModel::new(&mapping, &config).unwrap() };
+        assert!(noc.links().iter().any(|l| l.mean_hops > 2.0), "needs a link of 3+ hops");
+        assert_eq!(noc.timestep_latency(), u64::MAX);
     }
 }

@@ -392,9 +392,9 @@ impl<'a> EventSim<'a> {
                         } else {
                             ready
                         };
-                        layer_free[l] = start + durations[l];
+                        layer_free[l] = start.saturating_add(durations[l]);
                         next_t[l] = t + 1;
-                        push(heap, seq, start + durations[l], Event::Compute { t, l });
+                        push(heap, seq, layer_free[l], Event::Compute { t, l });
                     }
                 }
             };
@@ -426,8 +426,8 @@ impl<'a> EventSim<'a> {
                             for &link in &routes[l] {
                                 let start = tau.max(link_free[link]);
                                 link_stall_cycles += start - tau;
-                                link_free[link] = start + service[l];
-                                tau = start + service[l];
+                                link_free[link] = start.saturating_add(service[l]);
+                                tau = link_free[link];
                             }
                             link_flits += routes[l].len() as u64;
                             push(&mut heap, &mut seq, tau, Event::Transfer { t, l });
@@ -435,8 +435,8 @@ impl<'a> EventSim<'a> {
                     } else if classes.is_some() {
                         // σ–E is one more serialized stage
                         let start = now.max(sigma_free);
-                        sigma_free = start + sigma_cycles;
-                        push(&mut heap, &mut seq, start + sigma_cycles, Event::Sigma { t });
+                        sigma_free = start.saturating_add(sigma_cycles);
+                        push(&mut heap, &mut seq, sigma_free, Event::Sigma { t });
                     } else {
                         finish[t] = now;
                         if sequential && t + 1 < timesteps {
@@ -499,16 +499,18 @@ impl<'a> EventSim<'a> {
             }
         }
 
-        // event tallies from the same counts the ledger integrates
+        // event tallies from the same counts the ledger integrates,
+        // saturating at u64::MAX
         let mut crossbar_reads = 0u64;
         let mut adc_conversions = 0u64;
+        let per_run = |counts: [usize; 3]| {
+            counts.iter().fold(timesteps as u64, |p, &c| p.saturating_mul(c as u64))
+        };
         for layer in layers {
-            let vp = layer.vector_presentations as u64;
-            crossbar_reads += vp * layer.crossbars as u64 * timesteps as u64;
-            adc_conversions += vp
-                * layer.physical_cols as u64
-                * layer.row_segments as u64
-                * timesteps as u64;
+            let vp = layer.vector_presentations;
+            crossbar_reads = crossbar_reads.saturating_add(per_run([vp, layer.crossbars, 1]));
+            adc_conversions = adc_conversions
+                .saturating_add(per_run([vp, layer.physical_cols, layer.row_segments]));
         }
 
         Ok(SimReport {
@@ -545,6 +547,33 @@ mod tests {
         let mut d = vec![0.2f32; model.mapping().layers().len()];
         d[0] = 1.0;
         d
+    }
+
+    #[test]
+    fn hostile_latency_parameters_saturate_instead_of_wrapping() {
+        // `HardwareConfig::validate` bounds none of these fields: at half of
+        // u64::MAX every per-layer, per-timestep and σ–E cycle count
+        // overflows, and must read u64::MAX rather than panic (debug) or
+        // wrap (release) — through the ledger, the stage model and the event
+        // simulator alike.
+        let mut config = HardwareConfig::default();
+        let half = u64::MAX / 2;
+        let l = &mut config.latency;
+        (l.crossbar_read, l.adc, l.shift_add, l.layer_overhead, l.sigma_e_per_class) =
+            (half, half, half, half, half);
+        let mapping = ChipMapping::map(&vgg16_geometry(32, 3, 10), &config).unwrap();
+        let m = CostModel::new(mapping, config).unwrap();
+        assert!(m.mapping().layers().iter().all(|l| m.layer_compute_cycles(l) == u64::MAX));
+        assert_eq!(m.timestep_latency(), u64::MAX);
+        assert_eq!(m.sigma_e_latency(10), u64::MAX);
+        assert_eq!(m.bottleneck_stage_cycles(), u64::MAX);
+        let d = densities(&m);
+        for options in [SimOptions::analytical_parity(), SimOptions { contention: true, ..SimOptions::default() }] {
+            let sim = EventSim::new(&m, Placement::linear(m.mapping()).unwrap(), options).unwrap();
+            let report = sim.run(&d, 3, Some(10)).unwrap();
+            assert_eq!(report.cost.latency_cycles, u64::MAX, "{options:?}");
+            assert!(report.crossbar_reads > 0 && report.adc_conversions > 0);
+        }
     }
 
     #[test]

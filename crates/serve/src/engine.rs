@@ -7,7 +7,7 @@ use crate::controller::ThetaController;
 use crate::{Result, ServeError};
 use dtsnn_core::window::Window;
 use dtsnn_core::ExitPolicy;
-use dtsnn_snn::Snn;
+use dtsnn_snn::{PrefixStats, Snn};
 use dtsnn_tensor::{Tensor, WorkspaceStats};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, TryRecvError};
@@ -321,6 +321,12 @@ impl<C: Clock> Server<C> {
     /// difference two readings to count the misses of a span).
     pub fn workspace_stats(&self) -> WorkspaceStats {
         self.net.workspace_stats()
+    }
+
+    /// Input-prefix rows the network reused and recomputed (lifetime totals,
+    /// see [`Snn::prefix_stats`]).
+    pub fn prefix_stats(&self) -> PrefixStats {
+        self.net.prefix_stats()
     }
 
     /// Queued (not yet admitted) requests.

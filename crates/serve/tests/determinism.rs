@@ -213,6 +213,25 @@ fn per_timestep_frame_sequences_ride_through_the_window() {
 }
 
 #[test]
+fn a_spliced_static_request_runs_the_input_prefix_once() {
+    // Flatten + Linear carry no state: the prefix of every static request
+    // runs on its admission step and is reused on every later one, whether
+    // the row opened the window or was spliced into it.
+    let trace = staggered_trace(9, 0x5EED);
+    let mut server = Server::new(tiny_net(42), config(3), SimClock::new()).unwrap();
+    replay_trace(&mut server, &trace).unwrap();
+    assert!(server.stats().spliced_mid_window >= 1, "stats {:?}", server.stats());
+    let outcomes = server.take_outcomes();
+    let row_steps: usize = outcomes.iter().map(|o| o.timesteps_used).sum();
+    assert!(row_steps > trace.len(), "every request exited at t = 1");
+    let stats = server.prefix_stats();
+    assert_eq!(
+        (stats.reused, stats.recomputed),
+        ((row_steps - trace.len()) as u64, trace.len() as u64)
+    );
+}
+
+#[test]
 fn warmed_server_serves_from_its_arena_without_allocating() {
     // A conv net (so the packed-weight plan and the scatter tiles are in
     // play) under staggered arrivals: widths rise and fall, rows are spliced

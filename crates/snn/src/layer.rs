@@ -61,6 +61,25 @@ impl Param {
 /// Everything that happens to carried state between timesteps — reset,
 /// compaction, admission — reaches a child through the first two alone.
 ///
+/// # Row-wise purity
+///
+/// In [`Mode::Eval`], a layer that visits no carried slot
+/// ([`Layer::visit_carried`]), reports no spike density
+/// ([`Layer::last_spike_density`]) and whose [`Layer::backend`] is not
+/// `"quantized"` is a row-wise pure function of its input and its
+/// parameters: output row `r` is a function of input row `r` alone, bit for
+/// bit, whatever the other rows of the batch are and however often it ran
+/// before. [`crate::Snn`] relies on this to keep, per batch row, the output
+/// of its input prefix — the leading layers of that kind — and to reuse it
+/// while the row's input is unchanged. A layer whose Eval output could
+/// change without one of the calls that drop that cache (`Snn`'s
+/// `visit_params`, `quantize_weights`, `freeze_norm_stats`, `layers_mut`,
+/// `reset_state` or a [`Mode::Train`] forward) must therefore carry state or
+/// report a density. A quantized kernel is not row-wise pure: it picks its
+/// integer path per call, when the whole batch is binary, so a row of a
+/// batch that mixes binary and analog rows can differ from the same row run
+/// alone. The input prefix therefore ends before the first quantized layer.
+///
 /// `Send + Sync` is a supertrait bound so the data-parallel evaluation
 /// workers in `dtsnn-core` can clone a shared prototype network onto scoped
 /// threads. No layer uses interior mutability, so the bound is free.

@@ -11,9 +11,9 @@ use crate::layer::{retire, Layer, Mode, Param};
 use crate::lif::{LifConfig, LifNeuron};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{
-    avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, conv2d_ws_quant, im2col, linear_ws,
-    linear_ws_quant, simd, Conv2dSpec, ConvPlan, PoolSpec, QuantizedWeights, Tensor, TensorError,
-    TensorRng, Workspace,
+    avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, conv2d_ws_quant, im2col,
+    linear_ws_quant, simd, Conv2dSpec, ConvPlan, LinearPlan, PoolSpec, QuantizedWeights, Tensor,
+    TensorError, TensorRng, Workspace,
 };
 
 /// [`Layer::backend`] of a weight layer: the int8 kernels iff
@@ -186,6 +186,9 @@ pub struct Linear {
     quant: Option<QuantizedWeights>,
     /// `Some(bits)` once [`Layer::quantize_weights`] opted this layer in.
     quant_bits: Option<u32>,
+    /// Weights packed for the linear kernel (lazy cache, invalidated
+    /// wherever `quant` is). A clone owns its own copy.
+    plan: Option<LinearPlan>,
 }
 
 impl Linear {
@@ -193,7 +196,14 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, rng: &mut TensorRng) -> Self {
         let weight = Param::new(Tensor::kaiming(&[out_features, in_features], in_features, rng), true);
         let bias = Param::new(Tensor::zeros(&[out_features]), false);
-        Linear { weight, bias, inputs: Vec::new(), quant: None, quant_bits: None }
+        Linear { weight, bias, inputs: Vec::new(), quant: None, quant_bits: None, plan: None }
+    }
+
+    /// Drops the caches derived from the weights: the on-grid codes and the
+    /// packed plan. Both rebuild lazily on the next forward.
+    fn invalidate_packed(&mut self) {
+        self.quant = None;
+        self.plan = None;
     }
 
     /// Output feature count.
@@ -213,7 +223,7 @@ impl Linear {
 
     /// Mutable access to the weight matrix (for device-noise injection).
     pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.quant = None; // weights may change; on-grid codes are stale
+        self.invalidate_packed(); // weights may change
         &mut self.weight.value
     }
 }
@@ -221,9 +231,16 @@ impl Linear {
 impl Layer for Linear {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
         // y = x Wᵀ + b ; x is [n, in]. The int8 kernel iff Eval and opted in
-        // (training never reads the on-grid codes), the f32 one otherwise.
+        // (training never reads the on-grid codes), the f32 one over the
+        // (lazily packed) plan otherwise.
         let out = match self.quant_bits.filter(|_| mode == Mode::Eval) {
-            None => linear_ws(input, &self.weight.value, &self.bias.value, ws)?,
+            None => {
+                if self.plan.is_none() {
+                    self.plan = Some(LinearPlan::new(&self.weight.value)?);
+                }
+                let plan = self.plan.as_ref().expect("plan ensured above");
+                plan.forward(input, &self.bias.value, ws)?
+            }
             Some(bits) => {
                 if self.quant.is_none() {
                     self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
@@ -254,7 +271,7 @@ impl Layer for Linear {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.quant = None; // visitors may mutate weights (optimizer, noise)
+        self.invalidate_packed(); // visitors may mutate weights (optimizer, noise)
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -269,7 +286,7 @@ impl Layer for Linear {
 
     fn quantize_weights(&mut self, bits: u32) {
         self.quant_bits = Some(bits);
-        self.quant = None; // rebuilt lazily at the new width
+        self.invalidate_packed(); // codes rebuilt lazily at the new width
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -492,7 +509,7 @@ impl Layer for BatchNorm2d {
 // ===========================================================================
 
 /// `input`'s elements under new `dims`, in an arena buffer.
-fn copy_through(input: &Tensor, dims: &[usize], ws: &mut Workspace) -> Result<Tensor> {
+pub(crate) fn copy_through(input: &Tensor, dims: &[usize], ws: &mut Workspace) -> Result<Tensor> {
     let mut out = ws.take_overwrite(input.len());
     out.copy_from_slice(input.data());
     Ok(Tensor::from_aligned(out, dims)?)

@@ -36,6 +36,7 @@ mod loss;
 mod models;
 mod network;
 mod optim;
+mod prefix;
 mod surrogate;
 mod train;
 
@@ -53,6 +54,7 @@ pub use models::{
 };
 pub use network::{LayerNode, Snn, SpikeActivity};
 pub use optim::{CosineSchedule, Sgd, SgdConfig};
+pub use prefix::PrefixStats;
 pub use surrogate::Surrogate;
 pub use train::{evaluate_at, TrainReport, Trainer, TrainerConfig};
 

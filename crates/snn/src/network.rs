@@ -2,6 +2,8 @@
 //! timesteps (Eq. 1), with BPTT support and spike-activity accounting.
 
 use crate::layer::{retire, Layer, Mode, Param};
+use crate::layers::copy_through;
+use crate::prefix::{self, PrefixCache, PrefixStats};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{Tensor, TensorError, Workspace, WorkspaceStats};
 
@@ -56,6 +58,13 @@ impl SpikeActivity {
 /// [`Snn::forward_timestep`] is the logits `h∘g^L∘…∘g¹(x)` of Eq. 1. The
 /// caller is responsible for averaging logits across timesteps (the
 /// dynamic-timestep policy in `dtsnn-core` does this incrementally).
+///
+/// In [`Mode::Eval`] the network keeps, per batch row, the output of its
+/// *input prefix* — the leading layers that carry no state, report no spike
+/// density and run no quantized kernel — and reuses it while the row's input stays bit-identical
+/// (a static frame under direct encoding), so those layers run once per row
+/// and window instead of once per timestep. The outputs are bitwise those of
+/// a cache-free forward; [`Snn::prefix_stats`] counts the reuse.
 pub struct Snn {
     layers: Vec<LayerNode>,
     /// Running sums of spike density per spiking layer.
@@ -65,15 +74,19 @@ pub struct Snn {
     /// is needed; a cloned network starts with a fresh, empty arena (the
     /// clone-pool harness hands each worker its own clone).
     workspace: Workspace,
+    /// Per-row outputs of the input prefix (carried state).
+    prefix: PrefixCache,
 }
 
 impl Clone for Snn {
     fn clone(&self) -> Self {
+        // the clone starts with an empty prefix cache: its rows recompute
         Snn {
             layers: self.layers.clone(),
             density_sums: self.density_sums.clone(),
             density_obs: self.density_obs,
             workspace: Workspace::new(),
+            prefix: PrefixCache::default(),
         }
     }
 }
@@ -93,6 +106,7 @@ impl Snn {
             density_sums: vec![0.0; spiking],
             density_obs: 0,
             workspace: Workspace::new(),
+            prefix: PrefixCache::default(),
         }
     }
 
@@ -112,7 +126,9 @@ impl Snn {
     }
 
     /// Mutable access to the layers (used by the device-noise injector).
+    /// Drops the cached prefix outputs, since the caller may change a layer.
     pub fn layers_mut(&mut self) -> &mut [LayerNode] {
+        self.prefix.clear();
         &mut self.layers
     }
 
@@ -127,9 +143,10 @@ impl Snn {
     ///
     /// Retired carried buffers (LIF membranes) are parked in the network's
     /// workspace, so the next sample's timestep loop reuses them instead of
-    /// allocating.
+    /// allocating; the cached prefix rows are dropped, their buffers kept.
     pub fn reset_state(&mut self) {
         let ws = &mut self.workspace;
+        self.prefix.clear();
         for node in &mut self.layers {
             node.layer.reset_state_ws(ws);
         }
@@ -142,15 +159,20 @@ impl Snn {
 
     /// Freezes normalization statistics in every layer (see
     /// [`Layer::freeze_stats`]); used by the conformance gradient checker to
-    /// make Train-mode forwards pure functions of the parameters.
+    /// make Train-mode forwards pure functions of the parameters. Drops the
+    /// cached prefix outputs.
     pub fn freeze_norm_stats(&mut self) {
+        self.prefix.clear();
         for node in &mut self.layers {
             node.layer.freeze_stats();
         }
     }
 
-    /// Visits every learnable parameter in the network.
+    /// Visits every learnable parameter in the network. The visitor may
+    /// change any of them (the optimizer, checkpoint loading and the noise
+    /// injectors do), so this drops the cached prefix outputs.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.prefix.clear();
         for node in &mut self.layers {
             node.layer.visit_params(f);
         }
@@ -159,7 +181,9 @@ impl Snn {
     /// Opts every weight layer into the quantized Eval backend on the
     /// signed `bits` grid (the IMC `weight_bits` deployment grid). The
     /// stored f32 weights are untouched; see [`Layer::quantize_weights`].
+    /// Drops the cached prefix outputs; no quantized layer is ever cached.
     pub fn quantize_weights(&mut self, bits: u32) {
+        self.prefix.clear();
         for node in &mut self.layers {
             node.layer.quantize_weights(bits);
         }
@@ -187,15 +211,31 @@ impl Snn {
     /// via [`Snn::recycle`] once folded. [`Mode::Train`] intermediates are
     /// dropped instead.
     ///
+    /// An Eval step runs the input prefix only for the rows whose input
+    /// changed or whose cached output is stale (see [`Snn`]); a Train step
+    /// runs every layer and drops the cache.
+    ///
     /// # Errors
     ///
     /// Propagates layer shape errors.
     pub fn forward_timestep(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         let ws = &mut self.workspace;
+        // (an input with no elements has no rows to compare: nothing cached)
+        let batch = input.dims().first().is_some_and(|&rows| rows > 0) && !input.is_empty();
+        let cached = match mode {
+            Mode::Eval if batch => prefix::prefix_len(&mut self.layers),
+            Mode::Eval => 0,
+            Mode::Train => {
+                self.prefix.clear();
+                0
+            }
+        };
+        let (head, tail) = self.layers.split_at_mut(cached);
+        let start = if cached > 0 { self.prefix.forward(head, input, ws)? } else { input };
         let mut x: Option<Tensor> = None;
         let mut spiking_idx = 0;
-        for node in &mut self.layers {
-            let y = node.layer.forward_ws(x.as_ref().unwrap_or(input), mode, ws)?;
+        for node in tail {
+            let y = node.layer.forward_ws(x.as_ref().unwrap_or(start), mode, ws)?;
             if let Some(prev) = x.replace(y) {
                 retire(ws, mode, prev);
             }
@@ -207,7 +247,7 @@ impl Snn {
         self.density_obs += 1;
         match x {
             Some(out) => Ok(out),
-            None => Ok(input.clone()),
+            None => copy_through(start, start.dims(), ws),
         }
     }
 
@@ -260,11 +300,11 @@ impl Snn {
     }
 
     /// Narrowest axis-0 width among the per-row tensors the layers carry
-    /// between timesteps ([`Layer::visit_carried`]); `usize::MAX` while
-    /// nothing is carried. Read-only: the check both row operations make
-    /// before either touches a layer.
+    /// between timesteps ([`Layer::visit_carried`]) and the cached prefix
+    /// rows; `usize::MAX` while nothing is carried. Read-only: the check both
+    /// row operations make before either touches a layer.
     fn carried_width(&mut self) -> Result<usize> {
-        let mut width = Some(usize::MAX);
+        let mut width = Some(self.prefix.rows().unwrap_or(usize::MAX));
         for node in &mut self.layers {
             node.layer.visit_carried(&mut |slot| {
                 if let Some(u) = slot {
@@ -298,8 +338,8 @@ impl Snn {
         }
     }
 
-    /// Restricts every layer's carried batch state (LIF membranes) to the
-    /// given axis-0 rows, in order.
+    /// Restricts every layer's carried batch state (LIF membranes, cached
+    /// prefix rows) to the given axis-0 rows, in order.
     ///
     /// This is the active-set compaction hook of the batched dynamic
     /// evaluation in `dtsnn-core`: between timesteps it retires samples whose
@@ -326,6 +366,7 @@ impl Snn {
                     .copy_from_slice(&old[r * row_len..(r + 1) * row_len]);
             }
         });
+        self.prefix.compact(rows);
         Ok(())
     }
 
@@ -342,8 +383,10 @@ impl Snn {
     /// observe — so a spliced row's spikes, and everything downstream of
     /// them, are bitwise identical to running that row alone. Existing rows
     /// are untouched bitwise, and a layer that has not run since its reset
-    /// carries nothing to pad. Buffers come from the network's workspace, so
-    /// a warmed serving loop stays allocation-free across width changes.
+    /// carries nothing to pad. A new row's cached prefix entry is stale, so
+    /// its first step runs the prefix whatever its input is. Buffers come
+    /// from the network's workspace, so a warmed serving loop stays
+    /// allocation-free across width changes.
     ///
     /// # Errors
     ///
@@ -357,6 +400,7 @@ impl Snn {
                 kept.copy_from_slice(old);
                 fresh.fill(0.0);
             });
+            self.prefix.admit(extra);
         }
         Ok(())
     }
@@ -417,10 +461,17 @@ impl Snn {
         self.workspace.stats()
     }
 
-    /// Zeroes the arena's allocation counters — call after a warm-up pass,
-    /// before the span whose allocations you want to count.
+    /// Prefix rows reused and recomputed since the last
+    /// [`Snn::reset_workspace_stats`] (see [`Snn`]).
+    pub fn prefix_stats(&self) -> PrefixStats {
+        self.prefix.stats()
+    }
+
+    /// Zeroes the arena's allocation counters and the prefix-row counters —
+    /// call after a warm-up pass, before the span you want to count.
     pub fn reset_workspace_stats(&mut self) {
         self.workspace.reset_stats();
+        self.prefix.reset_stats();
     }
 
     /// Parks a tensor (typically logits returned by

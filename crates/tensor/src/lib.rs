@@ -66,7 +66,7 @@ pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_ws, conv2d_ws_quant, im2col, Conv2dSpec, ConvPlan,
 };
 pub use error::TensorError;
-pub use linalg::{linear_ws, linear_ws_quant};
+pub use linalg::{linear_ws, linear_ws_quant, LinearPlan};
 pub use ops::{log_softmax_rows, softmax_in_place, softmax_rows};
 pub use pool::{avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, global_avg_pool, PoolSpec};
 pub use quant::QuantizedWeights;

@@ -12,11 +12,14 @@
 //! finite operands — accumulators start at `+0.0`, `+0.0 + ±0.0 == +0.0`,
 //! and adding `±0.0` to a nonzero value changes nothing — so every entry
 //! point equals the plain triple loop bit for bit (pinned by
-//! `tests/zero_skip.rs`). The int8 path ([`linear_ws_quant`]) is entered
-//! only with explicit [`QuantizedWeights`].
+//! `tests/zero_skip.rs`). `a × bᵀ` (the linear layer, [`Tensor::matmul_nt`])
+//! runs over `b` packed in column groups — once per weight version in a
+//! [`LinearPlan`], per call in [`linear_ws`] — and walks each row's nonzero
+//! inputs only. The int8 path ([`linear_ws_quant`]) is entered only with
+//! explicit [`QuantizedWeights`].
 
 use crate::quant::QuantizedWeights;
-use crate::{parallel, simd, Result, Tensor, TensorError, Workspace};
+use crate::{parallel, simd, AlignedVec, Result, Tensor, TensorError, Workspace};
 
 /// K-dimension tile: one tile of `b` rows (`BLOCK_K × BLOCK_N` floats) stays
 /// cache-hot across all output rows of a worker's chunk. Per output element
@@ -24,19 +27,11 @@ use crate::{parallel, simd, Result, Tensor, TensorError, Workspace};
 const BLOCK_K: usize = 64;
 /// N-dimension tile (floats): bounds the write window per pass.
 const BLOCK_N: usize = 256;
-/// Output columns `matmul_nt` carries per row: sixteen accumulators in a
-/// local array are two independent AVX2 add chains (four at the baseline
-/// width, one at AVX-512), which is what hides the add latency of the single
-/// chain each output element must keep. Thirty-two is faster on wide `n` but
-/// slows the ten-class head on both vector tiers (EXPERIMENTS, "A 512-bit
-/// tier").
-const NT_COLS: usize = 16;
-/// K-tile of `matmul_nt`: `NT_BLOCK_K` rows of [`NT_COLS`] packed `b` columns
-/// sit in a stack tile (8 KiB). Per output element the tiles are visited in
-/// ascending order and the partial accumulator round-trips through `out`
-/// between tiles — an exact f32 store/load, so blocking stays bitwise
-/// neutral.
-const NT_BLOCK_K: usize = 128;
+/// Output columns the linear kernel carries per row: sixteen accumulators in
+/// a local array are two independent AVX2 add chains (four at the baseline
+/// width, one at AVX-512). Thirty-two is faster on wide `n` but slows the
+/// ten-class head on both vector tiers (EXPERIMENTS, "A 512-bit tier").
+pub(crate) const NT_COLS: usize = 16;
 
 // The chunk kernels below are the bodies `simd`'s `per_tier!` entries compile
 // once per tier: safe code, plain loops, no closures (see `simd`'s module
@@ -106,112 +101,76 @@ pub(crate) fn matmul_tn_chunk(
     }
 }
 
-/// `c[i, j] = Σ_p a[i, p] * b[j, p]` over a **zero-filled** `c`, `b` stored
-/// `[n, k]`. Groups of [`NT_COLS`] columns are packed k-tile by k-tile into a
-/// stack tile, so the inner loop is one broadcast `a[i, p]` against sixteen
-/// contiguous weights, each product masked by [`nonzero_mask`]; per output
-/// element that is one ascending-`p` chain of multiply-then-add. The last
-/// group of a ragged `n` (all of a ten-class head) runs the same loop with
-/// its spare lanes computed on stale tile columns and dropped.
+/// `c[i, j] = Σ_p a[i, p] * w[j, p] + bias[j]` over the rows of `c`, every
+/// element written, `w` packed by [`pack_linear`]. Per row and group of
+/// [`NT_COLS`] columns it walks the row's nonzero inputs — one packed word per
+/// 64, as the convolution's scan — and adds `a[i, p]` times the group's
+/// packed weight row `p` into a register group: per output element one
+/// ascending-`p` chain over the nonzero terms, so a silent input never meets
+/// its weight, then the bias. The spare lanes of a ragged last group run on
+/// zero weights and are dropped.
 #[inline(always)]
-pub(crate) fn matmul_nt_chunk(
+pub(crate) fn linear_chunk(
     a: &[f32],
     k: usize,
     first_row: usize,
-    b: &[f32],
+    w: &[f32],
     n: usize,
+    bias: &[f32],
     c: &mut [f32],
 ) {
-    let mut tile = [0.0f32; NT_BLOCK_K * NT_COLS];
-    let mut keep = [0u32; NT_BLOCK_K];
-    for jb in (0..n).step_by(NT_COLS) {
-        let cols = NT_COLS.min(n - jb);
-        for pb in (0..k).step_by(NT_BLOCK_K) {
-            let pend = (pb + NT_BLOCK_K).min(k);
-            for l in 0..cols {
-                let brow = &b[(jb + l) * k..][pb..pend];
-                for (pi, &bv) in brow.iter().enumerate() {
-                    tile[pi * NT_COLS + l] = bv;
+    for (local_i, crow) in c.chunks_mut(n.max(1)).enumerate() {
+        let arow = &a[(first_row + local_i) * k..][..k];
+        for (g, cgroup) in crow.chunks_mut(NT_COLS).enumerate() {
+            let wg = &w[g * k * NT_COLS..][..k * NT_COLS];
+            // indexed with fixed trip counts only, so it stays in registers
+            let mut acc = [0.0f32; NT_COLS];
+            for (wi, chunk) in arow.chunks(64).enumerate() {
+                let mut bits = 0u64;
+                for (bit, &v) in chunk.iter().enumerate() {
+                    bits |= u64::from(v != 0.0) << bit;
                 }
-            }
-            for (local_i, crow) in c.chunks_mut(n).enumerate() {
-                let arow = &a[(first_row + local_i) * k..][pb..pend];
-                // The masks go through memory: on a compare of the one `av`
-                // all sixteen lanes share, LLVM forms a branch around the
-                // multiplies, and a branch on spike data mispredicts.
-                for (kp, &av) in keep.iter_mut().zip(arow) {
-                    *kp = nonzero_mask(av);
-                }
-                let cgroup = &mut crow[jb..jb + cols];
-                let mut acc = [0.0f32; NT_COLS];
-                acc[..cols].copy_from_slice(cgroup);
-                for ((&av, &kp), bvs) in arow.iter().zip(&keep).zip(tile.chunks_exact(NT_COLS)) {
-                    for (sum, &bv) in acc.iter_mut().zip(bvs) {
-                        // explicit multiply, then add: never an FMA
-                        *sum += f32::from_bits((av * bv).to_bits() & kp);
+                while bits != 0 {
+                    let p = wi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // explicit multiply (off the add chain), then add: no FMA
+                    let x = arow[p];
+                    for (s, &wv) in acc.iter_mut().zip(&wg[p * NT_COLS..][..NT_COLS]) {
+                        *s += x * wv;
                     }
                 }
-                cgroup.copy_from_slice(&acc[..cols]);
+            }
+            let gbias = &bias[g * NT_COLS..][..cgroup.len()];
+            for (j, &s) in acc.iter().enumerate() {
+                if let Some(cv) = cgroup.get_mut(j) {
+                    *cv = s + gbias[j];
+                }
             }
         }
     }
 }
 
-/// All ones iff `a` is nonzero (NaN counts as nonzero). ANDed onto the bits
-/// of a product `a * b` it leaves `+0.0` for a zero `a` whatever `b` is.
-/// Bitwise neutral for finite operands (a sum that starts at `+0.0` can never
-/// become `-0.0`), and it keeps a weight behind a silent input out of the
-/// sum, as the skip of the row-add kernels does. A mask, not a branch: the
-/// loop is bound by the add chain and a branch on spike data mispredicts.
-#[inline(always)]
-fn nonzero_mask(a: f32) -> u32 {
-    u32::from(a != 0.0).wrapping_neg()
+/// Packs `[n, k]` weights for [`linear_chunk`], every element of `out`
+/// written: per group of [`NT_COLS`] output columns, one `NT_COLS`-wide row
+/// per input, the spare lanes of a ragged last group zero.
+pub(crate) fn pack_linear(w: &[f32], n: usize, k: usize, out: &mut [f32]) {
+    for (g, packed) in out.chunks_exact_mut((k * NT_COLS).max(1)).enumerate() {
+        let cols = NT_COLS.min(n - g * NT_COLS);
+        for (p, row) in packed.chunks_exact_mut(NT_COLS).enumerate() {
+            for (l, v) in row.iter_mut().enumerate() {
+                *v = if l < cols { w[(g * NT_COLS + l) * k + p] } else { 0.0 };
+            }
+        }
+    }
 }
 
 /// `c[i, j] += bias[j]` over the rows of `c`.
-#[inline(always)]
-pub(crate) fn add_bias_chunk(c: &mut [f32], n: usize, bias: &[f32]) {
-    if n == 0 {
-        return; // (`chunks_mut(0)` panics; the matmul bodies run no iteration)
-    }
-    for crow in c.chunks_mut(n) {
+fn add_bias(c: &mut [f32], bias: &[f32]) {
+    for crow in c.chunks_mut(bias.len().max(1)) {
         for (cv, &bv) in crow.iter_mut().zip(bias) {
             *cv += bv;
         }
     }
-}
-
-/// Dense blocked `out[m,n] += a[m,k] × b[k,n]` over a zeroed output buffer.
-pub(crate) fn matmul_dense(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    let work = m.saturating_mul(k).saturating_mul(n);
-    parallel::for_each_row_chunk(out, n, m, work, |r, c| simd::matmul_chunk(a, k, r, b, n, c));
-}
-
-/// Dense blocked `out[m,n] += aᵀ × b` with `a` stored `[k, m]`.
-pub(crate) fn matmul_tn_dense(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    let work = m.saturating_mul(k).saturating_mul(n);
-    parallel::for_each_row_chunk(out, n, m, work, |first_row, c| {
-        simd::matmul_tn_chunk(a, k, m, first_row, b, n, c);
-    });
-}
-
-/// Dense `out[m,n] += a[m,k] × bᵀ` over a **zero-filled** `out`, with `b`
-/// stored `[n, k]`. The partial accumulator is parked in `out` between
-/// k-tiles, which is why the buffer must start zeroed; every caller passes a
-/// fresh [`crate::Tensor::zeros`] or zero-filled [`crate::Workspace::take`]
-/// buffer.
-pub(crate) fn matmul_nt_dense(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    let work = m.saturating_mul(k).saturating_mul(n);
-    parallel::for_each_row_chunk(out, n, m, work, |r, c| simd::matmul_nt_chunk(a, k, r, b, n, c));
-}
-
-/// `c[rows, n] += bias[n]` broadcast over rows, row-partitioned.
-pub(crate) fn add_bias_rows(c: &mut [f32], n: usize, rows: usize, b: &[f32]) {
-    let work = rows.saturating_mul(n);
-    parallel::for_each_row_chunk(c, n, rows, work, |_, chunk| simd::add_bias_chunk(chunk, n, b));
 }
 
 impl Tensor {
@@ -241,10 +200,12 @@ impl Tensor {
             return Err(TensorError::MatmulDims { lhs_cols: k, rhs_rows: k2 });
         }
         let mut out = Tensor::zeros(&[m, n]);
-        if m == 0 || n == 0 {
-            return Ok(out);
+        if m > 0 && n > 0 {
+            let (a, b, work) = (self.data(), rhs.data(), m.saturating_mul(k).saturating_mul(n));
+            parallel::for_each_row_chunk(out.data_mut(), n, m, work, |r, c| {
+                simd::matmul_chunk(a, k, r, b, n, c);
+            });
         }
-        matmul_dense(self.data(), m, k, rhs.data(), n, out.data_mut());
         Ok(out)
     }
 
@@ -261,31 +222,24 @@ impl Tensor {
             return Err(TensorError::MatmulDims { lhs_cols: m, rhs_rows: k2 });
         }
         let mut out = Tensor::zeros(&[m, n]);
-        if m == 0 || n == 0 {
-            return Ok(out);
+        if m > 0 && n > 0 {
+            let (a, b, work) = (self.data(), rhs.data(), m.saturating_mul(k).saturating_mul(n));
+            parallel::for_each_row_chunk(out.data_mut(), n, m, work, |r, c| {
+                simd::matmul_tn_chunk(a, k, m, r, b, n, c);
+            });
         }
-        matmul_tn_dense(self.data(), k, m, rhs.data(), n, out.data_mut());
         Ok(out)
     }
 
-    /// `self[m,k] × rhsᵀ[n,k] → [m,n]` without materializing the transpose,
-    /// with the same zero skip as [`Tensor::matmul`].
+    /// `self[m,k] × rhsᵀ[n,k] → [m,n]`: [`linear_ws`] with a zero bias (a sum
+    /// that starts at `+0.0` is never `-0.0`, so adding `+0.0` is exact).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Tensor::matmul`], with `rhs` read as `[n, k]`.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor> {
-        let (m, k) = mat_dims(self)?;
-        let (n, k2) = mat_dims(rhs)?;
-        if k != k2 {
-            return Err(TensorError::MatmulDims { lhs_cols: k, rhs_rows: k2 });
-        }
-        let mut out = Tensor::zeros(&[m, n]);
-        if m == 0 || n == 0 {
-            return Ok(out);
-        }
-        matmul_nt_dense(self.data(), m, k, rhs.data(), n, out.data_mut());
-        Ok(out)
+        let (_, (n, _)) = (mat_dims(self)?, mat_dims(rhs)?);
+        linear_ws(self, rhs, &Tensor::zeros(&[n]), &mut Workspace::new())
     }
 
     /// Adds a length-`n` bias vector to every row of an `[m, n]` matrix.
@@ -294,7 +248,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when `bias` is not `[n]`.
     pub fn add_row_bias(&self, bias: &Tensor) -> Result<Tensor> {
-        let (m, n) = mat_dims(self)?;
+        let (_, n) = mat_dims(self)?;
         if bias.dims() != [n] {
             return Err(TensorError::ShapeMismatch {
                 expected: vec![n],
@@ -302,7 +256,7 @@ impl Tensor {
             });
         }
         let mut out = self.clone();
-        add_bias_rows(out.data_mut(), n, m, bias.data());
+        add_bias(out.data_mut(), bias.data());
         Ok(out)
     }
 
@@ -312,13 +266,11 @@ impl Tensor {
     ///
     /// Returns [`TensorError::RankMismatch`] for non-matrices.
     pub fn sum_rows(&self) -> Result<Tensor> {
-        let (m, n) = mat_dims(self)?;
+        let (_, n) = mat_dims(self)?;
         let mut out = Tensor::zeros(&[n]);
-        let a = self.data();
-        let o = out.data_mut();
-        for i in 0..m {
-            for j in 0..n {
-                o[j] += a[i * n + j];
+        for row in self.data().chunks_exact(n.max(1)) {
+            for (o, &v) in out.data_mut().iter_mut().zip(row) {
+                *o += v;
             }
         }
         Ok(out)
@@ -326,9 +278,11 @@ impl Tensor {
 }
 
 /// Fully-connected forward:
-/// `input[m,k] × weightᵀ[n,k] + bias[n] → [m,n]`, with the output drawn from
-/// `ws` instead of a fresh heap allocation. Bitwise identical to
-/// `input.matmul_nt(weight)?.add_row_bias(bias)?`.
+/// `input[m,k] × weightᵀ[n,k] + bias[n] → [m,n]`, with the packed weights and
+/// the output drawn from `ws`. Bitwise identical to
+/// `input.matmul_nt(weight)?.add_row_bias(bias)?`. It packs `weight` on every
+/// call; a layer that runs the same weights every timestep keeps a
+/// [`LinearPlan`] instead.
 ///
 /// # Errors
 ///
@@ -340,20 +294,60 @@ pub fn linear_ws(
     bias: &Tensor,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
-    let (m, k) = mat_dims(input)?;
-    let (n, k2) = mat_dims(weight)?;
-    if k != k2 {
-        return Err(TensorError::MatmulDims { lhs_cols: k, rhs_rows: k2 });
+    mat_dims(input)?;
+    let plan = LinearPlan::pack(weight, |len| ws.take_overwrite(len))?;
+    let out = plan.forward(input, bias, ws);
+    ws.recycle(plan.packed);
+    out
+}
+
+/// A layer's `[n, k]` weights packed once for the linear kernel, so packing
+/// leaves the timestep loop (what [`crate::ConvPlan`] is to a convolution).
+/// The owner rebuilds it whenever the weights may change; a clone owns its
+/// copy.
+#[derive(Debug, Clone)]
+pub struct LinearPlan {
+    dims: [usize; 2],
+    packed: AlignedVec,
+}
+
+impl LinearPlan {
+    /// Packs `weight` (`[n, k]`).
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::RankMismatch`] unless `weight` is a matrix.
+    pub fn new(weight: &Tensor) -> Result<Self> {
+        LinearPlan::pack(weight, AlignedVec::zeroed)
     }
-    if bias.dims() != [n] {
-        return Err(TensorError::ShapeMismatch { expected: vec![n], actual: bias.dims().to_vec() });
+
+    /// Packs `weight` into `buffer(len)`, which it overwrites.
+    fn pack(weight: &Tensor, buffer: impl FnOnce(usize) -> AlignedVec) -> Result<Self> {
+        let (n, k) = mat_dims(weight)?;
+        let mut packed = buffer(n.div_ceil(NT_COLS) * k * NT_COLS);
+        pack_linear(weight.data(), n, k, &mut packed);
+        Ok(LinearPlan { dims: [n, k], packed })
     }
-    let mut out = ws.take(m * n);
-    if m > 0 && n > 0 {
-        matmul_nt_dense(input.data(), m, k, weight.data(), n, &mut out);
-        add_bias_rows(&mut out, n, m, bias.data());
+
+    /// `input[m, k] × weightᵀ + bias → [m, n]` over the packed weights,
+    /// row-partitioned, bitwise identical to [`linear_ws`]; the output comes
+    /// from `ws`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`linear_ws`].
+    pub fn forward(&self, input: &Tensor, bias: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+        let ([n, k], m) = (self.dims, linear_rows(input, self.dims, bias)?);
+        let mut out = ws.take_overwrite(m * n);
+        if m > 0 && n > 0 {
+            let (a, w, b) = (input.data(), self.packed.as_slice(), bias.data());
+            let work = m.saturating_mul(k).saturating_mul(n);
+            parallel::for_each_row_chunk(&mut out, n, m, work, |r, c| {
+                simd::linear_chunk(a, k, r, w, n, b, c);
+            });
+        }
+        Tensor::from_aligned(out, &[m, n])
     }
-    Tensor::from_aligned(out, &[m, n])
 }
 
 /// Quantized fully-connected forward: for a binary input, an exact `i32`
@@ -374,23 +368,28 @@ pub fn linear_ws_quant(
     if !input.is_binary() {
         return linear_ws(input, qw.dequantized(), bias, ws);
     }
-    let (m, k) = mat_dims(input)?;
-    let n = qw.rows();
-    if k != qw.cols() {
-        return Err(TensorError::MatmulDims { lhs_cols: k, rhs_rows: qw.cols() });
-    }
-    if bias.dims() != [n] {
-        return Err(TensorError::ShapeMismatch { expected: vec![n], actual: bias.dims().to_vec() });
-    }
+    let ([n, k], m) = ([qw.rows(), qw.cols()], linear_rows(input, [qw.rows(), qw.cols()], bias)?);
     let mut out = ws.take(m * n);
     if m > 0 && n > 0 {
         let mut bm = ws.take_bits();
         bm.build_from_dense(input.data(), m, k)?;
         qw.matmul_nt_bits_into(&bm, &mut out);
         ws.recycle_bits(bm);
-        add_bias_rows(&mut out, n, m, bias.data());
+        add_bias(&mut out, bias.data());
     }
     Tensor::from_aligned(out, &[m, n])
+}
+
+/// The row count of `input` after checking it is `[m, k]` and `bias` is `[n]`.
+fn linear_rows(input: &Tensor, [n, k]: [usize; 2], bias: &Tensor) -> Result<usize> {
+    let (m, k_in) = mat_dims(input)?;
+    if k_in != k {
+        return Err(TensorError::MatmulDims { lhs_cols: k_in, rhs_rows: k });
+    }
+    if bias.dims() != [n] {
+        return Err(TensorError::ShapeMismatch { expected: vec![n], actual: bias.dims().to_vec() });
+    }
+    Ok(m)
 }
 
 fn mat_dims(t: &Tensor) -> Result<(usize, usize)> {

@@ -64,9 +64,9 @@
 //!   oracle 13 and the `DTSNN_SIMD=off` vs `auto` CI stages; the
 //!   `vector_width` stage rejects any FMA instruction in an entry).
 //! - Width changes how many independent accumulator chains a vector
-//!   register holds, never the order inside one: `matmul_nt`'s sixteen
-//!   column accumulators are four baseline chains, two AVX2 chains or one
-//!   AVX-512 chain.
+//!   register holds, never the order inside one: the linear kernel's
+//!   sixteen column accumulators are four baseline chains, two AVX2 chains
+//!   or one AVX-512 chain.
 //! - LIF/BatchNorm keep the literal expression (`u · (1 − s)`, not a mask
 //!   select: an `inf` membrane that spikes still yields `NaN`).
 
@@ -312,22 +312,17 @@ per_tier! {
 }
 
 per_tier! {
-    /// One worker's row chunk of `out[m,n] = a[m,k] × bᵀ`, `b` stored
-    /// `[n, k]`, over a zero-filled `c`.
-    pub(crate) fn matmul_nt_chunk(
+    /// One worker's row chunk of `out[m,n] = a[m,k] × wᵀ + bias`, `w`
+    /// packed for the linear kernel; every element of `c` written.
+    pub(crate) fn linear_chunk(
         a: &[f32],
         k: usize,
         first_row: usize,
-        b: &[f32],
+        w: &[f32],
         n: usize,
+        bias: &[f32],
         c: &mut [f32],
-    ) = crate::linalg::matmul_nt_chunk;
-}
-
-per_tier! {
-    /// `c[rows, n] += bias[n]` over one worker's rows.
-    pub(crate) fn add_bias_chunk(c: &mut [f32], n: usize, bias: &[f32])
-        = crate::linalg::add_bias_chunk;
+    ) = crate::linalg::linear_chunk;
 }
 
 /// The neuron constants of one [`lif_step`].
@@ -528,30 +523,33 @@ mod tests {
     #[test]
     fn chunk_kernels_match_baseline_bitwise_on_unaligned_slices() {
         // Each matmul-family entry, baseline build vs every detected tier.
-        // Extents straddle the NT k-tile (128) and column group (16) and the
-        // vector widths; every operand starts one float into its buffer (a
-        // wide build must not assume alignment) and the chunk starts at row
-        // 2 of `a`. `a` carries zeros so the skip and the mask both run.
+        // Extents straddle the linear kernel's 64-input scan words and
+        // 16-column group and the vector widths; every operand starts one
+        // float into its buffer (a wide build must not assume alignment) and
+        // the chunk starts at row 2 of `a`. `a` carries zeros and ones so the
+        // skips and both row-add forms run.
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let mut rng = TensorRng::seed_from(401);
-        for k in [0usize, 1, 127, 128, 129] {
+        for k in [0usize, 1, 63, 64, 65, 129] {
             for n in [0usize, 1, 15, 16, 17, 33] {
                 for rows in [0usize, 1, 3] {
                     let (first_row, m) = (2, 2 + rows);
                     let mut a = randn(1 + m * k, &mut rng); // read as [m, k] and as [k, m]
                     a.iter_mut().step_by(3).for_each(|v| *v = 0.0);
+                    a.iter_mut().skip(1).step_by(5).for_each(|v| *v = 1.0);
                     let b = randn(1 + k * n, &mut rng); // read as [k, n] and as [n, k]
+                    let groups = n.div_ceil(crate::linalg::NT_COLS);
+                    let mut packed = vec![0.0f32; 1 + groups * k * crate::linalg::NT_COLS];
+                    crate::linalg::pack_linear(&b[1..], n, k, &mut packed[1..]);
                     let bias = randn(1 + n, &mut rng);
                     let c0 = randn(1 + rows * n, &mut rng);
                     let run = || {
-                        let (a, b) = (&a[1..], &b[1..]);
-                        let (mut mm, mut tn, mut bi) = (c0.clone(), c0.clone(), c0.clone());
-                        let mut nt = vec![0.0f32; c0.len()];
+                        let (a, b, w) = (&a[1..], &b[1..], &packed[1..]);
+                        let (mut mm, mut tn, mut nt) = (c0.clone(), c0.clone(), c0.clone());
                         matmul_chunk(a, k, first_row, b, n, &mut mm[1..]);
                         matmul_tn_chunk(a, k, m, first_row, b, n, &mut tn[1..]);
-                        matmul_nt_chunk(a, k, first_row, b, n, &mut nt[1..]);
-                        add_bias_chunk(&mut bi[1..], n, &bias[1..]);
-                        [bits(&mm), bits(&tn), bits(&nt), bits(&bi)]
+                        linear_chunk(a, k, first_row, w, n, &bias[1..], &mut nt[1..]);
+                        [bits(&mm), bits(&tn), bits(&nt)]
                     };
                     let want = with_level(SimdLevel::Scalar, run);
                     for lvl in levels_to_test() {

@@ -1,14 +1,17 @@
 //! The one f32 matmul family against the plain triple loop, bit for bit.
 //!
-//! Every kernel skips a zero left-operand entry in place (and `matmul_nt`
-//! tiles the dot product); none of it may move a bit against
-//! a loop that multiplies and adds every term in ascending `k`, and a weight
-//! behind a silent input must not reach the output at all.
+//! Every kernel skips a zero left-operand entry in place (and the linear
+//! kernel behind `matmul_nt`, `linear_ws` and `LinearPlan` walks only a row's
+//! nonzero inputs over packed column groups); none of it may move a bit
+//! against a loop that multiplies and adds every term in ascending `k`, and a
+//! weight behind a silent input must not reach the output at all.
 //!
 //! One test, alone in its own process: it flips the process-wide thread and
 //! SIMD overrides, which the unit tests of those knobs assert on.
 
-use dtsnn_tensor::{linear_ws, parallel, simd, SimdLevel, Tensor, TensorRng, Workspace};
+use dtsnn_tensor::{
+    linear_ws, parallel, simd, LinearPlan, SimdLevel, Tensor, TensorRng, Workspace,
+};
 
 const CLASSES: [&str; 6] = ["binary", "ternary", "graded", "dense", "zero", "negzero"];
 
@@ -57,10 +60,12 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Asserts that all four entry points return `want` (`want_biased` for
-/// `linear_ws`) for `a[m,k] × b[k,n]`, at every thread count and SIMD tier.
+/// Asserts that all five entry points return `want` (`want_biased` for
+/// `linear_ws` and a `LinearPlan`) for `a[m,k] × b[k,n]`, at every thread
+/// count and SIMD tier.
 fn check(a: &Tensor, b: &Tensor, bias: &Tensor, want: &[u32], want_biased: &[u32], tag: &str) {
     let (at, bt) = (a.transpose2d().unwrap(), b.transpose2d().unwrap());
+    let plan = LinearPlan::new(&bt).unwrap();
     let mut ws = Workspace::new();
     for threads in [1, 4] {
         for level in SimdLevel::ALL {
@@ -70,9 +75,13 @@ fn check(a: &Tensor, b: &Tensor, bias: &Tensor, want: &[u32], want_biased: &[u32
                     assert_eq!(want, bits(&a.matmul(b).unwrap()), "matmul {tag}");
                     assert_eq!(want, bits(&at.matmul_tn(b).unwrap()), "matmul_tn {tag}");
                     assert_eq!(want, bits(&a.matmul_nt(&bt).unwrap()), "matmul_nt {tag}");
-                    let linear = linear_ws(a, &bt, bias, &mut ws).unwrap();
-                    assert_eq!(want_biased, bits(&linear), "linear_ws {tag}");
-                    ws.recycle_tensor(linear);
+                    for (name, linear) in [
+                        ("linear_ws", linear_ws(a, &bt, bias, &mut ws).unwrap()),
+                        ("LinearPlan", plan.forward(a, bias, &mut ws).unwrap()),
+                    ] {
+                        assert_eq!(want_biased, bits(&linear), "{name} {tag}");
+                        ws.recycle_tensor(linear);
+                    }
                 })
             });
         }
@@ -83,10 +92,11 @@ fn check(a: &Tensor, b: &Tensor, bias: &Tensor, want: &[u32], want_biased: &[u32
 fn matmul_family_equals_the_naive_triple_loop_and_skips_silent_inputs() {
     let mut rng = TensorRng::seed_from(0x2E80);
     // empty extents; one element; a ragged small case; k = 135 ends inside a
-    // tile of both `linalg`'s `BLOCK_K` (64) and `NT_BLOCK_K` (128) with
-    // n = 300 past `BLOCK_N` (256); k of exactly one tile; enough work at a
-    // narrow n that four workers split the rows; then n on each side of
-    // `matmul_nt`'s 16-column group against k on each side of its k-tile
+    // tile of `linalg`'s `BLOCK_K` (64) and a scan word of the linear kernel
+    // with n = 300 past `BLOCK_N` (256); k of exactly one tile; enough work at
+    // a narrow n that four workers split the rows; n on each side of the
+    // linear kernel's 16-column group against k on each side of its 64-input
+    // scan words; then the ten-class head at widths 1, 8 and 32
     for shape in [
         [0, 5, 3],
         [4, 0, 3],
@@ -96,10 +106,16 @@ fn matmul_family_equals_the_naive_triple_loop_and_skips_silent_inputs() {
         [13, 135, 300],
         [33, 64, 40],
         [70, 200, 37],
+        [3, 63, 15],
+        [3, 64, 16],
+        [3, 65, 17],
         [3, 127, 15],
         [3, 128, 16],
         [3, 129, 17],
         [2, 1, 33],
+        [1, 1024, 10],
+        [8, 1024, 10],
+        [32, 1024, 10],
     ] {
         let [m, k, n] = shape;
         for class in CLASSES {

@@ -33,14 +33,17 @@ determinism() {
     t core robustness
 }
 
-# The layer-level conv plan must never outlive its weights; a row that lived
-# through any forward / compact / admit / reset schedule equals its solo run
-# (the one carried-state walk, through ResidualBlock too); and the warmed
-# loops allocate nothing: the timestep loop (f32 and int8), a dynamic batch
-# width (batched windows over a resnet run under `determinism`).
+# The layer-level conv and linear plans must never outlive their weights; a
+# row that lived through any forward / compact / admit / reset schedule equals
+# its solo run (the one carried-state walk, through ResidualBlock too); the
+# cached input-prefix rows equal a cache-free forward through any schedule
+# and every invalidation route, and the counters say which rows were reused;
+# and the warmed loops allocate nothing: the timestep loop (f32 and int8), a
+# dynamic batch width (batched windows over a resnet run under `determinism`).
 layers() {
-    t snn --test conv_plan
+    t snn --test weight_plans
     t snn --test carried_state
+    t snn --test input_prefix
     t snn warmed_timestep_loop
     t snn allocation_free
 }
@@ -100,6 +103,8 @@ conformance() {
 # and tanhf.) No entry may contain an FMA: `avx512f` enables the `fma`
 # feature, and a fused multiply-add would change the rounding of every
 # kernel, so this is where "Rust never contracts" is checked on the binary.
+# The classifier head's kernel, `linear_chunk`, must be among the entries, and
+# the `matmul_nt_chunk` it replaced must not come back.
 vector_width() {
     if ! command -v objdump >/dev/null || [ "$(uname -m)" != x86_64 ]; then
         echo "vector_width: needs objdump on x86_64; skipped"
@@ -111,6 +116,7 @@ vector_width() {
         /^[0-9a-f]+ <.*>:$/ {
             entry = ($0 ~ /<dtsnn_tensor::simd::[a-z0-9_]+::avx(2|512)>:$/) ? $2 : ""
             if (entry) { packed[entry] = 0; reg[entry] = ($0 ~ /::avx512>:$/) ? "zmm" : "ymm" }
+            if ($0 ~ /matmul_nt_chunk/) { print "vector_width: " $2 " is back"; bad = 1 }
             next
         }
         !entry { next }
@@ -128,6 +134,11 @@ vector_width() {
                 if (!packed[e]) { print "vector_width: " e " has no packed " reg[e] " arithmetic"; bad = 1 }
             }
             if (!n) { print "vector_width: no per_tier! entry found in the rlib"; bad = 1 }
+            split("avx2 avx512", tiers, " ")
+            for (i in tiers) {
+                head = "<dtsnn_tensor::simd::linear_chunk::" tiers[i] ">:"
+                if (!(head in packed)) { print "vector_width: no " head " entry"; bad = 1 }
+            }
             exit bad
         }'
 }
