@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let x_conv = spikes(&[2, 8, 16, 16], density, &mut rng);
 
         // parity first, then timings (timings reuse the same inputs)
-        let (reference, _cols) = conv2d(&x_conv, &w_conv, Some(&bias), &spec)?;
+        let reference = conv2d(&x_conv, &w_conv, Some(&bias), &spec)?;
         let direct = conv2d_ws(&x_conv, &w_conv, Some(&bias), &spec, &mut ws)?;
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         assert_eq!(bits(&reference), bits(&direct), "conv2d_ws must equal conv2d bitwise");

@@ -3,17 +3,16 @@
 //!
 //! All layers obey the per-timestep forward / reverse-time backward contract
 //! of [`Layer`]. Convolution runs the direct scatter kernel over a packed
-//! weight plan in both modes; backward derives the im2col matrix from the
-//! cached (sparse, binary) input spikes instead of caching the much larger
-//! column matrix.
+//! weight plan in both modes; backward runs the direct gradient kernels over
+//! the cached (sparse, binary) input spikes, never an unfolding of them.
 
 use crate::layer::{retire, Layer, Mode, Param};
 use crate::lif::{LifConfig, LifNeuron};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{
-    avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, conv2d_ws_quant, im2col,
-    linear_ws_quant, simd, Conv2dSpec, ConvPlan, LinearPlan, PoolSpec, QuantizedWeights, Tensor,
-    TensorError, TensorRng, Workspace,
+    avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, conv2d_ws_quant, linear_ws_quant, simd,
+    Conv2dSpec, ConvPlan, LinearPlan, PoolSpec, QuantizedWeights, Tensor, TensorError, TensorRng,
+    Workspace,
 };
 
 /// [`Layer::backend`] of a weight layer: the int8 kernels iff
@@ -133,11 +132,7 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let input = self.inputs.pop().ok_or(SnnError::MissingForwardCache("Conv2d"))?;
-        let (h, w) = (input.dims()[2], input.dims()[3]);
-        // Recompute the column matrix: cheaper than caching it for every
-        // timestep (inputs are binary spike tensors).
-        let cols = im2col(&input, &self.spec)?;
-        let (gx, gw, gb) = conv2d_backward(grad_out, &cols, &self.weight.value, &self.spec, (h, w))?;
+        let (gx, gw, gb) = conv2d_backward(grad_out, &input, &self.weight.value, &self.spec)?;
         self.weight.grad.axpy(1.0, &gw)?;
         self.bias.grad.axpy(1.0, &gb)?;
         Ok(gx)

@@ -1,6 +1,6 @@
 //! 2-D convolution (`NCHW`, weights `[c_out, c_in*k*k]`): a direct
-//! spike-scatter forward kernel, the im2col + matmul reference it is pinned
-//! against, and the exact backward pass.
+//! spike-scatter forward kernel, two direct backward kernels, and the
+//! im2col + matmul references all three are pinned against.
 //!
 //! **Forward** ([`conv2d_ws`], [`ConvPlan::forward`]) never materialises an
 //! unfolding. It walks each sample's input in `(ci, iy, ix)` raster order —
@@ -17,14 +17,28 @@
 //! element accumulates the terms of [`conv2d`]'s im2col row times the
 //! transposed weights in the same order (zero taps skipped, explicit
 //! multiply-then-add): **bitwise identical** (the sign/payload of a NaN made
-//! from two NaNs aside).
+//! from two NaNs aside). Input rows and columns that feed no output (a
+//! kernel narrower than its stride) are never scanned.
 //!
-//! **Reference / backward**: [`im2col`] has one row per output pixel and one
-//! column per tap, so [`conv2d`] is one matrix product, [`conv2d_backward`] two.
+//! **Backward** ([`conv2d_backward`]) never materialises one either. The
+//! weight gradient is the forward's scan with the roles swapped: each
+//! nonzero `x` adds `x` times the gradient row of every output pixel it
+//! feeds into the packed row of the tap it feeds it through. For a fixed
+//! tap, ascending input `(n, iy, ix)` *is* ascending output `(n, oy, ox)`,
+//! so each weight-gradient element sums the im2col column times the
+//! gradient rows in [`Tensor::matmul_tn`]'s order. The input gradient builds
+//! each output pixel's `c_in*k*k`-wide row `grad × W` (ascending `c_out`, as
+//! [`Tensor::matmul`]) in a one-row scratch and folds it straight into the
+//! input gradient in [`col2im`]'s order. Both are **bitwise identical** to
+//! [`conv2d_backward_im2col`].
+//!
+//! **Reference**: [`im2col`] has one row per output pixel and one column per
+//! tap, so [`conv2d`] is one matrix product, [`conv2d_backward_im2col`] two.
 //!
 //! Every pass is partitioned across the [`crate::parallel`] pool so that one
 //! output element's accumulation stays on one worker in serial order
-//! (`im2col` by output row, the rest by sample): thread-count-invariant bits.
+//! (`im2col` by output row, the weight gradient by input channel, the rest
+//! by sample): thread-count-invariant bits.
 
 use crate::quant::QuantizedWeights;
 use crate::{parallel, simd, AlignedVec, Result, Tensor, TensorError, Workspace};
@@ -211,12 +225,11 @@ pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) ->
     Ok(out)
 }
 
-/// Full convolution forward pass.
+/// Full convolution forward pass through the unfolding: the reference the
+/// direct kernel is pinned against.
 ///
 /// `input` is `[n, c_in, h, w]`, `weight` is `[c_out, c_in*k*k]`, `bias` is
-/// `[c_out]` (optional). Returns `(output [n, c_out, oh, ow], cols)` — the
-/// column matrix is exposed so the caller can reuse it in the backward pass
-/// ([C-INTERMEDIATE]).
+/// `[c_out]` (optional). Returns the output `[n, c_out, oh, ow]`.
 ///
 /// # Errors
 ///
@@ -226,7 +239,7 @@ pub fn conv2d(
     weight: &Tensor,
     bias: Option<&Tensor>,
     spec: &Conv2dSpec,
-) -> Result<(Tensor, Tensor)> {
+) -> Result<Tensor> {
     let [n, _, h, w] = dims4(input)?;
     let (oh, ow) = spec.output_hw(h, w)?;
     let cols = im2col(input, spec)?;
@@ -239,7 +252,7 @@ pub fn conv2d(
     }
     let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
     rows_to_nchw(out_mat.data(), bias, [n, spec.out_channels, oh, ow], out.data_mut());
-    Ok((out, cols))
+    Ok(out)
 }
 
 /// Input-side checks shared by the workspace forwards: rank and channel
@@ -429,33 +442,105 @@ pub(crate) fn scatter_sample(
     // one instantiation per stride class: the stride-1 walk needs none of
     // the general one's index arithmetic
     if spec.stride == 1 {
-        scatter_strided::<true>(src, dims, out_hw, w_t, spec, tile)
+        scatter_strided::<true, false>(src, dims, out_hw, w_t, spec, tile)
     } else {
-        scatter_strided::<false>(src, dims, out_hw, w_t, spec, tile)
+        scatter_strided::<false, false>(src, dims, out_hw, w_t, spec, tile)
     }
 }
 
+/// The weight gradient of the input channels `first_ci..` that `dw` holds
+/// (`k*k` packed `co`-wide rows each, the layout of [`pack_weights`]) over
+/// every sample of `src` (`[n, c, h, w]`), `gmat` holding each sample's
+/// `[oh*ow, co]` output-gradient rows: the forward's scan with the roles of
+/// weights and tile swapped. [`simd::conv_weight_grad_chunk`] compiles it
+/// once per tier.
 #[inline(always)]
-fn scatter_strided<const UNIT_STRIDE: bool>(
+pub(crate) fn weight_grad_chunk(
+    src: &[f32],
+    [n, c, h, w]: [usize; 4],
+    (oh, ow): (usize, usize),
+    gmat: &[f32],
+    spec: Conv2dSpec,
+    first_ci: usize,
+    dw: &mut [f32],
+) {
+    let (plane, tile) = (h * w, oh * ow * spec.out_channels);
+    let cis = dw.len() / (spec.kernel * spec.kernel * spec.out_channels);
+    for ni in 0..n {
+        let x = &src[(ni * c + first_ci) * plane..][..cis * plane];
+        let g = &gmat[ni * tile..][..tile];
+        if spec.stride == 1 {
+            scatter_strided::<true, true>(x, [cis, h, w], (oh, ow), g, spec, dw)
+        } else {
+            scatter_strided::<false, true>(x, [cis, h, w], (oh, ow), g, spec, dw)
+        }
+    }
+}
+
+/// Words of [`live_columns`]' mask; columns past them count as live.
+const LIVE_WORDS: usize = 4;
+
+/// One bit per input column (word `ix / 64`, bit `ix % 64`), set unless the
+/// column feeds no output. Only a kernel narrower than its stride leaves gaps
+/// (column `t = ix + pad` is read through tap `t % stride` of output
+/// `t / stride` or not at all), so for `k ≥ stride` the mask is all ones: an
+/// unread right-edge remnant there has an empty output range anyway.
+#[inline(always)]
+fn live_columns(w: usize, pad: usize, stride: usize, k: usize, ow: usize) -> [u64; LIVE_WORDS] {
+    if k >= stride {
+        return [u64::MAX; LIVE_WORDS];
+    }
+    let mut live = [0u64; LIVE_WORDS];
+    let (mut o, mut tap) = (pad / stride, pad % stride);
+    for ix in 0..w.min(64 * LIVE_WORDS) {
+        if tap < k && o < ow {
+            live[ix / 64] |= 1 << (ix % 64);
+        }
+        tap += 1;
+        if tap == stride {
+            (o, tap) = (o + 1, 0);
+        }
+    }
+    live
+}
+
+/// The spike scan both directions share: every nonzero input `x` at
+/// `(ci, iy, ix)`, in that order, meets each output pixel it feeds through tap
+/// `(ci, ky, kx)`. The forward (`WEIGHT_GRAD = false`) adds `x` times the tap's
+/// packed weight row (`operand`) into the pixel's `co`-wide row of `acc`, the
+/// sample's tile; the weight gradient adds `x` times the pixel's gradient row
+/// (`operand`) into the tap's packed row of `acc`. Input rows and columns that
+/// feed no output (a kernel narrower than its stride) are never visited.
+#[inline(always)]
+fn scatter_strided<const UNIT_STRIDE: bool, const WEIGHT_GRAD: bool>(
     src: &[f32],
     [c, h, w]: [usize; 3],
     (oh, ow): (usize, usize),
-    w_t: &[f32],
+    operand: &[f32],
     spec: Conv2dSpec,
-    tile: &mut [f32],
+    acc: &mut [f32],
 ) {
     let (k, pad, co) = (spec.kernel, spec.padding, spec.out_channels);
     let stride = if UNIT_STRIDE { 1 } else { spec.stride }; // the literal folds the divisions
+    // at stride 1 every input row and column feeds an output
+    let live =
+        if UNIT_STRIDE { [u64::MAX; LIVE_WORDS] } else { live_columns(w, pad, stride, k, ow) };
     for ci in 0..c {
         for iy in 0..h {
-            let row = &src[(ci * h + iy) * w..][..w];
             let ty = iy + pad;
             let oys = axis_outputs(ty, stride, k, oh);
+            if !UNIT_STRIDE && oys.is_empty() {
+                continue;
+            }
+            let row = &src[(ci * h + iy) * w..][..w];
             // one packed nonzero word per 64 elements keeps the scan branch-light
             for (wi, chunk) in row.chunks(64).enumerate() {
                 let mut bits = 0u64;
                 for (bit, &v) in chunk.iter().enumerate() {
                     bits |= u64::from(v != 0.0) << bit;
+                }
+                if !UNIT_STRIDE {
+                    bits &= live.get(wi).copied().unwrap_or(u64::MAX);
                 }
                 while bits != 0 {
                     let ix = wi * 64 + bits.trailing_zeros() as usize;
@@ -466,22 +551,32 @@ fn scatter_strided<const UNIT_STRIDE: bool>(
                     if UNIT_STRIDE {
                         // Ascending output columns see x through descending
                         // kx, that is ascending packed rows: one run of len
-                        // floats in both the tile and the weights, and the
-                        // next ky is k packed rows up, one output row down.
+                        // floats in both the tile and the packed rows, and
+                        // the next ky is k packed rows up, one output row down.
                         let len = oxs.len() * co;
-                        let mut wo = ((ci * k + ty + 1 - oys.end) * k + k - 1 - (tx - oxs.start)) * co;
+                        let mut wo =
+                            ((ci * k + ty + 1 - oys.end) * k + k - 1 - (tx - oxs.start)) * co;
                         let mut oo = (oys.end * ow + oxs.start) * co;
                         for _ in oys.clone() {
                             oo -= ow * co;
-                            add_taps(&mut tile[oo..oo + len], x, &w_t[wo..wo + len]);
+                            if WEIGHT_GRAD {
+                                add_taps(&mut acc[wo..wo + len], x, &operand[oo..oo + len]);
+                            } else {
+                                add_taps(&mut acc[oo..oo + len], x, &operand[wo..wo + len]);
+                            }
                             wo += k * co;
                         }
                     } else {
                         for oy in oys.clone() {
                             let wrow = (ci * k + ty - oy * stride) * k + k - 1;
                             for ox in oxs.clone() {
-                                let wv = &w_t[(wrow - (tx - ox * stride)) * co..][..co];
-                                add_taps(&mut tile[(oy * ow + ox) * co..][..co], x, wv);
+                                let wo = (wrow - (tx - ox * stride)) * co;
+                                let oo = (oy * ow + ox) * co;
+                                if WEIGHT_GRAD {
+                                    add_taps(&mut acc[wo..][..co], x, &operand[oo..][..co]);
+                                } else {
+                                    add_taps(&mut acc[oo..][..co], x, &operand[wo..][..co]);
+                                }
                             }
                         }
                     }
@@ -489,6 +584,68 @@ fn scatter_strided<const UNIT_STRIDE: bool>(
             }
         }
     }
+}
+
+/// The input gradient of one sample: per output pixel, in raster order, the
+/// `pl`-wide row `g[pixel] × W` in `row` (ascending `c_out`, a zero gradient
+/// skipped, as [`crate::Tensor::matmul`] sums it), folded straight into `dx`
+/// (`[c, h, w]`, zeroed) in [`col2im`]'s `(ci, ky, kx)` order.
+/// [`simd::conv_input_grad_sample`] compiles it once per tier.
+#[inline(always)]
+pub(crate) fn input_grad_sample(
+    g: &[f32],
+    weight: &[f32],
+    [c, h, w]: [usize; 3],
+    (oh, ow): (usize, usize),
+    spec: Conv2dSpec,
+    row: &mut [f32],
+    dx: &mut [f32],
+) {
+    let (k, co, pl) = (spec.kernel, spec.out_channels, spec.patch_len());
+    let pad = spec.padding as isize;
+    for oy in 0..oh {
+        let iy0 = (oy * spec.stride) as isize - pad;
+        let kys = clip_taps(iy0, k, h);
+        for ox in 0..ow {
+            let ix0 = (ox * spec.stride) as isize - pad;
+            let kxs = clip_taps(ix0, k, w);
+            if kys.is_empty() || kxs.is_empty() {
+                continue; // a window wholly inside the padding feeds nothing
+            }
+            row.fill(0.0);
+            for (&gv, wrow) in g[(oy * ow + ox) * co..][..co].iter().zip(weight.chunks_exact(pl)) {
+                if gv == 0.0 {
+                    continue;
+                }
+                // explicit multiply, then add: never an FMA
+                for (r, &wv) in row.iter_mut().zip(wrow) {
+                    *r += gv * wv;
+                }
+            }
+            // the taps inside the input, kx runs contiguous on both sides
+            let len = kxs.len();
+            for ci in 0..c {
+                for ky in kys.clone() {
+                    let iy = (iy0 + ky as isize) as usize;
+                    let dst =
+                        &mut dx[(ci * h + iy) * w + (ix0 + kxs.start as isize) as usize..][..len];
+                    let taps = &row[(ci * k + ky) * k + kxs.start..][..len];
+                    for (d, &r) in dst.iter_mut().zip(taps) {
+                        *d += r;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The taps `0..k` of a window starting at input coordinate `i0` that land
+/// inside `0..extent`.
+#[inline(always)]
+fn clip_taps(i0: isize, k: usize, extent: usize) -> std::ops::Range<usize> {
+    let lo = (-i0).clamp(0, k as isize) as usize;
+    let hi = (extent as isize - i0).clamp(lo as isize, k as isize) as usize;
+    lo..hi
 }
 
 /// Quantized convolution forward: for a binary input the bit-packed im2col
@@ -534,38 +691,103 @@ fn pack_weights(src: &[f32], spec: &Conv2dSpec, out: &mut [f32]) {
     debug_assert_eq!((src.len(), out.len()), (co * pl, co * pl));
     for i in 0..co {
         for (p, &v) in src[i * pl..(i + 1) * pl].iter().enumerate() {
-            out[(p - p % k + (k - 1 - p % k)) * co + i] = v;
+            out[packed_tap(p, k) * co + i] = v;
         }
     }
 }
 
-/// Gradients of a convolution.
-///
-/// Given upstream `grad_out` (`[n, c_out, oh, ow]`) and the `cols` matrix
-/// returned by [`conv2d`], computes `(grad_input, grad_weight, grad_bias)`.
+/// Gradients of a convolution: `(grad_input, grad_weight, grad_bias)` of the
+/// output gradient `grad_out` (`[n, c_out, oh, ow]`) at the forward's `input`
+/// (`[n, c_in, h, w]`), by two direct kernels that never unfold `input` (see
+/// the module docs), bitwise identical to [`conv2d_backward_im2col`].
 ///
 /// # Errors
 ///
-/// Propagates shape and geometry errors from the underlying matrix ops.
+/// [`TensorError::RankMismatch`] for a non-4-D `input`,
+/// [`TensorError::ShapeMismatch`] for an `input` channel count or `weight`
+/// that disagrees with `spec`, or a `grad_out` that is not exactly the
+/// `[n, c_out, oh, ow]` output of `input`, and geometry errors from
+/// [`Conv2dSpec::output_hw`].
 pub fn conv2d_backward(
     grad_out: &Tensor,
-    cols: &Tensor,
+    input: &Tensor,
     weight: &Tensor,
     spec: &Conv2dSpec,
-    input_hw: (usize, usize),
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    let [n, _, oh, ow] = dims4(grad_out)?;
-    expect_dims(grad_out.dims(), &[n, spec.out_channels, oh, ow])?;
+    let ([n, c, h, w], (oh, ow)) = check_backward(grad_out, input, weight, spec)?;
+    let (k, co, pl) = (spec.kernel, spec.out_channels, spec.patch_len());
+    let gmat = nchw_to_rows(grad_out, [n, co, oh, ow]);
+    let (x, g) = (input.data(), gmat.data());
+    let work = (n * oh * ow).saturating_mul(co).saturating_mul(pl);
+    // dW: the scan over x, by input channel, into packed [pl, co] rows
+    let mut packed = vec![0.0f32; pl * co];
+    if n * oh * ow > 0 {
+        parallel::for_each_row_chunk(&mut packed, k * k * co, c, work, |first_ci, dw| {
+            simd::conv_weight_grad_chunk(x, [n, c, h, w], (oh, ow), g, *spec, first_ci, dw);
+        });
+    }
+    let mut grad_weight = Tensor::zeros(&[co, pl]);
+    for (o, dst) in grad_weight.data_mut().chunks_exact_mut(pl).enumerate() {
+        for (tap, v) in dst.iter_mut().enumerate() {
+            *v = packed[packed_tap(tap, k) * co + o];
+        }
+    }
+    // dX: gradient rows × W folded into the input, by sample
+    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+    let (sample_len, tile) = (c * h * w, oh * ow * co);
+    if n * sample_len > 0 {
+        let wd = weight.data();
+        parallel::for_each_row_chunk(grad_input.data_mut(), sample_len, n, work, |first_n, dx| {
+            let mut row = vec![0.0f32; pl];
+            for (local, dx) in dx.chunks_mut(sample_len).enumerate() {
+                let g = &g[(first_n + local) * tile..][..tile];
+                simd::conv_input_grad_sample(g, wd, [c, h, w], (oh, ow), *spec, &mut row, dx);
+            }
+        });
+    }
+    Ok((grad_input, grad_weight, gmat.sum_rows()?))
+}
+
+/// [`conv2d_backward`] through the unfolding, the reference the direct
+/// kernels are pinned against: `dW = (im2col(input)ᵀ × gmat)ᵀ` (the column
+/// matrix on the left, so its zeros are skipped), `dX = col2im(gmat × W)`,
+/// `db` the column sums of `gmat`, `gmat` being `grad_out` as `[n*oh*ow,
+/// c_out]` rows.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_backward`].
+pub fn conv2d_backward_im2col(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<(Tensor, Tensor, Tensor)> {
+    let ([n, _, h, w], (oh, ow)) = check_backward(grad_out, input, weight, spec)?;
     let gmat = nchw_to_rows(grad_out, [n, spec.out_channels, oh, ow]);
-    // dWᵀ = colsᵀ × gmat → [pl, c_out]; putting the (sparse, binary) column
-    // matrix first lets matmul_tn skip its zeros, then a cheap transpose
-    // yields dW = [c_out, pl].
-    let grad_weight = cols.matmul_tn(&gmat)?.transpose2d()?;
-    let grad_bias = gmat.sum_rows()?;
-    // dcols = gmat × W → [n*oh*ow, pl]
-    let dcols = gmat.matmul(weight)?;
-    let grad_input = col2im(&dcols, spec, n, input_hw.0, input_hw.1)?;
-    Ok((grad_input, grad_weight, grad_bias))
+    let grad_weight = im2col(input, spec)?.matmul_tn(&gmat)?.transpose2d()?;
+    let grad_input = col2im(&gmat.matmul(weight)?, spec, n, h, w)?;
+    Ok((grad_input, grad_weight, gmat.sum_rows()?))
+}
+
+/// The shape checks of both backward passes: `input` as in the forward,
+/// `weight` as `spec` says, `grad_out` exactly the output of `input`.
+fn check_backward(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<([usize; 4], (usize, usize))> {
+    let ([n, c, h, w], (oh, ow)) = check_input(input, None, spec)?;
+    expect_dims(weight.dims(), &spec.weight_dims())?;
+    expect_dims(grad_out.dims(), &[n, spec.out_channels, oh, ow])?;
+    Ok(([n, c, h, w], (oh, ow)))
+}
+
+/// The row [`pack_weights`] stores patch tap `p` (`(ci*k + ky)*k + kx`) in:
+/// the `kx` taps of each `(ci, ky)` reversed.
+fn packed_tap(p: usize, k: usize) -> usize {
+    p - p % k + (k - 1 - p % k)
 }
 
 /// `[n, c, oh, ow]` → `[n*oh*ow, c]` row matrix.
@@ -679,7 +901,7 @@ mod tests {
             let w = Tensor::randn(&[co, spec.patch_len()], 0.0, 1.0, &mut rng);
             let b = Tensor::randn(&[co], 0.0, 1.0, &mut rng);
             let b = biased.then_some(&b);
-            let (fast, _) = conv2d(&x, &w, b, &spec).unwrap();
+            let fast = conv2d(&x, &w, b, &spec).unwrap();
             let slow = naive_conv(&x, &w, b, &spec);
             assert_eq!(fast.dims(), slow.dims());
             for (a, b) in fast.data().iter().zip(slow.data()) {
@@ -710,17 +932,17 @@ mod tests {
         let x = Tensor::randn(&[1, 1, 4, 4], 0.0, 1.0, &mut rng);
         let w = Tensor::randn(&[2, spec.patch_len()], 0.0, 0.5, &mut rng);
         let b = Tensor::zeros(&[2]);
-        let (y, cols) = conv2d(&x, &w, Some(&b), &spec).unwrap();
+        let y = conv2d(&x, &w, Some(&b), &spec).unwrap();
         // loss = sum(y); upstream grad is all ones.
         let gy = Tensor::ones(y.dims());
-        let (gx, gw, gb) = conv2d_backward(&gy, &cols, &w, &spec, (4, 4)).unwrap();
+        let (gx, gw, gb) = conv2d_backward(&gy, &x, &w, &spec).unwrap();
 
         let eps = 1e-3;
         // check a few weight coordinates
         for &idx in &[0usize, 5, 11] {
             let mut wp = w.clone();
             wp.data_mut()[idx] += eps;
-            let (yp, _) = conv2d(&x, &wp, Some(&b), &spec).unwrap();
+            let yp = conv2d(&x, &wp, Some(&b), &spec).unwrap();
             let num = (yp.sum() - y.sum()) / eps;
             assert!((num - gw.data()[idx]).abs() < 1e-1, "gw[{idx}]: {num} vs {}", gw.data()[idx]);
         }
@@ -728,7 +950,7 @@ mod tests {
         for &idx in &[0usize, 7, 15] {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let (yp, _) = conv2d(&xp, &w, Some(&b), &spec).unwrap();
+            let yp = conv2d(&xp, &w, Some(&b), &spec).unwrap();
             let num = (yp.sum() - y.sum()) / eps;
             assert!((num - gx.data()[idx]).abs() < 1e-1, "gx[{idx}]: {num} vs {}", gx.data()[idx]);
         }
@@ -745,9 +967,9 @@ mod tests {
         let w = Tensor::randn(&[8, spec.patch_len()], 0.0, 0.5, &mut rng);
         let b = Tensor::randn(&[8], 0.0, 0.1, &mut rng);
         let run = || {
-            let (y, cols) = conv2d(&x, &w, Some(&b), &spec).unwrap();
+            let y = conv2d(&x, &w, Some(&b), &spec).unwrap();
             let gy = Tensor::ones(y.dims());
-            let (gx, gw, gb) = conv2d_backward(&gy, &cols, &w, &spec, (12, 12)).unwrap();
+            let (gx, gw, gb) = conv2d_backward(&gy, &x, &w, &spec).unwrap();
             (y, gx, gw, gb)
         };
         let serial = crate::parallel::with_threads(1, run);
@@ -803,6 +1025,38 @@ mod tests {
         assert!(plan.forward(&x_bad, None, &mut ws).is_err());
         assert!(plan.forward(&x, None, &mut ws).is_ok());
         assert!(conv2d_ws(&x, &w_good, None, &spec, &mut ws).is_ok());
+    }
+
+    #[test]
+    fn conv2d_backward_rejects_a_gradient_of_the_wrong_shape() {
+        // the direct kernels index the gradient by the input's geometry, so a
+        // mismatched one must be an error before any of them runs
+        let spec = Conv2dSpec::new(2, 3, 3, 2, 1).unwrap();
+        let x = Tensor::ones(&[2, 2, 5, 5]);
+        let w = Tensor::ones(&[3, spec.patch_len()]);
+        let good = [2, 3, 3, 3];
+        assert!(conv2d_backward(&Tensor::ones(&good), &x, &w, &spec).is_ok());
+        for dims in [
+            &[1, 3, 3, 3][..], // n
+            &[3, 3, 3, 3],     // n
+            &[2, 4, 3, 3],     // c_out
+            &[2, 3, 2, 3],     // oh
+            &[2, 3, 3, 4],     // ow
+            &[2, 3, 9],        // rank
+        ] {
+            let g = Tensor::ones(dims);
+            for backward in [conv2d_backward, conv2d_backward_im2col] {
+                assert!(
+                    matches!(backward(&g, &x, &w, &spec), Err(TensorError::ShapeMismatch { .. })),
+                    "{dims:?}"
+                );
+            }
+        }
+        // an input or weight that disagrees with the spec
+        let g = Tensor::ones(&good);
+        assert!(conv2d_backward(&g, &Tensor::ones(&[2, 3, 5, 5]), &w, &spec).is_err());
+        assert!(conv2d_backward(&g, &x, &Tensor::ones(&[3, 17]), &spec).is_err());
+        assert!(conv2d_backward(&g, &Tensor::ones(&[2, 5, 5]), &w, &spec).is_err());
     }
 
     #[test]

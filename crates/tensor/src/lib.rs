@@ -3,7 +3,7 @@
 //! This crate provides the minimal-but-complete numeric substrate the rest of
 //! the workspace builds on: an owned, contiguous, row-major [`Tensor`] with
 //! elementwise arithmetic, matrix multiplication, 2-D convolution (a direct
-//! spike-scatter forward, im2col-based reference and backward), pooling,
+//! spike-scatter forward and backward, pinned to im2col references), pooling,
 //! softmax and reduction kernels, and deterministic random initialization.
 //!
 //! Everything is pure safe Rust and **deterministic (thread-count-invariant)**:
@@ -63,7 +63,8 @@ mod workspace;
 pub use align::{AlignedVec, AlignedWords};
 pub use bitset::BitMatrix;
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_ws, conv2d_ws_quant, im2col, Conv2dSpec, ConvPlan,
+    col2im, conv2d, conv2d_backward, conv2d_backward_im2col, conv2d_ws, conv2d_ws_quant, im2col,
+    Conv2dSpec, ConvPlan,
 };
 pub use error::TensorError;
 pub use linalg::{linear_ws, linear_ws_quant, LinearPlan};

@@ -287,6 +287,33 @@ per_tier! {
 }
 
 per_tier! {
+    /// The convolution's weight gradient of one chunk of input channels at
+    /// the active tier.
+    pub(crate) fn conv_weight_grad_chunk(
+        src: &[f32],
+        dims: [usize; 4],
+        out_hw: (usize, usize),
+        gmat: &[f32],
+        spec: crate::Conv2dSpec,
+        first_ci: usize,
+        dw: &mut [f32],
+    ) = crate::conv::weight_grad_chunk;
+}
+
+per_tier! {
+    /// One sample of the convolution's input gradient at the active tier.
+    pub(crate) fn conv_input_grad_sample(
+        g: &[f32],
+        weight: &[f32],
+        dims: [usize; 3],
+        out_hw: (usize, usize),
+        spec: crate::Conv2dSpec,
+        row: &mut [f32],
+        dx: &mut [f32],
+    ) = crate::conv::input_grad_sample;
+}
+
+per_tier! {
     /// One worker's row chunk of `out[m,n] += a[m,k] × b[k,n]`.
     pub(crate) fn matmul_chunk(
         a: &[f32],

@@ -1,12 +1,18 @@
-//! The direct spike-scatter convolution against its reference, bit for bit.
+//! The direct spike-scatter convolution and its direct backward against
+//! their im2col references, bit for bit.
 //!
-//! One test, alone in its own process: it flips the process-wide thread and
+//! Alone in their own process: the tests flip the process-wide thread and
 //! SIMD overrides, which the unit tests of those knobs assert on.
 
 use dtsnn_tensor::{
-    conv2d, conv2d_ws, parallel, simd, Conv2dSpec, ConvPlan, SimdLevel, Tensor, TensorRng,
-    Workspace,
+    conv2d, conv2d_backward, conv2d_backward_im2col, conv2d_ws, parallel, simd, Conv2dSpec,
+    ConvPlan, SimdLevel, Tensor, TensorRng, Workspace,
 };
+use std::sync::Mutex;
+
+/// Serializes the two tests, so that each case really runs at the thread
+/// count and tier it pins (the overrides are process-wide).
+static KNOBS: Mutex<()> = Mutex::new(());
 
 /// Bit patterns, with every NaN mapped to one pattern: where two NaNs of
 /// different sign meet in an add (`inf - inf` against a NaN input), x86
@@ -61,7 +67,7 @@ fn check(
         "k={} s={} p={} {kind} n={n} ci={ci} co={co} h={h} w={w} bias={with_bias}",
         spec.kernel, spec.stride, spec.padding
     );
-    let want = conv2d(&x, &weight, bias, spec).unwrap().0;
+    let want = conv2d(&x, &weight, bias, spec).unwrap();
     let plan = ConvPlan::new(&weight, spec).unwrap();
     for threads in [1, 4] {
         for level in SimdLevel::ALL {
@@ -82,14 +88,18 @@ fn check(
     }
 }
 
-#[test]
-fn direct_conv_matches_reference_bitwise() {
-    // Every geometry class, input class and batch size through one
-    // workspace, so warmed buffers of other shapes are reused along the way
-    // — and, the test profile poisoning the arena's overwrite-takes with
-    // NaN, an output element the epilogue skipped cannot pass.
-    let mut rng = TensorRng::seed_from(0xD1EC7);
-    let mut ws = Workspace::new();
+/// Every geometry of the matrix both tests walk: k ∈ {1, 3, 5} × stride
+/// {1, 2, 3} × padding {0, 1, 2} × input class × n ∈ {0, 1, 5} (every third
+/// case spanning several nonzero words), then the shapes the stride-1 fast
+/// path and the fused epilogue distinguish: an input smaller than the kernel
+/// but not than its padded self (one pixel clipped at both borders at once),
+/// rows of exactly one nonzero word and one element more, output channels
+/// that fill whole vectors with no remainder lane. `f` gets the spec, the
+/// `[n, h, w]` extent, the input class, a bias flag and the case number.
+fn for_each_case(
+    rng: &mut TensorRng,
+    mut f: impl FnMut(&Conv2dSpec, [usize; 3], &str, bool, usize, &mut TensorRng),
+) {
     let mut case = 0usize;
     for kernel in [1, 3, 5] {
         for stride in [1, 2, 3] {
@@ -99,21 +109,15 @@ fn direct_conv_matches_reference_bitwise() {
                         case += 1;
                         let (ci, co) = (1 + rng.below(3), [2, 35][case % 2]);
                         let h = kernel + rng.below(3);
-                        // every third case spans several nonzero words
                         let wide = case % 3 == 0;
                         let w = if wide { 66 + rng.below(5) } else { h + 1 + rng.below(2) };
                         let spec = Conv2dSpec::new(ci, co, kernel, stride, padding).unwrap();
-                        check(&spec, [n, h, w], kind, !case.is_multiple_of(4), &mut rng, &mut ws);
+                        f(&spec, [n, h, w], kind, !case.is_multiple_of(4), case, rng);
                     }
                 }
             }
         }
     }
-    // What the stride-1 fast path and the fused epilogue distinguish: an
-    // input smaller than the kernel but not than its padded self (one pixel
-    // clipped at both borders at once), rows of exactly one nonzero word and
-    // one element more, output channels that fill whole vectors with no
-    // remainder lane, and no bias.
     for (kernel, stride, padding, h, w, co) in [
         (5, 1, 2, 2, 2, 8),
         (5, 1, 2, 2, 9, 32),
@@ -129,8 +133,84 @@ fn direct_conv_matches_reference_bitwise() {
             for n in [0, 1, 5] {
                 case += 1;
                 let spec = Conv2dSpec::new(1 + case % 3, co, kernel, stride, padding).unwrap();
-                check(&spec, [n, h, w], kind, case.is_multiple_of(2), &mut rng, &mut ws);
+                f(&spec, [n, h, w], kind, case.is_multiple_of(2), case, rng);
             }
         }
     }
+}
+
+#[test]
+fn direct_conv_matches_reference_bitwise() {
+    // Every geometry class, input class and batch size through one
+    // workspace, so warmed buffers of other shapes are reused along the way
+    // — and, the test profile poisoning the arena's overwrite-takes with
+    // NaN, an output element the epilogue skipped cannot pass.
+    let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = TensorRng::seed_from(0xD1EC7);
+    let mut ws = Workspace::new();
+    for_each_case(&mut rng, |spec, extent, kind, with_bias, _, rng| {
+        check(spec, extent, kind, with_bias, rng, &mut ws);
+    });
+}
+
+/// An output gradient of one of the classes backward meets: `sparse` (most
+/// entries zero, as behind silent neurons), `dense`, `negzero` (`-0.0`
+/// wherever `sparse` has a zero) and `special` (NaN / ±inf among dense ones).
+fn grad_of(kind: &str, dims: &[usize], rng: &mut TensorRng) -> Tensor {
+    let mut g = Tensor::randn(dims, 0.0, 1.0, rng);
+    for v in g.data_mut() {
+        let keep = rng.bernoulli(0.25);
+        match kind {
+            "sparse" if !keep => *v = 0.0,
+            "negzero" if !keep => *v = -0.0,
+            "special" if rng.bernoulli(0.1) => {
+                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(3)];
+            }
+            _ => {}
+        }
+    }
+    g
+}
+
+#[test]
+fn direct_backward_matches_reference_bitwise() {
+    // The forward test's geometries and input classes, each with every
+    // gradient class: dX, dW and db of the direct kernels against the
+    // im2col reference at every thread count and SIMD tier.
+    let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = TensorRng::seed_from(0xBAC4);
+    for_each_case(&mut rng, |spec, [n, h, w], kind, _, case, rng| {
+        let (ci, co) = (spec.in_channels, spec.out_channels);
+        let (oh, ow) = spec.output_hw(h, w).unwrap();
+        let x = input_of(kind, &[n, ci, h, w], rng);
+        for (gi, gkind) in ["sparse", "dense", "negzero", "special"].into_iter().enumerate() {
+            let mut weight = Tensor::randn(&[co, spec.patch_len()], 0.0, 0.5, rng);
+            if (case + gi) % 4 == 0 {
+                // a non-finite weight behind a zero gradient must stay
+                // unread, as the reference's zero skip leaves it
+                let at = rng.below(weight.len());
+                weight.data_mut()[at] = [f32::INFINITY, f32::NAN][case % 2];
+            }
+            let g = grad_of(gkind, &[n, co, oh, ow], rng);
+            let tag = format!(
+                "k={} s={} p={} {kind} grad={gkind} n={n} ci={ci} co={co} h={h} w={w}",
+                spec.kernel, spec.stride, spec.padding
+            );
+            let want = conv2d_backward_im2col(&g, &x, &weight, spec).unwrap();
+            let want = [&want.0, &want.1, &want.2].map(bits);
+            for threads in [1, 4] {
+                for level in SimdLevel::ALL {
+                    let got = parallel::with_threads(threads, || {
+                        simd::with_level(level, || conv2d_backward(&g, &x, &weight, spec).unwrap())
+                    });
+                    assert_eq!(got.0.dims(), [n, ci, h, w], "{tag}");
+                    assert_eq!(got.1.dims(), [co, spec.patch_len()], "{tag}");
+                    let got = [&got.0, &got.1, &got.2].map(bits);
+                    for (i, name) in ["dX", "dW", "db"].into_iter().enumerate() {
+                        assert_eq!(want[i], got[i], "{name} {tag} t={threads} {level:?}");
+                    }
+                }
+            }
+        }
+    });
 }

@@ -74,9 +74,10 @@ serving() {
 simulator() { t imc --test simulator; }
 
 # Bit for bit, each test pinning thread count and tier per case (the ambient
-# values steer the references): the direct convolution = its im2col
-# reference, the one-pass LIF step of Eval = the plain-tensor Train arm of
-# LifNeuron::forward_ws; then every vector kernel against the scalar oracle. (The matmul family =
+# values steer the references): the direct convolution and its direct
+# backward (dX, dW, db) = their im2col references, the one-pass LIF step of
+# Eval = the plain-tensor Train arm of LifNeuron::forward_ws; then every
+# vector kernel against the scalar oracle. (The matmul family =
 # the plain triple loop, tests/zero_skip.rs, reads no ambient knob: the
 # workspace run above is all it needs.)
 kernels() {
@@ -103,8 +104,10 @@ conformance() {
 # and tanhf.) No entry may contain an FMA: `avx512f` enables the `fma`
 # feature, and a fused multiply-add would change the rounding of every
 # kernel, so this is where "Rust never contracts" is checked on the binary.
-# The classifier head's kernel, `linear_chunk`, must be among the entries, and
-# the `matmul_nt_chunk` it replaced must not come back.
+# The classifier head's kernel, `linear_chunk`, and the convolution's two
+# backward kernels, `conv_weight_grad_chunk` and `conv_input_grad_sample`,
+# must be among the entries, and the `matmul_nt_chunk` the first replaced
+# must not come back.
 vector_width() {
     if ! command -v objdump >/dev/null || [ "$(uname -m)" != x86_64 ]; then
         echo "vector_width: needs objdump on x86_64; skipped"
@@ -135,9 +138,12 @@ vector_width() {
             }
             if (!n) { print "vector_width: no per_tier! entry found in the rlib"; bad = 1 }
             split("avx2 avx512", tiers, " ")
-            for (i in tiers) {
-                head = "<dtsnn_tensor::simd::linear_chunk::" tiers[i] ">:"
-                if (!(head in packed)) { print "vector_width: no " head " entry"; bad = 1 }
+            split("linear_chunk conv_weight_grad_chunk conv_input_grad_sample", required, " ")
+            for (r in required) {
+                for (i in tiers) {
+                    head = "<dtsnn_tensor::simd::" required[r] "::" tiers[i] ">:"
+                    if (!(head in packed)) { print "vector_width: no " head " entry"; bad = 1 }
+                }
             }
             exit bad
         }'

@@ -41,7 +41,7 @@ fn check(spec: &Conv2dSpec, [in_h, in_w]: [usize; 2], rng: &mut TensorRng, ws: &
                 _ => rng.below(5) as f32 * 0.25,
             };
         }
-        let want = bits(&conv2d(&x, &weight, Some(&bias), spec).unwrap().0);
+        let want = bits(&conv2d(&x, &weight, Some(&bias), spec).unwrap());
         let raw = conv2d_ws(&x, &weight, Some(&bias), spec, ws).unwrap();
         let planned = plan.forward(&x, Some(&bias), ws).unwrap();
         assert_eq!(want, bits(&raw), "{spec:?} {in_h}x{in_w} {kind} n={n} {level:?}");
