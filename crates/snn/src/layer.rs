@@ -89,7 +89,7 @@ pub trait Layer: Send + Sync {
     /// each consumed activation allocates nothing once warmed. Train differs
     /// only where it has to: it pushes the backward caches (which own their
     /// tensors, so the arena never aliases them), BatchNorm folds batch
-    /// statistics, and the LIF runs its plain-tensor reference step.
+    /// statistics, and the LIF also keeps each step's pre-reset membrane.
     ///
     /// # Errors
     ///
@@ -189,10 +189,10 @@ pub trait Layer: Send + Sync {
 }
 
 /// Disposes of an activation its consumer is done with: an Eval one is
-/// parked in the arena for the next take. A Train one is dropped — the
-/// Train arms that return plain tensors (LIF, dropout) never take from the
-/// arena, so parking their outputs would only pile buffers up in it for the
-/// whole BPTT window.
+/// parked in the arena for the next take. A Train one is dropped: the
+/// buffers a Train step keeps live in its backward caches, and parking the
+/// rest would leave the arena holding a BPTT window's worth of buffers
+/// (dropout's Train output is not even an arena buffer) into Eval.
 pub(crate) fn retire(ws: &mut Workspace, mode: Mode, activation: Tensor) {
     if mode == Mode::Eval {
         ws.recycle_tensor(activation);

@@ -372,55 +372,31 @@ impl Layer for BatchNorm2d {
         let mut out = ws.take_overwrite(input.len());
         match mode {
             Mode::Train => {
-                let m = (n * plane) as f32;
                 // Batch statistics of this timestep update the one EMA: all
                 // timesteps feed it, pooling statistics over time as tdBN
-                // does.
-                for ci in 0..c {
-                    let mut mean = 0.0;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * plane;
-                        for p in 0..plane {
-                            mean += input.data()[base + p];
-                        }
-                    }
-                    mean /= m;
-                    let mut var = 0.0;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * plane;
-                        for p in 0..plane {
-                            let d = input.data()[base + p] - mean;
-                            var += d * d;
-                        }
-                    }
-                    var /= m;
-                    self.running_mean[ci] =
-                        (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
-                    self.running_var[ci] =
-                        (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
-                }
-                // Normalize with the (updated) EMA statistics, treated as
-                // constants — training and inference see the same transform,
-                // which is what lets Eq. 10 supervision repair early
-                // timesteps under shared statistics.
+                // does. Then normalize with the (updated) EMA statistics,
+                // treated as constants — training and inference see the same
+                // transform, which is what lets Eq. 10 supervision repair
+                // early timesteps under shared statistics.
                 let mut x_hat = Tensor::zeros(input.dims());
-                let mut inv_stds = vec![0.0f32; c];
-                for (ci, inv_slot) in inv_stds.iter_mut().enumerate() {
-                    let mean = self.running_mean[ci];
-                    let inv_std = 1.0 / (self.running_var[ci] + self.eps).sqrt();
-                    *inv_slot = inv_std;
-                    let g = self.gamma.value.data()[ci];
-                    let b = self.beta.value.data()[ci];
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * plane;
-                        for p in 0..plane {
-                            let xh = (input.data()[base + p] - mean) * inv_std;
-                            x_hat.data_mut()[base + p] = xh;
-                            out[base + p] = g * xh + b;
-                        }
-                    }
-                }
-                self.caches.push(BnCache { x_hat, inv_std: inv_stds });
+                let mut inv_std = vec![0.0f32; c];
+                let st = simd::BnTrainState {
+                    gamma: self.gamma.value.data(),
+                    beta: self.beta.value.data(),
+                    momentum: self.momentum,
+                    eps: self.eps,
+                    running_mean: &mut self.running_mean,
+                    running_var: &mut self.running_var,
+                };
+                simd::bn_train_forward(
+                    input.data(),
+                    [n, c, plane],
+                    st,
+                    &mut inv_std,
+                    x_hat.data_mut(),
+                    &mut out,
+                );
+                self.caches.push(BnCache { x_hat, inv_std });
             }
             Mode::Eval => {
                 for ci in 0..c {
@@ -446,31 +422,30 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let cache = self.caches.pop().ok_or(SnnError::MissingForwardCache("BatchNorm2d"))?;
-        let d = grad_out.dims();
-        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-        let plane = h * w;
-        let mut gx = Tensor::zeros(grad_out.dims());
+        let cache = self.caches.last().ok_or(SnnError::MissingForwardCache("BatchNorm2d"))?;
+        let d = cache.x_hat.dims();
+        if grad_out.dims() != d {
+            return Err(SnnError::from(TensorError::ShapeMismatch {
+                expected: d.to_vec(),
+                actual: grad_out.dims().to_vec(),
+            }));
+        }
+        let (n, c, plane) = (d[0], d[1], d[2] * d[3]);
+        let cache = self.caches.pop().expect("checked above");
         // Statistics are EMA constants, so the transform is affine per
         // channel: dx = dy·γ·inv_std, dγ = Σ dy·x̂, dβ = Σ dy.
-        for ci in 0..c {
-            let g = self.gamma.value.data()[ci];
-            let inv_std = cache.inv_std[ci];
-            let mut sum_dy = 0.0;
-            let mut sum_dy_xh = 0.0;
-            let k = g * inv_std;
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for p in 0..plane {
-                    let dy = grad_out.data()[base + p];
-                    sum_dy += dy;
-                    sum_dy_xh += dy * cache.x_hat.data()[base + p];
-                    gx.data_mut()[base + p] = k * dy;
-                }
-            }
-            self.beta.grad.data_mut()[ci] += sum_dy;
-            self.gamma.grad.data_mut()[ci] += sum_dy_xh;
-        }
+        let k: Vec<f32> =
+            self.gamma.value.data().iter().zip(&cache.inv_std).map(|(&g, &s)| g * s).collect();
+        let mut gx = Tensor::zeros(grad_out.dims());
+        simd::bn_train_backward(
+            grad_out.data(),
+            cache.x_hat.data(),
+            [n, c, plane],
+            &k,
+            self.beta.grad.data_mut(),
+            self.gamma.grad.data_mut(),
+            gx.data_mut(),
+        );
         Ok(gx)
     }
 
@@ -952,6 +927,23 @@ mod tests {
         for (a, b) in ye.data().iter().zip(yt.data()) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn hostile_gradient_is_a_typed_error_for_batchnorm() {
+        let mut bn = BatchNorm2d::new(2);
+        let mut ws = Workspace::new();
+        bn.forward_ws(&Tensor::ones(&[3, 2, 2, 2]), Mode::Train, &mut ws).unwrap();
+        // wrong rank, wrong n, a short buffer
+        for dims in [vec![24], vec![4, 2, 2, 2], vec![3, 2, 2, 1]] {
+            let err = bn.backward(&Tensor::ones(&dims)).unwrap_err();
+            assert!(
+                matches!(err, SnnError::Tensor(TensorError::ShapeMismatch { .. })),
+                "{dims:?}: {err:?}"
+            );
+        }
+        // the rejected gradients left the cache for the right one
+        assert_eq!(bn.backward(&Tensor::ones(&[3, 2, 2, 2])).unwrap().dims(), &[3, 2, 2, 2]);
     }
 
     #[test]

@@ -78,15 +78,6 @@ impl LifConfig {
     }
 }
 
-/// Per-timestep cache for BPTT.
-#[derive(Debug, Clone)]
-struct LifCache {
-    /// Pre-reset membrane potential `u[t+1]` of Eq. 2.
-    u_pre: Tensor,
-    /// Emitted spikes `s[t+1]` of Eq. 3.
-    spikes: Tensor,
-}
-
 /// A stateful layer of leaky integrate-and-fire neurons.
 ///
 /// Forward implements Eqs. 2–3 exactly: the input current charges the
@@ -99,8 +90,10 @@ pub struct LifNeuron {
     config: LifConfig,
     /// Post-reset membrane potential carried to the next timestep.
     membrane: Option<Tensor>,
-    /// Per-timestep caches (training only), pushed by forward / popped by backward.
-    caches: Vec<LifCache>,
+    /// The pre-reset membrane `u[t+1]` of Eq. 2 per timestep (training
+    /// only), pushed by forward / popped by backward. The spikes of Eq. 3
+    /// are a pure function of it, so backward recomputes them.
+    u_pres: Vec<Tensor>,
     /// Gradient w.r.t. the carried membrane, flowing backward through time.
     grad_membrane: Option<Tensor>,
     /// Spike density of the most recent forward output.
@@ -121,7 +114,7 @@ impl LifNeuron {
         LifNeuron {
             config,
             membrane: None,
-            caches: Vec::new(),
+            u_pres: Vec::new(),
             grad_membrane: None,
             last_density: 0.0,
             last_row_densities: Vec::new(),
@@ -138,68 +131,16 @@ impl LifNeuron {
         self.membrane.as_ref()
     }
 
-    /// The Train step, in plain tensor operations: Eqs. 2–3 one operation
-    /// per pass, keeping `u_pre` and the spikes for BPTT. This is also the
-    /// in-tree reference `tests/lif_step.rs` pins the one-pass
-    /// `simd::lif_step` of the Eval arm against, bit for bit.
-    fn step_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let tau = self.config.tau;
-        let v_th = self.config.v_th;
-        // u_pre = τ·u + W·s  (Eq. 2); membrane starts at 0 for a new sequence.
-        let u_pre = match &self.membrane {
-            Some(u) => {
-                let mut m = u.scale(tau);
-                m.axpy(1.0, input).map_err(SnnError::from)?;
-                m
-            }
-            None => input.clone(),
-        };
-        let mut spikes = Tensor::zeros(u_pre.dims());
-        {
-            let s = spikes.data_mut();
-            match self.config.smooth_spike {
-                None => {
-                    for (o, &u) in s.iter_mut().zip(u_pre.data()) {
-                        *o = if u > v_th { 1.0 } else { 0.0 };
-                    }
-                }
-                Some(b) => {
-                    for (o, &u) in s.iter_mut().zip(u_pre.data()) {
-                        *o = 0.5 * ((b * (u - v_th)).tanh() + 1.0);
-                    }
-                }
-            }
-        }
-        // Reset (Eq. 3 text): zero or subtract.
-        let mut next = u_pre.clone();
-        {
-            let m = next.data_mut();
-            match self.config.reset {
-                ResetMode::Zero => {
-                    for (u, &s) in m.iter_mut().zip(spikes.data()) {
-                        *u *= 1.0 - s;
-                    }
-                }
-                ResetMode::Subtract => {
-                    for (u, &s) in m.iter_mut().zip(spikes.data()) {
-                        *u -= v_th * s;
-                    }
-                }
-            }
-        }
-        self.membrane = Some(next);
-        self.last_density = spikes.density();
-        self.last_row_densities = spikes.density_rows();
-        self.caches.push(LifCache { u_pre, spikes: spikes.clone() });
-        Ok(spikes)
+    /// What the Train steps leave for backward: the pre-reset membrane of
+    /// each step not yet backpropagated (oldest first) and the gradient the
+    /// last backward carried to the step before it.
+    pub fn bptt_state(&self) -> (&[Tensor], Option<&Tensor>) {
+        (&self.u_pres, self.grad_membrane.as_ref())
     }
 }
 
 impl Layer for LifNeuron {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        if mode == Mode::Train {
-            return self.step_train(input);
-        }
         if let Some(u) = self.membrane.as_ref().filter(|u| u.dims() != input.dims()) {
             return Err(SnnError::from(TensorError::ShapeMismatch {
                 expected: u.dims().to_vec(),
@@ -207,9 +148,9 @@ impl Layer for LifNeuron {
             }));
         }
         // Charge, fire, reset and count in one pass (`simd::lif_step`) into
-        // two arena buffers it overwrites; per element the operations are
-        // those of `step_train` (safe Rust emits no FMA), so the spikes, the
-        // carried membrane and the densities are bitwise identical to it.
+        // arena buffers it overwrites; a Train step also keeps the pre-reset
+        // membrane for BPTT. Per element the operations are Eqs. 2–3 as
+        // written (safe Rust emits no FMA), in either mode.
         let step = simd::LifStep {
             tau: self.config.tau,
             v_th: self.config.v_th,
@@ -222,15 +163,20 @@ impl Layer for LifNeuron {
         self.last_row_densities.resize(rows, 0.0);
         let mut next = ws.take_overwrite(input.len());
         let mut spikes = ws.take_overwrite(input.len());
+        let mut u_pre = (mode == Mode::Train).then(|| ws.take_overwrite(input.len()));
         let fired = simd::lif_step(
             step,
             input.data(),
             self.membrane.as_ref().map(Tensor::data),
             &mut next,
             &mut spikes,
+            u_pre.as_deref_mut(),
             &mut self.last_row_densities,
         );
         self.last_density = fired as f32 / input.len().max(1) as f32;
+        if let Some(u_pre) = u_pre {
+            self.u_pres.push(Tensor::from_aligned(u_pre, input.dims())?);
+        }
         // the previous membrane's buffer goes back to the arena
         if let Some(old) = self.membrane.replace(Tensor::from_aligned(next, input.dims())?) {
             ws.recycle_tensor(old);
@@ -242,7 +188,7 @@ impl Layer for LifNeuron {
         if let Some(u) = self.membrane.take() {
             ws.recycle_tensor(u);
         }
-        self.caches.clear();
+        self.u_pres.clear();
         self.grad_membrane = None;
         self.last_density = 0.0;
         self.last_row_densities.clear();
@@ -253,47 +199,23 @@ impl Layer for LifNeuron {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let cache = self.caches.pop().ok_or(SnnError::MissingForwardCache("LifNeuron"))?;
-        let v_th = self.config.v_th;
-        let sg = self.config.surrogate;
-        let n = cache.u_pre.len();
-        let mut grad_u_pre = Tensor::zeros(cache.u_pre.dims());
-        {
-            let gu = grad_u_pre.data_mut();
-            let up = cache.u_pre.data();
-            let sp = cache.spikes.data();
-            let go = grad_out.data();
-            let gm = self.grad_membrane.as_ref().map(|t| t.data());
-            let smooth = self.config.smooth_spike;
-            for i in 0..n {
-                let surr = match smooth {
-                    None => sg.grad(up[i], v_th),
-                    // exact derivative of the smooth forward step
-                    Some(b) => {
-                        let t = (b * (up[i] - v_th)).tanh();
-                        0.5 * b * (1.0 - t * t)
-                    }
-                };
-                // Path 1: through the spike output.
-                let mut g = go[i] * surr;
-                // Path 2: through the carried membrane u[t] → u_pre[t+1].
-                if let Some(gm) = gm {
-                    let dreset = match (self.config.reset, self.config.detach_reset) {
-                        (ResetMode::Zero, true) => 1.0 - sp[i],
-                        (ResetMode::Zero, false) => (1.0 - sp[i]) - up[i] * surr,
-                        (ResetMode::Subtract, true) => 1.0,
-                        (ResetMode::Subtract, false) => 1.0 - v_th * surr,
-                    };
-                    g += gm[i] * dreset;
-                }
-                gu[i] = g;
-            }
+        let u_pre = self.u_pres.last().ok_or(SnnError::MissingForwardCache("LifNeuron"))?;
+        if grad_out.dims() != u_pre.dims() {
+            return Err(SnnError::from(TensorError::ShapeMismatch {
+                expected: u_pre.dims().to_vec(),
+                actual: grad_out.dims().to_vec(),
+            }));
         }
-        // Carry τ·∂L/∂u_pre[t] to timestep t−1 (only if one exists).
-        self.grad_membrane =
-            if self.caches.is_empty() { None } else { Some(grad_u_pre.scale(self.config.tau)) };
+        // ∂L/∂u_pre overwrites u_pre, and τ·∂L/∂u_pre (carried to timestep
+        // t−1 if one exists) the gradient carried in, in the same pass
+        let mut grad = self.u_pres.pop().expect("checked above");
+        let carry_in = self.grad_membrane.is_some();
+        let mut carried = self.grad_membrane.take().unwrap_or_else(|| Tensor::zeros(grad.dims()));
+        let pass = Bptt { go: grad_out.data(), gu: grad.data_mut(), gm: carried.data_mut() };
+        pass.run(&self.config, carry_in);
+        self.grad_membrane = Some(carried).filter(|_| !self.u_pres.is_empty());
         // ∂u_pre/∂input = 1.
-        Ok(grad_u_pre)
+        Ok(grad)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -312,6 +234,79 @@ impl Layer for LifNeuron {
 
     fn last_spike_row_densities(&self) -> Option<&[f32]> {
         Some(&self.last_row_densities)
+    }
+}
+
+/// One LIF timestep's BPTT in place: `gu` holds `u_pre` and receives
+/// `∂L/∂u_pre`, `gm` holds the carried `∂L/∂u` (read when there is one) and
+/// receives `τ·∂L/∂u_pre`.
+struct Bptt<'a> {
+    go: &'a [f32],
+    gu: &'a mut [f32],
+    gm: &'a mut [f32],
+}
+
+impl Bptt<'_> {
+    /// Hoists every loop-invariant choice — firing and surrogate, reset and
+    /// detach, whether a gradient is carried in — out of the element loop,
+    /// one straight loop per combination. Each recomputes the spike from
+    /// `u_pre` by the forward's own expression.
+    fn run(self, cfg: &LifConfig, carry_in: bool) {
+        let v_th = cfg.v_th;
+        let step = move |u: f32| if u > v_th { 1.0 } else { 0.0 };
+        let surrogate = move |s: Surrogate| move |u| (step(u), s.grad(u, v_th));
+        // one arm per surrogate, so each loop sees its family as a constant
+        match (cfg.smooth_spike, cfg.surrogate) {
+            // the smooth step and its exact derivative share one tanh
+            (Some(b), _) => self.reset(cfg, carry_in, move |u: f32| {
+                let t = (b * (u - v_th)).tanh();
+                (0.5 * (t + 1.0), 0.5 * b * (1.0 - t * t))
+            }),
+            (None, s @ Surrogate::Rectangular) => self.reset(cfg, carry_in, surrogate(s)),
+            (None, s @ Surrogate::Triangle { .. }) => self.reset(cfg, carry_in, surrogate(s)),
+            (None, s @ Surrogate::Dspike { .. }) => self.reset(cfg, carry_in, surrogate(s)),
+            (None, s @ Surrogate::Sigmoid { .. }) => self.reset(cfg, carry_in, surrogate(s)),
+            (None, s @ Surrogate::Atan { .. }) => self.reset(cfg, carry_in, surrogate(s)),
+        }
+    }
+
+    /// `∂u[t]/∂u_pre[t]` of the reset as a function of `(u_pre, s, ∂s/∂u)`.
+    #[inline(always)]
+    fn reset(self, cfg: &LifConfig, carry_in: bool, fire: impl Fn(f32) -> (f32, f32)) {
+        let (tau, v_th) = (cfg.tau, cfg.v_th);
+        match (cfg.reset, cfg.detach_reset, carry_in) {
+            (_, _, false) => self.pass::<false>(tau, fire, |_, _, _| 0.0),
+            (ResetMode::Zero, true, true) => self.pass::<true>(tau, fire, |_, s, _| 1.0 - s),
+            (ResetMode::Zero, false, true) => {
+                self.pass::<true>(tau, fire, |u, s, surr| (1.0 - s) - u * surr)
+            }
+            (ResetMode::Subtract, true, true) => self.pass::<true>(tau, fire, |_, _, _| 1.0),
+            (ResetMode::Subtract, false, true) => {
+                self.pass::<true>(tau, fire, move |_, _, surr| 1.0 - v_th * surr)
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn pass<const CARRY_IN: bool>(
+        self,
+        tau: f32,
+        fire: impl Fn(f32) -> (f32, f32),
+        dreset: impl Fn(f32, f32, f32) -> f32,
+    ) {
+        let (go, gm) = (&self.go[..self.gu.len()], &mut self.gm[..self.gu.len()]);
+        for ((gu, &go), gm) in self.gu.iter_mut().zip(go).zip(gm) {
+            let up = *gu;
+            let (s, surr) = fire(up);
+            // Path 1: through the spike output.
+            let mut g = go * surr;
+            // Path 2: through the carried membrane u[t] → u_pre[t+1].
+            if CARRY_IN {
+                g += *gm * dreset(up, s, surr);
+            }
+            *gu = g;
+            *gm = g * tau;
+        }
     }
 }
 
@@ -379,6 +374,24 @@ mod tests {
         assert!(lif.membrane().is_some());
         lif.reset_state_ws(&mut Workspace::new());
         assert!(lif.membrane().is_none());
+    }
+
+    #[test]
+    fn hostile_gradient_is_a_typed_error_and_keeps_the_cache() {
+        let mut lif = LifNeuron::new(LifConfig::default());
+        let x = Tensor::full(&[2, 4], 0.9);
+        let mut ws = Workspace::new();
+        lif.forward_ws(&x, Mode::Train, &mut ws).unwrap();
+        // wrong rank, wrong n, a short buffer
+        for dims in [vec![8], vec![3, 4], vec![2, 3]] {
+            let err = lif.backward(&Tensor::ones(&dims)).unwrap_err();
+            assert!(
+                matches!(err, SnnError::Tensor(TensorError::ShapeMismatch { .. })),
+                "{dims:?}: {err:?}"
+            );
+        }
+        // the rejected gradients left the cache for the right one
+        assert_eq!(lif.backward(&Tensor::ones(&[2, 4])).unwrap().dims(), &[2, 4]);
     }
 
     #[test]

@@ -28,8 +28,10 @@
 //! so each weight-gradient element sums the im2col column times the
 //! gradient rows in [`Tensor::matmul_tn`]'s order. The input gradient builds
 //! each output pixel's `c_in*k*k`-wide row `grad × W` (ascending `c_out`, as
-//! [`Tensor::matmul`]) in a one-row scratch and folds it straight into the
-//! input gradient in [`col2im`]'s order. Both are **bitwise identical** to
+//! [`Tensor::matmul`]; zero gradients skipped through a per-pixel list of
+//! the nonzero ones) in fixed-size register blocks, stores it once in a
+//! one-row scratch and folds it straight into the input gradient in
+//! [`col2im`]'s order. Both are **bitwise identical** to
 //! [`conv2d_backward_im2col`].
 //!
 //! **Reference**: [`im2col`] has one row per output pixel and one column per
@@ -586,10 +588,15 @@ fn scatter_strided<const UNIT_STRIDE: bool, const WEIGHT_GRAD: bool>(
     }
 }
 
+/// Floats of an input-gradient row one register block accumulates.
+const DX_BLOCK: usize = 96;
+
 /// The input gradient of one sample: per output pixel, in raster order, the
-/// `pl`-wide row `g[pixel] × W` in `row` (ascending `c_out`, a zero gradient
-/// skipped, as [`crate::Tensor::matmul`] sums it), folded straight into `dx`
-/// (`[c, h, w]`, zeroed) in [`col2im`]'s `(ci, ky, kx)` order.
+/// `pl`-wide row `g[pixel] × W` (ascending `c_out`, a zero gradient skipped,
+/// as [`crate::Tensor::matmul`] sums it), built over the pixel's nonzero
+/// `c_out` list in register blocks of [`DX_BLOCK`], 32, 8 and 1 floats and
+/// stored once in the scratch row, then folded into `dx` (`[c, h, w]`,
+/// zeroed) in [`col2im`]'s `(ci, ky, kx)` order.
 /// [`simd::conv_input_grad_sample`] compiles it once per tier.
 #[inline(always)]
 pub(crate) fn input_grad_sample(
@@ -598,10 +605,10 @@ pub(crate) fn input_grad_sample(
     [c, h, w]: [usize; 3],
     (oh, ow): (usize, usize),
     spec: Conv2dSpec,
-    row: &mut [f32],
+    (row, nz): (&mut [f32], &mut [usize]),
     dx: &mut [f32],
 ) {
-    let (k, co, pl) = (spec.kernel, spec.out_channels, spec.patch_len());
+    let (k, co) = (spec.kernel, spec.out_channels);
     let pad = spec.padding as isize;
     for oy in 0..oh {
         let iy0 = (oy * spec.stride) as isize - pad;
@@ -612,31 +619,69 @@ pub(crate) fn input_grad_sample(
             if kys.is_empty() || kxs.is_empty() {
                 continue; // a window wholly inside the padding feeds nothing
             }
-            row.fill(0.0);
-            for (&gv, wrow) in g[(oy * ow + ox) * co..][..co].iter().zip(weight.chunks_exact(pl)) {
-                if gv == 0.0 {
-                    continue;
-                }
-                // explicit multiply, then add: never an FMA
-                for (r, &wv) in row.iter_mut().zip(wrow) {
-                    *r += gv * wv;
-                }
+            // the nonzero gradients, found once: the blocks below then run
+            // no branch on gradient data
+            let gp = &g[(oy * ow + ox) * co..][..co];
+            let mut live = 0;
+            for (o, &gv) in gp.iter().enumerate() {
+                nz[live] = o;
+                live += usize::from(gv != 0.0);
             }
-            // the taps inside the input, kx runs contiguous on both sides
-            let len = kxs.len();
+            let nz = &nz[..live];
+            let mut at = row_blocks::<DX_BLOCK>(gp, nz, weight, 0, row);
+            at = row_blocks::<32>(gp, nz, weight, at, row);
+            at = row_blocks::<8>(gp, nz, weight, at, row);
+            row_blocks::<1>(gp, nz, weight, at, row);
+            // the taps inside the input, kx runs contiguous on both sides;
+            // a whole 3-wide run (every interior pixel of a 3×3 kernel) is
+            // three fixed adds
+            let x0 = (ix0 + kxs.start as isize) as usize;
             for ci in 0..c {
                 for ky in kys.clone() {
                     let iy = (iy0 + ky as isize) as usize;
-                    let dst =
-                        &mut dx[(ci * h + iy) * w + (ix0 + kxs.start as isize) as usize..][..len];
-                    let taps = &row[(ci * k + ky) * k + kxs.start..][..len];
-                    for (d, &r) in dst.iter_mut().zip(taps) {
-                        *d += r;
+                    let dst = &mut dx[(ci * h + iy) * w + x0..];
+                    let taps = &row[(ci * k + ky) * k + kxs.start..];
+                    if kxs.len() == 3 {
+                        let (dst, taps) = (&mut dst[..3], &taps[..3]);
+                        (dst[0], dst[1], dst[2]) =
+                            (dst[0] + taps[0], dst[1] + taps[1], dst[2] + taps[2]);
+                    } else {
+                        for (d, &r) in dst[..kxs.len()].iter_mut().zip(&taps[..kxs.len()]) {
+                            *d += r;
+                        }
                     }
                 }
             }
         }
     }
+}
+
+/// Builds the whole `B`-float blocks of `row[from..]` (a row of all `pl`
+/// taps) as `Σ g·W` over the ascending nonzero `c_out` list `nz`, each block
+/// in registers and stored once; returns where the blocks end.
+#[inline(always)]
+fn row_blocks<const B: usize>(
+    gp: &[f32],
+    nz: &[usize],
+    weight: &[f32],
+    from: usize,
+    row: &mut [f32],
+) -> usize {
+    let pl = row.len();
+    let end = from + (pl - from) / B * B;
+    for (i, out) in row[from..end].chunks_exact_mut(B).enumerate() {
+        let at = from + i * B;
+        let mut acc = [0.0f32; B];
+        for &o in nz {
+            // explicit multiply, then add: never an FMA
+            let (gv, wb) = (gp[o], &weight[o * pl + at..][..B]);
+            for (a, &wv) in acc.iter_mut().zip(wb) {
+                *a += gv * wv;
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+    end
 }
 
 /// The taps `0..k` of a window starting at input coordinate `i0` that land
@@ -738,10 +783,11 @@ pub fn conv2d_backward(
     if n * sample_len > 0 {
         let wd = weight.data();
         parallel::for_each_row_chunk(grad_input.data_mut(), sample_len, n, work, |first_n, dx| {
-            let mut row = vec![0.0f32; pl];
+            let (mut row, mut nz) = (vec![0.0f32; pl], vec![0usize; co]);
             for (local, dx) in dx.chunks_mut(sample_len).enumerate() {
                 let g = &g[(first_n + local) * tile..][..tile];
-                simd::conv_input_grad_sample(g, wd, [c, h, w], (oh, ow), *spec, &mut row, dx);
+                let scratch = (&mut row[..], &mut nz[..]);
+                simd::conv_input_grad_sample(g, wd, [c, h, w], (oh, ow), *spec, scratch, dx);
             }
         });
     }

@@ -156,29 +156,71 @@ pub fn avg_pool2d_backward(
             actual: d.to_vec(),
         });
     }
-    let k = spec.kernel;
-    let inv = 1.0 / (k * k) as f32;
     let mut out = Tensor::zeros(&[n, c, h, w]);
-    let src = grad_out.data();
-    let dst = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let obase = (ni * c + ci) * oh * ow;
-            let base = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = src[obase + oy * ow + ox] * inv;
+    simd::avg_pool2d_grad(grad_out.data(), [n, c, h, w], *spec, (oh, ow), out.data_mut());
+    Ok(out)
+}
+
+/// Core of [`avg_pool2d_backward`] over a zeroed `dst`: the general loop adds
+/// `g·inv` into every tap of each window in `(plane, oy, ox, ky, kx)` order.
+/// Windows that cannot overlap (`kernel ≤ stride`) see each element at most
+/// once, so they store that sum, `0.0 + g·inv` (which keeps its `-0.0 →
+/// +0.0`), instead of adding it. Safe plain loops, no calls:
+/// [`simd::avg_pool2d_grad`] compiles it once per tier.
+#[inline(always)]
+pub(crate) fn avg_pool2d_backward_core(
+    grad: &[f32],
+    dims: [usize; 4],
+    spec: PoolSpec,
+    out_hw: (usize, usize),
+    dst: &mut [f32],
+) {
+    match (spec.kernel, spec.stride) {
+        (2, 2) => spread_planes::<true, true>(grad, dims, spec, out_hw, dst),
+        (k, s) if k <= s => spread_planes::<false, true>(grad, dims, spec, out_hw, dst),
+        _ => spread_planes::<false, false>(grad, dims, spec, out_hw, dst),
+    }
+}
+
+#[inline(always)]
+fn spread_planes<const HALVE: bool, const DISJOINT: bool>(
+    grad: &[f32],
+    [n, c, h, w]: [usize; 4],
+    spec: PoolSpec,
+    (oh, ow): (usize, usize),
+    dst: &mut [f32],
+) {
+    let (k, stride) = (spec.kernel, spec.stride);
+    let inv = 1.0 / (k * k) as f32;
+    for plane in 0..n * c {
+        let (src, dst) = (&grad[plane * oh * ow..][..oh * ow], &mut dst[plane * h * w..][..h * w]);
+        for (oy, grow) in src.chunks_exact(ow).enumerate() {
+            if HALVE {
+                // the two output rows are bounds-checked once, so the column
+                // loop vectorizes
+                let (top, bottom) = dst[2 * oy * w..][..w + 2 * ow].split_at_mut(w);
+                let pairs = top[..2 * ow].chunks_exact_mut(2).zip(bottom.chunks_exact_mut(2));
+                for ((t, b), &g) in pairs.zip(grow) {
+                    let v = 0.0 + g * inv;
+                    (t[0], t[1], b[0], b[1]) = (v, v, v, v);
+                }
+            } else {
+                for (ox, &g) in grow.iter().enumerate() {
+                    let g = g * inv;
                     for ky in 0..k {
-                        let row = base + (oy * spec.stride + ky) * w + ox * spec.stride;
-                        for kx in 0..k {
-                            dst[row + kx] += g;
+                        let row = &mut dst[(oy * stride + ky) * w + ox * stride..][..k];
+                        for d in row {
+                            if DISJOINT {
+                                *d = 0.0 + g;
+                            } else {
+                                *d += g;
+                            }
                         }
                     }
                 }
             }
         }
     }
-    Ok(out)
 }
 
 /// Global average pool: `[n, c, h, w]` → `[n, c]`.

@@ -42,9 +42,10 @@
 //!
 //! A `#[target_feature]` function never inlines into a caller without the
 //! feature, so each entry sits where that call is amortized and everything
-//! under it inlines: one call per [`lif_step`] / [`bn_affine`] / average
-//! pool, one per sample of the convolution's scatter, one per worker's row
-//! chunk of a matmul or bias add (the entry is called inside
+//! under it inlines: one call per [`lif_step`] / [`bn_affine`] / BatchNorm
+//! Train pass / average pool or its backward, one per sample of the
+//! convolution's scatter, one per worker's row chunk of a matmul or bias add
+//! (the entry is called inside
 //! [`crate::parallel::for_each_row_chunk`]'s closure, never per row). A body
 //! keeps its hot loops out of closures and non-inlined helpers: a callee
 //! LLVM declines to inline is compiled for the baseline and called from the
@@ -69,6 +70,11 @@
 //!   or one AVX-512 chain.
 //! - LIF/BatchNorm keep the literal expression (`u · (1 − s)`, not a mask
 //!   select: an `inf` membrane that spikes still yields `NaN`).
+//! - A reduction is never split across lanes. BatchNorm's Train sums run a
+//!   group of channels at once, one accumulator each, every channel adding
+//!   its terms in its own serial order: independent chains in registers
+//!   (scalar, so the same at every width), because one channel alone is one
+//!   latency-bound chain.
 
 // The only unsafety here is `per_tier!`'s calls of its `#[target_feature]`
 // entries, guarded by the dispatch ladder, which never resolves above the
@@ -308,7 +314,7 @@ per_tier! {
         dims: [usize; 3],
         out_hw: (usize, usize),
         spec: crate::Conv2dSpec,
-        row: &mut [f32],
+        scratch: (&mut [f32], &mut [usize]),
         dx: &mut [f32],
     ) = crate::conv::input_grad_sample;
 }
@@ -372,9 +378,10 @@ per_tier! {
     /// compares false) or the smooth step `½·(tanh(b·(u_pre − V_th)) + 1)`,
     /// reset by the literal `u_pre·(1 − s)` (so an `inf` membrane that spikes
     /// yields NaN) or `u_pre − V_th·s`. Writes every element of `u` (the
-    /// membrane to carry) and `s`, stores the nonzero share of each of the
-    /// `row_densities.len()` equal rows of `s` and returns the total nonzero
-    /// count — the integers [`crate::Tensor::density_rows`] and
+    /// membrane to carry), `s` and, when given, `pre` (the pre-reset
+    /// `u_pre` a Train step keeps for BPTT), stores the nonzero share of each
+    /// of the `row_densities.len()` equal rows of `s` and returns the total
+    /// nonzero count — the integers [`crate::Tensor::density_rows`] and
     /// [`crate::Tensor::density`] count.
     ///
     /// # Panics
@@ -386,6 +393,7 @@ per_tier! {
         prev: Option<&[f32]>,
         u: &mut [f32],
         s: &mut [f32],
+        pre: Option<&mut [f32]>,
         row_densities: &mut [f32],
     ) -> usize = lif_step_body;
 }
@@ -397,6 +405,7 @@ fn lif_step_body(
     prev: Option<&[f32]>,
     u: &mut [f32],
     s: &mut [f32],
+    mut pre: Option<&mut [f32]>,
     row_densities: &mut [f32],
 ) -> usize {
     let rows = row_densities.len().max(1);
@@ -404,20 +413,19 @@ fn lif_step_body(
     assert!(
         rows * row_len == x.len()
             && (u.len(), s.len()) == (x.len(), x.len())
-            && prev.is_none_or(|m| m.len() == x.len()),
+            && prev.is_none_or(|m| m.len() == x.len())
+            && pre.as_deref().is_none_or(|q| q.len() == x.len()),
         "lif_step: buffers must be {rows} rows of one length"
     );
     let mut fired = 0;
     for r in 0..rows {
         let at = r * row_len..(r + 1) * row_len;
         let (x, u, s) = (&x[at.clone()], &mut u[at.clone()], &mut s[at.clone()]);
-        // one instantiation per loop-invariant choice keeps each a straight
-        // vectorizable loop (tanh has no vector form and stays scalar)
-        let count = match (prev.map(|m| &m[at]), p.smooth_spike.is_some()) {
-            (Some(m), false) => lif_row::<true, false>(p, x, m, u, s),
-            (None, false) => lif_row::<false, false>(p, x, x, u, s),
-            (Some(m), true) => lif_row::<true, true>(p, x, m, u, s),
-            (None, true) => lif_row::<false, true>(p, x, x, u, s),
+        let (m, q) = (prev.map(|m| &m[at.clone()]), pre.as_deref_mut().map(|q| &mut q[at]));
+        let count = if p.smooth_spike.is_some() {
+            lif_row_of::<true>(p, x, m, u, s, q)
+        } else {
+            lif_row_of::<false>(p, x, m, u, s, q)
         };
         if let Some(d) = row_densities.get_mut(r) {
             *d = count as f32 / row_len as f32;
@@ -427,15 +435,37 @@ fn lif_step_body(
     fired
 }
 
-/// One row of [`lif_step`]: `CHARGE` from the carried membrane `m` (unread
-/// on a first step), `SMOOTH` or Heaviside firing.
+/// One instantiation of [`lif_row`] per loop-invariant choice keeps each a
+/// straight vectorizable loop (tanh has no vector form and stays scalar);
+/// the Eval ones (`pre = None`) never see the pre-reset store.
 #[inline(always)]
-fn lif_row<const CHARGE: bool, const SMOOTH: bool>(
+fn lif_row_of<const SMOOTH: bool>(
+    p: LifStep,
+    x: &[f32],
+    m: Option<&[f32]>,
+    u: &mut [f32],
+    s: &mut [f32],
+    pre: Option<&mut [f32]>,
+) -> usize {
+    match (m, pre) {
+        (Some(m), None) => lif_row::<true, SMOOTH, false>(p, x, m, u, s, &mut []),
+        (None, None) => lif_row::<false, SMOOTH, false>(p, x, x, u, s, &mut []),
+        (Some(m), Some(q)) => lif_row::<true, SMOOTH, true>(p, x, m, u, s, q),
+        (None, Some(q)) => lif_row::<false, SMOOTH, true>(p, x, x, u, s, q),
+    }
+}
+
+/// One row of [`lif_step`]: `CHARGE` from the carried membrane `m` (unread
+/// on a first step), `SMOOTH` or Heaviside firing, `KEEP` the pre-reset
+/// membrane in `pre` (unread otherwise).
+#[inline(always)]
+fn lif_row<const CHARGE: bool, const SMOOTH: bool, const KEEP: bool>(
     p: LifStep,
     x: &[f32],
     m: &[f32],
     u: &mut [f32],
     s: &mut [f32],
+    pre: &mut [f32],
 ) -> usize {
     let b = p.smooth_spike.unwrap_or(0.0);
     let mut count = 0;
@@ -454,6 +484,9 @@ fn lif_row<const CHARGE: bool, const SMOOTH: bool>(
             };
             s[i] = sp;
             u[i] = if p.soft_reset { up - p.v_th * sp } else { up * (1.0 - sp) };
+            if KEEP {
+                pre[i] = up;
+            }
             fired += u32::from(sp != 0.0);
         }
         count += fired as usize;
@@ -475,6 +508,198 @@ fn bn_affine_body(dst: &mut [f32], src: &[f32], g: f32, mean: f32, inv_std: f32,
     }
 }
 
+/// Channels a BatchNorm Train reduction carries at once: one accumulator
+/// each, so the group's serial sums are independent add chains.
+const BN_GROUP: usize = 8;
+
+/// The per-channel state a BatchNorm Train forward reads (`gamma`, `beta`,
+/// `momentum`, `eps`) and updates (the running statistics).
+#[derive(Debug)]
+pub struct BnTrainState<'a> {
+    /// Scale `γ`, one per channel.
+    pub gamma: &'a [f32],
+    /// Shift `β`, one per channel.
+    pub beta: &'a [f32],
+    /// EMA momentum of the running statistics.
+    pub momentum: f32,
+    /// Variance floor `ε`.
+    pub eps: f32,
+    /// Running mean, updated with this batch's mean.
+    pub running_mean: &'a mut [f32],
+    /// Running (biased) variance, updated with this batch's variance.
+    pub running_var: &'a mut [f32],
+}
+
+per_tier! {
+    /// BatchNorm's Train forward over `x` (`[n, c, plane]`): per channel the
+    /// batch mean `Σx / m` and variance `Σ(x − mean)² / m` (`m = n·plane`,
+    /// terms in `(n, plane)` order) folded into the running statistics,
+    /// `inv_std = 1 / √(running_var + ε)`, then `x̂ = (x − running_mean) ·
+    /// inv_std` and `y = γ·x̂ + β` in one contiguous pass. Writes every
+    /// element of `inv_std`, `x_hat` and `y`.
+    pub fn bn_train_forward(
+        x: &[f32],
+        dims: [usize; 3],
+        st: BnTrainState<'_>,
+        inv_std: &mut [f32],
+        x_hat: &mut [f32],
+        y: &mut [f32],
+    ) = bn_train_forward_body;
+}
+
+#[inline(always)]
+fn bn_train_forward_body(
+    x: &[f32],
+    [n, c, plane]: [usize; 3],
+    mut st: BnTrainState<'_>,
+    inv_std: &mut [f32],
+    x_hat: &mut [f32],
+    y: &mut [f32],
+) {
+    let mut c0 = 0;
+    while c0 < c {
+        if c0 + BN_GROUP <= c {
+            bn_stats_group::<BN_GROUP>(x, [n, c, plane], c0, &mut st);
+            c0 += BN_GROUP;
+        } else {
+            bn_stats_group::<1>(x, [n, c, plane], c0, &mut st);
+            c0 += 1;
+        }
+    }
+    for (is, &var) in inv_std[..c].iter_mut().zip(st.running_var.iter()) {
+        *is = 1.0 / (var + st.eps).sqrt();
+    }
+    let channels = st.running_mean.iter().zip(inv_std.iter()).zip(st.gamma).zip(st.beta);
+    for ni in 0..n {
+        for (ci, (((&mean, &is), &g), &b)) in channels.clone().take(c).enumerate() {
+            let at = (ni * c + ci) * plane;
+            let (xs, xh, ys) = (&x[at..][..plane], &mut x_hat[at..][..plane], &mut y[at..][..plane]);
+            for ((o, h), &xv) in ys.iter_mut().zip(xh.iter_mut()).zip(xs) {
+                let v = (xv - mean) * is;
+                *h = v;
+                *o = g * v + b;
+            }
+        }
+    }
+}
+
+/// The batch statistics of channels `c0..c0 + G`, folded into the running
+/// ones. Each channel owns one accumulator and adds its terms in `(n,
+/// plane)` order, exactly as a loop over that channel alone.
+#[inline(always)]
+fn bn_stats_group<const G: usize>(
+    x: &[f32],
+    [n, c, plane]: [usize; 3],
+    c0: usize,
+    st: &mut BnTrainState<'_>,
+) {
+    let m = (n * plane) as f32;
+    let mut mean = [0.0f32; G];
+    for ni in 0..n {
+        let xs = &x[(ni * c + c0) * plane..][..G * plane];
+        for p in 0..plane {
+            for (j, acc) in mean.iter_mut().enumerate() {
+                *acc += xs[j * plane + p];
+            }
+        }
+    }
+    for v in &mut mean {
+        *v /= m;
+    }
+    let mut var = [0.0f32; G];
+    for ni in 0..n {
+        let xs = &x[(ni * c + c0) * plane..][..G * plane];
+        for p in 0..plane {
+            for (j, acc) in var.iter_mut().enumerate() {
+                let d = xs[j * plane + p] - mean[j];
+                *acc += d * d;
+            }
+        }
+    }
+    let keep = 1.0 - st.momentum;
+    for j in 0..G {
+        let ci = c0 + j;
+        let v = var[j] / m;
+        st.running_mean[ci] = keep * st.running_mean[ci] + st.momentum * mean[j];
+        st.running_var[ci] = keep * st.running_var[ci] + st.momentum * v;
+    }
+}
+
+per_tier! {
+    /// BatchNorm's Train backward over `[n, c, plane]` with the statistics
+    /// constant: per channel `β' += Σdy` and `γ' += Σdy·x̂` (terms in `(n,
+    /// plane)` order, each sum from `+0.0`), then `dx = k·dy` (`k = γ ·
+    /// inv_std`) in one contiguous pass writing every element of `dx`.
+    pub fn bn_train_backward(
+        dy: &[f32],
+        x_hat: &[f32],
+        dims: [usize; 3],
+        k: &[f32],
+        beta_grad: &mut [f32],
+        gamma_grad: &mut [f32],
+        dx: &mut [f32],
+    ) = bn_train_backward_body;
+}
+
+#[inline(always)]
+fn bn_train_backward_body(
+    dy: &[f32],
+    x_hat: &[f32],
+    [n, c, plane]: [usize; 3],
+    k: &[f32],
+    beta_grad: &mut [f32],
+    gamma_grad: &mut [f32],
+    dx: &mut [f32],
+) {
+    let mut c0 = 0;
+    while c0 < c {
+        if c0 + BN_GROUP <= c {
+            bn_grad_group::<BN_GROUP>(dy, x_hat, [n, c, plane], c0, beta_grad, gamma_grad);
+            c0 += BN_GROUP;
+        } else {
+            bn_grad_group::<1>(dy, x_hat, [n, c, plane], c0, beta_grad, gamma_grad);
+            c0 += 1;
+        }
+    }
+    for ni in 0..n {
+        for (ci, &kc) in k[..c].iter().enumerate() {
+            let at = (ni * c + ci) * plane;
+            for (d, &g) in dx[at..][..plane].iter_mut().zip(&dy[at..][..plane]) {
+                *d = kc * g;
+            }
+        }
+    }
+}
+
+/// `Σdy` and `Σdy·x̂` of channels `c0..c0 + G`, added to their gradients;
+/// one accumulator pair per channel, terms in `(n, plane)` order.
+#[inline(always)]
+fn bn_grad_group<const G: usize>(
+    dy: &[f32],
+    x_hat: &[f32],
+    [n, c, plane]: [usize; 3],
+    c0: usize,
+    beta_grad: &mut [f32],
+    gamma_grad: &mut [f32],
+) {
+    let (mut sum_dy, mut sum_dy_xh) = ([0.0f32; G], [0.0f32; G]);
+    for ni in 0..n {
+        let at = (ni * c + c0) * plane;
+        let (ds, hs) = (&dy[at..][..G * plane], &x_hat[at..][..G * plane]);
+        for p in 0..plane {
+            for j in 0..G {
+                let d = ds[j * plane + p];
+                sum_dy[j] += d;
+                sum_dy_xh[j] += d * hs[j * plane + p];
+            }
+        }
+    }
+    for j in 0..G {
+        beta_grad[c0 + j] += sum_dy[j];
+        gamma_grad[c0 + j] += sum_dy_xh[j];
+    }
+}
+
 per_tier! {
     /// Average pool of a `[n, c, h, w]` buffer into its `[n, c, oh, ow]`
     /// output, every element written once.
@@ -485,6 +710,18 @@ per_tier! {
         out_hw: (usize, usize),
         dst: &mut [f32],
     ) = crate::pool::avg_pool2d_core;
+}
+
+per_tier! {
+    /// The average pool's backward: each `[n, c, oh, ow]` gradient spread
+    /// uniformly over its window of the zeroed `[n, c, h, w]` `dst`.
+    pub(crate) fn avg_pool2d_grad(
+        grad: &[f32],
+        dims: [usize; 4],
+        spec: crate::PoolSpec,
+        out_hw: (usize, usize),
+        dst: &mut [f32],
+    ) = crate::pool::avg_pool2d_backward_core;
 }
 
 #[cfg(test)]
@@ -589,8 +826,9 @@ mod tests {
 
     #[test]
     fn bn_affine_matches_scalar_bitwise_including_nonfinite() {
-        // (the LIF step is pinned against the plain-tensor `LifNeuron::forward`
-        // at every tier in dtsnn-snn's tests/lif_step.rs)
+        // (the LIF step is pinned against the plain-tensor oracle of
+        // `LifNeuron` at every tier in dtsnn-snn's tests/lif_step.rs, the
+        // BatchNorm Train kernels in tests/train_kernels.rs)
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let mut rng = TensorRng::seed_from(404);
         for n in [1usize, 7, 8, 9, 100] {
@@ -678,7 +916,7 @@ mod tests {
     fn lif_step_rejects_buffers_that_do_not_split_into_whole_rows() {
         let p = LifStep { tau: 0.5, v_th: 1.0, soft_reset: false, smooth_spike: None };
         let (mut u, mut s) = ([0.0; 7], [0.0; 7]);
-        lif_step(p, &[0.0; 7], None, &mut u, &mut s, &mut [0.0; 2]);
+        lif_step(p, &[0.0; 7], None, &mut u, &mut s, None, &mut [0.0; 2]);
     }
 
     #[test]

@@ -94,8 +94,9 @@ fn check(
 /// path and the fused epilogue distinguish: an input smaller than the kernel
 /// but not than its padded self (one pixel clipped at both borders at once),
 /// rows of exactly one nonzero word and one element more, output channels
-/// that fill whole vectors with no remainder lane. `f` gets the spec, the
-/// `[n, h, w]` extent, the input class, a bias flag and the case number.
+/// that fill whole vectors with no remainder lane, patches of 100+ taps.
+/// `f` gets the spec, the `[n, h, w]` extent, the input class, a bias flag
+/// and the case number.
 fn for_each_case(
     rng: &mut TensorRng,
     mut f: impl FnMut(&Conv2dSpec, [usize; 3], &str, bool, usize, &mut TensorRng),
@@ -135,6 +136,15 @@ fn for_each_case(
                 let spec = Conv2dSpec::new(1 + case % 3, co, kernel, stride, padding).unwrap();
                 f(&spec, [n, h, w], kind, case.is_multiple_of(2), case, rng);
             }
+        }
+    }
+    // patch rows long enough for every register block the input gradient
+    // builds a row in (96, 32, 8 and 1 floats): 117, 135 and 275 taps
+    for (ci, kernel, stride, padding) in [(13, 3, 1, 1), (15, 3, 2, 0), (11, 5, 1, 2)] {
+        for kind in KINDS {
+            case += 1;
+            let spec = Conv2dSpec::new(ci, 9, kernel, stride, padding).unwrap();
+            f(&spec, [2, 6, 7], kind, case.is_multiple_of(2), case, rng);
         }
     }
 }

@@ -38,14 +38,16 @@ determinism() {
 # its solo run (the one carried-state walk, through ResidualBlock too); the
 # cached input-prefix rows equal a cache-free forward through any schedule
 # and every invalidation route, and the counters say which rows were reused;
-# and the warmed loops allocate nothing: the timestep loop (f32 and int8), a
-# dynamic batch width (batched windows over a resnet run under `determinism`).
+# the warmed loops allocate nothing: the timestep loop (f32 and int8), a
+# dynamic batch width (batched windows over a resnet run under `determinism`);
+# and a gradient of the wrong shape is a typed error from BatchNorm and LIF.
 layers() {
     t snn --test weight_plans
     t snn --test carried_state
     t snn --test input_prefix
     t snn warmed_timestep_loop
     t snn allocation_free
+    t snn hostile_gradient
 }
 
 # The explicit int8 path: packed spike operands, the integer kernel, a
@@ -75,14 +77,16 @@ simulator() { t imc --test simulator; }
 
 # Bit for bit, each test pinning thread count and tier per case (the ambient
 # values steer the references): the direct convolution and its direct
-# backward (dX, dW, db) = their im2col references, the one-pass LIF step of
-# Eval = the plain-tensor Train arm of LifNeuron::forward_ws; then every
-# vector kernel against the scalar oracle. (The matmul family =
-# the plain triple loop, tests/zero_skip.rs, reads no ambient knob: the
-# workspace run above is all it needs.)
+# backward (dX, dW, db) = their im2col references; LifNeuron's one-pass step
+# (both modes) and BPTT loop = the plain-tensor oracle they replaced; the
+# grouped BatchNorm Train kernels and the pool backward = their per-channel
+# and per-window oracles; then every vector kernel against the scalar
+# oracle. (The matmul family = the plain triple loop, tests/zero_skip.rs,
+# reads no ambient knob: the workspace run above is all it needs.)
 kernels() {
     t tensor --test conv_direct
     t snn --test lif_step
+    t tensor --test train_kernels
     t tensor simd
 }
 
@@ -104,10 +108,11 @@ conformance() {
 # and tanhf.) No entry may contain an FMA: `avx512f` enables the `fma`
 # feature, and a fused multiply-add would change the rounding of every
 # kernel, so this is where "Rust never contracts" is checked on the binary.
-# The classifier head's kernel, `linear_chunk`, and the convolution's two
+# The classifier head's kernel, `linear_chunk`, the convolution's two
 # backward kernels, `conv_weight_grad_chunk` and `conv_input_grad_sample`,
-# must be among the entries, and the `matmul_nt_chunk` the first replaced
-# must not come back.
+# and the Train path's BatchNorm and pool kernels, `bn_train_forward`,
+# `bn_train_backward` and `avg_pool2d_grad`, must be among the entries, and
+# the `matmul_nt_chunk` the first replaced must not come back.
 vector_width() {
     if ! command -v objdump >/dev/null || [ "$(uname -m)" != x86_64 ]; then
         echo "vector_width: needs objdump on x86_64; skipped"
@@ -138,7 +143,8 @@ vector_width() {
             }
             if (!n) { print "vector_width: no per_tier! entry found in the rlib"; bad = 1 }
             split("avx2 avx512", tiers, " ")
-            split("linear_chunk conv_weight_grad_chunk conv_input_grad_sample", required, " ")
+            split("linear_chunk conv_weight_grad_chunk conv_input_grad_sample " \
+                  "bn_train_forward bn_train_backward avg_pool2d_grad", required, " ")
             for (r in required) {
                 for (i in tiers) {
                     head = "<dtsnn_tensor::simd::" required[r] "::" tiers[i] ">:"
