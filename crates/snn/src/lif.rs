@@ -247,26 +247,25 @@ struct Bptt<'a> {
 }
 
 impl Bptt<'_> {
-    /// Hoists every loop-invariant choice — firing and surrogate, reset and
-    /// detach, whether a gradient is carried in — out of the element loop,
-    /// one straight loop per combination. Each recomputes the spike from
-    /// `u_pre` by the forward's own expression.
+    /// Hoists the loop-invariant choices — smooth firing, the Rectangular
+    /// surrogate or another family, reset and detach, whether a gradient is
+    /// carried in — out of the element loop, one straight loop per
+    /// combination. Each recomputes the spike from `u_pre` by the forward's
+    /// own expression.
     fn run(self, cfg: &LifConfig, carry_in: bool) {
         let v_th = cfg.v_th;
         let step = move |u: f32| if u > v_th { 1.0 } else { 0.0 };
         let surrogate = move |s: Surrogate| move |u| (step(u), s.grad(u, v_th));
-        // one arm per surrogate, so each loop sees its family as a constant
         match (cfg.smooth_spike, cfg.surrogate) {
             // the smooth step and its exact derivative share one tanh
             (Some(b), _) => self.reset(cfg, carry_in, move |u: f32| {
                 let t = (b * (u - v_th)).tanh();
                 (0.5 * (t + 1.0), 0.5 * b * (1.0 - t * t))
             }),
+            // the default surrogate's loops vectorize; the other families
+            // share loops that match on theirs per element
             (None, s @ Surrogate::Rectangular) => self.reset(cfg, carry_in, surrogate(s)),
-            (None, s @ Surrogate::Triangle { .. }) => self.reset(cfg, carry_in, surrogate(s)),
-            (None, s @ Surrogate::Dspike { .. }) => self.reset(cfg, carry_in, surrogate(s)),
-            (None, s @ Surrogate::Sigmoid { .. }) => self.reset(cfg, carry_in, surrogate(s)),
-            (None, s @ Surrogate::Atan { .. }) => self.reset(cfg, carry_in, surrogate(s)),
+            (None, s) => self.reset(cfg, carry_in, surrogate(s)),
         }
     }
 

@@ -161,12 +161,9 @@ pub fn avg_pool2d_backward(
     Ok(out)
 }
 
-/// Core of [`avg_pool2d_backward`] over a zeroed `dst`: the general loop adds
-/// `g·inv` into every tap of each window in `(plane, oy, ox, ky, kx)` order.
-/// Windows that cannot overlap (`kernel ≤ stride`) see each element at most
-/// once, so they store that sum, `0.0 + g·inv` (which keeps its `-0.0 →
-/// +0.0`), instead of adding it. Safe plain loops, no calls:
-/// [`simd::avg_pool2d_grad`] compiles it once per tier.
+/// Core of [`avg_pool2d_backward`] over a zeroed `dst`: adds `g·inv` into
+/// every tap of each window in `(plane, oy, ox, ky, kx)` order. Safe plain
+/// loops, no calls: [`simd::avg_pool2d_grad`] compiles it once per tier.
 #[inline(always)]
 pub(crate) fn avg_pool2d_backward_core(
     grad: &[f32],
@@ -175,15 +172,18 @@ pub(crate) fn avg_pool2d_backward_core(
     out_hw: (usize, usize),
     dst: &mut [f32],
 ) {
-    match (spec.kernel, spec.stride) {
-        (2, 2) => spread_planes::<true, true>(grad, dims, spec, out_hw, dst),
-        (k, s) if k <= s => spread_planes::<false, true>(grad, dims, spec, out_hw, dst),
-        _ => spread_planes::<false, false>(grad, dims, spec, out_hw, dst),
+    // as in `avg_pool2d_core`: one instantiation for the 2×2 / stride-2
+    // window, whose disjoint windows store `0.0 + g·inv` (bitwise the `+=`
+    // into a zero, `-0.0 → +0.0` included) in a loop that vectorizes
+    if (spec.kernel, spec.stride) == (2, 2) {
+        spread_planes::<true>(grad, dims, spec, out_hw, dst)
+    } else {
+        spread_planes::<false>(grad, dims, spec, out_hw, dst)
     }
 }
 
 #[inline(always)]
-fn spread_planes<const HALVE: bool, const DISJOINT: bool>(
+fn spread_planes<const HALVE: bool>(
     grad: &[f32],
     [n, c, h, w]: [usize; 4],
     spec: PoolSpec,
@@ -208,13 +208,8 @@ fn spread_planes<const HALVE: bool, const DISJOINT: bool>(
                 for (ox, &g) in grow.iter().enumerate() {
                     let g = g * inv;
                     for ky in 0..k {
-                        let row = &mut dst[(oy * stride + ky) * w + ox * stride..][..k];
-                        for d in row {
-                            if DISJOINT {
-                                *d = 0.0 + g;
-                            } else {
-                                *d += g;
-                            }
+                        for d in &mut dst[(oy * stride + ky) * w + ox * stride..][..k] {
+                            *d += g;
                         }
                     }
                 }

@@ -224,9 +224,9 @@ fn batchnorm_train_kernels_match_the_per_channel_loops_bitwise() {
 
 #[test]
 fn pool_backward_matches_the_per_window_loop_bitwise() {
-    // k = stride (2×2 is the literal instantiation, 3×3 and 1×1 the general
-    // disjoint loop), k < stride (disjoint, with gaps) and k > stride
-    // (overlapping, the accumulating loop); extents that drop a remainder;
+    // 2×2 / 2 (the literal instantiation) and every other window through the
+    // accumulating loop: k = stride, k < stride (with gaps) and k > stride
+    // (overlapping); extents that drop a remainder;
     // planes of 1, 16 and 256; ±inf, NaN and -0.0 in the gradient
     let mut rng = TensorRng::seed_from(0x9001);
     for (k, stride) in [(2, 2), (3, 3), (1, 1), (1, 2), (2, 3), (3, 2), (3, 1)] {
