@@ -105,7 +105,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         width: 8,
         // untrained Eval nets need the calibrated tdBN gain to spike at all
         tdbn_alpha: 6.0,
-        dropout: 0.0,
     };
     let t_max = 4;
     let mut net = vgg_small(&model_cfg, &mut TensorRng::seed_from(11))?;

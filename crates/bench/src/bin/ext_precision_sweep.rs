@@ -2,17 +2,17 @@
 //!
 //! Sweeps the per-device bit width (1/2/4/8 bits; 8-bit weights bit-sliced
 //! accordingly) and evaluates a trained DT-SNN after deployment through the
-//! noisy device model (σ/μ = 20% per device). Fewer bits per device need
-//! more slices (more columns, more ADC conversions → more energy); more bits
-//! per device squeeze more levels into the same conductance range, amplifying
-//! the impact of variation. The sweep exposes that accuracy/energy trade-off.
+//! noisy device model (σ/μ = 20% per device, no discrete faults), as a
+//! three-trial Monte-Carlo run per width. Fewer bits per device need more
+//! slices (more columns, more ADC conversions → more energy); more bits per
+//! device squeeze more levels into the same conductance range, amplifying the
+//! impact of variation. The sweep exposes that accuracy/energy trade-off.
 
 use dtsnn_bench::{json, print_table, train_model, write_json, Arch, ExpConfig};
-use dtsnn_core::{DynamicEvaluation, DynamicInference, ExitPolicy, HardwareProfile};
+use dtsnn_core::{DynamicInference, ExitPolicy, HardwareProfile, MonteCarloConfig, MonteCarloRobustness};
 use dtsnn_data::Preset;
-use dtsnn_imc::{perturb_network, HardwareConfig};
+use dtsnn_imc::{FaultModel, HardwareConfig};
 use dtsnn_snn::LossKind;
-use dtsnn_tensor::TensorRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exp = ExpConfig::from_env();
@@ -23,52 +23,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("[ext-precision] training VGG* (Eq. 10)…");
     let (net, _, model_cfg) = train_model(&dataset, Arch::Vgg, LossKind::PerTimestep, t_max, &exp)?;
     let runner = DynamicInference::new(ExitPolicy::entropy(0.3)?, t_max)?;
+    let mc = MonteCarloConfig { trials: 3, seed: exp.seed ^ 0x9E37 };
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
-    let mut rng = TensorRng::seed_from(exp.seed ^ 0x9E37);
     for device_bits in [1u32, 2, 4, 8] {
         let hw = HardwareConfig { device_bits, ..HardwareConfig::default() };
-        // accuracy under deployment noise, averaged over 3 draws
-        let mut acc = 0.0f32;
-        let mut avg_t = 0.0f32;
-        let trials = 3;
-        for _ in 0..trials {
-            let mut noisy = net.clone();
-            perturb_network(&mut noisy, &hw, &mut rng)?;
-            let eval = DynamicEvaluation::run_batched(&mut noisy, &runner, &frames, &labels, None, 32)?;
-            acc += eval.accuracy;
-            avg_t += eval.avg_timesteps;
-        }
-        acc /= trials as f32;
-        avg_t /= trials as f32;
-        // energy at this precision: slices change the mapping
+        // slices change the mapping, so each width prices its own profile
         let profile = HardwareProfile::new(
             &Arch::Vgg.geometry(&model_cfg),
             Arch::Vgg.density_map(),
             model_cfg.num_classes,
             &hw,
         )?;
-        let mut clean = net.clone();
-        let eval = DynamicEvaluation::run_batched(&mut clean, &runner, &frames, &labels, None, 32)?;
-        let cost = profile.dynamic_cost(&eval.activity, avg_t as f64)?;
+        let run = MonteCarloRobustness::run(
+            &net,
+            &runner,
+            &frames,
+            &labels,
+            &profile,
+            &FaultModel::none(),
+            &mc,
+        )?;
         rows.push(vec![
             format!("{device_bits}-bit"),
             format!("{}", hw.slices_per_weight()),
-            format!("{:.2}%", acc * 100.0),
-            format!("{avg_t:.2}"),
-            format!("{:.2}", cost.energy_pj() / 1e6),
+            format!("{:.2}%", run.accuracy.mean * 100.0),
+            format!("{:.2}", run.avg_timesteps.mean),
+            format!("{:.2}", run.energy_pj.mean / 1e6),
         ]);
         json.push(json!({
             "device_bits": device_bits,
             "slices_per_weight": hw.slices_per_weight(),
-            "noisy_accuracy": acc,
-            "avg_timesteps": avg_t,
-            "energy_uj": cost.energy_pj() / 1e6,
+            "noisy_accuracy": run.accuracy.mean,
+            "noisy_accuracy_ci95": run.accuracy.ci95,
+            "avg_timesteps": run.avg_timesteps.mean,
+            "energy_uj": run.energy_pj.mean / 1e6,
         }));
     }
     print_table(
-        "Extension: device-precision sweep (20% variation, DT-SNN θ=0.3)",
+        "Extension: device-precision sweep (20% variation, DT-SNN θ=0.3, 3 trials)",
         &["device", "slices/weight", "noisy acc", "avg T̂", "energy (µJ)"],
         &rows,
     );

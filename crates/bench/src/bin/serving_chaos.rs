@@ -44,7 +44,6 @@ fn model_config() -> ModelConfig {
         width: 4,
         // untrained Eval nets need the calibrated tdBN gain to spike at all
         tdbn_alpha: 6.0,
-        dropout: 0.0,
     }
 }
 

@@ -115,7 +115,6 @@ pub fn model_config_for(dataset: &Dataset) -> ModelConfig {
         // α = 1 with the high-similarity datasets reproduces the paper's
         // accuracy-vs-T shape (probe-calibrated; see DESIGN.md §6)
         tdbn_alpha: 1.0,
-        dropout: 0.0,
     }
 }
 

@@ -14,8 +14,10 @@
 //! 2. **Thread-count invariance** — one inference under 1 worker and under 4
 //!    workers returns bitwise-identical [`DynamicOutcome`]s (the contract of
 //!    the deterministic parallel execution layer).
-//! 3. **σ = 0 device reads ≡ pure quantization** — the noisy RRAM read model
-//!    with zero conductance variation collapses to quantize–dequantize.
+//! 3. *(retired with its subject: the per-weight device read model it
+//!    checked against quantization was deleted. Oracle 7(a) checks the same
+//!    grid bitwise through the fault injector, now the only device model.
+//!    The number stays so the later oracles keep theirs.)*
 //! 4. **Mapping invariants** — every [`MappedLayer`] satisfies the
 //!    arithmetic relations of Sec. III-B, and remapping is bitwise stable.
 //! 5. **Checkpoint round-trip** — saving a network and loading it into a
@@ -67,10 +69,11 @@ use dtsnn_core::{
     ExitPolicy,
 };
 use dtsnn_imc::{
-    quantize_dequantize, ChipMapping, Component, CostModel, DeviceNoise, EventSim, FaultInjector,
-    FaultModel, HardwareConfig, Placement, SimOptions,
+    ChipMapping, Component, CostModel, EventSim, FaultInjector, FaultModel, HardwareConfig,
+    Placement, SimOptions,
 };
 use dtsnn_snn::{load_params, save_params, LifConfig, Mode, ModelConfig, Snn};
+use dtsnn_tensor::quant::quantize_dequantize;
 use dtsnn_tensor::{parallel, simd, Tensor, TensorRng};
 
 /// A randomly derived but fully deterministic fuzz configuration.
@@ -126,7 +129,6 @@ impl FuzzCase {
             lif: LifConfig { v_th: 1.0, tau: 0.75, ..LifConfig::default() },
             width: self.width,
             tdbn_alpha: 1.0,
-            dropout: 0.0,
         }
     }
 
@@ -207,24 +209,6 @@ fn oracle_thread_count_invariance(case: &FuzzCase) -> Result<(), String> {
         return Err(format!(
             "outcome differs across thread counts: 1 worker {single:?} vs 4 workers {multi:?}"
         ));
-    }
-    Ok(())
-}
-
-fn oracle_noiseless_device_is_quantization(case: &FuzzCase) -> Result<(), String> {
-    let config = HardwareConfig { sigma_over_mu: 0.0, ..HardwareConfig::default() };
-    let model = DeviceNoise::new(&config).map_err(|e| e.to_string())?;
-    let mut rng = TensorRng::seed_from(case.seed ^ 0x0153);
-    for _ in 0..32 {
-        let scale = rng.uniform(0.1, 2.0);
-        let w = rng.uniform(-scale, scale);
-        let read = model.read_weight(w, scale, &mut rng);
-        let ideal = quantize_dequantize(w, scale, config.weight_bits);
-        if (read - ideal).abs() >= 1e-4 {
-            return Err(format!(
-                "σ=0 read of w={w} (scale {scale}) gave {read}, quantization gives {ideal}"
-            ));
-        }
     }
     Ok(())
 }
@@ -821,7 +805,6 @@ fn oracle_event_sim_matches_ledger(case: &FuzzCase) -> Result<(), String> {
 pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     oracle_never_exit_equals_static(case).map_err(|e| format!("never-exit≡static: {e}"))?;
     oracle_thread_count_invariance(case).map_err(|e| format!("thread-invariance: {e}"))?;
-    oracle_noiseless_device_is_quantization(case).map_err(|e| format!("σ=0≡quantize: {e}"))?;
     oracle_mapping_invariants(case).map_err(|e| format!("mapping: {e}"))?;
     oracle_checkpoint_roundtrip(case).map_err(|e| format!("checkpoint: {e}"))?;
     oracle_batched_compaction_equals_sequential(case)

@@ -80,7 +80,6 @@ impl GradCheckConfig {
             },
             width: 4,
             tdbn_alpha: 1.0,
-            dropout: 0.0,
         }
     }
 }

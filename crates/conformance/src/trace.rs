@@ -113,7 +113,6 @@ impl TraceSpec {
             // every layer and the classifier active, so the golden pins real
             // numerics end to end. (V_th cancels: tdBN scales γ by α·V_th.)
             tdbn_alpha: 6.0,
-            dropout: 0.0,
         }
     }
 }

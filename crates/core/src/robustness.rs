@@ -1,14 +1,15 @@
 //! Monte-Carlo robustness evaluation over the faulty IMC substrate.
 //!
-//! A single fault draw (like the single `perturb_network` call behind the
-//! original Fig. 6(B) point) is one arbitrary sample of a wide distribution.
-//! [`MonteCarloRobustness`] runs N seeded trials — each programs a fresh
-//! clone of the network onto an independently drawn faulty substrate via
-//! [`FaultInjector`] and evaluates it with the quarantine-hardened dynamic
-//! harness — and aggregates accuracy, average exit timestep T̂, energy and
-//! EDP into mean/std/95% CI. [`degradation_sweep`] repeats this across fault
-//! severities, producing the accuracy-and-T̂-versus-severity curves that show
-//! how the entropy policy reallocates timesteps under damage.
+//! A single fault draw (even the fault-free Fig. 6(B) point, whose σ/μ = 20%
+//! programming variation is itself random) is one arbitrary sample of a wide
+//! distribution. [`MonteCarloRobustness`] runs N seeded trials — each
+//! programs a fresh clone of the network onto an independently drawn faulty
+//! substrate via [`FaultInjector`] and evaluates it with the
+//! quarantine-hardened dynamic harness — and aggregates accuracy, average
+//! exit timestep T̂, energy and EDP into mean/std/95% CI.
+//! [`degradation_sweep`] repeats this across fault severities, producing the
+//! accuracy-and-T̂-versus-severity curves that show how the entropy policy
+//! reallocates timesteps under damage.
 //!
 //! # Determinism
 //!

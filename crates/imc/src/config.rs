@@ -167,14 +167,21 @@ impl HardwareConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ImcError::InvalidConfig`] for zero extents, non-positive
-    /// electrical parameters, or device precision exceeding weight precision.
+    /// Returns [`ImcError::InvalidConfig`] for zero extents, weights wider
+    /// than 32 bits, device precision exceeding weight precision, or
+    /// non-finite or non-positive electrical parameters.
     pub fn validate(&self) -> Result<()> {
         if self.crossbar_size == 0 || self.crossbars_per_tile == 0 {
             return Err(ImcError::InvalidConfig("crossbar extents must be nonzero".into()));
         }
         if self.device_bits == 0 || self.weight_bits == 0 {
             return Err(ImcError::InvalidConfig("bit widths must be nonzero".into()));
+        }
+        if self.weight_bits > 32 {
+            return Err(ImcError::InvalidConfig(format!(
+                "weight precision ({}) exceeds 32 bits",
+                self.weight_bits
+            )));
         }
         if self.device_bits > self.weight_bits {
             return Err(ImcError::InvalidConfig(format!(
@@ -184,6 +191,18 @@ impl HardwareConfig {
         }
         if self.adc_mux_ratio == 0 {
             return Err(ImcError::InvalidConfig("adc_mux_ratio must be nonzero".into()));
+        }
+        let electrical = [
+            ("sigma_over_mu", self.sigma_over_mu),
+            ("r_on", self.r_on),
+            ("r_off_ratio", self.r_off_ratio),
+            ("vdd", self.vdd),
+            ("v_read", self.v_read),
+        ];
+        for (name, v) in electrical {
+            if !v.is_finite() {
+                return Err(ImcError::InvalidConfig(format!("{name} must be finite, got {v}")));
+            }
         }
         if self.r_on <= 0.0 || self.r_off_ratio <= 1.0 {
             return Err(ImcError::InvalidConfig("r_on must be positive and r_off_ratio > 1".into()));
@@ -261,4 +280,39 @@ mod tests {
         assert!(HardwareConfig::default().fault.is_null());
     }
 
+    #[test]
+    fn hostile_values_are_typed_errors_not_panics() {
+        use crate::FaultInjector;
+        use dtsnn_snn::LayerGeometry;
+        let d = HardwareConfig::default;
+        let mut hostile = vec![
+            HardwareConfig { weight_bits: 33, ..d() },
+            HardwareConfig { weight_bits: 65, ..d() },
+            HardwareConfig { weight_bits: 64, device_bits: 64, ..d() },
+            HardwareConfig { weight_bits: u32::MAX, device_bits: 4, ..d() },
+        ];
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            hostile.extend([
+                HardwareConfig { sigma_over_mu: v, ..d() },
+                HardwareConfig { r_on: v, ..d() },
+                HardwareConfig { r_off_ratio: v, ..d() },
+                HardwareConfig { vdd: v, ..d() },
+                HardwareConfig { v_read: v, ..d() },
+            ]);
+        }
+        let geometry = [LayerGeometry::Fc { in_features: 4, out_features: 2 }];
+        for c in &hostile {
+            assert!(matches!(c.validate(), Err(ImcError::InvalidConfig(_))), "{c:?}");
+            assert!(
+                matches!(
+                    FaultInjector::for_geometry(FaultModel::none(), &geometry, c),
+                    Err(ImcError::InvalidConfig(_))
+                ),
+                "{c:?}"
+            );
+        }
+        let widest = HardwareConfig { weight_bits: 32, device_bits: 32, ..d() };
+        assert!(widest.validate().is_ok());
+        assert!(FaultInjector::for_geometry(FaultModel::none(), &geometry, &widest).is_ok());
+    }
 }

@@ -15,13 +15,6 @@ pub enum ImcError {
         /// Density entries supplied.
         densities: usize,
     },
-    /// Density entries supplied to the NoC disagree with its link count.
-    LinkDensityMismatch {
-        /// Inter-layer links in the NoC.
-        links: usize,
-        /// Density entries supplied.
-        densities: usize,
-    },
     /// A network's crossbar-mapped parameters disagree with the chip mapping
     /// they are being injected through.
     NetworkMismatch(String),
@@ -34,13 +27,6 @@ impl fmt::Display for ImcError {
             ImcError::UnmappableLayer(msg) => write!(f, "unmappable layer: {msg}"),
             ImcError::ActivityMismatch { layers, densities } => {
                 write!(f, "mapping has {layers} layers but {densities} density entries supplied")
-            }
-            ImcError::LinkDensityMismatch { links, densities } => {
-                write!(
-                    f,
-                    "noc has {links} inter-layer links but {densities} density entries \
-                     supplied (need one per link source layer)"
-                )
             }
             ImcError::NetworkMismatch(msg) => {
                 write!(f, "network does not match chip mapping: {msg}")
@@ -61,7 +47,6 @@ mod tests {
             ImcError::InvalidConfig("x".into()),
             ImcError::UnmappableLayer("y".into()),
             ImcError::ActivityMismatch { layers: 3, densities: 2 },
-            ImcError::LinkDensityMismatch { links: 2, densities: 1 },
             ImcError::NetworkMismatch("z".into()),
         ] {
             assert!(!e.to_string().is_empty());

@@ -1,23 +1,26 @@
-//! Mapping-aware RRAM fault injection (the robustness half of Fig. 6(B)).
+//! Mapping-aware RRAM device model (Fig. 6(B) and its fault extension).
 //!
-//! [`crate::perturb_network`] models exactly one non-ideality — a single draw
-//! of Gaussian programming variation. Real CiM substrates additionally suffer
-//! *discrete* defects: devices stuck at G_on/G_off, conductance drift toward
-//! the off state, per-read noise on top of the programmed value, and whole
-//! wordlines/bitlines lost to driver or mux failures. [`FaultModel`] composes
-//! all of these; [`FaultInjector`] applies them to a trained network through
-//! the [`ChipMapping`] coordinates, so a dead line damages the physically
-//! co-located weights (a contiguous row or column strip of one crossbar)
-//! rather than a random scatter.
+//! This is the crate's one model of a weight read from RRAM. The paper's
+//! Fig. 6(B) point — Gaussian programming variation, σ/μ = 20% — is
+//! [`FaultInjector`] driven with [`FaultModel::none`]. Real CiM substrates
+//! additionally suffer *discrete* defects: devices stuck at G_on/G_off,
+//! conductance drift toward the off state, per-read noise on top of the
+//! programmed value, and whole wordlines/bitlines lost to driver or mux
+//! failures. [`FaultModel`] composes all of these; [`FaultInjector`] applies
+//! them to a trained network through the [`ChipMapping`] coordinates, so a
+//! dead line damages the physically co-located weights (a contiguous row or
+//! column strip of one crossbar) rather than a random scatter.
 //!
 //! # Physical model
 //!
 //! Each weight is quantized to `weight_bits` signed levels and split into
-//! `slices_per_weight` devices plus a differential reference per slice, as in
-//! [`crate::DeviceNoise`]. Per device, in order:
+//! `slices_per_weight` devices plus a differential reference per slice. The
+//! finite `R_off/R_on` ratio leaves a nonzero "off" conductance whose
+//! variation does not cancel between the differential columns. Per device,
+//! in order:
 //!
 //! 1. **Programming variation** — multiplicative Gaussian, σ/μ from
-//!    [`HardwareConfig::sigma_over_mu`] (one-shot, as in `perturb_network`);
+//!    [`HardwareConfig::sigma_over_mu`] (one-shot, drawn at programming);
 //! 2. **Stuck-at faults** — with `stuck_on_rate` the device reads full-scale
 //!    conductance regardless of the programmed level; else with
 //!    `stuck_off_rate` it reads `g_min` (the draws are exclusive: a device
@@ -38,9 +41,10 @@
 //!
 //! A slice whose two devices are untouched by every enabled knob is read back
 //! through an integer fast path, so with a null model and `sigma_over_mu = 0`
-//! the injector reduces **bitwise** to [`crate::quantize_dequantize`], and
-//! under a sparse model every unfaulted weight stays exactly on the
-//! quantization grid — fault locality is observable in the weights.
+//! the injector reduces **bitwise** to
+//! [`dtsnn_tensor::quant::quantize_dequantize`], and under a sparse model
+//! every unfaulted weight stays exactly on the quantization grid — fault
+//! locality is observable in the weights.
 
 use crate::{ChipMapping, HardwareConfig, ImcError, MappedLayer, Result};
 use dtsnn_snn::{LayerGeometry, Snn};
@@ -202,8 +206,8 @@ struct DeviceRead {
 ///
 /// The injector is bound to one `(model, mapping, config)` triple at
 /// construction; [`FaultInjector::inject`] then perturbs the crossbar-mapped
-/// parameters (those with weight decay, exactly the set `perturb_network`
-/// touches) of any network whose geometry matches the mapping.
+/// parameters (those with weight decay: conv and linear weights) of any
+/// network whose geometry matches the mapping.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     model: FaultModel,
@@ -435,7 +439,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::quantize_dequantize;
+    use dtsnn_tensor::quant::quantize_dequantize;
     use dtsnn_snn::{vgg_small, vgg_small_geometry, Layer, Linear, Flatten, ModelConfig};
     use dtsnn_tensor::parallel;
 
@@ -499,6 +503,32 @@ mod tests {
             }
             pi += 1;
         });
+    }
+
+    #[test]
+    fn programming_variation_is_zero_mean_and_grows_with_sigma() {
+        // a 1→2001 layer: 2000 independent reads of 0.5 at full scale 1.0
+        let n = 2000;
+        let spread = |sigma: f64| {
+            let mut rng = TensorRng::seed_from(3);
+            let mut fc = Linear::new(1, n + 1, &mut rng);
+            fc.weight_mut().data_mut().fill(0.5);
+            fc.weight_mut().data_mut()[n] = 1.0;
+            let mut net = Snn::from_layers(vec![Box::new(fc) as Box<dyn Layer>]);
+            let cfg = HardwareConfig { sigma_over_mu: sigma, ..HardwareConfig::default() };
+            let geom = [LayerGeometry::Fc { in_features: 1, out_features: n + 1 }];
+            let inj = FaultInjector::for_geometry(FaultModel::none(), &geom, &cfg).unwrap();
+            inj.inject(&mut net, &mut rng).unwrap();
+            let reads = decayed_params(&mut net).remove(0);
+            let reads = &reads[..n];
+            let mean = reads.iter().sum::<f32>() / n as f32;
+            let var = reads.iter().map(|r| (r - mean).powi(2)).sum::<f32>() / n as f32;
+            (mean, var.sqrt())
+        };
+        let (mean, std) = spread(0.20);
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+        assert!(std > 0.01 && std < 0.2, "std {std}");
+        assert!(spread(0.40).1 > 2.0 * spread(0.05).1);
     }
 
     #[test]

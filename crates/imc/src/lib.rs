@@ -40,8 +40,6 @@ mod energy;
 mod error;
 mod faults;
 mod mapping;
-mod noc;
-mod noise;
 mod pipeline;
 mod search;
 mod sigma_e;
@@ -53,8 +51,6 @@ pub use energy::{Component, CostModel, EnergyBreakdown, InferenceCost};
 pub use error::ImcError;
 pub use faults::{FaultInjector, FaultModel, FaultReport};
 pub use mapping::{ChipMapping, MappedLayer};
-pub use noc::{LinkTraffic, NocModel};
-pub use noise::{perturb_network, quantize_dequantize, DeviceNoise};
 pub use pipeline::TimestepSchedule;
 pub use search::{
     pareto_front, provisioned_area_mm2, search_placement, AnnealOptions, ParetoPoint,

@@ -52,8 +52,8 @@ use crate::{ImcError, Result};
 /// caller-chosen *placement order* (a permutation of the layer indices);
 /// each layer is then represented by the tile nearest its block centroid,
 /// and consecutive layers communicate over the XY route between their
-/// representative tiles. [`Placement::linear`] — network order — matches
-/// the [`crate::NocModel`] floorplan.
+/// representative tiles. [`Placement::linear`] is the floorplan in network
+/// order, the one the mapping search starts from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     mesh_side: usize,
@@ -62,7 +62,7 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Places layers in network order (the `NocModel` floorplan).
+    /// Places layers in network order.
     ///
     /// # Errors
     ///

@@ -150,6 +150,12 @@ impl ClusterConfig {
             record_events: false,
         }
     }
+
+    /// The wait before attempt `k ≥ 1`: `base · 2^(k−1)`, saturating (the
+    /// exponent stops growing at 32).
+    fn backoff(&self, k: u32) -> u64 {
+        self.backoff_base_nanos.saturating_mul(1u64 << (k - 1).min(32))
+    }
 }
 
 /// Lifetime counters of one cluster.
@@ -751,11 +757,7 @@ impl<C: Clock + Clone> Cluster<C> {
         }
         if tr.retries < self.config.retry_budget {
             tr.retries += 1;
-            let backoff = self
-                .config
-                .backoff_base_nanos
-                .saturating_mul(1u64 << (tr.retries - 1).min(32));
-            tr.eligible_at = t.saturating_add(backoff);
+            tr.eligible_at = t.saturating_add(self.config.backoff(tr.retries));
             tr.in_backlog = true;
             let retries = tr.retries;
             self.backlog.push_back(id);
@@ -950,10 +952,7 @@ impl<C: Clock + Clone> Cluster<C> {
                     self.exec_restart(wi, now)?;
                     self.event(ClusterEvent::WorkerRecycled { at_nanos: now, worker: wi });
                 } else {
-                    let backoff = self
-                        .config
-                        .backoff_base_nanos
-                        .saturating_mul(1u64 << (cf - 1).min(32));
+                    let backoff = self.config.backoff(cf);
                     let w = &mut self.workers[wi];
                     w.resume_at = w.resume_at.max(now.saturating_add(backoff));
                 }

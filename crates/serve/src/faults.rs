@@ -9,6 +9,7 @@
 //! [`FaultSpec::scaled`]) or are hand-built with
 //! [`FaultSchedule::from_events`] for targeted tests.
 
+use crate::loadgen::exponential;
 use crate::{Result, ServeError};
 use dtsnn_tensor::TensorRng;
 
@@ -155,12 +156,6 @@ impl FaultSpec {
             ..*self
         }
     }
-}
-
-/// Exponential draw with the given mean, in f64 nanoseconds.
-fn exponential(rng: &mut TensorRng, mean: f64) -> f64 {
-    let u = 1.0 - f64::from(rng.uniform(0.0, 1.0));
-    -u.ln() * mean
 }
 
 impl FaultSchedule {

@@ -36,7 +36,7 @@ pub enum ArrivalProcess {
 }
 
 /// Draws an exponential sample with the given mean via inversion.
-fn exponential(rng: &mut TensorRng, mean: f64) -> f64 {
+pub(crate) fn exponential(rng: &mut TensorRng, mean: f64) -> f64 {
     // uniform() is in [0, 1); flip to (0, 1] so ln never sees zero
     let u = 1.0 - f64::from(rng.uniform(0.0, 1.0));
     -u.ln() * mean

@@ -4,13 +4,13 @@
 use crate::Result;
 use dtsnn_tensor::{Tensor, Workspace};
 
-/// Whether a pass updates training-only state (batch statistics, dropout
-/// masks, backward caches).
+/// Whether a pass updates training-only state (batch statistics, backward
+/// caches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Training: caches activations for backward, uses batch statistics.
     Train,
-    /// Inference: no caches, running statistics, dropout disabled.
+    /// Inference: no caches, running statistics.
     Eval,
 }
 
@@ -192,7 +192,7 @@ pub trait Layer: Send + Sync {
 /// parked in the arena for the next take. A Train one is dropped: the
 /// buffers a Train step keeps live in its backward caches, and parking the
 /// rest would leave the arena holding a BPTT window's worth of buffers
-/// (dropout's Train output is not even an arena buffer) into Eval.
+/// into Eval.
 pub(crate) fn retire(ws: &mut Workspace, mode: Mode, activation: Tensor) {
     if mode == Mode::Eval {
         ws.recycle_tensor(activation);

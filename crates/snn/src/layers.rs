@@ -1,5 +1,5 @@
 //! Stateless and learnable layers: convolution, linear, normalization,
-//! pooling, dropout, flatten, and residual composition.
+//! pooling, flatten, and residual composition.
 //!
 //! All layers obey the per-timestep forward / reverse-time backward contract
 //! of [`Layer`]. Convolution runs the direct scatter kernel over a packed
@@ -475,7 +475,7 @@ impl Layer for BatchNorm2d {
 }
 
 // ===========================================================================
-// AvgPool2d / Flatten / Dropout
+// AvgPool2d / Flatten
 // ===========================================================================
 
 /// `input`'s elements under new `dims`, in an arena buffer.
@@ -572,65 +572,6 @@ impl Layer for Flatten {
 
     fn kind(&self) -> &'static str {
         "flatten"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Inverted dropout: active only in [`Mode::Train`].
-#[derive(Debug, Clone)]
-pub struct Dropout {
-    p: f32,
-    rng: TensorRng,
-    masks: Vec<Tensor>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with drop probability `p ∈ [0, 1)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::InvalidConfig`] for `p` outside `[0, 1)`.
-    pub fn new(p: f32, rng: &mut TensorRng) -> Result<Self> {
-        if !(0.0..1.0).contains(&p) {
-            return Err(SnnError::InvalidConfig(format!("dropout p must be in [0,1), got {p}")));
-        }
-        Ok(Dropout { p, rng: rng.fork(0xD0), masks: Vec::new() })
-    }
-}
-
-impl Layer for Dropout {
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        if mode == Mode::Eval || self.p == 0.0 {
-            // the identity; copied so the caller's recycle discipline stays
-            // uniform
-            return copy_through(input, input.dims(), ws);
-        }
-        let keep = 1.0 - self.p;
-        let mut mask = Tensor::zeros(input.dims());
-        for v in mask.data_mut() {
-            *v = if self.rng.bernoulli(keep) { 1.0 / keep } else { 0.0 };
-        }
-        let out = input.mul(&mask)?;
-        self.masks.push(mask);
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mask = self.masks.pop().ok_or(SnnError::MissingForwardCache("Dropout"))?;
-        Ok(grad_out.mul(&mask)?)
-    }
-
-    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
-        self.masks.clear();
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
-    fn kind(&self) -> &'static str {
-        "dropout"
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -996,21 +937,6 @@ mod tests {
         assert_eq!(y.dims(), &[2, 48]);
         let g = fl.backward(&y).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4, 4]);
-    }
-
-    #[test]
-    fn dropout_eval_is_identity_train_scales() {
-        let mut r = rng();
-        let mut drop = Dropout::new(0.5, &mut r).unwrap();
-        let x = Tensor::ones(&[1, 1000]);
-        let ye = drop.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
-        assert_eq!(ye, x);
-        let yt = drop.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
-        // inverted dropout: E[y] = x, so the mean should be ≈ 1
-        assert!((yt.mean() - 1.0).abs() < 0.1, "mean={}", yt.mean());
-        // surviving values are scaled by 1/keep = 2
-        assert!(yt.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
-        assert!(Dropout::new(1.0, &mut r).is_err());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use ann::{EarlyExitAnn, ExitOutput, Relu};
 pub use checkpoint::{load_params, save_params, CheckpointError};
 pub use error::SnnError;
 pub use layer::{Layer, Mode, Param};
-pub use layers::{AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, Linear, ResidualBlock};
+pub use layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, ResidualBlock};
 pub use lif::{LifConfig, LifNeuron, ResetMode};
 pub use loss::{cross_entropy_mean_output, cross_entropy_per_timestep, LossKind};
 pub use models::{

@@ -11,7 +11,7 @@
 //!    need only geometry and spike statistics, not trained weights.
 
 use crate::layer::Layer;
-use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, Linear, ResidualBlock};
+use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, ResidualBlock};
 use crate::lif::{LifConfig, LifNeuron};
 use crate::network::Snn;
 use crate::{Result, SnnError};
@@ -35,8 +35,6 @@ pub struct ModelConfig {
     /// needs several timesteps to charge — the mechanism behind the paper's
     /// low first-timestep accuracy.
     pub tdbn_alpha: f32,
-    /// Dropout probability before the classifier (0 disables).
-    pub dropout: f32,
 }
 
 impl Default for ModelConfig {
@@ -48,7 +46,6 @@ impl Default for ModelConfig {
             lif: LifConfig::default(),
             width: 32,
             tdbn_alpha: 1.0,
-            dropout: 0.0,
         }
     }
 }
@@ -117,9 +114,6 @@ pub fn vgg_small(config: &ModelConfig, rng: &mut TensorRng) -> Result<Snn> {
         Box::new(LifNeuron::new(lif)),
         Box::new(Flatten::new()),
     ];
-    if config.dropout > 0.0 {
-        layers.push(Box::new(Dropout::new(config.dropout, rng)?));
-    }
     let spatial = config.image_size / 4;
     layers.push(Box::new(Linear::new(2 * w * spatial * spatial, config.num_classes, rng)));
     Ok(Snn::from_layers(layers))

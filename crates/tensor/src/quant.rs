@@ -20,10 +20,10 @@
 //! the ordinary f32 kernels over the dequantized (on-grid) weights, which
 //! inherit the dense path's invariance.
 //!
-//! [`quantize_dequantize`] here is the same operation as
-//! `dtsnn_imc::quantize_dequantize` (the imc crate delegates to this one),
-//! so the PR 4 invariant holds by construction: the dequantized tensor is a
-//! fixed point of the grid snap.
+//! [`quantize_dequantize`] is the one definition of the grid: the IMC fault
+//! injector's noiseless read reduces to it bitwise, so the hardware model and
+//! this backend cannot disagree, and the dequantized tensor is a fixed point
+//! of the grid snap.
 
 use crate::bitset::BitMatrix;
 use crate::{parallel, Result, Tensor, TensorError};

@@ -110,7 +110,7 @@ fn for_each_case(
                         case += 1;
                         let (ci, co) = (1 + rng.below(3), [2, 35][case % 2]);
                         let h = kernel + rng.below(3);
-                        let wide = case % 3 == 0;
+                        let wide = case.is_multiple_of(3);
                         let w = if wide { 66 + rng.below(5) } else { h + 1 + rng.below(2) };
                         let spec = Conv2dSpec::new(ci, co, kernel, stride, padding).unwrap();
                         f(&spec, [n, h, w], kind, !case.is_multiple_of(4), case, rng);

@@ -8,8 +8,8 @@
 //! ```
 
 use dt_snn::imc::{
-    chip_area, AreaConstants, ChipMapping, Component, CostModel, HardwareConfig, NocModel,
-    SigmaEModule,
+    chip_area, AreaConstants, ChipMapping, Component, CostModel, EventSim, HardwareConfig,
+    Placement, SigmaEModule, SimOptions,
 };
 use dt_snn::snn::{resnet19_geometry, vgg16_geometry};
 
@@ -59,14 +59,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let ratio = model.sigma_e_energy(10) / model.timestep_energy(&densities)?.total();
         println!("  σ–E module overhead: {ratio:.1e} of one-timestep energy");
-        // structural NoC and silicon-area views
-        let noc = NocModel::new(model.mapping(), &config)?;
+        // structural NoC (network-order floorplan, pipelined with link
+        // contention) and silicon-area views
+        let placement = Placement::linear(model.mapping())?;
+        let side = placement.mesh_side();
+        let worst_hops =
+            (1..geometry.len()).map(|l| placement.hops(l - 1, l)).max().unwrap_or(0);
+        let sim = EventSim::new(&model, placement, SimOptions::pipelined())?;
+        let sim = sim.run(&densities, 4, None)?;
         println!(
-            "  NoC: {}×{} tile mesh, worst link {} hop-cycles, {:.1} nJ/timestep of traffic",
-            noc.mesh_side(),
-            noc.mesh_side(),
-            noc.timestep_latency(),
-            noc.timestep_energy(&densities)? / 1e3
+            "  NoC: {side}×{side} tile mesh, worst link {worst_hops} hops, \
+             {} flits and {} link-stall cycles @T=4 pipelined",
+            sim.link_flits, sim.link_stall_cycles
         );
         let area = chip_area(model.mapping(), &config, &AreaConstants::default())?;
         println!(

@@ -161,7 +161,7 @@ stage vector_width
 # that the workspace build never compiles
 stage cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 stage cargo test --workspace -q
-stage cargo clippy --all-targets -- -D warnings
+stage cargo clippy --workspace --all-targets -- -D warnings
 for threads in 1 4; do
     export DTSNN_THREADS=$threads
     for s in determinism layers quantized serving simulator; do stage $s; done

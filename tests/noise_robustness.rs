@@ -3,9 +3,24 @@
 
 use dt_snn::data::{SyntheticVision, VisionConfig};
 use dt_snn::dtsnn::{DynamicEvaluation, DynamicInference, ExitPolicy, StaticEvaluation};
-use dt_snn::imc::{perturb_network, HardwareConfig};
-use dt_snn::snn::{vgg_small, LossKind, ModelConfig, SgdConfig, Snn, Trainer, TrainerConfig};
+use dt_snn::imc::{FaultInjector, FaultModel, HardwareConfig};
+use dt_snn::snn::{
+    vgg_small, vgg_small_geometry, LossKind, ModelConfig, SgdConfig, Snn, Trainer, TrainerConfig,
+};
 use dt_snn::tensor::TensorRng;
+
+fn model_config() -> ModelConfig {
+    ModelConfig { num_classes: 4, width: 16, ..ModelConfig::default() }
+}
+
+/// Programs `net`'s crossbar weights onto RRAM with `config`'s device
+/// variation and reads them back (no discrete faults).
+fn deploy(net: &mut Snn, config: &HardwareConfig, rng: &mut TensorRng) {
+    FaultInjector::for_geometry(FaultModel::none(), &vgg_small_geometry(&model_config()), config)
+        .unwrap()
+        .inject(net, rng)
+        .unwrap();
+}
 
 fn setup() -> (Snn, dt_snn::data::Dataset) {
     let data = SyntheticVision::generate(
@@ -19,9 +34,8 @@ fn setup() -> (Snn, dt_snn::data::Dataset) {
         31,
     )
     .unwrap();
-    let cfg = ModelConfig { num_classes: 4, width: 16, ..ModelConfig::default() };
     let mut rng = TensorRng::seed_from(31);
-    let mut net = vgg_small(&cfg, &mut rng).unwrap();
+    let mut net = vgg_small(&model_config(), &mut rng).unwrap();
     let trainer = Trainer::new(TrainerConfig {
         epochs: 6,
         batch_size: 32,
@@ -44,7 +58,7 @@ fn deployment_noise_degrades_gracefully() {
     assert!(clean.full_window_accuracy() > 0.5, "underfit: {}", clean.full_window_accuracy());
 
     let mut rng = TensorRng::seed_from(99);
-    perturb_network(&mut net, &HardwareConfig::default(), &mut rng).unwrap();
+    deploy(&mut net, &HardwareConfig::default(), &mut rng);
     let noisy = StaticEvaluation::run(&mut net, &frames, &labels, 4).unwrap();
     // 20% device variation costs accuracy but must not collapse to chance
     let chance = 1.0 / data.classes as f32;
@@ -63,7 +77,7 @@ fn deployment_noise_degrades_gracefully() {
 fn dtsnn_still_exits_early_under_device_noise() {
     let (mut net, data) = setup();
     let mut rng = TensorRng::seed_from(17);
-    perturb_network(&mut net, &HardwareConfig::default(), &mut rng).unwrap();
+    deploy(&mut net, &HardwareConfig::default(), &mut rng);
     let runner = DynamicInference::new(ExitPolicy::entropy(0.4).unwrap(), 4).unwrap();
     let eval = DynamicEvaluation::run(
         &mut net,
@@ -90,7 +104,7 @@ fn stronger_variation_hurts_more_on_average() {
         for trial in 0..3u64 {
             let mut noisy = net.clone();
             let mut rng = TensorRng::seed_from(seed + trial);
-            perturb_network(&mut noisy, &cfg, &mut rng).unwrap();
+            deploy(&mut noisy, &cfg, &mut rng);
             total += StaticEvaluation::run(&mut noisy, &frames, &labels, 4)
                 .unwrap()
                 .full_window_accuracy();
@@ -110,7 +124,7 @@ fn cloned_network_is_independent_of_the_original() {
     let mut original = net.clone();
     let mut noisy = net.clone();
     let mut rng = TensorRng::seed_from(55);
-    perturb_network(&mut noisy, &HardwareConfig::default(), &mut rng).unwrap();
+    deploy(&mut noisy, &HardwareConfig::default(), &mut rng);
     // perturbing the clone must not affect the original's behaviour
     let a1 = StaticEvaluation::run(&mut original, &frames, &labels, 4).unwrap();
     let mut original2 = net.clone();

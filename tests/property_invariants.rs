@@ -6,10 +6,10 @@
 
 use dt_snn::dtsnn::ExitPolicy;
 use dt_snn::imc::{
-    exact_normalized_entropy, quantize_dequantize, ChipMapping, CostModel, HardwareConfig,
-    SigmaEModule,
+    exact_normalized_entropy, ChipMapping, CostModel, HardwareConfig, SigmaEModule,
 };
 use dt_snn::snn::{Layer, LifConfig, LifNeuron, Mode, Surrogate};
+use dt_snn::tensor::quant::quantize_dequantize;
 use dt_snn::tensor::{softmax_rows, Tensor, TensorRng, Workspace};
 
 const CASES: u64 = 64;
