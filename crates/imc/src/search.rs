@@ -16,10 +16,15 @@
 //! [`map_chunks`] fan-out, and the accept decision folds over the results in
 //! candidate-index order (first acceptable candidate wins). The simulator
 //! itself is single-threaded, so the whole trajectory — every
-//! [`TrajectoryPoint`] — is identical for any worker count.
+//! [`TrajectoryPoint`] — is identical for any worker count. Workers reuse
+//! engine buffers across fan-outs, but every run resets the engine's state,
+//! so which buffers a candidate runs on cannot change its EDP.
+
+use std::sync::Mutex;
 
 use crate::energy::CostModel;
-use crate::sim::{EventSim, Placement, SimOptions};
+use crate::mapping::MappedLayer;
+use crate::sim::{mesh_side, place, Engine, Prepared, SimOptions};
 use crate::{AreaConstants, ImcError, Result};
 use dtsnn_tensor::parallel::map_chunks;
 use dtsnn_tensor::TensorRng;
@@ -92,15 +97,50 @@ pub struct SearchResult {
     pub trajectory: Vec<TrajectoryPoint>,
 }
 
-fn eval_order(
-    cost: &CostModel,
-    densities: &[f32],
-    options: &AnnealOptions,
-    order: &[usize],
-) -> Result<f64> {
-    let placement = Placement::with_order(cost.mapping(), order.to_vec())?;
-    let sim = EventSim::new(cost, placement, options.sim)?;
-    Ok(sim.run(densities, options.timesteps, options.classes)?.cost.edp())
+/// Scores placement orders by event-simulated EDP. The placement-independent
+/// work is prepared once per search; every worker borrows a parked
+/// `Evaluator` (or builds one) and parks it again, so warm engine buffers
+/// are reused from one `map_chunks` fan-out to the next.
+struct Objective<'a> {
+    layers: &'a [MappedLayer],
+    mesh_side: usize,
+    prepared: Prepared,
+    parked: Mutex<Vec<Evaluator>>,
+}
+
+/// One worker's reusable buffers: the engine, the anchors and the order.
+#[derive(Default)]
+struct Evaluator {
+    engine: Engine,
+    anchors: Vec<(usize, usize)>,
+    order: Vec<usize>,
+}
+
+impl<'a> Objective<'a> {
+    fn new(cost: &'a CostModel, densities: &[f32], options: &AnnealOptions) -> Result<Self> {
+        let prepared =
+            Prepared::new(cost, options.sim, densities, options.timesteps, options.classes)?;
+        let layers = cost.mapping().layers();
+        Ok(Objective { layers, mesh_side: mesh_side(layers), prepared, parked: Mutex::default() })
+    }
+
+    /// EDP of the order `write_order` writes for each item, in item order
+    /// (`clone_from` into the evaluator's order keeps its capacity).
+    fn edps<T>(&self, items: &[T], write_order: impl Fn(&T, &mut Vec<usize>)) -> Vec<Result<f64>> {
+        const POISONED: &str = "no worker panics while holding the evaluator pool";
+        let mut ev = self.parked.lock().expect(POISONED).pop().unwrap_or_default();
+        let edps = items
+            .iter()
+            .map(|item| {
+                write_order(item, &mut ev.order);
+                place(self.layers, &ev.order, self.mesh_side, &mut ev.anchors);
+                let report = self.prepared.run(&mut ev.engine, &ev.anchors, self.mesh_side)?;
+                Ok(report.cost.edp())
+            })
+            .collect();
+        self.parked.lock().expect(POISONED).push(ev);
+        edps
+    }
 }
 
 /// Searches for the placement order minimizing event-simulated EDP.
@@ -129,9 +169,21 @@ pub fn search_placement(
             options.initial_temperature
         )));
     }
+    let mut trajectory = Vec::new();
+    options
+        .rounds
+        .checked_mul(options.proposals_per_round)
+        .and_then(|points| trajectory.try_reserve(points).ok())
+        .ok_or_else(|| {
+            ImcError::InvalidConfig(format!(
+                "{} rounds of {} proposals do not fit a trajectory",
+                options.rounds, options.proposals_per_round
+            ))
+        })?;
     let n = cost.mapping().layers().len();
     let identity: Vec<usize> = (0..n).collect();
-    let identity_edp = eval_order(cost, densities, options, &identity)?;
+    let objective = Objective::new(cost, densities, options)?;
+    let identity_edp = objective.edps(&[&identity], |order, buf| buf.clone_from(order)).remove(0)?;
     let mut evaluations = 1usize;
     let mut current = identity;
     let mut current_edp = identity_edp;
@@ -147,14 +199,10 @@ pub fn search_placement(
             break;
         }
         let results = map_chunks(&swaps, |_first, chunk| {
-            chunk
-                .iter()
-                .map(|&(i, j)| {
-                    let mut order = current.clone();
-                    order.swap(i, j);
-                    eval_order(cost, densities, options, &order)
-                })
-                .collect::<Vec<_>>()
+            objective.edps(chunk, |&(i, j), order| {
+                order.clone_from(&current);
+                order.swap(i, j);
+            })
         });
         evaluations += swaps.len();
         let mut best_swap: Option<(usize, f64)> = None;
@@ -180,7 +228,6 @@ pub fn search_placement(
     let mut best = current.clone();
     let mut best_edp = current_edp;
     let mut temperature = options.initial_temperature;
-    let mut trajectory = Vec::with_capacity(options.rounds * options.proposals_per_round);
     for round in 0..options.rounds {
         // draw every move and Metropolis threshold serially, before the
         // parallel fan-out, so the RNG stream is worker-count-independent
@@ -204,10 +251,7 @@ pub fn search_placement(
             proposals.push((order, threshold));
         }
         let results = map_chunks(&proposals, |_first, chunk| {
-            chunk
-                .iter()
-                .map(|(order, _)| eval_order(cost, densities, options, order))
-                .collect::<Vec<_>>()
+            objective.edps(chunk, |(order, _), buf| buf.clone_from(order))
         });
         evaluations += proposals.len();
         // fold in candidate-index order: the first acceptable candidate
@@ -292,7 +336,7 @@ pub fn provisioned_area_mm2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChipMapping, HardwareConfig};
+    use crate::{ChipMapping, EventSim, HardwareConfig, Placement};
     use dtsnn_snn::vgg16_geometry;
 
     fn model() -> CostModel {
@@ -321,7 +365,14 @@ mod tests {
         assert!(r.evaluations > 1);
         assert_eq!(r.trajectory.len(), 6 * 2);
         // the best order must actually evaluate to the reported EDP
-        let check = eval_order(&m, &d, &quick_options(), &r.best_order).unwrap();
+        let options = quick_options();
+        let placement = Placement::with_order(m.mapping(), r.best_order.clone()).unwrap();
+        let check = EventSim::new(&m, placement, options.sim)
+            .unwrap()
+            .run(&d, options.timesteps, options.classes)
+            .unwrap()
+            .cost
+            .edp();
         assert_eq!(check.to_bits(), r.best_edp.to_bits());
     }
 
@@ -348,6 +399,17 @@ mod tests {
         assert!(search_placement(&m, &d, &bad).is_err());
         let bad = AnnealOptions { initial_temperature: 0.0, ..AnnealOptions::default() };
         assert!(search_placement(&m, &d, &bad).is_err());
+    }
+
+    #[test]
+    fn a_trajectory_too_long_to_hold_is_a_typed_error() {
+        // rounds × proposals overflows usize: the trajectory cannot be
+        // reserved, and the search says so before evaluating anything
+        let m = model();
+        let d = densities(&m);
+        let hostile =
+            AnnealOptions { rounds: usize::MAX, proposals_per_round: 2, ..quick_options() };
+        assert!(matches!(search_placement(&m, &d, &hostile), Err(ImcError::InvalidConfig(_))));
     }
 
     #[test]

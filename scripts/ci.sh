@@ -72,8 +72,11 @@ serving() {
 }
 
 # Event model ≡ analytical ledger, the flow-shop closed form, and seeded
-# annealing trajectories identical at any worker count.
-simulator() { t imc --test simulator; }
+# annealing trajectories identical at any worker count; then the literal
+# pins: simulator reports (both schedules, σ–E on and off, link and buffer
+# stalls) and two chip_map searches, recorded before the engine was split
+# into its placement-independent and per-placement halves.
+simulator() { t imc --test simulator --test sim_pin; }
 
 # Bit for bit, each test pinning thread count and tier per case (the ambient
 # values steer the references): the direct convolution and its direct
