@@ -18,7 +18,7 @@
 //! (T̂ ≈ 2.8) so the damage-induced T̂ climb is visible.
 
 use dtsnn_bench::{
-    hardware_profile_for, json, print_table, train_model, write_json, Arch, ExpConfig,
+    env_parse, hardware_profile_for, json, print_table, train_model, write_json, Arch, ExpConfig,
 };
 use dtsnn_core::{degradation_sweep, DynamicInference, ExitPolicy, MonteCarloConfig};
 use dtsnn_data::Preset;
@@ -27,15 +27,8 @@ use dtsnn_snn::LossKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exp = ExpConfig::from_env();
-    let trials: usize = std::env::var("DTSNN_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5)
-        .max(1);
-    let theta: f32 = std::env::var("DTSNN_THETA")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.7);
+    let trials: usize = env_parse("DTSNN_TRIALS").unwrap_or(5).max(1);
+    let theta: f32 = env_parse("DTSNN_THETA").unwrap_or(0.7);
     let t_max = 4;
     let preset = Preset::Cifar10;
     let dataset = preset.generate(exp.scale, exp.seed)?;

@@ -25,7 +25,7 @@
 //! `DTSNN_AREA_BUDGET_MM2` (optional) excludes variants over the budget
 //! from the front; plus the usual `DTSNN_SCALE`/`DTSNN_EPOCHS`/`DTSNN_SEED`.
 
-use dtsnn_bench::{json, print_table, train_model, write_json, Arch, ExpConfig};
+use dtsnn_bench::{env_parse, json, print_table, train_model, write_json, Arch, ExpConfig};
 use dtsnn_core::{DynamicInference, ExitPolicy, HardwareProfile, MonteCarloConfig, MonteCarloRobustness};
 use dtsnn_data::Preset;
 use dtsnn_imc::{
@@ -33,10 +33,6 @@ use dtsnn_imc::{
     ChipMapping, CostModel, FaultModel, HardwareConfig, ParetoPoint, Placement,
 };
 use dtsnn_snn::{resnet19_geometry, vgg16_geometry, LossKind};
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exp = ExpConfig::from_env();

@@ -3,7 +3,7 @@
 //! to tune LIF/tdBN hyperparameters so the scaled models recreate the
 //! paper's qualitative behaviour.
 
-use dtsnn_bench::{model_config_for, print_table, ExpConfig};
+use dtsnn_bench::{env_parse, model_config_for, print_table, ExpConfig};
 use dtsnn_core::StaticEvaluation;
 use dtsnn_data::Preset;
 use dtsnn_snn::{LossKind, SgdConfig, Trainer, TrainerConfig};
@@ -12,8 +12,7 @@ use dtsnn_tensor::TensorRng;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exp = ExpConfig::from_env();
     let t_max = 4;
-    let alpha: f32 =
-        std::env::var("DTSNN_ALPHA").ok().and_then(|v| v.parse().ok()).unwrap_or(0.0);
+    let alpha: f32 = env_parse("DTSNN_ALPHA").unwrap_or(0.0);
     let dataset = Preset::Cifar10.generate(exp.scale, exp.seed)?;
     let mut rows = Vec::new();
     for loss in [LossKind::MeanOutput, LossKind::PerTimestep] {

@@ -307,9 +307,16 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`from_str`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a hostile document overflow
+/// the stack; every file this workspace writes nests far less deeply.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -352,11 +359,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_keyword("true").map(|_| Value::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|_| Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -507,9 +528,10 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] for malformed input or trailing garbage.
+/// Returns [`ParseError`] for malformed input, trailing garbage, or arrays
+/// and objects nested more than [`MAX_DEPTH`] deep.
 pub fn from_str(input: &str) -> Result<Value, ParseError> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     let value = parser.value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
@@ -609,5 +631,18 @@ mod tests {
         assert!(from_str("nul").is_err());
         assert!(from_str("1 2").is_err());
         assert!(from_str("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_rejects_hostile_nesting_without_overflowing_the_stack() {
+        for open in ["[", "{\"k\":"] {
+            let err = from_str(&open.repeat(1_000_000)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // exactly MAX_DEPTH levels still parse
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str(&deepest).is_ok());
+        let deeper = format!("[{deepest}]");
+        assert!(from_str(&deeper).is_err());
     }
 }

@@ -93,15 +93,18 @@ impl ExpConfig {
     /// Reads `DTSNN_SCALE` / `DTSNN_EPOCHS` / `DTSNN_SEED` from the
     /// environment, falling back to defaults.
     pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(d)
-        };
         ExpConfig {
-            scale: get("DTSNN_SCALE", 1).max(1),
-            epochs: get("DTSNN_EPOCHS", 20).max(1),
-            seed: get("DTSNN_SEED", 7) as u64,
+            scale: env_parse("DTSNN_SCALE").unwrap_or(1).max(1),
+            epochs: env_parse("DTSNN_EPOCHS").unwrap_or(20).max(1),
+            seed: env_parse("DTSNN_SEED").unwrap_or(7),
         }
     }
+}
+
+/// The environment variable `key` parsed as a `T`; `None` when it is unset
+/// or does not parse, so a malformed value means the caller's default.
+pub fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
+    std::env::var(key).ok().and_then(|v| v.parse().ok())
 }
 
 /// Model hyperparameters matched to a dataset.

@@ -511,10 +511,14 @@ mod tests {
         let n = 2000;
         let spread = |sigma: f64| {
             let mut rng = TensorRng::seed_from(3);
-            let mut fc = Linear::new(1, n + 1, &mut rng);
-            fc.weight_mut().data_mut().fill(0.5);
-            fc.weight_mut().data_mut()[n] = 1.0;
+            let fc = Linear::new(1, n + 1, &mut rng);
             let mut net = Snn::from_layers(vec![Box::new(fc) as Box<dyn Layer>]);
+            net.visit_params(&mut |p| {
+                if p.decay {
+                    p.value.data_mut().fill(0.5);
+                    p.value.data_mut()[n] = 1.0;
+                }
+            });
             let cfg = HardwareConfig { sigma_over_mu: sigma, ..HardwareConfig::default() };
             let geom = [LayerGeometry::Fc { in_features: 1, out_features: n + 1 }];
             let inj = FaultInjector::for_geometry(FaultModel::none(), &geom, &cfg).unwrap();

@@ -119,9 +119,13 @@ fn device_read_error_is_bounded() {
         let config = HardwareConfig { sigma_over_mu: sigma, ..HardwareConfig::default() };
         let injector = FaultInjector::for_geometry(FaultModel::none(), &geometry, &config).unwrap();
         // a 1→2 layer holding {w, 1.0}: full scale 1, as a unit-scale read
-        let mut fc = Linear::new(1, 2, &mut params);
-        fc.weight_mut().data_mut().copy_from_slice(&[w, 1.0]);
+        let fc = Linear::new(1, 2, &mut params);
         let mut net = Snn::from_layers(vec![Box::new(fc) as Box<dyn Layer>]);
+        net.visit_params(&mut |p| {
+            if p.decay {
+                p.value.data_mut().copy_from_slice(&[w, 1.0]);
+            }
+        });
         injector.inject(&mut net, &mut TensorRng::seed_from(case)).unwrap();
         let mut read = f32::NAN;
         net.visit_params(&mut |p| {

@@ -12,7 +12,7 @@
 //! (no timesteps). Each trunk block feeds both the next block and its own
 //! exit head; training jointly minimizes the cross-entropy of every exit.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Layer, Mode, Param, State};
 use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Linear};
 use crate::loss::cross_entropy_mean_output;
 use crate::{Result, SnnError};
@@ -48,8 +48,6 @@ impl Layer for Relu {
     fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.masks.clear();
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn kind(&self) -> &'static str {
         "relu"
@@ -190,13 +188,15 @@ impl EarlyExitAnn {
         self.visit_params(&mut |p| p.zero_grad());
     }
 
-    /// Visits every learnable parameter.
+    /// Visits every learnable parameter: the [`State::Param`] slots of the
+    /// blocks' and then the heads' state walk.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for b in self.blocks.iter_mut().flatten() {
-            b.visit_params(f);
-        }
-        for h in self.heads.iter_mut().flatten() {
-            h.visit_params(f);
+        for l in self.blocks.iter_mut().chain(&mut self.heads).flatten() {
+            l.visit_state(&mut |s| {
+                if let State::Param(p) = s {
+                    f(p);
+                }
+            });
         }
     }
 
@@ -321,8 +321,6 @@ impl Layer for GapFlatten {
     fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.input_dims.clear();
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn kind(&self) -> &'static str {
         "gap-flatten"

@@ -1,20 +1,26 @@
-//! Saving and restoring trained parameters.
+//! Saving and restoring a trained network's persistent state.
 //!
 //! The format is a small self-describing little-endian binary: a magic
-//! string, the parameter count, then each parameter's shape and `f32` data
-//! in network visitation order. Loading validates the whole file — magic,
-//! counts, ranks, sizes and shapes — against the receiving network before
-//! touching a single weight, and every failure mode is a typed
-//! [`CheckpointError`] (never a panic, never a half-restored network), so
-//! callers can distinguish a corrupted file from an architecture mismatch.
+//! string, the slot count, then each slot's rank, dimensions and `f32` data
+//! in [`Snn::visit_state`] order. A slot is a learnable parameter or a
+//! buffer (BatchNorm's running mean and variance, stored as rank-1 tensors),
+//! so a loaded network reproduces the saved one's Eval outputs bitwise.
+//! Loading validates the whole file — magic, counts, ranks, sizes and
+//! shapes — against the receiving network before touching a single value,
+//! and every failure mode is a typed [`CheckpointError`] (never a panic,
+//! never a half-restored network), so callers can distinguish a corrupted
+//! file from an architecture mismatch.
 
+use crate::layer::State;
 use crate::network::Snn;
 use crate::{Result, SnnError};
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"DTSNN01\n";
+const MAGIC: &[u8; 8] = b"DTSNN02\n";
+/// The first format's magic: parameters only, no running statistics.
+const MAGIC_V1: &[u8; 8] = b"DTSNN01\n";
 /// Ranks above this are treated as corruption, not data.
 const MAX_RANK: usize = 8;
 
@@ -33,6 +39,10 @@ pub enum CheckpointError {
     },
     /// The file does not start with the DT-SNN checkpoint magic.
     BadMagic,
+    /// The file is a first-format (`DTSNN01`) checkpoint. It stores the
+    /// parameters only, and without BatchNorm's running statistics it cannot
+    /// restore the saved network's Eval behaviour.
+    MissingNormStats,
     /// The file ends before the declared data does.
     Truncated {
         /// Byte offset at which the read was attempted.
@@ -42,40 +52,40 @@ pub enum CheckpointError {
         /// Bytes actually available in the file.
         available: usize,
     },
-    /// A parameter declares a rank beyond anything the tensor library
+    /// A slot declares a rank beyond anything the tensor library
     /// produces — corruption, not a real shape.
     ImplausibleRank {
-        /// Parameter index within the checkpoint.
+        /// Slot index within the checkpoint.
         param: usize,
         /// The declared rank.
         rank: usize,
     },
-    /// A parameter's declared dimensions overflow when multiplied — a
+    /// A slot's declared dimensions overflow when multiplied — a
     /// hostile or corrupted size field, rejected before any allocation.
     OversizedTensor {
-        /// Parameter index within the checkpoint.
+        /// Slot index within the checkpoint.
         param: usize,
         /// The declared dimensions.
         dims: Vec<usize>,
     },
-    /// Decoding consumed the declared parameters but bytes remain — the
+    /// Decoding consumed the declared slots but bytes remain — the
     /// file does not parse as exactly one checkpoint.
     TrailingBytes {
-        /// Unconsumed bytes after the last parameter.
+        /// Unconsumed bytes after the last slot.
         extra: usize,
     },
-    /// The checkpoint stores a different number of parameters than the
+    /// The checkpoint stores a different number of state slots than the
     /// receiving network owns.
     ParamCountMismatch {
-        /// Parameters in the checkpoint.
+        /// Slots in the checkpoint.
         checkpoint: usize,
-        /// Parameters in the network.
+        /// Slots in the network.
         network: usize,
     },
-    /// A parameter's stored shape disagrees with the receiving network's —
+    /// A slot's stored shape disagrees with the receiving network's —
     /// restoring into a different architecture.
     ShapeMismatch {
-        /// Parameter index (visitation order).
+        /// Slot index ([`Snn::visit_state`] order).
         param: usize,
         /// Shape stored in the checkpoint.
         checkpoint: Vec<usize>,
@@ -91,6 +101,9 @@ impl fmt::Display for CheckpointError {
                 write!(f, "checkpoint {op} failed: {message}")
             }
             CheckpointError::BadMagic => write!(f, "not a DT-SNN checkpoint (bad magic)"),
+            CheckpointError::MissingNormStats => {
+                write!(f, "a DTSNN01 checkpoint stores no BatchNorm running statistics")
+            }
             CheckpointError::Truncated { offset, needed, available } => write!(
                 f,
                 "truncated checkpoint: needed {needed} bytes at offset {offset}, {available} in file"
@@ -106,7 +119,7 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::ParamCountMismatch { checkpoint, network } => write!(
                 f,
-                "checkpoint has {checkpoint} parameters, network has {network}"
+                "checkpoint has {checkpoint} state slots, network has {network}"
             ),
             CheckpointError::ShapeMismatch { param, checkpoint, network } => write!(
                 f,
@@ -118,7 +131,16 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Serializes every learnable parameter of `network` to `path`.
+/// A slot's stored shape and its values: a parameter's tensor, or a buffer
+/// as a rank-1 tensor.
+fn slot(state: State<'_>) -> (Vec<usize>, &mut [f32]) {
+    match state {
+        State::Param(p) => (p.value.dims().to_vec(), p.value.data_mut()),
+        State::Buffer(b) => (vec![b.len()], b),
+    }
+}
+
+/// Serializes every persistent-state slot of `network` to `path`.
 ///
 /// # Errors
 ///
@@ -128,15 +150,15 @@ pub fn save_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
     let mut blob: Vec<u8> = Vec::new();
     blob.extend_from_slice(MAGIC);
     let mut count: u32 = 0;
-    network.visit_params(&mut |_| count += 1);
+    network.visit_state(&mut |_| count += 1);
     blob.extend_from_slice(&count.to_le_bytes());
-    network.visit_params(&mut |p| {
-        let dims = p.value.dims();
+    network.visit_state(&mut |s| {
+        let (dims, data) = slot(s);
         blob.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-        for &d in dims {
+        for d in dims {
             blob.extend_from_slice(&(d as u32).to_le_bytes());
         }
-        for &v in p.value.data() {
+        for &v in data.iter() {
             blob.extend_from_slice(&v.to_le_bytes());
         }
     });
@@ -150,15 +172,16 @@ pub fn save_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// Restores parameters saved by [`save_params`] into `network`.
+/// Restores the state saved by [`save_params`] into `network`.
 ///
-/// The entire file is validated before any weight is written: on error the
+/// The entire file is validated before any value is written: on error the
 /// network is untouched.
 ///
 /// # Errors
 ///
 /// Returns [`SnnError::Checkpoint`] with the precise [`CheckpointError`]
-/// variant: `Io` for filesystem failures, `BadMagic`/`Truncated`/
+/// variant: `Io` for filesystem failures, `MissingNormStats` for a
+/// first-format file, `BadMagic`/`Truncated`/
 /// `ImplausibleRank`/`OversizedTensor`/`TrailingBytes` for malformed files,
 /// `ParamCountMismatch`/`ShapeMismatch` for architecture disagreements.
 pub fn load_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
@@ -173,19 +196,21 @@ pub fn load_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
         .read_to_end(&mut blob)
         .map_err(io("read"))?;
     let mut cursor = Cursor { blob: &blob, pos: 0 };
-    if cursor.take(MAGIC.len())? != MAGIC {
-        return Err(CheckpointError::BadMagic.into());
+    match cursor.take(MAGIC.len())? {
+        m if m == MAGIC => {}
+        m if m == MAGIC_V1 => return Err(CheckpointError::MissingNormStats.into()),
+        _ => return Err(CheckpointError::BadMagic.into()),
     }
     let count = cursor.u32()? as usize;
     let mut expected = 0usize;
-    network.visit_params(&mut |_| expected += 1);
+    network.visit_state(&mut |_| expected += 1);
     if count != expected {
         return Err(
             CheckpointError::ParamCountMismatch { checkpoint: count, network: expected }.into()
         );
     }
-    // decode all parameters first so a truncated file cannot leave the
-    // network half-restored
+    // decode every slot first so a truncated file cannot leave the network
+    // half-restored
     let mut decoded: Vec<(Vec<usize>, Vec<f32>)> = Vec::with_capacity(count);
     for param in 0..count {
         let rank = cursor.u32()? as usize;
@@ -216,16 +241,17 @@ pub fn load_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
     // shape check against the live network
     let mut idx = 0;
     let mut shape_err: Option<CheckpointError> = None;
-    network.visit_params(&mut |p| {
+    network.visit_state(&mut |s| {
         if shape_err.is_some() {
             return;
         }
         let (dims, _) = &decoded[idx];
-        if p.value.dims() != dims.as_slice() {
+        let (network_dims, _) = slot(s);
+        if network_dims != *dims {
             shape_err = Some(CheckpointError::ShapeMismatch {
                 param: idx,
                 checkpoint: dims.clone(),
-                network: p.value.dims().to_vec(),
+                network: network_dims,
             });
         }
         idx += 1;
@@ -235,9 +261,8 @@ pub fn load_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
     }
     // commit
     let mut idx = 0;
-    network.visit_params(&mut |p| {
-        let (_, data) = &decoded[idx];
-        p.value.data_mut().copy_from_slice(data);
+    network.visit_state(&mut |s| {
+        slot(s).1.copy_from_slice(&decoded[idx].1);
         idx += 1;
     });
     Ok(())
@@ -364,6 +389,32 @@ mod tests {
         std::fs::write(&path, b"not a checkpoint").unwrap();
         let mut a = net(1);
         assert_eq!(checkpoint_err(load_params(&mut a, &path)), CheckpointError::BadMagic);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn first_format_file_is_missing_norm_stats() {
+        // a complete DTSNN01 file of net(1): its parameters, nothing else
+        let path = tmp("v1");
+        let mut a = net(1);
+        let mut blob = Vec::new();
+        blob.extend_from_slice(MAGIC_V1);
+        let values = params(&mut a);
+        blob.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        for v in &values {
+            blob.extend_from_slice(&(v.dims().len() as u32).to_le_bytes());
+            for &d in v.dims() {
+                blob.extend_from_slice(&(d as u32).to_le_bytes());
+            }
+            for &x in v.data() {
+                blob.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+        std::fs::write(&path, &blob).unwrap();
+        let mut b = net(2);
+        let before = params(&mut b);
+        assert_eq!(checkpoint_err(load_params(&mut b, &path)), CheckpointError::MissingNormStats);
+        assert_eq!(before, params(&mut b), "a rejected file must not touch the network");
         std::fs::remove_file(&path).ok();
     }
 

@@ -41,6 +41,17 @@ impl Param {
     }
 }
 
+/// One slot of a layer's persistent state, as [`Layer::visit_state`] yields
+/// it: what a deployed network is made of, and what a checkpoint stores.
+#[derive(Debug)]
+pub enum State<'a> {
+    /// A learnable parameter (the optimizer's and the fault injector's view).
+    Param(&'a mut Param),
+    /// A non-learnable buffer the Eval forward reads (BatchNorm's running
+    /// mean and variance).
+    Buffer(&'a mut [f32]),
+}
+
 /// One component of a spiking network, processed once per timestep.
 ///
 /// # BPTT contract
@@ -56,7 +67,7 @@ impl Param {
 /// # Container contract
 ///
 /// A layer that owns child layers ([`crate::ResidualBlock`]) forwards
-/// `reset_state_ws`, `visit_carried`, `visit_params`, `freeze_stats` and
+/// `reset_state_ws`, `visit_carried`, `visit_state`, `freeze_stats` and
 /// `quantize_weights` to every child, and recurses in `backend_choices`.
 /// Everything that happens to carried state between timesteps — reset,
 /// compaction, admission — reaches a child through the first two alone.
@@ -73,9 +84,10 @@ impl Param {
 /// of its input prefix — the leading layers of that kind — and to reuse it
 /// while the row's input is unchanged. A layer whose Eval output could
 /// change without one of the calls that drop that cache (`Snn`'s
-/// `visit_params`, `quantize_weights`, `freeze_norm_stats`, `layers_mut`,
-/// `reset_state` or a [`Mode::Train`] forward) must therefore carry state or
-/// report a density. A quantized kernel is not row-wise pure: it picks its
+/// `visit_state` — and so `visit_params` and `load_params` —
+/// `quantize_weights`, `freeze_norm_stats`, `layers_mut`, `reset_state` or
+/// a [`Mode::Train`] forward) must therefore carry state or report a
+/// density. A quantized kernel is not row-wise pure: it picks its
 /// integer path per call, when the whole batch is binary, so a row of a
 /// batch that mixes binary and analog rows can differ from the same row run
 /// alone. The input prefix therefore ends before the first quantized layer.
@@ -120,8 +132,15 @@ pub trait Layer: Send + Sync {
         let _ = f;
     }
 
-    /// Visits every learnable parameter.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+    /// Visits every slot of persistent state in a fixed order, a layer's
+    /// parameters before its buffers (default: none). The visitor may
+    /// change any slot, so a layer drops whatever it derived from them.
+    /// Carried per-row state is not persistent: it has its own walk,
+    /// [`Layer::visit_carried`], which runs on every compaction and must not
+    /// invalidate weight plans.
+    fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
+        let _ = f;
+    }
 
     /// Human-readable layer kind for reports.
     fn kind(&self) -> &'static str;

@@ -6,7 +6,7 @@
 //! weight plan in both modes; backward runs the direct gradient kernels over
 //! the cached (sparse, binary) input spikes, never an unfolding of them.
 
-use crate::layer::{retire, Layer, Mode, Param};
+use crate::layer::{retire, Layer, Mode, Param, State};
 use crate::lif::{LifConfig, LifNeuron};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{
@@ -81,17 +81,6 @@ impl Conv2d {
         &self.spec
     }
 
-    /// Read access to the weight matrix (for the IMC mapper / noise injector).
-    pub fn weight(&self) -> &Tensor {
-        &self.weight.value
-    }
-
-    /// Mutable access to the weight matrix (for device-noise injection).
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.invalidate_packed(); // weights may change
-        &mut self.weight.value
-    }
-
     /// Drops the caches derived from the weights: the on-grid codes and the
     /// packed plan. Both rebuild lazily on the next forward.
     fn invalidate_packed(&mut self) {
@@ -142,10 +131,10 @@ impl Layer for Conv2d {
         self.inputs.clear();
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.invalidate_packed(); // visitors may mutate weights (optimizer, noise)
-        f(&mut self.weight);
-        f(&mut self.bias);
+    fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
+        self.invalidate_packed(); // visitors may mutate weights (optimizer, faults, load)
+        f(State::Param(&mut self.weight));
+        f(State::Param(&mut self.bias));
     }
 
     fn kind(&self) -> &'static str {
@@ -210,17 +199,6 @@ impl Linear {
     pub fn in_features(&self) -> usize {
         self.weight.value.dims()[1]
     }
-
-    /// Read access to the weight matrix.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight.value
-    }
-
-    /// Mutable access to the weight matrix (for device-noise injection).
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.invalidate_packed(); // weights may change
-        &mut self.weight.value
-    }
 }
 
 impl Layer for Linear {
@@ -265,10 +243,10 @@ impl Layer for Linear {
         self.inputs.clear();
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.invalidate_packed(); // visitors may mutate weights (optimizer, noise)
-        f(&mut self.weight);
-        f(&mut self.bias);
+    fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
+        self.invalidate_packed(); // visitors may mutate weights (optimizer, faults, load)
+        f(State::Param(&mut self.weight));
+        f(State::Param(&mut self.bias));
     }
 
     fn kind(&self) -> &'static str {
@@ -453,9 +431,11 @@ impl Layer for BatchNorm2d {
         self.caches.clear();
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.gamma);
-        f(&mut self.beta);
+    fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
+        f(State::Param(&mut self.gamma));
+        f(State::Param(&mut self.beta));
+        f(State::Buffer(&mut self.running_mean));
+        f(State::Buffer(&mut self.running_var));
     }
 
     fn freeze_stats(&mut self) {
@@ -521,8 +501,6 @@ impl Layer for AvgPool2d {
         self.input_hw.clear();
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
     fn kind(&self) -> &'static str {
         "avgpool2d"
     }
@@ -567,8 +545,6 @@ impl Layer for Flatten {
     fn reset_state_ws(&mut self, _ws: &mut Workspace) {
         self.input_dims.clear();
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn kind(&self) -> &'static str {
         "flatten"
@@ -697,8 +673,8 @@ impl Layer for ResidualBlock {
         self.each_child(&mut |l| l.visit_carried(f));
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.each_child(&mut |l| l.visit_params(f));
+    fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
+        self.each_child(&mut |l| l.visit_state(f));
     }
 
     fn freeze_stats(&mut self) {
@@ -743,6 +719,15 @@ mod tests {
         TensorRng::seed_from(42)
     }
 
+    /// Runs `f` on every [`State::Param`] slot of `layer`'s state walk.
+    fn each_param(layer: &mut dyn Layer, mut f: impl FnMut(&mut Param)) {
+        layer.visit_state(&mut |s| {
+            if let State::Param(p) = s {
+                f(p);
+            }
+        });
+    }
+
     #[test]
     fn linear_forward_backward_shapes() {
         let mut r = rng();
@@ -764,14 +749,18 @@ mod tests {
         let loss0 = y.sum();
         lin.backward(&Tensor::ones(&[2, 2])).unwrap();
         let mut grads = Vec::new();
-        lin.visit_params(&mut |p: &mut Param| grads.push(p.grad.clone()));
+        each_param(&mut lin, |p| grads.push(p.grad.clone()));
         // dL/dW[0,0] for L = Σy is Σ_batch x[:,0]
         let expect = x.data()[0] + x.data()[3];
         assert!((grads[0].data()[0] - expect).abs() < 1e-5);
         // perturb W[0,0] and confirm numerically
         let eps = 1e-2;
         lin.reset_state_ws(&mut Workspace::new());
-        lin.weight_mut().data_mut()[0] += eps;
+        each_param(&mut lin, |p| {
+            if p.decay {
+                p.value.data_mut()[0] += eps; // the weight, not the bias
+            }
+        });
         let y2 = lin.forward_ws(&x, Mode::Eval, &mut Workspace::new()).unwrap();
         let num = (y2.sum() - loss0) / eps;
         assert!((num - grads[0].data()[0]).abs() < 1e-2, "num={num} ana={}", grads[0].data()[0]);
@@ -808,7 +797,7 @@ mod tests {
         assert_eq!(y.dims(), &[1, 2, 4, 4]);
         conv.backward(&Tensor::ones(y.dims())).unwrap();
         let mut total = 0.0;
-        conv.visit_params(&mut |p| total += p.grad.norm_sq());
+        each_param(&mut conv, |p| total += p.grad.norm_sq());
         assert!(total > 0.0);
     }
 
@@ -871,6 +860,32 @@ mod tests {
     }
 
     #[test]
+    fn batchnorm_state_walk_reaches_the_running_statistics() {
+        let mut bn = BatchNorm2d::new(2);
+        let x = Tensor::randn(&[4, 2, 3, 3], 2.0, 3.0, &mut rng());
+        bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
+        let mut slots = Vec::new();
+        bn.visit_state(&mut |s| {
+            slots.push(match s {
+                State::Param(p) => ("param", p.value.data().to_vec()),
+                State::Buffer(b) => ("buffer", b.to_vec()),
+            })
+        });
+        let kinds: Vec<_> = slots.iter().map(|s| s.0).collect();
+        assert_eq!(kinds, ["param", "param", "buffer", "buffer"]);
+        assert_eq!((&slots[2].1, &slots[3].1), (&bn.running_mean, &bn.running_var));
+        // the Eval forward normalizes with what the walk writes
+        let mut stats = [[1.0f32; 2], [4.0 - bn.eps; 2]].into_iter();
+        bn.visit_state(&mut |s| {
+            if let State::Buffer(b) = s {
+                b.copy_from_slice(&stats.next().unwrap());
+            }
+        });
+        let y = bn.forward_ws(&Tensor::full(&[1, 2, 1, 1], 3.0), Mode::Eval, &mut Workspace::new());
+        assert_eq!(y.unwrap().data(), &[1.0, 1.0]);
+    }
+
+    #[test]
     fn hostile_gradient_is_a_typed_error_for_batchnorm() {
         let mut bn = BatchNorm2d::new(2);
         let mut ws = Workspace::new();
@@ -908,14 +923,14 @@ mod tests {
         // gamma/beta grads: perturb and compare loss (statistics unaffected
         // by parameter perturbation, so FD is exact up to EMA drift)
         let mut grads = Vec::new();
-        bn.visit_params(&mut |p: &mut Param| grads.push(p.grad.clone()));
+        each_param(&mut bn, |p| grads.push(p.grad.clone()));
         let loss0 = y.norm_sq() / 2.0;
         let eps = 1e-3;
         for (idx, _) in grads.iter().enumerate() {
             let mut bn2 = bn.clone();
             bn2.reset_state_ws(&mut Workspace::new());
             let mut which = 0;
-            bn2.visit_params(&mut |p: &mut Param| {
+            each_param(&mut bn2, |p| {
                 if which == idx {
                     p.value.data_mut()[0] += eps;
                 }
@@ -944,7 +959,7 @@ mod tests {
         let mut r = rng();
         // main path: conv that is zero-initialized → output = LIF(0 + x)
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, &mut r).unwrap();
-        conv.visit_params(&mut |p| p.value.map_inplace(|_| 0.0));
+        each_param(&mut conv, |p| p.value.map_inplace(|_| 0.0));
         let lif = LifConfig { v_th: 0.5, ..LifConfig::default() };
         let mut block = ResidualBlock::new(vec![Box::new(conv)], vec![], lif);
         let x = Tensor::ones(&[1, 1, 4, 4]);

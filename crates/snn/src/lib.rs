@@ -43,7 +43,7 @@ mod train;
 pub use ann::{EarlyExitAnn, ExitOutput, Relu};
 pub use checkpoint::{load_params, save_params, CheckpointError};
 pub use error::SnnError;
-pub use layer::{Layer, Mode, Param};
+pub use layer::{Layer, Mode, Param, State};
 pub use layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, ResidualBlock};
 pub use lif::{LifConfig, LifNeuron, ResetMode};
 pub use loss::{cross_entropy_mean_output, cross_entropy_per_timestep, LossKind};

@@ -1,6 +1,6 @@
 //! Leaky integrate-and-fire neurons (Eqs. 2–3 of the paper).
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Layer, Mode};
 use crate::{Result, SnnError, Surrogate};
 use dtsnn_tensor::{simd, Tensor, TensorError, Workspace};
 
@@ -217,8 +217,6 @@ impl Layer for LifNeuron {
         // ∂u_pre/∂input = 1.
         Ok(grad)
     }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn kind(&self) -> &'static str {
         "lif"

@@ -1,7 +1,7 @@
 //! The [`Snn`] container: a sequential spiking network evaluated over
 //! timesteps (Eq. 1), with BPTT support and spike-activity accounting.
 
-use crate::layer::{retire, Layer, Mode, Param};
+use crate::layer::{retire, Layer, Mode, Param, State};
 use crate::layers::copy_through;
 use crate::prefix::{self, PrefixCache, PrefixStats};
 use crate::{Result, SnnError};
@@ -125,8 +125,9 @@ impl Snn {
         &self.layers
     }
 
-    /// Mutable access to the layers (used by the device-noise injector).
-    /// Drops the cached prefix outputs, since the caller may change a layer.
+    /// Mutable access to the layers (for a caller that runs or edits them
+    /// one by one). Drops the cached prefix outputs, since the caller may
+    /// change a layer.
     pub fn layers_mut(&mut self) -> &mut [LayerNode] {
         self.prefix.clear();
         &mut self.layers
@@ -168,14 +169,27 @@ impl Snn {
         }
     }
 
-    /// Visits every learnable parameter in the network. The visitor may
-    /// change any of them (the optimizer, checkpoint loading and the noise
-    /// injectors do), so this drops the cached prefix outputs.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    /// Visits every slot of persistent state in the network, in layer order
+    /// ([`Layer::visit_state`]): what a checkpoint stores. The visitor may
+    /// change any slot (checkpoint loading does), so this drops the cached
+    /// prefix outputs.
+    pub fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
         self.prefix.clear();
         for node in &mut self.layers {
-            node.layer.visit_params(f);
+            node.layer.visit_state(f);
         }
+    }
+
+    /// Visits every learnable parameter in the network: the
+    /// [`State::Param`] slots of [`Snn::visit_state`]. The visitor may
+    /// change any of them (the optimizer and the fault injector do), so this
+    /// drops the cached prefix outputs too.
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.visit_state(&mut |s| {
+            if let State::Param(p) = s {
+                f(p);
+            }
+        });
     }
 
     /// Opts every weight layer into the quantized Eval backend on the

@@ -1,6 +1,7 @@
-//! Checkpoint round-trip: saving a trained-or-not network and reloading it
-//! into a differently-initialized instance of the same architecture must
-//! reproduce the original's inference outputs bitwise.
+//! Checkpoint round-trip: saving a network that ran a Train sequence and
+//! reloading it into a differently-initialized instance of the same
+//! architecture must reproduce the original's inference outputs bitwise —
+//! parameters and BatchNorm running statistics alike.
 
 use dtsnn_snn::{
     load_params, resnet_small, save_params, vgg_small, Mode, ModelConfig, Snn,
@@ -10,6 +11,12 @@ use dtsnn_tensor::{Tensor, TensorRng};
 fn roundtrip(name: &str, build: impl Fn(&mut TensorRng) -> Snn) {
     let mut rng = TensorRng::seed_from(0xC4EC);
     let mut original = build(&mut rng);
+    // one Train sequence (no optimizer step) moves only the running
+    // statistics away from the identity
+    let batch = Tensor::randn(&[4, 3, 16, 16], 0.5, 0.5, &mut TensorRng::seed_from(11));
+    original
+        .forward_sequence(std::slice::from_ref(&batch), 4, Mode::Train)
+        .expect("original train sequence");
     let path = std::env::temp_dir()
         .join(format!("dtsnn-roundtrip-{name}-{}.bin", std::process::id()));
     save_params(&mut original, &path).expect("save checkpoint");
@@ -31,6 +38,10 @@ fn roundtrip(name: &str, build: impl Fn(&mut TensorRng) -> Snn) {
         .forward_sequence(std::slice::from_ref(&frame), timesteps, Mode::Eval)
         .expect("reloaded forward");
     assert_eq!(a, b, "{name}: reloaded inference must be bitwise identical");
+    let untrained = build(&mut TensorRng::seed_from(0xC4EC))
+        .forward_sequence(std::slice::from_ref(&frame), timesteps, Mode::Eval)
+        .expect("untrained forward");
+    assert_ne!(a, untrained, "{name}: the Train sequence must move the running statistics");
     // and the per-timestep logits must not be trivially zero for the
     // comparison to mean anything
     assert!(

@@ -13,7 +13,7 @@
 //! this binary cannot disturb each other).
 
 use dtsnn_snn::{
-    load_params, resnet_small, save_params, vgg_small, Mode, ModelConfig, PrefixStats, Snn,
+    load_params, resnet_small, save_params, vgg_small, Mode, ModelConfig, PrefixStats, Snn, State,
 };
 use dtsnn_tensor::{parallel, simd, SimdLevel, Tensor, TensorRng, Workspace};
 
@@ -240,9 +240,18 @@ fn a_reset_and_every_route_that_may_change_a_prefix_layer_force_a_recompute() {
         ("reset_state", |net, _, _| net.reset_state()),
         ("layers_mut weight edit", |net, _, _| {
             let first = &mut net.layers_mut()[0].layer;
-            first.visit_params(&mut |p| p.value.map_inplace(|v| v * 0.5 - 0.01));
+            first.visit_state(&mut |s| {
+                if let State::Param(p) = s {
+                    p.value.map_inplace(|v| v * 0.5 - 0.01);
+                }
+            });
         }),
-        ("visit_params", |net, _, _| net.visit_params(&mut |p| p.value.map_inplace(|v| v + 0.05))),
+        ("visit_state", |net, _, _| {
+            net.visit_state(&mut |s| match s {
+                State::Param(p) => p.value.map_inplace(|v| v + 0.05),
+                State::Buffer(b) => b.iter_mut().for_each(|v| *v += 0.05),
+            })
+        }),
         ("load_params", |net, _, path| load_params(net, path).unwrap()),
         ("freeze_norm_stats", |net, _, _| net.freeze_norm_stats()),
         ("Train forward", |net, x, _| drop(net.forward_timestep(x, Mode::Train).unwrap())),

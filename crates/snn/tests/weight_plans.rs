@@ -2,7 +2,7 @@
 //! cache across timesteps must never outlive the weights they were packed
 //! from, and clones must not share them.
 
-use dtsnn_snn::{load_params, save_params, Conv2d, Layer, Linear, Mode, Snn};
+use dtsnn_snn::{load_params, save_params, Conv2d, Layer, Linear, Mode, Param, Snn, State};
 use dtsnn_tensor::{Tensor, TensorRng, Workspace};
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -13,7 +13,6 @@ fn bits(t: &Tensor) -> Vec<u32> {
 trait Planned: Layer + Clone + 'static {
     fn fresh(seed: u64) -> Self;
     fn input_dims() -> Vec<usize>;
-    fn weight_mut(&mut self) -> &mut Tensor;
 }
 
 impl Planned for Conv2d {
@@ -22,9 +21,6 @@ impl Planned for Conv2d {
     }
     fn input_dims() -> Vec<usize> {
         vec![2, 3, 6, 7]
-    }
-    fn weight_mut(&mut self) -> &mut Tensor {
-        Conv2d::weight_mut(self)
     }
 }
 
@@ -37,9 +33,15 @@ impl Planned for Linear {
     fn input_dims() -> Vec<usize> {
         vec![3, 70]
     }
-    fn weight_mut(&mut self) -> &mut Tensor {
-        Linear::weight_mut(self)
-    }
+}
+
+/// Runs `f` on every parameter of `layer`'s state walk.
+fn each_param(layer: &mut dyn Layer, mut f: impl FnMut(&mut Param)) {
+    layer.visit_state(&mut |s| {
+        if let State::Param(p) = s {
+            f(p);
+        }
+    });
 }
 
 fn spikes<L: Planned>(seed: u64) -> Tensor {
@@ -55,10 +57,10 @@ fn spikes<L: Planned>(seed: u64) -> Tensor {
 /// quantization opt-in, when `bits` is given).
 fn rebuilt<L: Planned>(layer: &mut L, quant_bits: Option<u32>) -> L {
     let mut values = Vec::new();
-    layer.visit_params(&mut |p| values.push(p.value.clone()));
+    each_param(layer, |p| values.push(p.value.clone()));
     let mut fresh = L::fresh(999);
     let mut values = values.into_iter();
-    fresh.visit_params(&mut |p| p.value = values.next().unwrap());
+    each_param(&mut fresh, |p| p.value = values.next().unwrap());
     if let Some(b) = quant_bits {
         fresh.quantize_weights(b);
     }
@@ -67,9 +69,8 @@ fn rebuilt<L: Planned>(layer: &mut L, quant_bits: Option<u32>) -> L {
 
 fn mutations_never_serve_a_stale_plan<L: Planned>() {
     type Mutation<L> = (&'static str, Option<u32>, fn(&mut L));
-    let mutations: [Mutation<L>; 3] = [
-        ("weight_mut", None, |l| l.weight_mut().map_inplace(|v| v * 0.5 - 0.01)),
-        ("visit_params", None, |l| l.visit_params(&mut |p| p.value.map_inplace(|v| v + 0.25))),
+    let mutations: [Mutation<L>; 2] = [
+        ("visit_state", None, |l| each_param(l, |p| p.value.map_inplace(|v| v + 0.25))),
         ("quantize_weights", Some(4), |l| l.quantize_weights(4)),
     ];
     let x = spikes::<L>(7);
@@ -125,7 +126,7 @@ fn clones_own_plans<L: Planned>() {
     let warm = original.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
     let mut clone = original.clone_box();
     // the clone repacks from its own weights; the original's plan is untouched
-    clone.visit_params(&mut |p| p.value.map_inplace(|v| -v));
+    each_param(clone.as_mut(), |p| p.value.map_inplace(|v| -v));
     let cloned = clone.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
     assert_eq!(bits(&original.forward_ws(&x, Mode::Eval, &mut ws).unwrap()), bits(&warm));
     assert_ne!(bits(&cloned), bits(&warm));

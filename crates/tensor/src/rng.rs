@@ -128,13 +128,6 @@ impl TensorRng {
         }
     }
 
-    /// Fills `out` with i.i.d. uniform samples in `[lo, hi)`.
-    pub fn fill_uniform(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out.iter_mut() {
-            *v = self.uniform(lo, hi);
-        }
-    }
-
     /// Fisher–Yates shuffle of `indices`.
     pub fn shuffle(&mut self, indices: &mut [usize]) {
         for i in (1..indices.len()).rev() {

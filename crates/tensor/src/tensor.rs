@@ -92,13 +92,6 @@ impl Tensor {
         t
     }
 
-    /// I.i.d. uniform-sampled tensor in `[lo, hi)`.
-    pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut TensorRng) -> Self {
-        let mut t = Tensor::zeros(dims);
-        rng.fill_uniform(&mut t.data, lo, hi);
-        t
-    }
-
     /// Kaiming/He normal initialization for a weight tensor whose fan-in is
     /// `fan_in` (used for conv and linear weights feeding spiking neurons).
     pub fn kaiming(dims: &[usize], fan_in: usize, rng: &mut TensorRng) -> Self {
@@ -136,12 +129,6 @@ impl Tensor {
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its buffer as a plain `Vec` (copies;
-    /// prefer [`Tensor::into_aligned`] to keep the allocation).
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data.to_vec()
     }
 
     /// Consumes the tensor, returning its aligned buffer without copying —

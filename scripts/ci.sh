@@ -40,11 +40,14 @@ determinism() {
 # and every invalidation route, and the counters say which rows were reused;
 # the warmed loops allocate nothing: the timestep loop (f32 and int8), a
 # dynamic batch width (batched windows over a resnet run under `determinism`);
-# and a gradient of the wrong shape is a typed error from BatchNorm and LIF.
+# a gradient of the wrong shape is a typed error from BatchNorm and LIF; and
+# a net that ran a Train sequence survives save → load with bitwise Eval
+# logits (the state walk reaches BatchNorm's running statistics).
 layers() {
     t snn --test weight_plans
     t snn --test carried_state
     t snn --test input_prefix
+    t snn --test checkpoint_roundtrip
     t snn warmed_timestep_loop
     t snn allocation_free
     t snn hostile_gradient
