@@ -3,19 +3,23 @@
 //! im2col + matmul references all three are pinned against.
 //!
 //! **Forward** ([`conv2d_ws`], [`ConvPlan::forward`]) never materialises an
-//! unfolding. It walks each sample's input in `(ci, iy, ix)` raster order —
-//! one packed nonzero word per 64 elements of an input row keeps the scan
-//! branch-light — and adds `x` times the packed `c_out`-wide weight row of
-//! tap `(ci, ky, kx)` into the at most `k*k` rows of the sample's
-//! `[oh*ow, c_out]` output tile that `x` touches (at stride 1 the taps along
-//! x fuse into one longer row-add, and the rows of successive `ky` are a
-//! constant step apart); one epilogue pass then adds the bias while it
-//! reorders tile -> NCHW. The per-sample scatter is one safe function
-//! compiled once per SIMD tier ([`crate::simd`], "Dispatch granularity"),
-//! its row-adds plain loops. For a fixed output pixel, ascending input
-//! `(ci, iy, ix)` *is* ascending patch index `(ci, ky, kx)`, so every output
-//! element accumulates the terms of [`conv2d`]'s im2col row times the
-//! transposed weights in the same order (zero taps skipped, explicit
+//! unfolding. One vectorised pass packs each sample's input into nonzero
+//! words (one bit per element, whole-vector compares), then the scan walks
+//! the set bits in `(ci, iy, ix)` raster order and adds `x` times the packed
+//! `c_out`-wide weight row of tap `(ci, ky, kx)` into the at most `k*k` rows
+//! of the sample's `[oh, ow, c_out]` output tile that `x` touches. At stride
+//! 1 the taps along x fuse into one row-add and the rows of successive `ky`
+//! are a constant step apart; the tile carries `k − 1 − pad` spare columns
+//! either side of each output row, so every spike's row-add is all `k` taps,
+//! and for the 3×3 layers at `c_out` 32 and 64 that length (`3·c_out`
+//! floats) is a literal the compiler unrolls. One epilogue pass then adds
+//! the bias while it reorders tile -> NCHW, skipping the spare columns. The
+//! per-sample scatter is one safe function compiled once per SIMD tier
+//! ([`crate::simd`], "Dispatch granularity"), its compares and row-adds
+//! plain loops. For a fixed output pixel, ascending input `(ci, iy, ix)`
+//! *is* ascending patch index `(ci, ky, kx)`, so every output element
+//! accumulates the terms of [`conv2d`]'s im2col row times the transposed
+//! weights in the same order (zero taps skipped, explicit
 //! multiply-then-add): **bitwise identical** (the sign/payload of a NaN made
 //! from two NaNs aside). Input rows and columns that feed no output (a
 //! kernel narrower than its stride) are never scanned.
@@ -253,7 +257,7 @@ pub fn conv2d(
         expect_dims(b.dims(), &[spec.out_channels])?;
     }
     let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
-    rows_to_nchw(out_mat.data(), bias, [n, spec.out_channels, oh, ow], out.data_mut());
+    rows_to_nchw(out_mat.data(), bias, [n, spec.out_channels, oh, ow], 0, out.data_mut());
     Ok(out)
 }
 
@@ -336,8 +340,9 @@ pub fn conv2d_ws(
     out
 }
 
-/// The direct kernel over [`pack_weights`] output: scatter into one zeroed `[oh*ow, co]`
-/// tile per sample (sharded by sample, as [`col2im`] is), then the epilogue pass.
+/// The direct kernel over [`pack_weights`] output: scatter into one zeroed
+/// `[oh, ow + 2·margin, co]` tile per sample ([`tile_margin`]; sharded by
+/// sample, as [`col2im`] is), then the epilogue pass.
 fn scatter_forward(
     input: &Tensor,
     w_t: &[f32],
@@ -346,20 +351,44 @@ fn scatter_forward(
     ws: &mut Workspace,
 ) -> Result<Tensor> {
     let ([n, c, h, w], (oh, ow)) = check_input(input, bias, spec)?;
-    let co = spec.out_channels;
-    let (sample_len, tile_len) = (c * h * w, oh * ow * co);
+    let (co, margin) = (spec.out_channels, tile_margin(spec));
+    let (sample_len, tile_len) = (c * h * w, oh * (ow + 2 * margin) * co);
     let mut tiles = ws.take(n * tile_len);
     if n * tile_len > 0 {
         let src = input.data();
         let work = (n * tile_len).saturating_mul(spec.patch_len());
-        parallel::for_each_row_chunk(&mut tiles, tile_len, n, work, |first_n, chunk| {
-            for (local_ni, tile) in chunk.chunks_mut(tile_len).enumerate() {
-                let sample = &src[(first_n + local_ni) * sample_len..][..sample_len];
-                simd::conv_scatter_sample(sample, [c, h, w], (oh, ow), w_t, *spec, tile);
-            }
-        });
+        // one nonzero-pass scratch per sample, so a worker owns its samples'
+        let words_len = nonzero_words_len(sample_len);
+        let mut words = ws.take_words(n * words_len);
+        parallel::for_each_row_chunk_with(
+            (&mut tiles, tile_len),
+            (&mut words, words_len),
+            n,
+            work,
+            |first_n, tiles, words| {
+                let samples = tiles.chunks_mut(tile_len).zip(words.chunks_exact_mut(words_len));
+                for (ni, (tile, words)) in (first_n..).zip(samples) {
+                    let input = (&src[ni * sample_len..][..sample_len], words);
+                    simd::conv_scatter_sample(input, [c, h, w], (oh, ow), w_t, *spec, tile);
+                }
+            },
+        );
+        ws.recycle_words(words);
     }
-    tiles_into_nchw(tiles, bias, [n, co, oh, ow], ws)
+    tiles_into_nchw(tiles, bias, [n, co, oh, ow], margin, ws)
+}
+
+/// The zero columns the forward's tile carries either side of each output
+/// row: at stride 1 a spike in input column `ix` feeds tile columns
+/// `ix + pad + margin + 1 − k ..= ix + pad + margin`, so with `k − 1 − pad`
+/// of them every spike feeds all `k`, at the left and right borders too, and
+/// the columns that stand for no output collect terms nothing reads.
+fn tile_margin(spec: &Conv2dSpec) -> usize {
+    if spec.stride == 1 {
+        (spec.kernel - 1).saturating_sub(spec.padding)
+    } else {
+        0
+    }
 }
 
 /// The epilogue over arena buffers: [`rows_to_nchw`] into a buffer that is not cleared first
@@ -368,35 +397,47 @@ fn tiles_into_nchw(
     tiles: AlignedVec,
     bias: Option<&Tensor>,
     dims: [usize; 4],
+    margin: usize,
     ws: &mut Workspace,
 ) -> Result<Tensor> {
-    let mut out = ws.take_overwrite(tiles.len());
-    rows_to_nchw(&tiles, bias, dims, &mut out);
+    let mut out = ws.take_overwrite(dims.iter().product());
+    rows_to_nchw(&tiles, bias, dims, margin, &mut out);
     ws.recycle(tiles);
     Tensor::from_aligned(out, &dims)
 }
 
-/// `[n*oh*ow, c]` row matrix → `[n, c, oh, ow]` in one pass that also adds the per-channel
-/// bias (after the last term of the row matrix); writes every element of `dst` exactly once.
-fn rows_to_nchw(src: &[f32], bias: Option<&Tensor>, [n, c, oh, ow]: [usize; 4], dst: &mut [f32]) {
-    let (plane, sample_len) = (oh * ow, c * oh * ow);
+/// `[n, oh, ow + 2·margin, c]` tiles → `[n, c, oh, ow]` in one pass that
+/// skips the `margin` columns either side of each row and adds the
+/// per-channel bias (after the last term of the tile); writes every element
+/// of `dst` exactly once.
+fn rows_to_nchw(
+    src: &[f32],
+    bias: Option<&Tensor>,
+    [n, c, oh, ow]: [usize; 4],
+    margin: usize,
+    dst: &mut [f32],
+) {
+    let (plane, sample_len, tile_row) = (oh * ow, c * oh * ow, (ow + 2 * margin) * c);
     if n == 0 || sample_len == 0 {
         return;
     }
     let bias = bias.map(Tensor::data);
     parallel::for_each_row_chunk(dst, sample_len, n, n * sample_len, |first_n, dst| {
         for (local_ni, sample) in dst.chunks_mut(sample_len).enumerate() {
-            let rows = &src[(first_n + local_ni) * sample_len..][..sample_len];
-            for (p, row) in rows.chunks_exact(c).enumerate() {
-                match bias {
-                    Some(b) => {
-                        for (ci, (&v, &bv)) in row.iter().zip(b).enumerate() {
-                            sample[ci * plane + p] = v + bv;
+            let tile = &src[(first_n + local_ni) * oh * tile_row..][..oh * tile_row];
+            for (oy, tile_row) in tile.chunks_exact(tile_row).enumerate() {
+                let pixels = tile_row[margin * c..][..ow * c].chunks_exact(c);
+                for (p, row) in (oy * ow..).zip(pixels) {
+                    match bias {
+                        Some(b) => {
+                            for (ci, (&v, &bv)) in row.iter().zip(b).enumerate() {
+                                sample[ci * plane + p] = v + bv;
+                            }
                         }
-                    }
-                    None => {
-                        for (ci, &v) in row.iter().enumerate() {
-                            sample[ci * plane + p] = v;
+                        None => {
+                            for (ci, &v) in row.iter().enumerate() {
+                                sample[ci * plane + p] = v;
+                            }
                         }
                     }
                 }
@@ -427,38 +468,36 @@ fn add_taps(acc: &mut [f32], x: f32, w: &[f32]) {
     }
 }
 
-/// Scatters one sample (`[c, h, w]`) into its zeroed `[oh*ow, co]` tile. Safe
-/// code with plain loops, no calls and no closures (a closure body inlines
-/// only at LLVM's discretion, and one that does not is compiled for the
-/// baseline): [`simd::conv_scatter_sample`] compiles it once per tier, so the
-/// row loops vectorize at that tier's width.
+/// Scatters one sample (`[c, h, w]`) into its zeroed `[oh, ow + 2·margin,
+/// co]` tile ([`tile_margin`]), `words` (at least `c*h*w / 64 + 2` long) the
+/// scratch of its nonzero pass. Safe code with plain loops, no calls and no
+/// closures (a closure body inlines only at LLVM's discretion, and one that
+/// does not is compiled for the baseline): [`simd::conv_scatter_sample`]
+/// compiles it once per tier, so the compares and row loops vectorize at
+/// that tier's width.
 #[inline(always)]
 pub(crate) fn scatter_sample(
-    src: &[f32],
+    (src, words): (&[f32], &mut [u64]),
     dims: [usize; 3],
     out_hw: (usize, usize),
     w_t: &[f32],
     spec: Conv2dSpec,
     tile: &mut [f32],
 ) {
-    // one instantiation per stride class: the stride-1 walk needs none of
-    // the general one's index arithmetic
-    if spec.stride == 1 {
-        scatter_strided::<true, false>(src, dims, out_hw, w_t, spec, tile)
-    } else {
-        scatter_strided::<false, false>(src, dims, out_hw, w_t, spec, tile)
-    }
+    nonzero_words(src, words);
+    scatter::<false>(Scan { src, words, dims, out_hw, operand: w_t, spec }, tile);
 }
 
 /// The weight gradient of the input channels `first_ci..` that `dw` holds
 /// (`k*k` packed `co`-wide rows each, the layout of [`pack_weights`]) over
 /// every sample of `src` (`[n, c, h, w]`), `gmat` holding each sample's
 /// `[oh*ow, co]` output-gradient rows: the forward's scan with the roles of
-/// weights and tile swapped. [`simd::conv_weight_grad_chunk`] compiles it
-/// once per tier.
+/// weights and tile swapped, `words` (at least `cis*h*w / 64 + 2` long for
+/// the `cis` channels of `dw`) the scratch of each sample's nonzero pass.
+/// [`simd::conv_weight_grad_chunk`] compiles it once per tier.
 #[inline(always)]
 pub(crate) fn weight_grad_chunk(
-    src: &[f32],
+    (src, words): (&[f32], &mut [u64]),
     [n, c, h, w]: [usize; 4],
     (oh, ow): (usize, usize),
     gmat: &[f32],
@@ -471,11 +510,78 @@ pub(crate) fn weight_grad_chunk(
     for ni in 0..n {
         let x = &src[(ni * c + first_ci) * plane..][..cis * plane];
         let g = &gmat[ni * tile..][..tile];
-        if spec.stride == 1 {
-            scatter_strided::<true, true>(x, [cis, h, w], (oh, ow), g, spec, dw)
-        } else {
-            scatter_strided::<false, true>(x, [cis, h, w], (oh, ow), g, spec, dw)
-        }
+        nonzero_words(x, words);
+        let scan = Scan { src: x, words, dims: [cis, h, w], out_hw: (oh, ow), operand: g, spec };
+        scatter::<true>(scan, dw);
+    }
+}
+
+/// Words of the nonzero pass over `len` floats: one per 64, the last
+/// partial one, and a zero word [`row_word`] may read past the end.
+fn nonzero_words_len(len: usize) -> usize {
+    len / 64 + 2
+}
+
+/// The nonzero pass: bit `i % 64` of `words[i / 64]` is `src[i] != 0.0`
+/// (`-0.0` inactive, NaN active), for any length; the words after the last
+/// one covering `src` are zero.
+#[inline(always)]
+fn nonzero_words(src: &[f32], words: &mut [u64]) {
+    let words = &mut words[..nonzero_words_len(src.len())];
+    let chunks = src.chunks_exact(64);
+    let (tail, whole) = (chunks.remainder(), chunks.len());
+    for (word, chunk) in words.iter_mut().zip(chunks) {
+        // 64 compares of a literal trip count: LLVM makes them whole-vector
+        *word = nonzero_bits(<&[f32; 64]>::try_from(chunk).expect("64 elements"));
+    }
+    (words[whole], words[whole + 1]) = (nonzero_bits(tail), 0);
+}
+
+/// Bit `i` set where `chunk[i] != 0.0` (at most 64 elements).
+#[inline(always)]
+fn nonzero_bits(chunk: &[f32]) -> u64 {
+    let mut bits = 0;
+    for (bit, &v) in chunk.iter().enumerate() {
+        bits |= u64::from(v != 0.0) << bit;
+    }
+    bits
+}
+
+/// The `len ≤ 64` bits of [`nonzero_words`]' output that start at bit `at`,
+/// as one word (bit 0 = element `at`).
+#[inline(always)]
+fn row_word(words: &[u64], at: usize, len: usize) -> u64 {
+    let (q, r) = (at / 64, at % 64);
+    // the two shifts make `r = 0` a shift by 64, which is zero
+    let bits = words[q] >> r | (words[q + 1] << 1) << (63 - r);
+    bits & u64::MAX >> (64 - len)
+}
+
+/// What one scan reads: the input (`[c, h, w]`) and its nonzero words, the
+/// output extent, the operand (packed weights, or gradient rows) and the
+/// geometry.
+#[derive(Clone, Copy)]
+struct Scan<'a> {
+    src: &'a [f32],
+    words: &'a [u64],
+    dims: [usize; 3],
+    out_hw: (usize, usize),
+    operand: &'a [f32],
+    spec: Conv2dSpec,
+}
+
+/// The literal instantiations of [`scatter_strided`]: the stride-1, 3×3
+/// shapes both reference nets run at `c_out` 32 and 64, then every other
+/// shape at its stride class with the extents read from `spec`.
+#[inline(always)]
+fn scatter<const WEIGHT_GRAD: bool>(scan: Scan<'_>, acc: &mut [f32]) {
+    // (direct calls: a function pointer picked here would not inline)
+    let spec = scan.spec;
+    match (spec.stride, spec.kernel, spec.out_channels) {
+        (1, 3, 32) => scatter_strided::<true, WEIGHT_GRAD, 3, 32>(scan, acc),
+        (1, 3, 64) => scatter_strided::<true, WEIGHT_GRAD, 3, 64>(scan, acc),
+        (1, ..) => scatter_strided::<true, WEIGHT_GRAD, 0, 0>(scan, acc),
+        _ => scatter_strided::<false, WEIGHT_GRAD, 0, 0>(scan, acc),
     }
 }
 
@@ -507,26 +613,45 @@ fn live_columns(w: usize, pad: usize, stride: usize, k: usize, ow: usize) -> [u6
 }
 
 /// The spike scan both directions share: every nonzero input `x` at
-/// `(ci, iy, ix)`, in that order, meets each output pixel it feeds through tap
-/// `(ci, ky, kx)`. The forward (`WEIGHT_GRAD = false`) adds `x` times the tap's
-/// packed weight row (`operand`) into the pixel's `co`-wide row of `acc`, the
-/// sample's tile; the weight gradient adds `x` times the pixel's gradient row
-/// (`operand`) into the tap's packed row of `acc`. Input rows and columns that
-/// feed no output (a kernel narrower than its stride) are never visited.
+/// `(ci, iy, ix)`, in that order (the set bits of `words`, [`nonzero_words`]
+/// of `src`), meets each output pixel it feeds through tap `(ci, ky, kx)`.
+/// The forward (`WEIGHT_GRAD = false`) adds `x` times the tap's packed weight
+/// row (`operand`) into the pixel's `co`-wide row of `acc`, the sample's
+/// tile; the weight gradient adds `x` times the pixel's gradient row
+/// (`operand`) into the tap's packed row of `acc`. `K` and `CO` are the
+/// kernel extent and `c_out` as literals, or `0` to read them from `spec`.
+/// At stride 1 every forward spike, and every weight-gradient spike clear of
+/// the borders, is one run of `k*co` floats per output row. Input rows and
+/// columns that feed no output (a kernel narrower than its stride) are never
+/// visited.
 #[inline(always)]
-fn scatter_strided<const UNIT_STRIDE: bool, const WEIGHT_GRAD: bool>(
-    src: &[f32],
-    [c, h, w]: [usize; 3],
-    (oh, ow): (usize, usize),
-    operand: &[f32],
-    spec: Conv2dSpec,
+fn scatter_strided<
+    const UNIT_STRIDE: bool,
+    const WEIGHT_GRAD: bool,
+    const K: usize,
+    const CO: usize,
+>(
+    Scan { src, words, dims: [c, h, w], out_hw: (oh, ow), operand, spec }: Scan<'_>,
     acc: &mut [f32],
 ) {
-    let (k, pad, co) = (spec.kernel, spec.padding, spec.out_channels);
-    let stride = if UNIT_STRIDE { 1 } else { spec.stride }; // the literal folds the divisions
+    debug_assert!(K == 0 || (K, CO) == (spec.kernel, spec.out_channels));
+    // the literals fold the divisions and turn every run length into a constant
+    let k = if K == 0 { spec.kernel } else { K };
+    let co = if CO == 0 { spec.out_channels } else { CO };
+    let stride = if UNIT_STRIDE { 1 } else { spec.stride };
+    let pad = spec.padding;
     // at stride 1 every input row and column feeds an output
     let live =
         if UNIT_STRIDE { [u64::MAX; LIVE_WORDS] } else { live_columns(w, pad, stride, k, ow) };
+    // The forward's tile rows are `tw` wide, input column ix being tile
+    // column ix + xpad (`tile_margin`); the gradient rows the weight gradient
+    // reads have no margin. At stride 1 a spike in the columns `interior`
+    // feeds all k tile columns of its rows: in the forward, every column.
+    let margin = if WEIGHT_GRAD { 0 } else { tile_margin(&spec) };
+    let (tw, xpad) = (ow + 2 * margin, pad + margin);
+    let interior = (k - 1).saturating_sub(xpad)..tw.saturating_sub(xpad);
+    let interior = if interior.is_empty() { 0..0 } else { interior };
+    debug_assert!(WEIGHT_GRAD || !UNIT_STRIDE || (interior.start == 0 && interior.end >= w));
     for ci in 0..c {
         for iy in 0..h {
             let ty = iy + pad;
@@ -534,57 +659,131 @@ fn scatter_strided<const UNIT_STRIDE: bool, const WEIGHT_GRAD: bool>(
             if !UNIT_STRIDE && oys.is_empty() {
                 continue;
             }
-            let row = &src[(ci * h + iy) * w..][..w];
-            // one packed nonzero word per 64 elements keeps the scan branch-light
-            for (wi, chunk) in row.chunks(64).enumerate() {
-                let mut bits = 0u64;
-                for (bit, &v) in chunk.iter().enumerate() {
-                    bits |= u64::from(v != 0.0) << bit;
+            let row_at = (ci * h + iy) * w;
+            let row = &src[row_at..][..w];
+            for wi in 0..w.div_ceil(64) {
+                let at = wi * 64;
+                let bits = row_word(words, row_at + at, (w - at).min(64));
+                if UNIT_STRIDE {
+                    let ky = ci * k + ty + 1 - oys.end;
+                    let r = UnitRow { row, at, k, co, tw, xpad, oys: (oys.end, oys.len()), ky };
+                    if !WEIGHT_GRAD {
+                        unit_stride_spikes::<false, true>(bits, r, operand, acc);
+                        continue;
+                    }
+                    // left of the interior, in it, right of it: three passes
+                    // in ascending ix, none branching on where a spike sits
+                    let (lo, hi) = (below(interior.start, at), below(interior.end, at));
+                    unit_stride_spikes::<true, false>(bits & lo, r, operand, acc);
+                    unit_stride_spikes::<true, true>(bits & hi & !lo, r, operand, acc);
+                    unit_stride_spikes::<true, false>(bits & !hi, r, operand, acc);
+                    continue;
                 }
-                if !UNIT_STRIDE {
-                    bits &= live.get(wi).copied().unwrap_or(u64::MAX);
-                }
+                let mut bits = bits & live.get(wi).copied().unwrap_or(u64::MAX);
                 while bits != 0 {
-                    let ix = wi * 64 + bits.trailing_zeros() as usize;
+                    let ix = at + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let (x, tx) = (row[ix], ix + pad);
                     let oxs = axis_outputs(tx, stride, k, ow);
-                    // tap (ky, kx) sits in packed row (ci*k + ky)*k + k-1-kx
-                    if UNIT_STRIDE {
-                        // Ascending output columns see x through descending
-                        // kx, that is ascending packed rows: one run of len
-                        // floats in both the tile and the packed rows, and
-                        // the next ky is k packed rows up, one output row down.
-                        let len = oxs.len() * co;
-                        let mut wo =
-                            ((ci * k + ty + 1 - oys.end) * k + k - 1 - (tx - oxs.start)) * co;
-                        let mut oo = (oys.end * ow + oxs.start) * co;
-                        for _ in oys.clone() {
-                            oo -= ow * co;
+                    for oy in oys.clone() {
+                        // tap (ky, kx) sits in packed row (ci*k + ky)*k + k-1-kx
+                        let wrow = (ci * k + ty - oy * stride) * k + k - 1;
+                        for ox in oxs.clone() {
+                            let wo = (wrow - (tx - ox * stride)) * co;
+                            let oo = (oy * ow + ox) * co;
                             if WEIGHT_GRAD {
-                                add_taps(&mut acc[wo..wo + len], x, &operand[oo..oo + len]);
+                                add_taps(&mut acc[wo..][..co], x, &operand[oo..][..co]);
                             } else {
-                                add_taps(&mut acc[oo..oo + len], x, &operand[wo..wo + len]);
-                            }
-                            wo += k * co;
-                        }
-                    } else {
-                        for oy in oys.clone() {
-                            let wrow = (ci * k + ty - oy * stride) * k + k - 1;
-                            for ox in oxs.clone() {
-                                let wo = (wrow - (tx - ox * stride)) * co;
-                                let oo = (oy * ow + ox) * co;
-                                if WEIGHT_GRAD {
-                                    add_taps(&mut acc[wo..][..co], x, &operand[oo..][..co]);
-                                } else {
-                                    add_taps(&mut acc[oo..][..co], x, &operand[wo..][..co]);
-                                }
+                                add_taps(&mut acc[oo..][..co], x, &operand[wo..][..co]);
                             }
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// The bits of a row word (bit `i` = element `at + i`) below element `i`.
+#[inline(always)]
+fn below(i: usize, at: usize) -> u64 {
+    let n = i.saturating_sub(at);
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// One input row of the stride-1 scan, `(ci, iy)`: its elements (bit `i` of
+/// a word is `row[at + i]`), the extents, the width `tw` of a tile row and
+/// the tile column `ix + xpad` of input column `ix`, the end and count of
+/// the output rows it feeds, `oys`, and `ky`, the packed `(ci, ky)` row
+/// block the last of them reads.
+#[derive(Clone, Copy)]
+struct UnitRow<'a> {
+    row: &'a [f32],
+    at: usize,
+    k: usize,
+    co: usize,
+    tw: usize,
+    xpad: usize,
+    oys: (usize, usize),
+    ky: usize,
+}
+
+/// The stride-1 spikes `bits` of one row word. Ascending output columns see
+/// a spike through descending `kx`, that is ascending packed rows: one run
+/// in both the tile and the packed rows, and the next `ky` is `k` packed
+/// rows up, one output row down. An `INTERIOR` spike's run is all `k` taps,
+/// a literal `k*co` floats; an edge spike's is clipped at the border.
+#[inline(always)]
+fn unit_stride_spikes<const WEIGHT_GRAD: bool, const INTERIOR: bool>(
+    mut bits: u64,
+    UnitRow { row, at, k, co, tw, xpad, oys: (oy_end, rows), ky }: UnitRow<'_>,
+    operand: &[f32],
+    acc: &mut [f32],
+) {
+    let steps = (tw * co, k * co);
+    while bits != 0 {
+        let ix = at + bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        let (x, tx) = (row[ix], ix + xpad);
+        if INTERIOR {
+            let at = ((oy_end * tw + tx + 1 - k) * co, ky * k * co);
+            // (all k output rows, the common case, is a literal trip count)
+            if rows == k {
+                unit_stride_runs::<WEIGHT_GRAD>(acc, operand, (x, k, k * co), at, steps);
+            } else {
+                unit_stride_runs::<WEIGHT_GRAD>(acc, operand, (x, rows, k * co), at, steps);
+            }
+        } else {
+            let oxs = axis_outputs(tx, 1, k, tw);
+            let at = ((oy_end * tw + oxs.start) * co, (ky * k + k - 1 - (tx - oxs.start)) * co);
+            unit_stride_runs::<WEIGHT_GRAD>(acc, operand, (x, rows, oxs.len() * co), at, steps);
+        }
+    }
+}
+
+/// One stride-1 spike `x`'s `rows` runs of `len` floats: the tile's from
+/// one output row above `oo` upwards, the packed weights' from `wo` on (the
+/// forward; the weight gradient swaps the roles of `acc` and `operand`).
+#[inline(always)]
+fn unit_stride_runs<const WEIGHT_GRAD: bool>(
+    acc: &mut [f32],
+    operand: &[f32],
+    (x, rows, len): (f32, usize, usize),
+    (mut oo, mut wo): (usize, usize),
+    (o_step, w_step): (usize, usize),
+) {
+    for _ in 0..rows {
+        oo -= o_step;
+        if WEIGHT_GRAD {
+            add_taps(&mut acc[wo..][..len], x, &operand[oo..][..len]);
+        } else {
+            add_taps(&mut acc[oo..][..len], x, &operand[wo..][..len]);
+        }
+        wo += w_step;
     }
 }
 
@@ -724,7 +923,7 @@ pub fn conv2d_ws_quant(
         qw.matmul_nt_bits_into(&bm, &mut out_mat);
         ws.recycle_bits(bm);
     }
-    tiles_into_nchw(out_mat, bias, [n, co, oh, ow], ws)
+    tiles_into_nchw(out_mat, bias, [n, co, oh, ow], 0, ws)
 }
 
 /// Packs `[c_out, c_in*k*k]` weights for the direct kernel: one `c_out`-wide
@@ -767,9 +966,20 @@ pub fn conv2d_backward(
     // dW: the scan over x, by input channel, into packed [pl, co] rows
     let mut packed = vec![0.0f32; pl * co];
     if n * oh * ow > 0 {
-        parallel::for_each_row_chunk(&mut packed, k * k * co, c, work, |first_ci, dw| {
-            simd::conv_weight_grad_chunk(x, [n, c, h, w], (oh, ow), g, *spec, first_ci, dw);
-        });
+        // nonzero-pass scratch by input channel: a worker's share covers its
+        // channels' planes
+        let words_len = nonzero_words_len(h * w);
+        let mut words = vec![0u64; c * words_len];
+        parallel::for_each_row_chunk_with(
+            (&mut packed, k * k * co),
+            (&mut words, words_len),
+            c,
+            work,
+            |first_ci, dw, words| {
+                let input = (x, words);
+                simd::conv_weight_grad_chunk(input, [n, c, h, w], (oh, ow), g, *spec, first_ci, dw);
+            },
+        );
     }
     let mut grad_weight = Tensor::zeros(&[co, pl]);
     for (o, dst) in grad_weight.data_mut().chunks_exact_mut(pl).enumerate() {

@@ -157,6 +157,31 @@ where
     scope_chunks(out.chunks_mut(rows_per_chunk * row_len), |i, chunk| f(i * rows_per_chunk, chunk));
 }
 
+/// [`for_each_row_chunk`] with a second buffer split by the same rows: the
+/// worker that gets rows `first_row..` of `out` (`row_len` elements each)
+/// also gets the same rows of `scratch` (`scratch_len` elements each), a
+/// per-row scratch that no other worker touches.
+pub(crate) fn for_each_row_chunk_with<S, F>(
+    (out, row_len): (&mut [f32], usize),
+    (scratch, scratch_len): (&mut [S], usize),
+    rows: usize,
+    work: usize,
+    f: F,
+) where
+    S: Send,
+    F: Fn(usize, &mut [f32], &mut [S]) + Sync,
+{
+    debug_assert_eq!((out.len(), scratch.len()), (rows * row_len, rows * scratch_len));
+    let threads = threads_for(work, rows);
+    if threads <= 1 || rows == 0 {
+        f(0, out, scratch);
+        return;
+    }
+    let per = rows.div_ceil(threads);
+    let chunks = out.chunks_mut(per * row_len).zip(scratch.chunks_mut(per * scratch_len));
+    scope_chunks(chunks, |i, (out, scratch)| f(i * per, out, scratch));
+}
+
 /// Maps `f` over contiguous chunks of `items` (one chunk per worker) and
 /// concatenates the per-chunk outputs in chunk order, preserving item order.
 ///
@@ -230,6 +255,31 @@ mod tests {
                     for c in 0..row_len {
                         assert_eq!(buf[r * row_len + c], r as f32, "row {r} col {c}");
                     }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn row_chunks_with_scratch_split_both_buffers_by_the_same_rows() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        for threads in [1, 2, 3, 8] {
+            with_threads(threads, || {
+                let (rows, row_len, scratch_len) = (13, 4, 3);
+                let mut buf = vec![0.0f32; rows * row_len];
+                let mut scratch = vec![0usize; rows * scratch_len];
+                let split = ((&mut buf[..], row_len), (&mut scratch[..], scratch_len));
+                for_each_row_chunk_with(split.0, split.1, rows, usize::MAX, |first, chunk, s| {
+                    assert_eq!(chunk.len() / row_len, s.len() / scratch_len);
+                    let pairs = chunk.chunks_mut(row_len).zip(s.chunks_mut(scratch_len));
+                    for (r, (row, s)) in (first..).zip(pairs) {
+                        row.fill(r as f32);
+                        s.fill(r);
+                    }
+                });
+                for r in 0..rows {
+                    assert!(buf[r * row_len..][..row_len].iter().all(|&v| v == r as f32));
+                    assert!(scratch[r * scratch_len..][..scratch_len].iter().all(|&s| s == r));
                 }
             });
         }

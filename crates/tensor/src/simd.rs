@@ -46,13 +46,17 @@
 //! Train pass / average pool or its backward, one per sample of the
 //! convolution's scatter, one per worker's row chunk of a matmul or bias add
 //! (the entry is called inside
-//! [`crate::parallel::for_each_row_chunk`]'s closure, never per row). A body
-//! keeps its hot loops out of closures and non-inlined helpers: a callee
-//! LLVM declines to inline is compiled for the baseline and called from the
-//! vector entry — bitwise correct, at the wrong width (`scripts/ci.sh`'s
-//! `vector_width` stage reads the disassembly for exactly that). The
-//! quantized integer dot ([`crate::QuantizedWeights`]) is a bit-scan —
-//! integer code with nothing to widen — and is not tiered at all.
+//! [`crate::parallel::for_each_row_chunk`]'s closure, never per row). The
+//! scatter's entry is still one per sample: its nonzero pass and its
+//! instantiations with literal kernel extent and `c_out` (3×3 at 32 and 64,
+//! then one reading the extents at run time per stride class) are all
+//! inlined into it, picked by a `match` on the layer's shape once per
+//! sample. A body keeps its hot loops out of closures and non-inlined
+//! helpers: a callee LLVM declines to inline is compiled for the baseline
+//! and called from the vector entry — bitwise correct, at the wrong width
+//! (`scripts/ci.sh`'s `vector_width` stage reads the disassembly for exactly
+//! that). The quantized integer dot ([`crate::QuantizedWeights`]) is a
+//! bit-scan — integer code with nothing to widen — and is not tiered at all.
 //!
 //! # Exactness notes
 //!
@@ -283,7 +287,7 @@ macro_rules! per_tier {
 per_tier! {
     /// One sample of the direct convolution at the active tier.
     pub(crate) fn conv_scatter_sample(
-        src: &[f32],
+        input: (&[f32], &mut [u64]),
         dims: [usize; 3],
         out_hw: (usize, usize),
         w_t: &[f32],
@@ -296,7 +300,7 @@ per_tier! {
     /// The convolution's weight gradient of one chunk of input channels at
     /// the active tier.
     pub(crate) fn conv_weight_grad_chunk(
-        src: &[f32],
+        input: (&[f32], &mut [u64]),
         dims: [usize; 4],
         out_hw: (usize, usize),
         gmat: &[f32],

@@ -30,7 +30,7 @@
 //!   boundary and stays aligned across recycling, so the SIMD kernels see
 //!   cache-line-aligned rows for the life of the loop.
 
-use crate::{AlignedVec, BitMatrix, Tensor};
+use crate::{AlignedVec, AlignedWords, BitMatrix, Tensor};
 
 /// Freelist cap: more parked buffers than this and the oldest is dropped.
 /// A full VGG/ResNet eval pass keeps well under this many live scratch
@@ -41,9 +41,10 @@ const MAX_FREE: usize = 64;
 /// Allocation counters for the zero-allocation claim.
 ///
 /// `takes` counts every [`Workspace::take`] and
-/// [`Workspace::take_overwrite`]; `misses` counts the subset that had to
-/// allocate (no parked buffer with sufficient capacity). A warmed-up steady
-/// state shows `misses == 0` while `takes` keeps rising.
+/// [`Workspace::take_overwrite`] (and every take of the convolution's
+/// nonzero-word scratch); `misses` counts the subset that had to allocate
+/// (no parked buffer with sufficient capacity). A warmed-up steady state
+/// shows `misses == 0` while `takes` keeps rising.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkspaceStats {
     /// Total buffer requests served.
@@ -57,6 +58,7 @@ pub struct WorkspaceStats {
 pub struct Workspace {
     free: Vec<AlignedVec>,
     bits: BitMatrix,
+    words: AlignedWords,
     takes: u64,
     misses: u64,
 }
@@ -154,6 +156,25 @@ impl Workspace {
     /// Returns the bitset scratch taken with [`Workspace::take_bits`].
     pub fn recycle_bits(&mut self, bm: BitMatrix) {
         self.bits = bm;
+    }
+
+    /// Borrows the arena's `u64` scratch at `len` words of unspecified
+    /// content (the convolution's nonzero pass writes every word it reads);
+    /// return it with [`Workspace::recycle_words`]. Counted like
+    /// [`Workspace::take`]: a miss when it has to grow.
+    pub(crate) fn take_words(&mut self, len: usize) -> AlignedWords {
+        self.takes += 1;
+        let mut words = std::mem::take(&mut self.words);
+        if words.capacity() < len {
+            self.misses += 1;
+        }
+        words.set_len(len);
+        words
+    }
+
+    /// Returns the scratch taken with [`Workspace::take_words`].
+    pub(crate) fn recycle_words(&mut self, words: AlignedWords) {
+        self.words = words;
     }
 
     /// Current allocation counters.

@@ -147,6 +147,28 @@ fn for_each_case(
             f(&spec, [2, 6, 7], kind, case.is_multiple_of(2), case, rng);
         }
     }
+    // the stride-1 3×3 shapes the scan runs with literal extents (c_out 32
+    // and 64) beside one it reads from the spec (c_out 35): padding 0, 1 and
+    // 2 leave the whole-kernel interior run empty, partial or covering the
+    // row; rows of one and two elements, one word and one element either
+    // side, two words and two; samples of whole and partial nonzero words
+    for co in [32, 64, 35] {
+        for padding in [0, 1, 2] {
+            for w in [1, 2, 63, 64, 65, 130] {
+                if w + 2 * padding < 3 {
+                    continue; // the kernel exceeds the padded row
+                }
+                for kind in KINDS {
+                    for n in [0, 1, 5] {
+                        case += 1;
+                        let (ci, h) = (1 + case % 2, 3);
+                        let spec = Conv2dSpec::new(ci, co, 3, 1, padding).unwrap();
+                        f(&spec, [n, h, w], kind, case.is_multiple_of(2), case, rng);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

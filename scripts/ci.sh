@@ -114,11 +114,14 @@ conformance() {
 # and tanhf.) No entry may contain an FMA: `avx512f` enables the `fma`
 # feature, and a fused multiply-add would change the rounding of every
 # kernel, so this is where "Rust never contracts" is checked on the binary.
-# The classifier head's kernel, `linear_chunk`, the convolution's two
-# backward kernels, `conv_weight_grad_chunk` and `conv_input_grad_sample`,
-# and the Train path's BatchNorm and pool kernels, `bn_train_forward`,
-# `bn_train_backward` and `avg_pool2d_grad`, must be among the entries, and
-# the `matmul_nt_chunk` the first replaced must not come back.
+# The classifier head's kernel, `linear_chunk`, the convolution's scatter,
+# `conv_scatter_sample` (its literal-extent instantiations live inside it:
+# one that stopped inlining would run at the baseline, bitwise correct and
+# without the gain), its two backward kernels, `conv_weight_grad_chunk` and
+# `conv_input_grad_sample`, and the Train path's BatchNorm and pool kernels,
+# `bn_train_forward`, `bn_train_backward` and `avg_pool2d_grad`, must be
+# among the entries, and the `matmul_nt_chunk` the first replaced must not
+# come back.
 vector_width() {
     if ! command -v objdump >/dev/null || [ "$(uname -m)" != x86_64 ]; then
         echo "vector_width: needs objdump on x86_64; skipped"
@@ -149,8 +152,9 @@ vector_width() {
             }
             if (!n) { print "vector_width: no per_tier! entry found in the rlib"; bad = 1 }
             split("avx2 avx512", tiers, " ")
-            split("linear_chunk conv_weight_grad_chunk conv_input_grad_sample " \
-                  "bn_train_forward bn_train_backward avg_pool2d_grad", required, " ")
+            split("linear_chunk conv_scatter_sample conv_weight_grad_chunk " \
+                  "conv_input_grad_sample bn_train_forward bn_train_backward " \
+                  "avg_pool2d_grad", required, " ")
             for (r in required) {
                 for (i in tiers) {
                     head = "<dtsnn_tensor::simd::" required[r] "::" tiers[i] ">:"
