@@ -53,7 +53,8 @@
 //!     ([`EventSim`]) must reproduce `CostModel::inference_cost` exactly:
 //!     bitwise on latency cycles, within 1e-9 relative on every energy
 //!     component, with and without the σ–E module, under 1 worker and
-//!     under 4.
+//!     under 4 — and so must a run that σ–E exits at every T̂ ≤ T, against
+//!     the ledger at integer T̂.
 //! 12. **No-fault cluster ≡ single server** — the sharded fault-tolerant
 //!     router with an empty fault schedule must be a transparent wrapper:
 //!     a 1-worker cluster reproduces the single-server replay bitwise
@@ -756,41 +757,50 @@ fn oracle_event_sim_matches_ledger(case: &FuzzCase) -> Result<(), String> {
     let mut densities: Vec<f32> =
         (0..cost.mapping().layers().len()).map(|_| rng.uniform(0.0, 1.0)).collect();
     densities[0] = 1.0;
+    let t_max = case.timesteps;
     for classes in [None, Some(case.classes)] {
-        let ledger = cost
-            .inference_cost(&densities, case.timesteps as f64, classes)
-            .map_err(|e| e.to_string())?;
-        for threads in [1usize, 4] {
-            let report = parallel::with_threads(threads, || {
-                let placement = Placement::linear(cost.mapping())?;
-                EventSim::new(&cost, placement, SimOptions::analytical_parity())?
-                    .run(&densities, case.timesteps, classes)
-            })
-            .map_err(|e| e.to_string())?;
-            if report.cost.latency_cycles != ledger.latency_cycles {
-                return Err(format!(
-                    "threads={threads} classes={classes:?}: event-sim latency {} cycles != \
-                     analytical {} cycles",
-                    report.cost.latency_cycles, ledger.latency_cycles
-                ));
-            }
-            for c in Component::ALL {
-                let sim = report.cost.energy.component(c);
-                let ana = ledger.energy.component(c);
-                let relative = (sim - ana).abs() / ana.abs().max(1e-12);
-                if relative > 1e-9 {
+        // T̂ = T is the plain run; an earlier exit needs σ–E to decide it
+        let first_exit = if classes.is_some() { 1 } else { t_max };
+        for t_hat in first_exit..=t_max {
+            let ledger = cost
+                .inference_cost(&densities, t_hat as f64, classes)
+                .map_err(|e| e.to_string())?;
+            for threads in [1usize, 4] {
+                let report = parallel::with_threads(threads, || {
+                    let placement = Placement::linear(cost.mapping())?;
+                    let sim = EventSim::new(&cost, placement, SimOptions::analytical_parity())?;
+                    if t_hat == t_max {
+                        sim.run(&densities, t_max, classes)
+                    } else {
+                        sim.run_exiting(&densities, t_max, t_hat, classes)
+                    }
+                })
+                .map_err(|e| e.to_string())?;
+                let at = format!("threads={threads} classes={classes:?} T̂={t_hat}/{t_max}");
+                if report.cost.latency_cycles != ledger.latency_cycles {
                     return Err(format!(
-                        "threads={threads} classes={classes:?}: component {} energy {sim} pJ \
-                         drifts from analytical {ana} pJ (relative {relative:e})",
-                        c.name()
+                        "{at}: event-sim latency {} cycles != analytical {} cycles",
+                        report.cost.latency_cycles, ledger.latency_cycles
                     ));
                 }
-            }
-            if (report.cost.timesteps - ledger.timesteps).abs() > 0.0 {
-                return Err(format!(
-                    "threads={threads}: executed timesteps {} != analytical {}",
-                    report.cost.timesteps, ledger.timesteps
-                ));
+                for c in Component::ALL {
+                    let sim = report.cost.energy.component(c);
+                    let ana = ledger.energy.component(c);
+                    let relative = (sim - ana).abs() / ana.abs().max(1e-12);
+                    if relative > 1e-9 {
+                        return Err(format!(
+                            "{at}: component {} energy {sim} pJ drifts from analytical {ana} pJ \
+                             (relative {relative:e})",
+                            c.name()
+                        ));
+                    }
+                }
+                if (report.cost.timesteps - ledger.timesteps).abs() > 0.0 {
+                    return Err(format!(
+                        "{at}: executed timesteps {} != analytical {}",
+                        report.cost.timesteps, ledger.timesteps
+                    ));
+                }
             }
         }
     }

@@ -40,7 +40,6 @@ mod energy;
 mod error;
 mod faults;
 mod mapping;
-mod pipeline;
 mod search;
 mod sigma_e;
 mod sim;
@@ -51,13 +50,12 @@ pub use energy::{Component, CostModel, EnergyBreakdown, InferenceCost};
 pub use error::ImcError;
 pub use faults::{FaultInjector, FaultModel, FaultReport};
 pub use mapping::{ChipMapping, MappedLayer};
-pub use pipeline::TimestepSchedule;
 pub use search::{
     pareto_front, provisioned_area_mm2, search_placement, AnnealOptions, ParetoPoint,
     SearchResult, TrajectoryPoint,
 };
 pub use sigma_e::{exact_normalized_entropy, SigmaEModule, SigmaEReading};
-pub use sim::{EventSim, Placement, SimOptions, SimReport};
+pub use sim::{EventSim, Placement, SimOptions, SimReport, TimestepSchedule};
 
 /// Crate-local result alias.
 pub type Result<T> = std::result::Result<T, ImcError>;

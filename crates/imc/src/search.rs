@@ -118,8 +118,8 @@ struct Evaluator {
 
 impl<'a> Objective<'a> {
     fn new(cost: &'a CostModel, densities: &[f32], options: &AnnealOptions) -> Result<Self> {
-        let prepared =
-            Prepared::new(cost, options.sim, densities, options.timesteps, options.classes)?;
+        let t = options.timesteps;
+        let prepared = Prepared::new(cost, options.sim, densities, t, t, options.classes)?;
         let layers = cost.mapping().layers();
         Ok(Objective { layers, mesh_side: mesh_side(layers), prepared, parked: Mutex::default() })
     }

@@ -23,6 +23,20 @@
 //! through the layer pipeline like a flow shop, and the σ–E module acts as
 //! one more serialized stage.
 //!
+//! # The exit
+//!
+//! [`EventSim::run_exiting`] simulates one request that exits at `T̂ ≤ T`:
+//! once σ–E has scored timestep `T̂`, layer 0 starts no new timestep. A
+//! timestep that layer 0 started before that decision is already in flight
+//! and drains to completion; it is charged as executed work (datapath,
+//! pipeline overhead and σ–E), and the run's latency is the last drain's
+//! finish. Sequentially nothing is in flight when σ–E decides, so a run
+//! exiting at `T̂` is exactly a run of `T̂` timesteps — the ledger at integer
+//! `T̂`. Pipelined, the timesteps started behind `T̂` are the waste Sec.
+//! III-B avoids: *"Timesteps are processed sequentially without pipelining.
+//! This eliminates the delay and hardware overhead … required to empty the
+//! pipeline in case of dynamic timestep inference."*
+//!
 //! # Parity guarantee (fuzz oracle 11)
 //!
 //! With the default options — Sequential schedule, contention off — the
@@ -36,9 +50,9 @@
 //! # One engine, prepared once
 //!
 //! A run splits into a `Prepared` part — everything that depends on the
-//! cost model, options, densities, T and σ–E width but not on the placement
-//! (durations, link service cycles, the energy ledger, the tallies) — and a
-//! per-placement event loop over the reusable buffers of an `Engine`.
+//! cost model, options, densities, T, T̂ and σ–E width but not on the
+//! placement (durations, link service cycles, the per-timestep energy) —
+//! and a per-placement event loop over the reusable buffers of an `Engine`.
 //! [`EventSim::run`] prepares and runs once; the mapping search prepares
 //! once per search and runs every candidate on one warm engine per worker.
 //! The engine is single-threaded and pops events from a binary heap keyed
@@ -50,8 +64,24 @@ use std::collections::BinaryHeap;
 
 use crate::energy::{Component, CostModel, EnergyBreakdown, InferenceCost};
 use crate::mapping::{ChipMapping, MappedLayer};
-use crate::pipeline::{TimestepSchedule, PIPELINE_ENERGY_OVERHEAD};
 use crate::{ImcError, Result};
+
+/// How timesteps are scheduled onto the tiled datapath.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum TimestepSchedule {
+    /// One timestep fully traverses the network before the next starts —
+    /// the paper's DT-SNN design point (nothing to flush on exit).
+    #[default]
+    Sequential,
+    /// Layers act as pipeline stages; timestep `t+1` enters layer 1 while
+    /// timestep `t` is in layer 2, etc. Higher static throughput, but an
+    /// early exit finds later timesteps already in flight.
+    Pipelined,
+}
+
+/// Relative energy overhead of pipeline registers/control per dynamic
+/// energy unit (the "hardware overhead" the paper mentions).
+const PIPELINE_ENERGY_OVERHEAD: f64 = 0.06;
 
 /// Assignment of layers to tile blocks on the mesh.
 ///
@@ -290,47 +320,66 @@ enum Event {
 }
 
 /// The placement-independent part of a run, computed once from the cost
-/// model, the options, the densities, T and the σ–E width. The same kernels
-/// as the ledger produce every number here.
+/// model, the options, the densities, T, T̂ and the σ–E width. The same
+/// kernels as the ledger produce every number here.
 #[derive(Debug)]
 pub(crate) struct Prepared {
     options: SimOptions,
     timesteps: usize,
+    /// The timestep whose σ–E score ends the run (`timesteps` = no exit).
+    t_hat: usize,
     /// Datapath cycles of one timestep, per layer.
     durations: Vec<u64>,
-    /// σ–E cycles per timestep when the module is engaged.
-    sigma_cycles: Option<u64>,
+    /// σ–E cycles and energy per timestep when the module is engaged.
+    sigma: Option<(u64, f64)>,
     /// Packed spike bytes layer `l` sends to `l + 1` per timestep.
     bytes: Vec<f64>,
     /// Cycles each hop of that transfer occupies a link.
     service: Vec<u64>,
-    /// The energy ledger without the placement's extra-hop surcharge.
-    energy: EnergyBreakdown,
+    /// Dynamic energy of one timestep, and the fixed per-inference energy.
+    per_t: EnergyBreakdown,
+    fixed: EnergyBreakdown,
+    /// Dynamic energy multiplier of the schedule.
+    overhead: f64,
     interconnect_byte: f64,
     clock_ns: f64,
-    crossbar_reads: u64,
-    adc_conversions: u64,
+    /// Crossbar reads and ADC conversions of one timestep.
+    tallies: [u64; 2],
 }
 
 impl Prepared {
-    /// Prepares runs of `timesteps` steps at the given per-layer input spike
+    /// Prepares runs of up to `timesteps` steps that exit once σ–E has
+    /// scored timestep `t_hat`, at the given per-layer input spike
     /// densities, with the σ–E module engaged when `classes` is `Some`.
     ///
     /// # Errors
     ///
     /// Returns [`ImcError::InvalidConfig`] for degenerate options, zero
-    /// timesteps or a layers × timesteps table that cannot be addressed,
-    /// and [`ImcError::ActivityMismatch`] for wrong density counts.
+    /// timesteps, a `t_hat` outside `1..=timesteps`, an early exit without
+    /// σ–E to decide it, or a layers × timesteps table that cannot be
+    /// addressed, and [`ImcError::ActivityMismatch`] for wrong density
+    /// counts.
     pub(crate) fn new(
         cost: &CostModel,
         options: SimOptions,
         densities: &[f32],
         timesteps: usize,
+        t_hat: usize,
         classes: Option<usize>,
     ) -> Result<Self> {
         options.validate()?;
         if timesteps == 0 {
             return Err(ImcError::InvalidConfig("timesteps must be positive, got 0".into()));
+        }
+        if t_hat == 0 || t_hat > timesteps {
+            return Err(ImcError::InvalidConfig(format!(
+                "exit timestep {t_hat} outside 1..={timesteps}"
+            )));
+        }
+        if t_hat < timesteps && classes.is_none() {
+            return Err(ImcError::InvalidConfig(format!(
+                "an exit at {t_hat} of {timesteps} timesteps needs the σ–E module to decide it"
+            )));
         }
         cost.check_densities(densities)?;
         let layers = cost.mapping().layers();
@@ -340,9 +389,8 @@ impl Prepared {
                 "{timesteps} timesteps of {n} layers overflow the event table"
             )));
         }
-        let t_f = timesteps as f64;
         let durations = layers.iter().map(|l| cost.layer_compute_cycles(l)).collect();
-        let sigma_cycles = classes.map(|k| cost.sigma_e_latency(k));
+        let sigma = classes.map(|k| (cost.sigma_e_latency(k), cost.sigma_e_energy(k)));
         // packed spikes, scaled by the consumer's input density
         let bytes: Vec<f64> = (0..n.saturating_sub(1))
             .map(|l| layers[l].output_neurons as f64 / 8.0 * densities[l + 1] as f64)
@@ -352,45 +400,35 @@ impl Prepared {
             .map(|b| ((b / options.link_bytes_per_cycle).ceil() as u64).max(1))
             .collect();
 
-        // energy: same activity counts as the ledger, so the breakdown is
-        // reproduced bitwise in parity mode
-        let per_t = cost.timestep_energy(densities)?;
         let overhead = match options.schedule {
             TimestepSchedule::Sequential => 1.0,
             TimestepSchedule::Pipelined => 1.0 + PIPELINE_ENERGY_OVERHEAD,
         };
-        let mut energy = per_t.scaled(t_f * overhead);
-        energy.accumulate(&cost.fixed_energy(densities)?);
-        if let Some(k) = classes {
-            energy.add(Component::SigmaE, cost.sigma_e_energy(k) * t_f);
-        }
-
-        // event tallies from the same counts the ledger integrates,
-        // saturating at u64::MAX
-        let mut crossbar_reads = 0u64;
-        let mut adc_conversions = 0u64;
-        let per_run = |counts: [usize; 3]| {
-            counts.iter().fold(timesteps as u64, |p, &c| p.saturating_mul(c as u64))
-        };
-        for layer in layers {
-            let vp = layer.vector_presentations;
-            crossbar_reads = crossbar_reads.saturating_add(per_run([vp, layer.crossbars, 1]));
-            adc_conversions = adc_conversions
-                .saturating_add(per_run([vp, layer.physical_cols, layer.row_segments]));
+        // event tallies of one timestep from the same counts the ledger
+        // integrates, saturating at u64::MAX
+        let mut tallies = [0u64; 2];
+        for l in layers {
+            let vp = l.vector_presentations as u64;
+            let reads = vp.saturating_mul(l.crossbars as u64);
+            let conversions =
+                vp.saturating_mul(l.physical_cols as u64).saturating_mul(l.row_segments as u64);
+            tallies = [tallies[0].saturating_add(reads), tallies[1].saturating_add(conversions)];
         }
 
         Ok(Prepared {
             options,
             timesteps,
+            t_hat,
             durations,
-            sigma_cycles,
+            sigma,
             bytes,
             service,
-            energy,
+            per_t: cost.timestep_energy(densities)?,
+            fixed: cost.fixed_energy(densities)?,
+            overhead,
             interconnect_byte: cost.config().energy.interconnect_byte,
             clock_ns: cost.config().latency.clock_ns,
-            crossbar_reads,
-            adc_conversions,
+            tallies,
         })
     }
 
@@ -409,14 +447,22 @@ impl Prepared {
     ) -> Result<SimReport> {
         engine.simulate(self, anchors, mesh_side)?;
         let n = self.durations.len();
-        let latency_cycles = engine.finish.iter().copied().max().unwrap_or(0);
-        let mut energy = self.energy.clone();
+        let executed = engine.done;
+        let finish = &engine.finish[..executed];
+        let latency_cycles = finish.iter().copied().max().unwrap_or(0);
+        // energy: same activity counts and composition order as the ledger,
+        // so the breakdown is reproduced bitwise in parity mode
+        let t_f = executed as f64;
+        let mut energy = self.per_t.scaled(t_f * self.overhead);
+        energy.accumulate(&self.fixed);
+        if let Some((_, sigma_pj)) = self.sigma {
+            energy.add(Component::SigmaE, sigma_pj * t_f);
+        }
         if self.options.contention {
             // placement-aware surcharge: the ledger's flat interconnect term
             // already charges one traversal per output byte; every extra XY
             // hop beyond the first costs another byte-hop. This is what
             // gives the mapping search its spatial gradient.
-            let t_f = self.timesteps as f64;
             for l in 0..n.saturating_sub(1) {
                 let extra_hops = hops(anchors[l], anchors[l + 1]).saturating_sub(1) as f64;
                 energy.add(
@@ -425,19 +471,17 @@ impl Prepared {
                 );
             }
         }
+        // a saturating product or sum is the exact one capped at u64::MAX,
+        // whatever its grouping, so this is the per-layer, per-run tally
+        let [reads, conversions] = self.tallies.map(|tally| tally.saturating_mul(executed as u64));
         Ok(SimReport {
-            cost: InferenceCost {
-                energy,
-                latency_cycles,
-                clock_ns: self.clock_ns,
-                timesteps: self.timesteps as f64,
-            },
-            crossbar_reads: self.crossbar_reads,
-            adc_conversions: self.adc_conversions,
+            cost: InferenceCost { energy, latency_cycles, clock_ns: self.clock_ns, timesteps: t_f },
+            crossbar_reads: reads,
+            adc_conversions: conversions,
             link_flits: engine.link_flits,
             link_stall_cycles: engine.link_stall_cycles,
             buffer_stall_cycles: engine.buffer_stall_cycles,
-            timestep_finish: engine.finish.clone(),
+            timestep_finish: finish.to_vec(),
             events: engine.events,
         })
     }
@@ -458,6 +502,12 @@ pub(crate) struct Engine {
     /// Next timestep each layer computes, and when its datapath frees.
     next_t: Vec<usize>,
     layer_free: Vec<u64>,
+    /// When layer 0 started each timestep it scheduled.
+    started: Vec<u64>,
+    /// Timesteps layer 0 computed: those that entered the chip.
+    entered: usize,
+    /// When σ–E finishes scoring timestep T̂, once that score is scheduled.
+    exit_at: Option<u64>,
     /// Chip-exit time of each timestep; the first `done` are final.
     finish: Vec<u64>,
     done: usize,
@@ -495,6 +545,7 @@ impl Engine {
         let timesteps = p.timesteps;
         refill(&mut self.arrival, n * timesteps, 0)?; // `Prepared::new` bounds n × T
         refill(&mut self.finish, timesteps, 0)?;
+        refill(&mut self.started, timesteps, 0)?;
         refill(&mut self.arrived, n, 0)?;
         refill(&mut self.next_t, n, 0)?;
         refill(&mut self.layer_free, n, 0)?;
@@ -528,6 +579,8 @@ impl Engine {
         self.heap.clear();
         self.pushed.clear();
         self.done = 0;
+        self.entered = 0;
+        self.exit_at = None;
         self.sigma_free = 0;
         (self.link_flits, self.link_stall_cycles, self.buffer_stall_cycles, self.events) =
             (0, 0, 0, 0);
@@ -538,7 +591,11 @@ impl Engine {
         while let Some(Reverse((now, seq))) = self.heap.pop() {
             self.events += 1;
             match self.pushed[seq] {
+                // layer 0 scheduled it before σ–E's exit decision was known,
+                // to start at or after that decision: it never ran
+                Event::Compute { t, l: 0 } if self.after_exit(p, t, self.started[t]) => {}
                 Event::Compute { t, l } if l + 1 < n => {
+                    self.entered += usize::from(l == 0);
                     let route = &self.routes[self.route_at[l]..self.route_at[l + 1]];
                     if !p.options.contention || route.is_empty() {
                         // transfer is free: it overlaps with compute
@@ -557,26 +614,41 @@ impl Engine {
                         self.push(tau, Event::Transfer { t, l });
                     }
                 }
-                Event::Compute { t, .. } => match p.sigma_cycles {
-                    Some(cycles) => {
-                        // σ–E is one more serialized stage
-                        let start = now.max(self.sigma_free);
-                        self.sigma_free = start.saturating_add(cycles);
-                        self.push(self.sigma_free, Event::Sigma { t });
+                Event::Compute { t, l } => {
+                    self.entered += usize::from(l == 0);
+                    match p.sigma {
+                        Some((cycles, _)) => {
+                            // σ–E is one more serialized stage
+                            let start = now.max(self.sigma_free);
+                            self.sigma_free = start.saturating_add(cycles);
+                            if t + 1 == p.t_hat {
+                                self.exit_at = Some(self.sigma_free);
+                            }
+                            self.push(self.sigma_free, Event::Sigma { t });
+                        }
+                        None => self.exit(p, t, now),
                     }
-                    None => self.exit(p, t, now),
-                },
+                }
                 Event::Transfer { t, l } => self.arrive(p, t, l, now),
                 Event::Sigma { t } => self.exit(p, t, now),
             }
         }
 
-        if self.next_t.iter().any(|&t| t < timesteps) {
+        // every timestep that entered drained, and all of them did unless
+        // σ–E exited
+        let expected = if self.exit_at.is_some() { self.entered } else { timesteps };
+        if self.done != expected {
             return Err(ImcError::InvalidConfig(
                 "event simulator deadlocked before completing all timesteps".into(),
             ));
         }
         Ok(())
+    }
+
+    /// Whether layer 0 starting timestep `t` at `start` comes too late: a
+    /// timestep past T̂ that would start once σ–E has scored T̂.
+    fn after_exit(&self, p: &Prepared, t: usize, start: u64) -> bool {
+        t >= p.t_hat && self.exit_at.is_some_and(|exit| start >= exit)
     }
 
     fn push(&mut self, time: u64, event: Event) {
@@ -627,18 +699,24 @@ impl Engine {
             // `buffer_slots` credits at time 0, and the k-th returned one is
             // timestep k's arrival at the next layer, so compute t takes
             // that of timestep t − buffer_slots.
+            let mut stall = 0;
             if l + 1 < n {
                 if let Some(k) = t.checked_sub(p.options.buffer_slots) {
                     if self.arrived[l + 1] <= k {
                         break;
                     }
                     let credit = self.arrival[(l + 1) * timesteps + k];
-                    if credit > ready {
-                        self.buffer_stall_cycles += credit - ready;
-                    }
+                    stall = credit.saturating_sub(ready);
                     ready = ready.max(credit);
                 }
             }
+            if l == 0 {
+                if self.after_exit(p, t, ready) {
+                    break; // σ–E has decided: layer 0 starts nothing more
+                }
+                self.started[t] = ready;
+            }
+            self.buffer_stall_cycles += stall;
             self.layer_free[l] = ready.saturating_add(p.durations[l]);
             self.next_t[l] = t + 1;
             self.push(self.layer_free[l], Event::Compute { t, l });
@@ -680,7 +758,7 @@ impl<'a> EventSim<'a> {
 
     /// Simulates one inference of `timesteps` steps at the given per-layer
     /// input spike densities, with the σ–E module engaged when `classes` is
-    /// `Some`.
+    /// `Some`: [`EventSim::run_exiting`] with no early exit.
     ///
     /// # Errors
     ///
@@ -693,7 +771,28 @@ impl<'a> EventSim<'a> {
         timesteps: usize,
         classes: Option<usize>,
     ) -> Result<SimReport> {
-        let prepared = Prepared::new(self.cost, self.options, densities, timesteps, classes)?;
+        self.run_exiting(densities, timesteps, timesteps, classes)
+    }
+
+    /// Simulates one request of a window of `t_max` timesteps that exits
+    /// once σ–E has scored timestep `t_hat` (see the module docs). The
+    /// report counts the executed timesteps: `t_hat` sequentially, and up to
+    /// `t_max` pipelined, where the timesteps in flight at the decision
+    /// drain.
+    ///
+    /// # Errors
+    ///
+    /// As [`EventSim::run`], plus [`ImcError::InvalidConfig`] for a `t_hat`
+    /// outside `1..=t_max`, and for `t_hat < t_max` with `classes = None`:
+    /// without σ–E nothing decides the exit.
+    pub fn run_exiting(
+        &self,
+        densities: &[f32],
+        t_max: usize,
+        t_hat: usize,
+        classes: Option<usize>,
+    ) -> Result<SimReport> {
+        let prepared = Prepared::new(self.cost, self.options, densities, t_max, t_hat, classes)?;
         prepared.run(&mut Engine::default(), &self.placement.anchors, self.placement.mesh_side)
     }
 }
@@ -848,8 +947,8 @@ mod tests {
 
     #[test]
     fn a_reused_engine_reproduces_fresh_runs() {
-        // one engine through placements, schedules and link rates in turn
-        // must report exactly what a fresh engine reports for each
+        // one engine through placements, schedules, link rates and exits in
+        // turn must report exactly what a fresh engine reports for each
         let m = model();
         let d = densities(&m);
         let n = d.len();
@@ -862,10 +961,13 @@ mod tests {
             let shuffle = (0..n).map(|k| (5 * k + 3) % n).collect();
             for order in [(0..n).collect::<Vec<_>>(), (0..n).rev().collect(), shuffle] {
                 let p = Placement::with_order(m.mapping(), order).unwrap();
-                let prepared = Prepared::new(&m, options, &d, 4, Some(10)).unwrap();
-                let reused = prepared.run(&mut engine, &p.anchors, p.mesh_side).unwrap();
-                let fresh = EventSim::new(&m, p, options).unwrap().run(&d, 4, Some(10)).unwrap();
-                assert_eq!(reused, fresh, "{options:?}");
+                for t_hat in [1, 4] {
+                    let prepared = Prepared::new(&m, options, &d, 4, t_hat, Some(10)).unwrap();
+                    let reused = prepared.run(&mut engine, &p.anchors, p.mesh_side).unwrap();
+                    let sim = EventSim::new(&m, p.clone(), options).unwrap();
+                    let fresh = sim.run_exiting(&d, 4, t_hat, Some(10)).unwrap();
+                    assert_eq!(reused, fresh, "T̂={t_hat} {options:?}");
+                }
             }
         }
     }
@@ -877,7 +979,7 @@ mod tests {
         let m = model();
         let d = densities(&m);
         let n = d.len();
-        let prepared = Prepared::new(&m, SimOptions::pipelined(), &d, 4, Some(10)).unwrap();
+        let prepared = Prepared::new(&m, SimOptions::pipelined(), &d, 4, 4, Some(10)).unwrap();
         let shuffle = (0..n).map(|k| (5 * k + 3) % n).collect();
         let placements: Vec<Placement> = [(0..n).collect(), (0..n).rev().collect(), shuffle]
             .into_iter()
@@ -930,5 +1032,15 @@ mod tests {
         assert_eq!(report.cost.latency_cycles, stage + sigma + 2 * stage.max(sigma));
         assert_eq!(report.link_flits, 0);
         assert_eq!(report.link_stall_cycles, 0);
+        // exiting at T̂ = 1 with a 2-class σ–E, shorter than the stage: σ–E
+        // decides at stage + σ. Timestep 1 started at `stage`, before the
+        // decision, and drains; timestep 2 would start at 2·stage, after it,
+        // and never runs. So the request costs what a 2-step run costs:
+        // 2·stage + σ cycles, and two timesteps of energy.
+        let sigma = m.sigma_e_latency(2);
+        assert!(sigma < stage);
+        let exit = sim.run_exiting(&d, 3, 1, Some(2)).unwrap();
+        assert_eq!(exit.cost, sim.run(&d, 2, Some(2)).unwrap().cost);
+        assert_eq!(exit.timestep_finish, [stage + sigma, 2 * stage + sigma]);
     }
 }

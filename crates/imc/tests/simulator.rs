@@ -8,11 +8,14 @@
 //! pipelined schedule lands exactly on the flow-shop closed form
 //! `Σ stages + (T−1)·bottleneck`; (3) contention and finite buffers only
 //! ever add latency; (4) the annealing search is seed-reproducible and
-//! bitwise invariant to the worker count.
+//! bitwise invariant to the worker count; (5) a request exiting at T̂ is,
+//! sequentially, exactly a T̂-step run, and pipelined, a run that drains
+//! what was in flight: T̂ ≤ executed ≤ T, never cheaper than the
+//! sequential run, and at T̂ = T the plain run bit for bit.
 
 use dtsnn_imc::{
-    search_placement, AnnealOptions, ChipMapping, Component, CostModel, EventSim,
-    HardwareConfig, Placement, SimOptions, TimestepSchedule,
+    search_placement, AnnealOptions, ChipMapping, Component, CostModel, EventSim, HardwareConfig,
+    ImcError, Placement, SimOptions, TimestepSchedule,
 };
 use dtsnn_snn::{resnet19_geometry, vgg16_geometry};
 use dtsnn_tensor::parallel::with_threads;
@@ -139,6 +142,100 @@ fn simulator_is_thread_count_invariant() {
     let one = with_threads(1, run);
     let four = with_threads(4, run);
     assert_eq!(one, four);
+}
+
+/// Linear, reversed and one fixed shuffled placement of `m`'s layers.
+fn placements(m: &CostModel) -> Vec<Placement> {
+    let n = m.mapping().layers().len();
+    let shuffle = (0..n).map(|k| (5 * k + 3) % n).collect();
+    [(0..n).collect(), (0..n).rev().collect(), shuffle]
+        .into_iter()
+        .map(|order| Placement::with_order(m.mapping(), order).unwrap())
+        .collect()
+}
+
+#[test]
+fn a_sequential_exit_is_a_run_of_that_many_timesteps() {
+    // nothing is in flight when σ–E decides, so stalls, events and finish
+    // times all match the shorter run, on free and on contended links
+    let slow_links =
+        SimOptions { contention: true, link_bytes_per_cycle: 0.1, ..SimOptions::default() };
+    for geometries in [vgg16_geometry(32, 3, 10), resnet19_geometry(32, 3, 10)] {
+        let m = model(&geometries);
+        let d = densities(&m);
+        for options in [SimOptions::analytical_parity(), slow_links] {
+            for placement in placements(&m) {
+                let sim = EventSim::new(&m, placement, options).unwrap();
+                for t_hat in 1..=4 {
+                    assert_eq!(
+                        sim.run_exiting(&d, 4, t_hat, Some(10)).unwrap(),
+                        sim.run(&d, t_hat, Some(10)).unwrap(),
+                        "T̂={t_hat} {options:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_pipelined_exit_drains_what_is_in_flight() {
+    const T: usize = 4;
+    let free = SimOptions { schedule: TimestepSchedule::Pipelined, ..SimOptions::default() };
+    let starved =
+        SimOptions { link_bytes_per_cycle: 0.05, buffer_slots: 1, ..SimOptions::pipelined() };
+    let mut wasted = 0.0;
+    for geometries in [vgg16_geometry(32, 3, 10), resnet19_geometry(32, 3, 10)] {
+        let m = model(&geometries);
+        let d = densities(&m);
+        for options in [free, SimOptions::pipelined(), starved] {
+            for placement in placements(&m) {
+                let sequential = SimOptions { schedule: TimestepSchedule::Sequential, ..options };
+                let seq_sim = EventSim::new(&m, placement.clone(), sequential).unwrap();
+                let sim = EventSim::new(&m, placement, options).unwrap();
+                let full = sim.run(&d, T, Some(10)).unwrap();
+                assert_eq!(sim.run_exiting(&d, T, T, Some(10)).unwrap(), full, "{options:?}");
+                for t_hat in 1..T {
+                    let run = sim.run_exiting(&d, T, t_hat, Some(10)).unwrap();
+                    let executed = run.cost.timesteps;
+                    let what = format!("T̂={t_hat} {options:?}");
+                    assert!((t_hat as f64..=T as f64).contains(&executed), "{what}: {executed}");
+                    assert_eq!(run.timestep_finish.len() as f64, executed, "{what}");
+                    assert_eq!(run.timestep_finish.last(), Some(&run.cost.latency_cycles));
+                    // what ran before the decision is what the full run ran,
+                    // and the drain only loses contention to later timesteps
+                    let before = &run.timestep_finish[..t_hat];
+                    assert_eq!(before, &full.timestep_finish[..t_hat], "{what}");
+                    for (a, b) in run.timestep_finish.iter().zip(&full.timestep_finish) {
+                        assert!(a <= b, "{what}");
+                    }
+                    let seq = seq_sim.run(&d, t_hat, Some(10)).unwrap();
+                    assert!(run.cost.energy_pj() >= seq.cost.energy_pj(), "{what}");
+                    wasted += executed - t_hat as f64;
+                }
+            }
+        }
+    }
+    // some exit found timesteps in flight
+    assert!(wasted > 0.0);
+}
+
+#[test]
+fn hostile_exits_are_typed_errors() {
+    let m = model(&vgg16_geometry(32, 3, 10));
+    let d = densities(&m);
+    let sim = EventSim::new(&m, Placement::linear(m.mapping()).unwrap(), SimOptions::pipelined())
+        .unwrap();
+    // T̂ = 0, T̂ past the window, and an early exit without σ–E to decide it
+    let hostile = [(0, Some(10)), (0, None), (5, Some(10)), (usize::MAX, None), (2, None)];
+    for (t_hat, classes) in hostile {
+        assert!(
+            matches!(sim.run_exiting(&d, 4, t_hat, classes), Err(ImcError::InvalidConfig(_))),
+            "T̂={t_hat} classes={classes:?}"
+        );
+    }
+    // a static run of the whole window needs no σ–E
+    assert_eq!(sim.run_exiting(&d, 4, 4, None).unwrap(), sim.run(&d, 4, None).unwrap());
 }
 
 fn smoke_search_options() -> AnnealOptions {

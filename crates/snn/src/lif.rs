@@ -64,8 +64,11 @@ impl LifConfig {
         if !(self.tau > 0.0 && self.tau <= 1.0) {
             return Err(SnnError::InvalidConfig(format!("tau must be in (0,1], got {}", self.tau)));
         }
-        if self.v_th <= 0.0 {
-            return Err(SnnError::InvalidConfig(format!("v_th must be positive, got {}", self.v_th)));
+        if !(self.v_th > 0.0 && self.v_th.is_finite()) {
+            return Err(SnnError::InvalidConfig(format!(
+                "v_th must be positive and finite, got {}",
+                self.v_th
+            )));
         }
         if let Some(b) = self.smooth_spike {
             if !(b > 0.0 && b.is_finite()) {
@@ -316,6 +319,9 @@ mod tests {
         assert!(LifConfig { tau: 0.0, ..LifConfig::default() }.validate().is_err());
         assert!(LifConfig { tau: 1.5, ..LifConfig::default() }.validate().is_err());
         assert!(LifConfig { v_th: -1.0, ..LifConfig::default() }.validate().is_err());
+        for v_th in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(LifConfig { v_th, ..LifConfig::default() }.validate().is_err(), "{v_th}");
+        }
         assert!(LifConfig::default().validate().is_ok());
     }
 

@@ -62,8 +62,11 @@ impl ModelConfig {
         if self.in_channels == 0 || self.num_classes == 0 || self.width == 0 {
             return Err(SnnError::InvalidConfig("channels/classes/width must be nonzero".into()));
         }
-        if self.tdbn_alpha <= 0.0 {
-            return Err(SnnError::InvalidConfig("tdbn_alpha must be positive".into()));
+        if !(self.tdbn_alpha > 0.0 && self.tdbn_alpha.is_finite()) {
+            return Err(SnnError::InvalidConfig(format!(
+                "tdbn_alpha must be positive and finite, got {}",
+                self.tdbn_alpha
+            )));
         }
         if self.image_size < 8 || !self.image_size.is_multiple_of(4) {
             return Err(SnnError::InvalidConfig(format!(
@@ -441,6 +444,14 @@ mod tests {
         c.image_size = 16;
         c.num_classes = 0;
         assert!(c.validate().is_err());
+        c.num_classes = 10;
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0] {
+            let alpha = ModelConfig { tdbn_alpha: bad, ..c };
+            assert!(alpha.validate().is_err(), "tdbn_alpha {bad}");
+            let lif = ModelConfig { lif: LifConfig { v_th: bad, ..c.lif }, ..c };
+            assert!(lif.validate().is_err(), "v_th {bad}");
+        }
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -81,16 +81,11 @@ impl Sgd {
         let wd = self.config.weight_decay;
         network.visit_params(&mut |p| {
             let decay = if p.decay { wd } else { 0.0 };
-            let value = p.value.data().to_vec();
-            let m = p.momentum.data_mut();
-            let g = p.grad.data();
-            for i in 0..m.len() {
-                m[i] = mu * m[i] + g[i] + decay * value[i];
-            }
-            let mom = p.momentum.data().to_vec();
-            let v = p.value.data_mut();
-            for i in 0..v.len() {
-                v[i] -= lr * mom[i];
+            let values = p.value.data_mut().iter_mut();
+            let momenta = p.momentum.data_mut().iter_mut();
+            for ((v, m), g) in values.zip(momenta).zip(p.grad.data()) {
+                *m = mu * *m + g + decay * *v;
+                *v -= lr * *m;
             }
             p.zero_grad();
         });

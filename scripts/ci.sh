@@ -75,10 +75,13 @@ serving() {
 }
 
 # Event model ≡ analytical ledger, the flow-shop closed form, and seeded
-# annealing trajectories identical at any worker count; then the literal
-# pins: simulator reports (both schedules, σ–E on and off, link and buffer
-# stalls) and two chip_map searches, recorded before the engine was split
-# into its placement-independent and per-placement halves.
+# annealing trajectories identical at any worker count; exit runs: a
+# sequential exit at T̂ ≡ a T̂-step run, a pipelined exit drains what is in
+# flight (T̂ ≤ executed ≤ T, never cheaper than sequential, T̂ = T ≡ the
+# plain run), hostile T̂ a typed error; then the literal pins: simulator
+# reports (both schedules, σ–E on and off, link and buffer stalls) and two
+# chip_map searches, recorded before the engine was split into its
+# placement-independent and per-placement halves.
 simulator() { t imc --test simulator --test sim_pin; }
 
 # Bit for bit, each test pinning thread count and tier per case (the ambient
