@@ -146,6 +146,21 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_cost_rejects_a_non_finite_mean_timestep() {
+        // the mean T̂ of an empty evaluation is 0/0: a typed error, never a
+        // NaN energy with zero latency
+        let p = profile();
+        let act = activity(vec![0.15; 5]);
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = p.dynamic_cost(&act, t);
+            assert!(
+                matches!(err, Err(crate::CoreError::Imc(dtsnn_imc::ImcError::InvalidConfig(_)))),
+                "T̂ = {t}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn sigma_e_overhead_present_but_small_at_equal_t() {
         let p = profile();
         let act = activity(vec![0.15; 5]);

@@ -333,16 +333,17 @@ impl CostModel {
     /// # Errors
     ///
     /// Returns [`ImcError::ActivityMismatch`] for wrong density counts and
-    /// [`ImcError::InvalidConfig`] for non-positive timesteps.
+    /// [`ImcError::InvalidConfig`] for timesteps that are not a positive
+    /// finite number (NaN included: the mean T̂ of an empty evaluation).
     pub fn inference_cost(
         &self,
         densities: &[f32],
         timesteps: f64,
         classes: Option<usize>,
     ) -> Result<InferenceCost> {
-        if timesteps <= 0.0 {
+        if !(timesteps.is_finite() && timesteps > 0.0) {
             return Err(ImcError::InvalidConfig(format!(
-                "timesteps must be positive, got {timesteps}"
+                "timesteps must be positive and finite, got {timesteps}"
             )));
         }
         let per_t = self.timestep_energy(densities)?;
@@ -522,6 +523,23 @@ mod tests {
         assert!(model.timestep_energy(&d).is_err());
         let d = nominal_densities(&model);
         assert!(model.inference_cost(&d, 0.0, None).is_err());
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_timesteps_are_rejected() {
+        // NaN fails every comparison, so a `t <= 0` guard alone let it
+        // through (NaN energy, 0 cycles), and +inf saturated to u64::MAX
+        let model = vgg16_model();
+        let d = nominal_densities(&model);
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            for classes in [None, Some(10)] {
+                assert!(
+                    matches!(model.inference_cost(&d, t, classes), Err(ImcError::InvalidConfig(_))),
+                    "T̂ = {t}, classes = {classes:?}"
+                );
+            }
+        }
+        assert!(model.inference_cost(&d, f64::MIN_POSITIVE, Some(10)).is_ok());
     }
 
     #[test]

@@ -7,22 +7,28 @@
 //! words (one bit per element, whole-vector compares), then the scan walks
 //! the set bits in `(ci, iy, ix)` raster order and adds `x` times the packed
 //! `c_out`-wide weight row of tap `(ci, ky, kx)` into the at most `k*k` rows
-//! of the sample's `[oh, ow, c_out]` output tile that `x` touches. At stride
-//! 1 the taps along x fuse into one row-add and the rows of successive `ky`
-//! are a constant step apart; the tile carries `k − 1 − pad` spare columns
-//! either side of each output row, so every spike's row-add is all `k` taps,
-//! and for the 3×3 layers at `c_out` 32 and 64 that length (`3·c_out`
-//! floats) is a literal the compiler unrolls. One epilogue pass then adds
-//! the bias while it reorders tile -> NCHW, skipping the spare columns. The
-//! per-sample scatter is one safe function compiled once per SIMD tier
+//! of the sample's `[oh, ow, c_out]` output tile that `x` touches. At any
+//! stride `s` the taps along x fuse into one row-add (the packed rows of
+//! each `(ci, ky)` are ordered by phase `kx mod s`, so the taps of one input
+//! column are contiguous) and the rows of successive `ky` are a constant
+//! step apart; the tile carries spare columns at both ends of each output
+//! row, so every spike's row-add is `⌈k/s⌉` columns long (a phase with
+//! fewer taps, as the odd columns of a 3×3 at stride 2, is padded with zero
+//! weight rows). For the 3×3 layers at stride 1 and `c_out` 32 and 64, and
+//! for the 3×3 and 1×1 layers at stride 2 and `c_out` 64, that length is a
+//! literal the compiler unrolls. One epilogue pass then adds the bias while
+//! it reorders tile -> NCHW, skipping the spare columns. The per-sample
+//! scatter is one safe function compiled once per SIMD tier
 //! ([`crate::simd`], "Dispatch granularity"), its compares and row-adds
 //! plain loops. For a fixed output pixel, ascending input `(ci, iy, ix)`
 //! *is* ascending patch index `(ci, ky, kx)`, so every output element
 //! accumulates the terms of [`conv2d`]'s im2col row times the transposed
 //! weights in the same order (zero taps skipped, explicit
-//! multiply-then-add): **bitwise identical** (the sign/payload of a NaN made
-//! from two NaNs aside). Input rows and columns that feed no output (a
-//! kernel narrower than its stride) are never scanned.
+//! multiply-then-add; a zero weight row adds `±0.0` to an accumulator that
+//! is never `−0.0`, which leaves it as it was): **bitwise identical** (the
+//! sign/payload of a NaN made from two NaNs aside). Input rows and columns
+//! that feed no output (a kernel narrower than its stride) are never
+//! scanned.
 //!
 //! **Backward** ([`conv2d_backward`]) never materialises one either. The
 //! weight gradient is the forward's scan with the roles swapped: each
@@ -257,7 +263,7 @@ pub fn conv2d(
         expect_dims(b.dims(), &[spec.out_channels])?;
     }
     let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
-    rows_to_nchw(out_mat.data(), bias, [n, spec.out_channels, oh, ow], 0, out.data_mut());
+    rows_to_nchw(out_mat.data(), bias, [n, spec.out_channels, oh, ow], (0, 0), out.data_mut());
     Ok(out)
 }
 
@@ -294,7 +300,7 @@ impl ConvPlan {
     /// [`TensorError::ShapeMismatch`] when `weight` disagrees with `spec`.
     pub fn new(weight: &Tensor, spec: &Conv2dSpec) -> Result<Self> {
         expect_dims(weight.dims(), &spec.weight_dims())?;
-        let mut w_t = AlignedVec::zeroed(weight.len());
+        let mut w_t = AlignedVec::zeroed(packed_len(spec));
         pack_weights(weight.data(), spec, &mut w_t);
         Ok(ConvPlan { spec: *spec, w_t })
     }
@@ -333,7 +339,7 @@ pub fn conv2d_ws(
     ws: &mut Workspace,
 ) -> Result<Tensor> {
     expect_dims(weight.dims(), &spec.weight_dims())?;
-    let mut w_t = ws.take_overwrite(weight.len());
+    let mut w_t = ws.take_overwrite(packed_len(spec));
     pack_weights(weight.data(), spec, &mut w_t);
     let out = scatter_forward(input, &w_t, bias, spec, ws);
     ws.recycle(w_t);
@@ -341,8 +347,8 @@ pub fn conv2d_ws(
 }
 
 /// The direct kernel over [`pack_weights`] output: scatter into one zeroed
-/// `[oh, ow + 2·margin, co]` tile per sample ([`tile_margin`]; sharded by
-/// sample, as [`col2im`] is), then the epilogue pass.
+/// `[oh, left + ow + right, co]` tile per sample ([`tile_margins`]; sharded
+/// by sample, as [`col2im`] is), then the epilogue pass.
 fn scatter_forward(
     input: &Tensor,
     w_t: &[f32],
@@ -351,8 +357,8 @@ fn scatter_forward(
     ws: &mut Workspace,
 ) -> Result<Tensor> {
     let ([n, c, h, w], (oh, ow)) = check_input(input, bias, spec)?;
-    let (co, margin) = (spec.out_channels, tile_margin(spec));
-    let (sample_len, tile_len) = (c * h * w, oh * (ow + 2 * margin) * co);
+    let (co, margins) = (spec.out_channels, tile_margins(spec, w, ow));
+    let (sample_len, tile_len) = (c * h * w, oh * (margins.0 + ow + margins.1) * co);
     let mut tiles = ws.take(n * tile_len);
     if n * tile_len > 0 {
         let src = input.data();
@@ -375,20 +381,25 @@ fn scatter_forward(
         );
         ws.recycle_words(words);
     }
-    tiles_into_nchw(tiles, bias, [n, co, oh, ow], margin, ws)
+    tiles_into_nchw(tiles, bias, [n, co, oh, ow], margins, ws)
 }
 
-/// The zero columns the forward's tile carries either side of each output
-/// row: at stride 1 a spike in input column `ix` feeds tile columns
-/// `ix + pad + margin + 1 − k ..= ix + pad + margin`, so with `k − 1 − pad`
-/// of them every spike feeds all `k`, at the left and right borders too, and
-/// the columns that stand for no output collect terms nothing reads.
-fn tile_margin(spec: &Conv2dSpec) -> usize {
-    if spec.stride == 1 {
-        (spec.kernel - 1).saturating_sub(spec.padding)
-    } else {
-        0
-    }
+/// The zero columns the forward's tile carries left and right of each output
+/// row, for an input `w` wide. A spike in input column `ix` (`t = ix + pad`)
+/// starts its run at output column `⌈(t + 1 − k) / s⌉` and runs
+/// `⌈k / s⌉` columns ([`scatter_strided`]); with these margins that run lies
+/// inside the tile row for every column that feeds an output, at both
+/// borders, and the columns that stand for no output collect terms nothing
+/// reads. At stride 1 both are `k − 1 − pad`.
+fn tile_margins(spec: &Conv2dSpec, w: usize, ow: usize) -> (usize, usize) {
+    let (k, s, pad) = (spec.kernel, spec.stride, spec.padding);
+    let left = (k - 1).saturating_sub(pad) / s;
+    // the run that ends furthest right is the last live column's; counted
+    // from the left margin, its first column is never negative
+    let last = (w + pad).saturating_sub(1).min((ow - 1) * s + k - 1) + left * s;
+    let right =
+        ((last + 1).saturating_sub(k).div_ceil(s) + k.div_ceil(s)).saturating_sub(left + ow);
+    (left, right)
 }
 
 /// The epilogue over arena buffers: [`rows_to_nchw`] into a buffer that is not cleared first
@@ -397,27 +408,27 @@ fn tiles_into_nchw(
     tiles: AlignedVec,
     bias: Option<&Tensor>,
     dims: [usize; 4],
-    margin: usize,
+    margins: (usize, usize),
     ws: &mut Workspace,
 ) -> Result<Tensor> {
     let mut out = ws.take_overwrite(dims.iter().product());
-    rows_to_nchw(&tiles, bias, dims, margin, &mut out);
+    rows_to_nchw(&tiles, bias, dims, margins, &mut out);
     ws.recycle(tiles);
     Tensor::from_aligned(out, &dims)
 }
 
-/// `[n, oh, ow + 2·margin, c]` tiles → `[n, c, oh, ow]` in one pass that
-/// skips the `margin` columns either side of each row and adds the
+/// `[n, oh, left + ow + right, c]` tiles → `[n, c, oh, ow]` in one pass that
+/// skips the `(left, right)` margin columns of each row and adds the
 /// per-channel bias (after the last term of the tile); writes every element
 /// of `dst` exactly once.
 fn rows_to_nchw(
     src: &[f32],
     bias: Option<&Tensor>,
     [n, c, oh, ow]: [usize; 4],
-    margin: usize,
+    (left, right): (usize, usize),
     dst: &mut [f32],
 ) {
-    let (plane, sample_len, tile_row) = (oh * ow, c * oh * ow, (ow + 2 * margin) * c);
+    let (plane, sample_len, tile_row) = (oh * ow, c * oh * ow, (left + ow + right) * c);
     if n == 0 || sample_len == 0 {
         return;
     }
@@ -426,7 +437,7 @@ fn rows_to_nchw(
         for (local_ni, sample) in dst.chunks_mut(sample_len).enumerate() {
             let tile = &src[(first_n + local_ni) * oh * tile_row..][..oh * tile_row];
             for (oy, tile_row) in tile.chunks_exact(tile_row).enumerate() {
-                let pixels = tile_row[margin * c..][..ow * c].chunks_exact(c);
+                let pixels = tile_row[left * c..][..ow * c].chunks_exact(c);
                 for (p, row) in (oy * ow..).zip(pixels) {
                     match bias {
                         Some(b) => {
@@ -468,8 +479,19 @@ fn add_taps(acc: &mut [f32], x: f32, w: &[f32]) {
     }
 }
 
-/// Scatters one sample (`[c, h, w]`) into its zeroed `[oh, ow + 2·margin,
-/// co]` tile ([`tile_margin`]), `words` (at least `c*h*w / 64 + 2` long) the
+/// `acc[j] += x * w[j]` for the first `keep` elements, the rest selected
+/// back unchanged: the run of a non-finite `x` (`x·0` is NaN) over the zero
+/// weight rows past its phase's taps ([`spikes`]).
+#[inline(always)]
+fn add_taps_masked(acc: &mut [f32], x: f32, w: &[f32], keep: usize) {
+    for (j, (a, &wv)) in acc.iter_mut().zip(w).enumerate() {
+        let v = *a + x * wv;
+        *a = if j < keep { v } else { *a };
+    }
+}
+
+/// Scatters one sample (`[c, h, w]`) into its zeroed `[oh, left + ow +
+/// right, co]` tile ([`tile_margins`]), `words` (at least `c*h*w / 64 + 2` long) the
 /// scratch of its nonzero pass. Safe code with plain loops, no calls and no
 /// closures (a closure body inlines only at LLVM's discretion, and one that
 /// does not is compiled for the baseline): [`simd::conv_scatter_sample`]
@@ -489,11 +511,12 @@ pub(crate) fn scatter_sample(
 }
 
 /// The weight gradient of the input channels `first_ci..` that `dw` holds
-/// (`k*k` packed `co`-wide rows each, the layout of [`pack_weights`]) over
-/// every sample of `src` (`[n, c, h, w]`), `gmat` holding each sample's
-/// `[oh*ow, co]` output-gradient rows: the forward's scan with the roles of
-/// weights and tile swapped, `words` (at least `cis*h*w / 64 + 2` long for
-/// the `cis` channels of `dw`) the scratch of each sample's nonzero pass.
+/// (`k` blocks of [`block_rows`] packed `co`-wide rows each, the layout of
+/// [`pack_weights`]) over every sample of `src` (`[n, c, h, w]`), `gmat`
+/// holding each sample's `[oh*ow, co]` output-gradient rows: the forward's
+/// scan with the roles of weights and tile swapped, `words` (at least
+/// `cis*h*w / 64 + 2` long for the `cis` channels of `dw`) the scratch of
+/// each sample's nonzero pass.
 /// [`simd::conv_weight_grad_chunk`] compiles it once per tier.
 #[inline(always)]
 pub(crate) fn weight_grad_chunk(
@@ -506,7 +529,7 @@ pub(crate) fn weight_grad_chunk(
     dw: &mut [f32],
 ) {
     let (plane, tile) = (h * w, oh * ow * spec.out_channels);
-    let cis = dw.len() / (spec.kernel * spec.kernel * spec.out_channels);
+    let cis = dw.len() / (spec.kernel * block_rows(spec.kernel, spec.stride) * spec.out_channels);
     for ni in 0..n {
         let x = &src[(ni * c + first_ci) * plane..][..cis * plane];
         let g = &gmat[ni * tile..][..tile];
@@ -571,45 +594,73 @@ struct Scan<'a> {
 }
 
 /// The literal instantiations of [`scatter_strided`]: the stride-1, 3×3
-/// shapes both reference nets run at `c_out` 32 and 64, then every other
-/// shape at its stride class with the extents read from `spec`.
+/// shapes both reference nets run at `c_out` 32 and 64, resnet's two stride-2
+/// shapes (3×3 and the 1×1 shortcut at `c_out` 64), then every other shape
+/// with its extents read from `spec`.
 #[inline(always)]
 fn scatter<const WEIGHT_GRAD: bool>(scan: Scan<'_>, acc: &mut [f32]) {
     // (direct calls: a function pointer picked here would not inline)
     let spec = scan.spec;
     match (spec.stride, spec.kernel, spec.out_channels) {
-        (1, 3, 32) => scatter_strided::<true, WEIGHT_GRAD, 3, 32>(scan, acc),
-        (1, 3, 64) => scatter_strided::<true, WEIGHT_GRAD, 3, 64>(scan, acc),
-        (1, ..) => scatter_strided::<true, WEIGHT_GRAD, 0, 0>(scan, acc),
-        _ => scatter_strided::<false, WEIGHT_GRAD, 0, 0>(scan, acc),
+        (1, 3, 32) => scatter_strided::<WEIGHT_GRAD, 1, 3, 32>(scan, acc),
+        (1, 3, 64) => scatter_strided::<WEIGHT_GRAD, 1, 3, 64>(scan, acc),
+        (2, 3, 64) => scatter_strided::<WEIGHT_GRAD, 2, 3, 64>(scan, acc),
+        (2, 1, 64) => scatter_strided::<WEIGHT_GRAD, 2, 1, 64>(scan, acc),
+        _ => scatter_strided::<WEIGHT_GRAD, 0, 0, 0>(scan, acc),
     }
 }
 
-/// Words of [`live_columns`]' mask; columns past them count as live.
+/// Words of [`live_columns`]' precomputed masks; the words past them are
+/// computed per row.
 const LIVE_WORDS: usize = 4;
 
-/// One bit per input column (word `ix / 64`, bit `ix % 64`), set unless the
-/// column feeds no output. Only a kernel narrower than its stride leaves gaps
-/// (column `t = ix + pad` is read through tap `t % stride` of output
-/// `t / stride` or not at all), so for `k ≥ stride` the mask is all ones: an
-/// unread right-edge remnant there has an empty output range anyway.
+/// The masks of [`live_word`] for the first [`LIVE_WORDS`] words of a row.
 #[inline(always)]
-fn live_columns(w: usize, pad: usize, stride: usize, k: usize, ow: usize) -> [u64; LIVE_WORDS] {
-    if k >= stride {
-        return [u64::MAX; LIVE_WORDS];
-    }
+fn live_columns(pad: usize, stride: usize, k: usize, live_w: usize) -> [u64; LIVE_WORDS] {
     let mut live = [0u64; LIVE_WORDS];
-    let (mut o, mut tap) = (pad / stride, pad % stride);
-    for ix in 0..w.min(64 * LIVE_WORDS) {
-        if tap < k && o < ow {
-            live[ix / 64] |= 1 << (ix % 64);
-        }
-        tap += 1;
-        if tap == stride {
-            (o, tap) = (o + 1, 0);
+    for (wi, word) in live.iter_mut().enumerate() {
+        *word = live_word(wi * 64, pad, stride, k, live_w);
+    }
+    live
+}
+
+/// One bit per input column `at..at + 64` of a row, set unless the column
+/// feeds no output: columns from `live_w` on lie right of the last output's
+/// window, and a kernel narrower than its stride leaves gaps (column
+/// `t = ix + pad` is read through tap `t % stride` of output `t / stride` or
+/// not at all).
+#[inline(always)]
+fn live_word(at: usize, pad: usize, stride: usize, k: usize, live_w: usize) -> u64 {
+    let mut live = below(live_w, at);
+    if k < stride {
+        for bit in 0..64 {
+            if (at + bit + pad) % stride >= k {
+                live &= !(1 << bit);
+            }
         }
     }
     live
+}
+
+/// The taps `kx ≡ r (mod s)` of a `k`-wide kernel: the phase of the input
+/// columns `t = ix + pad ≡ r` read through them.
+#[inline(always)]
+fn phase_taps(r: usize, k: usize, s: usize) -> usize {
+    k.saturating_sub(r).div_ceil(s)
+}
+
+/// The packed rows of one `(ci, ky)` block: `⌈k/s⌉` per phase that has
+/// taps ([`packed_tap`]).
+#[inline(always)]
+fn block_rows(k: usize, s: usize) -> usize {
+    k.min(s) * k.div_ceil(s)
+}
+
+/// The first of phase `r`'s rows in a packed `(ci, ky)` block: the phases
+/// above it come first ([`packed_tap`]).
+#[inline(always)]
+fn phase_start(r: usize, k: usize, s: usize) -> usize {
+    (k.min(s) - 1 - r) * k.div_ceil(s)
 }
 
 /// The spike scan both directions share: every nonzero input `x` at
@@ -618,87 +669,76 @@ fn live_columns(w: usize, pad: usize, stride: usize, k: usize, ow: usize) -> [u6
 /// The forward (`WEIGHT_GRAD = false`) adds `x` times the tap's packed weight
 /// row (`operand`) into the pixel's `co`-wide row of `acc`, the sample's
 /// tile; the weight gradient adds `x` times the pixel's gradient row
-/// (`operand`) into the tap's packed row of `acc`. `K` and `CO` are the
-/// kernel extent and `c_out` as literals, or `0` to read them from `spec`.
-/// At stride 1 every forward spike, and every weight-gradient spike clear of
-/// the borders, is one run of `k*co` floats per output row. Input rows and
-/// columns that feed no output (a kernel narrower than its stride) are never
-/// visited.
+/// (`operand`) into the tap's packed row of `acc`. `S`, `K` and `CO` are the
+/// stride, kernel extent and `c_out` as literals, or `0` to read them from
+/// `spec`.
+///
+/// Along x a spike at `t = ix + pad` feeds ascending output columns through
+/// descending taps `kx ≡ t (mod s)`, which [`pack_weights`] stores as
+/// ascending packed rows: one run in both the tile and the packed rows, per
+/// output row. Every forward spike, and every weight-gradient spike clear of
+/// the borders, runs `⌈k/s⌉` columns (`⌈k/s⌉·co` floats, a literal for the
+/// literal shapes); where its phase has fewer taps (odd `t` of a 3×3 at
+/// stride 2), the run goes on through the phase's zero rows ([`spikes`]).
+/// Columns and rows that feed no output are never visited.
 #[inline(always)]
-fn scatter_strided<
-    const UNIT_STRIDE: bool,
-    const WEIGHT_GRAD: bool,
-    const K: usize,
-    const CO: usize,
->(
+fn scatter_strided<const WEIGHT_GRAD: bool, const S: usize, const K: usize, const CO: usize>(
     Scan { src, words, dims: [c, h, w], out_hw: (oh, ow), operand, spec }: Scan<'_>,
     acc: &mut [f32],
 ) {
-    debug_assert!(K == 0 || (K, CO) == (spec.kernel, spec.out_channels));
+    debug_assert!(K == 0 || (S, K, CO) == (spec.stride, spec.kernel, spec.out_channels));
     // the literals fold the divisions and turn every run length into a constant
     let k = if K == 0 { spec.kernel } else { K };
     let co = if CO == 0 { spec.out_channels } else { CO };
-    let stride = if UNIT_STRIDE { 1 } else { spec.stride };
+    let s = if S == 0 { spec.stride } else { S };
     let pad = spec.padding;
-    // at stride 1 every input row and column feeds an output
-    let live =
-        if UNIT_STRIDE { [u64::MAX; LIVE_WORDS] } else { live_columns(w, pad, stride, k, ow) };
-    // The forward's tile rows are `tw` wide, input column ix being tile
-    // column ix + xpad (`tile_margin`); the gradient rows the weight gradient
-    // reads have no margin. At stride 1 a spike in the columns `interior`
-    // feeds all k tile columns of its rows: in the forward, every column.
-    let margin = if WEIGHT_GRAD { 0 } else { tile_margin(&spec) };
-    let (tw, xpad) = (ow + 2 * margin, pad + margin);
-    let interior = (k - 1).saturating_sub(xpad)..tw.saturating_sub(xpad);
+    let live_w = ((ow - 1) * s + k).saturating_sub(pad).min(w);
+    let masks = live_columns(pad, s, k, live_w);
+    // The forward's tile rows are `tw` wide, input column ix standing at
+    // ix + xpad in tile-column units of the stride (`tile_margins`); the
+    // gradient rows the weight gradient reads have no margin. A spike in the
+    // columns `interior` runs all ⌈k/s⌉ columns inside its rows: in the
+    // forward, every live column.
+    let m = k.div_ceil(s);
+    let (left, right) = if WEIGHT_GRAD { (0, 0) } else { tile_margins(&spec, w, ow) };
+    let (tw, xpad) = (left + ow + right, pad + left * s);
+    let interior = if tw < m {
+        0..0
+    } else {
+        k.saturating_sub(s).saturating_sub(xpad)..((tw - m) * s + k).saturating_sub(xpad)
+    };
     let interior = if interior.is_empty() { 0..0 } else { interior };
-    debug_assert!(WEIGHT_GRAD || !UNIT_STRIDE || (interior.start == 0 && interior.end >= w));
+    debug_assert!(WEIGHT_GRAD || (interior.start == 0 && interior.end >= live_w));
     for ci in 0..c {
         for iy in 0..h {
             let ty = iy + pad;
-            let oys = axis_outputs(ty, stride, k, oh);
-            if !UNIT_STRIDE && oys.is_empty() {
+            let oys = axis_outputs(ty, s, k, oh);
+            if oys.is_empty() {
                 continue;
             }
             let row_at = (ci * h + iy) * w;
-            let row = &src[row_at..][..w];
-            for wi in 0..w.div_ceil(64) {
+            // the (ci, ky) block the last output row reads; each row above
+            // reads s taps further down
+            let block = ci * k + ty - (oys.end - 1) * s;
+            let (row, oys) = (&src[row_at..][..w], (oys.end, oys.len()));
+            for wi in 0..live_w.div_ceil(64) {
                 let at = wi * 64;
-                let bits = row_word(words, row_at + at, (w - at).min(64));
-                if UNIT_STRIDE {
-                    let ky = ci * k + ty + 1 - oys.end;
-                    let r = UnitRow { row, at, k, co, tw, xpad, oys: (oys.end, oys.len()), ky };
-                    if !WEIGHT_GRAD {
-                        unit_stride_spikes::<false, true>(bits, r, operand, acc);
-                        continue;
-                    }
-                    // left of the interior, in it, right of it: three passes
-                    // in ascending ix, none branching on where a spike sits
-                    let (lo, hi) = (below(interior.start, at), below(interior.end, at));
-                    unit_stride_spikes::<true, false>(bits & lo, r, operand, acc);
-                    unit_stride_spikes::<true, true>(bits & hi & !lo, r, operand, acc);
-                    unit_stride_spikes::<true, false>(bits & !hi, r, operand, acc);
+                let live = match masks.get(wi) {
+                    Some(&live) => live,
+                    None => live_word(at, pad, s, k, live_w),
+                };
+                let bits = row_word(words, row_at + at, (w - at).min(64)) & live;
+                let r = Row { row, at, k, s, co, tw, xpad, oys, block };
+                if !WEIGHT_GRAD {
+                    spikes::<false, true>(bits, r, operand, acc);
                     continue;
                 }
-                let mut bits = bits & live.get(wi).copied().unwrap_or(u64::MAX);
-                while bits != 0 {
-                    let ix = at + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let (x, tx) = (row[ix], ix + pad);
-                    let oxs = axis_outputs(tx, stride, k, ow);
-                    for oy in oys.clone() {
-                        // tap (ky, kx) sits in packed row (ci*k + ky)*k + k-1-kx
-                        let wrow = (ci * k + ty - oy * stride) * k + k - 1;
-                        for ox in oxs.clone() {
-                            let wo = (wrow - (tx - ox * stride)) * co;
-                            let oo = (oy * ow + ox) * co;
-                            if WEIGHT_GRAD {
-                                add_taps(&mut acc[wo..][..co], x, &operand[oo..][..co]);
-                            } else {
-                                add_taps(&mut acc[oo..][..co], x, &operand[wo..][..co]);
-                            }
-                        }
-                    }
-                }
+                // left of the interior, in it, right of it: three passes in
+                // ascending ix, none branching on where a spike sits
+                let (lo, hi) = (below(interior.start, at), below(interior.end, at));
+                spikes::<true, false>(bits & lo, r, operand, acc);
+                spikes::<true, true>(bits & hi & !lo, r, operand, acc);
+                spikes::<true, false>(bits & !hi, r, operand, acc);
             }
         }
     }
@@ -715,73 +755,92 @@ fn below(i: usize, at: usize) -> u64 {
     }
 }
 
-/// One input row of the stride-1 scan, `(ci, iy)`: its elements (bit `i` of
-/// a word is `row[at + i]`), the extents, the width `tw` of a tile row and
-/// the tile column `ix + xpad` of input column `ix`, the end and count of
-/// the output rows it feeds, `oys`, and `ky`, the packed `(ci, ky)` row
+/// One input row of the scan, `(ci, iy)`: its elements (bit `i` of a word is
+/// `row[at + i]`), the extents and stride, the width `tw` of a tile row and
+/// the position `ix + xpad` of input column `ix` in it, the end and count of
+/// the output rows it feeds, `oys`, and `block`, the packed `(ci, ky)` row
 /// block the last of them reads.
 #[derive(Clone, Copy)]
-struct UnitRow<'a> {
+struct Row<'a> {
     row: &'a [f32],
     at: usize,
     k: usize,
+    s: usize,
     co: usize,
     tw: usize,
     xpad: usize,
     oys: (usize, usize),
-    ky: usize,
+    block: usize,
 }
 
-/// The stride-1 spikes `bits` of one row word. Ascending output columns see
-/// a spike through descending `kx`, that is ascending packed rows: one run
-/// in both the tile and the packed rows, and the next `ky` is `k` packed
-/// rows up, one output row down. An `INTERIOR` spike's run is all `k` taps,
-/// a literal `k*co` floats; an edge spike's is clipped at the border.
+/// The spikes `bits` of one row word. An `INTERIOR` spike's run per output
+/// row is `⌈k/s⌉` columns, through its phase's zero rows where the phase has
+/// fewer taps; an edge spike's is clipped at the border to the taps it
+/// really meets.
 #[inline(always)]
-fn unit_stride_spikes<const WEIGHT_GRAD: bool, const INTERIOR: bool>(
+fn spikes<const WEIGHT_GRAD: bool, const INTERIOR: bool>(
     mut bits: u64,
-    UnitRow { row, at, k, co, tw, xpad, oys: (oy_end, rows), ky }: UnitRow<'_>,
+    Row { row, at, k, s, co, tw, xpad, oys: (oy_end, rows), block }: Row<'_>,
     operand: &[f32],
     acc: &mut [f32],
 ) {
-    let steps = (tw * co, k * co);
+    let (m, bk) = (k.div_ceil(s), block_rows(k, s));
+    let steps = (tw * co, s * bk * co);
+    // whether phases differ in their tap count (a 3×3 at stride 2: two, one)
+    let ragged = bk > k;
     while bits != 0 {
         let ix = at + bits.trailing_zeros() as usize;
         bits &= bits - 1;
         let (x, tx) = (row[ix], ix + xpad);
+        let r = tx % s;
         if INTERIOR {
-            let at = ((oy_end * tw + tx + 1 - k) * co, ky * k * co);
-            // (all k output rows, the common case, is a literal trip count)
-            if rows == k {
-                unit_stride_runs::<WEIGHT_GRAD>(acc, operand, (x, k, k * co), at, steps);
+            // the first output column, through the phase's largest tap
+            let ox = (tx + s - k) / s;
+            let at = ((oy_end * tw + ox) * co, (block * bk + phase_start(r, k, s)) * co);
+            // Past a phase's taps the run meets its zero rows: a finite x adds
+            // x·0 = ±0.0 to a tile accumulator, which keeps its bits (it
+            // starts at +0.0, and a sum is −0.0 only when both terms are).
+            // The weight gradient's zero rows take what they get and are
+            // never read. Only a non-finite x (x·0 = NaN) is masked.
+            let masked = ragged && !WEIGHT_GRAD && !x.is_finite();
+            let keep = if masked { Some(phase_taps(r, k, s) * co) } else { None };
+            let run = (x, m * co, keep);
+            // (all ⌈k/s⌉ output rows, the common case, is a literal trip count)
+            if rows == m {
+                strided_runs::<WEIGHT_GRAD>(acc, operand, (m, run), at, steps);
             } else {
-                unit_stride_runs::<WEIGHT_GRAD>(acc, operand, (x, rows, k * co), at, steps);
+                strided_runs::<WEIGHT_GRAD>(acc, operand, (rows, run), at, steps);
             }
         } else {
-            let oxs = axis_outputs(tx, 1, k, tw);
-            let at = ((oy_end * tw + oxs.start) * co, (ky * k + k - 1 - (tx - oxs.start)) * co);
-            unit_stride_runs::<WEIGHT_GRAD>(acc, operand, (x, rows, oxs.len() * co), at, steps);
+            let oxs = axis_outputs(tx, s, k, tw);
+            let kx = tx - oxs.start * s;
+            let slot = phase_start(r, k, s) + phase_taps(r, k, s) - 1 - kx / s;
+            let at = ((oy_end * tw + oxs.start) * co, (block * bk + slot) * co);
+            let run = (x, oxs.len() * co, None);
+            strided_runs::<WEIGHT_GRAD>(acc, operand, (rows, run), at, steps);
         }
     }
 }
 
-/// One stride-1 spike `x`'s `rows` runs of `len` floats: the tile's from
-/// one output row above `oo` upwards, the packed weights' from `wo` on (the
-/// forward; the weight gradient swaps the roles of `acc` and `operand`).
+/// One spike `x`'s `rows` runs of `len` floats (of which only the first
+/// `keep` add, if given): the tile's from one output row above `oo`
+/// upwards, the packed weights' from `wo` on (the forward; the weight
+/// gradient swaps the roles of `acc` and `operand`).
 #[inline(always)]
-fn unit_stride_runs<const WEIGHT_GRAD: bool>(
+fn strided_runs<const WEIGHT_GRAD: bool>(
     acc: &mut [f32],
     operand: &[f32],
-    (x, rows, len): (f32, usize, usize),
+    (rows, (x, len, keep)): (usize, (f32, usize, Option<usize>)),
     (mut oo, mut wo): (usize, usize),
     (o_step, w_step): (usize, usize),
 ) {
     for _ in 0..rows {
         oo -= o_step;
-        if WEIGHT_GRAD {
-            add_taps(&mut acc[wo..][..len], x, &operand[oo..][..len]);
-        } else {
-            add_taps(&mut acc[oo..][..len], x, &operand[wo..][..len]);
+        let (a, b) = if WEIGHT_GRAD { (wo, oo) } else { (oo, wo) };
+        let (a, b) = (&mut acc[a..][..len], &operand[b..][..len]);
+        match keep {
+            Some(keep) => add_taps_masked(a, x, b, keep),
+            None => add_taps(a, x, b),
         }
         wo += w_step;
     }
@@ -923,19 +982,21 @@ pub fn conv2d_ws_quant(
         qw.matmul_nt_bits_into(&bm, &mut out_mat);
         ws.recycle_bits(bm);
     }
-    tiles_into_nchw(out_mat, bias, [n, co, oh, ow], 0, ws)
+    tiles_into_nchw(out_mat, bias, [n, co, oh, ow], (0, 0), ws)
 }
 
 /// Packs `[c_out, c_in*k*k]` weights for the direct kernel: one `c_out`-wide
-/// row per patch tap, the `kx` taps of each `(ci, ky)` in **descending** order,
-/// so that at stride 1 the taps one input pixel feeds along x land on ascending
-/// output columns in ascending packed rows and fuse into one contiguous row-add.
+/// row per patch tap, the `kx` taps of each `(ci, ky)` ordered by phase
+/// ([`packed_tap`]; zero rows pad a phase with fewer taps), so that the
+/// taps one input pixel feeds along x land on ascending output columns in
+/// ascending packed rows and fuse into one contiguous run.
 fn pack_weights(src: &[f32], spec: &Conv2dSpec, out: &mut [f32]) {
-    let (co, k, pl) = (spec.out_channels, spec.kernel, spec.patch_len());
-    debug_assert_eq!((src.len(), out.len()), (co * pl, co * pl));
+    let (co, pl) = (spec.out_channels, spec.patch_len());
+    debug_assert_eq!((src.len(), out.len()), (co * pl, packed_len(spec)));
+    out.fill(0.0);
     for i in 0..co {
         for (p, &v) in src[i * pl..(i + 1) * pl].iter().enumerate() {
-            out[packed_tap(p, k) * co + i] = v;
+            out[packed_tap(p, spec) * co + i] = v;
         }
     }
 }
@@ -964,14 +1025,14 @@ pub fn conv2d_backward(
     let (x, g) = (input.data(), gmat.data());
     let work = (n * oh * ow).saturating_mul(co).saturating_mul(pl);
     // dW: the scan over x, by input channel, into packed [pl, co] rows
-    let mut packed = vec![0.0f32; pl * co];
+    let mut packed = vec![0.0f32; packed_len(spec)];
     if n * oh * ow > 0 {
         // nonzero-pass scratch by input channel: a worker's share covers its
         // channels' planes
         let words_len = nonzero_words_len(h * w);
         let mut words = vec![0u64; c * words_len];
         parallel::for_each_row_chunk_with(
-            (&mut packed, k * k * co),
+            (&mut packed, k * block_rows(k, spec.stride) * co),
             (&mut words, words_len),
             c,
             work,
@@ -984,7 +1045,7 @@ pub fn conv2d_backward(
     let mut grad_weight = Tensor::zeros(&[co, pl]);
     for (o, dst) in grad_weight.data_mut().chunks_exact_mut(pl).enumerate() {
         for (tap, v) in dst.iter_mut().enumerate() {
-            *v = packed[packed_tap(tap, k) * co + o];
+            *v = packed[packed_tap(tap, spec) * co + o];
         }
     }
     // dX: gradient rows × W folded into the input, by sample
@@ -1041,9 +1102,23 @@ fn check_backward(
 }
 
 /// The row [`pack_weights`] stores patch tap `p` (`(ci*k + ky)*k + kx`) in:
-/// the `kx` taps of each `(ci, ky)` reversed.
-fn packed_tap(p: usize, k: usize) -> usize {
-    p - p % k + (k - 1 - p % k)
+/// within each `(ci, ky)` block ([`block_rows`]) the taps by phase
+/// `r = kx mod s`, the highest phase first, each phase `⌈k/s⌉` rows: its
+/// taps in descending `kx`, then zero rows up to that count. At stride 1
+/// that is the `kx` taps reversed; for a 3×3 at stride 2 it is
+/// `kx = 1, 0-row, 2, 0`. A spike's run of `⌈k/s⌉` rows from its phase's
+/// first tap then never reaches another phase's taps.
+fn packed_tap(p: usize, spec: &Conv2dSpec) -> usize {
+    let (k, s) = (spec.kernel, spec.stride);
+    let (kx, r) = (p % k, p % k % s);
+    p / k * block_rows(k, s) + phase_start(r, k, s) + phase_taps(r, k, s) - 1 - kx / s
+}
+
+/// Floats of [`pack_weights`]' layout: `c_in·k` blocks of [`block_rows`]
+/// `c_out`-wide rows.
+fn packed_len(spec: &Conv2dSpec) -> usize {
+    let (k, s) = (spec.kernel, spec.stride);
+    spec.in_channels * k * block_rows(k, s) * spec.out_channels
 }
 
 /// `[n, c, oh, ow]` → `[n*oh*ow, c]` row matrix.
@@ -1313,6 +1388,94 @@ mod tests {
         assert!(conv2d_backward(&g, &Tensor::ones(&[2, 3, 5, 5]), &w, &spec).is_err());
         assert!(conv2d_backward(&g, &x, &Tensor::ones(&[3, 17]), &spec).is_err());
         assert!(conv2d_backward(&g, &Tensor::ones(&[2, 5, 5]), &w, &spec).is_err());
+    }
+
+    #[test]
+    fn packing_orders_each_block_by_phase_then_descending_kx() {
+        for k in 1..=6 {
+            for s in 1..=4 {
+                let spec = Conv2dSpec::new(2, 1, k, s, 0).unwrap();
+                let (m, bk) = (k.div_ceil(s), block_rows(k, s));
+                // the highest phase with taps first, each its taps descending
+                // and then zero rows up to ⌈k/s⌉
+                let want: Vec<Option<usize>> = (0..s.min(k))
+                    .rev()
+                    .flat_map(|r| {
+                        let taps = (0..k).rev().filter(move |kx| kx % s == r).map(Some);
+                        taps.chain(std::iter::repeat(None)).take(m)
+                    })
+                    .collect();
+                assert_eq!(want.len(), bk);
+                for block in 0..2 * k {
+                    let mut order = vec![None; bk];
+                    for kx in 0..k {
+                        let slot = packed_tap(block * k + kx, &spec);
+                        assert_eq!(slot / bk, block, "k={k} s={s}: a tap left its (ci, ky) block");
+                        assert_eq!(order[slot % bk], None, "k={k} s={s}: two taps in one row");
+                        order[slot % bk] = Some(kx);
+                    }
+                    assert_eq!(order, want, "k={k} s={s}");
+                }
+                assert_eq!(packed_len(&spec), 2 * k * bk);
+            }
+        }
+        let order = |s| {
+            let spec = Conv2dSpec::new(1, 1, 3, s, 1).unwrap();
+            let mut order = vec![None; block_rows(3, s)];
+            for kx in 0..3 {
+                order[packed_tap(kx, &spec)] = Some(kx);
+            }
+            order
+        };
+        assert_eq!(order(1), [Some(2), Some(1), Some(0)]);
+        assert_eq!(order(2), [Some(1), None, Some(2), Some(0)]);
+        // the zero rows are zero, whatever the buffer held
+        let spec = Conv2dSpec::new(1, 2, 3, 2, 1).unwrap();
+        let mut out = vec![f32::NAN; packed_len(&spec)];
+        pack_weights(&[1.0; 18], &spec, &mut out);
+        for (row, v) in out.chunks_exact(2).enumerate() {
+            assert_eq!(v, [[1.0; 2], [0.0; 2]][usize::from(row % 4 == 1)], "row {row}");
+        }
+    }
+
+    #[test]
+    fn tile_margins_hold_every_forward_run() {
+        for k in 1..=5 {
+            for s in 1..=3 {
+                for pad in 0..=2 {
+                    for w in 1..=20 {
+                        let spec = Conv2dSpec::new(1, 1, k, s, pad).unwrap();
+                        let Ok((_, ow)) = spec.output_hw(k, w) else {
+                            continue;
+                        };
+                        let (left, right) = tile_margins(&spec, w, ow);
+                        let tw = left + ow + right;
+                        if s == 1 {
+                            let margin = (k - 1).saturating_sub(pad);
+                            assert_eq!((left, right), (margin, margin), "k={k} pad={pad} w={w}");
+                        }
+                        for ix in 0..w {
+                            let t = (ix + pad) as isize;
+                            let (k_, s_) = (k as isize, s as isize);
+                            // ⌈(t + 1 − k) / s⌉, the first output column
+                            let first = (t + 1 - k_ + s_ - 1).div_euclid(s_);
+                            let live = (t % s_) < k_ && first < ow as isize;
+                            if live {
+                                let start = first + left as isize;
+                                let tag = format!("k={k} s={s} pad={pad} w={w} ix={ix}");
+                                assert!(start >= 0, "{tag}");
+                                assert!(start + k.div_ceil(s) as isize <= tw as isize, "{tag}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // one spare column right of a 3×3 at stride 2, none either side of
+        // the 1×1 shortcut
+        let spec = Conv2dSpec::new(1, 1, 3, 2, 1).unwrap();
+        assert_eq!((tile_margins(&spec, 16, 8), tile_margins(&spec, 15, 8)), ((0, 1), (0, 1)));
+        assert_eq!(tile_margins(&Conv2dSpec::new(1, 1, 1, 2, 0).unwrap(), 16, 8), (0, 0));
     }
 
     #[test]

@@ -67,15 +67,28 @@ fn check(
         "k={} s={} p={} {kind} n={n} ci={ci} co={co} h={h} w={w} bias={with_bias}",
         spec.kernel, spec.stride, spec.padding
     );
-    let want = conv2d(&x, &weight, bias, spec).unwrap();
-    let plan = ConvPlan::new(&weight, spec).unwrap();
+    compare_forward(spec, &x, &weight, bias, &tag, ws);
+}
+
+/// The scatter kernel (raw and planned) against conv2d on one input, at
+/// every thread count and SIMD tier.
+fn compare_forward(
+    spec: &Conv2dSpec,
+    x: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    tag: &str,
+    ws: &mut Workspace,
+) {
+    let want = conv2d(x, weight, bias, spec).unwrap();
+    let plan = ConvPlan::new(weight, spec).unwrap();
     for threads in [1, 4] {
         for level in SimdLevel::ALL {
             let (got, planned) = parallel::with_threads(threads, || {
                 simd::with_level(level, || {
                     (
-                        conv2d_ws(&x, &weight, bias, spec, ws).unwrap(),
-                        plan.forward(&x, bias, ws).unwrap(),
+                        conv2d_ws(x, weight, bias, spec, ws).unwrap(),
+                        plan.forward(x, bias, ws).unwrap(),
                     )
                 })
             });
@@ -94,7 +107,8 @@ fn check(
 /// path and the fused epilogue distinguish: an input smaller than the kernel
 /// but not than its padded self (one pixel clipped at both borders at once),
 /// rows of exactly one nonzero word and one element more, output channels
-/// that fill whole vectors with no remainder lane, patches of 100+ taps.
+/// that fill whole vectors with no remainder lane, patches of 100+ taps, and
+/// the literal-extent shapes of both strides beside runtime-extent ones.
 /// `f` gets the spec, the `[n, h, w]` extent, the input class, a bias flag
 /// and the case number.
 fn for_each_case(
@@ -169,6 +183,30 @@ fn for_each_case(
             }
         }
     }
+    // the stride-2 shapes the scan runs with literal extents (3×3 and 1×1 at
+    // c_out 64) beside ones it reads from the spec (c_out 32, and 35 with a
+    // remainder lane): padding 0, 1 and 2 put either phase at either border,
+    // odd and even widths and heights end a row or a column of outputs on
+    // either phase, and the 1×1's odd phase feeds nothing
+    for kernel in [3, 1] {
+        for co in [64, 32, 35] {
+            for padding in [0, 1, 2] {
+                for w in [1, 2, 3, 63, 64, 65, 130] {
+                    if w + 2 * padding < kernel {
+                        continue; // the kernel exceeds the padded row
+                    }
+                    for kind in KINDS {
+                        for n in [0, 1, 5] {
+                            case += 1;
+                            let (ci, h) = (1 + case % 2, [kernel + 2, kernel + 3][case / 3 % 2]);
+                            let spec = Conv2dSpec::new(ci, co, kernel, 2, padding).unwrap();
+                            f(&spec, [n, h, w], kind, case.is_multiple_of(3), case, rng);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -183,6 +221,42 @@ fn direct_conv_matches_reference_bitwise() {
     for_each_case(&mut rng, |spec, extent, kind, with_bias, _, rng| {
         check(spec, extent, kind, with_bias, rng, &mut ws);
     });
+}
+
+#[test]
+fn zero_rows_keep_signed_zeros_and_cancellations_bitwise() {
+    // A 3×3 at stride 2 runs an odd-phase spike through a zero weight row
+    // past its one tap, adding x·0 = ±0.0 to the next output column: exact
+    // only because a tile accumulator is never −0.0 (it starts at +0.0, and
+    // an add gives −0.0 only when both terms are). Weights of −0.0 and
+    // exactly cancelling pairs (each kernel row [v, −v, −0.0]) bring
+    // accumulators back to ±0.0 between terms, and no bias hides the sign of
+    // a zero output.
+    let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = TensorRng::seed_from(0x2E50);
+    let mut ws = Workspace::new();
+    for co in [64, 35] {
+        for padding in [0, 1, 2] {
+            for w in [3, 64, 65] {
+                for kind in KINDS {
+                    let spec = Conv2dSpec::new(2, co, 3, 2, padding).unwrap();
+                    let x = input_of(kind, &[3, 2, 5, w], &mut rng);
+                    let mut weight = Tensor::randn(&[co, spec.patch_len()], 0.0, 0.5, &mut rng);
+                    for (o, filter) in
+                        weight.data_mut().chunks_exact_mut(spec.patch_len()).enumerate()
+                    {
+                        for row in filter.chunks_exact_mut(3) {
+                            // every fourth filter all −0.0
+                            let v = if o % 4 == 3 { -0.0 } else { row[0] };
+                            row.copy_from_slice(&[v, -v, -0.0]);
+                        }
+                    }
+                    let tag = format!("zero rows p={padding} co={co} w={w} {kind}");
+                    compare_forward(&spec, &x, &weight, None, &tag, &mut ws);
+                }
+            }
+        }
+    }
 }
 
 /// An output gradient of one of the classes backward meets: `sparse` (most

@@ -118,9 +118,11 @@ conformance() {
 # feature, and a fused multiply-add would change the rounding of every
 # kernel, so this is where "Rust never contracts" is checked on the binary.
 # The classifier head's kernel, `linear_chunk`, the convolution's scatter,
-# `conv_scatter_sample` (its literal-extent instantiations live inside it:
-# one that stopped inlining would run at the baseline, bitwise correct and
-# without the gain), its two backward kernels, `conv_weight_grad_chunk` and
+# `conv_scatter_sample` (its literal-extent instantiations live inside it —
+# stride 1 3×3 at c_out 32 and 64, stride 2 3×3 and 1×1 at c_out 64, and the
+# runtime-extent walk: one that stopped inlining would run at the baseline,
+# bitwise correct and without the gain), its two backward kernels,
+# `conv_weight_grad_chunk` (the same instantiations) and
 # `conv_input_grad_sample`, and the Train path's BatchNorm and pool kernels,
 # `bn_train_forward`, `bn_train_backward` and `avg_pool2d_grad`, must be
 # among the entries, and the `matmul_nt_chunk` the first replaced must not

@@ -1,12 +1,16 @@
 //! Tier-1 reaches the convolution kernel: the direct spike-scatter forward
-//! against the im2col + matmul reference on every conv shape of the two
-//! reference networks, and the committed golden traces replayed through it —
+//! and the direct backward against their im2col references on every conv
+//! shape of the two reference networks, and the committed golden traces
+//! replayed through it —
 //! each at every SIMD level the host supports, so the widest build is
 //! compared with the narrower ones here too, not only by the full gate.
 
 use dt_snn::snn::{resnet_small_geometry, vgg_small_geometry, LayerGeometry, ModelConfig};
 use dt_snn::tensor::simd::{self, SimdLevel};
-use dt_snn::tensor::{conv2d, conv2d_ws, Conv2dSpec, ConvPlan, Tensor, TensorRng, Workspace};
+use dt_snn::tensor::{
+    conv2d, conv2d_backward, conv2d_backward_im2col, conv2d_ws, Conv2dSpec, ConvPlan, Tensor,
+    TensorRng, Workspace,
+};
 use dtsnn_conformance::trace::{compare, load_golden, record, TraceSpec};
 use std::sync::Mutex;
 
@@ -51,8 +55,8 @@ fn check(spec: &Conv2dSpec, [in_h, in_w]: [usize; 2], rng: &mut TensorRng, ws: &
     }
 }
 
-#[test]
-fn direct_kernel_matches_reference_on_the_model_layer_shapes() {
+/// Every conv geometry of the two reference networks at their default width.
+fn model_convs() -> Vec<(Conv2dSpec, [usize; 2])> {
     let cfg = ModelConfig::default();
     let mut convs = Vec::new();
     for geometry in vgg_small_geometry(&cfg).into_iter().chain(resnet_small_geometry(&cfg)) {
@@ -65,11 +69,55 @@ fn direct_kernel_matches_reference_on_the_model_layer_shapes() {
         convs.push((spec, [in_h, in_w]));
     }
     assert_eq!(convs.len(), 11, "5 vgg_small + 6 resnet_small conv shapes");
+    convs
+}
+
+#[test]
+fn direct_kernel_matches_reference_on_the_model_layer_shapes() {
+    let convs = model_convs();
     at_every_level(|_| {
         let mut rng = TensorRng::seed_from(0x5CA77E2);
         let mut ws = Workspace::new();
         for (spec, in_hw) in &convs {
             check(spec, *in_hw, &mut rng, &mut ws);
+        }
+    });
+}
+
+#[test]
+fn direct_backward_matches_reference_on_the_model_layer_shapes() {
+    // the literal-extent weight-gradient walks run only at these widths: the
+    // goldens and the training pin train narrower nets
+    let convs = model_convs();
+    at_every_level(|level| {
+        let mut rng = TensorRng::seed_from(0xBAC4);
+        for (spec, [in_h, in_w]) in &convs {
+            let (oh, ow) = spec.output_hw(*in_h, *in_w).unwrap();
+            let weight = Tensor::kaiming(&spec.weight_dims(), spec.patch_len(), &mut rng);
+            for (kind, n) in [("analog", 1), ("binary", 2)] {
+                let mut x = Tensor::zeros(&[n, spec.in_channels, *in_h, *in_w]);
+                for v in x.data_mut() {
+                    *v = match kind {
+                        "analog" => rng.uniform(-1.0, 1.0),
+                        _ => f32::from(u8::from(rng.bernoulli(0.2))),
+                    };
+                }
+                // about half the gradients zero, as behind silent neurons
+                let mut g = Tensor::randn(&[n, spec.out_channels, oh, ow], 0.0, 1.0, &mut rng);
+                for v in g.data_mut() {
+                    if rng.bernoulli(0.5) {
+                        *v = 0.0;
+                    }
+                }
+                let want = conv2d_backward_im2col(&g, &x, &weight, spec).unwrap();
+                let got = conv2d_backward(&g, &x, &weight, spec).unwrap();
+                for (name, want, got) in
+                    [("dX", &want.0, &got.0), ("dW", &want.1, &got.1), ("db", &want.2, &got.2)]
+                {
+                    let tag = format!("{name} {spec:?} {in_h}x{in_w} {kind} n={n} {level:?}");
+                    assert_eq!(bits(want), bits(got), "{tag}");
+                }
+            }
         }
     });
 }
