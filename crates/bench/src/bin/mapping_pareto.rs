@@ -182,6 +182,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = write_json(
         "mapping_pareto",
         &json!({
+            "scale": exp.scale,
+            "epochs": exp.epochs,
+            "seed": exp.seed,
             "trials": trials,
             "search_rounds": rounds,
             "theta": theta,

@@ -680,8 +680,8 @@ pub fn replay_trace<C: Clock>(server: &mut Server<C>, trace: &[TracedRequest]) -
 /// accepted work has terminated.
 ///
 /// This is the real-clock reactor — producers hold the `Sender` side and
-/// submit from any thread; inference itself still parallelizes inside
-/// `forward_timestep` via `dtsnn_tensor::parallel` (`DTSNN_THREADS`).
+/// submit from any thread; every step's inference runs on this thread too
+/// (the kernels under `forward_timestep` do not fan out).
 ///
 /// # Errors
 ///

@@ -982,9 +982,9 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_eval_is_bitwise_invariant_across_simd_levels_and_threads() {
-        // the one test of this binary that flips the process-wide overrides
-        use dtsnn_tensor::{parallel, simd};
+    fn batchnorm_eval_is_bitwise_invariant_across_simd_levels() {
+        // the one test of this binary that flips the process-wide override
+        use dtsnn_tensor::simd;
         let mut r = rng();
         let mut bn = BatchNorm2d::new(3);
         for _ in 0..10 {
@@ -993,21 +993,17 @@ mod tests {
             bn.reset_state_ws(&mut Workspace::new());
         }
         let x = Tensor::randn(&[4, 3, 5, 5], 1.0, 2.0, &mut r);
-        let run = |level: simd::SimdLevel, threads: usize| {
+        let run = |level: simd::SimdLevel| {
             simd::with_level(level, || {
-                parallel::with_threads(threads, || {
-                    let mut b = bn.clone();
-                    let mut ws = Workspace::new();
-                    let y = b.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
-                    y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                })
+                let mut b = bn.clone();
+                let mut ws = Workspace::new();
+                let y = b.forward_ws(&x, Mode::Eval, &mut ws).unwrap();
+                y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             })
         };
-        let want = run(simd::SimdLevel::Scalar, 1);
+        let want = run(simd::SimdLevel::Scalar);
         for &lvl in simd::SimdLevel::ALL.iter().filter(|&&l| l <= simd::detected()) {
-            for threads in [1usize, 4] {
-                assert_eq!(want, run(lvl, threads), "{lvl:?} threads={threads}");
-            }
+            assert_eq!(want, run(lvl), "{lvl:?}");
         }
     }
 }

@@ -8,14 +8,14 @@
 //!
 //! Untrained `vgg_small` and `resnet_small` with every parameter nudged off
 //! its initial value, so a prefix output is never the zero padding of an
-//! admitted row. Thread count and SIMD tier are flipped process-wide per
-//! case (every tier and worker count computes the same bits, so the tests of
-//! this binary cannot disturb each other).
+//! admitted row. The SIMD tier is flipped process-wide per case (every tier
+//! computes the same bits, so the tests of this binary cannot disturb each
+//! other).
 
 use dtsnn_snn::{
     load_params, resnet_small, save_params, vgg_small, Mode, ModelConfig, PrefixStats, Snn, State,
 };
-use dtsnn_tensor::{parallel, simd, SimdLevel, Tensor, TensorRng, Workspace};
+use dtsnn_tensor::{simd, SimdLevel, Tensor, TensorRng, Workspace};
 
 /// Longest life of a row, in timesteps.
 const T_MAX: usize = 5;
@@ -39,10 +39,9 @@ fn nets() -> Vec<(&'static str, Snn)> {
         .collect()
 }
 
-/// Every (thread count, SIMD tier) pair the cases run under.
-fn knobs() -> Vec<(usize, SimdLevel)> {
-    let levels = SimdLevel::ALL.into_iter().filter(|&l| l <= simd::detected());
-    levels.flat_map(|l| [(1, l), (4, l)]).collect()
+/// Every SIMD tier the cases run under.
+fn levels() -> Vec<SimdLevel> {
+    SimdLevel::ALL.into_iter().filter(|&l| l <= simd::detected()).collect()
 }
 
 fn bits(data: &[f32]) -> Vec<u32> {
@@ -151,12 +150,12 @@ impl Row {
 
 #[test]
 fn random_schedules_equal_the_cache_free_reference_and_count_every_reuse() {
-    for (threads, level) in knobs() {
-        parallel::with_threads(threads, || simd::with_level(level, || random_schedules(threads, level)));
+    for level in levels() {
+        simd::with_level(level, || random_schedules(level));
     }
 }
 
-fn random_schedules(threads: usize, level: SimdLevel) {
+fn random_schedules(level: SimdLevel) {
     for (name, proto) in nets() {
         let (mut partial_steps, mut admissions, mut compactions, mut spiked) = (0, 0, 0, false);
         for seed in 0..4u64 {
@@ -164,7 +163,7 @@ fn random_schedules(threads: usize, level: SimdLevel) {
             let mut pair = Pair::new(&proto);
             let mut rows: Vec<Row> = Vec::new();
             for op in 0..50 {
-                let tag = format!("{name} seed {seed} op {op} t={threads} {level:?}");
+                let tag = format!("{name} seed {seed} op {op} {level:?}");
                 if rows.iter().any(|r| r.t == T_MAX) {
                     let keep: Vec<usize> = (0..rows.len()).filter(|&r| rows[r].t < T_MAX).collect();
                     pair.compact(&keep);
@@ -256,27 +255,25 @@ fn a_reset_and_every_route_that_may_change_a_prefix_layer_force_a_recompute() {
         ("freeze_norm_stats", |net, _, _| net.freeze_norm_stats()),
         ("Train forward", |net, x, _| drop(net.forward_timestep(x, Mode::Train).unwrap())),
     ];
-    for (threads, level) in knobs() {
-        parallel::with_threads(threads, || {
-            simd::with_level(level, || {
-                for (name, proto) in nets() {
-                    let mut other = proto.clone();
-                    other.visit_params(&mut |p| p.value.map_inplace(|v| -v));
-                    save_params(&mut other, &path).unwrap();
-                    let x = Tensor::randn(&[3, 2, 8, 8], 0.5, 2.0, &mut TensorRng::seed_from(5));
-                    for (route, apply) in routes {
-                        let tag = format!("{name} {route} t={threads} {level:?}");
-                        let mut pair = warmed(&proto, &x);
-                        apply(&mut pair.net, &x, &path);
-                        apply(&mut pair.reference, &x, &path);
-                        let after = pair.step(&x, Mode::Eval, &tag);
-                        assert_eq!(after, PrefixStats { reused: 0, recomputed: 3 }, "{tag}");
-                        let again = pair.step(&x, Mode::Eval, &tag);
-                        assert_eq!(again, PrefixStats { reused: 3, recomputed: 0 }, "{tag}");
-                    }
+    for level in levels() {
+        simd::with_level(level, || {
+            for (name, proto) in nets() {
+                let mut other = proto.clone();
+                other.visit_params(&mut |p| p.value.map_inplace(|v| -v));
+                save_params(&mut other, &path).unwrap();
+                let x = Tensor::randn(&[3, 2, 8, 8], 0.5, 2.0, &mut TensorRng::seed_from(5));
+                for (route, apply) in routes {
+                    let tag = format!("{name} {route} {level:?}");
+                    let mut pair = warmed(&proto, &x);
+                    apply(&mut pair.net, &x, &path);
+                    apply(&mut pair.reference, &x, &path);
+                    let after = pair.step(&x, Mode::Eval, &tag);
+                    assert_eq!(after, PrefixStats { reused: 0, recomputed: 3 }, "{tag}");
+                    let again = pair.step(&x, Mode::Eval, &tag);
+                    assert_eq!(again, PrefixStats { reused: 3, recomputed: 0 }, "{tag}");
                 }
-            })
-        });
+            }
+        })
     }
     std::fs::remove_file(&path).ok();
 }
@@ -295,75 +292,77 @@ fn a_quantized_network_reuses_no_prefix_row_and_matches_the_reference_on_mixed_b
     // row would round differently from the same rows in the full batch: the
     // prefix ends before the first quantized layer, and the rows cached
     // before `quantize_weights` are never read again.
-    for (threads, level) in knobs() {
-        parallel::with_threads(threads, || {
-            simd::with_level(level, || {
-                for (name, proto) in nets() {
-                    let tag = format!("{name} t={threads} {level:?}");
-                    let mut rng = TensorRng::seed_from(17);
-                    let analog = Tensor::randn(&[1, 2, 8, 8], 0.5, 2.0, &mut rng);
-                    let x = Tensor::concat_axis0(&[&analog, &analog, &analog]).unwrap();
-                    let mut pair = warmed(&proto, &x);
-                    pair.net.quantize_weights(4);
-                    pair.reference.quantize_weights(4);
-                    let none = PrefixStats::default();
-                    for t in 0..T_MAX {
-                        let (first, last) = (spikes(1, &mut rng), spikes(1, &mut rng));
-                        let mixed = Tensor::concat_axis0(&[&first, &analog, &last]).unwrap();
-                        assert_eq!(pair.step(&mixed, Mode::Eval, &format!("{tag} mixed t {t}")), none, "{tag}");
-                    }
-                    // the event rows alone: now the batch takes the integer path
-                    pair.compact(&[0, 2]);
-                    for t in 0..2 {
-                        let events = spikes(2, &mut rng);
-                        assert_eq!(pair.step(&events, Mode::Eval, &format!("{tag} events t {t}")), none, "{tag}");
-                    }
+    for level in levels() {
+        simd::with_level(level, || {
+            for (name, proto) in nets() {
+                let tag = format!("{name} {level:?}");
+                let mut rng = TensorRng::seed_from(17);
+                let analog = Tensor::randn(&[1, 2, 8, 8], 0.5, 2.0, &mut rng);
+                let x = Tensor::concat_axis0(&[&analog, &analog, &analog]).unwrap();
+                let mut pair = warmed(&proto, &x);
+                pair.net.quantize_weights(4);
+                pair.reference.quantize_weights(4);
+                let none = PrefixStats::default();
+                for t in 0..T_MAX {
+                    let (first, last) = (spikes(1, &mut rng), spikes(1, &mut rng));
+                    let mixed = Tensor::concat_axis0(&[&first, &analog, &last]).unwrap();
+                    assert_eq!(
+                        pair.step(&mixed, Mode::Eval, &format!("{tag} mixed t {t}")),
+                        none,
+                        "{tag}"
+                    );
                 }
-            })
-        });
+                // the event rows alone: now the batch takes the integer path
+                pair.compact(&[0, 2]);
+                for t in 0..2 {
+                    let events = spikes(2, &mut rng);
+                    assert_eq!(
+                        pair.step(&events, Mode::Eval, &format!("{tag} events t {t}")),
+                        none,
+                        "{tag}"
+                    );
+                }
+            }
+        })
     }
 }
 
 #[test]
 fn an_admitted_row_of_zeros_is_recomputed_although_it_matches_the_padding() {
-    for (threads, level) in knobs() {
-        parallel::with_threads(threads, || {
-            simd::with_level(level, || {
-                for (name, proto) in nets() {
-                    let tag = format!("{name} t={threads} {level:?}");
-                    let mut rng = TensorRng::seed_from(11);
-                    let two = Tensor::randn(&[2, 2, 8, 8], 0.5, 2.0, &mut rng);
-                    let mut pair = Pair::new(&proto);
-                    pair.step(&two, Mode::Eval, &tag);
-                    pair.admit(1);
-                    let three = Tensor::concat_axis0(&[&two, &Tensor::zeros(&[1, 2, 8, 8])]).unwrap();
-                    let got = pair.step(&three, Mode::Eval, &tag);
-                    assert_eq!(got, PrefixStats { reused: 2, recomputed: 1 }, "{tag}");
-                    // and from then on the zero row's entry is a real one
-                    let got = pair.step(&three, Mode::Eval, &tag);
-                    assert_eq!(got, PrefixStats { reused: 3, recomputed: 0 }, "{tag}");
-                }
-            })
-        });
+    for level in levels() {
+        simd::with_level(level, || {
+            for (name, proto) in nets() {
+                let tag = format!("{name} {level:?}");
+                let mut rng = TensorRng::seed_from(11);
+                let two = Tensor::randn(&[2, 2, 8, 8], 0.5, 2.0, &mut rng);
+                let mut pair = Pair::new(&proto);
+                pair.step(&two, Mode::Eval, &tag);
+                pair.admit(1);
+                let three = Tensor::concat_axis0(&[&two, &Tensor::zeros(&[1, 2, 8, 8])]).unwrap();
+                let got = pair.step(&three, Mode::Eval, &tag);
+                assert_eq!(got, PrefixStats { reused: 2, recomputed: 1 }, "{tag}");
+                // and from then on the zero row's entry is a real one
+                let got = pair.step(&three, Mode::Eval, &tag);
+                assert_eq!(got, PrefixStats { reused: 3, recomputed: 0 }, "{tag}");
+            }
+        })
     }
 }
 
 #[test]
 fn event_inputs_never_reuse_a_prefix_row() {
-    for (threads, level) in knobs() {
-        parallel::with_threads(threads, || {
-            simd::with_level(level, || {
-                for (name, proto) in nets() {
-                    let tag = format!("{name} t={threads} {level:?}");
-                    let mut rng = TensorRng::seed_from(13);
-                    let mut pair = Pair::new(&proto);
-                    for t in 0..T_MAX {
-                        let frame = Tensor::randn(&[3, 2, 8, 8], 0.5, 2.0, &mut rng);
-                        let got = pair.step(&frame, Mode::Eval, &format!("{tag} t {t}"));
-                        assert_eq!(got, PrefixStats { reused: 0, recomputed: 3 }, "{tag} t {t}");
-                    }
+    for level in levels() {
+        simd::with_level(level, || {
+            for (name, proto) in nets() {
+                let tag = format!("{name} {level:?}");
+                let mut rng = TensorRng::seed_from(13);
+                let mut pair = Pair::new(&proto);
+                for t in 0..T_MAX {
+                    let frame = Tensor::randn(&[3, 2, 8, 8], 0.5, 2.0, &mut rng);
+                    let got = pair.step(&frame, Mode::Eval, &format!("{tag} t {t}"));
+                    assert_eq!(got, PrefixStats { reused: 0, recomputed: 3 }, "{tag} t {t}");
                 }
-            })
-        });
+            }
+        })
     }
 }

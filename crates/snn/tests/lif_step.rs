@@ -2,11 +2,11 @@
 //! the hoisted BPTT loop — against the plain-tensor Train step and backward
 //! loop it replaced, kept here verbatim as the oracle, bit for bit.
 //!
-//! In its own process: the equivalence test flips the process-wide thread
-//! and SIMD overrides.
+//! In its own process: the equivalence test flips the process-wide SIMD
+//! override.
 
 use dtsnn_snn::{Layer, LifConfig, LifNeuron, Mode, ResetMode, Surrogate};
-use dtsnn_tensor::{parallel, simd, SimdLevel, Tensor, TensorRng, Workspace};
+use dtsnn_tensor::{simd, SimdLevel, Tensor, TensorRng, Workspace};
 
 /// The former `LifNeuron` Train arm and backward, verbatim but for the
 /// field names of their owner: Eqs. 2–3 one tensor operation per pass,
@@ -231,37 +231,37 @@ fn lif_train_and_eval_match_the_plain_tensor_oracle_bitwise() {
                     let gx = oracle.backward(g);
                     want_bwd.push((bits(gx.data()), oracle.grad_membrane.as_ref().map(|t| bits(t.data()))));
                 }
-                for threads in [1, 4] {
-                    for level in SimdLevel::ALL {
-                        let case = format!("{tag} threads={threads} {level:?}");
-                        parallel::with_threads(threads, || {
-                            simd::with_level(level, || {
-                                let mut lif = LifNeuron::new(cfg);
-                                for (t, x) in inputs.iter().enumerate() {
-                                    let spikes = lif.forward_ws(x, Mode::Train, &mut ws).unwrap();
-                                    assert_eq!(observe(&lif, &spikes), want_fwd[t], "{case} t={t}");
-                                    let u_pre = lif.bptt_state().0.last().expect("cached");
-                                    assert_eq!(bits(u_pre.data()), want_u_pre[t], "{case} t={t}");
-                                }
-                                for (step, g) in grads.iter().rev().enumerate() {
-                                    let gx = lif.backward(g).unwrap();
-                                    let carried = lif.bptt_state().1.map(|t| bits(t.data()));
-                                    assert_eq!((bits(gx.data()), carried), want_bwd[step], "{case} back {step}");
-                                }
-                                assert!(lif.bptt_state().0.is_empty());
-                                lif.reset_state_ws(&mut ws);
-                                // the Eval arm is the same forward without the cache
-                                for (t, x) in inputs.iter().enumerate() {
-                                    let spikes = lif.forward_ws(x, Mode::Eval, &mut ws).unwrap();
-                                    assert_eq!(spikes.dims(), x.dims(), "{case}");
-                                    assert_eq!(observe(&lif, &spikes), want_fwd[t], "{case} eval t={t}");
-                                    ws.recycle_tensor(spikes);
-                                }
-                                assert!(lif.bptt_state().0.is_empty());
-                                lif.reset_state_ws(&mut ws);
-                            })
-                        });
-                    }
+                for level in SimdLevel::ALL {
+                    let case = format!("{tag} {level:?}");
+                    simd::with_level(level, || {
+                        let mut lif = LifNeuron::new(cfg);
+                        for (t, x) in inputs.iter().enumerate() {
+                            let spikes = lif.forward_ws(x, Mode::Train, &mut ws).unwrap();
+                            assert_eq!(observe(&lif, &spikes), want_fwd[t], "{case} t={t}");
+                            let u_pre = lif.bptt_state().0.last().expect("cached");
+                            assert_eq!(bits(u_pre.data()), want_u_pre[t], "{case} t={t}");
+                        }
+                        for (step, g) in grads.iter().rev().enumerate() {
+                            let gx = lif.backward(g).unwrap();
+                            let carried = lif.bptt_state().1.map(|t| bits(t.data()));
+                            assert_eq!(
+                                (bits(gx.data()), carried),
+                                want_bwd[step],
+                                "{case} back {step}"
+                            );
+                        }
+                        assert!(lif.bptt_state().0.is_empty());
+                        lif.reset_state_ws(&mut ws);
+                        // the Eval arm is the same forward without the cache
+                        for (t, x) in inputs.iter().enumerate() {
+                            let spikes = lif.forward_ws(x, Mode::Eval, &mut ws).unwrap();
+                            assert_eq!(spikes.dims(), x.dims(), "{case}");
+                            assert_eq!(observe(&lif, &spikes), want_fwd[t], "{case} eval t={t}");
+                            ws.recycle_tensor(spikes);
+                        }
+                        assert!(lif.bptt_state().0.is_empty());
+                        lif.reset_state_ws(&mut ws);
+                    })
                 }
             }
         }

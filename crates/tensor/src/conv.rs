@@ -47,13 +47,10 @@
 //! **Reference**: [`im2col`] has one row per output pixel and one column per
 //! tap, so [`conv2d`] is one matrix product, [`conv2d_backward_im2col`] two.
 //!
-//! Every pass is partitioned across the [`crate::parallel`] pool so that one
-//! output element's accumulation stays on one worker in serial order
-//! (`im2col` by output row, the weight gradient by input channel, the rest
-//! by sample): thread-count-invariant bits.
+//! Every pass runs on its caller's thread.
 
 use crate::quant::QuantizedWeights;
-use crate::{parallel, simd, AlignedVec, Result, Tensor, TensorError, Workspace};
+use crate::{simd, AlignedVec, Result, Tensor, TensorError, Workspace};
 
 /// Geometry of a 2-D convolution (square kernel, symmetric padding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,35 +146,31 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     }
     let src = input.data();
     let pad = spec.padding as isize;
-    let work = rows.saturating_mul(pl);
-    parallel::for_each_row_chunk(cols.data_mut(), pl, rows, work, |first_row, dst| {
-        for (local, patch) in dst.chunks_mut(pl).enumerate() {
-            let flat = first_row + local;
-            let ox = flat % ow;
-            let oy = (flat / ow) % oh;
-            let ni = flat / (ow * oh);
-            let iy0 = (oy * spec.stride) as isize - pad;
-            let ix0 = (ox * spec.stride) as isize - pad;
-            for ci in 0..c {
-                let cbase = (ni * c + ci) * h * w;
-                for ky in 0..k {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue; // padding stays zero
+    for (flat, patch) in cols.data_mut().chunks_mut(pl).enumerate() {
+        let ox = flat % ow;
+        let oy = (flat / ow) % oh;
+        let ni = flat / (ow * oh);
+        let iy0 = (oy * spec.stride) as isize - pad;
+        let ix0 = (ox * spec.stride) as isize - pad;
+        for ci in 0..c {
+            let cbase = (ni * c + ci) * h * w;
+            for ky in 0..k {
+                let iy = iy0 + ky as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue; // padding stays zero
+                }
+                let srow = cbase + iy as usize * w;
+                let drow = (ci * k + ky) * k;
+                for kx in 0..k {
+                    let ix = ix0 + kx as isize;
+                    if ix < 0 || ix >= w as isize {
+                        continue;
                     }
-                    let srow = cbase + iy as usize * w;
-                    let drow = (ci * k + ky) * k;
-                    for kx in 0..k {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        patch[drow + kx] = src[srow + ix as usize];
-                    }
+                    patch[drow + kx] = src[srow + ix as usize];
                 }
             }
         }
-    });
+    }
     Ok(cols)
 }
 
@@ -201,39 +194,33 @@ pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) ->
     }
     let src = cols.data();
     let pad = spec.padding as isize;
-    // Partition by batch index: every += for sample ni lands in that sample's
-    // chunk, in the same (oy, ox, ci, ky, kx) order as the serial loop.
-    let work = n.saturating_mul(oh * ow).saturating_mul(pl);
-    parallel::for_each_row_chunk(out.data_mut(), sample_len, n, work, |first_n, dst| {
-        for (local_ni, sample) in dst.chunks_mut(sample_len).enumerate() {
-            let ni = first_n + local_ni;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((ni * oh + oy) * ow + ox) * pl;
-                    let iy0 = (oy * spec.stride) as isize - pad;
-                    let ix0 = (ox * spec.stride) as isize - pad;
-                    for ci in 0..c {
-                        let cbase = ci * h * w;
-                        for ky in 0..k {
-                            let iy = iy0 + ky as isize;
-                            if iy < 0 || iy >= h as isize {
+    for (ni, sample) in out.data_mut().chunks_mut(sample_len).enumerate() {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let row = ((ni * oh + oy) * ow + ox) * pl;
+                let iy0 = (oy * spec.stride) as isize - pad;
+                let ix0 = (ox * spec.stride) as isize - pad;
+                for ci in 0..c {
+                    let cbase = ci * h * w;
+                    for ky in 0..k {
+                        let iy = iy0 + ky as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let drow = cbase + iy as usize * w;
+                        let srow = row + (ci * k + ky) * k;
+                        for kx in 0..k {
+                            let ix = ix0 + kx as isize;
+                            if ix < 0 || ix >= w as isize {
                                 continue;
                             }
-                            let drow = cbase + iy as usize * w;
-                            let srow = row + (ci * k + ky) * k;
-                            for kx in 0..k {
-                                let ix = ix0 + kx as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                sample[drow + ix as usize] += src[srow + kx];
-                            }
+                            sample[drow + ix as usize] += src[srow + kx];
                         }
                     }
                 }
             }
         }
-    });
+    }
     Ok(out)
 }
 
@@ -347,8 +334,8 @@ pub fn conv2d_ws(
 }
 
 /// The direct kernel over [`pack_weights`] output: scatter into one zeroed
-/// `[oh, left + ow + right, co]` tile per sample ([`tile_margins`]; sharded
-/// by sample, as [`col2im`] is), then the epilogue pass.
+/// `[oh, left + ow + right, co]` tile per sample ([`tile_margins`]), then the
+/// epilogue pass.
 fn scatter_forward(
     input: &Tensor,
     w_t: &[f32],
@@ -362,23 +349,14 @@ fn scatter_forward(
     let mut tiles = ws.take(n * tile_len);
     if n * tile_len > 0 {
         let src = input.data();
-        let work = (n * tile_len).saturating_mul(spec.patch_len());
-        // one nonzero-pass scratch per sample, so a worker owns its samples'
+        // one nonzero-pass scratch per sample
         let words_len = nonzero_words_len(sample_len);
         let mut words = ws.take_words(n * words_len);
-        parallel::for_each_row_chunk_with(
-            (&mut tiles, tile_len),
-            (&mut words, words_len),
-            n,
-            work,
-            |first_n, tiles, words| {
-                let samples = tiles.chunks_mut(tile_len).zip(words.chunks_exact_mut(words_len));
-                for (ni, (tile, words)) in (first_n..).zip(samples) {
-                    let input = (&src[ni * sample_len..][..sample_len], words);
-                    simd::conv_scatter_sample(input, [c, h, w], (oh, ow), w_t, *spec, tile);
-                }
-            },
-        );
+        let samples = tiles.chunks_mut(tile_len).zip(words.chunks_exact_mut(words_len));
+        for (ni, (tile, words)) in samples.enumerate() {
+            let input = (&src[ni * sample_len..][..sample_len], words);
+            simd::conv_scatter_sample(input, [c, h, w], (oh, ow), w_t, *spec, tile);
+        }
         ws.recycle_words(words);
     }
     tiles_into_nchw(tiles, bias, [n, co, oh, ow], margins, ws)
@@ -433,28 +411,26 @@ fn rows_to_nchw(
         return;
     }
     let bias = bias.map(Tensor::data);
-    parallel::for_each_row_chunk(dst, sample_len, n, n * sample_len, |first_n, dst| {
-        for (local_ni, sample) in dst.chunks_mut(sample_len).enumerate() {
-            let tile = &src[(first_n + local_ni) * oh * tile_row..][..oh * tile_row];
-            for (oy, tile_row) in tile.chunks_exact(tile_row).enumerate() {
-                let pixels = tile_row[left * c..][..ow * c].chunks_exact(c);
-                for (p, row) in (oy * ow..).zip(pixels) {
-                    match bias {
-                        Some(b) => {
-                            for (ci, (&v, &bv)) in row.iter().zip(b).enumerate() {
-                                sample[ci * plane + p] = v + bv;
-                            }
+    for (ni, sample) in dst.chunks_mut(sample_len).enumerate() {
+        let tile = &src[ni * oh * tile_row..][..oh * tile_row];
+        for (oy, tile_row) in tile.chunks_exact(tile_row).enumerate() {
+            let pixels = tile_row[left * c..][..ow * c].chunks_exact(c);
+            for (p, row) in (oy * ow..).zip(pixels) {
+                match bias {
+                    Some(b) => {
+                        for (ci, (&v, &bv)) in row.iter().zip(b).enumerate() {
+                            sample[ci * plane + p] = v + bv;
                         }
-                        None => {
-                            for (ci, &v) in row.iter().enumerate() {
-                                sample[ci * plane + p] = v;
-                            }
+                    }
+                    None => {
+                        for (ci, &v) in row.iter().enumerate() {
+                            sample[ci * plane + p] = v;
                         }
                     }
                 }
             }
         }
-    });
+    }
 }
 
 /// The outputs along one axis that see input coordinate `i` (`t = i + pad`);
@@ -510,12 +486,11 @@ pub(crate) fn scatter_sample(
     scatter::<false>(Scan { src, words, dims, out_hw, operand: w_t, spec }, tile);
 }
 
-/// The weight gradient of the input channels `first_ci..` that `dw` holds
-/// (`k` blocks of [`block_rows`] packed `co`-wide rows each, the layout of
-/// [`pack_weights`]) over every sample of `src` (`[n, c, h, w]`), `gmat`
-/// holding each sample's `[oh*ow, co]` output-gradient rows: the forward's
-/// scan with the roles of weights and tile swapped, `words` (at least
-/// `cis*h*w / 64 + 2` long for the `cis` channels of `dw`) the scratch of
+/// The weight gradient `dw` (`c·k` blocks of [`block_rows`] packed `co`-wide
+/// rows, the layout of [`pack_weights`]) over every sample of `src`
+/// (`[n, c, h, w]`), `gmat` holding each sample's `[oh*ow, co]`
+/// output-gradient rows: the forward's scan with the roles of weights and
+/// tile swapped, `words` (at least `c*h*w / 64 + 2` long) the scratch of
 /// each sample's nonzero pass.
 /// [`simd::conv_weight_grad_chunk`] compiles it once per tier.
 #[inline(always)]
@@ -525,16 +500,14 @@ pub(crate) fn weight_grad_chunk(
     (oh, ow): (usize, usize),
     gmat: &[f32],
     spec: Conv2dSpec,
-    first_ci: usize,
     dw: &mut [f32],
 ) {
-    let (plane, tile) = (h * w, oh * ow * spec.out_channels);
-    let cis = dw.len() / (spec.kernel * block_rows(spec.kernel, spec.stride) * spec.out_channels);
+    let (sample_len, tile) = (c * h * w, oh * ow * spec.out_channels);
     for ni in 0..n {
-        let x = &src[(ni * c + first_ci) * plane..][..cis * plane];
+        let x = &src[ni * sample_len..][..sample_len];
         let g = &gmat[ni * tile..][..tile];
         nonzero_words(x, words);
-        let scan = Scan { src: x, words, dims: [cis, h, w], out_hw: (oh, ow), operand: g, spec };
+        let scan = Scan { src: x, words, dims: [c, h, w], out_hw: (oh, ow), operand: g, spec };
         scatter::<true>(scan, dw);
     }
 }
@@ -956,7 +929,7 @@ fn clip_taps(i0: isize, k: usize, extent: usize) -> std::ops::Range<usize> {
 /// the active weight codes in the filter's **natural** `[c_out, c_in*k*k]`
 /// layout (no transpose needed) rescaled once by `Δ` — and a non-binary
 /// input falls back to [`conv2d_ws`] over the on-grid dequantized weights.
-/// Deterministic and thread-count-invariant on both branches.
+/// Deterministic on both branches.
 ///
 /// # Errors
 ///
@@ -1020,27 +993,16 @@ pub fn conv2d_backward(
     spec: &Conv2dSpec,
 ) -> Result<(Tensor, Tensor, Tensor)> {
     let ([n, c, h, w], (oh, ow)) = check_backward(grad_out, input, weight, spec)?;
-    let (k, co, pl) = (spec.kernel, spec.out_channels, spec.patch_len());
+    let (co, pl) = (spec.out_channels, spec.patch_len());
     let gmat = nchw_to_rows(grad_out, [n, co, oh, ow]);
     let (x, g) = (input.data(), gmat.data());
-    let work = (n * oh * ow).saturating_mul(co).saturating_mul(pl);
-    // dW: the scan over x, by input channel, into packed [pl, co] rows
+    // dW: the scan over x into packed [pl, co] rows
     let mut packed = vec![0.0f32; packed_len(spec)];
     if n * oh * ow > 0 {
-        // nonzero-pass scratch by input channel: a worker's share covers its
-        // channels' planes
-        let words_len = nonzero_words_len(h * w);
-        let mut words = vec![0u64; c * words_len];
-        parallel::for_each_row_chunk_with(
-            (&mut packed, k * block_rows(k, spec.stride) * co),
-            (&mut words, words_len),
-            c,
-            work,
-            |first_ci, dw, words| {
-                let input = (x, words);
-                simd::conv_weight_grad_chunk(input, [n, c, h, w], (oh, ow), g, *spec, first_ci, dw);
-            },
-        );
+        // nonzero-pass scratch: a plane's words per input channel
+        let mut words = vec![0u64; c * nonzero_words_len(h * w)];
+        let input = (x, &mut words[..]);
+        simd::conv_weight_grad_chunk(input, [n, c, h, w], (oh, ow), g, *spec, &mut packed);
     }
     let mut grad_weight = Tensor::zeros(&[co, pl]);
     for (o, dst) in grad_weight.data_mut().chunks_exact_mut(pl).enumerate() {
@@ -1052,15 +1014,12 @@ pub fn conv2d_backward(
     let mut grad_input = Tensor::zeros(&[n, c, h, w]);
     let (sample_len, tile) = (c * h * w, oh * ow * co);
     if n * sample_len > 0 {
-        let wd = weight.data();
-        parallel::for_each_row_chunk(grad_input.data_mut(), sample_len, n, work, |first_n, dx| {
-            let (mut row, mut nz) = (vec![0.0f32; pl], vec![0usize; co]);
-            for (local, dx) in dx.chunks_mut(sample_len).enumerate() {
-                let g = &g[(first_n + local) * tile..][..tile];
-                let scratch = (&mut row[..], &mut nz[..]);
-                simd::conv_input_grad_sample(g, wd, [c, h, w], (oh, ow), *spec, scratch, dx);
-            }
-        });
+        let (wd, mut row, mut nz) = (weight.data(), vec![0.0f32; pl], vec![0usize; co]);
+        for (ni, dx) in grad_input.data_mut().chunks_mut(sample_len).enumerate() {
+            let g = &g[ni * tile..][..tile];
+            let scratch = (&mut row[..], &mut nz[..]);
+            simd::conv_input_grad_sample(g, wd, [c, h, w], (oh, ow), *spec, scratch, dx);
+        }
     }
     Ok((grad_input, grad_weight, gmat.sum_rows()?))
 }
@@ -1129,20 +1088,15 @@ fn nchw_to_rows(t: &Tensor, [n, c, oh, ow]: [usize; 4]) -> Tensor {
         return out;
     }
     let src = t.data();
-    let work = n.saturating_mul(sample_len);
-    parallel::for_each_row_chunk(out.data_mut(), sample_len, n, work, |first_n, dst| {
-        for (local_ni, sample) in dst.chunks_mut(sample_len).enumerate() {
-            let ni = first_n + local_ni;
-            for ci in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        sample[((oy * ow + ox) * c) + ci] =
-                            src[((ni * c + ci) * oh + oy) * ow + ox];
-                    }
+    for (ni, sample) in out.data_mut().chunks_mut(sample_len).enumerate() {
+        for ci in 0..c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    sample[((oy * ow + ox) * c) + ci] = src[((ni * c + ci) * oh + oy) * ow + ox];
                 }
             }
         }
-    });
+    }
     out
 }
 
@@ -1287,33 +1241,6 @@ mod tests {
         }
         // bias gradient is #output pixels per channel
         assert_eq!(gb.data(), &[16.0, 16.0]);
-    }
-
-    #[test]
-    fn conv_forward_backward_are_thread_count_invariant() {
-        let mut rng = TensorRng::seed_from(21);
-        // 4 samples × 3ch × 12px clears the parallel-work threshold.
-        let spec = Conv2dSpec::new(3, 8, 3, 1, 1).unwrap();
-        let x = Tensor::randn(&[4, 3, 12, 12], 0.0, 1.0, &mut rng);
-        let w = Tensor::randn(&[8, spec.patch_len()], 0.0, 0.5, &mut rng);
-        let b = Tensor::randn(&[8], 0.0, 0.1, &mut rng);
-        let run = || {
-            let y = conv2d(&x, &w, Some(&b), &spec).unwrap();
-            let gy = Tensor::ones(y.dims());
-            let (gx, gw, gb) = conv2d_backward(&gy, &x, &w, &spec).unwrap();
-            (y, gx, gw, gb)
-        };
-        let serial = crate::parallel::with_threads(1, run);
-        for threads in [2, 4] {
-            let par = crate::parallel::with_threads(threads, run);
-            for (s, p) in
-                [(&serial.0, &par.0), (&serial.1, &par.1), (&serial.2, &par.2), (&serial.3, &par.3)]
-            {
-                let sb: Vec<u32> = s.data().iter().map(|v| v.to_bits()).collect();
-                let pb: Vec<u32> = p.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(sb, pb, "threads={threads}");
-            }
-        }
     }
 
     #[test]

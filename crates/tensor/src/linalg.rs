@@ -1,10 +1,8 @@
 //! Matrix multiplication kernels.
 //!
-//! Cache-blocked (i,k,j) loop ordering, row-partitioned across the
-//! [`crate::parallel`] worker pool. Each worker owns a disjoint slice of
-//! output rows and every output element accumulates over `k` in ascending
-//! order regardless of blocking, so results are bitwise identical for any
-//! `DTSNN_THREADS` value.
+//! Cache-blocked (i,k,j) loop ordering on the caller's thread. Every output
+//! element accumulates over `k` in ascending order regardless of blocking,
+//! so the blocking never changes a bit.
 //!
 //! There is one f32 family. Spike operands need no kernel of their own:
 //! every kernel skips a zero left-operand entry in place, so a silent input
@@ -19,10 +17,10 @@
 //! explicit [`QuantizedWeights`].
 
 use crate::quant::QuantizedWeights;
-use crate::{parallel, simd, AlignedVec, Result, Tensor, TensorError, Workspace};
+use crate::{simd, AlignedVec, Result, Tensor, TensorError, Workspace};
 
 /// K-dimension tile: one tile of `b` rows (`BLOCK_K × BLOCK_N` floats) stays
-/// cache-hot across all output rows of a worker's chunk. Per output element
+/// cache-hot across all output rows. Per output element
 /// the tiles are visited in ascending order, so blocking is bitwise neutral.
 const BLOCK_K: usize = 64;
 /// N-dimension tile (floats): bounds the write window per pass.
@@ -37,24 +35,17 @@ pub(crate) const NT_COLS: usize = 16;
 // once per tier: safe code, plain loops, no closures (see `simd`'s module
 // docs). An empty extent runs no iteration.
 
-/// `c[i, j] += a[i, p] * b[p, j]` over the rows of `c` (row `first_row` of
-/// `a` onwards), blocked over `j` and `p`. A zero `a[i, p]` is skipped
+/// `c[i, j] += a[i, p] * b[p, j]` over the rows of `c`, blocked over `j` and
+/// `p`. A zero `a[i, p]` is skipped
 /// (bitwise neutral; what makes a spike operand cheap).
 #[inline(always)]
-pub(crate) fn matmul_chunk(
-    a: &[f32],
-    k: usize,
-    first_row: usize,
-    b: &[f32],
-    n: usize,
-    c: &mut [f32],
-) {
+pub(crate) fn matmul_chunk(a: &[f32], k: usize, b: &[f32], n: usize, c: &mut [f32]) {
     for jb in (0..n).step_by(BLOCK_N) {
         let jend = (jb + BLOCK_N).min(n);
         for pb in (0..k).step_by(BLOCK_K) {
             let pend = (pb + BLOCK_K).min(k);
-            for (local_i, crow) in c.chunks_mut(n).enumerate() {
-                let arow = &a[(first_row + local_i) * k..][pb..pend];
+            for (i, crow) in c.chunks_mut(n).enumerate() {
+                let arow = &a[i * k..][pb..pend];
                 let ctile = &mut crow[jb..jend];
                 for (p, &av) in (pb..pend).zip(arow) {
                     if av == 0.0 {
@@ -71,24 +62,15 @@ pub(crate) fn matmul_chunk(
 }
 
 /// [`matmul_chunk`] with `a` stored `[k, m]`: `p` stays the loop over `a`'s
-/// rows, and per output element the accumulation still ascends over `p`
-/// exactly like a serial pass.
+/// rows, and per output element the accumulation still ascends over `p`.
 #[inline(always)]
-pub(crate) fn matmul_tn_chunk(
-    a: &[f32],
-    k: usize,
-    m: usize,
-    first_row: usize,
-    b: &[f32],
-    n: usize,
-    c: &mut [f32],
-) {
+pub(crate) fn matmul_tn_chunk(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, c: &mut [f32]) {
     for jb in (0..n).step_by(BLOCK_N) {
         let jend = (jb + BLOCK_N).min(n);
         for pb in (0..k).step_by(BLOCK_K) {
             for p in pb..(pb + BLOCK_K).min(k) {
                 let brow = &b[p * n + jb..p * n + jend];
-                for (crow, &av) in c.chunks_mut(n).zip(&a[p * m + first_row..]) {
+                for (crow, &av) in c.chunks_mut(n).zip(&a[p * m..]) {
                     if av == 0.0 {
                         continue;
                     }
@@ -110,17 +92,9 @@ pub(crate) fn matmul_tn_chunk(
 /// its weight, then the bias. The spare lanes of a ragged last group run on
 /// zero weights and are dropped.
 #[inline(always)]
-pub(crate) fn linear_chunk(
-    a: &[f32],
-    k: usize,
-    first_row: usize,
-    w: &[f32],
-    n: usize,
-    bias: &[f32],
-    c: &mut [f32],
-) {
-    for (local_i, crow) in c.chunks_mut(n.max(1)).enumerate() {
-        let arow = &a[(first_row + local_i) * k..][..k];
+pub(crate) fn linear_chunk(a: &[f32], k: usize, w: &[f32], n: usize, bias: &[f32], c: &mut [f32]) {
+    for (i, crow) in c.chunks_mut(n.max(1)).enumerate() {
+        let arow = &a[i * k..][..k];
         for (g, cgroup) in crow.chunks_mut(NT_COLS).enumerate() {
             let wg = &w[g * k * NT_COLS..][..k * NT_COLS];
             // indexed with fixed trip counts only, so it stays in registers
@@ -201,10 +175,7 @@ impl Tensor {
         }
         let mut out = Tensor::zeros(&[m, n]);
         if m > 0 && n > 0 {
-            let (a, b, work) = (self.data(), rhs.data(), m.saturating_mul(k).saturating_mul(n));
-            parallel::for_each_row_chunk(out.data_mut(), n, m, work, |r, c| {
-                simd::matmul_chunk(a, k, r, b, n, c);
-            });
+            simd::matmul_chunk(self.data(), k, rhs.data(), n, out.data_mut());
         }
         Ok(out)
     }
@@ -223,10 +194,7 @@ impl Tensor {
         }
         let mut out = Tensor::zeros(&[m, n]);
         if m > 0 && n > 0 {
-            let (a, b, work) = (self.data(), rhs.data(), m.saturating_mul(k).saturating_mul(n));
-            parallel::for_each_row_chunk(out.data_mut(), n, m, work, |r, c| {
-                simd::matmul_tn_chunk(a, k, m, r, b, n, c);
-            });
+            simd::matmul_tn_chunk(self.data(), k, m, rhs.data(), n, out.data_mut());
         }
         Ok(out)
     }
@@ -330,8 +298,7 @@ impl LinearPlan {
     }
 
     /// `input[m, k] × weightᵀ + bias → [m, n]` over the packed weights,
-    /// row-partitioned, bitwise identical to [`linear_ws`]; the output comes
-    /// from `ws`.
+    /// bitwise identical to [`linear_ws`]; the output comes from `ws`.
     ///
     /// # Errors
     ///
@@ -340,11 +307,7 @@ impl LinearPlan {
         let ([n, k], m) = (self.dims, linear_rows(input, self.dims, bias)?);
         let mut out = ws.take_overwrite(m * n);
         if m > 0 && n > 0 {
-            let (a, w, b) = (input.data(), self.packed.as_slice(), bias.data());
-            let work = m.saturating_mul(k).saturating_mul(n);
-            parallel::for_each_row_chunk(&mut out, n, m, work, |r, c| {
-                simd::linear_chunk(a, k, r, w, n, b, c);
-            });
+            simd::linear_chunk(input.data(), k, &self.packed, n, bias.data(), &mut out);
         }
         Tensor::from_aligned(out, &[m, n])
     }
@@ -354,7 +317,7 @@ impl LinearPlan {
 /// accumulation of the weight codes over the active inputs with a single
 /// rescale per output element (plus the f32 bias); for a non-binary input,
 /// the ordinary [`linear_ws`] over the on-grid dequantized weights.
-/// Deterministic and thread-count-invariant on both branches.
+/// Deterministic on both branches.
 ///
 /// # Errors
 ///
@@ -469,29 +432,6 @@ mod tests {
         let slow = a.matmul(&b.transpose2d().unwrap()).unwrap();
         for (x, y) in fast.data().iter().zip(slow.data()) {
             assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn kernels_are_thread_count_invariant() {
-        let mut rng = TensorRng::seed_from(41);
-        // Big enough to clear the parallel-work threshold.
-        let a = Tensor::randn(&[64, 48], 0.0, 1.0, &mut rng);
-        let b = Tensor::randn(&[48, 56], 0.0, 1.0, &mut rng);
-        let bt = Tensor::randn(&[56, 48], 0.0, 1.0, &mut rng);
-        let at = Tensor::randn(&[48, 64], 0.0, 1.0, &mut rng);
-        let serial = parallel::with_threads(1, || {
-            (a.matmul(&b).unwrap(), at.matmul_tn(&b).unwrap(), a.matmul_nt(&bt).unwrap())
-        });
-        for threads in [2, 4, 7] {
-            let par = parallel::with_threads(threads, || {
-                (a.matmul(&b).unwrap(), at.matmul_tn(&b).unwrap(), a.matmul_nt(&bt).unwrap())
-            });
-            for (s, p) in [(&serial.0, &par.0), (&serial.1, &par.1), (&serial.2, &par.2)] {
-                let sb: Vec<u32> = s.data().iter().map(|v| v.to_bits()).collect();
-                let pb: Vec<u32> = p.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(sb, pb, "threads={threads}");
-            }
         }
     }
 

@@ -1,14 +1,15 @@
-//! Deterministic scoped-thread parallelism for the hot kernels and the
-//! data-parallel evaluation harnesses above this crate.
+//! Deterministic scoped-thread fan-out of independent work: the windows and
+//! samples of the evaluation harnesses above this crate and the proposals of
+//! the IMC placement search. The kernels in this crate do not fan out: a
+//! convolution, matmul or linear layer runs on its caller's thread.
 //!
 //! # Determinism contract
 //!
-//! Every helper here partitions work into **contiguous, disjoint** chunks and
-//! merges results in **chunk-index order**. Combined with kernels that keep
-//! the per-element float accumulation order unchanged (each worker owns a
-//! disjoint slice of output rows), results are **bitwise identical** for any
-//! worker count — `DTSNN_THREADS=1` reproduces today's serial path exactly,
-//! and `DTSNN_THREADS=N` reproduces it too.
+//! [`map_chunks`] partitions the items into **contiguous, disjoint** chunks
+//! and concatenates the results in **chunk-index order**. Each item's output
+//! is computed by the same serial code whatever chunk it lands in, so results
+//! are **bitwise identical** for any worker count — `DTSNN_THREADS=1` is the
+//! serial path, and `DTSNN_THREADS=N` reproduces it.
 //!
 //! # Worker-count knob
 //!
@@ -29,12 +30,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Hard upper bound on the worker count; requests beyond it are clamped.
 pub const MAX_THREADS: usize = 256;
 
-/// Work below this many scalar operations runs serially: scoped-thread spawn
-/// costs tens of microseconds, so tiny kernels would lose more than they gain.
-/// The threshold depends only on the problem size — never on the thread
-/// count — so it cannot break thread-count invariance.
-const MIN_PARALLEL_WORK: usize = 1 << 15;
-
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 pub(crate) static ENV_THREADS: EnvKnob<usize> = EnvKnob::new(
     "DTSNN_THREADS",
@@ -43,7 +38,7 @@ pub(crate) static ENV_THREADS: EnvKnob<usize> = EnvKnob::new(
 );
 
 /// Clamps a requested worker count into the valid range (`0` → `1`).
-pub fn clamp_threads(n: usize) -> usize {
+fn clamp_threads(n: usize) -> usize {
     n.clamp(1, MAX_THREADS)
 }
 
@@ -55,8 +50,8 @@ thread_local! {
 /// The worker count a fan-out starting on this thread may use: the
 /// configured one (override → `DTSNN_THREADS` → hardware), or `1` on a
 /// thread that is already a fan-out worker. There is **one level of
-/// fan-out**: whichever helper is reached first takes the workers and
-/// everything nested under it runs serially, so a process never has more
+/// fan-out**: the outermost [`map_chunks`] takes the workers and every
+/// fan-out nested under it runs serially, so a process never has more
 /// than the configured count of busy threads. (Serial and parallel results
 /// are bitwise equal, so the rule cannot change an output.)
 pub fn num_threads() -> usize {
@@ -94,96 +89,10 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Worker count to use for a kernel touching `work` scalar operations over
-/// `rows` partitionable rows.
-fn threads_for(work: usize, rows: usize) -> usize {
-    if work < MIN_PARALLEL_WORK {
-        1
-    } else {
-        num_threads().min(rows.max(1))
-    }
-}
-
-/// The chunk-and-`scope` skeleton of both helpers: `f(i, chunk)` for every
-/// chunk, the first on the caller's thread (worker 0) and each other on a
-/// scoped thread, every one of them marked a worker meanwhile; results in
-/// chunk order.
-fn scope_chunks<C: Send, R: Send>(
-    chunks: impl Iterator<Item = C>,
-    f: impl Fn(usize, C) -> R + Sync,
-) -> Vec<R> {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_WORKER.set(self.0);
-        }
-    }
-    let as_worker = |i: usize, chunk: C| {
-        let _restore = Restore(IN_WORKER.replace(true));
-        f(i, chunk)
-    };
-    std::thread::scope(|scope| {
-        let mut chunks = chunks.enumerate();
-        let first = chunks.next();
-        let as_worker = &as_worker;
-        let spawned: Vec<_> =
-            chunks.map(|(i, chunk)| scope.spawn(move || as_worker(i, chunk))).collect();
-        let mut results = Vec::with_capacity(spawned.len() + 1);
-        results.extend(first.map(|(i, chunk)| as_worker(i, chunk)));
-        results.extend(spawned.into_iter().map(|h| h.join().expect("parallel worker panicked")));
-        results
-    })
-}
-
-/// Splits `out` (a `rows × row_len` row-major buffer) into contiguous
-/// row-chunks, one per worker, and calls `f(first_row, chunk)` on each from a
-/// scoped thread. `work` is the kernel's total scalar-op estimate used to
-/// gate parallelism.
-///
-/// Chunks are disjoint `&mut` slices, so each output element is written by
-/// exactly one worker and per-element accumulation order is whatever `f`
-/// does serially for that row — bitwise identical to a single `f(0, out)`.
-pub fn for_each_row_chunk<F>(out: &mut [f32], row_len: usize, rows: usize, work: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    debug_assert_eq!(out.len(), rows * row_len.max(1));
-    let threads = threads_for(work, rows);
-    if threads <= 1 || rows == 0 {
-        f(0, out);
-        return;
-    }
-    let rows_per_chunk = rows.div_ceil(threads);
-    scope_chunks(out.chunks_mut(rows_per_chunk * row_len), |i, chunk| f(i * rows_per_chunk, chunk));
-}
-
-/// [`for_each_row_chunk`] with a second buffer split by the same rows: the
-/// worker that gets rows `first_row..` of `out` (`row_len` elements each)
-/// also gets the same rows of `scratch` (`scratch_len` elements each), a
-/// per-row scratch that no other worker touches.
-pub(crate) fn for_each_row_chunk_with<S, F>(
-    (out, row_len): (&mut [f32], usize),
-    (scratch, scratch_len): (&mut [S], usize),
-    rows: usize,
-    work: usize,
-    f: F,
-) where
-    S: Send,
-    F: Fn(usize, &mut [f32], &mut [S]) + Sync,
-{
-    debug_assert_eq!((out.len(), scratch.len()), (rows * row_len, rows * scratch_len));
-    let threads = threads_for(work, rows);
-    if threads <= 1 || rows == 0 {
-        f(0, out, scratch);
-        return;
-    }
-    let per = rows.div_ceil(threads);
-    let chunks = out.chunks_mut(per * row_len).zip(scratch.chunks_mut(per * scratch_len));
-    scope_chunks(chunks, |i, (out, scratch)| f(i * per, out, scratch));
-}
-
 /// Maps `f` over contiguous chunks of `items` (one chunk per worker) and
 /// concatenates the per-chunk outputs in chunk order, preserving item order.
+/// The first chunk runs on the caller's thread (worker 0), each other on a
+/// scoped thread, every one of them marked a worker meanwhile.
 ///
 /// `f(first_index, chunk)` must return one output per item. Workers that need
 /// per-worker state (e.g. a cloned network) build it once per chunk.
@@ -197,11 +106,30 @@ where
     if threads <= 1 {
         return f(0, items);
     }
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.set(self.0);
+        }
+    }
     let per_chunk = items.len().div_ceil(threads);
-    scope_chunks(items.chunks(per_chunk), |i, chunk| f(i * per_chunk, chunk))
-        .into_iter()
-        .flatten()
-        .collect()
+    let as_worker = |i: usize, chunk: &[T]| {
+        let _restore = Restore(IN_WORKER.replace(true));
+        f(i * per_chunk, chunk)
+    };
+    std::thread::scope(|scope| {
+        let mut chunks = items.chunks(per_chunk).enumerate();
+        let first = chunks.next();
+        let as_worker = &as_worker;
+        let spawned: Vec<_> =
+            chunks.map(|(i, chunk)| scope.spawn(move || as_worker(i, chunk))).collect();
+        let mut results = Vec::with_capacity(items.len());
+        results.extend(first.into_iter().flat_map(|(i, chunk)| as_worker(i, chunk)));
+        for h in spawned {
+            results.extend(h.join().expect("parallel worker panicked"));
+        }
+        results
+    })
 }
 
 #[cfg(test)]
@@ -237,55 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn row_chunks_cover_every_row_exactly_once() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
-        for threads in [1, 2, 3, 8] {
-            with_threads(threads, || {
-                let rows = 13;
-                let row_len = 4;
-                let mut buf = vec![0.0f32; rows * row_len];
-                for_each_row_chunk(&mut buf, row_len, rows, usize::MAX, |first_row, chunk| {
-                    for (r, row) in chunk.chunks_mut(row_len).enumerate() {
-                        for v in row.iter_mut() {
-                            *v += (first_row + r) as f32;
-                        }
-                    }
-                });
-                for r in 0..rows {
-                    for c in 0..row_len {
-                        assert_eq!(buf[r * row_len + c], r as f32, "row {r} col {c}");
-                    }
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn row_chunks_with_scratch_split_both_buffers_by_the_same_rows() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
-        for threads in [1, 2, 3, 8] {
-            with_threads(threads, || {
-                let (rows, row_len, scratch_len) = (13, 4, 3);
-                let mut buf = vec![0.0f32; rows * row_len];
-                let mut scratch = vec![0usize; rows * scratch_len];
-                let split = ((&mut buf[..], row_len), (&mut scratch[..], scratch_len));
-                for_each_row_chunk_with(split.0, split.1, rows, usize::MAX, |first, chunk, s| {
-                    assert_eq!(chunk.len() / row_len, s.len() / scratch_len);
-                    let pairs = chunk.chunks_mut(row_len).zip(s.chunks_mut(scratch_len));
-                    for (r, (row, s)) in (first..).zip(pairs) {
-                        row.fill(r as f32);
-                        s.fill(r);
-                    }
-                });
-                for r in 0..rows {
-                    assert!(buf[r * row_len..][..row_len].iter().all(|&v| v == r as f32));
-                    assert!(scratch[r * scratch_len..][..scratch_len].iter().all(|&s| s == r));
-                }
-            });
-        }
-    }
-
-    #[test]
     fn map_chunks_preserves_item_order() {
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let items: Vec<usize> = (0..29).collect();
@@ -308,14 +187,13 @@ mod tests {
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let items: Vec<usize> = (0..8).collect();
         let run = |threads: usize| {
-            // every row-chunk worker must reach the innermost closure once,
-            // with the whole slice, and all of them meet at the barrier: the
+            // every outer worker must reach the innermost closure once, with
+            // the whole slice, and all of them meet at the barrier: the
             // high-water mark is then exactly the worker count
             let barrier = std::sync::Barrier::new(threads);
             let [live, peak, calls] = [0, 0, 0].map(AtomicUsize::new);
-            let mut buf = vec![0.0f32; 8];
-            with_threads(threads, || {
-                for_each_row_chunk(&mut buf, 1, 8, usize::MAX, |first_row, chunk| {
+            let out = with_threads(threads, || {
+                map_chunks(&items, |first, chunk| {
                     let tripled = map_chunks(&items, |_, outer| {
                         map_chunks(outer, |_, inner| {
                             calls.fetch_add(1, Ordering::SeqCst);
@@ -326,23 +204,15 @@ mod tests {
                             inner.iter().map(|&v| v * 3).collect()
                         })
                     });
-                    for (r, v) in chunk.iter_mut().enumerate() {
-                        *v = (tripled.iter().sum::<usize>() + first_row + r) as f32;
-                    }
-                });
+                    let sum = tripled.iter().sum::<usize>();
+                    (first..).take(chunk.len()).map(|i| sum + i).collect()
+                })
             });
             assert_eq!(calls.into_inner(), threads, "a nested fan-out split its items");
             assert_eq!(peak.into_inner(), threads, "closures live at once");
             assert!(!IN_WORKER.get(), "worker 0's mark must not outlive the fan-out");
-            buf
+            out
         };
         assert_eq!(run(4), run(1));
-    }
-
-    #[test]
-    fn small_work_stays_serial() {
-        // threads_for gates on the work estimate, not the thread knob
-        assert_eq!(threads_for(10, 100), 1);
-        assert!(threads_for(usize::MAX, 100) >= 1);
     }
 }

@@ -14,11 +14,10 @@
 //!
 //! The quantized backend is **not** bitwise identical to dense f32 — the
 //! grid snap is a real numeric change — so it carries its own golden traces
-//! rather than riding the dense ones. It is still fully deterministic and
-//! thread-count-invariant: integer accumulation is exact (order-free), the
-//! rescale is a single f32 multiply, and non-binary operands fall back to
-//! the ordinary f32 kernels over the dequantized (on-grid) weights, which
-//! inherit the dense path's invariance.
+//! rather than riding the dense ones. It is still fully deterministic:
+//! integer accumulation is exact (order-free), the rescale is a single f32
+//! multiply, and non-binary operands fall back to the ordinary f32 kernels
+//! over the dequantized (on-grid) weights.
 //!
 //! [`quantize_dequantize`] is the one definition of the grid: the IMC fault
 //! injector's noiseless read reduces to it bitwise, so the hardware model and
@@ -26,7 +25,7 @@
 //! of the grid snap.
 
 use crate::bitset::BitMatrix;
-use crate::{parallel, Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 /// Quantize-then-dequantize one weight on the signed `weight_bits` grid
 /// with full-scale magnitude `scale` (the ideal, noise-free deployment).
@@ -141,8 +140,7 @@ impl QuantizedWeights {
 
     /// `a[m, k] × selfᵀ[n_out, k] → out[m, n_out]` for a bit-packed binary
     /// `a`: per output element an exact `i32` sum of the active codes, then
-    /// one rescale by `Δ`. Row-partitioned; integer accumulation makes the
-    /// result exactly thread-count-invariant. `out` is overwritten.
+    /// one rescale by `Δ`. `out` is overwritten.
     pub fn matmul_nt_bits_into(&self, a: &BitMatrix, out: &mut [f32]) {
         debug_assert_eq!(a.cols(), self.cols);
         debug_assert_eq!(out.len(), a.rows() * self.rows);
@@ -151,17 +149,13 @@ impl QuantizedWeights {
             return;
         }
         let k = self.cols;
-        let work = a.nnz().saturating_mul(n);
-        parallel::for_each_row_chunk(out, n, a.rows(), work, |first_row, c| {
-            for (local_i, crow) in c.chunks_mut(n).enumerate() {
-                let i = first_row + local_i;
-                let words = a.row_words(i);
-                for (j, cv) in crow.iter_mut().enumerate() {
-                    let qrow = &self.q[j * k..(j + 1) * k];
-                    *cv = quant_dot(words, qrow) as f32 * self.delta;
-                }
+        for (i, crow) in out.chunks_mut(n).enumerate() {
+            let words = a.row_words(i);
+            for (j, cv) in crow.iter_mut().enumerate() {
+                let qrow = &self.q[j * k..(j + 1) * k];
+                *cv = quant_dot(words, qrow) as f32 * self.delta;
             }
-        });
+        }
     }
 
     /// `a[m, k] × selfᵀ[n_out, k] → [m, n_out]` with quantized semantics:
@@ -265,30 +259,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn integer_kernel_is_thread_count_invariant() {
-        let mut rng = TensorRng::seed_from(204);
-        let w = Tensor::randn(&[23, 130], 0.0, 0.5, &mut rng);
-        let qw = QuantizedWeights::from_tensor(&w, 8).unwrap();
-        let mut x = Tensor::zeros(&[41, 130]);
-        for v in x.data_mut().iter_mut() {
-            if rng.bernoulli(0.2) {
-                *v = 1.0;
-            }
-        }
-        let mut bm = BitMatrix::new();
-        bm.build_from_dense(x.data(), 41, 130).unwrap();
-        let run = || {
-            let mut out = vec![0.0f32; 41 * 23];
-            qw.matmul_nt_bits_into(&bm, &mut out);
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        };
-        let serial = parallel::with_threads(1, run);
-        for threads in [2, 4, 7] {
-            assert_eq!(serial, parallel::with_threads(threads, run), "threads={threads}");
         }
     }
 

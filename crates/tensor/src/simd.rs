@@ -2,9 +2,10 @@
 //! baseline).
 //!
 //! Every kernel in this crate keeps one discipline: **each output element
-//! accumulates its terms in exactly the serial order**, so results are
-//! bitwise identical across thread counts. Vector code preserves that
-//! discipline by vectorizing **across the output-column (`j`) dimension**:
+//! accumulates its terms in exactly the order of the plain scalar loop**, so
+//! results are bitwise identical at every vector width. Vector code
+//! preserves that discipline by vectorizing **across the output-column
+//! (`j`) dimension**:
 //! each lane owns one independent output accumulator, so no lane ever
 //! reorders another element's terms, there is no horizontal float reduction,
 //! and every term is an explicit multiply followed by an explicit add —
@@ -44,10 +45,10 @@
 //! feature, so each entry sits where that call is amortized and everything
 //! under it inlines: one call per [`lif_step`] / [`bn_affine`] / BatchNorm
 //! Train pass / average pool or its backward, one per sample of the
-//! convolution's scatter, one per worker's row chunk of a matmul or bias add
-//! (the entry is called inside
-//! [`crate::parallel::for_each_row_chunk`]'s closure, never per row). The
-//! scatter's entry is still one per sample: its nonzero pass and its
+//! convolution's scatter and of its input gradient, one per call of a matmul,
+//! of the linear kernel and of the convolution's weight gradient (the entry
+//! loops over the rows itself; it is never called per row). The scatter's
+//! entry is still one per sample: its nonzero pass and its
 //! instantiations with literal kernel extent and `c_out` (3×3 at 32 and 64,
 //! then one reading the extents at run time per stride class) are all
 //! inlined into it, picked by a `match` on the layer's shape once per
@@ -297,15 +298,13 @@ per_tier! {
 }
 
 per_tier! {
-    /// The convolution's weight gradient of one chunk of input channels at
-    /// the active tier.
+    /// The convolution's weight gradient at the active tier.
     pub(crate) fn conv_weight_grad_chunk(
         input: (&[f32], &mut [u64]),
         dims: [usize; 4],
         out_hw: (usize, usize),
         gmat: &[f32],
         spec: crate::Conv2dSpec,
-        first_ci: usize,
         dw: &mut [f32],
     ) = crate::conv::weight_grad_chunk;
 }
@@ -324,11 +323,10 @@ per_tier! {
 }
 
 per_tier! {
-    /// One worker's row chunk of `out[m,n] += a[m,k] × b[k,n]`.
+    /// `out[m,n] += a[m,k] × b[k,n]` over the rows of `out`.
     pub(crate) fn matmul_chunk(
         a: &[f32],
         k: usize,
-        first_row: usize,
         b: &[f32],
         n: usize,
         c: &mut [f32],
@@ -336,12 +334,11 @@ per_tier! {
 }
 
 per_tier! {
-    /// One worker's row chunk of `out[m,n] += aᵀ × b`, `a` stored `[k, m]`.
+    /// `out[m,n] += aᵀ × b`, `a` stored `[k, m]`.
     pub(crate) fn matmul_tn_chunk(
         a: &[f32],
         k: usize,
         m: usize,
-        first_row: usize,
         b: &[f32],
         n: usize,
         c: &mut [f32],
@@ -349,12 +346,11 @@ per_tier! {
 }
 
 per_tier! {
-    /// One worker's row chunk of `out[m,n] = a[m,k] × wᵀ + bias`, `w`
-    /// packed for the linear kernel; every element of `c` written.
+    /// `out[m,n] = a[m,k] × wᵀ + bias` over the rows of `out`, `w` packed
+    /// for the linear kernel; every element of `c` written.
     pub(crate) fn linear_chunk(
         a: &[f32],
         k: usize,
-        first_row: usize,
         w: &[f32],
         n: usize,
         bias: &[f32],
@@ -735,8 +731,7 @@ mod tests {
     use std::sync::Mutex;
 
     // Tests that flip the process-wide level override serialize here so
-    // they cannot observe each other's override. Property tests that force
-    // thread counts as well take this lock first for a stable order.
+    // they cannot observe each other's override.
     static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
     fn levels_to_test() -> Vec<SimdLevel> {
@@ -793,15 +788,13 @@ mod tests {
         // Each matmul-family entry, baseline build vs every detected tier.
         // Extents straddle the linear kernel's 64-input scan words and
         // 16-column group and the vector widths; every operand starts one
-        // float into its buffer (a wide build must not assume alignment) and
-        // the chunk starts at row 2 of `a`. `a` carries zeros and ones so the
-        // skips and both row-add forms run.
+        // float into its buffer (a wide build must not assume alignment).
+        // `a` carries zeros and ones so the skips and both row-add forms run.
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let mut rng = TensorRng::seed_from(401);
         for k in [0usize, 1, 63, 64, 65, 129] {
             for n in [0usize, 1, 15, 16, 17, 33] {
-                for rows in [0usize, 1, 3] {
-                    let (first_row, m) = (2, 2 + rows);
+                for m in [0usize, 1, 3] {
                     let mut a = randn(1 + m * k, &mut rng); // read as [m, k] and as [k, m]
                     a.iter_mut().step_by(3).for_each(|v| *v = 0.0);
                     a.iter_mut().skip(1).step_by(5).for_each(|v| *v = 1.0);
@@ -810,18 +803,18 @@ mod tests {
                     let mut packed = vec![0.0f32; 1 + groups * k * crate::linalg::NT_COLS];
                     crate::linalg::pack_linear(&b[1..], n, k, &mut packed[1..]);
                     let bias = randn(1 + n, &mut rng);
-                    let c0 = randn(1 + rows * n, &mut rng);
+                    let c0 = randn(1 + m * n, &mut rng);
                     let run = || {
                         let (a, b, w) = (&a[1..], &b[1..], &packed[1..]);
                         let (mut mm, mut tn, mut nt) = (c0.clone(), c0.clone(), c0.clone());
-                        matmul_chunk(a, k, first_row, b, n, &mut mm[1..]);
-                        matmul_tn_chunk(a, k, m, first_row, b, n, &mut tn[1..]);
-                        linear_chunk(a, k, first_row, w, n, &bias[1..], &mut nt[1..]);
+                        matmul_chunk(a, k, b, n, &mut mm[1..]);
+                        matmul_tn_chunk(a, k, m, b, n, &mut tn[1..]);
+                        linear_chunk(a, k, w, n, &bias[1..], &mut nt[1..]);
                         [bits(&mm), bits(&tn), bits(&nt)]
                     };
                     let want = with_level(SimdLevel::Scalar, run);
                     for lvl in levels_to_test() {
-                        assert_eq!(want, with_level(lvl, run), "k={k} n={n} rows={rows} {lvl:?}");
+                        assert_eq!(want, with_level(lvl, run), "k={k} n={n} m={m} {lvl:?}");
                     }
                 }
             }
@@ -924,10 +917,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_families_match_scalar_bitwise_across_thread_counts() {
+    fn kernel_families_match_scalar_bitwise() {
         // Every public matmul entry point, f32 (dense and spike operands)
-        // and quantized, forced-scalar vs each vector tier, at 1 and 4
-        // workers — all compared to_bits.
+        // and quantized, forced-scalar vs each vector tier — all compared
+        // to_bits.
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let mut rng = TensorRng::seed_from(405);
         let a = crate::Tensor::randn(&[13, 150], 0.0, 1.0, &mut rng);
@@ -949,14 +942,9 @@ mod tests {
             let q = qw.matmul_nt(&spikes).unwrap();
             [mm, tn, nt, mm_spikes, nt_spikes, q].map(|t| bits(t.data()))
         };
-        for threads in [1usize, 4] {
-            let want = crate::parallel::with_threads(threads, || {
-                with_level(SimdLevel::Scalar, run)
-            });
-            for lvl in levels_to_test() {
-                let got = crate::parallel::with_threads(threads, || with_level(lvl, run));
-                assert_eq!(want, got, "threads={threads} {lvl:?}");
-            }
+        let want = with_level(SimdLevel::Scalar, run);
+        for lvl in levels_to_test() {
+            assert_eq!(want, with_level(lvl, run), "{lvl:?}");
         }
     }
 }

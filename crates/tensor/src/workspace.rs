@@ -113,13 +113,6 @@ impl Workspace {
         buf
     }
 
-    /// Hands out a zero-filled tensor of the given shape, backed by an
-    /// arena buffer.
-    pub fn take_tensor(&mut self, dims: &[usize]) -> Tensor {
-        let len = dims.iter().product();
-        Tensor::from_aligned(self.take(len), dims).expect("take(len) matches the shape")
-    }
-
     /// Parks a buffer for reuse. Beyond the freelist cap the smallest
     /// parked buffer is dropped, keeping the most useful capacities.
     pub fn recycle(&mut self, buf: AlignedVec) {
@@ -412,20 +405,10 @@ mod tests {
             assert_eq!(again.as_slice().as_ptr() as usize % 64, 0, "reuse({len})");
             ws.recycle(again);
         }
-        let t = ws.take_tensor(&[3, 17]);
-        assert_eq!(t.data().as_ptr() as usize % 64, 0, "take_tensor");
+        let t = Tensor::from_aligned(ws.take(51), &[3, 17]).unwrap();
+        assert_eq!(t.data().as_ptr() as usize % 64, 0, "tensor");
         ws.recycle_tensor(t);
-        let t2 = ws.take_tensor(&[3, 17]);
+        let t2 = Tensor::from_aligned(ws.take(51), &[3, 17]).unwrap();
         assert_eq!(t2.data().as_ptr() as usize % 64, 0, "recycled tensor");
-    }
-
-    #[test]
-    fn take_tensor_has_requested_shape() {
-        let mut ws = Workspace::new();
-        let t = ws.take_tensor(&[2, 3]);
-        assert_eq!(t.dims(), &[2, 3]);
-        assert_eq!(t.data(), &[0.0; 6]);
-        ws.recycle_tensor(t);
-        assert_eq!(ws.stats().takes, 1);
     }
 }

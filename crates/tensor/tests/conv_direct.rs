@@ -1,17 +1,17 @@
 //! The direct spike-scatter convolution and its direct backward against
 //! their im2col references, bit for bit.
 //!
-//! Alone in their own process: the tests flip the process-wide thread and
-//! SIMD overrides, which the unit tests of those knobs assert on.
+//! Alone in their own process: the tests flip the process-wide SIMD
+//! override, which the unit tests of that knob assert on.
 
 use dtsnn_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_im2col, conv2d_ws, parallel, simd, Conv2dSpec,
-    ConvPlan, SimdLevel, Tensor, TensorRng, Workspace,
+    conv2d, conv2d_backward, conv2d_backward_im2col, conv2d_ws, simd, Conv2dSpec, ConvPlan,
+    SimdLevel, Tensor, TensorRng, Workspace,
 };
 use std::sync::Mutex;
 
-/// Serializes the two tests, so that each case really runs at the thread
-/// count and tier it pins (the overrides are process-wide).
+/// Serializes the two tests, so that each case really runs at the tier it
+/// pins (the override is process-wide).
 static KNOBS: Mutex<()> = Mutex::new(());
 
 /// Bit patterns, with every NaN mapped to one pattern: where two NaNs of
@@ -48,8 +48,7 @@ fn input_of(kind: &str, dims: &[usize], rng: &mut TensorRng) -> Tensor {
 const KINDS: [&str; 6] = ["binary", "ternary", "analog", "pooled", "negzero", "special"];
 
 /// One geometry × input class × batch size: the scatter kernel (raw and
-/// planned) against conv2d (im2col + matmul), at every thread count and
-/// SIMD tier.
+/// planned) against conv2d (im2col + matmul), at every SIMD tier.
 fn check(
     spec: &Conv2dSpec,
     [n, h, w]: [usize; 3],
@@ -71,7 +70,7 @@ fn check(
 }
 
 /// The scatter kernel (raw and planned) against conv2d on one input, at
-/// every thread count and SIMD tier.
+/// every SIMD tier.
 fn compare_forward(
     spec: &Conv2dSpec,
     x: &Tensor,
@@ -82,22 +81,15 @@ fn compare_forward(
 ) {
     let want = conv2d(x, weight, bias, spec).unwrap();
     let plan = ConvPlan::new(weight, spec).unwrap();
-    for threads in [1, 4] {
-        for level in SimdLevel::ALL {
-            let (got, planned) = parallel::with_threads(threads, || {
-                simd::with_level(level, || {
-                    (
-                        conv2d_ws(x, weight, bias, spec, ws).unwrap(),
-                        plan.forward(x, bias, ws).unwrap(),
-                    )
-                })
-            });
-            assert_eq!(got.dims(), want.dims(), "{tag}");
-            assert_eq!(bits(&want), bits(&got), "{tag} t={threads} {level:?}");
-            assert_eq!(bits(&want), bits(&planned), "{tag} t={threads} {level:?} plan");
-            ws.recycle_tensor(got);
-            ws.recycle_tensor(planned);
-        }
+    for level in SimdLevel::ALL {
+        let (got, planned) = simd::with_level(level, || {
+            (conv2d_ws(x, weight, bias, spec, ws).unwrap(), plan.forward(x, bias, ws).unwrap())
+        });
+        assert_eq!(got.dims(), want.dims(), "{tag}");
+        assert_eq!(bits(&want), bits(&got), "{tag} {level:?}");
+        assert_eq!(bits(&want), bits(&planned), "{tag} {level:?} plan");
+        ws.recycle_tensor(got);
+        ws.recycle_tensor(planned);
     }
 }
 
@@ -282,7 +274,7 @@ fn grad_of(kind: &str, dims: &[usize], rng: &mut TensorRng) -> Tensor {
 fn direct_backward_matches_reference_bitwise() {
     // The forward test's geometries and input classes, each with every
     // gradient class: dX, dW and db of the direct kernels against the
-    // im2col reference at every thread count and SIMD tier.
+    // im2col reference at every SIMD tier.
     let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = TensorRng::seed_from(0xBAC4);
     for_each_case(&mut rng, |spec, [n, h, w], kind, _, case, rng| {
@@ -304,17 +296,14 @@ fn direct_backward_matches_reference_bitwise() {
             );
             let want = conv2d_backward_im2col(&g, &x, &weight, spec).unwrap();
             let want = [&want.0, &want.1, &want.2].map(bits);
-            for threads in [1, 4] {
-                for level in SimdLevel::ALL {
-                    let got = parallel::with_threads(threads, || {
-                        simd::with_level(level, || conv2d_backward(&g, &x, &weight, spec).unwrap())
-                    });
-                    assert_eq!(got.0.dims(), [n, ci, h, w], "{tag}");
-                    assert_eq!(got.1.dims(), [co, spec.patch_len()], "{tag}");
-                    let got = [&got.0, &got.1, &got.2].map(bits);
-                    for (i, name) in ["dX", "dW", "db"].into_iter().enumerate() {
-                        assert_eq!(want[i], got[i], "{name} {tag} t={threads} {level:?}");
-                    }
+            for level in SimdLevel::ALL {
+                let got =
+                    simd::with_level(level, || conv2d_backward(&g, &x, &weight, spec).unwrap());
+                assert_eq!(got.0.dims(), [n, ci, h, w], "{tag}");
+                assert_eq!(got.1.dims(), [co, spec.patch_len()], "{tag}");
+                let got = [&got.0, &got.1, &got.2].map(bits);
+                for (i, name) in ["dX", "dW", "db"].into_iter().enumerate() {
+                    assert_eq!(want[i], got[i], "{name} {tag} {level:?}");
                 }
             }
         }

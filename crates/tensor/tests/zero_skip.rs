@@ -6,12 +6,10 @@
 //! against a loop that multiplies and adds every term in ascending `k`, and a
 //! weight behind a silent input must not reach the output at all.
 //!
-//! One test, alone in its own process: it flips the process-wide thread and
-//! SIMD overrides, which the unit tests of those knobs assert on.
+//! One test, alone in its own process: it flips the process-wide SIMD
+//! override, which the unit tests of that knob assert on.
 
-use dtsnn_tensor::{
-    linear_ws, parallel, simd, LinearPlan, SimdLevel, Tensor, TensorRng, Workspace,
-};
+use dtsnn_tensor::{linear_ws, simd, LinearPlan, SimdLevel, Tensor, TensorRng, Workspace};
 
 const CLASSES: [&str; 6] = ["binary", "ternary", "graded", "dense", "zero", "negzero"];
 
@@ -61,30 +59,26 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 /// Asserts that all five entry points return `want` (`want_biased` for
-/// `linear_ws` and a `LinearPlan`) for `a[m,k] × b[k,n]`, at every thread
-/// count and SIMD tier.
+/// `linear_ws` and a `LinearPlan`) for `a[m,k] × b[k,n]`, at every SIMD
+/// tier.
 fn check(a: &Tensor, b: &Tensor, bias: &Tensor, want: &[u32], want_biased: &[u32], tag: &str) {
     let (at, bt) = (a.transpose2d().unwrap(), b.transpose2d().unwrap());
     let plan = LinearPlan::new(&bt).unwrap();
     let mut ws = Workspace::new();
-    for threads in [1, 4] {
-        for level in SimdLevel::ALL {
-            let tag = format!("{tag} t={threads} {level:?}");
-            parallel::with_threads(threads, || {
-                simd::with_level(level, || {
-                    assert_eq!(want, bits(&a.matmul(b).unwrap()), "matmul {tag}");
-                    assert_eq!(want, bits(&at.matmul_tn(b).unwrap()), "matmul_tn {tag}");
-                    assert_eq!(want, bits(&a.matmul_nt(&bt).unwrap()), "matmul_nt {tag}");
-                    for (name, linear) in [
-                        ("linear_ws", linear_ws(a, &bt, bias, &mut ws).unwrap()),
-                        ("LinearPlan", plan.forward(a, bias, &mut ws).unwrap()),
-                    ] {
-                        assert_eq!(want_biased, bits(&linear), "{name} {tag}");
-                        ws.recycle_tensor(linear);
-                    }
-                })
-            });
-        }
+    for level in SimdLevel::ALL {
+        let tag = format!("{tag} {level:?}");
+        simd::with_level(level, || {
+            assert_eq!(want, bits(&a.matmul(b).unwrap()), "matmul {tag}");
+            assert_eq!(want, bits(&at.matmul_tn(b).unwrap()), "matmul_tn {tag}");
+            assert_eq!(want, bits(&a.matmul_nt(&bt).unwrap()), "matmul_nt {tag}");
+            for (name, linear) in [
+                ("linear_ws", linear_ws(a, &bt, bias, &mut ws).unwrap()),
+                ("LinearPlan", plan.forward(a, bias, &mut ws).unwrap()),
+            ] {
+                assert_eq!(want_biased, bits(&linear), "{name} {tag}");
+                ws.recycle_tensor(linear);
+            }
+        });
     }
 }
 
@@ -93,8 +87,8 @@ fn matmul_family_equals_the_naive_triple_loop_and_skips_silent_inputs() {
     let mut rng = TensorRng::seed_from(0x2E80);
     // empty extents; one element; a ragged small case; k = 135 ends inside a
     // tile of `linalg`'s `BLOCK_K` (64) and a scan word of the linear kernel
-    // with n = 300 past `BLOCK_N` (256); k of exactly one tile; enough work at
-    // a narrow n that four workers split the rows; n on each side of the
+    // with n = 300 past `BLOCK_N` (256); k of exactly one tile; a tall
+    // product at a narrow n; n on each side of the
     // linear kernel's 16-column group against k on each side of its 64-input
     // scan words; then the ten-class head at widths 1, 8 and 32
     for shape in [

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # The full gate: build, the whole test suite and lint once, then the suites
-# that must not depend on the two runtime knobs re-run at both ambient worker
-# counts (DTSNN_THREADS=1|4) and both SIMD levels (DTSNN_SIMD=off|auto). The
-# tests compare thread counts and tiers internally; the ambient values
-# additionally cover the env-var plumbing and steer the references. Every
-# stage prints its wall time.
+# that must not depend on the two runtime knobs re-run: those that reach a
+# fan-out (core's windows and samples, the IMC search, the serving layer) at
+# both ambient worker counts (DTSNN_THREADS=1|4), the kernel and conformance
+# suites at both SIMD levels (DTSNN_SIMD=off|auto). The tests compare thread
+# counts and tiers internally; the ambient values additionally cover the
+# env-var plumbing and steer the references. Every stage prints its wall
+# time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,14 +21,13 @@ stage() {
 # t CRATE ARGS...: quiet tests of one workspace crate under the ambient knobs.
 t() { cargo test -q -p "dtsnn-$1" "${@:2}"; }
 
-# Thread-count invariance: kernels, the evaluation harnesses and their one
-# fan-out; `parallel::` holds the nesting test (a fan-out inside a worker runs
-# serially — with 4 workers on fewer cores the guard is what keeps the live
-# threads at 4); the dataset driver at every window size against a plain loop
-# over the solo runner (outcomes, T̂ histogram AND spike activity); the
-# Monte-Carlo fault harness's aggregates.
+# Thread-count invariance: the evaluation harnesses and their one fan-out
+# (the kernels run on their caller's thread); `parallel::` holds the nesting
+# test (a fan-out inside a worker runs serially — with 4 workers on fewer
+# cores the guard is what keeps the live threads at 4); the dataset driver at
+# every window size against a plain loop over the solo runner (outcomes, T̂
+# histogram AND spike activity); the Monte-Carlo fault harness's aggregates.
 determinism() {
-    t tensor thread_count_invariant
     t core thread_count_invariant
     t tensor --lib parallel::
     t core batched
@@ -84,14 +85,14 @@ serving() {
 # placement-independent and per-placement halves.
 simulator() { t imc --test simulator --test sim_pin; }
 
-# Bit for bit, each test pinning thread count and tier per case (the ambient
-# values steer the references): the direct convolution and its direct
-# backward (dX, dW, db) = their im2col references; LifNeuron's one-pass step
-# (both modes) and BPTT loop = the plain-tensor oracle they replaced; the
-# grouped BatchNorm Train kernels and the pool backward = their per-channel
-# and per-window oracles; then every vector kernel against the scalar
-# oracle. (The matmul family = the plain triple loop, tests/zero_skip.rs,
-# reads no ambient knob: the workspace run above is all it needs.)
+# Bit for bit, each test pinning the tier per case (the ambient level steers
+# the references): the direct convolution and its direct backward (dX, dW,
+# db) = their im2col references; LifNeuron's one-pass step (both modes) and
+# BPTT loop = the plain-tensor oracle they replaced; the grouped BatchNorm
+# Train kernels and the pool backward = their per-channel and per-window
+# oracles; then every vector kernel against the scalar oracle. (The matmul
+# family = the plain triple loop, tests/zero_skip.rs, reads no ambient knob:
+# the workspace run above is all it needs.)
 kernels() {
     t tensor --test conv_direct
     t snn --test lif_step
@@ -177,13 +178,14 @@ stage vector_width
 stage cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 stage cargo test --workspace -q
 stage cargo clippy --workspace --all-targets -- -D warnings
+# no suite of these reaches a fan-out: one run each (kernels once per level)
+for simd in off auto; do DTSNN_SIMD=$simd stage kernels; done
+stage layers
+stage quantized
 for threads in 1 4; do
     export DTSNN_THREADS=$threads
-    for s in determinism layers quantized serving simulator; do stage $s; done
-    for simd in off auto; do
-        DTSNN_SIMD=$simd stage kernels
-        DTSNN_SIMD=$simd stage conformance
-    done
+    for s in determinism serving simulator; do stage $s; done
+    for simd in off auto; do DTSNN_SIMD=$simd stage conformance; done
 done
 unset DTSNN_THREADS
 stage t conformance --test gradient_check
