@@ -2,14 +2,17 @@
 //!
 //! The format is a small self-describing little-endian binary: a magic
 //! string, the slot count, then each slot's rank, dimensions and `f32` data
-//! in [`Snn::visit_state`] order. A slot is a learnable parameter or a
-//! buffer (BatchNorm's running mean and variance, stored as rank-1 tensors),
-//! so a loaded network reproduces the saved one's Eval outputs bitwise.
-//! Loading validates the whole file — magic, counts, ranks, sizes and
-//! shapes — against the receiving network before touching a single value,
+//! in [`Snn::visit_state`] order, then a 64-bit checksum (FNV-1a) of every
+//! byte before it. A slot is a learnable parameter or a buffer (BatchNorm's
+//! running mean and variance, stored as rank-1 tensors), so a loaded network
+//! reproduces the saved one's Eval outputs bitwise. Loading validates the
+//! whole file — magic, counts, ranks, sizes, checksum and shapes — against
+//! the receiving network before touching a single value,
 //! and every failure mode is a typed [`CheckpointError`] (never a panic,
 //! never a half-restored network), so callers can distinguish a corrupted
-//! file from an architecture mismatch.
+//! file from an architecture mismatch. A damaged value byte is caught by the
+//! checksum: without it, a flipped value loaded as a silently different
+//! network.
 
 use crate::layer::State;
 use crate::network::Snn;
@@ -18,9 +21,13 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"DTSNN02\n";
+const MAGIC: &[u8; 8] = b"DTSNN03\n";
+/// The second format's magic: the same body, no checksum.
+const MAGIC_V2: &[u8; 8] = b"DTSNN02\n";
 /// The first format's magic: parameters only, no running statistics.
 const MAGIC_V1: &[u8; 8] = b"DTSNN01\n";
+/// Bytes of the trailing checksum.
+const CHECKSUM_LEN: usize = 8;
 /// Ranks above this are treated as corruption, not data.
 const MAX_RANK: usize = 8;
 
@@ -43,13 +50,27 @@ pub enum CheckpointError {
     /// parameters only, and without BatchNorm's running statistics it cannot
     /// restore the saved network's Eval behaviour.
     MissingNormStats,
-    /// The file ends before the declared data does.
+    /// The file is a second-format (`DTSNN02`) checkpoint. It carries no
+    /// checksum, so damage to its values cannot be detected; re-save the
+    /// network.
+    MissingChecksum,
+    /// The trailing checksum disagrees with the bytes before it: the file
+    /// was damaged after it was written.
+    ChecksumMismatch {
+        /// The checksum stored in the file.
+        stored: u64,
+        /// The checksum of the bytes as read.
+        computed: u64,
+    },
+    /// The file ends before the declared data (or the checksum after it)
+    /// does.
     Truncated {
         /// Byte offset at which the read was attempted.
         offset: usize,
         /// Bytes the decoder needed there.
         needed: usize,
-        /// Bytes actually available in the file.
+        /// Bytes actually available: in the whole file for the checksum,
+        /// before the checksum for the slots.
         available: usize,
     },
     /// A slot declares a rank beyond anything the tensor library
@@ -104,6 +125,13 @@ impl fmt::Display for CheckpointError {
             CheckpointError::MissingNormStats => {
                 write!(f, "a DTSNN01 checkpoint stores no BatchNorm running statistics")
             }
+            CheckpointError::MissingChecksum => {
+                write!(f, "a DTSNN02 checkpoint carries no checksum; re-save it")
+            }
+            CheckpointError::ChecksumMismatch { stored, computed } => write!(
+                f,
+                "damaged checkpoint: checksum {computed:#018x} of its bytes, {stored:#018x} stored"
+            ),
             CheckpointError::Truncated { offset, needed, available } => write!(
                 f,
                 "truncated checkpoint: needed {needed} bytes at offset {offset}, {available} in file"
@@ -140,6 +168,14 @@ fn slot(state: State<'_>) -> (Vec<usize>, &mut [f32]) {
     }
 }
 
+/// The 64-bit FNV-1a hash of `bytes`: every byte changes the state through a
+/// bijection, so any one damaged byte changes the result.
+fn checksum(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// Serializes every persistent-state slot of `network` to `path`.
 ///
 /// # Errors
@@ -162,6 +198,7 @@ pub fn save_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
             blob.extend_from_slice(&v.to_le_bytes());
         }
     });
+    blob.extend_from_slice(&checksum(&blob).to_le_bytes());
     let io = |op: &'static str| {
         move |e: std::io::Error| {
             SnnError::Checkpoint(CheckpointError::Io { op, message: e.to_string() })
@@ -174,14 +211,16 @@ pub fn save_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
 
 /// Restores the state saved by [`save_params`] into `network`.
 ///
-/// The entire file is validated before any value is written: on error the
-/// network is untouched.
+/// The entire file is validated before any value is written — its
+/// structure, then its checksum, then its shapes against `network` — so on
+/// error the network is untouched.
 ///
 /// # Errors
 ///
 /// Returns [`SnnError::Checkpoint`] with the precise [`CheckpointError`]
 /// variant: `Io` for filesystem failures, `MissingNormStats` for a
-/// first-format file, `BadMagic`/`Truncated`/
+/// first-format file, `MissingChecksum` for a second-format one,
+/// `ChecksumMismatch` for a damaged file, `BadMagic`/`Truncated`/
 /// `ImplausibleRank`/`OversizedTensor`/`TrailingBytes` for malformed files,
 /// `ParamCountMismatch`/`ShapeMismatch` for architecture disagreements.
 pub fn load_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
@@ -198,9 +237,21 @@ pub fn load_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
     let mut cursor = Cursor { blob: &blob, pos: 0 };
     match cursor.take(MAGIC.len())? {
         m if m == MAGIC => {}
+        m if m == MAGIC_V2 => return Err(CheckpointError::MissingChecksum.into()),
         m if m == MAGIC_V1 => return Err(CheckpointError::MissingNormStats.into()),
         _ => return Err(CheckpointError::BadMagic.into()),
     }
+    // the slots end where the checksum starts: a file cut short reports
+    // the slot it cuts into as `Truncated`
+    let body_len = blob.len().checked_sub(CHECKSUM_LEN).filter(|&n| n >= MAGIC.len()).ok_or(
+        CheckpointError::Truncated {
+            offset: MAGIC.len(),
+            needed: CHECKSUM_LEN,
+            available: blob.len(),
+        },
+    )?;
+    let (body, stored) = blob.split_at(body_len);
+    let mut cursor = Cursor { blob: body, pos: MAGIC.len() };
     let count = cursor.u32()? as usize;
     let mut expected = 0usize;
     network.visit_state(&mut |_| expected += 1);
@@ -235,8 +286,14 @@ pub fn load_params(network: &mut Snn, path: impl AsRef<Path>) -> Result<()> {
             .collect();
         decoded.push((dims, data));
     }
-    if cursor.pos != blob.len() {
-        return Err(CheckpointError::TrailingBytes { extra: blob.len() - cursor.pos }.into());
+    if cursor.pos != body.len() {
+        return Err(CheckpointError::TrailingBytes { extra: body.len() - cursor.pos }.into());
+    }
+    // well-formed, but a damaged value byte would still decode
+    let stored = u64::from_le_bytes(stored.try_into().expect("CHECKSUM_LEN bytes"));
+    let computed = checksum(body);
+    if stored != computed {
+        return Err(CheckpointError::ChecksumMismatch { stored, computed }.into());
     }
     // shape check against the live network
     let mut idx = 0;
@@ -319,6 +376,14 @@ mod tests {
         let mut out = Vec::new();
         net.visit_params(&mut |p| out.push(p.value.clone()));
         out
+    }
+
+    /// `body` (magic and slots) with its checksum appended: a well-formed
+    /// file of whatever the body says.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
     }
 
     /// Unwraps the checkpoint variant or panics with the actual error.
@@ -419,13 +484,50 @@ mod tests {
     }
 
     #[test]
+    fn second_format_file_is_missing_checksum() {
+        // a DTSNN02 file is a DTSNN03 one with the old magic and no checksum
+        let path = tmp("v2");
+        let mut a = net(1);
+        save_params(&mut a, &path).unwrap();
+        let mut blob = std::fs::read(&path).unwrap();
+        blob.truncate(blob.len() - CHECKSUM_LEN);
+        blob[..MAGIC.len()].copy_from_slice(MAGIC_V2);
+        std::fs::write(&path, &blob).unwrap();
+        let mut b = net(2);
+        let before = params(&mut b);
+        assert_eq!(checkpoint_err(load_params(&mut b, &path)), CheckpointError::MissingChecksum);
+        assert_eq!(before, params(&mut b), "a rejected file must not touch the network");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn damaged_value_is_checksum_mismatch() {
+        // one flipped bit in the last value: well-formed, and a different net
+        let path = tmp("flip");
+        let mut a = net(1);
+        save_params(&mut a, &path).unwrap();
+        let mut blob = std::fs::read(&path).unwrap();
+        let body = blob.len() - CHECKSUM_LEN;
+        let saved = checksum(&blob[..body]);
+        blob[body - 1] ^= 0x01;
+        std::fs::write(&path, &blob).unwrap();
+        let mut b = net(2);
+        let before = params(&mut b);
+        let damaged =
+            CheckpointError::ChecksumMismatch { stored: saved, computed: checksum(&blob[..body]) };
+        assert_eq!(checkpoint_err(load_params(&mut b, &path)), damaged);
+        assert_eq!(before, params(&mut b), "a rejected file must not touch the network");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn short_file_is_truncated() {
         let path = tmp("short");
         // magic + count, then nothing: the first rank read trips
         let mut blob = Vec::new();
         blob.extend_from_slice(MAGIC);
         blob.extend_from_slice(&4u32.to_le_bytes());
-        std::fs::write(&path, &blob).unwrap();
+        std::fs::write(&path, sealed(blob)).unwrap();
         let mut a = net(1);
         match checkpoint_err(load_params(&mut a, &path)) {
             CheckpointError::Truncated { offset, needed, available } => {
@@ -455,7 +557,7 @@ mod tests {
         blob.extend_from_slice(MAGIC);
         blob.extend_from_slice(&4u32.to_le_bytes()); // matches net(1)'s count
         blob.extend_from_slice(&9u32.to_le_bytes()); // rank 9 > MAX_RANK
-        std::fs::write(&path, &blob).unwrap();
+        std::fs::write(&path, sealed(blob)).unwrap();
         let mut a = net(1);
         assert_eq!(
             checkpoint_err(load_params(&mut a, &path)),
@@ -476,7 +578,7 @@ mod tests {
         for _ in 0..4 {
             blob.extend_from_slice(&u32::MAX.to_le_bytes());
         }
-        std::fs::write(&path, &blob).unwrap();
+        std::fs::write(&path, sealed(blob)).unwrap();
         let mut a = net(1);
         match checkpoint_err(load_params(&mut a, &path)) {
             CheckpointError::OversizedTensor { param: 0, dims } => {
@@ -492,7 +594,7 @@ mod tests {
         blob.extend_from_slice(&2u32.to_le_bytes()); // rank 2
         blob.extend_from_slice(&1_000_000u32.to_le_bytes());
         blob.extend_from_slice(&1_000u32.to_le_bytes()); // 4 GB declared
-        std::fs::write(&path, &blob).unwrap();
+        std::fs::write(&path, sealed(blob)).unwrap();
         assert!(matches!(
             checkpoint_err(load_params(&mut a, &path)),
             CheckpointError::Truncated { .. }
@@ -506,7 +608,7 @@ mod tests {
         let mut blob = Vec::new();
         blob.extend_from_slice(MAGIC);
         blob.extend_from_slice(&7u32.to_le_bytes());
-        std::fs::write(&path, &blob).unwrap();
+        std::fs::write(&path, sealed(blob)).unwrap();
         let mut a = net(1);
         assert_eq!(
             checkpoint_err(load_params(&mut a, &path)),

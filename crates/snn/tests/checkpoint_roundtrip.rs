@@ -82,8 +82,9 @@ fn state_bits(net: &mut Snn) -> Vec<u32> {
 #[test]
 fn damaged_checkpoints_are_typed_errors_that_leave_the_network_untouched() {
     // A saved vgg_small checkpoint cut at every length, then with seeded
-    // byte flips: each load returns Ok or a CheckpointError, never panics,
-    // and an Err leaves every state slot of the receiving network as it was.
+    // byte flips: each load is a CheckpointError, never a panic or a
+    // silently different network, and leaves every state slot of the
+    // receiving network as it was.
     let config = ModelConfig {
         in_channels: 2,
         image_size: 8,
@@ -116,7 +117,6 @@ fn damaged_checkpoints_are_typed_errors_that_leave_the_network_untouched() {
         assert!(!load(&blob[..len], &format!("cut to {len} of {} bytes", blob.len())));
     }
     let mut rng = TensorRng::seed_from(0xF11B);
-    let (mut loaded, mut rejected) = (0, 0);
     for trial in 0..400 {
         let mut bytes = blob.clone();
         let flips = 1 + rng.below(8);
@@ -124,13 +124,9 @@ fn damaged_checkpoints_are_typed_errors_that_leave_the_network_untouched() {
             let at = rng.below(bytes.len());
             bytes[at] ^= 1 + rng.below(255) as u8;
         }
-        if load(&bytes, &format!("trial {trial}: {flips} flipped bytes")) {
-            loaded += 1;
-        } else {
-            rejected += 1;
-        }
+        // a flip in a value is caught by the checksum, one in the header or
+        // a shape field by the structure checks
+        assert!(!load(&bytes, &format!("trial {trial}: {flips} flipped bytes")));
     }
     let _ = std::fs::remove_file(&path);
-    // flips in the values load, flips in the header and shape fields do not
-    assert!(loaded > 0 && rejected > 0, "{loaded} loaded, {rejected} rejected");
 }

@@ -17,13 +17,15 @@
 //! weight rows). For the 3×3 layers at stride 1 and `c_out` 32 and 64, and
 //! for the 3×3 and 1×1 layers at stride 2 and `c_out` 64, that length is a
 //! literal the compiler unrolls. One epilogue pass then adds the bias while
-//! it reorders tile -> NCHW, skipping the spare columns. The per-sample
-//! scatter is one safe function compiled once per SIMD tier
-//! ([`crate::simd`], "Dispatch granularity"), its compares and row-adds
-//! plain loops. For a fixed output pixel, ascending input `(ci, iy, ix)`
-//! *is* ascending patch index `(ci, ky, kx)`, so every output element
-//! accumulates the terms of [`conv2d`]'s im2col row times the transposed
-//! weights in the same order (zero taps skipped, explicit
+//! it reorders tile -> NCHW, skipping the spare columns: per output row,
+//! each channel's `ow` outputs are read `c_out` floats apart and stored
+//! contiguously, with `(c_out, ow)` literals for the shapes both nets run.
+//! The per-sample scatter and the epilogue are safe functions compiled once
+//! per SIMD tier ([`crate::simd`], "Dispatch granularity"), their compares,
+//! row-adds and reorders plain loops. For a fixed output pixel, ascending
+//! input `(ci, iy, ix)` *is* ascending patch index `(ci, ky, kx)`, so every
+//! output element accumulates the terms of [`conv2d`]'s im2col row times the
+//! transposed weights in the same order (zero taps skipped, explicit
 //! multiply-then-add; a zero weight row adds `±0.0` to an accumulator that
 //! is never `−0.0`, which leaves it as it was): **bitwise identical** (the
 //! sign/payload of a NaN made from two NaNs aside). Input rows and columns
@@ -36,12 +38,13 @@
 //! feeds into the packed row of the tap it feeds it through. For a fixed
 //! tap, ascending input `(n, iy, ix)` *is* ascending output `(n, oy, ox)`,
 //! so each weight-gradient element sums the im2col column times the
-//! gradient rows in [`Tensor::matmul_tn`]'s order. The input gradient builds
-//! each output pixel's `c_in*k*k`-wide row `grad × W` (ascending `c_out`, as
-//! [`Tensor::matmul`]; zero gradients skipped through a per-pixel list of
-//! the nonzero ones) in fixed-size register blocks, stores it once in a
-//! one-row scratch and folds it straight into the input gradient in
-//! [`col2im`]'s order. Both are **bitwise identical** to
+//! gradient rows in [`Tensor::matmul_tn`]'s order (the gradient rows are
+//! the epilogue's reorder run backwards, NCHW -> rows). The input gradient
+//! builds each output pixel's `c_in*k*k`-wide row `grad × W` (ascending
+//! `c_out`, as [`Tensor::matmul`]; zero gradients skipped through a
+//! per-pixel list of the nonzero ones) in fixed-size register blocks,
+//! stores it once in a one-row scratch and folds it straight into the input
+//! gradient in [`col2im`]'s order. Both are **bitwise identical** to
 //! [`conv2d_backward_im2col`].
 //!
 //! **Reference**: [`im2col`] has one row per output pixel and one column per
@@ -250,7 +253,9 @@ pub fn conv2d(
         expect_dims(b.dims(), &[spec.out_channels])?;
     }
     let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
-    rows_to_nchw(out_mat.data(), bias, [n, spec.out_channels, oh, ow], (0, 0), out.data_mut());
+    let (tiles, bias) = (out_mat.data(), bias.map(Tensor::data));
+    let dir = Reorder::TilesToNchw { tiles, bias, margins: (0, 0), nchw: out.data_mut() };
+    simd::conv_epilogue(dir, [n, spec.out_channels, oh, ow]);
     Ok(out)
 }
 
@@ -380,8 +385,8 @@ fn tile_margins(spec: &Conv2dSpec, w: usize, ow: usize) -> (usize, usize) {
     (left, right)
 }
 
-/// The epilogue over arena buffers: [`rows_to_nchw`] into a buffer that is not cleared first
-/// (every element is written). Recycles `tiles`.
+/// The epilogue over arena buffers: [`simd::conv_epilogue`] into a buffer
+/// that is not cleared first (every element is written). Recycles `tiles`.
 fn tiles_into_nchw(
     tiles: AlignedVec,
     bias: Option<&Tensor>,
@@ -390,43 +395,104 @@ fn tiles_into_nchw(
     ws: &mut Workspace,
 ) -> Result<Tensor> {
     let mut out = ws.take_overwrite(dims.iter().product());
-    rows_to_nchw(&tiles, bias, dims, margins, &mut out);
+    let bias = bias.map(Tensor::data);
+    let dir = Reorder::TilesToNchw { tiles: &tiles, bias, margins, nchw: &mut out };
+    simd::conv_epilogue(dir, dims);
     ws.recycle(tiles);
     Tensor::from_aligned(out, &dims)
 }
 
-/// `[n, oh, left + ow + right, c]` tiles → `[n, c, oh, ow]` in one pass that
-/// skips the `(left, right)` margin columns of each row and adds the
-/// per-channel bias (after the last term of the tile); writes every element
-/// of `dst` exactly once.
-fn rows_to_nchw(
-    src: &[f32],
-    bias: Option<&Tensor>,
-    [n, c, oh, ow]: [usize; 4],
-    (left, right): (usize, usize),
-    dst: &mut [f32],
-) {
-    let (plane, sample_len, tile_row) = (oh * ow, c * oh * ow, (left + ow + right) * c);
+/// One reorder of a convolution's output between the kernels' pixel-major
+/// rows and `NCHW`: [`simd::conv_epilogue`]'s argument.
+pub(crate) enum Reorder<'a> {
+    /// `[n, oh, left + ow + right, c]` tiles → `[n, c, oh, ow]`, skipping
+    /// the `margins` columns of each row and adding the per-channel bias
+    /// (after the last term of the tile) when there is one; without one
+    /// every value is copied bit for bit.
+    TilesToNchw {
+        tiles: &'a [f32],
+        bias: Option<&'a [f32]>,
+        margins: (usize, usize),
+        nchw: &'a mut [f32],
+    },
+    /// `[n, c, oh, ow]` → `[n, oh, ow, c]` rows, copied bit for bit: the
+    /// backward's gradient rows.
+    NchwToRows { nchw: &'a [f32], rows: &'a mut [f32] },
+}
+
+/// The literal instantiations of [`reorder_shape`]: the `(c_out, ow)` of the
+/// 3×3 layers both reference nets run (32 at 16 columns, 64 at 8 and 4),
+/// then every other shape with its extents read from `dims`. Writes every
+/// element of the destination exactly once.
+#[inline(always)]
+pub(crate) fn epilogue(dir: Reorder<'_>, dims: [usize; 4]) {
+    // (direct calls: a function pointer picked here would not inline)
+    match (dims[1], dims[3]) {
+        (32, 16) => reorder_shape::<32, 16>(dir, dims),
+        (64, 8) => reorder_shape::<64, 8>(dir, dims),
+        (64, 4) => reorder_shape::<64, 4>(dir, dims),
+        _ => reorder_shape::<0, 0>(dir, dims),
+    }
+}
+
+/// [`epilogue`] with `c` and `ow` the literals `C` and `OW`, or read from
+/// `dims` where they are `0`. Both directions are one transpose per output
+/// row whose stores are contiguous (a strided store touches another cache
+/// line per element): the forward writes each channel's `ow` outputs from
+/// the `c`-strided tile row, the backward each pixel's `c` channels from the
+/// `oh·ow`-strided planes.
+#[inline(always)]
+fn reorder_shape<const C: usize, const OW: usize>(dir: Reorder<'_>, [n, c, oh, ow]: [usize; 4]) {
+    debug_assert!(C == 0 || (C, OW) == (c, ow));
+    // the literals turn every inner trip count and stride into a constant
+    let c = if C == 0 { c } else { C };
+    let ow = if OW == 0 { ow } else { OW };
+    let (plane, sample_len) = (oh * ow, c * oh * ow);
     if n == 0 || sample_len == 0 {
         return;
     }
-    let bias = bias.map(Tensor::data);
-    for (ni, sample) in dst.chunks_mut(sample_len).enumerate() {
-        let tile = &src[ni * oh * tile_row..][..oh * tile_row];
-        for (oy, tile_row) in tile.chunks_exact(tile_row).enumerate() {
-            let pixels = tile_row[left * c..][..ow * c].chunks_exact(c);
-            for (p, row) in (oy * ow..).zip(pixels) {
-                match bias {
-                    Some(b) => {
-                        for (ci, (&v, &bv)) in row.iter().zip(b).enumerate() {
-                            sample[ci * plane + p] = v + bv;
-                        }
+    match dir {
+        Reorder::TilesToNchw { tiles, bias: Some(b), margins, nchw } => {
+            tiles_to_nchw::<true>(tiles, b, margins, [n, c, oh, ow], nchw);
+        }
+        Reorder::TilesToNchw { tiles, bias: None, margins, nchw } => {
+            tiles_to_nchw::<false>(tiles, &[], margins, [n, c, oh, ow], nchw);
+        }
+        Reorder::NchwToRows { nchw, rows } => {
+            let samples = rows[..n * sample_len].chunks_exact_mut(sample_len);
+            for (planes, sample) in nchw.chunks_exact(sample_len).zip(samples) {
+                for p in 0..plane {
+                    let out = &mut sample[p * c..][..c];
+                    for ci in 0..c {
+                        out[ci] = planes[ci * plane + p];
                     }
-                    None => {
-                        for (ci, &v) in row.iter().enumerate() {
-                            sample[ci * plane + p] = v;
-                        }
-                    }
+                }
+            }
+        }
+    }
+}
+
+/// The forward half of [`reorder_shape`] (which makes `c` and `ow` literals
+/// where it can): each channel's `ow` outputs of a row, `v + b` when `BIAS`,
+/// else `v` itself.
+#[inline(always)]
+fn tiles_to_nchw<const BIAS: bool>(
+    tiles: &[f32],
+    bias: &[f32],
+    (left, right): (usize, usize),
+    [n, c, oh, ow]: [usize; 4],
+    nchw: &mut [f32],
+) {
+    let (plane, sample_len, tile_row) = (oh * ow, c * oh * ow, (left + ow + right) * c);
+    for (ni, sample) in nchw[..n * sample_len].chunks_exact_mut(sample_len).enumerate() {
+        for oy in 0..oh {
+            let pixels = &tiles[(ni * oh + oy) * tile_row + left * c..][..ow * c];
+            for ci in 0..c {
+                let out = &mut sample[ci * plane + oy * ow..][..ow];
+                let bv = if BIAS { bias[ci] } else { 0.0 };
+                for x in 0..ow {
+                    let v = pixels[x * c + ci];
+                    out[x] = if BIAS { v + bv } else { v };
                 }
             }
         }
@@ -1080,23 +1146,12 @@ fn packed_len(spec: &Conv2dSpec) -> usize {
     spec.in_channels * k * block_rows(k, s) * spec.out_channels
 }
 
-/// `[n, c, oh, ow]` → `[n*oh*ow, c]` row matrix.
-fn nchw_to_rows(t: &Tensor, [n, c, oh, ow]: [usize; 4]) -> Tensor {
+/// `[n, c, oh, ow]` → `[n*oh*ow, c]` row matrix ([`simd::conv_epilogue`]
+/// reversed).
+fn nchw_to_rows(t: &Tensor, dims: [usize; 4]) -> Tensor {
+    let [n, c, oh, ow] = dims;
     let mut out = Tensor::zeros(&[n * oh * ow, c]);
-    let sample_len = oh * ow * c;
-    if n == 0 || sample_len == 0 {
-        return out;
-    }
-    let src = t.data();
-    for (ni, sample) in out.data_mut().chunks_mut(sample_len).enumerate() {
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    sample[((oy * ow + ox) * c) + ci] = src[((ni * c + ci) * oh + oy) * ow + ox];
-                }
-            }
-        }
-    }
+    simd::conv_epilogue(Reorder::NchwToRows { nchw: t.data(), rows: out.data_mut() }, dims);
     out
 }
 

@@ -46,9 +46,13 @@
 //! under it inlines: one call per [`lif_step`] / [`bn_affine`] / BatchNorm
 //! Train pass / average pool or its backward, one per sample of the
 //! convolution's scatter and of its input gradient, one per call of a matmul,
-//! of the linear kernel and of the convolution's weight gradient (the entry
-//! loops over the rows itself; it is never called per row). The scatter's
-//! entry is still one per sample: its nonzero pass and its
+//! of the linear kernel, of the convolution's weight gradient and of its
+//! epilogue (the entry loops over the rows itself; it is never called per
+//! row). The epilogue's entry, `conv_epilogue`, reorders a whole output
+//! (tile -> NCHW with the bias, or NCHW -> rows for the backward), its
+//! instantiations with literal `(c_out, ow)` ((32, 16), (64, 8), (64, 4),
+//! then one reading them at run time) picked by a `match` once per call.
+//! The scatter's entry is still one per sample: its nonzero pass and its
 //! instantiations with literal kernel extent and `c_out` (3×3 at 32 and 64,
 //! then one reading the extents at run time per stride class) are all
 //! inlined into it, picked by a `match` on the layer's shape once per
@@ -295,6 +299,13 @@ per_tier! {
         spec: crate::Conv2dSpec,
         tile: &mut [f32],
     ) = crate::conv::scatter_sample;
+}
+
+per_tier! {
+    /// A convolution output between pixel-major rows and `NCHW`, one way or
+    /// the other, at the active tier.
+    pub(crate) fn conv_epilogue(dir: crate::conv::Reorder<'_>, dims: [usize; 4])
+        = crate::conv::epilogue;
 }
 
 per_tier! {
@@ -904,6 +915,128 @@ mod tests {
             for lvl in levels_to_test() {
                 let pooled = with_level(lvl, || crate::avg_pool2d(&zeros, &spec).unwrap());
                 assert!(pooled.data().iter().all(|v| v.to_bits() == 0), "k={k} s={stride} {lvl:?}");
+            }
+        }
+    }
+
+    /// The scalar epilogue [`conv_epilogue`] replaced, verbatim: tiles →
+    /// NCHW one pixel at a time, each channel's store `oh·ow` floats apart.
+    fn rows_to_nchw(
+        src: &[f32],
+        bias: Option<&[f32]>,
+        [n, c, oh, ow]: [usize; 4],
+        (left, right): (usize, usize),
+        dst: &mut [f32],
+    ) {
+        let (plane, sample_len, tile_row) = (oh * ow, c * oh * ow, (left + ow + right) * c);
+        if n == 0 || sample_len == 0 {
+            return;
+        }
+        for (ni, sample) in dst.chunks_mut(sample_len).enumerate() {
+            let tile = &src[ni * oh * tile_row..][..oh * tile_row];
+            for (oy, tile_row) in tile.chunks_exact(tile_row).enumerate() {
+                let pixels = tile_row[left * c..][..ow * c].chunks_exact(c);
+                for (p, row) in (oy * ow..).zip(pixels) {
+                    match bias {
+                        Some(b) => {
+                            for (ci, (&v, &bv)) in row.iter().zip(b).enumerate() {
+                                sample[ci * plane + p] = v + bv;
+                            }
+                        }
+                        None => {
+                            for (ci, &v) in row.iter().enumerate() {
+                                sample[ci * plane + p] = v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scalar backward reorder the reversed [`conv_epilogue`] replaced,
+    /// verbatim: NCHW → `[n*oh*ow, c]` rows.
+    fn nchw_to_rows(src: &[f32], [n, c, oh, ow]: [usize; 4], out: &mut [f32]) {
+        let sample_len = oh * ow * c;
+        if n == 0 || sample_len == 0 {
+            return;
+        }
+        for (ni, sample) in out.chunks_mut(sample_len).enumerate() {
+            for ci in 0..c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        sample[((oy * ow + ox) * c) + ci] =
+                            src[((ni * c + ci) * oh + oy) * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_epilogue_matches_the_scalar_loops_bitwise_at_every_level() {
+        // Both directions against the loops they replaced, compared to_bits:
+        // every literal (c_out, ow) instantiation and the runtime one, 0, 1
+        // and 5 samples, no margins and the forward tile's spare columns.
+        // The tiles carry -0.0, ±inf and NaNs with payloads (quiet, signaling,
+        // negative): with a bias each is `v + b` as before; without one each
+        // is copied, so a -0.0 or a signaling NaN keeps its bits.
+        use crate::conv::Reorder;
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        let special = [
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffc0_0042),
+        ];
+        let with_specials = |mut v: Vec<f32>| {
+            for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % 7 == 2) {
+                *x = special[(i / 7) % special.len()];
+            }
+            v
+        };
+        let mut rng = TensorRng::seed_from(407);
+        for c in [1usize, 16, 32, 35, 64] {
+            for ow in [1usize, 4, 5, 8, 16, 17] {
+                for (n, oh) in [(0usize, 3usize), (1, 1), (1, 3), (5, 2)] {
+                    let dims = [n, c, oh, ow];
+                    let len = n * c * oh * ow;
+                    // a finite bias (a NaN meeting a NaN keeps either's
+                    // payload), with -0.0 and ±inf among it
+                    let mut b = randn(c, &mut rng);
+                    for (i, v) in b.iter_mut().enumerate().filter(|(i, _)| i % 5 == 1) {
+                        *v = [-0.0, f32::INFINITY, f32::NEG_INFINITY][(i / 5) % 3];
+                    }
+                    for margins @ (left, right) in [(0usize, 0usize), (1, 1), (0, 1)] {
+                        let tile_len = n * oh * (left + ow + right) * c;
+                        let tiles = with_specials(randn(tile_len, &mut rng));
+                        for bias in [None, Some(&b[..])] {
+                            let mut want = vec![0.0f32; len];
+                            rows_to_nchw(&tiles, bias, dims, margins, &mut want);
+                            for lvl in levels_to_test() {
+                                // NaN-filled, so a skipped element shows
+                                let mut got = vec![f32::NAN; len];
+                                let nchw = &mut got[..];
+                                let dir =
+                                    Reorder::TilesToNchw { tiles: &tiles, bias, margins, nchw };
+                                with_level(lvl, || conv_epilogue(dir, dims));
+                                let case = (dims, margins, bias.is_some(), lvl);
+                                assert_eq!(bits(&want), bits(&got), "{case:?}");
+                            }
+                        }
+                    }
+                    let planes = with_specials(randn(len, &mut rng));
+                    let mut want = vec![0.0f32; len];
+                    nchw_to_rows(&planes, dims, &mut want);
+                    for lvl in levels_to_test() {
+                        let mut got = vec![f32::NAN; len];
+                        let dir = Reorder::NchwToRows { nchw: &planes, rows: &mut got };
+                        with_level(lvl, || conv_epilogue(dir, dims));
+                        assert_eq!(bits(&want), bits(&got), "rows {dims:?} {lvl:?}");
+                    }
+                }
             }
         }
     }

@@ -122,7 +122,10 @@ conformance() {
 # `conv_scatter_sample` (its literal-extent instantiations live inside it —
 # stride 1 3×3 at c_out 32 and 64, stride 2 3×3 and 1×1 at c_out 64, and the
 # runtime-extent walk: one that stopped inlining would run at the baseline,
-# bitwise correct and without the gain), its two backward kernels,
+# bitwise correct and without the gain), its epilogue, `conv_epilogue` (tile
+# -> NCHW with the bias add, and NCHW -> rows for the backward, with literal
+# (c_out, ow) at (32, 16), (64, 8) and (64, 4) and a runtime-extent arm), its
+# two backward kernels,
 # `conv_weight_grad_chunk` (the same instantiations) and
 # `conv_input_grad_sample`, and the Train path's BatchNorm and pool kernels,
 # `bn_train_forward`, `bn_train_backward` and `avg_pool2d_grad`, must be
@@ -158,7 +161,7 @@ vector_width() {
             }
             if (!n) { print "vector_width: no per_tier! entry found in the rlib"; bad = 1 }
             split("avx2 avx512", tiers, " ")
-            split("linear_chunk conv_scatter_sample conv_weight_grad_chunk " \
+            split("linear_chunk conv_scatter_sample conv_epilogue conv_weight_grad_chunk " \
                   "conv_input_grad_sample bn_train_forward bn_train_backward " \
                   "avg_pool2d_grad", required, " ")
             for (r in required) {
