@@ -102,9 +102,21 @@ impl ExpConfig {
 }
 
 /// The environment variable `key` parsed as a `T`; `None` when it is unset
-/// or does not parse, so a malformed value means the caller's default.
+/// or does not parse, so a malformed value means the caller's default — and
+/// warns on stderr, once per read.
 pub fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
+    parse_env_value(key, std::env::var(key).ok().as_deref())
+}
+
+/// What a lookup of `key` that returned `raw` resolves to; `None` takes the
+/// default.
+fn parse_env_value<T: std::str::FromStr>(key: &str, raw: Option<&str>) -> Option<T> {
+    let raw = raw?;
+    let value = raw.parse().ok();
+    if value.is_none() {
+        eprintln!("dtsnn: warning: {key}={raw:?} is not a valid {}", std::any::type_name::<T>());
+    }
+    value
 }
 
 /// Model hyperparameters matched to a dataset.
@@ -242,6 +254,19 @@ mod tests {
         let c = ExpConfig::default();
         assert_eq!(c.scale, 1);
         assert!(c.epochs > 0);
+    }
+
+    #[test]
+    fn env_values_parse_or_read_as_unset() {
+        // `env_parse` reads the process environment, so the parse step
+        // behind it is pinned here; a malformed value also warns
+        assert_eq!(parse_env_value::<usize>("DTSNN_EPOCHS", None), None);
+        assert_eq!(parse_env_value::<usize>("DTSNN_EPOCHS", Some("6")), Some(6));
+        assert_eq!(parse_env_value::<usize>("DTSNN_EPOCHS", Some("6x")), None);
+        assert_eq!(parse_env_value::<usize>("DTSNN_EPOCHS", Some("")), None);
+        assert_eq!(parse_env_value::<usize>("DTSNN_EPOCHS", Some("-1")), None);
+        assert_eq!(parse_env_value::<f64>("DTSNN_AREA_BUDGET_MM2", Some("2.5")), Some(2.5));
+        assert_eq!(parse_env_value::<f32>("DTSNN_THETA", Some("0.7.1")), None);
     }
 
     #[test]

@@ -23,14 +23,15 @@ use dtsnn_tensor::{parallel, Tensor};
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::BadInput`] for empty or mismatched inputs.
+/// Returns [`CoreError::BadInput`] for empty or mismatched inputs or a
+/// sample that breaks the frame contract.
 pub fn collect_exit_scores(
     network: &mut Snn,
     runner: &DynamicInference,
     frames: &[Vec<Tensor>],
     labels: &[usize],
 ) -> Result<(Vec<f32>, Vec<bool>)> {
-    check_inputs(frames, labels, None)?;
+    check_inputs(frames, labels, None, runner.max_timesteps())?;
     let per_sample = fan_out(network, parallel::num_threads(), frames, |net, i, sample| {
         let out = runner.run(net, sample)?;
         Ok((out.scores[0], out.prediction == labels[i]))

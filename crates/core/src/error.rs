@@ -41,6 +41,12 @@ impl From<dtsnn_snn::SnnError> for CoreError {
     }
 }
 
+impl From<dtsnn_snn::FrameError> for CoreError {
+    fn from(e: dtsnn_snn::FrameError) -> Self {
+        CoreError::BadInput(e.to_string())
+    }
+}
+
 impl From<dtsnn_imc::ImcError> for CoreError {
     fn from(e: dtsnn_imc::ImcError) -> Self {
         CoreError::Imc(e)

@@ -1,10 +1,10 @@
 //! Dataset-level evaluation harnesses: the machinery behind Table II,
 //! Fig. 2, Fig. 4 and the pie charts of Fig. 5.
 
-use crate::inference::{batch1_frames, check_frames, static_predictions, DynamicInference};
+use crate::inference::{static_predictions, DynamicInference};
 use crate::window::Window;
 use crate::{CoreError, Result};
-use dtsnn_snn::{Snn, SpikeActivity};
+use dtsnn_snn::{batch1_frames, check_frames, FrameError, Snn, SpikeActivity};
 use dtsnn_tensor::{parallel, Tensor};
 
 /// Per-sample record of a dynamic evaluation.
@@ -34,11 +34,15 @@ pub struct DynamicEvaluation {
     pub activity: SpikeActivity,
 }
 
-/// The input checks every dynamic evaluation shares.
+/// The input checks every dataset-level entry shares, all made before
+/// anything is forwarded (or timed): frames, labels and difficulties align,
+/// the window `t_max` is nonzero, and every sample keeps the frame contract
+/// under it ([`check_frames`]).
 pub(crate) fn check_inputs(
     frames: &[Vec<Tensor>],
     labels: &[usize],
     difficulties: Option<&[f32]>,
+    t_max: usize,
 ) -> Result<()> {
     if frames.is_empty() || frames.len() != labels.len() {
         return Err(CoreError::BadInput("frames/labels mismatch or empty".into()));
@@ -46,18 +50,13 @@ pub(crate) fn check_inputs(
     if difficulties.is_some_and(|d| d.len() != frames.len()) {
         return Err(CoreError::BadInput("difficulties length mismatch".into()));
     }
+    if t_max == 0 {
+        return Err(CoreError::BadInput("timesteps must be nonzero".into()));
+    }
+    for (i, sample) in frames.iter().enumerate() {
+        check_frames(sample, t_max).map_err(|e| CoreError::BadInput(format!("sample {i}: {e}")))?;
+    }
     Ok(())
-}
-
-/// [`check_frames`] for every sample of a split, up front: a miscounted
-/// sample fails the call before anything is forwarded (or timed).
-pub(crate) fn check_split(frames: &[Vec<Tensor>], t_max: usize) -> Result<()> {
-    frames.iter().enumerate().try_for_each(|(i, sample)| {
-        check_frames(sample, t_max).map_err(|e| match e {
-            CoreError::BadInput(why) => CoreError::BadInput(format!("sample {i}: {why}")),
-            other => other,
-        })
-    })
 }
 
 /// The one fan-out of this crate: `f(net, i, &items[i])` for every item,
@@ -112,7 +111,7 @@ fn run_window(
     let frames: Vec<Vec<Tensor>> = samples
         .iter()
         .map(|sample| batch1_frames(sample, runner.max_timesteps()))
-        .collect::<Result<_>>()?;
+        .collect::<std::result::Result<_, FrameError>>()?;
     let mut exits =
         vec![Exit { t: 0, prediction: 0, finite: true, sums: Vec::new() }; frames.len()];
     // window positions still running, in batch-row order
@@ -174,11 +173,10 @@ pub(crate) fn drive(
     batch_size: usize,
     workers: usize,
 ) -> Result<QuarantinedEvaluation> {
-    check_inputs(frames, labels, difficulties)?;
     if batch_size == 0 {
         return Err(CoreError::BadInput("batch_size must be nonzero".into()));
     }
-    check_split(frames, runner.max_timesteps())?;
+    check_inputs(frames, labels, difficulties, runner.max_timesteps())?;
     let windows: Vec<&[Vec<Tensor>]> = frames.chunks(batch_size).collect();
     let per_window = fan_out(network, workers, &windows, |net, _, w| run_window(net, runner, w))?;
     // whatever the forwards accumulated on `network` (batch-level densities,
@@ -225,7 +223,8 @@ impl DynamicEvaluation {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadInput`] for mismatched inputs.
+    /// Returns [`CoreError::BadInput`] for mismatched inputs or a sample
+    /// that breaks the frame contract ([`check_frames`]).
     pub fn run(
         network: &mut Snn,
         runner: &DynamicInference,
@@ -260,7 +259,7 @@ impl DynamicEvaluation {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadInput`] for mismatched inputs.
+    /// Same conditions as [`DynamicEvaluation::run`].
     pub fn run_quarantined(
         network: &mut Snn,
         runner: &DynamicInference,
@@ -303,8 +302,8 @@ impl DynamicEvaluation {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadInput`] for mismatched inputs, frame counts
-    /// or a zero `batch_size`.
+    /// Same conditions as [`DynamicEvaluation::run`], and a zero
+    /// `batch_size`.
     pub fn run_batched(
         network: &mut Snn,
         runner: &DynamicInference,
@@ -354,17 +353,16 @@ impl StaticEvaluation {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadInput`] for mismatched inputs.
+    /// Returns [`CoreError::BadInput`] for mismatched inputs, a zero window
+    /// or a sample that breaks the frame contract ([`check_frames`]) — before
+    /// anything is forwarded.
     pub fn run(
         network: &mut Snn,
         frames: &[Vec<Tensor>],
         labels: &[usize],
         max_timesteps: usize,
     ) -> Result<Self> {
-        check_inputs(frames, labels, None)?;
-        if max_timesteps == 0 {
-            return Err(CoreError::BadInput("max_timesteps must be nonzero".into()));
-        }
+        check_inputs(frames, labels, None, max_timesteps)?;
         let _ = network.take_activity();
         let per_sample = fan_out(network, parallel::num_threads(), frames, |net, i, sample| {
             let correct_at_t: Vec<bool> = static_predictions(net, sample, max_timesteps)?

@@ -3,7 +3,7 @@
 use crate::policy::ExitPolicy;
 use crate::window::Window;
 use crate::{CoreError, Result};
-use dtsnn_snn::{Mode, Snn};
+use dtsnn_snn::{batch1_frames, Mode, Snn};
 use dtsnn_tensor::Tensor;
 
 /// Result of one dynamic inference.
@@ -88,8 +88,9 @@ impl DynamicInference {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadInput`] for empty or miscounted frames and
-    /// propagates network errors.
+    /// Returns [`CoreError::BadInput`] for frames that break the frame
+    /// contract ([`dtsnn_snn::check_frames`]) — before anything is forwarded —
+    /// and propagates network errors.
     pub fn run(&self, network: &mut Snn, frames: &[Tensor]) -> Result<DynamicOutcome> {
         self.drive(network, frames, |_, _| {})
     }
@@ -129,7 +130,7 @@ impl DynamicInference {
         frames: &[Tensor],
         mut observe: impl FnMut(&Snn, &Window),
     ) -> Result<DynamicOutcome> {
-        // Batch the frames once, outside the loop: `to_batch1` copies, and
+        // Batch the frames once, outside the loop: `batch1_frames` copies, and
         // the timestep loop itself must stay allocation-free (the network's
         // workspace arena covers everything inside `forward_timestep`).
         let batched = batch1_frames(frames, self.max_timesteps)?;
@@ -196,39 +197,6 @@ pub(crate) fn static_predictions(
     Ok(predictions)
 }
 
-/// The frame contract of every runner in this crate, defined once: a sample
-/// is one static frame (repeated every timestep) or exactly `t_max` event
-/// frames.
-pub(crate) fn check_frames(frames: &[Tensor], t_max: usize) -> Result<()> {
-    if frames.is_empty() {
-        return Err(CoreError::BadInput("empty frame sequence".into()));
-    }
-    if frames.len() != 1 && frames.len() != t_max {
-        return Err(CoreError::BadInput(format!(
-            "expected 1 or {t_max} frames, got {}",
-            frames.len()
-        )));
-    }
-    Ok(())
-}
-
-/// A sample's frames, checked ([`check_frames`]) and batch-1 shaped.
-pub(crate) fn batch1_frames(frames: &[Tensor], t_max: usize) -> Result<Vec<Tensor>> {
-    check_frames(frames, t_max)?;
-    frames.iter().map(to_batch1).collect()
-}
-
-/// Reshapes a `[c, h, w]` frame to a batch-of-one `[1, c, h, w]` (frames
-/// that already carry a batch axis pass through).
-fn to_batch1(frame: &Tensor) -> Result<Tensor> {
-    if frame.dims().len() == 4 {
-        return Ok(frame.clone());
-    }
-    let mut dims = vec![1];
-    dims.extend_from_slice(frame.dims());
-    Ok(frame.reshape(&dims)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,9 +261,8 @@ mod tests {
         let frame = Tensor::randn(&[1, 2, 2], 0.5, 0.5, &mut rng);
         let pred = static_inference(&mut net, std::slice::from_ref(&frame), 4).unwrap();
         let mut net2 = tiny_net(20);
-        let outputs = net2
-            .forward_sequence(&[to_batch1(&frame).unwrap()], 4, Mode::Eval)
-            .unwrap();
+        let batched = batch1_frames(std::slice::from_ref(&frame), 4).unwrap();
+        let outputs = net2.forward_sequence(&batched, 4, Mode::Eval).unwrap();
         let mut sum = outputs[0].clone();
         for o in &outputs[1..] {
             sum.axpy(1.0, o).unwrap();

@@ -61,10 +61,7 @@ pub use robustness::{
     MonteCarloStatic, StaticTrial, Statistic,
 };
 pub use sweep::{SweepPoint, ThresholdSweep};
-pub use throughput::{
-    measure_batched_dynamic_throughput, measure_dynamic_throughput, measure_throughput,
-    ThroughputReport,
-};
+pub use throughput::{measure_dynamic_throughput, measure_throughput, ThroughputReport};
 pub use visualize::{ascii_render, bucket_by_timesteps};
 
 /// Crate-local result alias.

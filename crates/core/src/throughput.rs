@@ -13,9 +13,9 @@
 //! Reported accuracy and mean timesteps are bitwise identical to the
 //! corresponding evaluation harness.
 
-use crate::harness::{check_inputs, check_split, fan_out, DynamicEvaluation};
+use crate::harness::{check_inputs, fan_out};
 use crate::inference::{static_inference, DynamicInference};
-use crate::{CoreError, Result};
+use crate::Result;
 use dtsnn_snn::Snn;
 use dtsnn_tensor::{parallel, Tensor};
 use std::time::Instant;
@@ -33,31 +33,19 @@ pub struct ThroughputReport {
     pub avg_timesteps: f32,
 }
 
-fn validate_inputs(
-    frames: &[Vec<Tensor>],
-    labels: &[usize],
-    max_timesteps: usize,
-) -> Result<()> {
-    check_inputs(frames, labels, None)?;
-    if max_timesteps == 0 {
-        return Err(CoreError::BadInput("timesteps must be nonzero".into()));
-    }
-    check_split(frames, max_timesteps)
-}
-
 /// Measures batch-1 throughput of a static SNN at a fixed `timesteps`.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::BadInput`] for empty or mismatched data, zero
-/// `timesteps`, or per-sample frame counts other than 1 or `timesteps`.
+/// Returns [`crate::CoreError::BadInput`] for empty or mismatched data, zero
+/// `timesteps`, or a sample that breaks the frame contract.
 pub fn measure_throughput(
     network: &mut Snn,
     frames: &[Vec<Tensor>],
     labels: &[usize],
     timesteps: usize,
 ) -> Result<ThroughputReport> {
-    validate_inputs(frames, labels, timesteps)?;
+    check_inputs(frames, labels, None, timesteps)?;
     let start = Instant::now();
     // predictions come back in sample order, so accuracy is thread-count
     // invariant while the wall clock shrinks with DTSNN_THREADS
@@ -78,15 +66,15 @@ pub fn measure_throughput(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::BadInput`] for empty or mismatched data or invalid
-/// per-sample frame counts — raised before the clock starts.
+/// Returns [`crate::CoreError::BadInput`] for empty or mismatched data or a
+/// sample that breaks the frame contract — raised before the clock starts.
 pub fn measure_dynamic_throughput(
     network: &mut Snn,
     runner: &DynamicInference,
     frames: &[Vec<Tensor>],
     labels: &[usize],
 ) -> Result<ThroughputReport> {
-    validate_inputs(frames, labels, runner.max_timesteps())?;
+    check_inputs(frames, labels, None, runner.max_timesteps())?;
     let start = Instant::now();
     let per_sample = fan_out(network, parallel::num_threads(), frames, |net, i, sample| {
         let outcome = runner.run(net, sample)?;
@@ -104,40 +92,10 @@ pub fn measure_dynamic_throughput(
     })
 }
 
-/// Measures throughput of the compacted batched DT-SNN evaluator
-/// ([`DynamicEvaluation::run_batched`]) at the given `batch_size`.
-///
-/// Accuracy and mean timesteps are bitwise identical to the batch-1 dynamic
-/// path; the wall clock reflects the active-set compaction engine, whose
-/// per-timestep work decays as samples exit early.
-///
-/// # Errors
-///
-/// Returns [`CoreError::BadInput`] for empty or mismatched data, invalid
-/// per-sample frame counts, or zero `batch_size` — raised by
-/// [`DynamicEvaluation::run_batched`] before it forwards anything.
-pub fn measure_batched_dynamic_throughput(
-    network: &mut Snn,
-    runner: &DynamicInference,
-    frames: &[Vec<Tensor>],
-    labels: &[usize],
-    batch_size: usize,
-) -> Result<ThroughputReport> {
-    let start = Instant::now();
-    let eval = DynamicEvaluation::run_batched(network, runner, frames, labels, None, batch_size)?;
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    Ok(ThroughputReport {
-        label: format!("DT-SNN {} (batched b={batch_size})", runner.policy().name()),
-        images_per_second: frames.len() as f64 / secs,
-        accuracy: eval.accuracy,
-        avg_timesteps: eval.avg_timesteps,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExitPolicy;
+    use crate::{DynamicEvaluation, ExitPolicy};
     use dtsnn_snn::{Flatten, Layer, LifConfig, LifNeuron, Linear};
     use dtsnn_tensor::TensorRng;
 
@@ -190,12 +148,6 @@ mod tests {
         let dt = measure_dynamic_throughput(&mut net, &runner, &frames, &labels).unwrap();
         assert_eq!(dt.accuracy, eval.accuracy);
         assert_eq!(dt.avg_timesteps, eval.avg_timesteps);
-        let mut net = tiny_net(5);
-        let bt =
-            measure_batched_dynamic_throughput(&mut net, &runner, &frames, &labels, 8).unwrap();
-        assert_eq!(bt.accuracy, eval.accuracy);
-        assert_eq!(bt.avg_timesteps, eval.avg_timesteps);
-        assert!(bt.label.contains("batched b=8"));
     }
 
     #[test]
@@ -205,15 +157,9 @@ mod tests {
         let (mut frames, labels) = data(4);
         let runner = DynamicInference::new(ExitPolicy::entropy(0.9).unwrap(), 4).unwrap();
         assert!(measure_throughput(&mut net, &frames, &labels, 0).is_err());
-        assert!(
-            measure_batched_dynamic_throughput(&mut net, &runner, &frames, &labels, 0).is_err()
-        );
         frames[1] = vec![frames[1][0].clone(); 2]; // 2 frames under a T=4 window
         assert!(measure_throughput(&mut net, &frames, &labels, 4).is_err());
         assert!(measure_dynamic_throughput(&mut net, &runner, &frames, &labels).is_err());
-        assert!(
-            measure_batched_dynamic_throughput(&mut net, &runner, &frames, &labels, 2).is_err()
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::policy::ExitPolicy;
 use crate::{CoreError, Result};
-use dtsnn_snn::{Mode, Snn};
+use dtsnn_snn::{frame_at, Mode, Snn};
 use dtsnn_tensor::{softmax_in_place, Tensor};
 
 /// What one [`Window::fold`] decided about one row.
@@ -73,9 +73,11 @@ impl Window {
     }
 
     /// Forwards every row one timestep through `network` — row `r` on the
-    /// frame of `frames_of(r)` at the row's own `t` (a single static frame
-    /// repeats) — folds the logits ([`Window::fold`]) and hands their buffer
-    /// back to the network's arena.
+    /// frame of `frames_of(r)` at the row's own `t` ([`frame_at`]: a single
+    /// static frame repeats) — folds the logits ([`Window::fold`]) and hands
+    /// their buffer back to the network's arena. The frames must be batch-1
+    /// ([`dtsnn_snn::batch1_frames`]): every runner checks its samples once,
+    /// before their first step.
     ///
     /// # Errors
     ///
@@ -90,10 +92,8 @@ impl Window {
         t_cap: usize,
     ) -> Result<()> {
         let frame_of = |row: usize| {
-            let (frames, t) = (frames_of(row), self.t[row]);
-            let frame = if frames.len() == 1 { frames.first() } else { frames.get(t) };
-            frame.ok_or_else(|| {
-                CoreError::BadInput(format!("row {row}: no frame for timestep {}", t + 1))
+            frame_at(frames_of(row), self.t[row]).ok_or_else(|| {
+                CoreError::BadInput(format!("row {row}: no frame for timestep {}", self.t[row] + 1))
             })
         };
         let logits = match self.rows() {

@@ -24,9 +24,9 @@
 //! marked done, queued copies elsewhere are cancelled, and any later
 //! retirement of a redundant copy is suppressed (counted in
 //! [`ClusterStats::duplicates_suppressed`]). A request therefore terminates
-//! exactly once — completed, expired, rejected/shed, or failed after
-//! exhausting its retry budget — under any fault schedule; the chaos
-//! property suite asserts it.
+//! exactly once — completed, expired, rejected/shed, or failed (its retry
+//! budget exhausted, or its forward failed on a worker, which no retry
+//! mends) — under any fault schedule; the chaos property suite asserts it.
 //!
 //! # Brownout ladder
 //!
@@ -171,7 +171,8 @@ pub struct ClusterStats {
     pub completed: u64,
     /// Requests that terminated past their deadline.
     pub expired: u64,
-    /// Requests that exhausted their retry budget across worker failures.
+    /// Requests that exhausted their retry budget across worker failures,
+    /// or whose forward failed on a worker.
     pub failed: u64,
     /// Requeues after a lost worker copy.
     pub requeues: u64,
@@ -340,7 +341,11 @@ pub struct Cluster<C: Clock + Clone> {
     outcomes: Vec<RequestOutcome>,
     events: Vec<ClusterEvent>,
     stats: ClusterStats,
+    /// The shape pin across requests (see [`normalize_request_frames`]).
     frame_dims: Option<Vec<usize>>,
+    /// Whether any worker has forwarded a request (its outcome ran a
+    /// timestep).
+    frames_forwarded: bool,
     /// Monotone virtual-time cursor: the start time of the last executed
     /// action.
     time: u64,
@@ -429,6 +434,7 @@ impl<C: Clock + Clone> Cluster<C> {
             events: Vec::new(),
             stats: ClusterStats::default(),
             frame_dims: None,
+            frames_forwarded: false,
             time: 0,
             brownout_level: 0,
         })
@@ -495,10 +501,15 @@ impl<C: Clock + Clone> Cluster<C> {
                 request.id
             )));
         }
+        // a live request is queued here or holds a copy on a live worker
+        let held = self.frames_forwarded
+            || !self.backlog.is_empty()
+            || self.workers.iter().flat_map(|w| &w.server).any(|s| s.width() + s.queue_depth() > 0);
         let frames = normalize_request_frames(
             &request,
             self.config.server.max_timesteps,
             &mut self.frame_dims,
+            held,
         )?;
         let deadline = request
             .deadline_nanos
@@ -506,18 +517,13 @@ impl<C: Clock + Clone> Cluster<C> {
             .map(|budget| arrival.saturating_add(budget));
         if self.backlog.len() >= self.config.queue_capacity {
             self.stats.rejected += 1;
-            self.outcomes.push(RequestOutcome {
-                id: request.id,
-                status: CompletionStatus::Rejected,
-                prediction: None,
-                timesteps_used: 0,
-                exited_early: false,
-                scores: Vec::new(),
-                accumulated_logits: Vec::new(),
-                arrival_nanos: arrival,
-                finish_nanos: arrival,
-                deadline_nanos: deadline,
-            });
+            self.outcomes.push(RequestOutcome::unanswered(
+                request.id,
+                CompletionStatus::Rejected,
+                arrival,
+                arrival,
+                deadline,
+            ));
             return Ok(false);
         }
         self.tracked.insert(
@@ -767,18 +773,8 @@ impl<C: Clock + Clone> Cluster<C> {
             tr.done = true;
             let (arrival, deadline) = (tr.arrival, tr.deadline);
             self.stats.failed += 1;
-            self.outcomes.push(RequestOutcome {
-                id,
-                status: CompletionStatus::Failed,
-                prediction: None,
-                timesteps_used: 0,
-                exited_early: false,
-                scores: Vec::new(),
-                accumulated_logits: Vec::new(),
-                arrival_nanos: arrival,
-                finish_nanos: t,
-                deadline_nanos: deadline,
-            });
+            let failed = CompletionStatus::Failed;
+            self.outcomes.push(RequestOutcome::unanswered(id, failed, arrival, t, deadline));
         }
     }
 
@@ -801,18 +797,8 @@ impl<C: Clock + Clone> Cluster<C> {
                 tr.done = true;
                 let (arrival, deadline) = (tr.arrival, tr.deadline);
                 self.stats.expired += 1;
-                self.outcomes.push(RequestOutcome {
-                    id,
-                    status: CompletionStatus::TimedOut,
-                    prediction: None,
-                    timesteps_used: 0,
-                    exited_early: false,
-                    scores: Vec::new(),
-                    accumulated_logits: Vec::new(),
-                    arrival_nanos: arrival,
-                    finish_nanos: t,
-                    deadline_nanos: deadline,
-                });
+                let timed_out = CompletionStatus::TimedOut;
+                self.outcomes.push(RequestOutcome::unanswered(id, timed_out, arrival, t, deadline));
             }
         }
     }
@@ -846,18 +832,8 @@ impl<C: Clock + Clone> Cluster<C> {
             tr.done = true;
             let (arrival, deadline) = (tr.arrival, tr.deadline);
             self.stats.shed += 1;
-            self.outcomes.push(RequestOutcome {
-                id,
-                status: CompletionStatus::Rejected,
-                prediction: None,
-                timesteps_used: 0,
-                exited_early: false,
-                scores: Vec::new(),
-                accumulated_logits: Vec::new(),
-                arrival_nanos: arrival,
-                finish_nanos: t,
-                deadline_nanos: deadline,
-            });
+            let shed = CompletionStatus::Rejected;
+            self.outcomes.push(RequestOutcome::unanswered(id, shed, arrival, t, deadline));
             self.event(ClusterEvent::Shed { at_nanos: t, id });
         }
     }
@@ -979,13 +955,16 @@ impl<C: Clock + Clone> Cluster<C> {
         match outcome.status {
             CompletionStatus::Completed => self.stats.completed += 1,
             CompletionStatus::TimedOut => self.stats.expired += 1,
-            CompletionStatus::Rejected | CompletionStatus::Failed => {
+            // a forward failure is the frames' own: no retry, first terminal
+            CompletionStatus::Failed => self.stats.failed += 1,
+            CompletionStatus::Rejected => {
                 return Err(ServeError::Internal(format!(
                     "worker {wi} produced a {:?} outcome for dispatched request {}",
                     outcome.status, outcome.id
                 )));
             }
         }
+        self.frames_forwarded |= outcome.timesteps_used > 0;
         tr.done = true;
         let arrival = tr.arrival;
         let in_backlog = tr.in_backlog;
@@ -1049,18 +1028,8 @@ impl<C: Clock + Clone> Cluster<C> {
             tr.in_backlog = false;
             let (arrival, deadline) = (tr.arrival, tr.deadline);
             self.stats.failed += 1;
-            self.outcomes.push(RequestOutcome {
-                id,
-                status: CompletionStatus::Failed,
-                prediction: None,
-                timesteps_used: 0,
-                exited_early: false,
-                scores: Vec::new(),
-                accumulated_logits: Vec::new(),
-                arrival_nanos: arrival,
-                finish_nanos: t,
-                deadline_nanos: deadline,
-            });
+            let failed = CompletionStatus::Failed;
+            self.outcomes.push(RequestOutcome::unanswered(id, failed, arrival, t, deadline));
         }
         Ok(())
     }

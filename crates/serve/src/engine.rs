@@ -7,7 +7,7 @@ use crate::controller::ThetaController;
 use crate::{Result, ServeError};
 use dtsnn_core::window::Window;
 use dtsnn_core::ExitPolicy;
-use dtsnn_snn::{PrefixStats, Snn};
+use dtsnn_snn::{batch1_frames, PrefixStats, Snn};
 use dtsnn_tensor::{Tensor, WorkspaceStats};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, TryRecvError};
@@ -20,8 +20,9 @@ pub struct Request {
     /// Caller-chosen identifier echoed in the [`RequestOutcome`].
     pub id: u64,
     /// Either one `[c, h, w]` frame (static input, direct encoding) or
-    /// exactly `max_timesteps` frames (event data). A leading batch axis of
-    /// one is also accepted.
+    /// exactly `max_timesteps` frames (event data), all of one shape, none
+    /// empty. A leading batch axis of one is also accepted
+    /// ([`dtsnn_snn::check_frames`]).
     pub frames: Vec<Tensor>,
     /// Latency budget in nanoseconds from arrival; `None` uses the server's
     /// default (which may itself be "no deadline").
@@ -43,23 +44,25 @@ pub enum CompletionStatus {
     /// Refused at submission: the pending queue was at capacity — or, at
     /// the cluster level, shed by the brownout ladder while queued.
     Rejected,
-    /// Gave up after exhausting the retry budget across worker failures
-    /// (cluster-level only; a single server never reports this).
+    /// No prediction: the network failed to forward the request's frames
+    /// (the whole batch it rode in ends so, and its window closes) or, at
+    /// the cluster level, the retry budget ran out across worker failures.
     Failed,
 }
 
-/// Everything the server reports about one request. Every submitted request
-/// produces exactly one outcome — completed, timed out or rejected, never
-/// silently dropped.
+/// Everything the server reports about one request. Every request a server
+/// accepts, or refuses for capacity, produces exactly one outcome —
+/// completed, timed out, rejected or failed, never silently dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestOutcome {
     /// The caller's request id.
     pub id: u64,
     /// How the request terminated.
     pub status: CompletionStatus,
-    /// Predicted class; `None` when the request never ran a timestep.
+    /// Predicted class; `None` when the request never ran a timestep or
+    /// failed.
     pub prediction: Option<usize>,
-    /// Timesteps actually executed (0 when never admitted).
+    /// Timesteps actually executed (0 when the request has no prediction).
     pub timesteps_used: usize,
     /// Whether the exit policy fired before the full window.
     pub exited_early: bool,
@@ -79,6 +82,29 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
+    /// The outcome of a request that leaves without a prediction: refused,
+    /// expired or shed while queued, or failed.
+    pub(crate) fn unanswered(
+        id: u64,
+        status: CompletionStatus,
+        arrival_nanos: u64,
+        finish_nanos: u64,
+        deadline_nanos: Option<u64>,
+    ) -> Self {
+        RequestOutcome {
+            id,
+            status,
+            prediction: None,
+            timesteps_used: 0,
+            exited_early: false,
+            scores: Vec::new(),
+            accumulated_logits: Vec::new(),
+            arrival_nanos,
+            finish_nanos,
+            deadline_nanos,
+        }
+    }
+
     /// Queueing + service latency on the server clock.
     pub fn latency_nanos(&self) -> u64 {
         self.finish_nanos.saturating_sub(self.arrival_nanos)
@@ -153,6 +179,8 @@ pub struct ServerStats {
     pub completed: u64,
     /// Requests that terminated past their deadline (queued or in-flight).
     pub timed_out: u64,
+    /// Requests whose forward failed ([`CompletionStatus::Failed`]).
+    pub failed: u64,
     /// Requests admitted into an inference window.
     pub admitted: u64,
     /// Admissions spliced into an *open* window (carried state padded via
@@ -176,6 +204,13 @@ struct Job {
     scores: Vec<f32>,
 }
 
+impl Job {
+    /// The request's outcome when it leaves without a prediction.
+    fn unanswered(&self, status: CompletionStatus, finish_nanos: u64) -> RequestOutcome {
+        RequestOutcome::unanswered(self.id, status, self.arrival, finish_nanos, self.deadline)
+    }
+}
+
 /// The continuous-batching inference server.
 ///
 /// One engine step forwards every in-flight row a single timestep and
@@ -195,8 +230,12 @@ pub struct Server<C: Clock> {
     outcomes: Vec<RequestOutcome>,
     schedule: Vec<StepRecord>,
     stats: ServerStats,
-    /// Batch-1 frame dims fixed by the first accepted request.
+    /// Batch-1 frame dims every request must share: pinned by the first
+    /// accepted request, kept once a request of them has been forwarded
+    /// (`frames_forwarded`) or while one waits.
     frame_dims: Option<Vec<usize>>,
+    /// Whether any forward has succeeded on this server.
+    frames_forwarded: bool,
     /// Service-cost multiplier (the chaos plane's slowdown lever); 1.0 when
     /// healthy.
     service_multiplier: f64,
@@ -237,6 +276,7 @@ impl<C: Clock> Server<C> {
             schedule: Vec::new(),
             stats: ServerStats::default(),
             frame_dims: None,
+            frames_forwarded: false,
             service_multiplier: 1.0,
             timestep_cap: None,
             pressure_hint: 0,
@@ -376,32 +416,33 @@ impl<C: Clock> Server<C> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadRequest`] for malformed frames: empty, a
-    /// count other than 1 or `max_timesteps`, a shape disagreeing with the
-    /// first accepted request, or a batch axis wider than one.
+    /// Returns [`ServeError::BadRequest`] for frames that break the frame
+    /// contract ([`dtsnn_snn::check_frames`]) or disagree with the pinned
+    /// shape: the first accepted request's, kept once a request of it has
+    /// been forwarded or while one waits.
     pub fn submit(&mut self, request: Request) -> Result<bool> {
         let arrival = self.clock.now();
         self.stats.submitted += 1;
-        let frames =
-            normalize_request_frames(&request, self.config.max_timesteps, &mut self.frame_dims)?;
+        let held = self.frames_forwarded || !self.pending.is_empty() || !self.in_flight.is_empty();
+        let frames = normalize_request_frames(
+            &request,
+            self.config.max_timesteps,
+            &mut self.frame_dims,
+            held,
+        )?;
         let deadline = request
             .deadline_nanos
             .or(self.config.default_deadline_nanos)
             .map(|budget| arrival.saturating_add(budget));
         if self.pending.len() >= self.config.queue_capacity {
             self.stats.rejected += 1;
-            self.outcomes.push(RequestOutcome {
-                id: request.id,
-                status: CompletionStatus::Rejected,
-                prediction: None,
-                timesteps_used: 0,
-                exited_early: false,
-                scores: Vec::new(),
-                accumulated_logits: Vec::new(),
-                arrival_nanos: arrival,
-                finish_nanos: arrival,
-                deadline_nanos: deadline,
-            });
+            self.outcomes.push(RequestOutcome::unanswered(
+                request.id,
+                CompletionStatus::Rejected,
+                arrival,
+                arrival,
+                deadline,
+            ));
             return Ok(false);
         }
         self.pending.push_back(Job { id: request.id, frames, arrival, deadline, scores: Vec::new() });
@@ -417,9 +458,14 @@ impl<C: Clock> Server<C> {
     /// Returns `false` — without touching the clock — when there is
     /// nothing to do (no in-flight rows and nothing admissible).
     ///
+    /// A forward the network cannot run (frames it has no layers for) ends
+    /// every row of the batch as [`CompletionStatus::Failed`] and closes the
+    /// window, without touching the clock; the step still returns `true`.
+    ///
     /// # Errors
     ///
-    /// Propagates network/tensor failures.
+    /// Returns an injected [`ServeError::Fault`] and propagates failures of
+    /// the row bookkeeping.
     pub fn step(&mut self) -> Result<bool> {
         if self.injected_faults > 0 {
             if self.in_flight.is_empty() && self.pending.is_empty() {
@@ -475,7 +521,18 @@ impl<C: Clock> Server<C> {
         let t_max = self.config.max_timesteps;
         let t_eff = self.timestep_cap.map_or(t_max, |cap| cap.min(t_max));
         let in_flight = &self.in_flight;
-        self.window.step(&mut self.net, |row| &in_flight[row].frames, &policy, t_eff)?;
+        if self.window.step(&mut self.net, |row| &in_flight[row].frames, &policy, t_eff).is_err() {
+            // the same frames would fail again: no retry, no prediction
+            let now = self.clock.now();
+            self.stats.failed += width as u64;
+            for r in self.in_flight.drain(..) {
+                self.outcomes.push(r.unanswered(CompletionStatus::Failed, now));
+            }
+            self.window.compact(&[])?;
+            self.net.reset_state();
+            return Ok(true);
+        }
+        self.frames_forwarded = true;
         self.clock.advance(self.scaled_cost(width));
         let now = self.clock.now();
         self.stats.steps += 1;
@@ -549,18 +606,7 @@ impl<C: Clock> Server<C> {
             let expired = p.deadline.is_some_and(|d| now > d);
             if expired {
                 stats.timed_out += 1;
-                outcomes.push(RequestOutcome {
-                    id: p.id,
-                    status: CompletionStatus::TimedOut,
-                    prediction: None,
-                    timesteps_used: 0,
-                    exited_early: false,
-                    scores: Vec::new(),
-                    accumulated_logits: Vec::new(),
-                    arrival_nanos: p.arrival,
-                    finish_nanos: now,
-                    deadline_nanos: p.deadline,
-                });
+                outcomes.push(p.unanswered(CompletionStatus::TimedOut, now));
             }
             !expired
         });
@@ -577,66 +623,35 @@ impl<C: Clock> Server<C> {
     }
 }
 
-/// Reshapes and validates a request's frames into a fixed batch-1 shape:
-/// either one frame (static input) or exactly `max_timesteps` frames (event
-/// data), each `[1, c, h, w]` after an optional batch axis is added.
-///
-/// `frame_dims` pins the shape across requests: `None` is set by the first
-/// accepted request, and later requests must agree. Shared by [`Server`]
-/// and the cluster router (which validates before sharding).
+/// A request's frames, checked and batch-1 shaped by the frame contract
+/// ([`batch1_frames`]), then held to the shape pin across requests: `pin`
+/// holds the batch-1 dims every request must share. The first accepted
+/// request sets it, and it stays only while `held` — a request of that shape
+/// has been forwarded or still waits — so a shape the network cannot run
+/// does not lock out the next request. Shared by [`Server`] and the cluster
+/// router (which validates before sharding).
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::BadRequest`] for empty frames, a frame count other
-/// than 1 or `max_timesteps`, a batch axis wider than one, or dims that
-/// disagree with `frame_dims`.
+/// Returns [`ServeError::BadRequest`] for frames that break the contract or
+/// disagree with the pin.
 pub(crate) fn normalize_request_frames(
     request: &Request,
     max_timesteps: usize,
-    frame_dims: &mut Option<Vec<usize>>,
+    pin: &mut Option<Vec<usize>>,
+    held: bool,
 ) -> Result<Vec<Tensor>> {
-    if request.frames.is_empty() {
-        return Err(ServeError::BadRequest(format!("request {}: no frames", request.id)));
+    let bad = |why: String| ServeError::BadRequest(format!("request {}: {why}", request.id));
+    let frames = batch1_frames(&request.frames, max_timesteps).map_err(|e| bad(e.to_string()))?;
+    if !held {
+        *pin = None;
     }
-    if request.frames.len() != 1 && request.frames.len() != max_timesteps {
-        return Err(ServeError::BadRequest(format!(
-            "request {}: expected 1 or {} frames, got {}",
-            request.id,
-            max_timesteps,
-            request.frames.len()
-        )));
+    let dims = pin.get_or_insert_with(|| frames[0].dims().to_vec());
+    if dims.as_slice() != frames[0].dims() {
+        let got = frames[0].dims();
+        return Err(bad(format!("frame dims {got:?} disagree with the server's {dims:?}")));
     }
-    let mut out = Vec::with_capacity(request.frames.len());
-    for frame in &request.frames {
-        let batched = if frame.dims().len() == 4 {
-            frame.clone()
-        } else {
-            let mut dims = vec![1];
-            dims.extend_from_slice(frame.dims());
-            frame.reshape(&dims)?
-        };
-        if batched.dims()[0] != 1 {
-            return Err(ServeError::BadRequest(format!(
-                "request {}: frames must be batch-1, got dims {:?}",
-                request.id,
-                frame.dims()
-            )));
-        }
-        match &frame_dims {
-            Some(dims) if *dims != batched.dims() => {
-                return Err(ServeError::BadRequest(format!(
-                    "request {}: frame dims {:?} disagree with the server's {:?}",
-                    request.id,
-                    batched.dims(),
-                    dims
-                )));
-            }
-            Some(_) => {}
-            None => *frame_dims = Some(batched.dims().to_vec()),
-        }
-        out.push(batched);
-    }
-    Ok(out)
+    Ok(frames)
 }
 
 /// A request paired with its arrival time on the server clock.

@@ -1,4 +1,5 @@
 use crate::checkpoint::CheckpointError;
+use crate::frames::FrameError;
 use dtsnn_tensor::TensorError;
 use std::fmt;
 
@@ -55,6 +56,12 @@ impl std::error::Error for SnnError {
 impl From<TensorError> for SnnError {
     fn from(e: TensorError) -> Self {
         SnnError::Tensor(e)
+    }
+}
+
+impl From<FrameError> for SnnError {
+    fn from(e: FrameError) -> Self {
+        SnnError::BadInput(e.to_string())
     }
 }
 

@@ -29,6 +29,7 @@
 mod ann;
 mod checkpoint;
 mod error;
+mod frames;
 mod layer;
 mod layers;
 mod lif;
@@ -43,6 +44,7 @@ mod train;
 pub use ann::{EarlyExitAnn, ExitOutput, Relu};
 pub use checkpoint::{load_params, save_params, CheckpointError};
 pub use error::SnnError;
+pub use frames::{batch1_frames, check_frames, frame_at, FrameError};
 pub use layer::{Layer, Mode, Param, State};
 pub use layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, ResidualBlock};
 pub use lif::{LifConfig, LifNeuron, ResetMode};
@@ -56,7 +58,7 @@ pub use network::{LayerNode, Snn, SpikeActivity};
 pub use optim::{CosineSchedule, Sgd, SgdConfig};
 pub use prefix::PrefixStats;
 pub use surrogate::Surrogate;
-pub use train::{evaluate_at, TrainReport, Trainer, TrainerConfig};
+pub use train::{TrainReport, Trainer, TrainerConfig};
 
 /// Crate-local result alias.
 pub type Result<T> = std::result::Result<T, SnnError>;

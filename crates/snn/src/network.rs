@@ -1,6 +1,7 @@
 //! The [`Snn`] container: a sequential spiking network evaluated over
 //! timesteps (Eq. 1), with BPTT support and spike-activity accounting.
 
+use crate::frames::{check_frame_count, frame_at};
 use crate::layer::{retire, Layer, Mode, Param, State};
 use crate::layers::copy_through;
 use crate::prefix::{self, PrefixCache, PrefixStats};
@@ -281,7 +282,9 @@ impl Snn {
 
     /// Runs a full sequence. `frames` holds either one frame (static input,
     /// repeated with direct encoding for `timesteps` steps — Sec. II) or one
-    /// frame per timestep (event data).
+    /// frame per timestep (event data): the frame contract's count rule and
+    /// its pick, [`crate::frame_at`]. The frames are whole batches, so its
+    /// per-sample rules ([`crate::check_frames`]) do not apply.
     ///
     /// Returns the per-timestep logits.
     ///
@@ -295,19 +298,10 @@ impl Snn {
         timesteps: usize,
         mode: Mode,
     ) -> Result<Vec<Tensor>> {
-        if frames.is_empty() {
-            return Err(SnnError::BadInput("empty frame sequence".into()));
-        }
-        if frames.len() != 1 && frames.len() != timesteps {
-            return Err(SnnError::BadInput(format!(
-                "expected 1 or {timesteps} frames, got {}",
-                frames.len()
-            )));
-        }
+        check_frame_count(frames.len(), timesteps)?;
         self.reset_state();
         let mut outputs = Vec::with_capacity(timesteps);
-        for t in 0..timesteps {
-            let frame = if frames.len() == 1 { &frames[0] } else { &frames[t] };
+        for frame in (0..timesteps).map_while(|t| frame_at(frames, t)) {
             outputs.push(self.forward_timestep(frame, mode)?);
         }
         Ok(outputs)

@@ -158,52 +158,6 @@ impl Trainer {
         }
         Ok(report)
     }
-
-    /// Top-1 accuracy of `network` on `(frames, labels)` using the
-    /// timestep-averaged logits at the full window `T` (the static-SNN
-    /// evaluation protocol).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::BadInput`] for mismatched inputs.
-    pub fn evaluate(
-        &self,
-        network: &mut Snn,
-        frames: &[Vec<Tensor>],
-        labels: &[usize],
-    ) -> Result<f32> {
-        evaluate_at(network, frames, labels, self.config.timesteps, self.config.batch_size)
-    }
-}
-
-/// Accuracy at an arbitrary timestep budget (used by Fig. 2's sweep).
-///
-/// # Errors
-///
-/// Returns [`SnnError::BadInput`] for mismatched inputs.
-pub fn evaluate_at(
-    network: &mut Snn,
-    frames: &[Vec<Tensor>],
-    labels: &[usize],
-    timesteps: usize,
-    batch_size: usize,
-) -> Result<f32> {
-    if frames.is_empty() || frames.len() != labels.len() {
-        return Err(SnnError::BadInput("frames/labels length mismatch or empty".into()));
-    }
-    let order: Vec<usize> = (0..frames.len()).collect();
-    let mut correct = 0usize;
-    for chunk in order.chunks(batch_size.max(1)) {
-        let (batch_frames, batch_labels) = gather_batch(frames, labels, chunk)?;
-        let outputs = network.forward_sequence(&batch_frames, timesteps, Mode::Eval)?;
-        let mut mean = outputs[0].clone();
-        for o in &outputs[1..] {
-            mean.axpy(1.0, o)?;
-        }
-        let preds = mean.argmax_rows()?;
-        correct += preds.iter().zip(&batch_labels).filter(|(p, l)| p == l).count();
-    }
-    Ok(correct as f32 / labels.len() as f32)
 }
 
 /// Stacks per-sample frame sequences into per-timestep batch tensors.
@@ -304,8 +258,16 @@ mod tests {
         let trainer = Trainer::new(cfg).unwrap();
         let report = trainer.fit(&mut net, &frames, &labels).unwrap();
         assert!(report.final_accuracy() > 0.85, "train acc = {}", report.final_accuracy());
+        // held-out accuracy of the timestep-averaged logits at the full window
         let (test_frames, test_labels) = toy_data(60, 2);
-        let acc = trainer.evaluate(&mut net, &test_frames, &test_labels).unwrap();
+        let all: Vec<usize> = (0..test_labels.len()).collect();
+        let (batch, _) = gather_batch(&test_frames, &test_labels, &all).unwrap();
+        let outputs = net.forward_sequence(&batch, 2, Mode::Eval).unwrap();
+        let mut sum = outputs[0].clone();
+        sum.axpy(1.0, &outputs[1]).unwrap();
+        let preds = sum.argmax_rows().unwrap();
+        let correct = preds.iter().zip(&test_labels).filter(|(p, l)| p == l).count();
+        let acc = correct as f32 / test_labels.len() as f32;
         assert!(acc > 0.8, "test acc = {acc}");
     }
 
@@ -331,16 +293,6 @@ mod tests {
                 report.epoch_loss[0]
             );
         }
-    }
-
-    #[test]
-    fn evaluate_at_lower_timesteps_runs() {
-        let (frames, labels) = toy_data(20, 6);
-        let mut net = toy_net(11);
-        let acc1 = evaluate_at(&mut net, &frames, &labels, 1, 8).unwrap();
-        let acc4 = evaluate_at(&mut net, &frames, &labels, 4, 8).unwrap();
-        assert!((0.0..=1.0).contains(&acc1));
-        assert!((0.0..=1.0).contains(&acc4));
     }
 
     #[test]
