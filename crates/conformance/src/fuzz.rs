@@ -37,11 +37,10 @@
 //! 8. *(retired with its subject: the event-driven CSR f32 kernels it
 //!    compared against the dense ones were deleted. The number stays so
 //!    the later oracles keep theirs.)*
-//! 9. **Quantized execution** — the int8-weight path a network enters
-//!    through `quantize_weights` (a real numeric change, pinned by its own
-//!    goldens) must be run-to-run reproducible, thread-count invariant and
-//!    finite. (Its f32 arm — dense, CSR, bitset and auto dispatch agreeing
-//!    bitwise — retired with the families it compared.)
+//! 9. *(retired with its subject: the int8 weight kernels it checked for
+//!    reproducibility, thread-count invariance and finiteness were deleted.
+//!    The deployment grid lives on in oracle 7's fault injector. The number
+//!    stays so the later oracles keep theirs.)*
 //! 10. **Continuous-batching server ≡ sequential runner** — a seeded
 //!     request trace replayed through the simulated-clock serving engine
 //!     (staggered arrivals, mid-window admissions, compaction-retired
@@ -423,40 +422,6 @@ fn oracle_fault_injection_invariants(case: &FuzzCase) -> Result<(), String> {
     Ok(())
 }
 
-fn oracle_quantized_execution(case: &FuzzCase) -> Result<(), String> {
-    let runner = DynamicInference::new(
-        ExitPolicy::entropy(case.theta).map_err(|e| e.to_string())?,
-        case.timesteps,
-    )
-    .map_err(|e| e.to_string())?;
-    let frame = case.frame(0xBAC_EAD);
-    let run = |threads: usize| -> Result<_, String> {
-        parallel::with_threads(threads, || {
-            let mut net = case.build(8)?;
-            net.quantize_weights(HardwareConfig::default().weight_bits);
-            let traced = runner
-                .run_traced(&mut net, std::slice::from_ref(&frame))
-                .map_err(|e| e.to_string())?;
-            Ok((traced.outcome, traced.per_timestep))
-        })
-    };
-    // a real numeric change: demand reproducibility, thread-count
-    // invariance and finiteness instead of bitwise identity with f32
-    let q1 = run(1)?;
-    if q1 != run(1)? {
-        return Err("quantized execution is not run-to-run reproducible".into());
-    }
-    if q1 != run(4)? {
-        return Err("quantized execution differs across thread counts".into());
-    }
-    for (t, step) in q1.1.iter().enumerate() {
-        if step.accumulated_logits.iter().any(|v| !v.is_finite()) {
-            return Err(format!("quantized logits not finite at t={}", t + 1));
-        }
-    }
-    Ok(())
-}
-
 fn oracle_simd_equals_scalar(case: &FuzzCase) -> Result<(), String> {
     let runner = DynamicInference::new(
         ExitPolicy::entropy(case.theta).map_err(|e| e.to_string())?,
@@ -820,7 +785,6 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     oracle_batched_compaction_equals_sequential(case)
         .map_err(|e| format!("batched-compaction≡sequential: {e}"))?;
     oracle_fault_injection_invariants(case).map_err(|e| format!("fault-injection: {e}"))?;
-    oracle_quantized_execution(case).map_err(|e| format!("quantized: {e}"))?;
     oracle_simd_equals_scalar(case).map_err(|e| format!("simd≡scalar: {e}"))?;
     oracle_serving_equals_sequential(case).map_err(|e| format!("serving≡sequential: {e}"))?;
     oracle_event_sim_matches_ledger(case).map_err(|e| format!("event-sim≡ledger: {e}"))?;

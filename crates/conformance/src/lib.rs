@@ -18,8 +18,7 @@
 //!   asserting cross-path equivalences (never-exit DT-SNN ≡ static SNN,
 //!   thread-count invariance, σ = 0 device reads ≡ pure quantization,
 //!   mapping invariants, checkpoint round-trips, compacted batched
-//!   evaluation ≡ sequential evaluation, SIMD tier ≡ scalar, and a
-//!   reproducible, thread-count-invariant quantized path), with failing
+//!   evaluation ≡ sequential evaluation, SIMD tier ≡ scalar), with failing
 //!   cases shrunk to a minimal reproduction and reported by seed.
 
 #![forbid(unsafe_code)]

@@ -38,11 +38,6 @@ pub struct TraceSpec {
     pub samples: usize,
     /// Channel width of the scaled backbone.
     pub width: usize,
-    /// Whether the network runs the quantized weight backend (int8 codes on
-    /// the IMC `weight_bits` grid). Quantization is a real numeric change,
-    /// so quantized specs get their **own** goldens instead of riding the
-    /// f32 ones.
-    pub quantized: bool,
 }
 
 impl TraceSpec {
@@ -55,7 +50,6 @@ impl TraceSpec {
             timesteps: 4,
             samples: 3,
             width: 8,
-            quantized: false,
         }
     }
 
@@ -64,34 +58,16 @@ impl TraceSpec {
         TraceSpec { arch: Arch::ResNet, ..TraceSpec::vgg_default() }
     }
 
-    /// The committed quantized-backend VGG golden.
-    pub fn vgg_quant() -> Self {
-        TraceSpec { quantized: true, ..TraceSpec::vgg_default() }
-    }
-
-    /// The committed quantized-backend ResNet golden.
-    pub fn resnet_quant() -> Self {
-        TraceSpec { quantized: true, ..TraceSpec::resnet_default() }
-    }
-
     /// All committed goldens.
-    pub fn all_defaults() -> [TraceSpec; 4] {
-        [
-            TraceSpec::vgg_default(),
-            TraceSpec::resnet_default(),
-            TraceSpec::vgg_quant(),
-            TraceSpec::resnet_quant(),
-        ]
+    pub fn all_defaults() -> [TraceSpec; 2] {
+        [TraceSpec::vgg_default(), TraceSpec::resnet_default()]
     }
 
-    /// Golden file stem (`trace_vgg` / `trace_resnet`, `_quant` suffixed
-    /// for the quantized backend).
+    /// Golden file stem (`trace_vgg` / `trace_resnet`).
     pub fn golden_name(&self) -> &'static str {
-        match (self.arch, self.quantized) {
-            (Arch::Vgg, false) => "trace_vgg",
-            (Arch::ResNet, false) => "trace_resnet",
-            (Arch::Vgg, true) => "trace_vgg_quant",
-            (Arch::ResNet, true) => "trace_resnet_quant",
+        match self.arch {
+            Arch::Vgg => "trace_vgg",
+            Arch::ResNet => "trace_resnet",
         }
     }
 
@@ -148,9 +124,6 @@ pub fn record(spec: &TraceSpec) -> Result<Value> {
     let cfg = spec.model_config();
     let mut rng = TensorRng::seed_from(spec.seed);
     let mut net = spec.arch.build(&cfg, &mut rng)?;
-    if spec.quantized {
-        net.quantize_weights(dtsnn_imc::HardwareConfig::default().weight_bits);
-    }
     let dataset = dtsnn_data::SyntheticVision::generate(
         &dtsnn_data::VisionConfig {
             train_size: 1,
@@ -207,7 +180,6 @@ pub fn record(spec: &TraceSpec) -> Result<Value> {
             "width": spec.width as f64,
             "host_cores": host_cores() as f64,
             "threads": parallel::num_threads() as f64,
-            "quantized": spec.quantized,
             // per-layer kernel-backend choices of the final sample:
             // provenance only (context is never numerically compared)
             "backends": Value::Object(layer_backends.into_iter().fold(

@@ -40,7 +40,7 @@ impl Layer for Relu {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Result<Tensor> {
         let mask = self.masks.pop().ok_or(SnnError::MissingForwardCache("Relu"))?;
         Ok(grad_out.mul(&mask)?)
     }
@@ -75,8 +75,9 @@ pub struct EarlyExitAnn {
     heads: Vec<Vec<Box<dyn Layer>>>,
     /// Cumulative MAC fraction up to and including each block (+ its head).
     compute_fractions: Vec<f32>,
-    /// Kernel scratch of the forward pass (activations are not recycled: a
-    /// single pass has no steady state to warm). A clone starts empty.
+    /// Kernel scratch and the backward caches and gradients of the layers
+    /// (activations are not recycled: a single pass has no steady state to
+    /// warm). A clone starts empty.
     workspace: Workspace,
 }
 
@@ -241,13 +242,13 @@ impl EarlyExitAnn {
         for i in (0..self.blocks.len()).rev() {
             let mut g = grads[i].clone();
             for layer in self.heads[i].iter_mut().rev() {
-                g = layer.backward(&g)?;
+                g = layer.backward(&g, &mut self.workspace)?;
             }
             if let Some(c) = carry {
                 g.axpy(1.0, &c)?;
             }
             for layer in self.blocks[i].iter_mut().rev() {
-                g = layer.backward(&g)?;
+                g = layer.backward(&g, &mut self.workspace)?;
             }
             carry = Some(g);
         }
@@ -301,7 +302,7 @@ impl Layer for GapFlatten {
         Ok(global_avg_pool(input)?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Result<Tensor> {
         let dims = self.input_dims.pop().ok_or(SnnError::MissingForwardCache("GapFlatten"))?;
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let inv = 1.0 / (h * w) as f32;
@@ -341,9 +342,9 @@ mod tests {
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0, 3.0], &[1, 4]).unwrap();
         let y = relu.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 3.0]);
-        let g = relu.backward(&Tensor::ones(&[1, 4])).unwrap();
+        let g = relu.backward(&Tensor::ones(&[1, 4]), &mut Workspace::new()).unwrap();
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
-        assert!(relu.backward(&Tensor::ones(&[1, 4])).is_err());
+        assert!(relu.backward(&Tensor::ones(&[1, 4]), &mut Workspace::new()).is_err());
     }
 
     #[test]

@@ -58,63 +58,65 @@ pub enum State<'a> {
 ///
 /// - `forward_ws` is called once per timestep `t = 1..=T`; in
 ///   [`Mode::Train`] each call pushes an activation cache onto an internal
-///   stack.
-/// - `backward` is called once per timestep in **reverse** order; each call
-///   pops the matching cache and accumulates parameter gradients.
-/// - `reset_state_ws` clears membrane potentials **and** caches; call it
-///   before every new input sequence.
+///   stack, in a buffer taken from the arena it is given.
+/// - `backward` is called once per timestep in **reverse** order with the
+///   same arena; each call pops the matching cache, accumulates parameter
+///   gradients, parks the cache and every scratch buffer in the arena, and
+///   returns `∂L/∂input` in an arena buffer. The caller parks that gradient
+///   once the layer before has used it, so a warmed training step, like a
+///   warmed Eval step, allocates nothing.
+/// - `reset_state_ws` clears membrane potentials **and** caches, parking
+///   their buffers; call it before every new input sequence.
 ///
 /// # Container contract
 ///
 /// A layer that owns child layers ([`crate::ResidualBlock`]) forwards
-/// `reset_state_ws`, `visit_carried`, `visit_state`, `freeze_stats` and
-/// `quantize_weights` to every child, and recurses in `backend_choices`.
+/// `reset_state_ws`, `visit_carried`, `visit_state` and `freeze_stats` to
+/// every child, runs `forward_ws` and `backward` through them in the same
+/// arena, and recurses in `backend_choices`.
 /// Everything that happens to carried state between timesteps — reset,
 /// compaction, admission — reaches a child through the first two alone.
 ///
 /// # Row-wise purity
 ///
 /// In [`Mode::Eval`], a layer that visits no carried slot
-/// ([`Layer::visit_carried`]), reports no spike density
-/// ([`Layer::last_spike_density`]) and whose [`Layer::backend`] is not
-/// `"quantized"` is a row-wise pure function of its input and its
-/// parameters: output row `r` is a function of input row `r` alone, bit for
-/// bit, whatever the other rows of the batch are and however often it ran
-/// before. [`crate::Snn`] relies on this to keep, per batch row, the output
-/// of its input prefix — the leading layers of that kind — and to reuse it
-/// while the row's input is unchanged. A layer whose Eval output could
-/// change without one of the calls that drop that cache (`Snn`'s
+/// ([`Layer::visit_carried`]) and reports no spike density
+/// ([`Layer::last_spike_density`]) is a row-wise pure function of its input
+/// and its parameters: output row `r` is a function of input row `r` alone,
+/// bit for bit, whatever the other rows of the batch are and however often
+/// it ran before. [`crate::Snn`] relies on this to keep, per batch row, the
+/// output of its input prefix — the leading layers of that kind — and to
+/// reuse it while the row's input is unchanged. A layer whose Eval output
+/// could change without one of the calls that drop that cache (`Snn`'s
 /// `visit_state` — and so `visit_params` and `load_params` —
-/// `quantize_weights`, `freeze_norm_stats`, `layers_mut`, `reset_state` or
-/// a [`Mode::Train`] forward) must therefore carry state or report a
-/// density. A quantized kernel is not row-wise pure: it picks its
-/// integer path per call, when the whole batch is binary, so a row of a
-/// batch that mixes binary and analog rows can differ from the same row run
-/// alone. The input prefix therefore ends before the first quantized layer.
+/// `freeze_norm_stats`, `layers_mut`, `reset_state` or a [`Mode::Train`]
+/// forward) must therefore carry state or report a density.
 ///
 /// `Send + Sync` is a supertrait bound so the data-parallel evaluation
 /// workers in `dtsnn-core` can clone a shared prototype network onto scoped
 /// threads. No layer uses interior mutability, so the bound is free.
 pub trait Layer: Send + Sync {
-    /// Processes one timestep of input — the only forward. Scratch and
-    /// output buffers come from `ws`, so an Eval loop whose caller recycles
-    /// each consumed activation allocates nothing once warmed. Train differs
-    /// only where it has to: it pushes the backward caches (which own their
-    /// tensors, so the arena never aliases them), BatchNorm folds batch
-    /// statistics, and the LIF also keeps each step's pre-reset membrane.
+    /// Processes one timestep of input — the only forward. Scratch, output
+    /// and backward-cache buffers come from `ws`, so a loop whose caller
+    /// recycles each consumed activation allocates nothing once warmed, in
+    /// either mode. Train differs only where it has to: it pushes the
+    /// backward caches (a copy of the input where backward needs it, never
+    /// the caller's buffer), BatchNorm folds batch statistics, and the LIF
+    /// also keeps each step's pre-reset membrane.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape disagrees with the layer.
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor>;
 
-    /// Backpropagates one timestep (reverse order), returning `∂L/∂input`.
+    /// Backpropagates one timestep (reverse order), returning `∂L/∂input` in
+    /// a buffer from `ws`; the popped cache and all scratch go back to `ws`.
     ///
     /// # Errors
     ///
     /// Returns [`crate::SnnError::MissingForwardCache`] when called more times
     /// than `forward_ws` in [`Mode::Train`].
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor>;
 
     /// Clears sequence state (carried tensors, backward caches, timestep
     /// counters) before a new sample, parking retired carried buffers in the
@@ -179,10 +181,9 @@ pub trait Layer: Send + Sync {
     /// several noisy replicas of one trained network).
     fn clone_box(&self) -> Box<dyn Layer>;
 
-    /// Name of the kernel family this layer's Eval forward runs, if it has
-    /// a weight kernel: `"quantized"` (int8 weights) once
-    /// [`Layer::quantize_weights`] opted it in, `"dense"` (f32) otherwise.
-    /// Default covers layers with no weight kernel.
+    /// Name of the kernel family this layer's forward runs, if it has a
+    /// weight kernel: `"dense"` (f32, the one family). Default covers layers
+    /// with no weight kernel.
     fn backend(&self) -> Option<&'static str> {
         None
     }
@@ -195,26 +196,6 @@ pub trait Layer: Send + Sync {
         if let Some(b) = self.backend() {
             out.push((name.to_string(), b));
         }
-    }
-
-    /// Opts this layer's weights into the quantized Eval backend on the
-    /// signed `bits` grid (the IMC `weight_bits` deployment grid). The
-    /// stored f32 weights are untouched — the on-grid codes are a cached
-    /// view, rebuilt lazily whenever the weights change. Layers without
-    /// weight kernels ignore the call.
-    fn quantize_weights(&mut self, bits: u32) {
-        let _ = bits;
-    }
-}
-
-/// Disposes of an activation its consumer is done with: an Eval one is
-/// parked in the arena for the next take. A Train one is dropped: the
-/// buffers a Train step keeps live in its backward caches, and parking the
-/// rest would leave the arena holding a BPTT window's worth of buffers
-/// into Eval.
-pub(crate) fn retire(ws: &mut Workspace, mode: Mode, activation: Tensor) {
-    if mode == Mode::Eval {
-        ws.recycle_tensor(activation);
     }
 }
 

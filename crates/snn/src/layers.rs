@@ -6,24 +6,13 @@
 //! weight plan in both modes; backward runs the direct gradient kernels over
 //! the cached (sparse, binary) input spikes, never an unfolding of them.
 
-use crate::layer::{retire, Layer, Mode, Param, State};
+use crate::layer::{Layer, Mode, Param, State};
 use crate::lif::{LifConfig, LifNeuron};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{
-    avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, conv2d_ws_quant, linear_ws_quant, simd,
-    Conv2dSpec, ConvPlan, LinearPlan, PoolSpec, QuantizedWeights, Tensor, TensorError, TensorRng,
-    Workspace,
+    avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, simd, Conv2dSpec, ConvPlan, LinearPlan,
+    PoolSpec, Tensor, TensorError, TensorRng, Workspace,
 };
-
-/// [`Layer::backend`] of a weight layer: the int8 kernels iff
-/// [`Layer::quantize_weights`] opted it in, the f32 ones otherwise.
-fn backend_name(quant_bits: Option<u32>) -> &'static str {
-    if quant_bits.is_some() {
-        "quantized"
-    } else {
-        "dense"
-    }
-}
 
 // ===========================================================================
 // Conv2d
@@ -37,13 +26,8 @@ pub struct Conv2d {
     bias: Param,
     /// Cached inputs per timestep (training only).
     inputs: Vec<Tensor>,
-    /// On-grid weight codes for the quantized Eval backend (lazy cache,
-    /// invalidated whenever the weights are touched).
-    quant: Option<QuantizedWeights>,
-    /// `Some(bits)` once [`Layer::quantize_weights`] opted this layer in.
-    quant_bits: Option<u32>,
     /// Weights packed for the direct kernel (lazy cache, invalidated
-    /// wherever `quant` is). A clone owns its own copy.
+    /// whenever the weights are touched). A clone owns its own copy.
     plan: Option<ConvPlan>,
 }
 
@@ -65,74 +49,46 @@ impl Conv2d {
         let fan_in = spec.patch_len();
         let weight = Param::new(Tensor::kaiming(&spec.weight_dims(), fan_in, rng), true);
         let bias = Param::new(Tensor::zeros(&[out_channels]), false);
-        Ok(Conv2d {
-            spec,
-            weight,
-            bias,
-            inputs: Vec::new(),
-            quant: None,
-            quant_bits: None,
-            plan: None,
-        })
+        Ok(Conv2d { spec, weight, bias, inputs: Vec::new(), plan: None })
     }
 
     /// The convolution geometry.
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
     }
-
-    /// Drops the caches derived from the weights: the on-grid codes and the
-    /// packed plan. Both rebuild lazily on the next forward.
-    fn invalidate_packed(&mut self) {
-        self.quant = None;
-        self.plan = None;
-    }
-
-    /// The direct kernel over the (lazily packed) plan.
-    fn forward_packed(&mut self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        if self.plan.is_none() {
-            self.plan = Some(ConvPlan::new(&self.weight.value, &self.spec)?);
-        }
-        let plan = self.plan.as_ref().expect("plan ensured above");
-        Ok(plan.forward(input, Some(&self.bias.value), ws)?)
-    }
-
 }
 
 impl Layer for Conv2d {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        // the int8 kernel iff Eval and opted in (training never reads the
-        // on-grid codes), the direct f32 kernel otherwise
-        let out = match self.quant_bits.filter(|_| mode == Mode::Eval) {
-            None => self.forward_packed(input, ws)?,
-            Some(bits) => {
-                if self.quant.is_none() {
-                    self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
-                }
-                let qw = self.quant.as_ref().expect("cache ensured above");
-                conv2d_ws_quant(input, qw, Some(&self.bias.value), &self.spec, ws)?
-            }
-        };
+        // the direct kernel over the (lazily packed) plan
+        if self.plan.is_none() {
+            self.plan = Some(ConvPlan::new(&self.weight.value, &self.spec)?);
+        }
+        let plan = self.plan.as_ref().expect("plan ensured above");
+        let out = plan.forward(input, Some(&self.bias.value), ws)?;
         if mode == Mode::Train {
-            self.inputs.push(input.clone());
+            self.inputs.push(copy_through(input, input.dims(), ws)?);
         }
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let input = self.inputs.pop().ok_or(SnnError::MissingForwardCache("Conv2d"))?;
-        let (gx, gw, gb) = conv2d_backward(grad_out, &input, &self.weight.value, &self.spec)?;
+        let (gx, gw, gb) =
+            conv2d_backward(grad_out, &input, &self.weight.value, &self.spec, ws)?;
         self.weight.grad.axpy(1.0, &gw)?;
         self.bias.grad.axpy(1.0, &gb)?;
+        ws.recycle_tensor(input);
+        ws.recycle_tensor(gw);
         Ok(gx)
     }
 
-    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
-        self.inputs.clear();
+    fn reset_state_ws(&mut self, ws: &mut Workspace) {
+        park_all(&mut self.inputs, ws);
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
-        self.invalidate_packed(); // visitors may mutate weights (optimizer, faults, load)
+        self.plan = None; // visitors may mutate weights (optimizer, faults, load)
         f(State::Param(&mut self.weight));
         f(State::Param(&mut self.bias));
     }
@@ -142,12 +98,7 @@ impl Layer for Conv2d {
     }
 
     fn backend(&self) -> Option<&'static str> {
-        Some(backend_name(self.quant_bits))
-    }
-
-    fn quantize_weights(&mut self, bits: u32) {
-        self.quant_bits = Some(bits);
-        self.invalidate_packed(); // codes rebuilt lazily at the new width
+        Some("dense")
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -165,13 +116,8 @@ pub struct Linear {
     weight: Param,
     bias: Param,
     inputs: Vec<Tensor>,
-    /// On-grid weight codes for the quantized Eval backend (lazy cache,
-    /// invalidated whenever the weights are touched).
-    quant: Option<QuantizedWeights>,
-    /// `Some(bits)` once [`Layer::quantize_weights`] opted this layer in.
-    quant_bits: Option<u32>,
     /// Weights packed for the linear kernel (lazy cache, invalidated
-    /// wherever `quant` is). A clone owns its own copy.
+    /// whenever the weights are touched). A clone owns its own copy.
     plan: Option<LinearPlan>,
 }
 
@@ -180,14 +126,7 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, rng: &mut TensorRng) -> Self {
         let weight = Param::new(Tensor::kaiming(&[out_features, in_features], in_features, rng), true);
         let bias = Param::new(Tensor::zeros(&[out_features]), false);
-        Linear { weight, bias, inputs: Vec::new(), quant: None, quant_bits: None, plan: None }
-    }
-
-    /// Drops the caches derived from the weights: the on-grid codes and the
-    /// packed plan. Both rebuild lazily on the next forward.
-    fn invalidate_packed(&mut self) {
-        self.quant = None;
-        self.plan = None;
+        Linear { weight, bias, inputs: Vec::new(), plan: None }
     }
 
     /// Output feature count.
@@ -203,48 +142,51 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        // y = x Wᵀ + b ; x is [n, in]. The int8 kernel iff Eval and opted in
-        // (training never reads the on-grid codes), the f32 one over the
-        // (lazily packed) plan otherwise.
-        let out = match self.quant_bits.filter(|_| mode == Mode::Eval) {
-            None => {
-                if self.plan.is_none() {
-                    self.plan = Some(LinearPlan::new(&self.weight.value)?);
-                }
-                let plan = self.plan.as_ref().expect("plan ensured above");
-                plan.forward(input, &self.bias.value, ws)?
-            }
-            Some(bits) => {
-                if self.quant.is_none() {
-                    self.quant = Some(QuantizedWeights::from_tensor(&self.weight.value, bits)?);
-                }
-                let qw = self.quant.as_ref().expect("cache ensured above");
-                linear_ws_quant(input, qw, &self.bias.value, ws)?
-            }
-        };
+        // y = x Wᵀ + b ; x is [n, in], over the (lazily packed) plan
+        if self.plan.is_none() {
+            self.plan = Some(LinearPlan::new(&self.weight.value)?);
+        }
+        let plan = self.plan.as_ref().expect("plan ensured above");
+        let out = plan.forward(input, &self.bias.value, ws)?;
         if mode == Mode::Train {
-            self.inputs.push(input.clone());
+            self.inputs.push(copy_through(input, input.dims(), ws)?);
         }
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let input = self.inputs.pop().ok_or(SnnError::MissingForwardCache("Linear"))?;
-        // dW = gᵀ x  ([out, n]×[n, in])
+        // dW = gᵀ x  ([out, n]×[n, in]); the accumulation checks g is [n, out]
         let gw = grad_out.matmul_tn(&input)?;
         let gb = grad_out.sum_rows()?;
         self.weight.grad.axpy(1.0, &gw)?;
         self.bias.grad.axpy(1.0, &gb)?;
-        // dx = g W  ([n, out]×[out, in])
-        Ok(grad_out.matmul(&self.weight.value)?)
+        ws.recycle_tensor(input);
+        // dx = g W  ([n, out]×[out, in]) in an arena buffer: `Tensor::matmul`'s
+        // sum per element, ascending over `out`, a zero gradient skipped
+        let (n, k, out) = (grad_out.dims()[0], self.in_features(), self.out_features());
+        let mut dx = ws.take(n * k);
+        if k > 0 && out > 0 {
+            let rows = dx.chunks_exact_mut(k).zip(grad_out.data().chunks_exact(out));
+            for (dx_row, g_row) in rows {
+                for (&g, w_row) in g_row.iter().zip(self.weight.value.data().chunks_exact(k)) {
+                    if g != 0.0 {
+                        for (d, &w) in dx_row.iter_mut().zip(w_row) {
+                            *d += g * w;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(Tensor::from_aligned(dx, &[n, k])?)
     }
 
-    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
-        self.inputs.clear();
+    fn reset_state_ws(&mut self, ws: &mut Workspace) {
+        park_all(&mut self.inputs, ws);
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
-        self.invalidate_packed(); // visitors may mutate weights (optimizer, faults, load)
+        self.plan = None; // visitors may mutate weights (optimizer, faults, load)
         f(State::Param(&mut self.weight));
         f(State::Param(&mut self.bias));
     }
@@ -254,12 +196,7 @@ impl Layer for Linear {
     }
 
     fn backend(&self) -> Option<&'static str> {
-        Some(backend_name(self.quant_bits))
-    }
-
-    fn quantize_weights(&mut self, bits: u32) {
-        self.quant_bits = Some(bits);
-        self.invalidate_packed(); // codes rebuilt lazily at the new width
+        Some("dense")
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -356,7 +293,7 @@ impl Layer for BatchNorm2d {
                 // treated as constants — training and inference see the same
                 // transform, which is what lets Eq. 10 supervision repair
                 // early timesteps under shared statistics.
-                let mut x_hat = Tensor::zeros(input.dims());
+                let mut x_hat = ws.take_overwrite(input.len());
                 let mut inv_std = vec![0.0f32; c];
                 let st = simd::BnTrainState {
                     gamma: self.gamma.value.data(),
@@ -371,9 +308,10 @@ impl Layer for BatchNorm2d {
                     [n, c, plane],
                     st,
                     &mut inv_std,
-                    x_hat.data_mut(),
+                    &mut x_hat,
                     &mut out,
                 );
+                let x_hat = Tensor::from_aligned(x_hat, input.dims())?;
                 self.caches.push(BnCache { x_hat, inv_std });
             }
             Mode::Eval => {
@@ -399,7 +337,7 @@ impl Layer for BatchNorm2d {
         Ok(Tensor::from_aligned(out, input.dims())?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let cache = self.caches.last().ok_or(SnnError::MissingForwardCache("BatchNorm2d"))?;
         let d = cache.x_hat.dims();
         if grad_out.dims() != d {
@@ -414,7 +352,8 @@ impl Layer for BatchNorm2d {
         // channel: dx = dy·γ·inv_std, dγ = Σ dy·x̂, dβ = Σ dy.
         let k: Vec<f32> =
             self.gamma.value.data().iter().zip(&cache.inv_std).map(|(&g, &s)| g * s).collect();
-        let mut gx = Tensor::zeros(grad_out.dims());
+        // (writes every element of gx)
+        let mut gx = ws.take_overwrite(grad_out.len());
         simd::bn_train_backward(
             grad_out.data(),
             cache.x_hat.data(),
@@ -422,13 +361,16 @@ impl Layer for BatchNorm2d {
             &k,
             self.beta.grad.data_mut(),
             self.gamma.grad.data_mut(),
-            gx.data_mut(),
+            &mut gx,
         );
-        Ok(gx)
+        ws.recycle_tensor(cache.x_hat);
+        Ok(Tensor::from_aligned(gx, grad_out.dims())?)
     }
 
-    fn reset_state_ws(&mut self, _ws: &mut Workspace) {
-        self.caches.clear();
+    fn reset_state_ws(&mut self, ws: &mut Workspace) {
+        for cache in self.caches.drain(..) {
+            ws.recycle_tensor(cache.x_hat);
+        }
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
@@ -465,6 +407,13 @@ pub(crate) fn copy_through(input: &Tensor, dims: &[usize], ws: &mut Workspace) -
     Ok(Tensor::from_aligned(out, dims)?)
 }
 
+/// Parks every cached tensor of a backward stack in the arena.
+fn park_all(cache: &mut Vec<Tensor>, ws: &mut Workspace) {
+    for t in cache.drain(..) {
+        ws.recycle_tensor(t);
+    }
+}
+
 /// Average pooling layer.
 #[derive(Debug, Clone)]
 pub struct AvgPool2d {
@@ -492,9 +441,9 @@ impl Layer for AvgPool2d {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let hw = self.input_hw.pop().ok_or(SnnError::MissingForwardCache("AvgPool2d"))?;
-        Ok(avg_pool2d_backward(grad_out, &self.spec, hw)?)
+        Ok(avg_pool2d_backward(grad_out, &self.spec, hw, ws)?)
     }
 
     fn reset_state_ws(&mut self, _ws: &mut Workspace) {
@@ -537,9 +486,9 @@ impl Layer for Flatten {
         copy_through(input, &[n, rest], ws)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let dims = self.input_dims.pop().ok_or(SnnError::MissingForwardCache("Flatten"))?;
-        Ok(grad_out.reshape(&dims)?)
+        copy_through(grad_out, &dims, ws)
     }
 
     fn reset_state_ws(&mut self, _ws: &mut Workspace) {
@@ -609,60 +558,71 @@ impl ResidualBlock {
     }
 }
 
-/// Runs `input` through one branch, retiring each intermediate as soon as
-/// the next layer has consumed it. `None` stands for "still the block
-/// input" (an empty branch), which the caller owns.
-fn run_branch(
-    branch: &mut [Box<dyn Layer>],
+/// Runs `input` through a chain of layers — forward, or backward in reverse
+/// layer order — parking each intermediate as soon as the next layer has
+/// consumed it. `None` stands for "still the input" (an empty chain), which
+/// the caller owns.
+pub(crate) fn run_chain<'a>(
+    layers: impl Iterator<Item = &'a mut Box<dyn Layer>>,
     input: &Tensor,
-    mode: Mode,
     ws: &mut Workspace,
+    mut step: impl FnMut(&mut dyn Layer, &Tensor, &mut Workspace) -> Result<Tensor>,
 ) -> Result<Option<Tensor>> {
     let mut x: Option<Tensor> = None;
-    for l in branch {
-        let y = l.forward_ws(x.as_ref().unwrap_or(input), mode, ws)?;
+    for l in layers {
+        let y = step(l.as_mut(), x.as_ref().unwrap_or(input), ws)?;
         if let Some(prev) = x.replace(y) {
-            retire(ws, mode, prev);
+            ws.recycle_tensor(prev);
         }
     }
     Ok(x)
 }
 
+/// The sum of the two branch results (`None`: the block input), in an arena
+/// buffer; both results are parked.
+fn join_branches(
+    input: &Tensor,
+    m: Option<Tensor>,
+    s: Option<Tensor>,
+    ws: &mut Workspace,
+) -> Result<Tensor> {
+    let (mt, st) = (m.as_ref().unwrap_or(input), s.as_ref().unwrap_or(input));
+    if mt.dims() != st.dims() {
+        return Err(SnnError::from(TensorError::ShapeMismatch {
+            expected: mt.dims().to_vec(),
+            actual: st.dims().to_vec(),
+        }));
+    }
+    let mut j = ws.take_overwrite(mt.len());
+    for ((o, &a), &b) in j.iter_mut().zip(mt.data()).zip(st.data()) {
+        *o = a + b;
+    }
+    let joined = Tensor::from_aligned(j, mt.dims())?;
+    for t in [m, s].into_iter().flatten() {
+        ws.recycle_tensor(t);
+    }
+    Ok(joined)
+}
+
 impl Layer for ResidualBlock {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        let m = run_branch(&mut self.main, input, mode, ws)?;
-        let s = run_branch(&mut self.shortcut, input, mode, ws)?;
-        let (mt, st) = (m.as_ref().unwrap_or(input), s.as_ref().unwrap_or(input));
-        if mt.dims() != st.dims() {
-            return Err(SnnError::from(TensorError::ShapeMismatch {
-                expected: mt.dims().to_vec(),
-                actual: st.dims().to_vec(),
-            }));
-        }
-        let mut j = ws.take_overwrite(mt.len());
-        for ((o, &a), &b) in j.iter_mut().zip(mt.data()).zip(st.data()) {
-            *o = a + b;
-        }
-        let joined = Tensor::from_aligned(j, mt.dims())?;
-        for t in [m, s].into_iter().flatten() {
-            retire(ws, mode, t);
-        }
+        let forward = |l: &mut dyn Layer, x: &Tensor, ws: &mut Workspace| l.forward_ws(x, mode, ws);
+        let m = run_chain(self.main.iter_mut(), input, ws, forward)?;
+        let s = run_chain(self.shortcut.iter_mut(), input, ws, forward)?;
+        let joined = join_branches(input, m, s, ws)?;
         let out = self.join.forward_ws(&joined, mode, ws)?;
-        retire(ws, mode, joined);
+        ws.recycle_tensor(joined);
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let g = self.join.backward(grad_out)?;
-        let mut gm = g.clone();
-        for l in self.main.iter_mut().rev() {
-            gm = l.backward(&gm)?;
-        }
-        let mut gs = g;
-        for l in self.shortcut.iter_mut().rev() {
-            gs = l.backward(&gs)?;
-        }
-        Ok(gm.add(&gs)?)
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
+        let g = self.join.backward(grad_out, ws)?;
+        let backward = |l: &mut dyn Layer, g: &Tensor, ws: &mut Workspace| l.backward(g, ws);
+        let m = run_chain(self.main.iter_mut().rev(), &g, ws, backward)?;
+        let s = run_chain(self.shortcut.iter_mut().rev(), &g, ws, backward)?;
+        let gx = join_branches(&g, m, s, ws)?;
+        ws.recycle_tensor(g);
+        Ok(gx)
     }
 
     fn reset_state_ws(&mut self, ws: &mut Workspace) {
@@ -679,10 +639,6 @@ impl Layer for ResidualBlock {
 
     fn freeze_stats(&mut self) {
         self.each_child(&mut |l| l.freeze_stats());
-    }
-
-    fn quantize_weights(&mut self, bits: u32) {
-        self.each_child(&mut |l| l.quantize_weights(bits));
     }
 
     fn kind(&self) -> &'static str {
@@ -735,9 +691,10 @@ mod tests {
         let x = Tensor::ones(&[2, 4]);
         let y = lin.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         assert_eq!(y.dims(), &[2, 3]);
-        let gx = lin.backward(&Tensor::ones(&[2, 3])).unwrap();
+        let gx = lin.backward(&Tensor::ones(&[2, 3]), &mut Workspace::new()).unwrap();
         assert_eq!(gx.dims(), &[2, 4]);
-        assert!(matches!(lin.backward(&Tensor::ones(&[2, 3])), Err(SnnError::MissingForwardCache(_))));
+        let again = lin.backward(&Tensor::ones(&[2, 3]), &mut Workspace::new());
+        assert!(matches!(again, Err(SnnError::MissingForwardCache(_))));
     }
 
     #[test]
@@ -747,7 +704,7 @@ mod tests {
         let x = Tensor::randn(&[2, 3], 0.0, 1.0, &mut r);
         let y = lin.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         let loss0 = y.sum();
-        lin.backward(&Tensor::ones(&[2, 2])).unwrap();
+        lin.backward(&Tensor::ones(&[2, 2]), &mut Workspace::new()).unwrap();
         let mut grads = Vec::new();
         each_param(&mut lin, |p| grads.push(p.grad.clone()));
         // dL/dW[0,0] for L = Σy is Σ_batch x[:,0]
@@ -780,11 +737,6 @@ mod tests {
         for x in [spikes, Tensor::randn(&[5, 40], 0.0, 1.0, &mut r)] {
             let train = bits(lin.forward_ws(&x, Mode::Train, &mut ws).unwrap());
             assert_eq!(train, bits(lin.forward_ws(&x, Mode::Eval, &mut ws).unwrap()));
-            // training never reads the on-grid codes
-            let mut quantized = lin.clone();
-            quantized.quantize_weights(4);
-            assert_eq!(train, bits(quantized.forward_ws(&x, Mode::Train, &mut ws).unwrap()));
-            assert_ne!(train, bits(quantized.forward_ws(&x, Mode::Eval, &mut ws).unwrap()));
         }
     }
 
@@ -795,7 +747,7 @@ mod tests {
         let x = Tensor::ones(&[1, 1, 4, 4]);
         let y = conv.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         assert_eq!(y.dims(), &[1, 2, 4, 4]);
-        conv.backward(&Tensor::ones(y.dims())).unwrap();
+        conv.backward(&Tensor::ones(y.dims()), &mut Workspace::new()).unwrap();
         let mut total = 0.0;
         each_param(&mut conv, |p| total += p.grad.norm_sq());
         assert!(total > 0.0);
@@ -892,14 +844,15 @@ mod tests {
         bn.forward_ws(&Tensor::ones(&[3, 2, 2, 2]), Mode::Train, &mut ws).unwrap();
         // wrong rank, wrong n, a short buffer
         for dims in [vec![24], vec![4, 2, 2, 2], vec![3, 2, 2, 1]] {
-            let err = bn.backward(&Tensor::ones(&dims)).unwrap_err();
+            let err = bn.backward(&Tensor::ones(&dims), &mut Workspace::new()).unwrap_err();
             assert!(
                 matches!(err, SnnError::Tensor(TensorError::ShapeMismatch { .. })),
                 "{dims:?}: {err:?}"
             );
         }
         // the rejected gradients left the cache for the right one
-        assert_eq!(bn.backward(&Tensor::ones(&[3, 2, 2, 2])).unwrap().dims(), &[3, 2, 2, 2]);
+        let gx = bn.backward(&Tensor::ones(&[3, 2, 2, 2]), &mut Workspace::new()).unwrap();
+        assert_eq!(gx.dims(), &[3, 2, 2, 2]);
     }
 
     #[test]
@@ -914,7 +867,7 @@ mod tests {
         }
         let y = bn.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         // loss = Σ y² / 2 → dL/dy = y
-        let gx = bn.backward(&y).unwrap();
+        let gx = bn.backward(&y, &mut Workspace::new()).unwrap();
         // dx = dy·γ·inv_std: uniform positive scale of dy
         let ratio = gx.data()[0] / y.data()[0];
         for (g, v) in gx.data().iter().zip(y.data()) {
@@ -950,7 +903,7 @@ mod tests {
         let x = Tensor::ones(&[2, 3, 4, 4]);
         let y = fl.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
         assert_eq!(y.dims(), &[2, 48]);
-        let g = fl.backward(&y).unwrap();
+        let g = fl.backward(&y, &mut Workspace::new()).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4, 4]);
     }
 
@@ -977,7 +930,7 @@ mod tests {
         let mut block = ResidualBlock::new(vec![Box::new(conv)], vec![], lif);
         let x = Tensor::full(&[1, 1, 4, 4], 0.9);
         block.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
-        let gx = block.backward(&Tensor::ones(&[1, 1, 4, 4])).unwrap();
+        let gx = block.backward(&Tensor::ones(&[1, 1, 4, 4]), &mut Workspace::new()).unwrap();
         assert_eq!(gx.dims(), &[1, 1, 4, 4]);
     }
 

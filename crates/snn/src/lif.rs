@@ -188,11 +188,10 @@ impl Layer for LifNeuron {
     }
 
     fn reset_state_ws(&mut self, ws: &mut Workspace) {
-        if let Some(u) = self.membrane.take() {
+        let carried = self.membrane.take().into_iter().chain(self.grad_membrane.take());
+        for u in carried.chain(self.u_pres.drain(..)) {
             ws.recycle_tensor(u);
         }
-        self.u_pres.clear();
-        self.grad_membrane = None;
         self.last_density = 0.0;
         self.last_row_densities.clear();
     }
@@ -201,7 +200,7 @@ impl Layer for LifNeuron {
         f(&mut self.membrane);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
         let u_pre = self.u_pres.last().ok_or(SnnError::MissingForwardCache("LifNeuron"))?;
         if grad_out.dims() != u_pre.dims() {
             return Err(SnnError::from(TensorError::ShapeMismatch {
@@ -210,13 +209,21 @@ impl Layer for LifNeuron {
             }));
         }
         // ∂L/∂u_pre overwrites u_pre, and τ·∂L/∂u_pre (carried to timestep
-        // t−1 if one exists) the gradient carried in, in the same pass
+        // t−1 if one exists) the gradient carried in, in the same pass; the
+        // first backward's carry is an arena buffer the pass overwrites
         let mut grad = self.u_pres.pop().expect("checked above");
         let carry_in = self.grad_membrane.is_some();
-        let mut carried = self.grad_membrane.take().unwrap_or_else(|| Tensor::zeros(grad.dims()));
+        let mut carried = match self.grad_membrane.take() {
+            Some(carried) => carried,
+            None => Tensor::from_aligned(ws.take_overwrite(grad.len()), grad.dims())?,
+        };
         let pass = Bptt { go: grad_out.data(), gu: grad.data_mut(), gm: carried.data_mut() };
         pass.run(&self.config, carry_in);
-        self.grad_membrane = Some(carried).filter(|_| !self.u_pres.is_empty());
+        if self.u_pres.is_empty() {
+            ws.recycle_tensor(carried);
+        } else {
+            self.grad_membrane = Some(carried);
+        }
         // ∂u_pre/∂input = 1.
         Ok(grad)
     }
@@ -387,21 +394,23 @@ mod tests {
         lif.forward_ws(&x, Mode::Train, &mut ws).unwrap();
         // wrong rank, wrong n, a short buffer
         for dims in [vec![8], vec![3, 4], vec![2, 3]] {
-            let err = lif.backward(&Tensor::ones(&dims)).unwrap_err();
+            let err = lif.backward(&Tensor::ones(&dims), &mut Workspace::new()).unwrap_err();
             assert!(
                 matches!(err, SnnError::Tensor(TensorError::ShapeMismatch { .. })),
                 "{dims:?}: {err:?}"
             );
         }
         // the rejected gradients left the cache for the right one
-        assert_eq!(lif.backward(&Tensor::ones(&[2, 4])).unwrap().dims(), &[2, 4]);
+        let gx = lif.backward(&Tensor::ones(&[2, 4]), &mut Workspace::new()).unwrap();
+        assert_eq!(gx.dims(), &[2, 4]);
     }
 
     #[test]
     fn backward_without_forward_errors() {
         let mut lif = LifNeuron::new(LifConfig::default());
         let g = Tensor::ones(&[1, 1]);
-        assert!(matches!(lif.backward(&g), Err(SnnError::MissingForwardCache(_))));
+        let err = lif.backward(&g, &mut Workspace::new());
+        assert!(matches!(err, Err(SnnError::MissingForwardCache(_))));
     }
 
     #[test]
@@ -410,14 +419,14 @@ mod tests {
         // u lands at 0.9 (inside the surrogate window, no spike)
         let x = Tensor::full(&[1, 1], 0.9);
         lif.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
-        let g = lif.backward(&Tensor::ones(&[1, 1])).unwrap();
+        let g = lif.backward(&Tensor::ones(&[1, 1]), &mut Workspace::new()).unwrap();
         // Eq. 4 at u=0.9, V_th=1: 1 − |0.9−1| = 0.9
         assert!((g.data()[0] - 0.9).abs() < 1e-5);
         // far below threshold → zero gradient
         lif.reset_state_ws(&mut Workspace::new());
         let x = Tensor::full(&[1, 1], -3.0);
         lif.forward_ws(&x, Mode::Train, &mut Workspace::new()).unwrap();
-        let g = lif.backward(&Tensor::ones(&[1, 1])).unwrap();
+        let g = lif.backward(&Tensor::ones(&[1, 1]), &mut Workspace::new()).unwrap();
         assert_eq!(g.data()[0], 0.0);
     }
 
@@ -432,9 +441,9 @@ mod tests {
         // upstream gradient dL/ds=0 both steps, but membrane path still matters
         // only through spikes; with v_th=10 surrogate window is wide: grad at
         // u=1.5: max(0, 10-8.5)=1.5; at t=1 carry = τ * that * dreset(=1, s=0)
-        let g2 = lif.backward(&Tensor::ones(&[1, 1])).unwrap();
+        let g2 = lif.backward(&Tensor::ones(&[1, 1]), &mut Workspace::new()).unwrap();
         assert!((g2.data()[0] - 1.5).abs() < 1e-5);
-        let g1 = lif.backward(&Tensor::zeros(&[1, 1])).unwrap();
+        let g1 = lif.backward(&Tensor::zeros(&[1, 1]), &mut Workspace::new()).unwrap();
         // carry τ·1.5 = 0.75, times dreset 1 → grad through membrane only
         assert!((g1.data()[0] - 0.75).abs() < 1e-5);
     }
@@ -479,7 +488,8 @@ mod tests {
             }
             let mut analytic = [0.0f32; 3];
             for t in (0..steps).rev() {
-                analytic[t] = lif.backward(&Tensor::ones(&[1, 1])).unwrap().data()[0];
+                let g = lif.backward(&Tensor::ones(&[1, 1]), &mut Workspace::new()).unwrap();
+                analytic[t] = g.data()[0];
             }
             let eps = 1e-3;
             for t in 0..steps {

@@ -2,8 +2,8 @@
 //! timesteps (Eq. 1), with BPTT support and spike-activity accounting.
 
 use crate::frames::{check_frame_count, frame_at};
-use crate::layer::{retire, Layer, Mode, Param, State};
-use crate::layers::copy_through;
+use crate::layer::{Layer, Mode, Param, State};
+use crate::layers::{copy_through, run_chain};
 use crate::prefix::{self, PrefixCache, PrefixStats};
 use crate::{Result, SnnError};
 use dtsnn_tensor::{Tensor, TensorError, Workspace, WorkspaceStats};
@@ -61,8 +61,8 @@ impl SpikeActivity {
 /// dynamic-timestep policy in `dtsnn-core` does this incrementally).
 ///
 /// In [`Mode::Eval`] the network keeps, per batch row, the output of its
-/// *input prefix* — the leading layers that carry no state, report no spike
-/// density and run no quantized kernel — and reuses it while the row's input stays bit-identical
+/// *input prefix* — the leading layers that carry no state and report no
+/// spike density — and reuses it while the row's input stays bit-identical
 /// (a static frame under direct encoding), so those layers run once per row
 /// and window instead of once per timestep. The outputs are bitwise those of
 /// a cache-free forward; [`Snn::prefix_stats`] counts the reuse.
@@ -71,10 +71,12 @@ pub struct Snn {
     /// Running sums of spike density per spiking layer.
     density_sums: Vec<f64>,
     density_obs: usize,
-    /// Scratch arena for the timestep loop. Owned per network so no locking
-    /// is needed; a cloned network starts with a fresh, empty arena (the
-    /// clone-pool harness hands each worker its own clone).
-    workspace: Workspace,
+    /// Scratch arena for the timestep loop, forward and backward. Owned per
+    /// network so no locking is needed; a cloned network starts with a
+    /// fresh, empty arena (the clone-pool harness hands each worker its own
+    /// clone), and [`crate::Trainer::fit`] drops training's working set
+    /// with it when it returns.
+    pub(crate) workspace: Workspace,
     /// Per-row outputs of the input prefix (carried state).
     prefix: PrefixCache,
 }
@@ -193,20 +195,8 @@ impl Snn {
         });
     }
 
-    /// Opts every weight layer into the quantized Eval backend on the
-    /// signed `bits` grid (the IMC `weight_bits` deployment grid). The
-    /// stored f32 weights are untouched; see [`Layer::quantize_weights`].
-    /// Drops the cached prefix outputs; no quantized layer is ever cached.
-    pub fn quantize_weights(&mut self, bits: u32) {
-        self.prefix.clear();
-        for node in &mut self.layers {
-            node.layer.quantize_weights(bits);
-        }
-    }
-
-    /// `(layer_name, backend_name)` for every weight kernel an Eval forward
-    /// runs, in network order (see [`Layer::backend_choices`]): `"dense"`,
-    /// or `"quantized"` after [`Snn::quantize_weights`].
+    /// `(layer_name, backend_name)` for every weight kernel a forward runs,
+    /// in network order (see [`Layer::backend_choices`]): `"dense"`.
     pub fn layer_backends(&self) -> Vec<(String, &'static str)> {
         let mut out = Vec::new();
         for node in &self.layers {
@@ -218,13 +208,12 @@ impl Snn {
     /// Runs one timestep through the whole network, returning logits.
     ///
     /// Every layer draws its buffers from the network's arena
-    /// ([`Layer::forward_ws`]). In [`Mode::Eval`] each intermediate
-    /// activation is recycled as soon as the next layer has consumed it, so
-    /// a warmed-up loop performs no heap allocation
-    /// ([`Snn::workspace_stats`] proves it); the returned logits come from
-    /// the arena too — callers that iterate timesteps should hand them back
-    /// via [`Snn::recycle`] once folded. [`Mode::Train`] intermediates are
-    /// dropped instead.
+    /// ([`Layer::forward_ws`]), and each intermediate activation is recycled
+    /// as soon as the next layer has consumed it (a Train layer keeps its
+    /// own copy of what backward needs), so a warmed-up loop performs no
+    /// heap allocation in either mode ([`Snn::workspace_stats`] proves it);
+    /// the returned logits come from the arena too — callers that iterate
+    /// timesteps should hand them back via [`Snn::recycle`] once folded.
     ///
     /// An Eval step runs the input prefix only for the rows whose input
     /// changed or whose cached output is stale (see [`Snn`]); a Train step
@@ -252,7 +241,7 @@ impl Snn {
         for node in tail {
             let y = node.layer.forward_ws(x.as_ref().unwrap_or(start), mode, ws)?;
             if let Some(prev) = x.replace(y) {
-                retire(ws, mode, prev);
+                ws.recycle_tensor(prev);
             }
             if let Some(d) = node.layer.last_spike_density() {
                 self.density_sums[spiking_idx] += d as f64;
@@ -266,18 +255,21 @@ impl Snn {
         }
     }
 
-    /// Backpropagates one timestep (call in reverse timestep order).
+    /// Backpropagates one timestep (call in reverse timestep order),
+    /// returning `∂L/∂input`. Like the forward, it draws every buffer from
+    /// the network's arena and parks each gradient once the layer before has
+    /// used it; the returned gradient is an arena buffer too, for
+    /// [`Snn::recycle`].
     ///
     /// # Errors
     ///
     /// Returns [`SnnError::MissingForwardCache`] when called more times than
     /// `forward_timestep` was called in [`Mode::Train`].
     pub fn backward_timestep(&mut self, grad_logits: &Tensor) -> Result<Tensor> {
-        let mut g = grad_logits.clone();
-        for node in self.layers.iter_mut().rev() {
-            g = node.layer.backward(&g)?;
-        }
-        Ok(g)
+        let ws = &mut self.workspace;
+        let layers = self.layers.iter_mut().rev().map(|node| &mut node.layer);
+        let g = run_chain(layers, grad_logits, ws, |l, g, ws| l.backward(g, ws))?;
+        g.map_or_else(|| copy_through(grad_logits, grad_logits.dims(), ws), Ok)
     }
 
     /// Runs a full sequence. `frames` holds either one frame (static input,
@@ -645,64 +637,26 @@ mod tests {
 
     #[test]
     fn warmed_timestep_loop_allocates_nothing() {
-        // f32, and int8 weights (whose packed-spike scratch lives in the arena)
-        for quantized in [false, true] {
-            let mut rng = TensorRng::seed_from(12);
-            let mut net = tiny_net(&mut rng);
-            if quantized {
-                net.quantize_weights(8);
-            }
-            let x = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.5, &mut rng);
-            // warm-up: one full sample populates every size class
-            net.reset_state();
-            for _ in 0..2 {
-                let out = net.forward_timestep(&x, Mode::Eval).unwrap();
-                net.recycle(out);
-            }
-            // steady state: fresh sample, same shapes → zero misses
-            net.reset_state();
-            net.reset_workspace_stats();
-            for _ in 0..4 {
-                let out = net.forward_timestep(&x, Mode::Eval).unwrap();
-                net.recycle(out);
-            }
-            let stats = net.workspace_stats();
-            assert!(stats.takes > 0);
-            assert_eq!(
-                stats.misses, 0,
-                "warmed Eval loop must not allocate (quantized={quantized}): {stats:?}"
-            );
+        let mut rng = TensorRng::seed_from(12);
+        let mut net = tiny_net(&mut rng);
+        assert!(net.layer_backends().iter().all(|(_, b)| *b == "dense"));
+        let x = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.5, &mut rng);
+        // warm-up: one full sample populates every size class
+        net.reset_state();
+        for _ in 0..2 {
+            let out = net.forward_timestep(&x, Mode::Eval).unwrap();
+            net.recycle(out);
         }
-    }
-
-    #[test]
-    fn quantized_net_is_reproducible_finite_and_recorded() {
-        let mut rng = TensorRng::seed_from(13);
-        let proto = tiny_net(&mut rng);
-        assert!(proto.layer_backends().iter().all(|(_, b)| *b == "dense"));
-        let frames: Vec<Tensor> =
-            (0..3).map(|_| Tensor::randn(&[2, 2, 2, 2], 0.0, 1.5, &mut rng)).collect();
-        let run = |bits: Option<u32>| {
-            let mut net = proto.clone();
-            if let Some(bits) = bits {
-                net.quantize_weights(bits);
-            }
-            net.reset_state();
-            let mut out_bits = Vec::new();
-            for f in &frames {
-                let out = net.forward_timestep(f, Mode::Eval).unwrap();
-                out_bits.extend(out.data().iter().map(|v| v.to_bits()));
-                net.recycle(out);
-            }
-            (out_bits, net.layer_backends())
-        };
-        let (q1, q_choices) = run(Some(8));
-        assert_eq!(q_choices.len(), 2, "both Linear layers report: {q_choices:?}");
-        assert!(q_choices.iter().all(|(_, b)| *b == "quantized"), "{q_choices:?}");
-        assert_eq!(q1, run(Some(8)).0, "quantized must be reproducible");
-        assert!(q1.iter().all(|b| f32::from_bits(*b).is_finite()));
-        // the grid snap is a real numeric change, not a renamed f32 run
-        assert_ne!(q1, run(None).0);
+        // steady state: fresh sample, same shapes → zero misses
+        net.reset_state();
+        net.reset_workspace_stats();
+        for _ in 0..4 {
+            let out = net.forward_timestep(&x, Mode::Eval).unwrap();
+            net.recycle(out);
+        }
+        let stats = net.workspace_stats();
+        assert!(stats.takes > 0);
+        assert_eq!(stats.misses, 0, "warmed Eval loop must not allocate: {stats:?}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The input prefix of a network: its leading layers that carry no state,
-//! report no spike density and run no quantized kernel (conv1 + BN1 in both
-//! scaled models until [`crate::Snn::quantize_weights`], nothing after it).
+//! The input prefix of a network: its leading layers that carry no state and
+//! report no spike density (conv1 + BN1 in both scaled models).
 //!
 //! In [`Mode::Eval`] such layers are row-wise pure functions of their input
 //! and parameters (the [`crate::Layer`] contract), and under direct encoding
@@ -23,7 +22,7 @@
 //! would change which parked buffer later takes find, and cost warmed loops
 //! arena misses.
 
-use crate::layer::{retire, Mode};
+use crate::layer::Mode;
 use crate::layers::copy_through;
 use crate::network::LayerNode;
 use crate::Result;
@@ -242,24 +241,20 @@ fn run(
     for node in prefix {
         let y = node.layer.forward_ws(x.as_ref().unwrap_or(input), Mode::Eval, ws)?;
         if let Some(prev) = x.replace(y) {
-            retire(ws, Mode::Eval, prev);
+            ws.recycle_tensor(prev);
         }
     }
     x.map_or_else(|| copy_through(input, input.dims(), ws), Ok)
 }
 
-/// Number of leading layers that visit no carried slot, report no spike
-/// density and run no quantized kernel: the input prefix. A quantized kernel
-/// picks its integer path per call, when the whole batch is binary, so its
-/// output rows depend on the rows around them (see [`crate::Layer`]).
+/// Number of leading layers that visit no carried slot and report no spike
+/// density: the input prefix, row-wise pure in Eval (see [`crate::Layer`]).
 pub(crate) fn prefix_len(layers: &mut [LayerNode]) -> usize {
     let total = layers.len();
     let stateful = layers.iter_mut().position(|node| {
         let mut carries = false;
         node.layer.visit_carried(&mut |_| carries = true);
-        carries
-            || node.layer.last_spike_density().is_some()
-            || node.layer.backend() == Some("quantized")
+        carries || node.layer.last_spike_density().is_some()
     });
     stateful.unwrap_or(total)
 }

@@ -1,11 +1,12 @@
 //! Mini-batch surrogate-gradient trainer (BPTT over the full timestep
 //! window) with the paper's recipe: SGD + momentum, cosine decay, L2.
 
+use crate::frames::check_frames;
 use crate::loss::LossKind;
 use crate::network::Snn;
 use crate::optim::{CosineSchedule, Sgd, SgdConfig};
 use crate::{Mode, Result, SnnError};
-use dtsnn_tensor::{Tensor, TensorRng};
+use dtsnn_tensor::{Tensor, TensorRng, Workspace};
 
 /// Trainer hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,15 +99,34 @@ impl Trainer {
 
     /// Trains `network` on `(frames, labels)`.
     ///
-    /// `frames[i]` holds the frame sequence of sample `i`: one `[c, h, w]`
+    /// `frames[i]` holds the frame sequence of sample `i` under the frame
+    /// contract ([`check_frames`]): one `[c, h, w]` (or `[1, c, h, w]`)
     /// tensor for static images (direct encoding repeats it every timestep)
-    /// or `timesteps` tensors for event data.
+    /// or `timesteps` of them for event data. A batch mixes neither frame
+    /// counts nor shapes.
+    ///
+    /// Every step, its batch included, runs in the network's arena, so the
+    /// steps after the first of each batch shape allocate no activation
+    /// buffer. That working set is a BPTT window's caches, not what an Eval
+    /// loop needs, so the arena is dropped when `fit` returns.
     ///
     /// # Errors
     ///
     /// Returns [`SnnError::BadInput`] when `frames` and `labels` disagree or
-    /// are empty, plus any layer/loss errors.
+    /// are empty, or a sample breaks the frame contract, plus any layer/loss
+    /// errors.
     pub fn fit(
+        &self,
+        network: &mut Snn,
+        frames: &[Vec<Tensor>],
+        labels: &[usize],
+    ) -> Result<TrainReport> {
+        let report = self.run_epochs(network, frames, labels);
+        network.workspace = Workspace::new();
+        report
+    }
+
+    fn run_epochs(
         &self,
         network: &mut Snn,
         frames: &[Vec<Tensor>],
@@ -133,13 +153,15 @@ impl Trainer {
             let mut seen = 0usize;
             let mut batches = 0usize;
             for chunk in order.chunks(cfg.batch_size) {
-                let (batch_frames, batch_labels) = gather_batch(frames, labels, chunk)?;
+                let (batch_frames, batch_labels) =
+                    gather_batch(frames, labels, chunk, cfg.timesteps, &mut network.workspace)?;
                 let outputs =
                     network.forward_sequence(&batch_frames, cfg.timesteps, Mode::Train)?;
                 let (loss, grads) = cfg.loss.compute(&outputs, &batch_labels)?;
                 network.zero_grads();
                 for g in grads.iter().rev() {
-                    network.backward_timestep(g)?;
+                    let grad_input = network.backward_timestep(g)?;
+                    network.recycle(grad_input);
                 }
                 sgd.step(network);
                 epoch_loss += loss;
@@ -152,6 +174,9 @@ impl Trainer {
                 let preds = mean.argmax_rows()?;
                 correct += preds.iter().zip(&batch_labels).filter(|(p, l)| p == l).count();
                 seen += batch_labels.len();
+                for t in outputs.into_iter().chain(batch_frames) {
+                    network.recycle(t);
+                }
             }
             report.epoch_loss.push(epoch_loss / batches.max(1) as f32);
             report.epoch_accuracy.push(correct as f32 / seen.max(1) as f32);
@@ -160,33 +185,35 @@ impl Trainer {
     }
 }
 
-/// Stacks per-sample frame sequences into per-timestep batch tensors.
+/// Stacks the samples `idx` into one `[batch, ..]` tensor per frame, in
+/// buffers from `ws`. Each sample passes the frame contract
+/// ([`check_frames`]) and is stacked at the dims it returns, so a batch-1
+/// rank-4 frame stacks like its rank-3 spelling.
 fn gather_batch(
     frames: &[Vec<Tensor>],
     labels: &[usize],
     idx: &[usize],
+    timesteps: usize,
+    ws: &mut Workspace,
 ) -> Result<(Vec<Tensor>, Vec<usize>)> {
-    let t_frames = frames[idx[0]].len();
+    let first = &frames[idx[0]];
+    let dims = check_frames(first, timesteps)?;
     for &i in idx {
-        if frames[i].len() != t_frames {
-            return Err(SnnError::BadInput("mixed static/temporal samples in one batch".into()));
+        if frames[i].len() != first.len() || check_frames(&frames[i], timesteps)? != dims {
+            return Err(SnnError::BadInput("mixed frame counts or shapes in one batch".into()));
         }
     }
-    let mut batch_frames = Vec::with_capacity(t_frames);
-    #[allow(clippy::needless_range_loop)] // t indexes into every sample's frames
-    for t in 0..t_frames {
-        let views: Vec<Tensor> = idx
-            .iter()
-            .map(|&i| {
-                let f = &frames[i][t];
-                let mut dims = vec![1];
-                dims.extend_from_slice(f.dims());
-                f.reshape(&dims)
-            })
-            .collect::<std::result::Result<_, _>>()?;
-        let refs: Vec<&Tensor> = views.iter().collect();
-        batch_frames.push(Tensor::concat_axis0(&refs)?);
-    }
+    let row_len: usize = dims.iter().product();
+    let batch_dims: Vec<usize> = std::iter::once(idx.len()).chain(dims.iter().copied()).collect();
+    let batch_frames = (0..first.len())
+        .map(|t| {
+            let mut batch = ws.take_overwrite(idx.len() * row_len);
+            for (row, &i) in batch.chunks_exact_mut(row_len).zip(idx) {
+                row.copy_from_slice(frames[i][t].data());
+            }
+            Ok(Tensor::from_aligned(batch, &batch_dims)?)
+        })
+        .collect::<Result<_>>()?;
     let batch_labels = idx.iter().map(|&i| labels[i]).collect();
     Ok((batch_frames, batch_labels))
 }
@@ -194,7 +221,7 @@ fn gather_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Flatten, Linear};
+    use crate::layers::{Conv2d, Flatten, Linear};
     use crate::lif::{LifConfig, LifNeuron};
     use crate::Surrogate;
 
@@ -261,7 +288,8 @@ mod tests {
         // held-out accuracy of the timestep-averaged logits at the full window
         let (test_frames, test_labels) = toy_data(60, 2);
         let all: Vec<usize> = (0..test_labels.len()).collect();
-        let (batch, _) = gather_batch(&test_frames, &test_labels, &all).unwrap();
+        let (batch, _) =
+            gather_batch(&test_frames, &test_labels, &all, 2, &mut Workspace::new()).unwrap();
         let outputs = net.forward_sequence(&batch, 2, Mode::Eval).unwrap();
         let mut sum = outputs[0].clone();
         sum.axpy(1.0, &outputs[1]).unwrap();
@@ -296,12 +324,47 @@ mod tests {
     }
 
     #[test]
+    fn batch1_rank4_frames_train_like_their_rank3_spelling() {
+        // the frame contract's two spellings of one sample: trained on
+        // either, the parameters end bit for bit the same
+        let mut rng = TensorRng::seed_from(40);
+        let frames: Vec<Tensor> =
+            (0..6).map(|_| Tensor::randn(&[2, 8, 8], 0.5, 1.0, &mut rng)).collect();
+        let labels = [0, 1, 2, 0, 1, 2];
+        let trainer = Trainer::new(TrainerConfig {
+            epochs: 2,
+            batch_size: 4,
+            timesteps: 2,
+            ..TrainerConfig::default()
+        })
+        .unwrap();
+        let trained = |batched: bool| {
+            let mut rng = TensorRng::seed_from(41);
+            let mut net = Snn::from_layers(vec![
+                Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng).unwrap()),
+                Box::new(LifNeuron::new(LifConfig::default())),
+                Box::new(Flatten::new()),
+                Box::new(Linear::new(4 * 8 * 8, 3, &mut rng)),
+            ]);
+            let samples: Vec<Vec<Tensor>> = frames
+                .iter()
+                .map(|f| vec![if batched { f.reshape(&[1, 2, 8, 8]).unwrap() } else { f.clone() }])
+                .collect();
+            trainer.fit(&mut net, &samples, &labels).unwrap();
+            let mut bits = Vec::new();
+            net.visit_params(&mut |p| bits.extend(p.value.data().iter().map(|v| v.to_bits())));
+            bits
+        };
+        assert_eq!(trained(true), trained(false));
+    }
+
+    #[test]
     fn gather_batch_rejects_ragged_sequences() {
         let f = vec![vec![Tensor::zeros(&[1, 2, 2])], vec![
             Tensor::zeros(&[1, 2, 2]),
             Tensor::zeros(&[1, 2, 2]),
         ]];
         let l = vec![0, 1];
-        assert!(gather_batch(&f, &l, &[0, 1]).is_err());
+        assert!(gather_batch(&f, &l, &[0, 1], 2, &mut Workspace::new()).is_err());
     }
 }

@@ -234,7 +234,6 @@ fn warmed(proto: &Snn, x: &Tensor) -> Pair {
 fn a_reset_and_every_route_that_may_change_a_prefix_layer_force_a_recompute() {
     let path = std::env::temp_dir().join(format!("dtsnn-input-prefix-{}", std::process::id()));
     type Route = (&'static str, fn(&mut Snn, &Tensor, &std::path::Path));
-    // (`quantize_weights` ends the prefix altogether: its own test below)
     let routes: [Route; 6] = [
         ("reset_state", |net, _, _| net.reset_state()),
         ("layers_mut weight edit", |net, _, _| {
@@ -276,55 +275,6 @@ fn a_reset_and_every_route_that_may_change_a_prefix_layer_force_a_recompute() {
         })
     }
     std::fs::remove_file(&path).ok();
-}
-
-/// `rows` binary event frames (every value 0 or 1).
-fn spikes(rows: usize, rng: &mut TensorRng) -> Tensor {
-    let mut x = Tensor::randn(&[rows, 2, 8, 8], 0.0, 1.0, rng);
-    x.map_inplace(|v| if v > 0.3 { 1.0 } else { 0.0 });
-    x
-}
-
-#[test]
-fn a_quantized_network_reuses_no_prefix_row_and_matches_the_reference_on_mixed_batches() {
-    // A quantized kernel takes its integer path only when the whole batch is
-    // binary, so event rows recomputed as a sub-batch beside a cached analog
-    // row would round differently from the same rows in the full batch: the
-    // prefix ends before the first quantized layer, and the rows cached
-    // before `quantize_weights` are never read again.
-    for level in levels() {
-        simd::with_level(level, || {
-            for (name, proto) in nets() {
-                let tag = format!("{name} {level:?}");
-                let mut rng = TensorRng::seed_from(17);
-                let analog = Tensor::randn(&[1, 2, 8, 8], 0.5, 2.0, &mut rng);
-                let x = Tensor::concat_axis0(&[&analog, &analog, &analog]).unwrap();
-                let mut pair = warmed(&proto, &x);
-                pair.net.quantize_weights(4);
-                pair.reference.quantize_weights(4);
-                let none = PrefixStats::default();
-                for t in 0..T_MAX {
-                    let (first, last) = (spikes(1, &mut rng), spikes(1, &mut rng));
-                    let mixed = Tensor::concat_axis0(&[&first, &analog, &last]).unwrap();
-                    assert_eq!(
-                        pair.step(&mixed, Mode::Eval, &format!("{tag} mixed t {t}")),
-                        none,
-                        "{tag}"
-                    );
-                }
-                // the event rows alone: now the batch takes the integer path
-                pair.compact(&[0, 2]);
-                for t in 0..2 {
-                    let events = spikes(2, &mut rng);
-                    assert_eq!(
-                        pair.step(&events, Mode::Eval, &format!("{tag} events t {t}")),
-                        none,
-                        "{tag}"
-                    );
-                }
-            }
-        })
-    }
 }
 
 #[test]

@@ -242,13 +242,14 @@ fn lif_train_and_eval_match_the_plain_tensor_oracle_bitwise() {
                             assert_eq!(bits(u_pre.data()), want_u_pre[t], "{case} t={t}");
                         }
                         for (step, g) in grads.iter().rev().enumerate() {
-                            let gx = lif.backward(g).unwrap();
+                            let gx = lif.backward(g, &mut ws).unwrap();
                             let carried = lif.bptt_state().1.map(|t| bits(t.data()));
                             assert_eq!(
                                 (bits(gx.data()), carried),
                                 want_bwd[step],
                                 "{case} back {step}"
                             );
+                            ws.recycle_tensor(gx);
                         }
                         assert!(lif.bptt_state().0.is_empty());
                         lif.reset_state_ws(&mut ws);

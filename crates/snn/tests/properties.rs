@@ -93,10 +93,10 @@ fn lif_backward_cache_discipline() {
         }
         let g = Tensor::ones(&[1, 2]);
         for _ in 0..t {
-            assert!(lif.backward(&g).is_ok(), "case {case}");
+            assert!(lif.backward(&g, &mut Workspace::new()).is_ok(), "case {case}");
         }
         for _ in 0..extra {
-            assert!(lif.backward(&g).is_err(), "case {case}");
+            assert!(lif.backward(&g, &mut Workspace::new()).is_err(), "case {case}");
         }
     }
 }

@@ -1,5 +1,5 @@
-//! 64-byte-aligned growable buffers backing [`crate::Tensor`] data and
-//! [`crate::BitMatrix`] words.
+//! 64-byte-aligned growable buffers backing [`crate::Tensor`] data and the
+//! convolution's nonzero-pass words.
 //!
 //! The SIMD kernels in [`crate::simd`] issue 256-bit vector loads; keeping
 //! every arena buffer on a 64-byte (cache-line) boundary means a vector that
@@ -221,9 +221,9 @@ aligned_buffer!(
 );
 
 aligned_buffer!(
-    /// A growable `u64` buffer on a 64-byte boundary — the word storage of
-    /// [`crate::BitMatrix`], so packed spike rows feed the SIMD gather
-    /// kernels from cache-line-aligned words.
+    /// A growable `u64` buffer on a 64-byte boundary — the convolution's
+    /// nonzero-pass words, read by the scatter kernels beside the
+    /// cache-line-aligned rows they describe.
     AlignedWords,
     LaneU64,
     u64,

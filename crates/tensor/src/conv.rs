@@ -52,7 +52,6 @@
 //!
 //! Every pass runs on its caller's thread.
 
-use crate::quant::QuantizedWeights;
 use crate::{simd, AlignedVec, Result, Tensor, TensorError, Workspace};
 
 /// Geometry of a 2-D convolution (square kernel, symmetric padding).
@@ -990,40 +989,6 @@ fn clip_taps(i0: isize, k: usize, extent: usize) -> std::ops::Range<usize> {
     lo..hi
 }
 
-/// Quantized convolution forward: for a binary input the bit-packed im2col
-/// feeds the integer kernel — each output element is an exact `i32` sum of
-/// the active weight codes in the filter's **natural** `[c_out, c_in*k*k]`
-/// layout (no transpose needed) rescaled once by `Δ` — and a non-binary
-/// input falls back to [`conv2d_ws`] over the on-grid dequantized weights.
-/// Deterministic on both branches.
-///
-/// # Errors
-///
-/// Same conditions as [`conv2d_ws`].
-pub fn conv2d_ws_quant(
-    input: &Tensor,
-    qw: &QuantizedWeights,
-    bias: Option<&Tensor>,
-    spec: &Conv2dSpec,
-    ws: &mut Workspace,
-) -> Result<Tensor> {
-    if !input.is_binary() {
-        return conv2d_ws(input, qw.dequantized(), bias, spec, ws);
-    }
-    expect_dims(&[qw.rows(), qw.cols()], &spec.weight_dims())?;
-    let ([n, ..], (oh, ow)) = check_input(input, bias, spec)?;
-    let co = spec.out_channels;
-    let rows = n * oh * ow;
-    let mut out_mat = ws.take_overwrite(rows * co);
-    if rows > 0 {
-        let mut bm = ws.take_bits();
-        bm.build_from_im2col(input, spec)?;
-        qw.matmul_nt_bits_into(&bm, &mut out_mat);
-        ws.recycle_bits(bm);
-    }
-    tiles_into_nchw(out_mat, bias, [n, co, oh, ow], (0, 0), ws)
-}
-
 /// Packs `[c_out, c_in*k*k]` weights for the direct kernel: one `c_out`-wide
 /// row per patch tap, the `kx` taps of each `(ci, ky)` ordered by phase
 /// ([`packed_tap`]; zero rows pad a phase with fewer taps), so that the
@@ -1043,7 +1008,9 @@ fn pack_weights(src: &[f32], spec: &Conv2dSpec, out: &mut [f32]) {
 /// Gradients of a convolution: `(grad_input, grad_weight, grad_bias)` of the
 /// output gradient `grad_out` (`[n, c_out, oh, ow]`) at the forward's `input`
 /// (`[n, c_in, h, w]`), by two direct kernels that never unfold `input` (see
-/// the module docs), bitwise identical to [`conv2d_backward_im2col`].
+/// the module docs), bitwise identical to [`conv2d_backward_im2col`]. The
+/// input and weight gradients and every activation-sized scratch come from
+/// `ws`; a training loop parks them again once it has used them.
 ///
 /// # Errors
 ///
@@ -1057,37 +1024,46 @@ pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
     spec: &Conv2dSpec,
+    ws: &mut Workspace,
 ) -> Result<(Tensor, Tensor, Tensor)> {
     let ([n, c, h, w], (oh, ow)) = check_backward(grad_out, input, weight, spec)?;
     let (co, pl) = (spec.out_channels, spec.patch_len());
-    let gmat = nchw_to_rows(grad_out, [n, co, oh, ow]);
-    let (x, g) = (input.data(), gmat.data());
+    let mut gmat = ws.take_overwrite(n * oh * ow * co);
+    let rows = Reorder::NchwToRows { nchw: grad_out.data(), rows: &mut gmat };
+    simd::conv_epilogue(rows, [n, co, oh, ow]);
+    let (x, g) = (input.data(), &gmat[..]);
     // dW: the scan over x into packed [pl, co] rows
-    let mut packed = vec![0.0f32; packed_len(spec)];
+    let mut packed = ws.take(packed_len(spec));
     if n * oh * ow > 0 {
         // nonzero-pass scratch: a plane's words per input channel
-        let mut words = vec![0u64; c * nonzero_words_len(h * w)];
+        let mut words = ws.take_words(c * nonzero_words_len(h * w));
         let input = (x, &mut words[..]);
         simd::conv_weight_grad_chunk(input, [n, c, h, w], (oh, ow), g, *spec, &mut packed);
+        ws.recycle_words(words);
     }
-    let mut grad_weight = Tensor::zeros(&[co, pl]);
-    for (o, dst) in grad_weight.data_mut().chunks_exact_mut(pl).enumerate() {
+    let mut grad_weight = ws.take_overwrite(co * pl);
+    for (o, dst) in grad_weight.chunks_exact_mut(pl).enumerate() {
         for (tap, v) in dst.iter_mut().enumerate() {
             *v = packed[packed_tap(tap, spec) * co + o];
         }
     }
+    ws.recycle(packed);
     // dX: gradient rows × W folded into the input, by sample
-    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+    let mut grad_input = ws.take(n * c * h * w);
     let (sample_len, tile) = (c * h * w, oh * ow * co);
     if n * sample_len > 0 {
         let (wd, mut row, mut nz) = (weight.data(), vec![0.0f32; pl], vec![0usize; co]);
-        for (ni, dx) in grad_input.data_mut().chunks_mut(sample_len).enumerate() {
+        for (ni, dx) in grad_input.chunks_mut(sample_len).enumerate() {
             let g = &g[ni * tile..][..tile];
             let scratch = (&mut row[..], &mut nz[..]);
             simd::conv_input_grad_sample(g, wd, [c, h, w], (oh, ow), *spec, scratch, dx);
         }
     }
-    Ok((grad_input, grad_weight, gmat.sum_rows()?))
+    let gmat = Tensor::from_aligned(gmat, &[n * oh * ow, co])?;
+    let grad_bias = gmat.sum_rows()?;
+    ws.recycle_tensor(gmat);
+    let grad_input = Tensor::from_aligned(grad_input, &[n, c, h, w])?;
+    Ok((grad_input, Tensor::from_aligned(grad_weight, &[co, pl])?, grad_bias))
 }
 
 /// [`conv2d_backward`] through the unfolding, the reference the direct
@@ -1275,7 +1251,7 @@ mod tests {
         let y = conv2d(&x, &w, Some(&b), &spec).unwrap();
         // loss = sum(y); upstream grad is all ones.
         let gy = Tensor::ones(y.dims());
-        let (gx, gw, gb) = conv2d_backward(&gy, &x, &w, &spec).unwrap();
+        let (gx, gw, gb) = conv2d_backward(&gy, &x, &w, &spec, &mut Workspace::new()).unwrap();
 
         let eps = 1e-3;
         // check a few weight coordinates
@@ -1348,7 +1324,11 @@ mod tests {
         let x = Tensor::ones(&[2, 2, 5, 5]);
         let w = Tensor::ones(&[3, spec.patch_len()]);
         let good = [2, 3, 3, 3];
-        assert!(conv2d_backward(&Tensor::ones(&good), &x, &w, &spec).is_ok());
+        let mut ws = Workspace::new();
+        let mut direct = |g: &Tensor, x: &Tensor, w: &Tensor| {
+            conv2d_backward(g, x, w, &spec, &mut ws).map(|_| ())
+        };
+        assert!(direct(&Tensor::ones(&good), &x, &w).is_ok());
         for dims in [
             &[1, 3, 3, 3][..], // n
             &[3, 3, 3, 3],     // n
@@ -1358,18 +1338,15 @@ mod tests {
             &[2, 3, 9],        // rank
         ] {
             let g = Tensor::ones(dims);
-            for backward in [conv2d_backward, conv2d_backward_im2col] {
-                assert!(
-                    matches!(backward(&g, &x, &w, &spec), Err(TensorError::ShapeMismatch { .. })),
-                    "{dims:?}"
-                );
+            for err in [direct(&g, &x, &w), conv2d_backward_im2col(&g, &x, &w, &spec).map(|_| ())] {
+                assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{dims:?}");
             }
         }
         // an input or weight that disagrees with the spec
         let g = Tensor::ones(&good);
-        assert!(conv2d_backward(&g, &Tensor::ones(&[2, 3, 5, 5]), &w, &spec).is_err());
-        assert!(conv2d_backward(&g, &x, &Tensor::ones(&[3, 17]), &spec).is_err());
-        assert!(conv2d_backward(&g, &Tensor::ones(&[2, 5, 5]), &w, &spec).is_err());
+        assert!(direct(&g, &Tensor::ones(&[2, 3, 5, 5]), &w).is_err());
+        assert!(direct(&g, &x, &Tensor::ones(&[3, 17])).is_err());
+        assert!(direct(&g, &Tensor::ones(&[2, 5, 5]), &w).is_err());
     }
 
     #[test]

@@ -13,16 +13,15 @@
 //! `1` (exactly the old serial path) or any larger worker count, and exactly
 //! reproducible across runs.
 //!
-//! There are two numeric worlds and one kernel family for each. **f32**:
-//! the blocked matmul kernels ([`Tensor::matmul`] and friends, which skip a
-//! spike operand's zeros in place) and the direct spike-scatter convolution
-//! ([`conv2d_ws`], [`ConvPlan`]). **int8 weights**: [`QuantizedWeights`]
-//! ([`quant`]) freezes weights onto the IMC deployment grid and accumulates
-//! bit-packed spikes ([`BitMatrix`], [`bitset`]) exactly in integers; it
-//! intentionally changes numerics, carries its own golden traces, and is
-//! entered only explicitly ([`linear_ws_quant`], [`conv2d_ws_quant`]) —
-//! nothing dispatches to it. The [`Workspace`] arena makes the Eval-mode
-//! timestep loop allocation-free after one warm-up pass.
+//! There is one numeric world, f32, and one kernel family: the blocked
+//! matmul kernels ([`Tensor::matmul`] and friends, which skip a spike
+//! operand's zeros in place) and the direct spike-scatter convolution
+//! ([`conv2d_ws`], [`ConvPlan`]) with its direct backward
+//! ([`conv2d_backward`]). The IMC deployment grid of crossbar weights is one
+//! function, [`quant::quantize_dequantize`], which the hardware model reads;
+//! no kernel runs on it. The [`Workspace`] arena makes the timestep loop —
+//! an Eval window, or a training step's forward and backward — allocation
+//! free after one warm-up pass.
 //!
 //! # Example
 //!
@@ -45,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod align;
-pub mod bitset;
 mod conv;
 mod env_knob;
 mod error;
@@ -61,16 +59,14 @@ mod tensor;
 mod workspace;
 
 pub use align::{AlignedVec, AlignedWords};
-pub use bitset::BitMatrix;
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_backward_im2col, conv2d_ws, conv2d_ws_quant, im2col,
-    Conv2dSpec, ConvPlan,
+    col2im, conv2d, conv2d_backward, conv2d_backward_im2col, conv2d_ws, im2col, Conv2dSpec,
+    ConvPlan,
 };
 pub use error::TensorError;
-pub use linalg::{linear_ws, linear_ws_quant, LinearPlan};
+pub use linalg::{linear_ws, LinearPlan};
 pub use ops::{log_softmax_rows, softmax_in_place, softmax_rows};
 pub use pool::{avg_pool2d, avg_pool2d_backward, avg_pool2d_ws, global_avg_pool, PoolSpec};
-pub use quant::QuantizedWeights;
 pub use rng::TensorRng;
 pub use shape::Shape;
 pub use simd::SimdLevel;

@@ -13,10 +13,8 @@
 //! `tests/zero_skip.rs`). `a × bᵀ` (the linear layer, [`Tensor::matmul_nt`])
 //! runs over `b` packed in column groups — once per weight version in a
 //! [`LinearPlan`], per call in [`linear_ws`] — and walks each row's nonzero
-//! inputs only. The int8 path ([`linear_ws_quant`]) is entered only with
-//! explicit [`QuantizedWeights`].
+//! inputs only.
 
-use crate::quant::QuantizedWeights;
 use crate::{simd, AlignedVec, Result, Tensor, TensorError, Workspace};
 
 /// K-dimension tile: one tile of `b` rows (`BLOCK_K × BLOCK_N` floats) stays
@@ -311,36 +309,6 @@ impl LinearPlan {
         }
         Tensor::from_aligned(out, &[m, n])
     }
-}
-
-/// Quantized fully-connected forward: for a binary input, an exact `i32`
-/// accumulation of the weight codes over the active inputs with a single
-/// rescale per output element (plus the f32 bias); for a non-binary input,
-/// the ordinary [`linear_ws`] over the on-grid dequantized weights.
-/// Deterministic on both branches.
-///
-/// # Errors
-///
-/// Same conditions as [`linear_ws`].
-pub fn linear_ws_quant(
-    input: &Tensor,
-    qw: &QuantizedWeights,
-    bias: &Tensor,
-    ws: &mut Workspace,
-) -> Result<Tensor> {
-    if !input.is_binary() {
-        return linear_ws(input, qw.dequantized(), bias, ws);
-    }
-    let ([n, k], m) = ([qw.rows(), qw.cols()], linear_rows(input, [qw.rows(), qw.cols()], bias)?);
-    let mut out = ws.take(m * n);
-    if m > 0 && n > 0 {
-        let mut bm = ws.take_bits();
-        bm.build_from_dense(input.data(), m, k)?;
-        qw.matmul_nt_bits_into(&bm, &mut out);
-        ws.recycle_bits(bm);
-        add_bias(&mut out, bias.data());
-    }
-    Tensor::from_aligned(out, &[m, n])
 }
 
 /// The row count of `input` after checking it is `[m, k]` and `bias` is `[n]`.

@@ -133,7 +133,7 @@ fn pool_planes<const HALVE: bool>(
 }
 
 /// Backward pass of [`avg_pool2d`]: spreads each upstream gradient uniformly
-/// over its window.
+/// over its window, into a buffer from `ws`.
 ///
 /// # Errors
 ///
@@ -142,6 +142,7 @@ pub fn avg_pool2d_backward(
     grad_out: &Tensor,
     spec: &PoolSpec,
     input_hw: (usize, usize),
+    ws: &mut Workspace,
 ) -> Result<Tensor> {
     let d = grad_out.dims();
     if d.len() != 4 {
@@ -156,9 +157,9 @@ pub fn avg_pool2d_backward(
             actual: d.to_vec(),
         });
     }
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    simd::avg_pool2d_grad(grad_out.data(), [n, c, h, w], *spec, (oh, ow), out.data_mut());
-    Ok(out)
+    let mut out = ws.take(n * c * h * w);
+    simd::avg_pool2d_grad(grad_out.data(), [n, c, h, w], *spec, (oh, ow), &mut out);
+    Tensor::from_aligned(out, &[n, c, h, w])
 }
 
 /// Core of [`avg_pool2d_backward`] over a zeroed `dst`: adds `g·inv` into
@@ -265,7 +266,7 @@ mod tests {
         let mut rng = TensorRng::seed_from(4);
         let spec = PoolSpec::new(2, 2).unwrap();
         let g = Tensor::randn(&[2, 3, 2, 2], 0.0, 1.0, &mut rng);
-        let gx = avg_pool2d_backward(&g, &spec, (4, 4)).unwrap();
+        let gx = avg_pool2d_backward(&g, &spec, (4, 4), &mut Workspace::new()).unwrap();
         assert!((gx.sum() - g.sum()).abs() < 1e-4);
     }
 
@@ -276,7 +277,7 @@ mod tests {
         let x = Tensor::randn(&[1, 1, 4, 4], 0.0, 1.0, &mut rng);
         let y = avg_pool2d(&x, &spec).unwrap();
         let gy = Tensor::ones(y.dims());
-        let gx = avg_pool2d_backward(&gy, &spec, (4, 4)).unwrap();
+        let gx = avg_pool2d_backward(&gy, &spec, (4, 4), &mut Workspace::new()).unwrap();
         let eps = 1e-3;
         for idx in [0usize, 5, 10, 15] {
             let mut xp = x.clone();
@@ -321,6 +322,7 @@ mod tests {
         let x = Tensor::zeros(&[1, 1, 4, 4]);
         assert!(avg_pool2d(&x, &spec).is_err());
         let g = Tensor::zeros(&[1, 1, 3, 3]);
-        assert!(avg_pool2d_backward(&g, &PoolSpec::new(2, 2).unwrap(), (4, 4)).is_err());
+        let mut ws = Workspace::new();
+        assert!(avg_pool2d_backward(&g, &PoolSpec::new(2, 2).unwrap(), (4, 4), &mut ws).is_err());
     }
 }

@@ -60,8 +60,7 @@
 //! helpers: a callee LLVM declines to inline is compiled for the baseline
 //! and called from the vector entry — bitwise correct, at the wrong width
 //! (`scripts/ci.sh`'s `vector_width` stage reads the disassembly for exactly
-//! that). The quantized integer dot ([`crate::QuantizedWeights`]) is a
-//! bit-scan — integer code with nothing to widen — and is not tiered at all.
+//! that).
 //!
 //! # Exactness notes
 //!
@@ -1051,9 +1050,8 @@ mod tests {
 
     #[test]
     fn kernel_families_match_scalar_bitwise() {
-        // Every public matmul entry point, f32 (dense and spike operands)
-        // and quantized, forced-scalar vs each vector tier — all compared
-        // to_bits.
+        // Every public matmul entry point, dense and spike operands,
+        // forced-scalar vs each vector tier — all compared to_bits.
         let _guard = OVERRIDE_LOCK.lock().unwrap();
         let mut rng = TensorRng::seed_from(405);
         let a = crate::Tensor::randn(&[13, 150], 0.0, 1.0, &mut rng);
@@ -1065,15 +1063,13 @@ mod tests {
                 *v = 1.0;
             }
         }
-        let qw = crate::QuantizedWeights::from_tensor(&bt, 8).unwrap();
         let run = || {
             let mm = a.matmul(&b).unwrap();
             let tn = b.matmul_tn(&bt.transpose2d().unwrap()).unwrap();
             let nt = a.matmul_nt(&bt).unwrap();
             let mm_spikes = spikes.matmul(&b).unwrap();
             let nt_spikes = spikes.matmul_nt(&bt).unwrap();
-            let q = qw.matmul_nt(&spikes).unwrap();
-            [mm, tn, nt, mm_spikes, nt_spikes, q].map(|t| bits(t.data()))
+            [mm, tn, nt, mm_spikes, nt_spikes].map(|t| bits(t.data()))
         };
         let want = with_level(SimdLevel::Scalar, run);
         for lvl in levels_to_test() {

@@ -383,14 +383,6 @@ impl Tensor {
         self.data.iter().filter(|&&x| x != 0.0).count() as f32 / self.data.len() as f32
     }
 
-    /// Whether every element is exactly `0.0` or `1.0` — a spike tensor
-    /// (the quantized entry points take their integer path only for one).
-    /// Stops at the first counter-example; `-0.0` counts as zero and an
-    /// empty tensor is trivially binary.
-    pub fn is_binary(&self) -> bool {
-        self.data.iter().all(|&v| v == 0.0 || v == 1.0)
-    }
-
     /// Fraction of nonzero elements in each axis-0 row.
     ///
     /// Entry `k` is bitwise identical to `self.select_rows(&[k]).density()`,
@@ -574,16 +566,6 @@ mod tests {
         }
         // whole-tensor density is the count-weighted mean of the row counts
         assert_eq!(t.density(), 3.0 / 6.0);
-    }
-
-    #[test]
-    fn is_binary_accepts_only_zeros_and_ones() {
-        let spikes = |v: Vec<f32>| Tensor::from_vec(v.clone(), &[v.len()]).unwrap();
-        assert!(spikes(vec![1.0, 0.0, -0.0, 1.0]).is_binary(), "-0.0 counts as zero");
-        assert!(Tensor::zeros(&[0, 3]).is_binary(), "empty is trivially binary");
-        for bad in [0.5, -1.0, 2.0, f32::NAN, f32::INFINITY] {
-            assert!(!spikes(vec![0.0, 1.0, bad]).is_binary(), "{bad} is not a spike");
-        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! An SNN forward pass allocates the same handful of buffer shapes — conv
 //! output tiles, layer outputs, membrane temporaries — once per layer per
-//! timestep, `T` times per sample. [`Workspace`] parks those buffers on a
-//! freelist instead: [`Workspace::take`] hands back a zero-filled buffer
-//! (reusing a parked one when capacity allows) and [`Workspace::recycle`]
-//! returns it. After one warm-up timestep every size class is populated and
-//! the steady-state loop performs **no heap allocations** —
-//! [`Workspace::stats`] counts hits and misses so benches and tests can
-//! assert exactly that.
+//! timestep, `T` times per sample; a training step adds the backward caches
+//! and the gradients passed between layers. [`Workspace`] parks those
+//! buffers on a freelist instead: [`Workspace::take`] hands back a
+//! zero-filled buffer (reusing a parked one when capacity allows) and
+//! [`Workspace::recycle`] returns it. After one warm-up timestep (or one
+//! training step) every size class is populated and the steady-state loop
+//! performs **no heap allocations**, in either mode — [`Workspace::stats`]
+//! counts hits and misses so benches and tests can assert exactly that.
 //!
 //! # Lifetime rules
 //!
@@ -30,13 +31,16 @@
 //!   boundary and stays aligned across recycling, so the SIMD kernels see
 //!   cache-line-aligned rows for the life of the loop.
 
-use crate::{AlignedVec, AlignedWords, BitMatrix, Tensor};
+use crate::{AlignedVec, AlignedWords, Tensor};
 
-/// Freelist cap: more parked buffers than this and the oldest is dropped.
-/// A full VGG/ResNet eval pass keeps well under this many live scratch
-/// shapes, so the cap only guards against unbounded growth when callers
-/// recycle more than they take.
-const MAX_FREE: usize = 64;
+/// Freelist cap: more parked buffers than this and the smallest is dropped.
+/// An Eval pass keeps a few dozen live scratch shapes; a training step parks
+/// its whole BPTT window of backward caches when backward ends, about 20
+/// per timestep in resnet_small, so a 10-step window (the event preset's)
+/// needs ~200 (`snn`'s `train_arena` test misses at 128). Beyond that the
+/// cap only guards against unbounded growth when callers recycle more than
+/// they take.
+const MAX_FREE: usize = 256;
 
 /// Allocation counters for the zero-allocation claim.
 ///
@@ -53,11 +57,11 @@ pub struct WorkspaceStats {
     pub misses: u64,
 }
 
-/// Scratch-buffer arena threaded through the Eval-mode forward pass.
+/// Scratch-buffer arena threaded through the timestep loop: the forward in
+/// both modes, and the training step's backward.
 #[derive(Debug, Default)]
 pub struct Workspace {
     free: Vec<AlignedVec>,
-    bits: BitMatrix,
     words: AlignedWords,
     takes: u64,
     misses: u64,
@@ -135,20 +139,6 @@ impl Workspace {
     /// Parks a tensor's backing buffer for reuse.
     pub fn recycle_tensor(&mut self, t: Tensor) {
         self.recycle(t.into_aligned());
-    }
-
-    /// Borrows the arena's [`BitMatrix`] scratch for the quantized kernels
-    /// (moved out so the caller can hold it while taking further buffers);
-    /// return it with [`Workspace::recycle_bits`]. Its word capacity is
-    /// retained across builds, so the warmed quantized path allocates
-    /// nothing.
-    pub fn take_bits(&mut self) -> BitMatrix {
-        std::mem::take(&mut self.bits)
-    }
-
-    /// Returns the bitset scratch taken with [`Workspace::take_bits`].
-    pub fn recycle_bits(&mut self, bm: BitMatrix) {
-        self.bits = bm;
     }
 
     /// Borrows the arena's `u64` scratch at `len` words of unspecified
@@ -378,17 +368,6 @@ mod tests {
         assert_eq!(ws.stats(), WorkspaceStats { takes: 1, misses: 0 });
         ws.recycle(again);
         assert!(ws.free.len() <= MAX_FREE);
-    }
-
-    #[test]
-    fn bits_scratch_roundtrips() {
-        let mut ws = Workspace::new();
-        let mut bm = ws.take_bits();
-        bm.build_from_dense(&[1.0, 0.0, 0.0, 1.0], 2, 2).unwrap();
-        ws.recycle_bits(bm);
-        let bm = ws.take_bits();
-        assert_eq!(bm.nnz(), 2);
-        ws.recycle_bits(bm);
     }
 
     #[test]

@@ -277,6 +277,9 @@ fn direct_backward_matches_reference_bitwise() {
     // im2col reference at every SIMD tier.
     let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = TensorRng::seed_from(0xBAC4);
+    // one arena for every call, its buffers parked again after each: a
+    // kernel that skips an element of a recycled buffer reads stale data
+    let mut ws = Workspace::new();
     for_each_case(&mut rng, |spec, [n, h, w], kind, _, case, rng| {
         let (ci, co) = (spec.in_channels, spec.out_channels);
         let (oh, ow) = spec.output_hw(h, w).unwrap();
@@ -297,14 +300,17 @@ fn direct_backward_matches_reference_bitwise() {
             let want = conv2d_backward_im2col(&g, &x, &weight, spec).unwrap();
             let want = [&want.0, &want.1, &want.2].map(bits);
             for level in SimdLevel::ALL {
-                let got =
-                    simd::with_level(level, || conv2d_backward(&g, &x, &weight, spec).unwrap());
+                let got = simd::with_level(level, || {
+                    conv2d_backward(&g, &x, &weight, spec, &mut ws).unwrap()
+                });
                 assert_eq!(got.0.dims(), [n, ci, h, w], "{tag}");
                 assert_eq!(got.1.dims(), [co, spec.patch_len()], "{tag}");
-                let got = [&got.0, &got.1, &got.2].map(bits);
+                let got_bits = [&got.0, &got.1, &got.2].map(bits);
                 for (i, name) in ["dX", "dW", "db"].into_iter().enumerate() {
-                    assert_eq!(want[i], got[i], "{name} {tag} {level:?}");
+                    assert_eq!(want[i], got_bits[i], "{name} {tag} {level:?}");
                 }
+                ws.recycle_tensor(got.0);
+                ws.recycle_tensor(got.1);
             }
         }
     });

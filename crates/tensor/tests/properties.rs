@@ -7,7 +7,7 @@
 
 use dtsnn_tensor::{
     avg_pool2d, avg_pool2d_backward, col2im, im2col, softmax_rows, Conv2dSpec, PoolSpec, Tensor,
-    TensorRng,
+    TensorRng, Workspace,
 };
 
 const CASES: u64 = 48;
@@ -115,7 +115,8 @@ fn pooling_preserves_mean() {
 fn pool_backward_conserves_gradient() {
     for case in 0..CASES {
         let g = tensor_from_seed(&[1, 2, 2, 2], case);
-        let gx = avg_pool2d_backward(&g, &PoolSpec::new(2, 2).unwrap(), (4, 4)).unwrap();
+        let spec = PoolSpec::new(2, 2).unwrap();
+        let gx = avg_pool2d_backward(&g, &spec, (4, 4), &mut Workspace::new()).unwrap();
         assert!((g.sum() - gx.sum()).abs() < 1e-3, "case {case}");
     }
 }

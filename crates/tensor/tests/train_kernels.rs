@@ -7,7 +7,7 @@
 //! In its own process: the tests flip the process-wide SIMD override.
 
 use dtsnn_tensor::simd::{self, BnTrainState, SimdLevel};
-use dtsnn_tensor::{avg_pool2d_backward, PoolSpec, Tensor, TensorRng};
+use dtsnn_tensor::{avg_pool2d_backward, PoolSpec, Tensor, TensorRng, Workspace};
 
 /// Bit patterns with every NaN mapped to one pattern (its sign and payload
 /// are not pinned).
@@ -229,6 +229,7 @@ fn pool_backward_matches_the_per_window_loop_bitwise() {
     // (overlapping); extents that drop a remainder;
     // planes of 1, 16 and 256; ±inf, NaN and -0.0 in the gradient
     let mut rng = TensorRng::seed_from(0x9001);
+    let mut ws = Workspace::new();
     for (k, stride) in [(2, 2), (3, 3), (1, 1), (1, 2), (2, 3), (3, 2), (3, 1)] {
         let spec = PoolSpec::new(k, stride).unwrap();
         for n in [0usize, 1, 16] {
@@ -239,10 +240,12 @@ fn pool_backward_matches_the_per_window_loop_bitwise() {
                 let want = bits(&pool_backward_oracle(&g, dims, &spec, (h, w)));
                 let g = Tensor::from_vec(g, &dims).unwrap();
                 for level in levels() {
-                    let got = simd::with_level(level, || avg_pool2d_backward(&g, &spec, (h, w)));
+                    let got =
+                        simd::with_level(level, || avg_pool2d_backward(&g, &spec, (h, w), &mut ws));
                     let got = got.unwrap();
                     assert_eq!(got.dims(), &[n, 3, h, w]);
                     assert_eq!(want, bits(got.data()), "k={k} s={stride} n={n} {h}x{w} {level:?}");
+                    ws.recycle_tensor(got);
                 }
             }
         }
@@ -251,7 +254,8 @@ fn pool_backward_matches_the_per_window_loop_bitwise() {
     let g = Tensor::from_vec(vec![-0.0; 4], &[1, 1, 2, 2]).unwrap();
     for level in levels() {
         let spec = PoolSpec::new(2, 2).unwrap();
-        let gx = simd::with_level(level, || avg_pool2d_backward(&g, &spec, (4, 4))).unwrap();
+        let gx = simd::with_level(level, || avg_pool2d_backward(&g, &spec, (4, 4), &mut ws));
+        let gx = gx.unwrap();
         assert!(gx.data().iter().all(|v| v.to_bits() == 0), "{level:?}");
     }
 }

@@ -39,8 +39,9 @@ determinism() {
 # its solo run (the one carried-state walk, through ResidualBlock too); the
 # cached input-prefix rows equal a cache-free forward through any schedule
 # and every invalidation route, and the counters say which rows were reused;
-# the warmed loops allocate nothing: the timestep loop (f32 and int8), a
-# dynamic batch width (batched windows over a resnet run under `determinism`);
+# the warmed loops allocate nothing: the timestep loop, a dynamic batch width
+# (batched windows over a resnet run under `determinism`) and a training
+# step's forward window, BPTT and SGD update;
 # a gradient of the wrong shape is a typed error from BatchNorm and LIF; and
 # a net that ran a Train sequence survives save → load with bitwise Eval
 # logits (the state walk reaches BatchNorm's running statistics).
@@ -51,16 +52,8 @@ layers() {
     t snn --test checkpoint_roundtrip
     t snn warmed_timestep_loop
     t snn allocation_free
+    t snn --test train_arena
     t snn hostile_gradient
-}
-
-# The explicit int8 path: packed spike operands, the integer kernel, a
-# quantized net end to end, and its own committed goldens.
-quantized() {
-    t tensor bitset
-    t tensor quant
-    t snn quantized
-    t conformance --test golden_replay quant
 }
 
 # The continuous-batching engine (mid-window splice ≡ solo run, bitwise;
@@ -100,7 +93,7 @@ kernels() {
     t tensor simd
 }
 
-# The four committed goldens must replay from either tier with no re-bless
+# The two committed goldens must replay from either tier with no re-bless
 # (regenerate intentionally changed numerics with `cargo run -p
 # dtsnn-conformance --bin bless`), and every fuzz oracle must hold.
 conformance() {
@@ -184,7 +177,6 @@ stage cargo clippy --workspace --all-targets -- -D warnings
 # no suite of these reaches a fan-out: one run each (kernels once per level)
 for simd in off auto; do DTSNN_SIMD=$simd stage kernels; done
 stage layers
-stage quantized
 for threads in 1 4; do
     export DTSNN_THREADS=$threads
     for s in determinism serving simulator; do stage $s; done

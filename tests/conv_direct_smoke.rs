@@ -110,7 +110,7 @@ fn direct_backward_matches_reference_on_the_model_layer_shapes() {
                     }
                 }
                 let want = conv2d_backward_im2col(&g, &x, &weight, spec).unwrap();
-                let got = conv2d_backward(&g, &x, &weight, spec).unwrap();
+                let got = conv2d_backward(&g, &x, &weight, spec, &mut Workspace::new()).unwrap();
                 for (name, want, got) in
                     [("dX", &want.0, &got.0), ("dW", &want.1, &got.1), ("db", &want.2, &got.2)]
                 {
