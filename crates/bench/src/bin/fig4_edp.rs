@@ -49,19 +49,7 @@ fn recompute(exp: &ExpConfig) -> Result<EdpRows, Box<dyn std::error::Error>> {
             let static_point = static_sweep.static_points.last().expect("nonempty");
             let dt_sweep =
                 ThresholdSweep::run(&mut dt_net, &frames, &labels, &thetas, t_max, &profile)?;
-            let target = static_point.accuracy;
-            let iso = dt_sweep
-                .dynamic_points
-                .iter()
-                .filter(|p| p.accuracy >= target - 0.005)
-                .min_by(|a, b| a.avg_timesteps.total_cmp(&b.avg_timesteps))
-                .unwrap_or_else(|| {
-                    dt_sweep
-                        .dynamic_points
-                        .iter()
-                        .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-                        .expect("nonempty sweep")
-                });
+            let iso = dt_sweep.iso_accuracy_point(static_point.accuracy).expect("nonempty sweep");
             out.push((
                 arch.name().to_string(),
                 preset.name().to_string(),

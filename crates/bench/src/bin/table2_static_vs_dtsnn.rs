@@ -39,19 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let dt_sweep =
                 ThresholdSweep::run(&mut dt_net, &frames, &labels, &thetas, t_max, &profile)?;
             // iso-accuracy selection against the *static* baseline accuracy
-            let target = static_point.accuracy;
-            let iso = dt_sweep
-                .dynamic_points
-                .iter()
-                .filter(|p| p.accuracy >= target - 0.005)
-                .min_by(|a, b| a.avg_timesteps.total_cmp(&b.avg_timesteps))
-                .unwrap_or_else(|| {
-                    dt_sweep
-                        .dynamic_points
-                        .iter()
-                        .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-                        .expect("nonempty sweep")
-                });
+            let iso = dt_sweep.iso_accuracy_point(static_point.accuracy).expect("nonempty sweep");
             let energy_ratio = iso.energy_pj / static_point.energy_pj;
             let edp_ratio = iso.edp / static_point.edp;
             rows.push(vec![

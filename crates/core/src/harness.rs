@@ -1,7 +1,7 @@
 //! Dataset-level evaluation harnesses: the machinery behind Table II,
 //! Fig. 2, Fig. 4 and the pie charts of Fig. 5.
 
-use crate::inference::{static_predictions, DynamicInference};
+use crate::inference::DynamicInference;
 use crate::window::Window;
 use crate::{CoreError, Result};
 use dtsnn_snn::{batch1_frames, check_frames, FrameError, Snn, SpikeActivity};
@@ -89,19 +89,19 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
 /// How one sample left its window.
 #[derive(Debug, Clone)]
 struct Exit {
-    /// Timesteps executed, T̂.
-    t: usize,
-    prediction: usize,
+    /// The prediction at every timestep it executed, so `len` is T̂ and the
+    /// last entry the prediction it exits with.
+    predictions: Vec<usize>,
     /// Every accumulated logit, score and probability it produced was finite.
     finite: bool,
-    /// Per-layer spike-density sums over its `t` timesteps.
+    /// Per-layer spike-density sums over the timesteps it executed.
     sums: Vec<f64>,
 }
 
 /// Runs the window of `samples` to its last exit: forward the active rows a
 /// timestep, score them, retire the rows whose policy fired (or that reached
 /// `T`) and gather the survivors' accumulators and carried layer state into
-/// a smaller batch.
+/// a smaller batch ([`Window::compact`]).
 fn run_window(
     net: &mut Snn,
     runner: &DynamicInference,
@@ -113,13 +113,12 @@ fn run_window(
         .map(|sample| batch1_frames(sample, runner.max_timesteps()))
         .collect::<std::result::Result<_, FrameError>>()?;
     let mut exits =
-        vec![Exit { t: 0, prediction: 0, finite: true, sums: Vec::new() }; frames.len()];
+        vec![Exit { predictions: Vec::new(), finite: true, sums: Vec::new() }; frames.len()];
     // window positions still running, in batch-row order
     let mut active: Vec<usize> = (0..frames.len()).collect();
     let mut keep: Vec<usize> = Vec::with_capacity(active.len());
     let mut window = Window::new();
-    window.admit(active.len());
-    net.reset_state();
+    window.admit(net, active.len())?;
     while !active.is_empty() {
         window.step(net, |row| &frames[active[row]], runner.policy(), runner.max_timesteps())?;
         let layer_rows = net.last_spike_row_densities()?;
@@ -133,20 +132,16 @@ fn run_window(
                 *acc += layer[row] as f64;
             }
             let decision = window.decision(row);
+            exit.predictions.push(decision.prediction);
             exit.finite &= decision.score.is_finite()
                 && window.accumulated(row).iter().all(|v| v.is_finite())
                 && window.probabilities(row).iter().all(|p| p.is_finite());
-            if decision.exit {
-                (exit.t, exit.prediction) = (decision.t, decision.prediction);
-            } else {
+            if !decision.exit {
                 keep.push(row);
             }
         }
         if keep.len() < active.len() {
-            window.compact(&keep)?;
-            if !keep.is_empty() {
-                net.compact_batch(&keep)?;
-            }
+            window.compact(net, &keep)?;
             for (dst, &row) in keep.iter().enumerate() {
                 active[dst] = active[row];
             }
@@ -156,13 +151,39 @@ fn run_window(
     Ok(exits)
 }
 
-/// The one dataset driver behind every [`DynamicEvaluation`] entry: cuts the
-/// split into windows of `batch_size` samples, runs them ([`run_window`])
-/// fanned out over `workers` ([`fan_out`] — windows share nothing), then
-/// folds the exits in dataset order. Spike activity is absorbed per sample
-/// in that order — one f64 chain whatever the window size or worker count,
-/// so outcomes **and** [`SpikeActivity`] are bitwise invariant in both (a
-/// sample whose activity sums are not finite is left out). Samples that
+/// The one dataset driver, dynamic or static: cuts the split into windows
+/// of `batch_size` samples, runs them ([`run_window`]) fanned out over
+/// `workers` ([`fan_out`] — windows share nothing) and returns the exits in
+/// dataset order, having absorbed their spike activity into `network` in
+/// that order — one f64 chain whatever the window size or worker count, so
+/// exits **and** [`SpikeActivity`] are bitwise invariant in both (a sample
+/// whose activity sums are not finite is left out).
+fn run_windows(
+    network: &mut Snn,
+    runner: &DynamicInference,
+    frames: &[Vec<Tensor>],
+    labels: &[usize],
+    difficulties: Option<&[f32]>,
+    batch_size: usize,
+    workers: usize,
+) -> Result<Vec<Exit>> {
+    if batch_size == 0 {
+        return Err(CoreError::BadInput("batch_size must be nonzero".into()));
+    }
+    check_inputs(frames, labels, difficulties, runner.max_timesteps())?;
+    let windows: Vec<&[Vec<Tensor>]> = frames.chunks(batch_size).collect();
+    let per_window = fan_out(network, workers, &windows, |net, _, w| run_window(net, runner, w))?;
+    // whatever the forwards accumulated on `network` (batch-level densities,
+    // or something older) is not the per-sample chain: discard it
+    let _ = network.take_raw_activity();
+    let exits: Vec<Exit> = per_window.into_iter().flatten().collect();
+    for exit in exits.iter().filter(|exit| exit.sums.iter().all(|s| s.is_finite())) {
+        network.absorb_raw_activity(&exit.sums, exit.predictions.len());
+    }
+    Ok(exits)
+}
+
+/// [`run_windows`] behind every [`DynamicEvaluation`] entry. Samples that
 /// produced a non-finite value are listed, not rescored.
 pub(crate) fn drive(
     network: &mut Snn,
@@ -173,35 +194,24 @@ pub(crate) fn drive(
     batch_size: usize,
     workers: usize,
 ) -> Result<QuarantinedEvaluation> {
-    if batch_size == 0 {
-        return Err(CoreError::BadInput("batch_size must be nonzero".into()));
-    }
-    check_inputs(frames, labels, difficulties, runner.max_timesteps())?;
-    let windows: Vec<&[Vec<Tensor>]> = frames.chunks(batch_size).collect();
-    let per_window = fan_out(network, workers, &windows, |net, _, w| run_window(net, runner, w))?;
-    // whatever the forwards accumulated on `network` (batch-level densities,
-    // or something older) is not the per-sample chain: discard it
-    let _ = network.take_raw_activity();
+    let exits = run_windows(network, runner, frames, labels, difficulties, batch_size, workers)?;
     let mut histogram = vec![0usize; runner.max_timesteps()];
     let (mut correct_total, mut timestep_total) = (0usize, 0usize);
     let mut quarantined = Vec::new();
-    let samples: Vec<DynamicSampleOutcome> = per_window
+    let samples: Vec<DynamicSampleOutcome> = exits
         .iter()
-        .flatten()
         .enumerate()
         .map(|(i, exit)| {
-            if exit.sums.iter().all(|s| s.is_finite()) {
-                network.absorb_raw_activity(&exit.sums, exit.t);
-            }
             if !exit.finite {
                 quarantined.push(i);
             }
-            let correct = exit.prediction == labels[i];
+            let t = exit.predictions.len();
+            let correct = exit.predictions[t - 1] == labels[i];
             correct_total += correct as usize;
-            timestep_total += exit.t;
-            histogram[exit.t - 1] += 1;
+            timestep_total += t;
+            histogram[t - 1] += 1;
             let difficulty = difficulties.map_or(f32::NAN, |d| d[i]);
-            DynamicSampleOutcome { timesteps_used: exit.t, correct, difficulty }
+            DynamicSampleOutcome { timesteps_used: t, correct, difficulty }
         })
         .collect();
     let n = samples.len() as f32;
@@ -349,7 +359,9 @@ pub struct StaticEvaluation {
 }
 
 impl StaticEvaluation {
-    /// Evaluates cumulative accuracy at every `t ≤ max_timesteps`.
+    /// Evaluates cumulative accuracy at every `t ≤ max_timesteps`: the driver
+    /// of [`DynamicEvaluation::run`] with an exit that never fires, so the
+    /// prediction at budget `t` is the argmax of the Eq. 5 running mean.
     ///
     /// # Errors
     ///
@@ -362,20 +374,13 @@ impl StaticEvaluation {
         labels: &[usize],
         max_timesteps: usize,
     ) -> Result<Self> {
-        check_inputs(frames, labels, None, max_timesteps)?;
-        let _ = network.take_activity();
-        let per_sample = fan_out(network, parallel::num_threads(), frames, |net, i, sample| {
-            let correct_at_t: Vec<bool> = static_predictions(net, sample, max_timesteps)?
-                .into_iter()
-                .map(|prediction| prediction == labels[i])
-                .collect();
-            Ok((correct_at_t, net.take_raw_activity()))
-        })?;
+        let runner = DynamicInference::full_window(max_timesteps);
+        let workers = parallel::num_threads();
+        let exits = run_windows(network, &runner, frames, labels, None, 1, workers)?;
         let mut correct_by_t = vec![0usize; max_timesteps];
-        for (correct_at_t, (sums, obs)) in per_sample {
-            network.absorb_raw_activity(&sums, obs);
-            for (t, &c) in correct_at_t.iter().enumerate() {
-                correct_by_t[t] += c as usize;
+        for (exit, &label) in exits.iter().zip(labels) {
+            for (correct, &prediction) in correct_by_t.iter_mut().zip(&exit.predictions) {
+                *correct += (prediction == label) as usize;
             }
         }
         let n = frames.len() as f32;
@@ -583,6 +588,75 @@ mod tests {
         let stats = net.workspace_stats();
         assert!(stats.takes > 0);
         assert_eq!(stats.misses, 0, "warmed windows must not allocate: {stats:?}");
+    }
+
+    /// A small untrained vgg_small or resnet_small, 12 static samples and
+    /// one `T`-frame event sample.
+    fn small_model(resnet: bool, t_max: usize) -> (Snn, Vec<Vec<Tensor>>, Vec<usize>) {
+        let config = dtsnn_snn::ModelConfig {
+            in_channels: 2,
+            image_size: 8,
+            num_classes: 3,
+            width: 4,
+            ..Default::default()
+        };
+        let mut rng = TensorRng::seed_from(91 + resnet as u64);
+        let net = if resnet {
+            dtsnn_snn::resnet_small(&config, &mut rng)
+        } else {
+            dtsnn_snn::vgg_small(&config, &mut rng)
+        };
+        let mut frame = || Tensor::randn(&[2, 8, 8], 0.5, 2.0, &mut rng);
+        let mut frames: Vec<Vec<Tensor>> = (0..12).map(|_| vec![frame()]).collect();
+        frames.push((0..t_max).map(|_| frame()).collect());
+        let labels = (0..frames.len()).map(|i| i % 3).collect();
+        (net.unwrap(), frames, labels)
+    }
+
+    /// The static evaluation as it was computed before it drove the window,
+    /// kept as the reference: per sample, `forward_sequence`, the argmax of
+    /// the running mean at every budget, and the sample's activity absorbed
+    /// in sample order.
+    fn static_reference(
+        net: &mut Snn,
+        frames: &[Vec<Tensor>],
+        labels: &[usize],
+        t_max: usize,
+    ) -> StaticEvaluation {
+        let mut absorbed = net.clone();
+        let _ = absorbed.take_activity();
+        let mut correct_by_t = vec![0usize; t_max];
+        for (sample, &label) in frames.iter().zip(labels) {
+            let batched = batch1_frames(sample, t_max).unwrap();
+            let outputs = net.forward_sequence(&batched, t_max, dtsnn_snn::Mode::Eval).unwrap();
+            let mut sum = outputs[0].clone();
+            for (t, output) in outputs.iter().enumerate() {
+                if t > 0 {
+                    sum.axpy(1.0, output).unwrap();
+                }
+                let mean = sum.scale(1.0 / (t + 1) as f32);
+                correct_by_t[t] += (mean.row(0).unwrap().argmax().unwrap() == label) as usize;
+            }
+            let (sums, obs) = net.take_raw_activity();
+            absorbed.absorb_raw_activity(&sums, obs);
+        }
+        let n = frames.len() as f32;
+        StaticEvaluation {
+            accuracy_by_t: correct_by_t.iter().map(|&c| c as f32 / n).collect(),
+            activity: absorbed.take_activity(),
+        }
+    }
+
+    #[test]
+    fn static_evaluation_matches_the_forward_sequence_reference() {
+        for resnet in [false, true] {
+            let (mut net, frames, labels) = small_model(resnet, 4);
+            let want = static_reference(&mut net.clone(), &frames, &labels, 4);
+            let got = StaticEvaluation::run(&mut net, &frames, &labels, 4).unwrap();
+            assert_eq!(got, want, "resnet: {resnet}");
+            assert_eq!(got.activity.observations, 4 * frames.len());
+            assert!(got.activity.per_layer.iter().any(|&d| d > 0.0), "no spikes");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The per-sample dynamic-timestep runner (Eqs. 5–8).
+//! The per-sample dynamic-timestep runner (Eqs. 5–8), and the static SNN as
+//! that runner with an exit that never fires.
 
 use crate::policy::ExitPolicy;
 use crate::window::Window;
 use crate::{CoreError, Result};
-use dtsnn_snn::{batch1_frames, Mode, Snn};
+use dtsnn_snn::{batch1_frames, Snn};
 use dtsnn_tensor::Tensor;
 
 /// Result of one dynamic inference.
@@ -72,6 +73,13 @@ impl DynamicInference {
         Ok(DynamicInference { policy, max_timesteps })
     }
 
+    /// The static SNN: the full window `T` for every sample, since no
+    /// softmax probability exceeds 1 and a NaN score never fires. A zero `T`
+    /// is left to the caller's input check.
+    pub(crate) fn full_window(max_timesteps: usize) -> Self {
+        DynamicInference { policy: ExitPolicy::MaxProb { threshold: 1.0 }, max_timesteps }
+    }
+
     /// The exit policy.
     pub fn policy(&self) -> &ExitPolicy {
         &self.policy
@@ -134,9 +142,8 @@ impl DynamicInference {
         // the timestep loop itself must stay allocation-free (the network's
         // workspace arena covers everything inside `forward_timestep`).
         let batched = batch1_frames(frames, self.max_timesteps)?;
-        network.reset_state();
         let mut window = Window::new();
-        window.admit(1);
+        window.admit(network, 1)?;
         let mut scores = Vec::with_capacity(self.max_timesteps);
         loop {
             window.step(network, |_| &batched, &self.policy, self.max_timesteps)?;
@@ -168,39 +175,16 @@ pub fn static_inference(
     frames: &[Tensor],
     timesteps: usize,
 ) -> Result<usize> {
-    let by_budget = static_predictions(network, frames, timesteps)?;
-    Ok(*by_budget.last().expect("one prediction per timestep of a nonzero window"))
-}
-
-/// The static prediction at every budget `t = 1..=timesteps` of one pass:
-/// the argmax of the Eq. 5 running mean over the first `t` outputs
-/// (argmax-equivalent to the raw sum, but the computed quantity is the one
-/// the docs and the paper name).
-pub(crate) fn static_predictions(
-    network: &mut Snn,
-    frames: &[Tensor],
-    timesteps: usize,
-) -> Result<Vec<usize>> {
     if timesteps == 0 {
         return Err(CoreError::BadInput("timesteps must be nonzero".into()));
     }
-    let batched = batch1_frames(frames, timesteps)?;
-    let outputs = network.forward_sequence(&batched, timesteps, Mode::Eval)?;
-    let mut sum = outputs[0].clone();
-    let mut predictions = Vec::with_capacity(timesteps);
-    for (t, output) in outputs.iter().enumerate() {
-        if t > 0 {
-            sum.axpy(1.0, output)?;
-        }
-        predictions.push(sum.scale(1.0 / (t + 1) as f32).row(0)?.argmax()?);
-    }
-    Ok(predictions)
+    Ok(DynamicInference::full_window(timesteps).run(network, frames)?.prediction)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtsnn_snn::{Layer, LifConfig, LifNeuron, Linear, Flatten};
+    use dtsnn_snn::{Flatten, Layer, LifConfig, LifNeuron, Linear, Mode};
     use dtsnn_tensor::TensorRng;
 
     fn tiny_net(seed: u64) -> Snn {
@@ -253,36 +237,31 @@ mod tests {
     }
 
     #[test]
-    fn static_inference_prediction_comes_from_the_mean_output() {
-        // The returned argmax must be the argmax of the Eq. 5 running mean
-        // (identical to the raw sum's argmax, but computed from the mean).
-        let mut net = tiny_net(20);
-        let mut rng = TensorRng::seed_from(21);
-        let frame = Tensor::randn(&[1, 2, 2], 0.5, 0.5, &mut rng);
-        let pred = static_inference(&mut net, std::slice::from_ref(&frame), 4).unwrap();
-        let mut net2 = tiny_net(20);
-        let batched = batch1_frames(std::slice::from_ref(&frame), 4).unwrap();
-        let outputs = net2.forward_sequence(&batched, 4, Mode::Eval).unwrap();
-        let mut sum = outputs[0].clone();
-        for o in &outputs[1..] {
-            sum.axpy(1.0, o).unwrap();
-        }
-        let mean = sum.scale(1.0 / 4.0);
-        assert_eq!(pred, mean.row(0).unwrap().argmax().unwrap());
-        assert_eq!(pred, sum.row(0).unwrap().argmax().unwrap());
-        assert!(static_inference(&mut net, &[frame], 0).is_err());
-    }
-
-    #[test]
     fn full_window_prediction_matches_static_inference() {
-        let p = ExitPolicy::entropy(1e-6).unwrap(); // never exits early
-        let runner = DynamicInference::new(p, 4).unwrap();
-        let mut net = tiny_net(6);
+        // the reference, independent of the Window both runners drive: the
+        // argmax of the forward_sequence running mean (Eq. 5) at every budget
         let mut rng = TensorRng::seed_from(7);
         let frame = Tensor::randn(&[1, 2, 2], 0.5, 0.5, &mut rng);
+        let batched = batch1_frames(std::slice::from_ref(&frame), 4).unwrap();
+        let outputs = tiny_net(6).forward_sequence(&batched, 4, Mode::Eval).unwrap();
+        let mut sum = outputs[0].clone();
+        let mut reference = Vec::new();
+        for (t, output) in outputs.iter().enumerate() {
+            if t > 0 {
+                sum.axpy(1.0, output).unwrap();
+            }
+            reference.push(sum.scale(1.0 / (t + 1) as f32).row(0).unwrap().argmax().unwrap());
+        }
+        let mut net = tiny_net(6);
+        for (t, &want) in reference.iter().enumerate() {
+            let got = static_inference(&mut net, std::slice::from_ref(&frame), t + 1).unwrap();
+            assert_eq!(got, want, "budget {}", t + 1);
+        }
+        let p = ExitPolicy::entropy(1e-6).unwrap(); // never exits early
+        let runner = DynamicInference::new(p, 4).unwrap();
         let dynamic = runner.run(&mut net, std::slice::from_ref(&frame)).unwrap();
-        let static_pred = static_inference(&mut net, &[frame], 4).unwrap();
-        assert_eq!(dynamic.prediction, static_pred);
+        assert_eq!(dynamic.prediction, reference[3]);
+        assert!(static_inference(&mut net, &[frame], 0).is_err());
     }
 
     #[test]

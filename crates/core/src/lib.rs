@@ -9,9 +9,11 @@
 //!
 //! - [`ExitPolicy`] — entropy thresholding plus the max-probability and
 //!   margin alternatives used in the extension ablation;
-//! - [`window::Window`] — Eqs. 5–8 for a set of batch rows, the one exit
-//!   decision every runner below (and the `dtsnn-serve` engine) drives;
-//! - [`DynamicInference`] — the per-sample early-exit runner;
+//! - [`window::Window`] — Eqs. 5–8 for a set of the network's batch rows:
+//!   the one timestep loop every runner below, static ones included (and
+//!   the `dtsnn-serve` engine), drives;
+//! - [`DynamicInference`] — the per-sample runner ([`static_inference`]:
+//!   the same with an exit that never fires);
 //! - [`DynamicEvaluation`] / [`StaticEvaluation`] — dataset-level harnesses
 //!   reporting accuracy, average timesteps and the T̂ distribution;
 //! - [`ThresholdSweep`] — accuracy–EDP curves over θ (Figs. 5 and 7);

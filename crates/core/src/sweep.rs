@@ -96,11 +96,11 @@ impl ThresholdSweep {
         self.static_points.first().map(|p| p.edp).unwrap_or(f64::NAN)
     }
 
-    /// The dynamic point whose accuracy is closest to (or above) the
-    /// full-window static accuracy — the iso-accuracy point reported in
-    /// Table II.
-    pub fn iso_accuracy_point(&self) -> Option<&SweepPoint> {
-        let target = self.static_points.last()?.accuracy;
+    /// The iso-accuracy point of Table II against a static net's full-window
+    /// accuracy `target` (this sweep's own, or another net's): the dynamic
+    /// point with the fewest mean timesteps within 0.5 points of it, else
+    /// the most accurate one.
+    pub fn iso_accuracy_point(&self, target: f32) -> Option<&SweepPoint> {
         self.dynamic_points
             .iter()
             .filter(|p| p.accuracy >= target - 0.005)
@@ -155,7 +155,7 @@ mod tests {
         assert!(
             sweep.dynamic_points[1].avg_timesteps <= sweep.dynamic_points[0].avg_timesteps + 1e-6
         );
-        assert!(sweep.iso_accuracy_point().is_some());
+        assert!(sweep.iso_accuracy_point(sweep.static_points[3].accuracy).is_some());
     }
 
     #[test]
@@ -171,5 +171,29 @@ mod tests {
         let dist = &sweep.dynamic_points[0].timestep_distribution;
         assert_eq!(dist.len(), 4);
         assert!((dist.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn the_operating_point_takes_its_target() {
+        let point = |label: &str, accuracy: f32, avg_timesteps: f32| SweepPoint {
+            label: label.into(),
+            theta: None,
+            accuracy,
+            avg_timesteps,
+            energy_pj: 0.0,
+            edp: 0.0,
+            timestep_distribution: Vec::new(),
+        };
+        let sweep = ThresholdSweep {
+            static_points: vec![point("static T=4", 0.80, 4.0)],
+            dynamic_points: vec![point("a", 0.70, 1.2), point("b", 0.797, 1.9), point("c", 0.85, 3.0)],
+        };
+        // the fewest timesteps within half a point of the target
+        assert_eq!(sweep.iso_accuracy_point(0.80).unwrap().label, "b");
+        assert_eq!(sweep.iso_accuracy_point(0.70).unwrap().label, "a");
+        // nothing close enough: the most accurate point
+        assert_eq!(sweep.iso_accuracy_point(0.95).unwrap().label, "c");
+        let empty = ThresholdSweep { dynamic_points: Vec::new(), ..sweep };
+        assert!(empty.iso_accuracy_point(0.5).is_none());
     }
 }

@@ -14,7 +14,7 @@
 //! corresponding evaluation harness.
 
 use crate::harness::{check_inputs, fan_out};
-use crate::inference::{static_inference, DynamicInference};
+use crate::inference::DynamicInference;
 use crate::Result;
 use dtsnn_snn::Snn;
 use dtsnn_tensor::{parallel, Tensor};
@@ -33,7 +33,8 @@ pub struct ThroughputReport {
     pub avg_timesteps: f32,
 }
 
-/// Measures batch-1 throughput of a static SNN at a fixed `timesteps`.
+/// Measures batch-1 throughput of a static SNN at a fixed `timesteps`: the
+/// DT-SNN meter with an exit that never fires.
 ///
 /// # Errors
 ///
@@ -45,21 +46,9 @@ pub fn measure_throughput(
     labels: &[usize],
     timesteps: usize,
 ) -> Result<ThroughputReport> {
-    check_inputs(frames, labels, None, timesteps)?;
-    let start = Instant::now();
-    // predictions come back in sample order, so accuracy is thread-count
-    // invariant while the wall clock shrinks with DTSNN_THREADS
-    let preds = fan_out(network, parallel::num_threads(), frames, |net, _, sample| {
-        static_inference(net, sample, timesteps)
-    })?;
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    let correct = preds.iter().zip(labels).filter(|(pred, label)| pred == label).count();
-    Ok(ThroughputReport {
-        label: format!("static T={timesteps}"),
-        images_per_second: frames.len() as f64 / secs,
-        accuracy: correct as f32 / frames.len() as f32,
-        avg_timesteps: timesteps as f32,
-    })
+    let runner = DynamicInference::full_window(timesteps);
+    let report = measure_dynamic_throughput(network, &runner, frames, labels)?;
+    Ok(ThroughputReport { label: format!("static T={timesteps}"), ..report })
 }
 
 /// Measures batch-1 throughput of DT-SNN under `runner`'s policy.
@@ -76,6 +65,8 @@ pub fn measure_dynamic_throughput(
 ) -> Result<ThroughputReport> {
     check_inputs(frames, labels, None, runner.max_timesteps())?;
     let start = Instant::now();
+    // outcomes come back in sample order, so accuracy is thread-count
+    // invariant while the wall clock shrinks with DTSNN_THREADS
     let per_sample = fan_out(network, parallel::num_threads(), frames, |net, i, sample| {
         let outcome = runner.run(net, sample)?;
         Ok((outcome.timesteps_used, outcome.prediction == labels[i]))

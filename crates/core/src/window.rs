@@ -4,8 +4,9 @@
 //! into the running mean `f_t(x)` (Eq. 5), softmax it (Eq. 6), score its
 //! normalized entropy (Eq. 7) and exit when the score clears θ (Eq. 8). A
 //! [`Window`] is that loop body for any number of rows, each at its own
-//! timestep; the per-sample runner ([`crate::DynamicInference`], one row),
-//! the batched evaluation ([`crate::DynamicEvaluation::run_batched`], rows
+//! timestep and each the network's carried batch row of the same index; the
+//! per-sample runner ([`crate::DynamicInference`], one row — the static SNN
+//! is that runner with an exit that cannot fire), the dataset driver (rows
 //! only retire) and the serving engine (`dtsnn-serve`, rows retire and are
 //! admitted mid-window) are drivers of it. Because every driver folds and
 //! decides through the same arithmetic on the same row of logits, a
@@ -37,9 +38,8 @@ pub struct Decision {
 /// Per-row running state of a dynamic-timestep inference window.
 ///
 /// Row order is the batch-row order of the network the window is stepped
-/// with: [`Window::admit`] appends rows where [`Snn::admit_batch_rows`]
-/// appends them, and [`Window::compact`] keeps the rows
-/// [`Snn::compact_batch`] keeps. All buffers are reused across timesteps;
+/// with, and [`Window::admit`] and [`Window::compact`] move the network's
+/// carried rows with the window's. All buffers are reused across timesteps;
 /// only growth beyond the widest batch seen allocates.
 #[derive(Debug, Clone, Default)]
 pub struct Window {
@@ -66,10 +66,22 @@ impl Window {
         self.t.len()
     }
 
-    /// Appends `n` fresh rows (no timestep executed yet).
-    pub fn admit(&mut self, n: usize) {
+    /// Appends `n` fresh rows (no timestep executed yet): an empty window
+    /// resets `network`, an open one pads its carried state
+    /// ([`Snn::admit_batch_rows`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the network's refusal to pad; the window is untouched then.
+    pub fn admit(&mut self, network: &mut Snn, n: usize) -> Result<()> {
+        if self.rows() == 0 {
+            network.reset_state();
+        } else {
+            network.admit_batch_rows(n)?;
+        }
         self.t.resize(self.t.len() + n, 0);
         self.acc.resize(self.t.len() * self.classes, 0.0);
+        Ok(())
     }
 
     /// Forwards every row one timestep through `network` — row `r` on the
@@ -196,19 +208,27 @@ impl Window {
     }
 
     /// Keeps the given rows, in order, and drops the rest (with their fold
-    /// outcomes: decisions and probabilities are per fold).
+    /// outcomes: decisions and probabilities are per fold), in the window
+    /// and in `network` ([`Snn::compact_batch`]; reset when none is kept).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadInput`] unless `keep` is strictly ascending
-    /// and in range; the window is untouched then.
-    pub fn compact(&mut self, keep: &[usize]) -> Result<()> {
+    /// and in range, and propagates the network's refusal of a row; the
+    /// window and the network are both untouched then.
+    pub fn compact(&mut self, network: &mut Snn, keep: &[usize]) -> Result<()> {
         let ascending = keep.windows(2).all(|w| w[0] < w[1]);
         if !ascending || keep.last().is_some_and(|&r| r >= self.rows()) {
             return Err(CoreError::BadInput(format!(
                 "compact rows {keep:?} must be ascending and below {}",
                 self.rows()
             )));
+        }
+        // the network checks its side before touching a layer
+        if keep.is_empty() {
+            network.reset_state();
+        } else {
+            network.compact_batch(keep)?;
         }
         // ascending, so every source sits at or after its destination
         for (dst, &src) in keep.iter().enumerate() {
@@ -228,6 +248,19 @@ impl Window {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtsnn_snn::{Layer, LifConfig, LifNeuron, Linear};
+    use dtsnn_tensor::TensorRng;
+
+    /// Linear (the cached input prefix) → LIF (a carried membrane) → Linear.
+    fn tiny_net() -> Snn {
+        let mut rng = TensorRng::seed_from(17);
+        let layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(Linear::new(4, 6, &mut rng)),
+            Box::new(LifNeuron::new(LifConfig::default())),
+            Box::new(Linear::new(6, 3, &mut rng)),
+        ];
+        Snn::from_layers(layers)
+    }
 
     fn logits(rows: &[&[f32]]) -> Tensor {
         let flat: Vec<f32> = rows.iter().flat_map(|r| r.iter().copied()).collect();
@@ -238,7 +271,7 @@ mod tests {
     fn first_fold_copies_and_later_folds_add() {
         let policy = ExitPolicy::entropy(1e-6).unwrap();
         let mut w = Window::new();
-        w.admit(1);
+        w.admit(&mut tiny_net(), 1).unwrap();
         w.fold(&logits(&[&[-0.0, 1.5, 0.0]]), &policy, 4).unwrap();
         // 0.0 + -0.0 would be +0.0: the first fold must not add to zeros
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -256,11 +289,11 @@ mod tests {
     #[test]
     fn rows_keep_their_own_timestep_across_admit_and_compact() {
         let policy = ExitPolicy::entropy(1e-6).unwrap();
-        let mut w = Window::new();
-        w.admit(2);
+        let (mut w, mut net) = (Window::new(), tiny_net());
+        w.admit(&mut net, 2).unwrap();
         w.fold(&logits(&[&[1.0, 0.0], &[0.0, 2.0]]), &policy, 3).unwrap();
-        w.compact(&[1]).unwrap();
-        w.admit(1);
+        w.compact(&mut net, &[1]).unwrap();
+        w.admit(&mut net, 1).unwrap();
         assert_eq!(w.rows(), 2);
         w.fold(&logits(&[&[0.0, 2.0], &[5.0, 0.0]]), &policy, 3).unwrap();
         assert_eq!((w.decision(0).t, w.decision(1).t), (2, 1));
@@ -268,14 +301,14 @@ mod tests {
         assert_eq!(w.accumulated(1), &[5.0, 0.0], "a spliced row starts from its own logits");
         assert_eq!((w.decision(0).prediction, w.decision(1).prediction), (1, 0));
         // malformed keeps and logits are typed errors that fold nothing
-        assert!(w.compact(&[1, 0]).is_err());
-        assert!(w.compact(&[2]).is_err());
+        assert!(w.compact(&mut net, &[1, 0]).is_err());
+        assert!(w.compact(&mut net, &[2]).is_err());
         assert!(w.fold(&logits(&[&[0.0, 1.0]]), &policy, 3).is_err());
         assert!(w.fold(&logits(&[&[0.0; 3], &[0.0; 3]]), &policy, 3).is_err());
         assert_eq!((w.rows(), w.decision(0).t), (2, 2));
         // an emptied window takes any class count again
-        w.compact(&[]).unwrap();
-        w.admit(1);
+        w.compact(&mut net, &[]).unwrap();
+        w.admit(&mut net, 1).unwrap();
         w.fold(&logits(&[&[0.0; 3]]), &policy, 3).unwrap();
     }
 
@@ -283,7 +316,7 @@ mod tests {
     fn a_cap_lowered_mid_flight_retires_rows_already_past_it() {
         let policy = ExitPolicy::entropy(1e-6).unwrap(); // never fires
         let mut w = Window::new();
-        w.admit(1);
+        w.admit(&mut tiny_net(), 1).unwrap();
         let l = logits(&[&[0.3, 0.2]]);
         for _ in 0..3 {
             w.fold(&l, &policy, 8).unwrap();
@@ -297,12 +330,11 @@ mod tests {
 
     #[test]
     fn nan_probabilities_never_fire_max_prob_or_margin() {
-        let mut w = Window::new();
-        w.admit(2);
+        let (mut w, mut net) = (Window::new(), tiny_net());
         let l = logits(&[&[f32::NAN, 9.0, 0.0], &[9.0, 0.0, 0.0]]);
         for policy in [ExitPolicy::max_prob(0.1).unwrap(), ExitPolicy::margin(0.1).unwrap()] {
-            w.compact(&[]).unwrap();
-            w.admit(2);
+            w.compact(&mut net, &[]).unwrap();
+            w.admit(&mut net, 2).unwrap();
             w.fold(&l, &policy, 4).unwrap();
             let (poisoned, healthy) = (w.decision(0), w.decision(1));
             assert!(poisoned.score.is_nan() && !poisoned.fired && !poisoned.exit, "{poisoned:?}");
@@ -313,5 +345,81 @@ mod tests {
             }
             assert!(w.decision(0).exit && !w.decision(0).fired);
         }
+    }
+
+    /// One input row per sample: `[1, 4]` frames, a fresh one every step.
+    fn samples(n: usize) -> Vec<Vec<Tensor>> {
+        let mut rng = TensorRng::seed_from(23);
+        (0..n).map(|_| (0..4).map(|_| Tensor::randn(&[1, 4], 0.5, 1.0, &mut rng)).collect()).collect()
+    }
+
+    /// `sample`'s accumulated logits after `steps` timesteps alone.
+    fn solo(sample: &[Tensor], steps: usize) -> Vec<f32> {
+        let policy = ExitPolicy::entropy(1e-6).unwrap();
+        let (mut w, mut net) = (Window::new(), tiny_net());
+        w.admit(&mut net, 1).unwrap();
+        for _ in 0..steps {
+            w.step(&mut net, |_| sample, &policy, 4).unwrap();
+        }
+        w.accumulated(0).to_vec()
+    }
+
+    #[test]
+    fn admit_and_compact_move_the_network_rows_with_the_window_rows() {
+        let policy = ExitPolicy::entropy(1e-6).unwrap();
+        let samples = samples(3);
+        let (mut w, mut net) = (Window::new(), tiny_net());
+        // rows 0 and 1 open the window, row 0 retires, sample 2 splices in
+        w.admit(&mut net, 2).unwrap();
+        let mut rows = vec![0, 1];
+        w.step(&mut net, |r| &samples[rows[r]], &policy, 4).unwrap();
+        w.compact(&mut net, &[1]).unwrap();
+        w.admit(&mut net, 1).unwrap();
+        rows = vec![1, 2];
+        for _ in 0..2 {
+            w.step(&mut net, |r| &samples[rows[r]], &policy, 4).unwrap();
+        }
+        assert_eq!(w.accumulated(0), solo(&samples[1], 3).as_slice(), "the kept row");
+        assert_eq!(w.accumulated(1), solo(&samples[2], 2).as_slice(), "the spliced row");
+        // emptying the window resets the network: the next window starts fresh
+        w.compact(&mut net, &[]).unwrap();
+        w.admit(&mut net, 1).unwrap();
+        w.step(&mut net, |_| &samples[0], &policy, 4).unwrap();
+        assert_eq!(w.accumulated(0), solo(&samples[0], 1).as_slice());
+    }
+
+    #[test]
+    fn a_refused_compact_leaves_the_window_and_the_network_untouched() {
+        let policy = ExitPolicy::entropy(1e-6).unwrap();
+        let samples = samples(3);
+        let (mut w, mut net) = (Window::new(), tiny_net());
+        w.admit(&mut net, 3).unwrap();
+        w.step(&mut net, |r| &samples[r], &policy, 4).unwrap();
+        let (w_before, mut net_before) = (w.clone(), net.clone());
+        // rows out of order, or past the window: refused before either side
+        assert!(w.compact(&mut net, &[1, 0]).is_err());
+        assert!(w.compact(&mut net, &[3]).is_err());
+        assert_eq!(w.rows(), 3);
+        let mut twin = (w_before.clone(), net_before.clone());
+        for (w, net) in [(&mut w, &mut net), (&mut twin.0, &mut twin.1)] {
+            w.step(net, |r| &samples[r], &policy, 4).unwrap();
+        }
+        for row in 0..3 {
+            assert_eq!(w.accumulated(row), twin.0.accumulated(row), "row {row}");
+        }
+        // a row the window has but the network does not: the network refuses,
+        // and the window has not been gathered meanwhile
+        let mut narrow = net_before.clone();
+        narrow.compact_batch(&[0, 1]).unwrap();
+        let mut w = w_before.clone();
+        assert!(w.compact(&mut narrow, &[2]).is_err());
+        assert_eq!(w.rows(), 3);
+        assert_eq!(w.accumulated(2), w_before.accumulated(2));
+        // ... nor the network: it steps on as two rows, like its untouched twin
+        net_before.compact_batch(&[0, 1]).unwrap();
+        let two = Tensor::concat_axis0(&[&samples[0][1], &samples[1][1]]).unwrap();
+        let got = narrow.forward_timestep(&two, dtsnn_snn::Mode::Eval).unwrap();
+        let want = net_before.forward_timestep(&two, dtsnn_snn::Mode::Eval).unwrap();
+        assert_eq!(got.data(), want.data());
     }
 }

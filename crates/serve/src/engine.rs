@@ -216,9 +216,9 @@ impl Job {
 /// One engine step forwards every in-flight row a single timestep and
 /// folds, scores and decides each row at that row's own `t` through the
 /// [`Window`] the sequential runner drives too (so the two agree bitwise by
-/// construction), retires exited/expired rows via [`Snn::compact_batch`]
-/// and admits queued requests into the vacated slots via
-/// [`Snn::admit_batch_rows`].
+/// construction), retires exited/expired rows ([`Window::compact`], which
+/// gathers the network's carried rows too) and admits queued requests into
+/// the vacated slots ([`Window::admit`], which pads them).
 pub struct Server<C: Clock> {
     net: Snn,
     config: ServerConfig,
@@ -489,17 +489,13 @@ impl<C: Clock> Server<C> {
             self.in_flight.push(p);
         }
         if !admitted.is_empty() {
+            // a fresh window (the network reset) or a splice into the open
+            // one (every layer's carried batch state padded with fresh zero
+            // rows: bitwise-neutral — see the crate docs)
+            self.window.admit(&mut self.net, admitted.len())?;
             if carried {
-                // splice into the open window: pad every layer's carried
-                // batch state with fresh zero rows (bitwise-neutral — see
-                // the crate docs)
-                self.net.admit_batch_rows(admitted.len())?;
                 self.stats.spliced_mid_window += admitted.len() as u64;
-            } else {
-                // fresh window
-                self.net.reset_state();
             }
-            self.window.admit(admitted.len());
             self.stats.admitted += admitted.len() as u64;
         }
         if self.in_flight.is_empty() {
@@ -528,8 +524,7 @@ impl<C: Clock> Server<C> {
             for r in self.in_flight.drain(..) {
                 self.outcomes.push(r.unanswered(CompletionStatus::Failed, now));
             }
-            self.window.compact(&[])?;
-            self.net.reset_state();
+            self.window.compact(&mut self.net, &[])?;
             return Ok(true);
         }
         self.frames_forwarded = true;
@@ -577,18 +572,12 @@ impl<C: Clock> Server<C> {
 
         // retire: physically gather the survivors' carried layer state
         if keep.len() < width {
-            self.window.compact(&keep)?;
-            if keep.is_empty() {
-                self.net.reset_state();
-                self.in_flight.clear();
-            } else {
-                self.net.compact_batch(&keep)?;
-                let mut row = 0usize;
-                self.in_flight.retain(|_| {
-                    row += 1;
-                    keep.binary_search(&(row - 1)).is_ok()
-                });
-            }
+            self.window.compact(&mut self.net, &keep)?;
+            let mut row = 0usize;
+            self.in_flight.retain(|_| {
+                row += 1;
+                keep.binary_search(&(row - 1)).is_ok()
+            });
         }
 
         if let Some(rows) = rows {

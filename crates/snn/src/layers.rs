@@ -26,9 +26,10 @@ pub struct Conv2d {
     bias: Param,
     /// Cached inputs per timestep (training only).
     inputs: Vec<Tensor>,
-    /// Weights packed for the direct kernel (lazy cache, invalidated
-    /// whenever the weights are touched). A clone owns its own copy.
-    plan: Option<ConvPlan>,
+    /// Weights packed for the direct kernel, repacked in place once `stale`
+    /// (the weights may have changed). A clone owns its own copy.
+    plan: ConvPlan,
+    stale: bool,
 }
 
 impl Conv2d {
@@ -49,7 +50,8 @@ impl Conv2d {
         let fan_in = spec.patch_len();
         let weight = Param::new(Tensor::kaiming(&spec.weight_dims(), fan_in, rng), true);
         let bias = Param::new(Tensor::zeros(&[out_channels]), false);
-        Ok(Conv2d { spec, weight, bias, inputs: Vec::new(), plan: None })
+        let plan = ConvPlan::new(&weight.value, &spec)?;
+        Ok(Conv2d { spec, weight, bias, inputs: Vec::new(), plan, stale: false })
     }
 
     /// The convolution geometry.
@@ -60,12 +62,12 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        // the direct kernel over the (lazily packed) plan
-        if self.plan.is_none() {
-            self.plan = Some(ConvPlan::new(&self.weight.value, &self.spec)?);
+        // the direct kernel over the packed plan
+        if self.stale {
+            self.plan.repack(&self.weight.value)?;
+            self.stale = false;
         }
-        let plan = self.plan.as_ref().expect("plan ensured above");
-        let out = plan.forward(input, Some(&self.bias.value), ws)?;
+        let out = self.plan.forward(input, Some(&self.bias.value), ws)?;
         if mode == Mode::Train {
             self.inputs.push(copy_through(input, input.dims(), ws)?);
         }
@@ -88,7 +90,7 @@ impl Layer for Conv2d {
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
-        self.plan = None; // visitors may mutate weights (optimizer, faults, load)
+        self.stale = true; // visitors may mutate weights (optimizer, faults, load)
         f(State::Param(&mut self.weight));
         f(State::Param(&mut self.bias));
     }
@@ -116,9 +118,10 @@ pub struct Linear {
     weight: Param,
     bias: Param,
     inputs: Vec<Tensor>,
-    /// Weights packed for the linear kernel (lazy cache, invalidated
-    /// whenever the weights are touched). A clone owns its own copy.
-    plan: Option<LinearPlan>,
+    /// Weights packed for the linear kernel, repacked in place once `stale`
+    /// (the weights may have changed). A clone owns its own copy.
+    plan: LinearPlan,
+    stale: bool,
 }
 
 impl Linear {
@@ -126,7 +129,8 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, rng: &mut TensorRng) -> Self {
         let weight = Param::new(Tensor::kaiming(&[out_features, in_features], in_features, rng), true);
         let bias = Param::new(Tensor::zeros(&[out_features]), false);
-        Linear { weight, bias, inputs: Vec::new(), plan: None }
+        let plan = LinearPlan::new(&weight.value).expect("a weight matrix");
+        Linear { weight, bias, inputs: Vec::new(), plan, stale: false }
     }
 
     /// Output feature count.
@@ -142,12 +146,12 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        // y = x Wᵀ + b ; x is [n, in], over the (lazily packed) plan
-        if self.plan.is_none() {
-            self.plan = Some(LinearPlan::new(&self.weight.value)?);
+        // y = x Wᵀ + b ; x is [n, in], over the packed plan
+        if self.stale {
+            self.plan.repack(&self.weight.value)?;
+            self.stale = false;
         }
-        let plan = self.plan.as_ref().expect("plan ensured above");
-        let out = plan.forward(input, &self.bias.value, ws)?;
+        let out = self.plan.forward(input, &self.bias.value, ws)?;
         if mode == Mode::Train {
             self.inputs.push(copy_through(input, input.dims(), ws)?);
         }
@@ -186,7 +190,7 @@ impl Layer for Linear {
     }
 
     fn visit_state(&mut self, f: &mut dyn FnMut(State<'_>)) {
-        self.plan = None; // visitors may mutate weights (optimizer, faults, load)
+        self.stale = true; // visitors may mutate weights (optimizer, faults, load)
         f(State::Param(&mut self.weight));
         f(State::Param(&mut self.bias));
     }

@@ -276,7 +276,7 @@ fn check_input(
 
 /// A layer's `[c_out, c_in*k*k]` weights packed once for the direct kernel
 /// (one `c_out`-wide row per tap), so packing leaves the timestep loop. The
-/// owner rebuilds it whenever the weights may change; a clone owns its copy.
+/// owner repacks it whenever the weights may change; a clone owns its copy.
 #[derive(Debug, Clone)]
 pub struct ConvPlan {
     spec: Conv2dSpec,
@@ -290,10 +290,20 @@ impl ConvPlan {
     ///
     /// [`TensorError::ShapeMismatch`] when `weight` disagrees with `spec`.
     pub fn new(weight: &Tensor, spec: &Conv2dSpec) -> Result<Self> {
-        expect_dims(weight.dims(), &spec.weight_dims())?;
-        let mut w_t = AlignedVec::zeroed(packed_len(spec));
-        pack_weights(weight.data(), spec, &mut w_t);
-        Ok(ConvPlan { spec: *spec, w_t })
+        let mut plan = ConvPlan { spec: *spec, w_t: AlignedVec::zeroed(packed_len(spec)) };
+        plan.repack(weight)?;
+        Ok(plan)
+    }
+
+    /// Packs `weight` again, into the plan's own buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConvPlan::new`]; the plan is untouched then.
+    pub fn repack(&mut self, weight: &Tensor) -> Result<()> {
+        expect_dims(weight.dims(), &self.spec.weight_dims())?;
+        pack_weights(weight.data(), &self.spec, &mut self.w_t);
+        Ok(())
     }
 
     /// Forward over the packed weights, bitwise identical to [`conv2d`];

@@ -269,7 +269,7 @@ pub fn linear_ws(
 
 /// A layer's `[n, k]` weights packed once for the linear kernel, so packing
 /// leaves the timestep loop (what [`crate::ConvPlan`] is to a convolution).
-/// The owner rebuilds it whenever the weights may change; a clone owns its
+/// The owner repacks it whenever the weights may change; a clone owns its
 /// copy.
 #[derive(Debug, Clone)]
 pub struct LinearPlan {
@@ -285,6 +285,19 @@ impl LinearPlan {
     /// [`TensorError::RankMismatch`] unless `weight` is a matrix.
     pub fn new(weight: &Tensor) -> Result<Self> {
         LinearPlan::pack(weight, AlignedVec::zeroed)
+    }
+
+    /// Packs `weight` again, into the plan's own buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`LinearPlan::new`]; the plan is untouched then.
+    pub fn repack(&mut self, weight: &Tensor) -> Result<()> {
+        let (n, k) = mat_dims(weight)?;
+        self.packed.resize(n.div_ceil(NT_COLS) * k * NT_COLS, 0.0);
+        pack_linear(weight.data(), n, k, &mut self.packed);
+        self.dims = [n, k];
+        Ok(())
     }
 
     /// Packs `weight` into `buffer(len)`, which it overwrites.

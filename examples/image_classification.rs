@@ -63,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.edp / base
         );
     }
-    if let Some(iso) = sweep.iso_accuracy_point() {
-        let static4 = sweep.static_points.last().expect("static point");
+    let static4 = sweep.static_points.last().expect("static point");
+    if let Some(iso) = sweep.iso_accuracy_point(static4.accuracy) {
         println!(
             "\nDT-SNN matches the static T=4 accuracy with {:.2} average timesteps and {:.0}% less EDP",
             iso.avg_timesteps,

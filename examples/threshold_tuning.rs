@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.edp / static4.edp
         );
     }
-    if let Some(iso) = sweep.iso_accuracy_point() {
+    if let Some(iso) = sweep.iso_accuracy_point(static4.accuracy) {
         println!(
             "\nchosen operating point: {} → {:.2}% accuracy at {:.2} avg timesteps ({:.0}% EDP reduction)",
             iso.label,

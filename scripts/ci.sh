@@ -26,11 +26,16 @@ t() { cargo test -q -p "dtsnn-$1" "${@:2}"; }
 # test (a fan-out inside a worker runs serially — with 4 workers on fewer
 # cores the guard is what keeps the live threads at 4); the dataset driver at
 # every window size against a plain loop over the solo runner (outcomes, T̂
-# histogram AND spike activity); the Monte-Carlo fault harness's aggregates.
+# histogram AND spike activity); the static evaluation, which drives the
+# same windows with an exit that never fires, against the plain
+# forward_sequence loop it replaced (accuracy at every budget AND spike
+# activity, vgg and resnet, static and event samples) and its warmed pass
+# allocation-free; the Monte-Carlo fault harness's aggregates.
 determinism() {
     t core thread_count_invariant
     t tensor --lib parallel::
     t core batched
+    t core static_evaluation
     t core robustness
 }
 
