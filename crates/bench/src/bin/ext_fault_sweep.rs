@@ -18,7 +18,7 @@
 //! (T̂ ≈ 2.8) so the damage-induced T̂ climb is visible.
 
 use dtsnn_bench::{
-    env_parse, hardware_profile_for, json, print_table, train_model, write_json, Arch, ExpConfig,
+    env_parse, hardware_profile, json, print_table, train_model, write_json, Arch, ExpConfig,
 };
 use dtsnn_core::{degradation_sweep, DynamicInference, ExitPolicy, MonteCarloConfig};
 use dtsnn_data::Preset;
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     eprintln!("[fault_sweep] training VGG backbone…");
     let (net, _, model_cfg) = train_model(&dataset, Arch::Vgg, LossKind::PerTimestep, t_max, &exp)?;
-    let profile = hardware_profile_for(Arch::Vgg, &model_cfg)?;
+    let profile = hardware_profile(&net, &model_cfg)?;
     let runner = DynamicInference::new(ExitPolicy::entropy(theta)?, t_max)?;
 
     // severity 1.0 = a plausibly aged chip; 4.0 = heavy damage. The mix is

@@ -30,12 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for device_bits in [1u32, 2, 4, 8] {
         let hw = HardwareConfig { device_bits, ..HardwareConfig::default() };
         // slices change the mapping, so each width prices its own profile
-        let profile = HardwareProfile::new(
-            &Arch::Vgg.geometry(&model_cfg),
-            Arch::Vgg.density_map(),
-            model_cfg.num_classes,
-            &hw,
-        )?;
+        let profile = HardwareProfile::new(&net, &model_cfg.input_dims(), &hw)?;
         let run = MonteCarloRobustness::run(
             &net,
             &runner,

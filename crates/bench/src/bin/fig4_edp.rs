@@ -7,7 +7,7 @@
 //! `table2_static_vs_dtsnn` first) and only recomputes from scratch — the
 //! full 16-model training campaign — when it does not.
 
-use dtsnn_bench::{json, hardware_profile_for, print_table, train_model, write_json, Arch, ExpConfig};
+use dtsnn_bench::{hardware_profile, json, print_table, train_model, write_json, Arch, ExpConfig};
 use dtsnn_core::ThresholdSweep;
 use dtsnn_data::Preset;
 use dtsnn_snn::LossKind;
@@ -41,7 +41,7 @@ fn recompute(exp: &ExpConfig) -> Result<EdpRows, Box<dyn std::error::Error>> {
                 train_model(&dataset, arch, LossKind::MeanOutput, t_max, exp)?;
             let (mut dt_net, _, _) =
                 train_model(&dataset, arch, LossKind::PerTimestep, t_max, exp)?;
-            let profile = hardware_profile_for(arch, &model_cfg)?;
+            let profile = hardware_profile(&dt_net, &model_cfg)?;
             let frames = dataset.test.frames();
             let labels = dataset.test.labels();
             let static_sweep =

@@ -5,7 +5,7 @@
 //! carries its timestep distribution (the paper's pie charts, here as
 //! percentage rows). DT-SNN should sit top-left of the static curve.
 
-use dtsnn_bench::{json, hardware_profile_for, print_table, train_model, write_json, Arch, ExpConfig};
+use dtsnn_bench::{hardware_profile, json, print_table, train_model, write_json, Arch, ExpConfig};
 use dtsnn_core::ThresholdSweep;
 use dtsnn_data::Preset;
 use dtsnn_snn::LossKind;
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             eprintln!("[fig5] {} on {}…", arch.name(), preset.name());
             let (mut net, _, model_cfg) =
                 train_model(&dataset, arch, LossKind::PerTimestep, t_max, &exp)?;
-            let profile = hardware_profile_for(arch, &model_cfg)?;
+            let profile = hardware_profile(&net, &model_cfg)?;
             let sweep = ThresholdSweep::run(
                 &mut net,
                 &dataset.test.frames(),

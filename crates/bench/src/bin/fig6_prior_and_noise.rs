@@ -12,7 +12,7 @@
 //! accuracy reported as mean ± 95% CI.
 
 use dtsnn_bench::{
-    hardware_profile_for, json, model_config_for, print_table, write_json, Arch, ExpConfig,
+    hardware_profile, json, model_config_for, print_table, write_json, Arch, ExpConfig,
 };
 use dtsnn_core::{
     DynamicEvaluation, DynamicInference, ExitPolicy, MonteCarloConfig, MonteCarloRobustness,
@@ -96,8 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // leaves only Table I's σ/μ = 20% conductance spread, drawn fresh per
     // trial. Identical mc seeds give the static baseline and DT-SNN the
     // same damaged substrates.
-    let model_cfg = model_config_for(&dataset);
-    let profile = hardware_profile_for(Arch::Vgg, &model_cfg)?;
+    let profile = hardware_profile(&ours, &model_config_for(&dataset))?;
     let variation = FaultModel::none();
     let mc = MonteCarloConfig { trials: 5, seed: exp.seed ^ 0x0A05E };
     eprintln!("[fig6B] {} Monte-Carlo variation draws per model…", mc.trials);

@@ -5,7 +5,7 @@
 //! 76.3% → 91.5% on CIFAR-10 VGG-16), which shifts the DT-SNN timestep
 //! distribution toward T̂ = 1 and cuts EDP.
 
-use dtsnn_bench::{json, hardware_profile_for, print_table, train_model, write_json, Arch, ExpConfig};
+use dtsnn_bench::{hardware_profile, json, print_table, train_model, write_json, Arch, ExpConfig};
 use dtsnn_core::ThresholdSweep;
 use dtsnn_data::Preset;
 use dtsnn_snn::LossKind;
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for loss in [LossKind::MeanOutput, LossKind::PerTimestep] {
         eprintln!("[fig7] training VGG* with {}…", loss.name());
         let (mut net, _, model_cfg) = train_model(&dataset, Arch::Vgg, loss, t_max, &exp)?;
-        let profile = hardware_profile_for(Arch::Vgg, &model_cfg)?;
+        let profile = hardware_profile(&net, &model_cfg)?;
         let sweep = ThresholdSweep::run(&mut net, &frames, &labels, &thetas, t_max, &profile)?;
         if base_edp.is_nan() {
             base_edp = sweep.baseline_edp();

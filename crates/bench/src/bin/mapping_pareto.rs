@@ -109,12 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let area = provisioned_area_mm2(&cost, &AreaConstants::default(), mesh_side)?;
 
             // accuracy axis: the trained stand-in mapped under the same variant
-            let profile = HardwareProfile::new(
-                &arch.geometry(&model_cfg),
-                arch.density_map(),
-                model_cfg.num_classes,
-                &hw,
-            )?;
+            let profile = HardwareProfile::new(&net, &model_cfg.input_dims(), &hw)?;
             let robust =
                 MonteCarloRobustness::run(&net, &runner, &frames, &labels, &profile, &faults, &mc)?;
 

@@ -7,7 +7,7 @@
 //! iso-accuracy point. Energy is normalized to the static SNN and computed
 //! from measured spike activity through the IMC cost model.
 
-use dtsnn_bench::{json, hardware_profile_for, print_table, train_model, write_json, Arch, ExpConfig};
+use dtsnn_bench::{hardware_profile, json, print_table, train_model, write_json, Arch, ExpConfig};
 use dtsnn_core::ThresholdSweep;
 use dtsnn_data::Preset;
 use dtsnn_snn::LossKind;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // DT-SNN: Eq. 10 loss
             let (mut dt_net, _, _) =
                 train_model(&dataset, arch, LossKind::PerTimestep, t_max, &exp)?;
-            let profile = hardware_profile_for(arch, &model_cfg)?;
+            let profile = hardware_profile(&dt_net, &model_cfg)?;
             let frames = dataset.test.frames();
             let labels = dataset.test.labels();
             // static SNN at full window

@@ -11,9 +11,8 @@ use dtsnn_core::HardwareProfile;
 use dtsnn_data::Dataset;
 use dtsnn_imc::HardwareConfig;
 use dtsnn_snn::{
-    resnet_small, resnet_small_density_map, resnet_small_geometry, vgg_small,
-    vgg_small_density_map, vgg_small_geometry, DensitySource, LayerGeometry, LifConfig, LossKind,
-    ModelConfig, SgdConfig, Snn, TrainReport, Trainer, TrainerConfig,
+    resnet_small, vgg_small, LayerGeometry, LifConfig, LossKind, ModelConfig, SgdConfig, Snn,
+    TrainReport, Trainer, TrainerConfig,
 };
 use dtsnn_tensor::TensorRng;
 use std::path::PathBuf;
@@ -50,20 +49,18 @@ impl Arch {
         }
     }
 
-    /// Layer geometries for the IMC mapper.
+    /// Layer geometries for the IMC mapper, read off a network built for
+    /// `config` ([`Snn::weight_layers`]); empty for a config the builders
+    /// reject ([`ModelConfig::validate`]).
     pub fn geometry(&self, config: &ModelConfig) -> Vec<LayerGeometry> {
-        match self {
-            Arch::Vgg => vgg_small_geometry(config),
-            Arch::ResNet => resnet_small_geometry(config),
-        }
+        let layers = self.throwaway(config).and_then(|net| net.weight_layers(&config.input_dims()));
+        layers.map(|l| l.into_iter().map(|(g, _)| g).collect()).unwrap_or_default()
     }
 
-    /// Input-density provenance aligned with [`Arch::geometry`].
-    pub fn density_map(&self) -> Vec<DensitySource> {
-        match self {
-            Arch::Vgg => vgg_small_density_map(),
-            Arch::ResNet => resnet_small_density_map(),
-        }
+    /// The network for `config` under a fixed seed, for reading its shape:
+    /// geometry and spike sources do not depend on the weights.
+    fn throwaway(&self, config: &ModelConfig) -> dtsnn_snn::Result<Snn> {
+        self.build(config, &mut TensorRng::seed_from(0))
     }
 
     /// Both backbones.
@@ -160,21 +157,27 @@ pub fn train_model(
     Ok((net, report, model_cfg))
 }
 
-/// Builds the hardware profile for a trained model.
+/// The hardware profile of `net`, built for `model_cfg`, on the default
+/// (Table I) chip ([`HardwareProfile::new`]).
 ///
 /// # Errors
 ///
-/// Propagates mapping errors.
+/// Propagates shape and mapping errors.
+pub fn hardware_profile(net: &Snn, model_cfg: &ModelConfig) -> dtsnn_core::Result<HardwareProfile> {
+    HardwareProfile::new(net, &model_cfg.input_dims(), &HardwareConfig::default())
+}
+
+/// [`hardware_profile`] for a caller that holds no network of `arch`: it
+/// builds one under a fixed seed (the shape does not depend on weights).
+///
+/// # Errors
+///
+/// Propagates model-construction and mapping errors.
 pub fn hardware_profile_for(
     arch: Arch,
     model_cfg: &ModelConfig,
 ) -> dtsnn_core::Result<HardwareProfile> {
-    HardwareProfile::new(
-        &arch.geometry(model_cfg),
-        arch.density_map(),
-        model_cfg.num_classes,
-        &HardwareConfig::default(),
-    )
+    hardware_profile(&arch.throwaway(model_cfg)?, model_cfg)
 }
 
 /// Times `f` with a short warmup and returns mean seconds per iteration.
@@ -272,9 +275,29 @@ mod tests {
     #[test]
     fn arch_metadata() {
         assert_ne!(Arch::Vgg.name(), Arch::ResNet.name());
+        let cfg = ModelConfig::default();
+        assert_eq!(Arch::Vgg.geometry(&cfg).len(), 6);
+        assert_eq!(Arch::ResNet.geometry(&cfg).len(), 7);
+        assert!(Arch::Vgg.geometry(&ModelConfig { image_size: 6, ..cfg }).is_empty());
+    }
+
+    #[test]
+    fn profile_for_an_arch_prices_like_any_net_of_it() {
+        let cfg = ModelConfig { num_classes: 6, ..ModelConfig::default() };
+        let hw = HardwareConfig::default();
+        let activity = dtsnn_snn::SpikeActivity { per_layer: vec![0.2; 5], observations: 1 };
         for arch in Arch::all() {
-            let cfg = ModelConfig::default();
-            assert_eq!(arch.geometry(&cfg).len(), arch.density_map().len());
+            let ours = hardware_profile_for(arch, &cfg).unwrap();
+            let net = arch.build(&cfg, &mut TensorRng::seed_from(0xD1FF)).unwrap();
+            let theirs = HardwareProfile::new(&net, &cfg.input_dims(), &hw).unwrap();
+            let (a, b) = (ours.cost_model(), theirs.cost_model());
+            assert_eq!(a.mapping(), b.mapping());
+            let densities = ours.densities(&activity);
+            assert_eq!(densities, theirs.densities(&activity));
+            let (ea, eb) = (a.timestep_energy(&densities), b.timestep_energy(&densities));
+            assert_eq!(ea.unwrap().total().to_bits(), eb.unwrap().total().to_bits());
+            let (a, b) = (ours.dynamic_cost(&activity, 2.5), theirs.dynamic_cost(&activity, 2.5));
+            assert_eq!(a.unwrap().edp().to_bits(), b.unwrap().edp().to_bits());
         }
     }
 

@@ -16,7 +16,7 @@
 use crate::{goldens_dir, host_cores, ConformanceError, Result};
 use dtsnn_bench::json;
 use dtsnn_bench::json::{Map, Value};
-use dtsnn_bench::{hardware_profile_for, Arch};
+use dtsnn_bench::{hardware_profile, Arch};
 use dtsnn_core::{DynamicInference, ExitPolicy};
 use dtsnn_imc::{Component, InferenceCost};
 use dtsnn_snn::{LifConfig, ModelConfig};
@@ -136,11 +136,9 @@ pub fn record(spec: &TraceSpec) -> Result<Value> {
 
     let mut sample_docs = Vec::with_capacity(spec.samples);
     let mut total_timesteps = 0usize;
-    let mut layer_backends: Vec<(String, String)> = Vec::new();
     for sample in &dataset.test.samples {
         let traced = runner.run_traced(&mut net, &sample.frames)?;
         total_timesteps += traced.outcome.timesteps_used;
-        layer_backends = traced.layer_backends;
         let steps: Vec<Value> = traced
             .per_timestep
             .iter()
@@ -164,7 +162,7 @@ pub fn record(spec: &TraceSpec) -> Result<Value> {
     }
 
     let activity = net.take_activity();
-    let profile = hardware_profile_for(spec.arch, &cfg)?;
+    let profile = hardware_profile(&net, &cfg)?;
     let static_cost = profile.static_cost(&activity, spec.timesteps as f64)?;
     let avg_t = total_timesteps as f64 / spec.samples as f64;
     let dynamic_cost = profile.dynamic_cost(&activity, avg_t)?;
@@ -180,15 +178,6 @@ pub fn record(spec: &TraceSpec) -> Result<Value> {
             "width": spec.width as f64,
             "host_cores": host_cores() as f64,
             "threads": parallel::num_threads() as f64,
-            // per-layer kernel-backend choices of the final sample:
-            // provenance only (context is never numerically compared)
-            "backends": Value::Object(layer_backends.into_iter().fold(
-                Map::new(),
-                |mut m, (layer, b)| {
-                    m.insert(layer, Value::Str(b));
-                    m
-                },
-            )),
         }),
         "trace": json!({
             "samples": Value::Array(sample_docs),

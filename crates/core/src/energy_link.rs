@@ -3,25 +3,7 @@
 
 use crate::Result;
 use dtsnn_imc::{ChipMapping, CostModel, HardwareConfig, InferenceCost};
-use dtsnn_snn::{DensitySource, LayerGeometry, SpikeActivity};
-
-/// Resolves each mapped layer's input-spike density from measured activity.
-///
-/// `sources[i]` states where layer `i`'s input spikes come from
-/// ([`DensitySource::Input`] is treated as density 1.0 — the first layer is
-/// analog-encoded). Missing spiking-layer measurements fall back to a
-/// conservative density of 1.0.
-pub fn densities_from_activity(sources: &[DensitySource], activity: &SpikeActivity) -> Vec<f32> {
-    sources
-        .iter()
-        .map(|s| match s {
-            DensitySource::Input => 1.0,
-            DensitySource::SpikingLayer(i) => {
-                activity.per_layer.get(*i).copied().unwrap_or(1.0).clamp(0.0, 1.0)
-            }
-        })
-        .collect()
-}
+use dtsnn_snn::{DensitySource, Snn, SpikeActivity};
 
 /// A network's hardware embodiment: mapping, cost model and the provenance
 /// of each layer's input spikes.
@@ -33,27 +15,25 @@ pub struct HardwareProfile {
 }
 
 impl HardwareProfile {
-    /// Maps `geometry` onto `config` and binds the density provenance.
+    /// Maps `network`'s weight layers, at the geometry one input sample of
+    /// dims `input` (`[c, h, w]`) gives them, onto `config`, and binds each
+    /// layer's spike source ([`Snn::weight_layers`]). The σ–E module scores
+    /// as many classes as the last weight layer has outputs.
     ///
     /// # Errors
     ///
-    /// Returns mapping/config errors from the IMC crate, or
-    /// [`crate::CoreError::BadInput`] when `sources` and `geometry` disagree
-    /// in length.
-    pub fn new(
-        geometry: &[LayerGeometry],
-        sources: Vec<DensitySource>,
-        classes: usize,
-        config: &HardwareConfig,
-    ) -> Result<Self> {
-        if geometry.len() != sources.len() {
-            return Err(crate::CoreError::BadInput(format!(
-                "{} geometry layers vs {} density sources",
-                geometry.len(),
-                sources.len()
-            )));
-        }
-        let mapping = ChipMapping::map(geometry, config)?;
+    /// Returns [`crate::CoreError::Snn`] when the network cannot take
+    /// `input` (not rank 3, an image too small for a kernel or pool),
+    /// [`crate::CoreError::BadInput`] for a network with no weight layer, and
+    /// mapping/config errors from the IMC crate.
+    pub fn new(network: &Snn, input: &[usize], config: &HardwareConfig) -> Result<Self> {
+        let (geometry, sources): (Vec<_>, Vec<_>) =
+            network.weight_layers(input)?.into_iter().unzip();
+        let Some(last) = geometry.last() else {
+            return Err(crate::CoreError::BadInput("the network has no weight layer".into()));
+        };
+        let classes = last.matrix_shape().1;
+        let mapping = ChipMapping::map(&geometry, config)?;
         let cost = CostModel::new(mapping, config.clone())?;
         Ok(HardwareProfile { cost, sources, classes })
     }
@@ -63,9 +43,17 @@ impl HardwareProfile {
         &self.cost
     }
 
-    /// Per-layer input densities resolved from measured activity.
+    /// Each mapped layer's input-spike density, read from measured activity
+    /// at its spike source: 1.0 for the analog-encoded input, and a
+    /// conservative 1.0 for a spiking layer with no measurement.
     pub fn densities(&self, activity: &SpikeActivity) -> Vec<f32> {
-        densities_from_activity(&self.sources, activity)
+        let density = |s: &DensitySource| match *s {
+            DensitySource::Input => 1.0,
+            DensitySource::SpikingLayer(i) => {
+                activity.per_layer.get(i).copied().unwrap_or(1.0).clamp(0.0, 1.0)
+            }
+        };
+        self.sources.iter().map(density).collect()
     }
 
     /// Cost of a static-SNN inference at `timesteps` (no σ–E module).
@@ -91,17 +79,16 @@ impl HardwareProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtsnn_snn::{vgg_small_density_map, vgg_small_geometry, ModelConfig};
+    use dtsnn_snn::{vgg_small, AvgPool2d, Layer, LifConfig, LifNeuron, ModelConfig, SnnError};
+    use dtsnn_tensor::TensorRng;
+
+    fn vgg() -> Snn {
+        vgg_small(&ModelConfig::default(), &mut TensorRng::seed_from(1)).unwrap()
+    }
 
     fn profile() -> HardwareProfile {
-        let cfg = ModelConfig::default();
-        HardwareProfile::new(
-            &vgg_small_geometry(&cfg),
-            vgg_small_density_map(),
-            cfg.num_classes,
-            &HardwareConfig::default(),
-        )
-        .unwrap()
+        let input = ModelConfig::default().input_dims();
+        HardwareProfile::new(&vgg(), &input, &HardwareConfig::default()).unwrap()
     }
 
     fn activity(per_layer: Vec<f32>) -> SpikeActivity {
@@ -111,28 +98,46 @@ mod tests {
     #[test]
     fn densities_resolve_sources() {
         let act = activity(vec![0.1, 0.2, 0.3, 0.4, 0.5]);
-        let d = densities_from_activity(&vgg_small_density_map(), &act);
-        assert_eq!(d, vec![1.0, 0.1, 0.2, 0.3, 0.4, 0.5]);
+        // vgg_small: the input, then its five LIFs in turn
+        assert_eq!(profile().densities(&act), vec![1.0, 0.1, 0.2, 0.3, 0.4, 0.5]);
     }
 
     #[test]
     fn missing_activity_falls_back_to_one() {
         let act = activity(vec![0.1]);
-        let d = densities_from_activity(&vgg_small_density_map(), &act);
+        let d = profile().densities(&act);
         assert_eq!(d[1], 0.1);
         assert_eq!(d[2], 1.0);
     }
 
     #[test]
-    fn mismatched_sources_rejected() {
-        let cfg = ModelConfig::default();
-        let r = HardwareProfile::new(
-            &vgg_small_geometry(&cfg),
-            vec![DensitySource::Input],
-            10,
-            &HardwareConfig::default(),
-        );
-        assert!(r.is_err());
+    fn inputs_the_network_cannot_take_are_typed_errors() {
+        let hw = HardwareConfig::default();
+        let net = vgg();
+        for input in [&[3, 16][..], &[1, 3, 16, 16], &[], &[4, 16, 16]] {
+            let r = HardwareProfile::new(&net, input, &hw);
+            assert!(matches!(r, Err(crate::CoreError::Snn(SnnError::BadInput(_)))), "{input:?}");
+        }
+        // too small for the first 3×3 conv's padded window, or for a pool
+        let r = HardwareProfile::new(&net, &[3, 0, 0], &hw);
+        assert!(matches!(r, Err(crate::CoreError::Snn(SnnError::Tensor(_)))), "{r:?}");
+        let r = HardwareProfile::new(&net, &[3, 1, 1], &hw);
+        assert!(matches!(r, Err(crate::CoreError::Snn(SnnError::Tensor(_)))), "{r:?}");
+        // no weight layer at all
+        let lif: Box<dyn Layer> = Box::new(LifNeuron::new(LifConfig::default()));
+        let pool: Box<dyn Layer> = Box::new(AvgPool2d::new(2).unwrap());
+        let r = HardwareProfile::new(&Snn::from_layers(vec![lif, pool]), &[3, 4, 4], &hw);
+        assert!(matches!(r, Err(crate::CoreError::BadInput(_))), "{r:?}");
+    }
+
+    #[test]
+    fn classes_are_read_off_the_last_weight_layer() {
+        let cfg = ModelConfig { num_classes: 7, ..ModelConfig::default() };
+        let net = vgg_small(&cfg, &mut TensorRng::seed_from(2)).unwrap();
+        let hw = HardwareConfig::default();
+        let p = HardwareProfile::new(&net, &cfg.input_dims(), &hw).unwrap();
+        assert_eq!(p.classes, 7);
+        assert_eq!(profile().classes, 10);
     }
 
     #[test]

@@ -42,10 +42,6 @@ pub struct DynamicTrace {
     pub outcome: DynamicOutcome,
     /// One record per executed timestep (`len == outcome.timesteps_used`).
     pub per_timestep: Vec<TimestepTrace>,
-    /// `(layer, backend)` kernel family of every weight layer
-    /// (`Snn::layer_backends`), in network order — recorded into the
-    /// golden-trace *context* block (provenance, never numerically compared).
-    pub layer_backends: Vec<(String, String)>,
 }
 
 /// Dynamic-timestep inference engine bound to an exit policy and a maximum
@@ -124,9 +120,7 @@ impl DynamicInference {
                 score: window.decision(0).score,
             });
         })?;
-        let layer_backends =
-            network.layer_backends().into_iter().map(|(name, b)| (name, b.to_string())).collect();
-        Ok(DynamicTrace { outcome, per_timestep, layer_backends })
+        Ok(DynamicTrace { outcome, per_timestep })
     }
 
     /// The one-row driver of the [`Window`] behind both entry points, which

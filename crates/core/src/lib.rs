@@ -51,7 +51,7 @@ pub mod window;
 pub use calibration::{
     collect_exit_scores, reliability_bins, score_correctness_correlation, ReliabilityBin,
 };
-pub use energy_link::{densities_from_activity, HardwareProfile};
+pub use energy_link::HardwareProfile;
 pub use error::CoreError;
 pub use harness::{
     DynamicEvaluation, DynamicSampleOutcome, QuarantinedEvaluation, StaticEvaluation,

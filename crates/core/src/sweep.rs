@@ -117,22 +117,15 @@ impl ThresholdSweep {
 mod tests {
     use super::*;
     use dtsnn_imc::HardwareConfig;
-    use dtsnn_snn::{
-        vgg_small, vgg_small_density_map, vgg_small_geometry, ModelConfig,
-    };
+    use dtsnn_snn::{vgg_small, ModelConfig};
     use dtsnn_tensor::TensorRng;
 
     fn setup() -> (Snn, HardwareProfile, Vec<Vec<Tensor>>, Vec<usize>) {
         let mut rng = TensorRng::seed_from(1);
         let cfg = ModelConfig { num_classes: 4, ..ModelConfig::default() };
         let net = vgg_small(&cfg, &mut rng).unwrap();
-        let profile = HardwareProfile::new(
-            &vgg_small_geometry(&cfg),
-            vgg_small_density_map(),
-            cfg.num_classes,
-            &HardwareConfig::default(),
-        )
-        .unwrap();
+        let hw = HardwareConfig::default();
+        let profile = HardwareProfile::new(&net, &cfg.input_dims(), &hw).unwrap();
         let frames: Vec<Vec<Tensor>> =
             (0..8).map(|_| vec![Tensor::randn(&[3, 16, 16], 0.5, 0.3, &mut rng)]).collect();
         let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();

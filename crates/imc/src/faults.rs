@@ -440,7 +440,7 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use dtsnn_tensor::quant::quantize_dequantize;
-    use dtsnn_snn::{vgg_small, vgg_small_geometry, Layer, Linear, Flatten, ModelConfig};
+    use dtsnn_snn::{vgg_small, Layer, Linear, Flatten, ModelConfig};
     use dtsnn_tensor::parallel;
 
     fn decayed_params(net: &mut Snn) -> Vec<Vec<f32>> {
@@ -478,9 +478,9 @@ mod tests {
         let mut net = vgg_small(&model_cfg, &mut rng).unwrap();
         let before = all_params(&mut net);
         let before_decay = decayed_params(&mut net);
-        let inj =
-            FaultInjector::for_geometry(FaultModel::none(), &vgg_small_geometry(&model_cfg), &cfg)
-                .unwrap();
+        let walk = net.weight_layers(&model_cfg.input_dims()).unwrap();
+        let geometry: Vec<_> = walk.into_iter().map(|(g, _)| g).collect();
+        let inj = FaultInjector::for_geometry(FaultModel::none(), &geometry, &cfg).unwrap();
         let report = inj.inject(&mut net, &mut rng).unwrap();
         assert_eq!(report.stuck_on + report.stuck_off, 0);
         assert_eq!(report.dead_wordlines + report.dead_bitlines, 0);

@@ -445,11 +445,6 @@ impl<C: Clock + Clone> Cluster<C> {
         self.workers.len()
     }
 
-    /// Workers currently alive (not awaiting restart).
-    pub fn alive_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.server.is_some()).count()
-    }
-
     /// Queued requests cluster-wide.
     pub fn backlog_depth(&self) -> usize {
         self.backlog.len()

@@ -505,7 +505,7 @@ impl<C: Clock> Server<C> {
         // θ for this step comes from the controller at the *post-admission*
         // queue depth (plus any cluster-wide pressure hint), and applies
         // uniformly to every row scored this step
-        let theta = self.config.theta.theta_for(self.pending.len().saturating_add(self.pressure_hint));
+        let theta = self.current_theta();
         let policy = ExitPolicy::entropy(theta).map_err(ServeError::from)?;
         let width = self.in_flight.len();
         self.stats.peak_width = self.stats.peak_width.max(width as u64);

@@ -1,7 +1,7 @@
 //! The [`Layer`] trait: the contract every network component implements for
 //! per-timestep forward passes and reverse-time backpropagation.
 
-use crate::Result;
+use crate::{LayerGeometry, Result};
 use dtsnn_tensor::{Tensor, Workspace};
 
 /// Whether a pass updates training-only state (batch statistics, backward
@@ -52,6 +52,11 @@ pub enum State<'a> {
     Buffer(&'a mut [f32]),
 }
 
+/// What [`Layer::visit_weights`] reports each weight layer to: its geometry,
+/// and whether its input spikes come from a spiking layer *inside* the
+/// reporting layer (a residual block's inner LIF) rather than its input.
+pub type WeightVisitor<'a> = dyn FnMut(LayerGeometry, bool) + 'a;
+
 /// One component of a spiking network, processed once per timestep.
 ///
 /// # BPTT contract
@@ -73,7 +78,7 @@ pub enum State<'a> {
 /// A layer that owns child layers ([`crate::ResidualBlock`]) forwards
 /// `reset_state_ws`, `visit_carried`, `visit_state` and `freeze_stats` to
 /// every child, runs `forward_ws` and `backward` through them in the same
-/// arena, and recurses in `backend_choices`.
+/// arena, and threads `visit_weights` through them in forward order.
 /// Everything that happens to carried state between timesteps — reset,
 /// compaction, admission — reaches a child through the first two alone.
 ///
@@ -181,21 +186,19 @@ pub trait Layer: Send + Sync {
     /// several noisy replicas of one trained network).
     fn clone_box(&self) -> Box<dyn Layer>;
 
-    /// Name of the kernel family this layer's forward runs, if it has a
-    /// weight kernel: `"dense"` (f32, the one family). Default covers layers
-    /// with no weight kernel.
-    fn backend(&self) -> Option<&'static str> {
-        None
-    }
-
-    /// Appends `(qualified_name, backend)` pairs for every weight kernel
-    /// inside this layer to `out`. The default reports [`Layer::backend`]
-    /// under the given name; container layers override it to recurse with
-    /// qualified child names.
-    fn backend_choices(&self, name: &str, out: &mut Vec<(String, &'static str)>) {
-        if let Some(b) = self.backend() {
-            out.push((name.to_string(), b));
-        }
+    /// Reports every weight layer in this one to `f`, in forward order, at
+    /// the shape one sample of dims `input` (no batch axis) gives it, and
+    /// returns the output's dims: the walk [`crate::Snn::weight_layers`]
+    /// reads a network's IMC geometry off. The default reports no weight and
+    /// passes the dims through.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the layer cannot take `input` (wrong rank or
+    /// extent, a kernel larger than the padded image).
+    fn visit_weights(&self, input: &[usize], f: &mut WeightVisitor<'_>) -> Result<Vec<usize>> {
+        let _ = f;
+        Ok(input.to_vec())
     }
 }
 

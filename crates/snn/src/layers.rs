@@ -6,9 +6,9 @@
 //! weight plan in both modes; backward runs the direct gradient kernels over
 //! the cached (sparse, binary) input spikes, never an unfolding of them.
 
-use crate::layer::{Layer, Mode, Param, State};
+use crate::layer::{Layer, Mode, Param, State, WeightVisitor};
 use crate::lif::{LifConfig, LifNeuron};
-use crate::{Result, SnnError};
+use crate::{LayerGeometry, Result, SnnError};
 use dtsnn_tensor::{
     avg_pool2d_backward, avg_pool2d_ws, conv2d_backward, simd, Conv2dSpec, ConvPlan, LinearPlan,
     PoolSpec, Tensor, TensorError, TensorRng, Workspace,
@@ -99,8 +99,17 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn backend(&self) -> Option<&'static str> {
-        Some("dense")
+    fn visit_weights(&self, input: &[usize], f: &mut WeightVisitor<'_>) -> Result<Vec<usize>> {
+        let Conv2dSpec { in_channels, out_channels, kernel, stride, padding } = self.spec;
+        let (in_h, in_w) = match *input {
+            [c, h, w] if c == in_channels => (h, w),
+            _ => return Err(takes("conv2d", &format!("[{in_channels}, h, w]"), input)),
+        };
+        let (oh, ow) = self.spec.output_hw(in_h, in_w)?;
+        let geometry =
+            LayerGeometry::Conv { in_channels, out_channels, kernel, stride, padding, in_h, in_w };
+        f(geometry, false);
+        Ok(vec![out_channels, oh, ow])
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -199,8 +208,13 @@ impl Layer for Linear {
         "linear"
     }
 
-    fn backend(&self) -> Option<&'static str> {
-        Some("dense")
+    fn visit_weights(&self, input: &[usize], f: &mut WeightVisitor<'_>) -> Result<Vec<usize>> {
+        let (in_features, out_features) = (self.in_features(), self.out_features());
+        if input != [in_features] {
+            return Err(takes("linear", &format!("[{in_features}]"), input));
+        }
+        f(LayerGeometry::Fc { in_features, out_features }, false);
+        Ok(vec![out_features])
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -418,6 +432,12 @@ fn park_all(cache: &mut Vec<Tensor>, ws: &mut Workspace) {
     }
 }
 
+/// The [`Layer::visit_weights`] error for a sample of dims `got` that a
+/// `layer` taking dims `want` cannot place.
+fn takes(layer: &str, want: &str, got: &[usize]) -> SnnError {
+    SnnError::BadInput(format!("{layer} takes a sample of dims {want}, got {got:?}"))
+}
+
 /// Average pooling layer.
 #[derive(Debug, Clone)]
 pub struct AvgPool2d {
@@ -456,6 +476,12 @@ impl Layer for AvgPool2d {
 
     fn kind(&self) -> &'static str {
         "avgpool2d"
+    }
+
+    fn visit_weights(&self, input: &[usize], _: &mut WeightVisitor<'_>) -> Result<Vec<usize>> {
+        let &[c, h, w] = input else { return Err(takes("avgpool2d", "[c, h, w]", input)) };
+        let (oh, ow) = self.spec.output_hw(h, w)?;
+        Ok(vec![c, oh, ow])
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -501,6 +527,10 @@ impl Layer for Flatten {
 
     fn kind(&self) -> &'static str {
         "flatten"
+    }
+
+    fn visit_weights(&self, input: &[usize], _: &mut WeightVisitor<'_>) -> Result<Vec<usize>> {
+        Ok(vec![input.iter().product()])
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -661,13 +691,23 @@ impl Layer for ResidualBlock {
         self.join.last_spike_row_densities()
     }
 
-    fn backend_choices(&self, name: &str, out: &mut Vec<(String, &'static str)>) {
-        for (i, l) in self.main.iter().enumerate() {
-            l.backend_choices(&format!("{name}.main{i}"), out);
+    /// Main path, then shortcut: a main-path weight behind a spiking child
+    /// reads spikes made inside the block, the shortcut the block's input.
+    fn visit_weights(&self, input: &[usize], f: &mut WeightVisitor<'_>) -> Result<Vec<usize>> {
+        let mut main = input.to_vec();
+        let mut spiked = false;
+        for l in &self.main {
+            main = l.visit_weights(&main, &mut |g, inner| f(g, spiked || inner))?;
+            spiked |= l.last_spike_density().is_some();
         }
-        for (i, l) in self.shortcut.iter().enumerate() {
-            l.backend_choices(&format!("{name}.shortcut{i}"), out);
+        let mut shortcut = input.to_vec();
+        for l in &self.shortcut {
+            shortcut = l.visit_weights(&shortcut, f)?;
         }
+        if main != shortcut {
+            return Err(TensorError::ShapeMismatch { expected: main, actual: shortcut }.into());
+        }
+        Ok(main)
     }
 }
 

@@ -45,14 +45,13 @@ pub use ann::{EarlyExitAnn, ExitOutput, Relu};
 pub use checkpoint::{load_params, save_params, CheckpointError};
 pub use error::SnnError;
 pub use frames::{batch1_frames, check_frames, frame_at, FrameError};
-pub use layer::{Layer, Mode, Param, State};
+pub use layer::{Layer, Mode, Param, State, WeightVisitor};
 pub use layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, ResidualBlock};
 pub use lif::{LifConfig, LifNeuron, ResetMode};
 pub use loss::{cross_entropy_mean_output, cross_entropy_per_timestep, LossKind};
 pub use models::{
-    resnet19_geometry, resnet_small, resnet_small_density_map, resnet_small_geometry,
-    vgg16_geometry, vgg_small, vgg_small_density_map, vgg_small_geometry, DensitySource,
-    LayerGeometry, ModelConfig,
+    resnet19_geometry, resnet_small, vgg16_geometry, vgg_small, DensitySource, LayerGeometry,
+    ModelConfig,
 };
 pub use network::{LayerNode, Snn, SpikeActivity};
 pub use optim::{CosineSchedule, Sgd, SgdConfig};

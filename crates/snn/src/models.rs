@@ -4,11 +4,15 @@
 //!
 //! 1. **Trainable, scaled-down backbones** ([`vgg_small`], [`resnet_small`])
 //!    — VGG- and ResNet-style spiking networks sized so that CPU training
-//!    converges in seconds. These drive every accuracy experiment.
+//!    converges in seconds. These drive every accuracy experiment. Their
+//!    IMC geometry and each weight layer's spike source are read off the
+//!    built network ([`Snn::weight_layers`]), so the builder is their only
+//!    description.
 //! 2. **Paper-size layer geometries** ([`vgg16_geometry`],
 //!    [`resnet19_geometry`]) — the exact layer shapes of VGG-16 and
 //!    ResNet-19 used for the IMC mapping/energy experiments (Fig. 1), which
-//!    need only geometry and spike statistics, not trained weights.
+//!    need only geometry and spike statistics, not trained weights. No
+//!    network of that size is ever built, so these stay hand-written.
 
 use crate::layer::Layer;
 use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, ResidualBlock};
@@ -75,6 +79,12 @@ impl ModelConfig {
             )));
         }
         Ok(())
+    }
+
+    /// Dims of one input sample, `[in_channels, image_size, image_size]`:
+    /// what [`Snn::weight_layers`] threads through a built backbone.
+    pub fn input_dims(&self) -> [usize; 3] {
+        [self.in_channels, self.image_size, self.image_size]
     }
 }
 
@@ -244,83 +254,15 @@ impl LayerGeometry {
     }
 }
 
-/// Where a mapped layer's input spikes come from, for aligning measured
-/// [`crate::SpikeActivity`] with a geometry list.
+/// Where a weight layer's input spikes come from, as
+/// [`Snn::weight_layers`] pairs it with the layer's geometry: the index into
+/// measured [`crate::SpikeActivity`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DensitySource {
     /// The analog-encoded network input (density treated as 1.0).
     Input,
     /// Output of the `i`-th spiking layer (forward order).
     SpikingLayer(usize),
-}
-
-/// Layer geometries of [`vgg_small`], aligned with its runtime structure.
-pub fn vgg_small_geometry(config: &ModelConfig) -> Vec<LayerGeometry> {
-    let w = config.width;
-    let s = config.image_size;
-    let half = s / 2;
-    let quarter = s / 4;
-    vec![
-        LayerGeometry::Conv { in_channels: config.in_channels, out_channels: w, kernel: 3, stride: 1, padding: 1, in_h: s, in_w: s },
-        LayerGeometry::Conv { in_channels: w, out_channels: w, kernel: 3, stride: 1, padding: 1, in_h: s, in_w: s },
-        LayerGeometry::Conv { in_channels: w, out_channels: 2 * w, kernel: 3, stride: 1, padding: 1, in_h: half, in_w: half },
-        LayerGeometry::Conv { in_channels: 2 * w, out_channels: 2 * w, kernel: 3, stride: 1, padding: 1, in_h: half, in_w: half },
-        LayerGeometry::Conv { in_channels: 2 * w, out_channels: 2 * w, kernel: 3, stride: 1, padding: 1, in_h: quarter, in_w: quarter },
-        LayerGeometry::Fc { in_features: 2 * w * quarter * quarter, out_features: config.num_classes },
-    ]
-}
-
-/// Input-spike provenance of each [`vgg_small_geometry`] layer.
-pub fn vgg_small_density_map() -> Vec<DensitySource> {
-    vec![
-        DensitySource::Input,
-        DensitySource::SpikingLayer(0),
-        DensitySource::SpikingLayer(1),
-        DensitySource::SpikingLayer(2),
-        DensitySource::SpikingLayer(3),
-        DensitySource::SpikingLayer(4),
-    ]
-}
-
-/// Layer geometries of [`resnet_small`], aligned with its runtime structure.
-pub fn resnet_small_geometry(config: &ModelConfig) -> Vec<LayerGeometry> {
-    let w = config.width;
-    let s = config.image_size;
-    let half = s / 2;
-    let quarter = s / 4;
-    vec![
-        // stem
-        LayerGeometry::Conv { in_channels: config.in_channels, out_channels: w, kernel: 3, stride: 1, padding: 1, in_h: s, in_w: s },
-        // block 1 (identity shortcut)
-        LayerGeometry::Conv { in_channels: w, out_channels: w, kernel: 3, stride: 1, padding: 1, in_h: s, in_w: s },
-        LayerGeometry::Conv { in_channels: w, out_channels: w, kernel: 3, stride: 1, padding: 1, in_h: s, in_w: s },
-        // block 2 main path (stride 2)
-        LayerGeometry::Conv { in_channels: w, out_channels: 2 * w, kernel: 3, stride: 2, padding: 1, in_h: s, in_w: s },
-        LayerGeometry::Conv { in_channels: 2 * w, out_channels: 2 * w, kernel: 3, stride: 1, padding: 1, in_h: half, in_w: half },
-        // block 2 projection shortcut
-        LayerGeometry::Conv { in_channels: w, out_channels: 2 * w, kernel: 1, stride: 2, padding: 0, in_h: s, in_w: s },
-        LayerGeometry::Fc { in_features: 2 * w * quarter * quarter, out_features: config.num_classes },
-    ]
-}
-
-/// Input-spike provenance of each [`resnet_small_geometry`] layer.
-///
-/// [`crate::Snn`] observes densities of *top-level* spiking nodes only, so
-/// [`resnet_small`] exposes three: stem LIF (0), block-1 join LIF (1),
-/// block-2 join LIF (2). The LIFs *inside* the residual blocks are not
-/// individually observable; their consumers use the enclosing block's join
-/// density as the closest proxy (inner and join LIFs share the tdBN scale,
-/// so their rates track each other).
-pub fn resnet_small_density_map() -> Vec<DensitySource> {
-    vec![
-        DensitySource::Input,           // stem conv ← analog input
-        DensitySource::SpikingLayer(0), // block-1 conv-1 ← stem LIF
-        DensitySource::SpikingLayer(1), // block-1 conv-2 ← inner LIF ≈ join
-        DensitySource::SpikingLayer(1), // block-2 conv-1 ← block-1 join LIF
-        DensitySource::SpikingLayer(2), // block-2 conv-2 ← inner LIF ≈ join
-        DensitySource::SpikingLayer(1), // block-2 shortcut ← block-1 join LIF
-        DensitySource::SpikingLayer(2), // classifier ← block-2 join (pooled)
-    ]
 }
 
 /// The 13 conv + 3 FC geometry of VGG-16 \[16\] at a given input extent
@@ -525,32 +467,142 @@ mod tests {
         assert!(total > 1_000_000);
     }
 
+    fn conv(c_in: usize, c_out: usize, kernel: usize, stride: usize, hw: usize) -> LayerGeometry {
+        let padding = kernel / 2;
+        LayerGeometry::Conv {
+            in_channels: c_in,
+            out_channels: c_out,
+            kernel,
+            stride,
+            padding,
+            in_h: hw,
+            in_w: hw,
+        }
+    }
+
+    fn fc(in_features: usize, out_features: usize) -> LayerGeometry {
+        LayerGeometry::Fc { in_features, out_features }
+    }
+
+    /// The geometry and spike sources of [`vgg_small`], as they were kept by
+    /// hand beside the builder before the walk read them off the network.
+    fn vgg_small_oracle(cfg: &ModelConfig) -> Vec<(LayerGeometry, DensitySource)> {
+        let (w, s) = (cfg.width, cfg.image_size);
+        let (half, quarter) = (s / 2, s / 4);
+        let head = fc(2 * w * quarter * quarter, cfg.num_classes);
+        vec![
+            (conv(cfg.in_channels, w, 3, 1, s), DensitySource::Input),
+            (conv(w, w, 3, 1, s), DensitySource::SpikingLayer(0)),
+            (conv(w, 2 * w, 3, 1, half), DensitySource::SpikingLayer(1)),
+            (conv(2 * w, 2 * w, 3, 1, half), DensitySource::SpikingLayer(2)),
+            (conv(2 * w, 2 * w, 3, 1, quarter), DensitySource::SpikingLayer(3)),
+            (head, DensitySource::SpikingLayer(4)),
+        ]
+    }
+
+    /// The same for [`resnet_small`]: its three observable spiking nodes are
+    /// the stem LIF (0) and the two block joins (1, 2).
+    fn resnet_small_oracle(cfg: &ModelConfig) -> Vec<(LayerGeometry, DensitySource)> {
+        let (w, s) = (cfg.width, cfg.image_size);
+        let (half, quarter) = (s / 2, s / 4);
+        let head = fc(2 * w * quarter * quarter, cfg.num_classes);
+        vec![
+            (conv(cfg.in_channels, w, 3, 1, s), DensitySource::Input), // stem
+            (conv(w, w, 3, 1, s), DensitySource::SpikingLayer(0)),     // block 1, stem LIF
+            (conv(w, w, 3, 1, s), DensitySource::SpikingLayer(1)),     // inner LIF ≈ join
+            (conv(w, 2 * w, 3, 2, s), DensitySource::SpikingLayer(1)), // block 2, block-1 join
+            (conv(2 * w, 2 * w, 3, 1, half), DensitySource::SpikingLayer(2)), // inner ≈ join
+            (conv(w, 2 * w, 1, 2, s), DensitySource::SpikingLayer(1)), // projection shortcut
+            (head, DensitySource::SpikingLayer(2)),                    // classifier, pooled join
+        ]
+    }
+
     #[test]
-    fn scaled_geometries_align_with_density_maps() {
-        let cfg = ModelConfig::default();
-        let vg = vgg_small_geometry(&cfg);
-        assert_eq!(vg.len(), vgg_small_density_map().len());
-        let rg = resnet_small_geometry(&cfg);
-        assert_eq!(rg.len(), resnet_small_density_map().len());
-        // classifier fan-in matches what the runtime models flatten to
-        if let LayerGeometry::Fc { in_features, out_features } = vg[vg.len() - 1] {
-            assert_eq!(in_features, 2 * cfg.width * 4 * 4);
-            assert_eq!(out_features, cfg.num_classes);
-        } else {
-            panic!("vgg_small geometry must end in FC");
+    fn walk_reproduces_the_hand_kept_geometry_and_sources() {
+        let small = ModelConfig {
+            in_channels: 1,
+            image_size: 8,
+            width: 8,
+            num_classes: 5,
+            ..ModelConfig::default()
+        };
+        for cfg in [ModelConfig::default(), small] {
+            let mut rng = TensorRng::seed_from(5);
+            let vgg = vgg_small(&cfg, &mut rng).unwrap();
+            assert_eq!(vgg.weight_layers(&cfg.input_dims()).unwrap(), vgg_small_oracle(&cfg));
+            let resnet = resnet_small(&cfg, &mut rng).unwrap();
+            let walk = resnet.weight_layers(&cfg.input_dims()).unwrap();
+            assert_eq!(walk, resnet_small_oracle(&cfg));
+            // one backend entry per weight layer of the walk
+            assert_eq!(vgg.layer_backends().len(), 6);
+            assert_eq!(resnet.layer_backends().len(), 7);
+            let backends = [vgg.layer_backends(), resnet.layer_backends()].concat();
+            assert!(backends.iter().all(|(_, b)| *b == "dense"));
         }
-        // every SpikingLayer index must be observable: vgg_small exposes 5
-        // top-level LIFs, resnet_small exposes 3 (stem + two block joins)
-        for src in vgg_small_density_map() {
-            if let DensitySource::SpikingLayer(i) = src {
-                assert!(i < 5);
-            }
-        }
-        for src in resnet_small_density_map() {
-            if let DensitySource::SpikingLayer(i) = src {
-                assert!(i < 3);
-            }
-        }
+    }
+
+    #[test]
+    fn walk_threads_identity_and_projection_blocks() {
+        let mut rng = TensorRng::seed_from(8);
+        let lif = LifConfig::default();
+        // Conv-BN-LIF-Conv-BN, the first conv of stride `stride`
+        let mut main = |c_in: usize, c_out: usize, stride: usize| -> Vec<Box<dyn Layer>> {
+            vec![
+                Box::new(Conv2d::new(c_in, c_out, 3, stride, 1, &mut rng).unwrap()),
+                Box::new(BatchNorm2d::new(c_out)),
+                Box::new(LifNeuron::new(lif)),
+                Box::new(Conv2d::new(c_out, c_out, 3, 1, 1, &mut rng).unwrap()),
+                Box::new(BatchNorm2d::new(c_out)),
+            ]
+        };
+        // identity block on [4, 6, 6]; projection block to [8, 3, 3]
+        let identity = ResidualBlock::new(main(4, 4, 1), vec![], lif);
+        let mut rng2 = TensorRng::seed_from(9);
+        let shortcut: Vec<Box<dyn Layer>> = vec![
+            Box::new(Conv2d::new(4, 8, 1, 2, 0, &mut rng2).unwrap()),
+            Box::new(BatchNorm2d::new(8)),
+        ];
+        let projection = ResidualBlock::new(main(4, 8, 2), shortcut, lif);
+        let net = Snn::from_layers(vec![
+            Box::new(LifNeuron::new(lif)),
+            Box::new(identity),
+            Box::new(projection),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(8 * 3 * 3, 2, &mut rng2)),
+        ]);
+        let walk = net.weight_layers(&[4, 6, 6]).unwrap();
+        let expected = vec![
+            (conv(4, 4, 3, 1, 6), DensitySource::SpikingLayer(0)),
+            (conv(4, 4, 3, 1, 6), DensitySource::SpikingLayer(1)),
+            (conv(4, 8, 3, 2, 6), DensitySource::SpikingLayer(1)),
+            (conv(8, 8, 3, 1, 3), DensitySource::SpikingLayer(2)),
+            (conv(4, 8, 1, 2, 6), DensitySource::SpikingLayer(1)),
+            (fc(72, 2), DensitySource::SpikingLayer(2)),
+        ];
+        assert_eq!(walk, expected);
+        assert_eq!(net.layer_backends().len(), walk.len());
+        // an image the head does not flatten to, and one too small for a pool
+        assert!(matches!(net.weight_layers(&[4, 7, 7]), Err(SnnError::BadInput(_))));
+        // a block whose branches disagree in shape is refused
+        let widening = ResidualBlock::new(main(4, 8, 1), vec![], lif);
+        let bad = Snn::from_layers(vec![Box::new(widening) as Box<dyn Layer>]);
+        assert!(matches!(bad.weight_layers(&[4, 6, 6]), Err(SnnError::Tensor(_))));
+
+        // Flatten → Linear → LIF → Linear: the input, then the one LIF
+        let mlp = Snn::from_layers(vec![
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(12, 6, &mut rng2)),
+            Box::new(LifNeuron::new(lif)),
+            Box::new(Linear::new(6, 3, &mut rng2)),
+        ]);
+        assert_eq!(
+            mlp.weight_layers(&[3, 2, 2]).unwrap(),
+            [(fc(12, 6), DensitySource::Input), (fc(6, 3), DensitySource::SpikingLayer(0))]
+        );
+        assert_eq!(mlp.layer_backends().len(), 2);
+        // a fan-in the input does not flatten to, and a rank other than 3
+        assert!(matches!(mlp.weight_layers(&[3, 2, 3]), Err(SnnError::BadInput(_))));
+        assert!(matches!(mlp.weight_layers(&[12]), Err(SnnError::BadInput(_))));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::frames::{check_frame_count, frame_at};
 use crate::layer::{Layer, Mode, Param, State};
 use crate::layers::{copy_through, run_chain};
 use crate::prefix::{self, PrefixCache, PrefixStats};
-use crate::{Result, SnnError};
+use crate::{DensitySource, LayerGeometry, Result, SnnError};
 use dtsnn_tensor::{Tensor, TensorError, Workspace, WorkspaceStats};
 
 /// A named layer inside an [`Snn`], exposed for reports and hardware mapping.
@@ -195,12 +195,48 @@ impl Snn {
         });
     }
 
-    /// `(layer_name, backend_name)` for every weight kernel a forward runs,
-    /// in network order (see [`Layer::backend_choices`]): `"dense"`.
+    /// Every weight layer in forward order ([`Layer::visit_weights`]), at the
+    /// geometry one input sample of dims `input` (`[c, h, w]`) gives it, and
+    /// where its input spikes come from: the input before the first spiking
+    /// node, else the last spiking node before it, and a node's own output
+    /// for a weight behind a spiking layer inside the node (a residual
+    /// block's inner LIF, whose density is not measured apart from the join).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnnError::BadInput`] for an `input` that is not rank 3 or
+    /// that a layer cannot take, and a tensor error for an image too small
+    /// for a kernel or pool window.
+    pub fn weight_layers(&self, input: &[usize]) -> Result<Vec<(LayerGeometry, DensitySource)>> {
+        if input.len() != 3 {
+            return Err(SnnError::BadInput(format!("a sample is [c, h, w], got {input:?}")));
+        }
+        let mut out = Vec::new();
+        let (mut dims, mut source, mut spiking) = (input.to_vec(), DensitySource::Input, 0);
+        for node in &self.layers {
+            let own = DensitySource::SpikingLayer(spiking);
+            dims = node.layer.visit_weights(&dims, &mut |g, inner| {
+                out.push((g, if inner { own } else { source }));
+            })?;
+            if node.layer.last_spike_density().is_some() {
+                (source, spiking) = (own, spiking + 1);
+            }
+        }
+        Ok(out)
+    }
+
+    /// `(layer_name, "dense")` for every weight kernel a forward runs, in
+    /// network order (f32 is the one family). Needing no input dims, it
+    /// counts the weight matrices — the decayed parameters, as the IMC fault
+    /// injector does — which are the layers [`Snn::weight_layers`] reports.
     pub fn layer_backends(&self) -> Vec<(String, &'static str)> {
         let mut out = Vec::new();
         for node in &self.layers {
-            node.layer.backend_choices(&node.name, &mut out);
+            node.layer.clone_box().visit_state(&mut |s| {
+                if matches!(s, State::Param(p) if p.decay) {
+                    out.push((node.name.clone(), "dense"));
+                }
+            });
         }
         out
     }

@@ -26,7 +26,7 @@ macro_rules! aligned_buffer {
         }
 
         $(#[$doc])*
-        #[derive(Clone, Default)]
+        #[derive(Default)]
         pub struct $name {
             lanes: Vec<$lane>,
             len: usize,
@@ -152,6 +152,13 @@ macro_rules! aligned_buffer {
             /// Copies the elements into a plain `Vec`.
             pub fn to_vec(&self) -> Vec<$elem> {
                 self.as_slice().to_vec()
+            }
+        }
+
+        impl Clone for $name {
+            /// Copies the lanes holding the logical elements, not all capacity.
+            fn clone(&self) -> Self {
+                $name { lanes: self.lanes[..self.len.div_ceil(Self::LANE)].to_vec(), len: self.len }
             }
         }
 
@@ -286,6 +293,23 @@ mod tests {
         assert_eq!(it.len(), 40);
         assert_eq!(it[39], 39.0);
         assert_eq!(it.as_slice().as_ptr() as usize % 64, 0);
+    }
+
+    #[test]
+    fn clone_copies_the_logical_length_only() {
+        let mut v: AlignedVec = (0..1000).map(|x| x as f32).collect();
+        v.set_len(37);
+        let c = v.clone();
+        assert_eq!(c, v);
+        assert_eq!(c.as_slice(), &v[..37]);
+        assert!(c.capacity() < c.len() + 16, "capacity {}", c.capacity());
+        assert_eq!(c.as_slice().as_ptr() as usize % 64, 0);
+        let mut w: AlignedWords = (0..100u64).collect();
+        w.set_len(9);
+        let cw = w.clone();
+        assert_eq!(cw.as_slice(), &w[..9]);
+        assert!(cw.capacity() < cw.len() + 8);
+        assert!(AlignedVec::new().clone().is_empty());
     }
 
     #[test]

@@ -9,10 +9,7 @@
 use dt_snn::data::cifar10_like;
 use dt_snn::dtsnn::{HardwareProfile, ThresholdSweep};
 use dt_snn::imc::HardwareConfig;
-use dt_snn::snn::{
-    vgg_small, vgg_small_density_map, vgg_small_geometry, LossKind, ModelConfig, SgdConfig,
-    Trainer, TrainerConfig,
-};
+use dt_snn::snn::{vgg_small, LossKind, ModelConfig, SgdConfig, Trainer, TrainerConfig};
 use dt_snn::tensor::TensorRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,12 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Map the network onto the Table-I RRAM architecture and sweep exit
     // thresholds to trace the accuracy–EDP trade-off.
-    let profile = HardwareProfile::new(
-        &vgg_small_geometry(&model_cfg),
-        vgg_small_density_map(),
-        data.classes,
-        &HardwareConfig::default(),
-    )?;
+    let profile = HardwareProfile::new(&net, &model_cfg.input_dims(), &HardwareConfig::default())?;
     let sweep = ThresholdSweep::run(
         &mut net,
         &data.test.frames(),

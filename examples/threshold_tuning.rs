@@ -9,10 +9,7 @@
 use dt_snn::data::cifar10_like;
 use dt_snn::dtsnn::{HardwareProfile, ThresholdSweep};
 use dt_snn::imc::HardwareConfig;
-use dt_snn::snn::{
-    vgg_small, vgg_small_density_map, vgg_small_geometry, LossKind, ModelConfig, SgdConfig,
-    Trainer, TrainerConfig,
-};
+use dt_snn::snn::{vgg_small, LossKind, ModelConfig, SgdConfig, Trainer, TrainerConfig};
 use dt_snn::tensor::TensorRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,12 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     trainer.fit(&mut net, &data.train.frames(), &data.train.labels())?;
 
-    let profile = HardwareProfile::new(
-        &vgg_small_geometry(&model_cfg),
-        vgg_small_density_map(),
-        data.classes,
-        &HardwareConfig::default(),
-    )?;
+    let profile = HardwareProfile::new(&net, &model_cfg.input_dims(), &HardwareConfig::default())?;
     // dense θ grid — in practice tuned on a validation split
     let thetas: Vec<f32> = (1..=18).map(|i| i as f32 * 0.05).collect();
     let sweep = ThresholdSweep::run(

@@ -5,7 +5,7 @@
 //! each at every SIMD level the host supports, so the widest build is
 //! compared with the narrower ones here too, not only by the full gate.
 
-use dt_snn::snn::{resnet_small_geometry, vgg_small_geometry, LayerGeometry, ModelConfig};
+use dt_snn::snn::{resnet_small, vgg_small, LayerGeometry, ModelConfig};
 use dt_snn::tensor::simd::{self, SimdLevel};
 use dt_snn::tensor::{
     conv2d, conv2d_backward, conv2d_backward_im2col, conv2d_ws, Conv2dSpec, ConvPlan, Tensor,
@@ -58,8 +58,12 @@ fn check(spec: &Conv2dSpec, [in_h, in_w]: [usize; 2], rng: &mut TensorRng, ws: &
 /// Every conv geometry of the two reference networks at their default width.
 fn model_convs() -> Vec<(Conv2dSpec, [usize; 2])> {
     let cfg = ModelConfig::default();
+    let mut rng = TensorRng::seed_from(0);
+    let (vgg, resnet) = (vgg_small(&cfg, &mut rng).unwrap(), resnet_small(&cfg, &mut rng).unwrap());
+    let mut walk = vgg.weight_layers(&cfg.input_dims()).unwrap();
+    walk.extend(resnet.weight_layers(&cfg.input_dims()).unwrap());
     let mut convs = Vec::new();
-    for geometry in vgg_small_geometry(&cfg).into_iter().chain(resnet_small_geometry(&cfg)) {
+    for (geometry, _) in walk {
         let LayerGeometry::Conv { in_channels, out_channels, kernel, stride, padding, in_h, in_w } =
             geometry
         else {

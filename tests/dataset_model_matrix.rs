@@ -4,10 +4,7 @@
 use dt_snn::data::Preset;
 use dt_snn::dtsnn::{DynamicInference, ExitPolicy, HardwareProfile};
 use dt_snn::imc::HardwareConfig;
-use dt_snn::snn::{
-    resnet_small, resnet_small_density_map, resnet_small_geometry, vgg_small,
-    vgg_small_density_map, vgg_small_geometry, Mode, ModelConfig,
-};
+use dt_snn::snn::{resnet_small, vgg_small, Mode, ModelConfig};
 use dt_snn::tensor::TensorRng;
 
 fn model_config(ds: &dt_snn::data::Dataset) -> ModelConfig {
@@ -59,20 +56,11 @@ fn both_architectures_map_onto_the_chip() {
     let ds = Preset::Cifar10.generate(1, 4).unwrap();
     let cfg = model_config(&ds);
     let hw = HardwareConfig::default();
-    let vgg = HardwareProfile::new(
-        &vgg_small_geometry(&cfg),
-        vgg_small_density_map(),
-        ds.classes,
-        &hw,
-    )
-    .unwrap();
-    let res = HardwareProfile::new(
-        &resnet_small_geometry(&cfg),
-        resnet_small_density_map(),
-        ds.classes,
-        &hw,
-    )
-    .unwrap();
+    let mut rng = TensorRng::seed_from(4);
+    let vgg = vgg_small(&cfg, &mut rng).unwrap();
+    let vgg = HardwareProfile::new(&vgg, &cfg.input_dims(), &hw).unwrap();
+    let res = resnet_small(&cfg, &mut rng).unwrap();
+    let res = HardwareProfile::new(&res, &cfg.input_dims(), &hw).unwrap();
     assert!(vgg.cost_model().mapping().total_crossbars() > 0);
     assert!(res.cost_model().mapping().total_crossbars() > 0);
 }

@@ -9,8 +9,7 @@ use dt_snn::imc::{
     exact_normalized_entropy, ChipMapping, Component, CostModel, HardwareConfig, SigmaEModule,
 };
 use dt_snn::snn::{
-    vgg16_geometry, vgg_small, vgg_small_density_map, vgg_small_geometry, LossKind, ModelConfig,
-    SgdConfig, Trainer, TrainerConfig,
+    vgg16_geometry, vgg_small, LossKind, ModelConfig, SgdConfig, Trainer, TrainerConfig,
 };
 use dt_snn::data::{SyntheticVision, VisionConfig};
 use dt_snn::tensor::{softmax_rows, Tensor, TensorRng};
@@ -40,15 +39,8 @@ fn quick_setup() -> (dt_snn::snn::Snn, HardwareProfile, Vec<Vec<Tensor>>, Vec<us
     })
     .unwrap();
     trainer.fit(&mut net, &data.train.frames(), &data.train.labels()).unwrap();
-    let mut model_cfg = cfg;
-    model_cfg.num_classes = 4;
-    let profile = HardwareProfile::new(
-        &vgg_small_geometry(&model_cfg),
-        vgg_small_density_map(),
-        4,
-        &HardwareConfig::default(),
-    )
-    .unwrap();
+    let profile =
+        HardwareProfile::new(&net, &cfg.input_dims(), &HardwareConfig::default()).unwrap();
     (net, profile, data.test.frames(), data.test.labels())
 }
 

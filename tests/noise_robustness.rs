@@ -4,9 +4,7 @@
 use dt_snn::data::{SyntheticVision, VisionConfig};
 use dt_snn::dtsnn::{DynamicEvaluation, DynamicInference, ExitPolicy, StaticEvaluation};
 use dt_snn::imc::{FaultInjector, FaultModel, HardwareConfig};
-use dt_snn::snn::{
-    vgg_small, vgg_small_geometry, LossKind, ModelConfig, SgdConfig, Snn, Trainer, TrainerConfig,
-};
+use dt_snn::snn::{vgg_small, LossKind, ModelConfig, SgdConfig, Snn, Trainer, TrainerConfig};
 use dt_snn::tensor::TensorRng;
 
 fn model_config() -> ModelConfig {
@@ -16,7 +14,9 @@ fn model_config() -> ModelConfig {
 /// Programs `net`'s crossbar weights onto RRAM with `config`'s device
 /// variation and reads them back (no discrete faults).
 fn deploy(net: &mut Snn, config: &HardwareConfig, rng: &mut TensorRng) {
-    FaultInjector::for_geometry(FaultModel::none(), &vgg_small_geometry(&model_config()), config)
+    let walk = net.weight_layers(&model_config().input_dims()).unwrap();
+    let geometry: Vec<_> = walk.into_iter().map(|(g, _)| g).collect();
+    FaultInjector::for_geometry(FaultModel::none(), &geometry, config)
         .unwrap()
         .inject(net, rng)
         .unwrap();

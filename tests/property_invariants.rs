@@ -8,7 +8,7 @@ use dt_snn::dtsnn::ExitPolicy;
 use dt_snn::imc::{
     exact_normalized_entropy, ChipMapping, CostModel, HardwareConfig, SigmaEModule,
 };
-use dt_snn::snn::{Layer, LifConfig, LifNeuron, Mode, Surrogate};
+use dt_snn::snn::{vgg_small, Layer, LifConfig, LifNeuron, Mode, ModelConfig, Surrogate};
 use dt_snn::tensor::quant::quantize_dequantize;
 use dt_snn::tensor::{softmax_rows, Tensor, TensorRng, Workspace};
 
@@ -131,7 +131,10 @@ fn lif_spikes_are_binary_and_membrane_bounded() {
 #[test]
 fn energy_monotone_in_density_and_timesteps() {
     let config = HardwareConfig::default();
-    let geometry = dt_snn::snn::vgg_small_geometry(&dt_snn::snn::ModelConfig::default());
+    let cfg = ModelConfig::default();
+    let net = vgg_small(&cfg, &mut TensorRng::seed_from(0)).unwrap();
+    let geometry: Vec<_> =
+        net.weight_layers(&cfg.input_dims()).unwrap().into_iter().map(|(g, _)| g).collect();
     let mapping = ChipMapping::map(&geometry, &config).unwrap();
     let model = CostModel::new(mapping, config).unwrap();
     for case in 0..CASES {
