@@ -3,27 +3,41 @@
 //! The paper reports 61.2%–80.9% EDP reduction across the eight
 //! architecture × dataset pairs at the iso-accuracy operating point. The
 //! underlying runs are identical to Table II, so this binary consumes
-//! `bench-results/table2_static_vs_dtsnn.json` when it exists (run
-//! `table2_static_vs_dtsnn` first) and only recomputes from scratch — the
-//! full 16-model training campaign — when it does not.
+//! `bench-results/table2_static_vs_dtsnn.json` when that file records the
+//! same experiment config (`DTSNN_SCALE`, `DTSNN_EPOCHS`, `DTSNN_SEED`) as
+//! this run (run `table2_static_vs_dtsnn` first), and otherwise says why and
+//! recomputes from scratch — the full 16-model training campaign.
 
 use dtsnn_bench::{hardware_profile, json, print_table, train_model, write_json, Arch, ExpConfig};
 use dtsnn_core::ThresholdSweep;
 use dtsnn_data::Preset;
 use dtsnn_snn::LossKind;
 
-fn from_table2() -> Option<EdpRows> {
-    let raw = std::fs::read_to_string("bench-results/table2_static_vs_dtsnn.json").ok()?;
-    let rows: json::Value = json::from_str(&raw).ok()?;
-    let mut out = Vec::new();
-    for row in rows.as_array()? {
-        out.push((
+const TABLE2: &str = "bench-results/table2_static_vs_dtsnn.json";
+
+/// Table II's EDP rows when its recorded run used `exp`; otherwise why they
+/// cannot stand in for this run.
+fn from_table2(exp: &ExpConfig) -> Result<EdpRows, String> {
+    let raw = std::fs::read_to_string(TABLE2).map_err(|e| format!("cannot read {TABLE2}: {e}"))?;
+    let doc = json::from_str(&raw).map_err(|e| format!("{TABLE2} does not parse: {e}"))?;
+    let config = [("scale", exp.scale as u64), ("epochs", exp.epochs as u64), ("seed", exp.seed)];
+    for (key, own) in config {
+        let recorded = doc.get(key);
+        if recorded != Some(&json::Value::from(own)) {
+            let recorded = recorded.map_or("no".into(), json::to_string_pretty);
+            return Err(format!("{TABLE2} records {recorded} {key}, this run uses {own}"));
+        }
+    }
+    let row = |row: &json::Value| {
+        Some((
             row.get("arch")?.as_str()?.to_string(),
             row.get("dataset")?.as_str()?.to_string(),
             row.get("edp_ratio")?.as_f64()?,
-        ));
-    }
-    (!out.is_empty()).then_some(out)
+        ))
+    };
+    let rows = doc.get("rows").and_then(json::Value::as_array);
+    let rows: Option<EdpRows> = rows.and_then(|rows| rows.iter().map(row).collect());
+    rows.filter(|r| !r.is_empty()).ok_or_else(|| format!("{TABLE2} has no complete EDP rows"))
 }
 
 /// (arch, dataset, EDP ratio) rows.
@@ -62,12 +76,15 @@ fn recompute(exp: &ExpConfig) -> Result<EdpRows, Box<dyn std::error::Error>> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exp = ExpConfig::from_env();
-    let results = match from_table2() {
-        Some(r) => {
-            eprintln!("[fig4] reusing bench-results/table2_static_vs_dtsnn.json");
+    let results = match from_table2(&exp) {
+        Ok(r) => {
+            eprintln!("[fig4] reusing {TABLE2}");
             r
         }
-        None => recompute(&exp)?,
+        Err(why) => {
+            eprintln!("[fig4] recomputing: {why}");
+            recompute(&exp)?
+        }
     };
     let mut rows = Vec::new();
     let mut json = Vec::new();

@@ -78,7 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &rows,
     );
     println!("\npaper: DT-SNN reaches static accuracy at ~1.3–5.3 avg timesteps, 0.41–0.60× energy");
-    let path = write_json("table2_static_vs_dtsnn", &json::Value::Array(json))?;
+    // the experiment config is recorded so `fig4_edp` reuses only its own run
+    let path = write_json(
+        "table2_static_vs_dtsnn",
+        &json!({ "scale": exp.scale, "epochs": exp.epochs, "seed": exp.seed, "rows": json }),
+    )?;
     println!("wrote {}", path.display());
     Ok(())
 }

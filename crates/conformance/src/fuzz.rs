@@ -23,12 +23,15 @@
 //! 5. **Checkpoint round-trip** — saving a network and loading it into a
 //!    differently-initialized clone of the same architecture reproduces the
 //!    original's inference outputs bitwise.
-//! 6. **Compacted batched evaluation ≡ sequential** — the dataset driver
-//!    behind [`DynamicEvaluation::run`] and
-//!    [`DynamicEvaluation::run_batched`] (active-set compaction, windows
-//!    fanned out over workers) must reproduce a plain loop over the
-//!    per-sample runner bitwise: outcomes, T̂ histogram AND accumulated
-//!    spike activity, under 1 worker and under 4.
+//! 6. **Dataset driver and compacting window ≡ sequential** — the dataset
+//!    driver behind [`DynamicEvaluation::run`] and
+//!    [`DynamicEvaluation::run_batched`] (samples fanned out over workers)
+//!    must reproduce a plain loop over the per-sample runner bitwise:
+//!    outcomes, T̂ histogram AND accumulated spike activity, under 1 worker
+//!    and under 4. And one multi-row [`Window`] holding every sample, its
+//!    exited rows compacted away after each step, must give each sample its
+//!    solo [`DynamicOutcome`] bitwise (prediction, T̂, every score and the
+//!    exit probabilities).
 //! 7. **Fault-injection invariants** — the null [`FaultModel`] over
 //!    noiseless devices reduces injection bitwise to quantize–dequantize
 //!    (digital parameters untouched), a live model is seed-reproducible and
@@ -67,6 +70,7 @@
 //!     and every timestep's record), under 1 worker and under 4.
 
 use dtsnn_bench::Arch;
+use dtsnn_core::window::Window;
 use dtsnn_core::{
     static_inference, DynamicEvaluation, DynamicInference, DynamicOutcome, DynamicSampleOutcome,
     ExitPolicy,
@@ -75,7 +79,7 @@ use dtsnn_imc::{
     ChipMapping, Component, CostModel, EventSim, FaultInjector, FaultModel, HardwareConfig,
     Placement, SimOptions,
 };
-use dtsnn_snn::{load_params, save_params, LifConfig, Mode, ModelConfig, Snn};
+use dtsnn_snn::{batch1_frames, load_params, save_params, LifConfig, Mode, ModelConfig, Snn};
 use dtsnn_tensor::quant::quantize_dequantize;
 use dtsnn_tensor::{parallel, simd, Tensor, TensorRng};
 
@@ -300,6 +304,7 @@ fn oracle_batched_compaction_equals_sequential(case: &FuzzCase) -> Result<(), St
     let mut net = case.build(5)?;
     let mut histogram = vec![0usize; case.timesteps];
     let mut outcomes = Vec::with_capacity(samples);
+    let mut solo = Vec::with_capacity(samples);
     let mut raw_activity = Vec::with_capacity(samples);
     for ((sample, &label), &difficulty) in frames.iter().zip(&labels).zip(&diffs) {
         let out = runner.run(&mut net, sample).map_err(|e| e.to_string())?;
@@ -310,6 +315,7 @@ fn oracle_batched_compaction_equals_sequential(case: &FuzzCase) -> Result<(), St
             correct: out.prediction == label,
             difficulty,
         });
+        solo.push(out);
     }
     for (sums, observations) in &raw_activity {
         net.absorb_raw_activity(sums, *observations);
@@ -343,7 +349,66 @@ fn oracle_batched_compaction_equals_sequential(case: &FuzzCase) -> Result<(), St
             }
         }
     }
+    let mut net = case.build(5)?;
+    let lockstep = compacting_window(&mut net, &runner, &frames)?;
+    let bits = |o: &DynamicOutcome| {
+        let f = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (o.prediction, o.timesteps_used, o.exited_early, f(&o.scores), f(&o.probabilities))
+    };
+    for (k, (got, want)) in lockstep.iter().zip(&solo).enumerate() {
+        if bits(got) != bits(want) {
+            return Err(format!(
+                "sample {k} in a compacting {samples}-row window diverges from its solo run: \
+                 window {got:?} vs solo {want:?}"
+            ));
+        }
+    }
     Ok(())
+}
+
+/// Every sample in one multi-row [`Window`], stepped in lockstep, its rows
+/// compacted away as they exit (the serving engine's schedule without
+/// admissions): each sample's outcome, in order.
+fn compacting_window(
+    net: &mut Snn,
+    runner: &DynamicInference,
+    samples: &[Vec<Tensor>],
+) -> Result<Vec<DynamicOutcome>, String> {
+    let t_max = runner.max_timesteps();
+    let frames = samples
+        .iter()
+        .map(|s| batch1_frames(s, t_max))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let mut outcomes: Vec<Option<DynamicOutcome>> = vec![None; samples.len()];
+    let mut scores = vec![Vec::new(); samples.len()];
+    let mut active: Vec<usize> = (0..samples.len()).collect();
+    let mut window = Window::new();
+    window.admit(net, active.len()).map_err(|e| e.to_string())?;
+    while !active.is_empty() {
+        window
+            .step(net, |row| &frames[active[row]], runner.policy(), t_max)
+            .map_err(|e| e.to_string())?;
+        let mut keep = Vec::new();
+        for (row, &sample) in active.iter().enumerate() {
+            let d = window.decision(row);
+            scores[sample].push(d.score);
+            if !d.exit {
+                keep.push(row);
+                continue;
+            }
+            outcomes[sample] = Some(DynamicOutcome {
+                prediction: d.prediction,
+                timesteps_used: d.t,
+                exited_early: d.fired && d.t < t_max,
+                scores: std::mem::take(&mut scores[sample]),
+                probabilities: window.probabilities(row).to_vec(),
+            });
+        }
+        window.compact(net, &keep).map_err(|e| e.to_string())?;
+        active = keep.iter().map(|&row| active[row]).collect();
+    }
+    Ok(outcomes.into_iter().map(|o| o.expect("every row exits by T")).collect())
 }
 
 fn oracle_fault_injection_invariants(case: &FuzzCase) -> Result<(), String> {

@@ -17,8 +17,8 @@
 //! - **Differential fuzzing** ([`fuzz`]) — seeded random configurations
 //!   asserting cross-path equivalences (never-exit DT-SNN ≡ static SNN,
 //!   thread-count invariance, σ = 0 device reads ≡ pure quantization,
-//!   mapping invariants, checkpoint round-trips, compacted batched
-//!   evaluation ≡ sequential evaluation, SIMD tier ≡ scalar), with failing
+//!   mapping invariants, checkpoint round-trips, the dataset driver and a
+//!   compacting window ≡ sequential evaluation, SIMD tier ≡ scalar), with failing
 //!   cases shrunk to a minimal reproduction and reported by seed.
 
 #![forbid(unsafe_code)]

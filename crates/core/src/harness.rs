@@ -2,9 +2,8 @@
 //! Fig. 2, Fig. 4 and the pie charts of Fig. 5.
 
 use crate::inference::DynamicInference;
-use crate::window::Window;
 use crate::{CoreError, Result};
-use dtsnn_snn::{batch1_frames, check_frames, FrameError, Snn, SpikeActivity};
+use dtsnn_snn::{check_frames, Snn, SpikeActivity};
 use dtsnn_tensor::{parallel, Tensor};
 
 /// Per-sample record of a dynamic evaluation.
@@ -98,67 +97,45 @@ struct Exit {
     sums: Vec<f64>,
 }
 
-/// Runs the window of `samples` to its last exit: forward the active rows a
-/// timestep, score them, retire the rows whose policy fired (or that reached
-/// `T`) and gather the survivors' accumulators and carried layer state into
-/// a smaller batch ([`Window::compact`]).
-fn run_window(
-    net: &mut Snn,
-    runner: &DynamicInference,
-    samples: &[Vec<Tensor>],
-) -> Result<Vec<Exit>> {
-    // batch-1 copies of the window's frames, built once per window
-    let frames: Vec<Vec<Tensor>> = samples
-        .iter()
-        .map(|sample| batch1_frames(sample, runner.max_timesteps()))
-        .collect::<std::result::Result<_, FrameError>>()?;
-    let mut exits =
-        vec![Exit { predictions: Vec::new(), finite: true, sums: Vec::new() }; frames.len()];
-    // window positions still running, in batch-row order
-    let mut active: Vec<usize> = (0..frames.len()).collect();
-    let mut keep: Vec<usize> = Vec::with_capacity(active.len());
-    let mut window = Window::new();
-    window.admit(net, active.len())?;
-    while !active.is_empty() {
-        window.step(net, |row| &frames[active[row]], runner.policy(), runner.max_timesteps())?;
+/// Runs one sample to its exit through the one-row driver of
+/// [`DynamicInference::run`], recording after every fold its prediction,
+/// whether everything the policy saw was finite, and its per-layer spike
+/// densities (folded in f64, in timestep order, so activity stops at the
+/// sample's exit).
+fn run_sample(net: &mut Snn, runner: &DynamicInference, sample: &[Tensor]) -> Result<Exit> {
+    let mut exit = Exit {
+        predictions: Vec::with_capacity(runner.max_timesteps()),
+        finite: true,
+        sums: Vec::new(),
+    };
+    runner.drive(net, sample, |net, window| {
         let layer_rows = net.last_spike_row_densities()?;
-        keep.clear();
-        for (row, &pos) in active.iter().enumerate() {
-            let exit = &mut exits[pos];
-            // activity folds per sample in f64, in timestep order, and stops
-            // at the sample's exit
-            exit.sums.resize(layer_rows.len(), 0.0);
-            for (acc, layer) in exit.sums.iter_mut().zip(&layer_rows) {
-                *acc += layer[row] as f64;
-            }
-            let decision = window.decision(row);
-            exit.predictions.push(decision.prediction);
-            exit.finite &= decision.score.is_finite()
-                && window.accumulated(row).iter().all(|v| v.is_finite())
-                && window.probabilities(row).iter().all(|p| p.is_finite());
-            if !decision.exit {
-                keep.push(row);
-            }
+        exit.sums.resize(layer_rows.len(), 0.0);
+        for (acc, layer) in exit.sums.iter_mut().zip(&layer_rows) {
+            *acc += layer[0] as f64;
         }
-        if keep.len() < active.len() {
-            window.compact(net, &keep)?;
-            for (dst, &row) in keep.iter().enumerate() {
-                active[dst] = active[row];
-            }
-            active.truncate(keep.len());
-        }
-    }
-    Ok(exits)
+        let decision = window.decision(0);
+        exit.predictions.push(decision.prediction);
+        exit.finite &= decision.score.is_finite()
+            && window.accumulated(0).iter().all(|v| v.is_finite())
+            && window.probabilities(0).iter().all(|p| p.is_finite());
+        Ok(())
+    })?;
+    Ok(exit)
 }
 
-/// The one dataset driver, dynamic or static: cuts the split into windows
-/// of `batch_size` samples, runs them ([`run_window`]) fanned out over
-/// `workers` ([`fan_out`] — windows share nothing) and returns the exits in
-/// dataset order, having absorbed their spike activity into `network` in
-/// that order — one f64 chain whatever the window size or worker count, so
-/// exits **and** [`SpikeActivity`] are bitwise invariant in both (a sample
-/// whose activity sums are not finite is left out).
-fn run_windows(
+/// The one dataset driver, dynamic or static: runs every sample on its own
+/// ([`run_sample`]) fanned out over `workers` ([`fan_out`] — samples share
+/// nothing) and returns the exits in dataset order, having absorbed their
+/// spike activity into `network` in that order — one f64 chain whatever the
+/// worker count, so exits **and** [`SpikeActivity`] are bitwise invariant in
+/// it (a sample whose activity sums are not finite is left out).
+///
+/// `batch_size` is the callers' window size: it must be nonzero, and no
+/// value of it changes the schedule or any bit of the result. One sample at a
+/// time is the paper's batch-1 protocol, and on a CPU whose convolution
+/// scatters one sample's spikes at a time a wider step buys nothing back.
+fn run_samples(
     network: &mut Snn,
     runner: &DynamicInference,
     frames: &[Vec<Tensor>],
@@ -171,19 +148,18 @@ fn run_windows(
         return Err(CoreError::BadInput("batch_size must be nonzero".into()));
     }
     check_inputs(frames, labels, difficulties, runner.max_timesteps())?;
-    let windows: Vec<&[Vec<Tensor>]> = frames.chunks(batch_size).collect();
-    let per_window = fan_out(network, workers, &windows, |net, _, w| run_window(net, runner, w))?;
-    // whatever the forwards accumulated on `network` (batch-level densities,
-    // or something older) is not the per-sample chain: discard it
+    let exits =
+        fan_out(network, workers, frames, |net, _, sample| run_sample(net, runner, sample))?;
+    // whatever the forwards accumulated on `network` (or something older) is
+    // not the per-sample chain: discard it
     let _ = network.take_raw_activity();
-    let exits: Vec<Exit> = per_window.into_iter().flatten().collect();
     for exit in exits.iter().filter(|exit| exit.sums.iter().all(|s| s.is_finite())) {
         network.absorb_raw_activity(&exit.sums, exit.predictions.len());
     }
     Ok(exits)
 }
 
-/// [`run_windows`] behind every [`DynamicEvaluation`] entry. Samples that
+/// [`run_samples`] behind every [`DynamicEvaluation`] entry. Samples that
 /// produced a non-finite value are listed, not rescored.
 pub(crate) fn drive(
     network: &mut Snn,
@@ -194,7 +170,7 @@ pub(crate) fn drive(
     batch_size: usize,
     workers: usize,
 ) -> Result<QuarantinedEvaluation> {
-    let exits = run_windows(network, runner, frames, labels, difficulties, batch_size, workers)?;
+    let exits = run_samples(network, runner, frames, labels, difficulties, batch_size, workers)?;
     let mut histogram = vec![0usize; runner.max_timesteps()];
     let (mut correct_total, mut timestep_total) = (0usize, 0usize);
     let mut quarantined = Vec::new();
@@ -226,7 +202,7 @@ pub(crate) fn drive(
 }
 
 impl DynamicEvaluation {
-    /// Runs the dynamic-timestep evaluation, one sample per window.
+    /// Runs the dynamic-timestep evaluation, one sample at a time.
     ///
     /// `difficulties`, when provided, must align with `frames` and is copied
     /// into the per-sample outcomes (used by the Fig. 8 visualization).
@@ -287,28 +263,30 @@ impl DynamicEvaluation {
         Ok(q)
     }
 
-    /// [`DynamicEvaluation::run`] on windows of up to `batch_size` samples,
-    /// built on **active-set compaction**: a window is forwarded one
-    /// timestep at a time, the exit policy is scored per batch row, and rows
-    /// whose policy fires are retired — their prediction, T̂ and spike
-    /// activity are recorded at the exit timestep, and the surviving rows of
-    /// both the input frames and all carried layer state (LIF membranes, via
-    /// [`Snn::compact_batch`]) are physically gathered into a smaller batch.
+    /// [`DynamicEvaluation::run`] for callers that name a window size: the
+    /// same dataset driver, which runs **one sample at a time** through the
+    /// per-sample runner's one-row [`crate::window::Window`] — the paper's
+    /// batch-1 protocol, each input exiting on its own schedule (Eqs. 7–8).
+    /// Every sample's prediction, T̂ and spike activity are recorded at its
+    /// exit timestep, so activity accounting stops at each exit.
     ///
-    /// Later timesteps therefore do proportionally less matmul/conv work
-    /// (per-timestep cost decays with the exit CDF), and activity accounting
-    /// stops at each sample's exit, so the per-sample outcomes **and** the
+    /// `batch_size` must be nonzero; no value of it changes the schedule or
+    /// any bit of the result. The multi-row window with active-set
+    /// compaction ([`crate::window::Window::compact`]) serves the
+    /// continuous-batching engine (`dtsnn-serve`), whose requests step in
+    /// lockstep; here, where the convolution scatters one sample's spikes at
+    /// a time, a wider step is slower per sample, not faster.
+    ///
+    /// Samples are independent and fan out over the `DTSNN_THREADS` workers
+    /// (read once per call). With one worker they run on `network` itself,
+    /// whose warmed arena then allocates nothing; with more, every worker
+    /// runs its contiguous share of the samples on a clone of `network` and
+    /// warms that clone's fresh arena. The per-sample outcomes **and** the
     /// accumulated [`SpikeActivity`] are bitwise identical for any
     /// `batch_size` and any `DTSNN_THREADS` setting.
     ///
-    /// Windows are independent and fan out over the `DTSNN_THREADS` workers
-    /// (read once per call). With one worker — or one window — they run on
-    /// `network` itself, whose warmed arena then allocates nothing; with
-    /// more, every worker runs on a clone of `network` and warms that
-    /// clone's fresh arena.
-    ///
     /// Each sample supplies either one frame (static input) or exactly `T`
-    /// frames (event data); samples of both kinds may share a window.
+    /// frames (event data); samples of both kinds may be mixed.
     ///
     /// # Errors
     ///
@@ -376,7 +354,7 @@ impl StaticEvaluation {
     ) -> Result<Self> {
         let runner = DynamicInference::full_window(max_timesteps);
         let workers = parallel::num_threads();
-        let exits = run_windows(network, &runner, frames, labels, None, 1, workers)?;
+        let exits = run_samples(network, &runner, frames, labels, None, 1, workers)?;
         let mut correct_by_t = vec![0usize; max_timesteps];
         for (exit, &label) in exits.iter().zip(labels) {
             for (correct, &prediction) in correct_by_t.iter_mut().zip(&exit.predictions) {
@@ -400,7 +378,7 @@ impl StaticEvaluation {
 mod tests {
     use super::*;
     use crate::ExitPolicy;
-    use dtsnn_snn::{Layer, LifConfig, LifNeuron, Linear, Flatten};
+    use dtsnn_snn::{batch1_frames, Flatten, Layer, LifConfig, LifNeuron, Linear};
     use dtsnn_tensor::TensorRng;
 
     fn tiny_net(seed: u64) -> Snn {
@@ -479,9 +457,9 @@ mod tests {
 
     #[test]
     fn batched_evaluation_matches_sequential() {
-        // Evaluation is deterministic and the compaction engine retires rows
-        // at their exact exit timestep, so the batched path must reproduce
-        // the per-sample runner bitwise — outcomes AND spike activity.
+        // Evaluation is deterministic and every sample stops at its exact exit
+        // timestep, so any window size must reproduce the per-sample runner
+        // bitwise — outcomes AND spike activity.
         let (frames, labels) = tiny_data(13, 21); // odd count exercises a ragged tail batch
         let diffs: Vec<f32> = (0..13).map(|i| i as f32 / 13.0).collect();
         let runner = DynamicInference::new(ExitPolicy::entropy(THETA_MIXED).unwrap(), 4).unwrap();
@@ -557,9 +535,9 @@ mod tests {
 
     #[test]
     fn warmed_batched_windows_over_a_resnet_allocate_nothing() {
-        // Every step's logits, every compacted membrane — the three nested in
+        // Every step's logits, every carried membrane — the three nested in
         // each ResidualBlock included — must return to the arena: a second
-        // pass over the same windows finds every buffer parked.
+        // pass over the same samples finds every buffer parked.
         let config = dtsnn_snn::ModelConfig {
             in_channels: 2,
             image_size: 8,
@@ -578,16 +556,17 @@ mod tests {
         // one worker, passed in: the process-wide thread override belongs to
         // every test of this binary, and a multi-worker call would warm its
         // clones' arenas, not this one
-        let run =
-            |net: &mut Snn| drive(net, &runner, &frames, &labels, Some(&diffs), 8, 1).unwrap().eval;
+        let run = |net: &mut Snn| {
+            drive(net, &runner, &frames, &labels, Some(&diffs), 32, 1).unwrap().eval
+        };
         let warm = run(&mut net);
         let h = &warm.timestep_histogram;
-        assert!(h[..3].iter().sum::<usize>() > 0 && h[3] > 0, "windows must compact: {h:?}");
+        assert!(h[..3].iter().sum::<usize>() > 0 && h[3] > 0, "exits must be mixed: {h:?}");
         net.reset_workspace_stats();
         assert_eq!(run(&mut net), warm);
         let stats = net.workspace_stats();
         assert!(stats.takes > 0);
-        assert_eq!(stats.misses, 0, "warmed windows must not allocate: {stats:?}");
+        assert_eq!(stats.misses, 0, "a warmed pass must not allocate: {stats:?}");
     }
 
     /// A small untrained vgg_small or resnet_small, 12 static samples and
@@ -723,6 +702,22 @@ mod tests {
                 });
                 assert_eq!(got.unwrap().eval, serial, "batch {batch}, {workers} workers");
             }
+        }
+        // the static and the quarantined entries ride the same driver
+        let others = || {
+            let mut net = tiny_net(62);
+            let s = StaticEvaluation::run(&mut net, &frames, &labels, 4).unwrap();
+            let mut net = tiny_net(62);
+            let q =
+                DynamicEvaluation::run_quarantined(&mut net, &runner, &frames, &labels, Some(&diffs));
+            (s, q.unwrap())
+        };
+        let (static_1, quarantined_1) = dtsnn_tensor::parallel::with_threads(1, others);
+        assert_eq!(quarantined_1.eval, serial);
+        for workers in [2, 4] {
+            let (s, q) = dtsnn_tensor::parallel::with_threads(workers, others);
+            assert_eq!(s, static_1, "static eval diverged at {workers} workers");
+            assert_eq!(q, quarantined_1, "quarantined eval diverged at {workers} workers");
         }
     }
 

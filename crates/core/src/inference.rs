@@ -96,7 +96,7 @@ impl DynamicInference {
     /// contract ([`dtsnn_snn::check_frames`]) — before anything is forwarded —
     /// and propagates network errors.
     pub fn run(&self, network: &mut Snn, frames: &[Tensor]) -> Result<DynamicOutcome> {
-        self.drive(network, frames, |_, _| {})
+        self.drive(network, frames, |_, _| Ok(()))
     }
 
     /// Like [`DynamicInference::run`], additionally recording the accumulated
@@ -119,18 +119,21 @@ impl DynamicInference {
                     .collect(),
                 score: window.decision(0).score,
             });
+            Ok(())
         })?;
         Ok(DynamicTrace { outcome, per_timestep })
     }
 
-    /// The one-row driver of the [`Window`] behind both entry points, which
-    /// differ only in what `observe` records after each timestep — so a
-    /// golden trace can never drift from a production run.
-    fn drive(
+    /// The one-row driver of the [`Window`] behind both entry points and the
+    /// dataset driver (`harness::run_samples`), which differ only in what
+    /// `observe` records after each timestep — so a golden trace or a dataset
+    /// evaluation can never drift from a production run. An error from
+    /// `observe` ends the run.
+    pub(crate) fn drive(
         &self,
         network: &mut Snn,
         frames: &[Tensor],
-        mut observe: impl FnMut(&Snn, &Window),
+        mut observe: impl FnMut(&Snn, &Window) -> Result<()>,
     ) -> Result<DynamicOutcome> {
         // Batch the frames once, outside the loop: `batch1_frames` copies, and
         // the timestep loop itself must stay allocation-free (the network's
@@ -141,7 +144,7 @@ impl DynamicInference {
         let mut scores = Vec::with_capacity(self.max_timesteps);
         loop {
             window.step(network, |_| &batched, &self.policy, self.max_timesteps)?;
-            observe(network, &window);
+            observe(network, &window)?;
             let decision = window.decision(0);
             scores.push(decision.score);
             if decision.exit {

@@ -71,7 +71,7 @@ impl ThresholdSweep {
                 timestep_distribution: Vec::new(),
             });
         }
-        // One θ after another: each evaluation already fans its windows out.
+        // One θ after another: each evaluation already fans its samples out.
         let mut dynamic_points = Vec::with_capacity(thetas.len());
         for &theta in thetas {
             let runner = DynamicInference::new(ExitPolicy::entropy(theta)?, max_timesteps)?;

@@ -4,11 +4,13 @@
 //! into the running mean `f_t(x)` (Eq. 5), softmax it (Eq. 6), score its
 //! normalized entropy (Eq. 7) and exit when the score clears θ (Eq. 8). A
 //! [`Window`] is that loop body for any number of rows, each at its own
-//! timestep and each the network's carried batch row of the same index; the
-//! per-sample runner ([`crate::DynamicInference`], one row — the static SNN
-//! is that runner with an exit that cannot fire), the dataset driver (rows
-//! only retire) and the serving engine (`dtsnn-serve`, rows retire and are
-//! admitted mid-window) are drivers of it. Because every driver folds and
+//! timestep and each the network's carried batch row of the same index. Core
+//! has one driver of it, the per-sample runner ([`crate::DynamicInference`],
+//! one row), and everything above one request runs through that: the static
+//! SNN is the runner with an exit that cannot fire, and the dataset driver
+//! runs every sample through it in turn. The serving engine (`dtsnn-serve`)
+//! drives many rows in lockstep: rows retire ([`Window::compact`]) and are
+//! admitted mid-window ([`Window::admit`]). Because every driver folds and
 //! decides through the same arithmetic on the same row of logits, a
 //! sample's scores, exit timestep and prediction cannot depend on which
 //! driver ran it or on its batch neighbours.
@@ -248,7 +250,8 @@ impl Window {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtsnn_snn::{Layer, LifConfig, LifNeuron, Linear};
+    use crate::{DynamicInference, DynamicOutcome};
+    use dtsnn_snn::{batch1_frames, Layer, LifConfig, LifNeuron, Linear};
     use dtsnn_tensor::TensorRng;
 
     /// Linear (the cached input prefix) → LIF (a carried membrane) → Linear.
@@ -386,6 +389,84 @@ mod tests {
         w.admit(&mut net, 1).unwrap();
         w.step(&mut net, |_| &samples[0], &policy, 4).unwrap();
         assert_eq!(w.accumulated(0), solo(&samples[0], 1).as_slice());
+    }
+
+    /// Runs every sample through one window of them all to its exit, as a
+    /// lockstep driver does: step every row, record its decision, compact
+    /// away the rows that exit. Returns each sample's outcome, in order.
+    fn lockstep(
+        net: &mut Snn,
+        runner: &DynamicInference,
+        samples: &[Vec<Tensor>],
+    ) -> Vec<DynamicOutcome> {
+        let t_max = runner.max_timesteps();
+        let frames: Vec<Vec<Tensor>> =
+            samples.iter().map(|s| batch1_frames(s, t_max).unwrap()).collect();
+        let mut outcomes: Vec<Option<DynamicOutcome>> = vec![None; samples.len()];
+        let mut scores = vec![Vec::new(); samples.len()];
+        let mut active: Vec<usize> = (0..samples.len()).collect();
+        let mut w = Window::new();
+        w.admit(net, active.len()).unwrap();
+        while !active.is_empty() {
+            w.step(net, |row| &frames[active[row]], runner.policy(), t_max).unwrap();
+            let mut keep = Vec::new();
+            for (row, &sample) in active.iter().enumerate() {
+                let d = w.decision(row);
+                scores[sample].push(d.score);
+                if !d.exit {
+                    keep.push(row);
+                    continue;
+                }
+                outcomes[sample] = Some(DynamicOutcome {
+                    prediction: d.prediction,
+                    timesteps_used: d.t,
+                    exited_early: d.fired && d.t < t_max,
+                    scores: std::mem::take(&mut scores[sample]),
+                    probabilities: w.probabilities(row).to_vec(),
+                });
+            }
+            w.compact(net, &keep).unwrap();
+            active = keep.iter().map(|&row| active[row]).collect();
+        }
+        outcomes.into_iter().map(Option::unwrap).collect()
+    }
+
+    #[test]
+    fn a_compacting_resnet_window_matches_the_solo_runner_and_warms_its_arena() {
+        let config = dtsnn_snn::ModelConfig {
+            in_channels: 2,
+            image_size: 8,
+            num_classes: 3,
+            width: 4,
+            ..Default::default()
+        };
+        let mut rng = TensorRng::seed_from(81);
+        let mut net = dtsnn_snn::resnet_small(&config, &mut rng).unwrap();
+        let mut frame = || Tensor::randn(&[2, 8, 8], 0.5, 2.0, &mut rng);
+        let mut samples: Vec<Vec<Tensor>> = (0..11).map(|_| vec![frame()]).collect();
+        samples.push((0..4).map(|_| frame()).collect()); // one event sample
+        // θ chosen to split this untrained net's exits across the window
+        let runner = DynamicInference::new(ExitPolicy::entropy(0.98).unwrap(), 4).unwrap();
+        let warm = lockstep(&mut net, &runner, &samples);
+        let used: Vec<usize> = warm.iter().map(|o| o.timesteps_used).collect();
+        let retire_apart = used.iter().any(|&t| t < 4) && used.contains(&4);
+        assert!(retire_apart, "rows must retire apart: {used:?}");
+        let bits = |o: &DynamicOutcome| {
+            let f = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (o.prediction, o.timesteps_used, o.exited_early, f(&o.scores), f(&o.probabilities))
+        };
+        let mut solo_net = net.clone();
+        for (sample, got) in samples.iter().zip(&warm) {
+            assert_eq!(bits(got), bits(&runner.run(&mut solo_net, sample).unwrap()));
+        }
+        // every compacted membrane, the ones nested in ResidualBlocks included,
+        // went back to the arena: a second pass finds every buffer parked
+        net.reset_workspace_stats();
+        let again = lockstep(&mut net, &runner, &samples);
+        let stats = net.workspace_stats();
+        assert!(stats.takes > 0);
+        assert_eq!(stats.misses, 0, "a warmed compacting window must not allocate: {stats:?}");
+        assert!(again.iter().zip(&warm).all(|(a, w)| bits(a) == bits(w)));
     }
 
     #[test]

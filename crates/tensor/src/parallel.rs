@@ -1,6 +1,6 @@
-//! Deterministic scoped-thread fan-out of independent work: the windows and
-//! samples of the evaluation harnesses above this crate and the proposals of
-//! the IMC placement search. The kernels in this crate do not fan out: a
+//! Deterministic scoped-thread fan-out of independent work: the samples of
+//! the evaluation harnesses above this crate and the proposals of the IMC
+//! placement search. The kernels in this crate do not fan out: a
 //! convolution, matmul or linear layer runs on its caller's thread.
 //!
 //! # Determinism contract

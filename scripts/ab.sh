@@ -17,7 +17,9 @@
 # medians (change / parent) and the pairs in which the change was strictly
 # better in the metric's direction ("identical" when every pair tied). It
 # writes nothing inside the repository, needs no network, and removes its
-# temporary directory on exit.
+# temporary directory on exit. With AB_RESULTS=FILE it also leaves the raw
+# runs in FILE, one "workload seed side metric value" line each (side is
+# parent or change), for a gate to read (`scripts/ci.sh trajectory`).
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -72,6 +74,8 @@ for workload in ${workloads//,/ }; do
         run $second "$workload" "$pair"
     done
 done
+
+[ -n "${AB_RESULTS:-}" ] && cp "$work/results" "$AB_RESULTS"
 
 # the end-to-end metrics and their directions, in BENCHMARK.json's order
 directions=$(awk '

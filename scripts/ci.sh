@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full gate: build, the whole test suite and lint once, then the suites
 # that must not depend on the two runtime knobs re-run: those that reach a
-# fan-out (core's windows and samples, the IMC search, the serving layer) at
+# fan-out (core's samples, the IMC search, the serving layer) at
 # both ambient worker counts (DTSNN_THREADS=1|4), the kernel and conformance
 # suites at both SIMD levels (DTSNN_SIMD=off|auto). The tests compare thread
 # counts and tiers internally; the ambient values additionally cover the
@@ -27,7 +27,7 @@ t() { cargo test -q -p "dtsnn-$1" "${@:2}"; }
 # cores the guard is what keeps the live threads at 4); the dataset driver at
 # every window size against a plain loop over the solo runner (outcomes, T̂
 # histogram AND spike activity); the static evaluation, which drives the
-# same windows with an exit that never fires, against the plain
+# same one-row window with an exit that never fires, against the plain
 # forward_sequence loop it replaced (accuracy at every budget AND spike
 # activity, vgg and resnet, static and event samples) and its warmed pass
 # allocation-free; the Monte-Carlo fault harness's aggregates.
@@ -45,7 +45,7 @@ determinism() {
 # cached input-prefix rows equal a cache-free forward through any schedule
 # and every invalidation route, and the counters say which rows were reused;
 # the warmed loops allocate nothing: the timestep loop, a dynamic batch width
-# (batched windows over a resnet run under `determinism`) and a training
+# (a warmed per-sample resnet pass runs under `determinism`) and a training
 # step's forward window, BPTT and SGD update;
 # a gradient of the wrong shape is a typed error from BatchNorm and LIF; and
 # a net that ran a Train sequence survives save → load with bitwise Eval
@@ -171,6 +171,77 @@ vector_width() {
             exit bad
         }'
 }
+
+# Opt-in, `scripts/ci.sh trajectory` (about 15 minutes; run nothing else
+# meanwhile): the staged tree (`git add` first) against the anchor commit of
+# BENCH_TRAJECTORY.json, five pairs of `scripts/ab.sh` on the workloads of
+# its last entry. A metric fails when its median ratio to the anchor falls
+# short of the last entry's ratio by more than the metric's BENCHMARK.json
+# bound, in its direction, and at least 4 of the 5 pairs fall short of it
+# too; a lone noisy phase of the host cannot fail it. The default run does
+# not include it.
+trajectory() {
+    local last anchor workloads results bounds
+    # the last entry's "workload metric ratio" lines (one record per line)
+    last=$(awk '/"pr":/ { out = "" } { out = out $0 "\n" } END { printf "%s", out }' \
+        BENCH_TRAJECTORY.json |
+        sed -n 's/.*"workload": "\([a-z_]*\)", "metric": "\([a-z0-9_]*\)".*"ratio": \([-0-9.e+]*\).*/\1 \2 \3/p')
+    anchor=$(sed -n 's/^ *"anchor": "\([0-9a-f]*\)",$/\1/p' BENCH_TRAJECTORY.json)
+    workloads=$(printf '%s\n' "$last" | awk '!seen[$1]++ { printf "%s%s", sep, $1; sep = "," }')
+    if [ -z "$last" ] || [ -z "$anchor" ]; then
+        echo "trajectory: no anchor or no recorded ratio in BENCH_TRAJECTORY.json"
+        return 1
+    fi
+    results=$(mktemp)
+    trap "rm -f '$results'" EXIT
+    AB_RESULTS=$results scripts/ab.sh "$anchor" INDEX "$workloads" 5
+    # "metric better bound" of every end-to-end metric
+    bounds=$(awk '
+        /"end_to_end"/ { on = 1 }
+        on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+        on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+        on && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }
+        on && /^  \]/ { on = 0 }' BENCHMARK.json)
+    awk -v pairs=5 '
+        function sort(a, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        }
+        function median(a, n) { sort(a, n); return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
+        # worse(r, ref): ratio r is on the wrong side of ref by more than slack
+        function worse(r, ref, m, slack) {
+            return better[m] == "higher" ? r < ref * (1 - slack) : r > ref * (1 + slack)
+        }
+        FILENAME == ARGV[1] { better[$1] = $2; bound[$1] = $3; next }
+        FILENAME == ARGV[2] { old[++n] = $3; w[n] = $1; m[n] = $2; next }
+        { v[$1, $4, $3, $2] = $5 }
+        END {
+            for (k = 1; k <= n; k++) {
+                if (!(m[k] in bound)) continue
+                np = 0; lost = 0
+                for (s = 1; s <= pairs; s++) {
+                    a = v[w[k], m[k], "parent", s]; c = v[w[k], m[k], "change", s]
+                    if (a == "" || c == "") continue
+                    np++; pa[np] = a; pc[np] = c
+                    if (a != 0 && worse(c / a, old[k], m[k], 0)) lost++
+                }
+                if (!np) { printf "trajectory: %s %s: no runs\n", w[k], m[k]; bad = 1; continue }
+                am = median(pa, np); cm = median(pc, np)
+                r = am == 0 ? old[k] : cm / am
+                fail = worse(r, old[k], m[k], bound[m[k]]) && lost >= 0.8 * pairs
+                printf "trajectory: %-14s %-15s ratio %.4f, last entry %.4f, bound %s, %d/%d pairs short%s\n",
+                    w[k], m[k], r, old[k], bound[m[k]], lost, np, fail ? "  FAIL" : ""
+                bad = bad || fail
+            }
+            exit bad
+        }' <(printf '%s\n' "$bounds") <(printf '%s\n' "$last") "$results"
+}
+
+if [ "${1:-}" = trajectory ]; then
+    stage trajectory
+    echo "ci.sh: trajectory green in $SECONDS s"
+    exit 0
+fi
 
 stage cargo build --release
 stage vector_width
